@@ -153,20 +153,23 @@ def cmd_epw_dual_point(args) -> int:
 
 
 def cmd_epw_line(args) -> int:
+    flag = "base" if args.kind == "y" else "plane"
+    if getattr(args, flag) is None:
+        raise DocumentError(f"--{flag} is required with --kind {args.kind}")
     ld = _read_document(args, "lagrangian_data")
     if args.kind == "y":
         base = _parse_point6(args.base, "--base")
-        cert = stratum_poly_on_line(
-            ld.a, base, _parse_point6(args.dir, "--dir"), "y", seed=args.seed
-        )
+        direction = _parse_point6(args.dir, "--dir")
+        if Matrix([base, direction]).rank() < 2:
+            raise DocumentError("--base and --dir are dependent: the line degenerates")
+        cert = stratum_poly_on_line(ld.a, base, direction, "y", seed=args.seed)
         base_out = [gio.format_vector(cert.base)]
     else:
-        plane = _parse_plane(args.plane)
-        rows = plane.basis_rows()
-        cert = stratum_poly_on_line(
-            ld.a, (rows[0], rows[1], rows[2]), _parse_point6(args.dir, "--dir"), "z",
-            seed=args.seed,
-        )
+        rows = _parse_plane(args.plane).basis_rows()
+        direction = _parse_point6(args.dir, "--dir")
+        if Matrix(rows + [direction]).rank() < 4:
+            raise DocumentError("--dir lies in the --plane span: the pencil is constant")
+        cert = stratum_poly_on_line(ld.a, tuple(rows), direction, "z", seed=args.seed)
         base_out = [gio.format_vector(u) for u in cert.base]
     payload = {
         "kind": cert.kind,
@@ -271,6 +274,8 @@ def cmd_hyperplane_update(args) -> int:
 
 
 def cmd_sigma(args) -> int:
+    if not args.point and args.plane is None:
+        raise DocumentError("one of --point or --plane is required")
     ld = _read_document(args, "lagrangian_data")
     if args.point:
         level = sigma1_level(ld, _parse_point6(args.point))

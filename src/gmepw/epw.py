@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .exterior import (
     MultiVector,
@@ -24,7 +25,7 @@ from .exterior import (
     wedge_space,
 )
 from .gm import GmError
-from .linalg import Matrix, Subspace, vec
+from .linalg import Matrix, Subspace, clear_denominators, det_int, vec
 from .polynomials import Poly, interpolate, poly_gcd
 from .sampling import random_matrix, rng_from_seed
 
@@ -75,42 +76,50 @@ class LineDegreeCertificate:
     poly: Poly
     degree: int
     sample_consistency: int
-    stripped: tuple[Poly, ...]
     contains_line: bool = False
 
 
+def _int_coords(mv: MultiVector) -> list[int]:
+    return [c.numerator for c in mv.coords]  # callers keep every coordinate integral
+
+
+def _cleared(vectors) -> tuple[list[MultiVector], int]:
+    """The vectors times their common denominator d, as 1-forms, and d."""
+    vectors = [vec(v) for v in vectors]
+    _, d = clear_denominators([x for v in vectors for x in v])
+    return [vector_to_multivector([x * d for x in v]) for v in vectors], d
+
+
 def _lagrangian_family_gens_y(base, direction):
-    """Generators of v(t) ^ (2-forms), one list of interpolating closures."""
-    base_mv = vector_to_multivector(vec(base))
-    dir_mv = vector_to_multivector(vec(direction))
+    """Generators v(t) ^ e_ij of v(t) ^ (2-forms), v(t) = base + t direction.
+
+    They are affine in t.  Returns ((G0, G1), scale): Gk holds the integer
+    coordinates of scale times the t^k coefficients of the 15 generators,
+    where scale is the common denominator of base and direction.
+    """
+    (base_mv, dir_mv), d = _cleared([base, direction])
     two_forms = [MultiVector.from_monomial(6, m) for m in monomials(6, 2)]
-
-    def gens_at(t: Fraction) -> list[list[Fraction]]:
-        vt = base_mv + dir_mv.scale(t)
-        return [wedge(vt, f).coords for f in two_forms]
-
-    return gens_at, 1  # each generator is affine in t
+    return tuple([_int_coords(wedge(v, f)) for f in two_forms] for v in (base_mv, dir_mv)), d
 
 
 def _lagrangian_family_gens_z(u1, u2, u3, u4):
-    """Generators of (6-space) ^ (2-forms of span(u1, u2, u3 + t u4))."""
-    u1, u2, u3, u4 = (vec(u) for u in (u1, u2, u3, u4))
-    basis_units = [vector_to_multivector([Fraction(i == j) for i in range(6)]) for j in range(6)]
+    """Generators e_k ^ w_i ^ w_j of (6-space) ^ (2-forms of span(w1, w2, w3)),
+    w1, w2, w3 = u1, u2, u3 + t u4.
 
-    def gens_at(t: Fraction) -> list[list[Fraction]]:
-        w3 = [Fraction(a) + t * Fraction(b) for a, b in zip(u3, u4)]
-        vs = [vector_to_multivector(u1), vector_to_multivector(u2), vector_to_multivector(w3)]
-        pairs = [wedge(vs[0], vs[1]), wedge(vs[0], vs[2]), wedge(vs[1], vs[2])]
-        out = []
-        for e in basis_units:
-            for p in pairs:
-                out.append(wedge(e, p).coords)
-        return out
-
-    return gens_at, 2  # the moving pair contributes degree up to 2
+    They are affine in t; returns ((G0, G1), scale) as for kind y.  The
+    generators are bilinear in the u's, so clearing the common denominator d
+    of the u's scales them by d^2.
+    """
+    (v1, v2, v3, v4), d = _cleared([u1, u2, u3, u4])
+    units = [vector_to_multivector([Fraction(i == j) for i in range(6)]) for j in range(6)]
+    const = [wedge(v1, v2), wedge(v1, v3), wedge(v2, v3)]
+    linear = [MultiVector.zero(6, 2), wedge(v1, v4), wedge(v2, v4)]
+    return tuple([_int_coords(wedge(e, p)) for e in units for p in pairs]
+                 for pairs in (const, linear)), d * d
 
 
-def _membership_poly(a: Subspace, gens_at, gen_degree: int, seed, tries: int = 6) -> Poly | None:
+def _membership_poly(a: Subspace, gens, n_nodes: int, scale: int, seed,
+                     tries: int = 6) -> Poly | None:
     """gcd of compressed pairing determinants along the family.
 
     The pairing of the Lagrangian basis against generators of the moving
@@ -119,31 +128,36 @@ def _membership_poly(a: Subspace, gens_at, gen_degree: int, seed, tries: int = 6
     a second independent compression almost surely avoids.  Returns None when
     the determinant vanishes identically for every compression (the family
     stays inside the stratum).
+
+    gens = (G0, G1) holds the coefficients of the affine generators
+    G0 + t G1, as ints times scale.  The integer pairing
+    P(t) = (A G) (G0 + t G1)^T, G the wedge Gram matrix, is built once per
+    node t = 0 .. n_nodes - 1 with each row of A G cleared of denominators,
+    and each compression C costs det_int(P C^T).
+    Dividing by the product of the row scales and scale^10 gives the
+    determinant of the rational pairing exactly.
     """
     rng = rng_from_seed(seed)
     gram = l3v6_gram()
-    pair_rows = [gram.left_apply(r) for r in a.basis_rows()]  # functionals on 3-forms
-    n_gens = len(gens_at(Fraction(0)))
-    bound = 10 * gen_degree + 1
-
-    def det_poly_for(compression: Matrix) -> Poly:
-        pts = []
-        for t in range(bound + 1):
-            gens = gens_at(Fraction(t))
-            compressed = [
-                [sum((compression.data[c][g] * gens[g][k] for g in range(n_gens)), Fraction(0))
-                 for k in range(20)]
-                for c in range(10)
-            ]
-            m = Matrix([[sum((pr[k] * col[k] for k in range(20)), Fraction(0)) for col in compressed]
-                        for pr in pair_rows])
-            pts.append((Fraction(t), m.det()))
-        return interpolate(pts)
+    pair_rows = []  # functionals on 3-forms, as ints
+    den = 1
+    for r in a.basis_rows():
+        row, d = clear_denominators(gram.left_apply(r))
+        pair_rows.append(row)
+        den *= d * scale
+    p0, p1 = ([[sum(map(mul, pr, g)) for g in gk] for pr in pair_rows] for gk in gens)
+    nodes = range(n_nodes)
+    pairings = [[[x + t * y for x, y in zip(r0, r1)] for r0, r1 in zip(p0, p1)] for t in nodes]
+    n_gens = len(gens[0])
 
     g: Poly | None = None
     for _ in range(tries):
-        comp = random_matrix(rng, 10, n_gens, 3)
-        p = det_poly_for(comp)
+        comp = [[x.numerator for x in row] for row in random_matrix(rng, 10, n_gens, 3).data]
+        pts = [
+            (t, Fraction(det_int([[sum(map(mul, prow, c)) for c in comp] for prow in pt]), den))
+            for t, pt in zip(nodes, pairings)
+        ]
+        p = interpolate(pts)
         if p.is_zero():
             continue
         g = p if g is None else poly_gcd(g, p)
@@ -164,13 +178,19 @@ def stratum_poly_on_line(
 
     For kind z the pencil is span(base[0], base[1], base[2] + t * direction).
     The certificate polynomial is normalized to primitive integer
-    coefficients; its roots are checked against direct membership at fresh
-    parameters, and the stripped chart factors are reported.
+    coefficients, its degree is checked against the sextic (y) or quartic
+    (z) bound, and its roots are checked against direct membership at fresh
+    parameters.  A line with dependent base and direction, or a pencil whose
+    four vectors span less than a 4-space (a constant family), is rejected.
     """
     if kind == "y":
-        gens_at, gdeg = _lagrangian_family_gens_y(base, direction)
+        if Matrix([vec(base), vec(direction)]).rank() < 2:
+            raise GmError("degenerate line: base and direction are dependent")
+        gens, scale = _lagrangian_family_gens_y(base, direction)
+        n_nodes = 12  # the determinant has degree at most 10
         base_t = tuple(vec(base))
         dir_t = tuple(vec(direction))
+        max_degree = 6
 
         def member(t: Fraction) -> bool:
             v = [b + t * d for b, d in zip(vec(base), vec(direction))]
@@ -178,45 +198,42 @@ def stratum_poly_on_line(
 
     elif kind == "z":
         u1, u2, u3 = base
-        gens_at, gdeg = _lagrangian_family_gens_z(u1, u2, u3, direction)
+        if Matrix([vec(u) for u in (u1, u2, u3, direction)]).rank() < 4:
+            raise GmError("degenerate pencil: u1, u2, u3 and direction span less than 4 dimensions")
+        gens, scale = _lagrangian_family_gens_z(u1, u2, u3, direction)
+        n_nodes = 22  # over-determined: the determinant again has degree at most 10
         base_t = tuple(tuple(vec(u)) for u in base)
         dir_t = tuple(vec(direction))
+        max_degree = 4
 
         def member(t: Fraction) -> bool:
             w3 = [Fraction(x) + t * Fraction(y) for x, y in zip(vec(u3), vec(direction))]
-            v3 = Subspace.from_rows(6, [vec(u1), vec(u2), w3])
-            if v3.dim != 3:
-                raise GmError("pencil degenerates at a sample parameter")
-            return z_stratum(a, v3) >= 1
+            return z_stratum(a, Subspace.from_rows(6, [vec(u1), vec(u2), w3])) >= 1
 
     else:
         raise GmError("kind must be y or z")
 
-    raw = _membership_poly(a, gens_at, gdeg, seed)
-    stripped: tuple[Poly, ...] = ()
+    raw = _membership_poly(a, gens, n_nodes, scale, seed)
     if raw is None:
-        return LineDegreeCertificate(
-            kind, base_t, dir_t, Poly.zero(), -1, 0, stripped, contains_line=True
-        )
+        return LineDegreeCertificate(kind, base_t, dir_t, Poly.zero(), -1, 0, contains_line=True)
     poly = raw.primitive()
+    if poly.degree > max_degree:
+        raise GmError(
+            f"certificate of degree {poly.degree} exceeds {max_degree}: a chart factor survived"
+        )
 
     rng = rng_from_seed(f"{seed}-membership-check")
     checked = 0
-    t_val = Fraction(0)
     used = set()
     while checked < samples:
         t_val = Fraction(rng.randint(-4 * samples, 4 * samples), rng.randint(1, 5))
         if t_val in used:
             continue
         used.add(t_val)
-        try:
-            is_member = member(t_val)
-        except GmError:
-            continue
-        if (poly(t_val) == 0) != is_member:
+        if (poly(t_val) == 0) != member(t_val):
             raise GmError("certificate disagrees with pointwise membership")
         checked += 1
-    return LineDegreeCertificate(kind, base_t, dir_t, poly, poly.degree, checked, stripped)
+    return LineDegreeCertificate(kind, base_t, dir_t, poly, poly.degree, checked)
 
 
 @dataclass(frozen=True)

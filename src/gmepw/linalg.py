@@ -10,11 +10,9 @@ exceed 30, so dense storage is used throughout.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 Rat = Fraction
-
-Vector = list  # list[Fraction], used informally
-
 
 _ZERO = Fraction(0)
 
@@ -57,6 +55,12 @@ def vec_dot(a, b) -> Fraction:
 
 def is_zero_vec(a) -> bool:
     return all(x == 0 for x in a)
+
+
+def clear_denominators(v) -> tuple[list[int], int]:
+    """(d * v as ints, d) for d the least common denominator of v."""
+    d = lcm(*(x.denominator for x in v))
+    return [x.numerator * (d // x.denominator) for x in v], d
 
 
 def unit_vector(n: int, i: int) -> list[Fraction]:
@@ -251,31 +255,16 @@ class Matrix:
         return self.rref()[1]
 
     def det(self) -> Fraction:
-        """Determinant by Gaussian elimination with pivoting."""
+        """Determinant: clear each row's denominators, then ``det_int``."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        m = self.copy_data()
-        det = Fraction(1)
-        for c in range(n):
-            pr = next((i for i in range(c, n) if m[i][c]), None)
-            if pr is None:
-                return _ZERO
-            if pr != c:
-                m[c], m[pr] = m[pr], m[c]
-                det = -det
-            pv = m[c][c]
-            det *= pv
-            inv = 1 / pv
-            mc = m[c]
-            for i in range(c + 1, n):
-                if m[i][c]:
-                    f = m[i][c] * inv
-                    mi = m[i]
-                    for j in range(c, n):
-                        if mc[j]:
-                            mi[j] -= f * mc[j]
-        return det
+        scale = 1
+        int_rows = []
+        for row in self.data:
+            int_row, d = clear_denominators(row)
+            int_rows.append(int_row)
+            scale *= d
+        return Fraction(det_int(int_rows), scale)
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
@@ -299,6 +288,32 @@ class Matrix:
         for r, c in enumerate(pivots):
             x[c] = red.data[r][self.cols]
         return x
+
+
+def det_int(rows) -> int:
+    """Determinant of a square matrix of Python ints by fraction-free
+    elimination (Bareiss, Math. Comp. 22, 1968).
+
+    Each step replaces the remaining block by the 2x2 minors against the
+    pivot divided by the previous pivot; by Sylvester's identity the
+    division is exact, so every intermediate entry is a minor of the
+    row-permuted input and stays an integer.
+    """
+    m = [list(r) for r in rows]
+    if any(len(r) != len(m) for r in m):
+        raise ValueError("determinant of a non-square matrix")
+    sign, prev = 1, 1
+    while len(m) > 1:
+        pr = next((i for i, r in enumerate(m) if r[0]), None)
+        if pr is None:
+            return 0
+        if pr:
+            m[0], m[pr] = m[pr], m[0]
+            sign = -sign
+        pivot, *tail = m[0]
+        m = [[(pivot * x - r[0] * y) // prev for x, y in zip(r[1:], tail)] for r in m[1:]]
+        prev = pivot
+    return sign * m[0][0] if m else 1
 
 
 def rref(m: Matrix) -> tuple[Matrix, int]:

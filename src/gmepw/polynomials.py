@@ -1,8 +1,8 @@
 """Dense univariate polynomials with exact rational coefficients.
 
 Small and purpose-built: evaluation, exact division, gcd, square-free parts
-and Lagrange interpolation are everything the determinant-on-a-line
-computations need.  Coefficients are stored low degree first.
+and interpolation are everything the determinant-on-a-line computations
+need.  Coefficients are stored low degree first.
 """
 
 from __future__ import annotations
@@ -210,19 +210,25 @@ def rational_roots(p: Poly) -> list[Fraction]:
 
 
 def interpolate(points) -> Poly:
-    """Lagrange interpolation through exact (x, y) pairs with distinct x."""
+    """The interpolant through exact (x, y) pairs with distinct x, by Newton
+    divided differences expanded in Horner form."""
     points = [(rat(x), rat(y)) for x, y in points]
     xs = [x for x, _ in points]
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation nodes must be distinct")
-    total = Poly.zero()
-    for i, (xi, yi) in enumerate(points):
-        if yi == 0:
-            continue
-        num = Poly.constant(yi)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            num = num * Poly([-xj, 1]).scale(Fraction(1, 1) / (xi - xj))
-        total = total + num
-    return total
+    dd = [y for _, y in points]
+    n = len(dd)
+    for k in range(1, n):
+        for i in range(n - 1, k - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - k])
+    # p = dd[0] + (t - x0)(dd[1] + (t - x1)(dd[2] + ...)), innermost first
+    coeffs: list[Fraction] = []
+    for i in range(n - 1, -1, -1):
+        xi = xs[i]
+        shifted = [Fraction(0)] + coeffs
+        if xi:
+            for k, c in enumerate(coeffs):
+                shifted[k] -= xi * c
+        shifted[0] += dd[i]
+        coeffs = shifted
+    return Poly(coeffs)

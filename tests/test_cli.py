@@ -1,0 +1,69 @@
+"""The command line in-process: golden outputs and usage errors.
+
+The files under ``tests/golden`` hold the stdout of README commands on the
+shipped fixtures; ``cases.json`` lists each command, its stdin fixture and
+its exit code.  A change to the certificate or discriminant code must
+reproduce them byte for byte.
+"""
+
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from gmepw import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
+
+
+def run_main(argv, stdin_text, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
+def test_golden_output(case, monkeypatch, capsys):
+    stdin_text = (ROOT / "fixtures" / case["stdin"]).read_text(encoding="utf-8")
+    code, out, _ = run_main(case["argv"], stdin_text, monkeypatch, capsys)
+    assert code == case["exit"]
+    assert out.encode("utf-8") == (GOLDEN / f"{case['name']}.out").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["epw-line", "--kind", "y", "--dir", "0,1,1,-2,1,1"],
+        ["epw-line", "--kind", "z", "--dir", "1,1,0,0,0,1"],
+        ["sigma"],
+    ],
+    ids=["epw-line-y-without-base", "epw-line-z-without-plane", "sigma-without-point-or-plane"],
+)
+def test_missing_flag_is_usage_error(argv, monkeypatch, capsys):
+    # the flag check comes before stdin is read, so no document is needed
+    code, out, err = run_main(argv, "", monkeypatch, capsys)
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert "required" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["epw-line", "--kind", "y", "--base", "1,0,0,0,0,0", "--dir", "2,0,0,0,0,0"],
+        ["epw-line", "--kind", "y", "--base", "0,0,0,0,0,0", "--dir", "0,1,0,0,0,0"],
+        ["epw-line", "--kind", "z", "--plane", "1,0,0,0,0,0;0,1,0,0,0,0;0,0,1,0,0,0",
+         "--dir", "1,-1,3,0,0,0"],
+    ],
+    ids=["y-parallel", "y-zero-base", "z-constant-pencil"],
+)
+def test_degenerate_line_is_input_error(argv, monkeypatch, capsys):
+    stdin_text = (ROOT / "fixtures" / "fivefold.lag.json").read_text(encoding="utf-8")
+    code, out, err = run_main(argv, stdin_text, monkeypatch, capsys)
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert "input error" in err

@@ -211,3 +211,80 @@ def test_scan_decomposables_pencil():
     other = MultiVector.from_coords(6, 3, a.basis_rows()[3])
     rep = scan_decomposables(a, pencil=(omega, other), samples=11)
     assert rep.scanned >= 10
+
+
+@pytest.mark.parametrize(
+    "base, direction",
+    [([1, 0, 0, 0, 0, 0], [2, 0, 0, 0, 0, 0]), ([0] * 6, [0, 1, 0, 0, 0, 0]),
+     ([1, 2, 0, 1, -1, 3], [0] * 6)],
+)
+def test_certificate_rejects_degenerate_line(base, direction):
+    a = fivefold_lagrangian().a
+    with pytest.raises(GmError, match="degenerate line"):
+        stratum_poly_on_line(a, base, direction, "y", seed=1)
+
+
+def test_certificate_rejects_constant_pencil():
+    a = fivefold_lagrangian().a
+    rows = ([1, 0, 0, 0, 1, 0], [0, 1, 0, -1, 0, 2], [0, 0, 1, 1, 2, 0])
+    inside = [2, -1, 3, 4, 8, -2]  # 2 u1 - u2 + 3 u3
+    with pytest.raises(GmError, match="degenerate pencil"):
+        stratum_poly_on_line(a, rows, inside, "z", seed=1)
+    with pytest.raises(GmError, match="degenerate pencil"):
+        stratum_poly_on_line(a, (rows[0], rows[0], rows[2]), [1, 1, 0, 0, 0, 1], "z", seed=1)
+
+
+@pytest.mark.parametrize("kind, bound", [("y", 6), ("z", 4)])
+def test_certificate_rejects_surviving_chart_factor(kind, bound, monkeypatch):
+    # a gcd above the sextic/quartic degree still carries a chart factor
+    import gmepw.epw as epw_mod
+    from gmepw.polynomials import Poly
+
+    monkeypatch.setattr(epw_mod, "_membership_poly", lambda *args: Poly([1, 1]) ** (bound + 1))
+    a = fivefold_lagrangian().a
+    if kind == "y":
+        base, direction = [1, 2, 0, 1, -1, 3], [0, 1, 1, -2, 1, 1]
+    else:
+        base = ([1, 0, 0, 0, 1, 0], [0, 1, 0, -1, 0, 2], [0, 0, 1, 1, 2, 0])
+        direction = [1, 1, 0, 0, 0, 1]
+    with pytest.raises(GmError, match="chart factor"):
+        stratum_poly_on_line(a, base, direction, kind, seed=1)
+
+
+def test_certificate_rational_inputs_match_scaled_integers():
+    # the integer pairing clears denominators with a t-independent scale, so
+    # rescaling base and direction by the same factor leaves the certificate
+    a = fivefold_lagrangian().a
+    base, direction = [1, 2, 0, 1, -1, 3], [0, 1, 1, -2, 1, 1]
+    whole = stratum_poly_on_line(a, base, direction, "y", seed=5)
+    third = [Fraction(x, 3) for x in base], [Fraction(x, 3) for x in direction]
+    assert stratum_poly_on_line(a, *third, "y", seed=5).poly == whole.poly
+    rows = ([1, 0, 0, 0, 1, 0], [0, 1, 0, -1, 0, 2], [0, 0, 1, 1, 2, 0])
+    pencil = stratum_poly_on_line(a, rows, [1, 1, 0, 0, 0, 1], "z", seed=6)
+    halves = tuple([Fraction(x, 2) for x in r] for r in rows)
+    half_dir = [Fraction(x, 2) for x in [1, 1, 0, 0, 0, 1]]
+    assert stratum_poly_on_line(a, halves, half_dir, "z", seed=6).poly == pencil.poly
+
+
+def test_membership_poly_equals_rational_pairing_determinant():
+    # the integer pairing and its scales reproduce the determinant of the
+    # compressed pairing built directly over the rationals, at any t
+    from gmepw.epw import _lagrangian_family_gens_y, _membership_poly
+    from gmepw.exterior import l3v6_gram, monomials, vector_to_multivector, wedge
+    from gmepw.sampling import random_matrix
+
+    a = fivefold_lagrangian().a
+    base = [Fraction(1, 2), 2, 0, 1, Fraction(-1, 3), 3]
+    direction = [0, Fraction(1, 5), 1, -2, 1, 1]
+    gens, scale = _lagrangian_family_gens_y(base, direction)
+    p = _membership_poly(a, gens, 12, scale, seed=8, tries=1)
+    comp = random_matrix(rng_from_seed(8), 10, 15, 3)
+    gram = l3v6_gram()
+    pair_rows = [gram.left_apply(r) for r in a.basis_rows()]
+    two_forms = [MultiVector.from_monomial(6, m) for m in monomials(6, 2)]
+    for t in (Fraction(0), Fraction(7), Fraction(-5, 3)):
+        vt = vector_to_multivector([Fraction(b) + t * d for b, d in zip(base, direction)])
+        gen_rows = Matrix([wedge(vt, f).coords for f in two_forms])
+        compressed = comp * gen_rows
+        m = Matrix(pair_rows) * compressed.transpose()
+        assert p(t) == m.det()

@@ -1,14 +1,16 @@
 """Exact linear algebra: canonical forms, subspace arithmetic, involutions."""
 
 from fractions import Fraction
+from math import lcm, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gmepw.linalg import (
     Matrix,
     Subspace,
+    det_int,
     image,
     kernel,
     rref,
@@ -167,3 +169,90 @@ def test_coordinates_of():
     coords = s.coordinates_of(v)
     assert coords == [Fraction(3), Fraction(-2)]
     assert s.coordinates_of([0, 0, 0, 1]) is None
+
+
+def det_by_fraction_elimination(rows) -> Fraction:
+    """Reference determinant: Gaussian elimination over Fraction with row
+    swaps, independent of the integer kernel."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    n = len(m)
+    det = Fraction(1)
+    for c in range(n):
+        pr = next((i for i in range(c, n) if m[i][c]), None)
+        if pr is None:
+            return Fraction(0)
+        if pr != c:
+            m[c], m[pr] = m[pr], m[c]
+            det = -det
+        pv = m[c][c]
+        det *= pv
+        for i in range(c + 1, n):
+            if m[i][c]:
+                f = m[i][c] / pv
+                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return det
+
+
+@st.composite
+def square_rational_matrices(draw, max_n=12):
+    """Square matrices up to max_n x max_n with many zeros; some are made
+    singular by overwriting a row with a combination of two others."""
+    n = draw(st.integers(0, max_n))
+    entry = st.one_of(st.just(Fraction(0)), small_fractions)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n >= 3 and draw(st.booleans()):
+        i, j, k = draw(st.permutations(range(n)))[:3]
+        a, b = draw(small_fractions), draw(small_fractions)
+        rows[k] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+    return rows
+
+
+@given(square_rational_matrices())
+@example([])
+@example([[Fraction(0)]])
+@example([[Fraction(-7, 3)]])
+@example([[0, 1, 2], [3, 4, 5], [6, 7, 9]])  # zero leading pivot
+@example([[0, 0, 1], [0, 1, 0], [1, 0, 0]])  # zero pivots at every step
+@example([[1, 2, 3], [2, 4, 6], [0, 0, 1]])  # zero pivot after the first step
+@example([[0, 0], [0, 5]])  # zero first column
+@settings(max_examples=60, deadline=None)
+def test_det_matches_fraction_elimination(rows):
+    expected = det_by_fraction_elimination(rows)
+    assert Matrix(rows, cols=len(rows)).det() == expected
+    scales = [lcm(*(x.denominator for x in r)) for r in rows]
+    int_rows = [[int(x * d) for x in r] for r, d in zip(rows, scales)]
+    assert det_int(int_rows) == expected * prod(scales)
+
+
+@given(st.lists(st.lists(st.integers(-10**6, 10**6), min_size=6, max_size=6), min_size=6,
+                max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_det_int_large_entries(rows):
+    result = det_int(rows)
+    assert type(result) is int
+    assert result == det_by_fraction_elimination(rows)
+
+
+def test_det_shapes():
+    assert Matrix([]).det() == 1
+    assert det_int([]) == 1
+    assert det_int([[5]]) == 5
+    with pytest.raises(ValueError):
+        Matrix([[1, 2]]).det()
+    with pytest.raises(ValueError):
+        det_int([[1, 2], [3]])
+
+
+def test_det_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = rng_from_seed(202)
+    for n in range(0, 13):
+        for _ in range(3):
+            rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+                    for _ in range(n)]
+            if n >= 2 and rng.random() < 0.4:
+                rows[-1] = [x - 2 * y for x, y in zip(rows[0], rows[1])]
+            ref = sympy.Matrix(n, n, [sympy.Rational(x.numerator, x.denominator)
+                                      for r in rows for x in r]).det()
+            got = Matrix(rows, cols=n).det()
+            assert (got.numerator, got.denominator) == (ref.p, ref.q)

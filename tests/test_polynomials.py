@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gmepw.polynomials import (
     Poly,
@@ -74,3 +76,48 @@ def test_interpolation_roundtrip():
     assert interpolate(pts) == p
     with pytest.raises(ValueError):
         interpolate([(1, 1), (1, 2)])
+
+
+def lagrange_interpolate(points) -> Poly:
+    """Reference interpolant in the Lagrange form, independent of the
+    Newton form that interpolate uses."""
+    points = [(Fraction(x), Fraction(y)) for x, y in points]
+    total = Poly.zero()
+    for i, (xi, yi) in enumerate(points):
+        if yi == 0:
+            continue
+        num = Poly.constant(yi)
+        for j, (xj, _) in enumerate(points):
+            if j != i:
+                num = num * Poly([-xj, 1]).scale(1 / (xi - xj))
+        total = total + num
+    return total
+
+
+rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+@st.composite
+def interpolation_data(draw):
+    xs = draw(st.lists(rationals, min_size=1, max_size=14, unique=True))
+    if draw(st.booleans()):
+        ys = [Fraction(0)] * len(xs)
+    else:
+        ys = draw(st.lists(rationals, min_size=len(xs), max_size=len(xs)))
+    return list(zip(xs, ys))
+
+
+@given(interpolation_data())
+@example([(Fraction(3), Fraction(-7, 2))])
+@example([(Fraction(-1, 2), Fraction(0)), (Fraction(5, 3), Fraction(0))])
+@example([(Fraction(t), Fraction(t * t - 3)) for t in range(-4, 5)])
+@settings(max_examples=150, deadline=None)
+def test_newton_matches_lagrange(points):
+    p = interpolate(points)
+    assert p == lagrange_interpolate(points)
+    assert all(p(x) == y for x, y in points)
+    assert p.degree < len(points)
+
+
+def test_interpolate_empty_is_zero():
+    assert interpolate([]).is_zero()
