@@ -165,7 +165,9 @@ def cmd_epw_line(args) -> int:
         cert = stratum_poly_on_line(ld.a, base, direction, "y", seed=args.seed)
         base_out = [gio.format_vector(cert.base)]
     else:
-        rows = _parse_plane(args.plane).basis_rows()
+        rows = [_parse_point6(part, "--plane") for part in args.plane.split(";")]
+        if len(rows) != 3 or Matrix(rows).rank() != 3:
+            raise DocumentError("--plane: expected 3 independent vectors u1;u2;u3")
         direction = _parse_point6(args.dir, "--dir")
         if Matrix(rows + [direction]).rank() < 4:
             raise DocumentError("--dir lies in the --plane span: the pencil is constant")
@@ -276,6 +278,8 @@ def cmd_hyperplane_update(args) -> int:
 def cmd_sigma(args) -> int:
     if not args.point and args.plane is None:
         raise DocumentError("one of --point or --plane is required")
+    if args.point and args.plane is not None:
+        raise DocumentError("give one of --point or --plane, not both")
     ld = _read_document(args, "lagrangian_data")
     if args.point:
         level = sigma1_level(ld, _parse_point6(args.point))

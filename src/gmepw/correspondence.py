@@ -303,7 +303,7 @@ def dim_report(ld: LagrangianData) -> DimReport:
     """Expected variety dimension from the Lagrangian data."""
     if ld.a1 == A1_INF:
         raise CorrespondenceError("no dimension formula for the cone tag")
-    ell = ld.a.intersect(l3v5_subspace()).dim
+    ell = ld.a.meet_dim(l3v5_subspace())
     base = 5 if ld.a1 == A1_ZERO else 6
     predicted = base - ell
     return DimReport(

@@ -36,7 +36,7 @@ def y_stratum(a: Subspace, v) -> int:
     if all(x == 0 for x in v):
         raise GmError("zero vector")
     line = Subspace.from_rows(6, [v])
-    return a.intersect(wedge_space(line, Subspace.full(6))).dim
+    return a.meet_dim(wedge_space(line, Subspace.full(6)))
 
 
 def y_dual_stratum(a: Subspace, v5: Subspace) -> int:
@@ -45,7 +45,7 @@ def y_dual_stratum(a: Subspace, v5: Subspace) -> int:
 
     if v5.ambient_dim != 6 or v5.dim != 5:
         raise GmError("expected a hyperplane of the 6-space")
-    return a.intersect(wedge_cube(v5)).dim
+    return a.meet_dim(wedge_cube(v5))
 
 
 def y_hat_member(a: Subspace, v, v5: Subspace) -> int:
@@ -56,14 +56,14 @@ def y_hat_member(a: Subspace, v, v5: Subspace) -> int:
     if not v5.contains(v):
         raise GmError("the point must lie on the hyperplane")
     line = Subspace.from_rows(6, [v])
-    return a.intersect(wedge_space(line, v5)).dim
+    return a.meet_dim(wedge_space(line, v5))
 
 
 def z_stratum(a: Subspace, v3: Subspace) -> int:
     """dim of the meet with (6-space) ^ (2-forms of a 3-space)."""
     if v3.ambient_dim != 6 or v3.dim != 3:
         raise GmError("expected a 3-dimensional subspace of the 6-space")
-    return a.intersect(wedge_space(Subspace.full(6), v3)).dim
+    return a.meet_dim(wedge_space(Subspace.full(6), v3))
 
 
 @dataclass(frozen=True)
@@ -118,8 +118,7 @@ def _lagrangian_family_gens_z(u1, u2, u3, u4):
                  for pairs in (const, linear)), d * d
 
 
-def _membership_poly(a: Subspace, gens, n_nodes: int, scale: int, seed,
-                     tries: int = 6) -> Poly | None:
+def _membership_poly(a: Subspace, gens, scale: int, seed, tries: int = 6) -> Poly | None:
     """gcd of compressed pairing determinants along the family.
 
     The pairing of the Lagrangian basis against generators of the moving
@@ -132,8 +131,10 @@ def _membership_poly(a: Subspace, gens, n_nodes: int, scale: int, seed,
     gens = (G0, G1) holds the coefficients of the affine generators
     G0 + t G1, as ints times scale.  The integer pairing
     P(t) = (A G) (G0 + t G1)^T, G the wedge Gram matrix, is built once per
-    node t = 0 .. n_nodes - 1 with each row of A G cleared of denominators,
-    and each compression C costs det_int(P C^T).
+    node t = 0 .. 10 with each row of A G cleared of denominators, and each
+    compression C costs det_int(P C^T).  P C^T is 10 x 10 with entries
+    affine in t, so its determinant has degree at most 10 and the 11 nodes
+    determine it.
     Dividing by the product of the row scales and scale^10 gives the
     determinant of the rational pairing exactly.
     """
@@ -146,7 +147,7 @@ def _membership_poly(a: Subspace, gens, n_nodes: int, scale: int, seed,
         pair_rows.append(row)
         den *= d * scale
     p0, p1 = ([[sum(map(mul, pr, g)) for g in gk] for pr in pair_rows] for gk in gens)
-    nodes = range(n_nodes)
+    nodes = range(11)
     pairings = [[[x + t * y for x, y in zip(r0, r1)] for r0, r1 in zip(p0, p1)] for t in nodes]
     n_gens = len(gens[0])
 
@@ -187,7 +188,6 @@ def stratum_poly_on_line(
         if Matrix([vec(base), vec(direction)]).rank() < 2:
             raise GmError("degenerate line: base and direction are dependent")
         gens, scale = _lagrangian_family_gens_y(base, direction)
-        n_nodes = 12  # the determinant has degree at most 10
         base_t = tuple(vec(base))
         dir_t = tuple(vec(direction))
         max_degree = 6
@@ -201,7 +201,6 @@ def stratum_poly_on_line(
         if Matrix([vec(u) for u in (u1, u2, u3, direction)]).rank() < 4:
             raise GmError("degenerate pencil: u1, u2, u3 and direction span less than 4 dimensions")
         gens, scale = _lagrangian_family_gens_z(u1, u2, u3, direction)
-        n_nodes = 22  # over-determined: the determinant again has degree at most 10
         base_t = tuple(tuple(vec(u)) for u in base)
         dir_t = tuple(vec(direction))
         max_degree = 4
@@ -213,7 +212,7 @@ def stratum_poly_on_line(
     else:
         raise GmError("kind must be y or z")
 
-    raw = _membership_poly(a, gens, n_nodes, scale, seed)
+    raw = _membership_poly(a, gens, scale, seed)
     if raw is None:
         return LineDegreeCertificate(kind, base_t, dir_t, Poly.zero(), -1, 0, contains_line=True)
     poly = raw.primitive()

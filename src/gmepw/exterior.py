@@ -288,11 +288,6 @@ def divisor_space(a: MultiVector) -> Subspace:
     return kernel(Matrix.from_cols(cols))
 
 
-def subspace_to_multivectors(s: Subspace, ambient_dim: int, degree: int) -> list[MultiVector]:
-    """Rows of a coordinate subspace reinterpreted as exterior-power elements."""
-    return [MultiVector.from_coords(ambient_dim, degree, row) for row in s.basis.data]
-
-
 def multivector_subspace(vectors, ambient_dim: int, degree: int) -> Subspace:
     """Span of multivectors as a subspace of the coordinate space."""
     size = ExteriorBasis(ambient_dim, degree).size
@@ -339,6 +334,12 @@ def wedge_cube(u: Subspace) -> Subspace:
             )
         )
     return multivector_subspace(gens, 6, 3) if gens else Subspace.zero(20)
+
+
+@lru_cache(maxsize=None)
+def v5_subspace() -> Subspace:
+    """The distinguished hyperplane span(e1..e5) of the 6-space."""
+    return Subspace.from_rows(6, [[Fraction(i == j) for i in range(6)] for j in range(5)])
 
 
 @lru_cache(maxsize=None)

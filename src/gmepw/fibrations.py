@@ -14,8 +14,8 @@ from .correspondence import (
     extended_decomposition,
     extended_lagrangian,
 )
-from .epw import y_stratum, z_stratum
-from .exterior import wedge_space
+from .epw import y_hat_member, y_stratum, z_stratum
+from .exterior import v5_subspace, wedge_space
 from .gm import GmError
 from .linalg import Fraction, Subspace, vec
 from .quadrics import _induced_quadric, isotropic_reduce
@@ -41,18 +41,14 @@ def _check_v3_in_v5(v3: Subspace) -> Subspace:
 def sigma1_level(ld: LagrangianData, v) -> int:
     """dim of the meet of the Lagrangian with v ^ (2-forms on the hyperplane),
     for v in the hyperplane; positive iff v lies in the first exceptional locus."""
-    v = _check_in_v5(v)
-    v5 = Subspace.from_rows(6, [[Fraction(i == j) for i in range(6)] for j in range(5)])
-    line = Subspace.from_rows(6, [v])
-    return ld.a.intersect(wedge_space(line, v5)).dim
+    return y_hat_member(ld.a, _check_in_v5(v), v5_subspace())
 
 
 def sigma2_level(ld: LagrangianData, v3: Subspace) -> int:
     """dim of the meet with (hyperplane) ^ (2-forms of the 3-space); positive
     iff the 3-space lies in the second exceptional locus."""
     v3 = _check_v3_in_v5(v3)
-    v5 = Subspace.from_rows(6, [[Fraction(i == j) for i in range(6)] for j in range(5)])
-    return ld.a.intersect(wedge_space(v5, v3)).dim
+    return ld.a.meet_dim(wedge_space(v5_subspace(), v3))
 
 
 @dataclass(frozen=True)
@@ -91,9 +87,7 @@ def fibration1_fiber(ld: LagrangianData, v) -> FiberReport:
     if ld.a1 == A1_INF:
         raise GmError("fibrations need lci data")
     v = _check_in_v5(v)
-    v5 = Subspace.from_rows(6, [[Fraction(i == j) for i in range(6)] for j in range(5)])
-    line = Subspace.from_rows(6, [v])
-    iso = wedge_space(line, v5)
+    iso = wedge_space(Subspace.from_rows(6, [v]), v5_subspace())
     ambient, corank = _fiber_via_reduction(ld, iso)
     sigma = sigma1_level(ld, v)
     stratum = y_stratum(ld.a, v)
@@ -119,8 +113,7 @@ def fibration2_fiber(ld: LagrangianData, v3: Subspace) -> FiberReport:
     if ld.a1 == A1_INF:
         raise GmError("fibrations need lci data")
     v3 = _check_v3_in_v5(v3)
-    v5 = Subspace.from_rows(6, [[Fraction(i == j) for i in range(6)] for j in range(5)])
-    iso = wedge_space(v5, v3)
+    iso = wedge_space(v5_subspace(), v3)
     ambient, corank = _fiber_via_reduction(ld, iso)
     level = sigma2_level(ld, v3)
     stratum = z_stratum(ld.a, v3)

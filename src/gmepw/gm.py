@@ -19,12 +19,11 @@ from .exterior import (
     vector_to_multivector,
     wedge,
 )
-from .linalg import Matrix, Subspace, kernel, unit_vector, vec
+from .linalg import Matrix, Subspace, kernel, unit_vector, vec, vec_dot
 from .polynomials import Poly, interpolate
 from .quadrics import QuadricOnSubspace
 from .sampling import random_nonzero_vector, rng_from_seed
 
-V5_DIM = 5
 L2V5_DIM = 10  # degree-2 monomials of the 5-space
 
 
@@ -73,10 +72,6 @@ class GMData:
             if c != 0:
                 acc = acc + m.scale(c)
         return acc
-
-    def mu_of(self, w) -> MultiVector:
-        """Image of a W-vector as a degree-2 form on the 5-space."""
-        return MultiVector.from_coords(5, 2, self.mu.apply(vec(w)))
 
     def ker_mu(self) -> Subspace:
         return kernel(self.mu)
@@ -166,13 +161,8 @@ def classify(d: GMData) -> GMTypeTag:
     w1 = ker.basis_rows()[0]
     # the value at the kernel point depends on v only through its e6 part,
     # verified here on two independent directions off the hyperplane
-    vals = []
-    for v in (unit_vector(6, 5), vec([1, 0, 0, 0, 0, 1])):
-        g = d.q_of(v)
-        vals.append(sum(
-            (w1[a] * g.data[a][b] * w1[b] for a in range(d.w_dim) for b in range(d.w_dim)),
-            Fraction(0),
-        ))
+    directions = (unit_vector(6, 5), vec([1, 0, 0, 0, 0, 1]))
+    vals = [vec_dot(w1, d.q_of(v).apply(w1)) for v in directions]
     if vals[0] != vals[1]:
         raise GmError("inconsistent kernel values; data violates the wedge identity")
     return SPECIAL if vals[0] != 0 else NON_LCI
@@ -203,18 +193,9 @@ def split_w(d: GMData) -> tuple[Subspace, Subspace, tuple[Matrix, ...], tuple[Ma
     if w0s[0] != w0s[1]:
         raise GmError("splitting depends on the direction; data is inconsistent")
     w0 = w0s[0]
-    q0 = tuple(_restrict_gram(m, w0) for m in d.q)
-    q1 = tuple(_restrict_gram(m, w1) for m in d.q)
+    q0 = tuple(w0.basis * m * w0.basis.transpose() for m in d.q)
+    q1 = tuple(w1.basis * m * w1.basis.transpose() for m in d.q)
     return w0, w1, q0, q1
-
-
-def _restrict_gram(g: Matrix, s: Subspace) -> Matrix:
-    rows = s.basis_rows()
-    return Matrix(
-        [[sum((x[i] * g.data[i][j] * y[j] for i in range(g.rows) for j in range(g.cols)),
-              Fraction(0)) for y in rows] for x in rows],
-        cols=len(rows),
-    )
 
 
 def quadric_at(d: GMData, v) -> QuadricOnSubspace:
@@ -227,13 +208,7 @@ def membership(d: GMData, w) -> str:
     w = vec(w)
     if all(x == 0 for x in w):
         raise GmError("the zero vector is not a point")
-    vals = []
-    for i in range(6):
-        g = d.q[i]
-        vals.append(sum(
-            (w[a] * g.data[a][b] * w[b] for a in range(d.w_dim) for b in range(d.w_dim)),
-            Fraction(0),
-        ))
+    vals = [vec_dot(w, g.apply(w)) for g in d.q]
     if all(v == 0 for v in vals):
         return "on_x"
     if all(v == 0 for v in vals[:5]):

@@ -42,7 +42,7 @@ def format_rat(x: Fraction) -> str:
 
 
 def parse_rat(s, where: str = "scalar") -> Fraction:
-    if isinstance(s, int):
+    if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     if not isinstance(s, str):
         raise DocumentError(f"{where}: expected a rational string, got {s!r}")
@@ -185,10 +185,6 @@ def parse_quadric(obj, where: str = "quadric") -> QuadricOnSubspace:
 
 def format_poly(p: Poly) -> list[str]:
     return [format_rat(c) for c in p.coeffs]
-
-
-def parse_poly(obj, where: str = "poly") -> Poly:
-    return Poly(parse_vector(obj, where))
 
 
 def parse(text: str) -> Document:

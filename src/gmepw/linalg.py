@@ -12,8 +12,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-Rat = Fraction
-
 _ZERO = Fraction(0)
 
 
@@ -38,11 +36,6 @@ def vec_add(a, b):
 
 def vec_sub(a, b):
     return [x - y for x, y in zip(a, b, strict=True)]
-
-
-def vec_scale(c, a):
-    c = rat(c)
-    return [c * x for x in a]
 
 
 def vec_dot(a, b) -> Fraction:
@@ -462,6 +455,13 @@ class Subspace:
         self._check_ambient(other)
         return (self.annihilator() + other.annihilator()).annihilator()
 
+    def meet_dim(self, other: "Subspace") -> int:
+        """dim of the intersection, from one elimination of the stacked bases:
+        dim + dim - dim of the sum."""
+        self._check_ambient(other)
+        stacked = Matrix._make(self.basis.data + other.basis.data, self.ambient_dim)
+        return self.dim + other.dim - stacked.rank()
+
     def annihilator(self) -> "Subspace":
         """Functionals vanishing on the subspace, in dual coordinates.
 
@@ -470,21 +470,3 @@ class Subspace:
         if self.dim == 0:
             return Subspace.full(self.ambient_dim)
         return kernel(self.basis)
-
-    def linear_map_image(self, m: Matrix) -> "Subspace":
-        """Image of the subspace under x -> m x (columns = ambient coords)."""
-        if m.cols != self.ambient_dim:
-            raise ValueError("map domain differs from ambient dimension")
-        return Subspace.from_rows(m.rows, [m.apply(row) for row in self.basis.data])
-
-
-def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    return a.intersect(b)
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    return a + b
-
-
-def annihilator(a: Subspace) -> Subspace:
-    return a.annihilator()

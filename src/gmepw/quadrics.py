@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exterior import SymplecticSpace
-from .linalg import Matrix, Subspace, kernel, solve_multi
+from .linalg import Matrix, Subspace, kernel, solve_multi, vec_dot
 
 
 def is_isotropic(space: SymplecticSpace, s: Subspace) -> bool:
@@ -46,7 +46,7 @@ class LagrangianDecomposition:
             raise ValueError("ambient mismatch")
         if not (is_lagrangian(self.space, self.l1) and is_lagrangian(self.space, self.l2)):
             raise ValueError("summands are not Lagrangian")
-        if self.l1.intersect(self.l2).dim != 0:
+        if self.l1.meet_dim(self.l2) != 0:
             raise ValueError("summands are not complementary")
         object.__setattr__(self, "_tinv", None)
 
@@ -115,30 +115,7 @@ class QuadricOnSubspace:
         cw = cv if w is None else self.span.coordinates_of(w)
         if cv is None or cw is None:
             raise ValueError("point outside the span of the quadric")
-        return sum(
-            (cv[i] * self.gram.data[i][j] * cw[j] for i in range(len(cv)) for j in range(len(cw))),
-            Fraction(0),
-        )
-
-    def restrict_gram_to(self, sub: Subspace) -> Matrix:
-        """Gram of the restriction to a subspace of the span, on sub's RREF basis."""
-        coords = [self.span.coordinates_of(row) for row in sub.basis.data]
-        if any(c is None for c in coords):
-            raise ValueError("restriction target is not inside the span")
-        m = len(coords)
-        return Matrix(
-            [
-                [
-                    sum(
-                        (coords[a][i] * self.gram.data[i][j] * coords[b][j]
-                         for i in range(self.gram.rows) for j in range(self.gram.cols)),
-                        Fraction(0),
-                    )
-                    for b in range(m)
-                ]
-                for a in range(m)
-            ]
-        )
+        return vec_dot(cv, self.gram.apply(cw))
 
 
 def gram_on_lagrangian(dec: LagrangianDecomposition, a: Subspace) -> Matrix:
@@ -342,11 +319,9 @@ def isotropic_reduce(
     red_a = model.project_subspace(a)
 
     a_l1 = a.intersect(dec.l1)
-    a_iso = a.intersect(iso)
     span_f = pairing_annihilator_in(
         red_space, model.project_subspace(a_l1), red_l2
     )
     kern_src = a.intersect(iso + l2bar_ambient)
     kern_f = model.project_subspace(kern_src)
-    _ = a_iso
     return IsotropicReduction(red_dec, red_a, span_f, kern_f, model)

@@ -125,9 +125,3 @@ def random_lagrangian(
     lag = Subspace.from_rows(space.total_dim, rows)
     assert is_lagrangian(space, lag)
     return lag
-
-
-def random_lagrangian_in_wedge_space(rng: random.Random, height: int = 3) -> Subspace:
-    from .exterior import wedge_symplectic_space
-
-    return random_lagrangian(wedge_symplectic_space(), rng, height)

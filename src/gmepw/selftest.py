@@ -16,7 +16,7 @@ from .correspondence import (
     lagrangian_to_gm,
 )
 from .epw import stratum_poly_on_line, y_dual_stratum, y_stratum, z_stratum
-from .exterior import MultiVector, l3v5_subspace, wedge_symplectic_space
+from .exterior import MultiVector, l3v5_subspace, v5_subspace, wedge_space, wedge_symplectic_space
 from .fibrations import fibration1_fiber, fibration2_fiber
 from .fixtures import (
     all_gm_fixtures,
@@ -100,14 +100,10 @@ def run_selftest(verbose: bool = True) -> list[tuple[str, bool, str]]:
         rng = rng_from_seed(5)
         d = fivefold()
         ld = fivefold_lagrangian()
-        from .exterior import wedge_space
-
-        v5 = Subspace.from_rows(6, [[Fraction(i == j) for i in range(6)] for j in range(5)])
         for _ in range(15):
             v = random_nonzero_vector(rng, 5, 4) + [Fraction(rng.randint(1, 4))]
             corank = d.w_dim - d.q_of(v).rank()
-            line = Subspace.from_rows(6, [v])
-            meet = ld.a.intersect(wedge_space(line, v5)).dim
+            meet = ld.a.meet_dim(wedge_space(Subspace.from_rows(6, [v]), v5_subspace()))
             assert corank == meet, (v, corank, meet)
         return "15 off-hyperplane kernels match"
 
@@ -199,7 +195,7 @@ def run_selftest(verbose: bool = True) -> list[tuple[str, bool, str]]:
             from .quadrics import is_lagrangian
 
             assert is_lagrangian(space, a2)
-            assert a.intersect(a2).dim == 9
+            assert a.meet_dim(a2) == 9
         return "10 updates, meet dimension 9"
 
     record("hyperplane updates", check_hyperplane_update)

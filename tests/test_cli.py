@@ -67,3 +67,39 @@ def test_degenerate_line_is_input_error(argv, monkeypatch, capsys):
     assert code == cli.EXIT_INPUT
     assert out == ""
     assert "input error" in err
+
+
+def test_sigma_with_point_and_plane_is_usage_error(monkeypatch, capsys):
+    argv = ["sigma", "--point", "1,0,0,0,0,0", "--plane", "1,0,0,0,0,0;0,1,0,0,0,0;0,0,1,0,0,0"]
+    code, out, err = run_main(argv, "", monkeypatch, capsys)
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert "give one of --point or --plane" in err
+
+
+def test_boolean_scalar_is_input_error(monkeypatch, capsys):
+    doc = json.loads((ROOT / "fixtures" / "fivefold.lag.json").read_text(encoding="utf-8"))
+    doc["payload"]["A"]["basis"][0][0] = True
+    code, out, err = run_main(["dim-report"], json.dumps(doc), monkeypatch, capsys)
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert "input error" in err
+
+
+def test_z_pencil_uses_the_rows_as_given(monkeypatch, capsys):
+    # the second row is not in RREF; the pencil is span(u1, u2, u3 + t dir)
+    # for the rows typed, not for the echelon basis of their span
+    rows = ["1,0,0,0,1,0", "0,1,1,0,2,2", "0,0,1,1,2,0"]
+    argv = ["epw-line", "--kind", "z", "--plane", ";".join(rows), "--dir", "1,1,0,0,0,1"]
+    stdin_text = (ROOT / "fixtures" / "fivefold.lag.json").read_text(encoding="utf-8")
+    code, out, _ = run_main(argv, stdin_text, monkeypatch, capsys)
+    assert code == cli.EXIT_OK
+    payload = json.loads(out)["payload"]
+    assert payload["poly"] == ["81", "-216", "216", "-96", "16"]
+    assert payload["line"]["base"] == [r.split(",") for r in rows]
+
+
+def test_selftest_passes(monkeypatch, capsys):
+    code, out, _ = run_main(["selftest"], "", monkeypatch, capsys)
+    assert code == cli.EXIT_OK
+    assert out.splitlines()[-1] == "12/12 checks passed"

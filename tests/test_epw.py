@@ -277,7 +277,7 @@ def test_membership_poly_equals_rational_pairing_determinant():
     base = [Fraction(1, 2), 2, 0, 1, Fraction(-1, 3), 3]
     direction = [0, Fraction(1, 5), 1, -2, 1, 1]
     gens, scale = _lagrangian_family_gens_y(base, direction)
-    p = _membership_poly(a, gens, 12, scale, seed=8, tries=1)
+    p = _membership_poly(a, gens, scale, seed=8, tries=1)
     comp = random_matrix(rng_from_seed(8), 10, 15, 3)
     gram = l3v6_gram()
     pair_rows = [gram.left_apply(r) for r in a.basis_rows()]

@@ -44,6 +44,13 @@ def test_rational_formatting():
         gio.parse_rat("x")
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_parse_rat_rejects_json_booleans(flag):
+    # bool is an int subclass; JSON true/false must not read as 1/0
+    with pytest.raises(DocumentError):
+        gio.parse_rat(flag)
+
+
 def test_document_roundtrip_all_fixtures():
     for name, d in all_gm_fixtures().items():
         text = gio.emit(Document("gm_data", d))

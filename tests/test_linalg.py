@@ -15,8 +15,6 @@ from gmepw.linalg import (
     kernel,
     rref,
     solve_multi,
-    subspace_intersect,
-    subspace_sum,
 )
 from gmepw.sampling import random_invertible, random_matrix, rng_from_seed
 
@@ -80,9 +78,10 @@ def test_rref_idempotent(rows):
 def test_dimension_formula_sum_intersection(rows_a, rows_b):
     a = Subspace.from_rows(5, rows_a)
     b = Subspace.from_rows(5, rows_b)
-    total = subspace_sum(a, b)
-    meet = subspace_intersect(a, b)
+    total = a + b
+    meet = a.intersect(b)
     assert total.dim + meet.dim == a.dim + b.dim
+    assert a.meet_dim(b) == meet.dim
     assert a.contains_subspace(meet) and b.contains_subspace(meet)
     assert total.contains_subspace(a) and total.contains_subspace(b)
 
@@ -91,17 +90,22 @@ def test_intersect_examples():
     e = Matrix.identity(3).data
     a = Subspace.from_rows(3, [e[0], e[1]])
     b = Subspace.from_rows(3, [e[1], e[2]])
-    assert subspace_intersect(a, b) == Subspace.from_rows(3, [e[1]])
+    assert a.intersect(b) == Subspace.from_rows(3, [e[1]])
     v = Subspace.full(3)
-    assert subspace_intersect(v, v) == v
+    assert v.intersect(v) == v
     x = Subspace.from_rows(2, [[1, 0]])
     y = Subspace.from_rows(2, [[0, 1]])
-    assert subspace_intersect(x, y).dim == 0
+    assert x.intersect(y).dim == 0
 
 
 def test_intersect_ambient_mismatch():
     with pytest.raises(ValueError):
         Subspace.full(2).intersect(Subspace.full(3))
+
+
+def test_meet_dim_ambient_mismatch():
+    with pytest.raises(ValueError):
+        Subspace.full(2).meet_dim(Subspace.full(3))
 
 
 def test_kernel_image_annihilator_examples():
