@@ -37,13 +37,7 @@ EXIT_INPUT = 2
 
 
 def _parse_scalar_list(text: str, where: str) -> list[Fraction]:
-    out = []
-    for i, tok in enumerate(text.split(",")):
-        try:
-            out.append(Fraction(tok.strip()))
-        except (ValueError, ZeroDivisionError):
-            raise DocumentError(f"{where}: bad rational {tok.strip()!r} at position {i}") from None
-    return out
+    return [gio.parse_rat(tok.strip(), f"{where} position {i}") for i, tok in enumerate(text.split(","))]
 
 
 def _parse_point6(text: str, where: str = "--point") -> list[Fraction]:
@@ -53,12 +47,33 @@ def _parse_point6(text: str, where: str = "--point") -> list[Fraction]:
     return v
 
 
+def _parse_nonzero_point(text: str, where: str = "--point") -> list[Fraction]:
+    v = _parse_point6(text, where)
+    if not any(v):
+        raise DocumentError(f"{where}: must be non-zero")
+    return v
+
+
+def _parse_v5_point(text: str) -> list[Fraction]:
+    v = _parse_nonzero_point(text)
+    if v[5]:
+        raise DocumentError("--point: must lie in the hyperplane (last coordinate 0)")
+    return v
+
+
 def _parse_plane(text: str, where: str = "--plane") -> Subspace:
     rows = [_parse_point6(part, where) for part in text.split(";")]
     s = Subspace.from_rows(6, rows)
     if s.dim != 3:
         raise DocumentError(f"{where}: vectors span dimension {s.dim}, expected 3")
     return s
+
+
+def _parse_v5_plane(text: str) -> Subspace:
+    plane = _parse_plane(text)
+    if any(row[5] for row in plane.basis.data):
+        raise DocumentError("--plane: the 3-space must lie in the hyperplane (last coordinates 0)")
+    return plane
 
 
 def _read_document(args, expected_kind: str):
@@ -134,17 +149,15 @@ def cmd_dim_report(args) -> int:
 
 def cmd_epw_point(args) -> int:
     ld = _read_document(args, "lagrangian_data")
-    v = _parse_point6(args.point)
+    v = _parse_nonzero_point(args.point)
     _emit_report(args, {"point": gio.format_vector(v), "y_stratum": y_stratum(ld.a, v)})
     return EXIT_OK
 
 
 def cmd_epw_dual_point(args) -> int:
     ld = _read_document(args, "lagrangian_data")
-    f = _parse_point6(args.covector, "--covector")
+    f = _parse_nonzero_point(args.covector, "--covector")
     v5 = kernel(Matrix([f]))
-    if v5.dim != 5:
-        raise DocumentError("--covector: must be non-zero")
     _emit_report(
         args,
         {"covector": gio.format_vector(f), "y_dual_stratum": y_dual_stratum(ld.a, v5)},
@@ -233,8 +246,7 @@ def cmd_fib1(args) -> int:
     ld = _read_document(args, "lagrangian_data")
     rows = []
     for p in args.point:
-        v = _parse_point6(p)
-        r = fibration1_fiber(ld, v)
+        r = fibration1_fiber(ld, _parse_v5_point(p))
         rows.append([p, r.sigma_level, r.stratum_prediction, r.ambient_proj_dim, r.corank, r.agreement])
     _fiber_csv(args, rows)
     return EXIT_OK
@@ -244,8 +256,7 @@ def cmd_fib2(args) -> int:
     ld = _read_document(args, "lagrangian_data")
     rows = []
     for p in args.plane:
-        plane = _parse_plane(p)
-        r = fibration2_fiber(ld, plane)
+        r = fibration2_fiber(ld, _parse_v5_plane(p))
         rows.append([p, r.sigma_level, r.stratum_prediction, r.ambient_proj_dim, r.corank, r.agreement])
     _fiber_csv(args, rows)
     return EXIT_OK
@@ -282,10 +293,10 @@ def cmd_sigma(args) -> int:
         raise DocumentError("give one of --point or --plane, not both")
     ld = _read_document(args, "lagrangian_data")
     if args.point:
-        level = sigma1_level(ld, _parse_point6(args.point))
+        level = sigma1_level(ld, _parse_v5_point(args.point))
         _emit_report(args, {"point": args.point, "sigma1_level": level})
     else:
-        level = sigma2_level(ld, _parse_plane(args.plane))
+        level = sigma2_level(ld, _parse_v5_plane(args.plane))
         _emit_report(args, {"plane": args.plane, "sigma2_level": level})
     return EXIT_OK
 

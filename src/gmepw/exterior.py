@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .linalg import Matrix, Subspace, kernel, rat
+from .linalg import Matrix, Subspace, clear_denominators, kernel, rat
 
 
 @lru_cache(maxsize=None)
@@ -44,14 +44,9 @@ def merge_wedge(i: tuple[int, ...], j: tuple[int, ...]) -> tuple[int, tuple[int,
     """Sign and sorted tuple of the concatenation, or None if indices repeat."""
     if set(i) & set(j):
         return None
-    merged = list(i) + list(j)
-    # count inversions of the concatenation (both halves are sorted)
-    inv = 0
-    for a in i:
-        for b in j:
-            if a > b:
-                inv += 1
-    return (-1) ** inv, tuple(sorted(merged))
+    # the inversions of the concatenation (both halves are sorted)
+    inv = sum(a > b for a in i for b in j)
+    return (-1) ** inv, tuple(sorted((*i, *j)))
 
 
 @dataclass(frozen=True)
@@ -141,6 +136,34 @@ class MultiVector:
         return "MultiVector(" + (" + ".join(terms) if terms else "0") + ")"
 
 
+@lru_cache(maxsize=None)
+def _wedge_table(n: int, p: int, q: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """Row i lists (j, sign, t) with e_i ^ e_j = sign * e_t for the degree-p
+    monomial i and every degree-q monomial j disjoint from it."""
+    target = monomial_index(n, p + q)
+    table = []
+    for mi in monomials(n, p):
+        row = []
+        for j, mj in enumerate(monomials(n, q)):
+            sw = merge_wedge(mi, mj)
+            if sw is not None:
+                row.append((j, sw[0], target[sw[1]]))
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def _wedge_coords(n: int, p: int, q: int, a, b) -> list:
+    """Coordinates of the wedge of plain coordinate lists (ints or Fractions)."""
+    out = [0] * len(monomials(n, p + q))
+    for ca, row in zip(a, _wedge_table(n, p, q)):
+        if ca:
+            for j, sign, t in row:
+                cb = b[j]
+                if cb:
+                    out[t] += sign * ca * cb
+    return out
+
+
 def wedge(a: MultiVector, b: MultiVector) -> MultiVector:
     """Graded-antisymmetric bilinear wedge product in the fixed basis."""
     if a.basis.ambient_dim != b.basis.ambient_dim:
@@ -149,22 +172,7 @@ def wedge(a: MultiVector, b: MultiVector) -> MultiVector:
     p, q = a.basis.degree, b.basis.degree
     if p + q > n:
         raise ValueError(f"degree overflow: {p} + {q} > {n}")
-    out = MultiVector.zero(n, p + q)
-    target = monomial_index(n, p + q)
-    amons = a.basis.monomial_list
-    bmons = b.basis.monomial_list
-    for i, ca in enumerate(a.coords):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b.coords):
-            if cb == 0:
-                continue
-            sw = merge_wedge(amons[i], bmons[j])
-            if sw is None:
-                continue
-            sign, mono = sw
-            out.coords[target[mono]] += sign * ca * cb
-    return out
+    return MultiVector.from_coords(n, p + q, _wedge_coords(n, p, q, a.coords, b.coords))
 
 
 def vector_to_multivector(v, ambient_dim: int = 6) -> MultiVector:
@@ -288,17 +296,6 @@ def divisor_space(a: MultiVector) -> Subspace:
     return kernel(Matrix.from_cols(cols))
 
 
-def multivector_subspace(vectors, ambient_dim: int, degree: int) -> Subspace:
-    """Span of multivectors as a subspace of the coordinate space."""
-    size = ExteriorBasis(ambient_dim, degree).size
-    rows = []
-    for v in vectors:
-        if v.basis != ExteriorBasis(ambient_dim, degree):
-            raise ValueError("mixed bases in span")
-        rows.append(v.coords)
-    return Subspace.from_rows(size, rows)
-
-
 def wedge_space(u: Subspace, w: Subspace) -> Subspace:
     """Span of x ^ y1 ^ y2 over x in u and y1, y2 in w, inside degree 3.
 
@@ -310,30 +307,21 @@ def wedge_space(u: Subspace, w: Subspace) -> Subspace:
         raise ValueError("ambient mismatch: both factors must live in the 6-space")
     if u.dim == 0:
         raise ValueError("wedge_space needs a non-trivial first factor")
-    gens = []
-    wrows = w.basis_rows()
-    for x in u.basis_rows():
-        xv = vector_to_multivector(x)
-        for i in range(len(wrows)):
-            for j in range(i + 1, len(wrows)):
-                gens.append(
-                    wedge(xv, wedge(vector_to_multivector(wrows[i]), vector_to_multivector(wrows[j])))
-                )
-    return multivector_subspace(gens, 6, 3)
+    # the span is scale-invariant: clear each row to ints and build the
+    # generators over int
+    xs = [clear_denominators(x)[0] for x in u.basis.data]
+    ys = [clear_denominators(y)[0] for y in w.basis.data]
+    pairs = [_wedge_coords(6, 1, 1, y1, y2) for y1, y2 in combinations(ys, 2)]
+    return Subspace.from_rows(20, [_wedge_coords(6, 1, 2, x, y) for x in xs for y in pairs])
 
 
 def wedge_cube(u: Subspace) -> Subspace:
     """Degree-3 power of a subspace of the 6-space, e.g. a hyperplane cube."""
-    rows = u.basis_rows()
-    gens = []
-    for c in combinations(range(len(rows)), 3):
-        gens.append(
-            wedge(
-                vector_to_multivector(rows[c[0]]),
-                wedge(vector_to_multivector(rows[c[1]]), vector_to_multivector(rows[c[2]])),
-            )
-        )
-    return multivector_subspace(gens, 6, 3) if gens else Subspace.zero(20)
+    if u.ambient_dim != 6:
+        raise ValueError("ambient mismatch: the factor must live in the 6-space")
+    rows = [clear_denominators(x)[0] for x in u.basis.data]
+    gens = [_wedge_coords(6, 1, 2, x, _wedge_coords(6, 1, 1, y, z)) for x, y, z in combinations(rows, 3)]
+    return Subspace.from_rows(20, gens)
 
 
 @lru_cache(maxsize=None)

@@ -11,6 +11,7 @@ DocumentError with a field path.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
@@ -22,6 +23,12 @@ from .polynomials import Poly
 from .quadrics import QuadricOnSubspace
 
 FORMAT_VERSION = "1"
+
+# Fraction("1e999999999") builds a billion-digit integer: cap what one token
+# may ask for before it reaches Fraction.
+MAX_TOKEN_CHARS = 10_000
+MAX_EXPONENT = 1_000
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)")
 
 KINDS = ("gm_data", "lagrangian_data", "quadric", "certificate", "report")
 
@@ -46,21 +53,19 @@ def parse_rat(s, where: str = "scalar") -> Fraction:
         return Fraction(s)
     if not isinstance(s, str):
         raise DocumentError(f"{where}: expected a rational string, got {s!r}")
+    if len(s) > MAX_TOKEN_CHARS:
+        raise DocumentError(f"{where}: rational of {len(s)} characters, more than {MAX_TOKEN_CHARS}")
     try:
-        f = Fraction(s)
+        exp = _EXPONENT.search(s)
+        if exp and abs(int(exp.group(1))) > MAX_EXPONENT:
+            raise ValueError(f"exponent beyond +-{MAX_EXPONENT}")
+        return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise DocumentError(f"{where}: malformed rational {s!r} ({exc})") from None
-    return f
 
 
 def format_vector(v) -> list[str]:
     return [format_rat(x) for x in v]
-
-
-def parse_vector(obj, where: str = "vector") -> list[Fraction]:
-    if not isinstance(obj, list):
-        raise DocumentError(f"{where}: expected a list")
-    return [parse_rat(x, f"{where}[{i}]") for i, x in enumerate(obj)]
 
 
 def format_matrix(m: Matrix) -> list[list[str]]:
@@ -118,8 +123,8 @@ def parse_gm_data(obj, where: str = "gm_data") -> GMData:
         if field not in obj:
             raise DocumentError(f"{where}: missing field {field!r}")
     n = obj["n"]
-    if not isinstance(n, int):
-        raise DocumentError(f"{where}.n: expected an integer")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise DocumentError(f"{where}.n: expected a non-negative integer")
     mu = parse_matrix(obj["mu"], f"{where}.mu", rows=10, cols=n + 5)
     qlist = obj["q"]
     if not isinstance(qlist, list) or len(qlist) != 6:

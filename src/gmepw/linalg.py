@@ -1,6 +1,9 @@
 """Exact rational matrices and canonically represented linear subspaces.
 
-All scalars are ``fractions.Fraction`` (reduced, positive denominator).
+Integers inside, ``Fraction`` at the API: every scalar a caller sees is a
+``fractions.Fraction`` (reduced, positive denominator), while the
+eliminations (``Matrix.rref`` and ``det_int``, under rank, kernel, solve,
+inverse and every subspace) clear denominators and run over Python ints.
 Subspaces are stored as row spaces in reduced row echelon form, so two
 subspaces are equal iff their basis matrices are entry-wise equal.  Every
 operation here is pure and exact; ambient dimensions in this project never
@@ -10,7 +13,7 @@ exceed 30, so dense storage is used throughout.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 _ZERO = Fraction(0)
 
@@ -219,8 +222,14 @@ class Matrix:
             raise ValueError("shape mismatch")
 
     def rref(self) -> tuple["Matrix", int, tuple[int, ...]]:
-        """Reduced row echelon form. Returns (rref matrix, rank, pivot columns)."""
-        m = self.copy_data()
+        """Reduced row echelon form. Returns (rref matrix, rank, pivot columns).
+
+        Gauss-Jordan over int: each row is cleared of denominators, and an
+        updated row is divided by the gcd of its entries, which keeps the
+        entries small.  Only the final pivot rows are divided by their
+        pivots; the RREF is unique, so this is the rational RREF exactly.
+        """
+        m = [clear_denominators(row)[0] for row in self.data]
         rows, cols = self.rows, self.cols
         pivots = []
         r = 0
@@ -231,18 +240,21 @@ class Matrix:
             if pr is None:
                 continue
             m[r], m[pr] = m[pr], m[r]
-            pv = m[r][c]
-            if pv != 1:
-                inv = 1 / pv
-                m[r] = [x * inv if x else x for x in m[r]]
             mr = m[r]
-            for i in range(rows):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [a - f * b if b else a for a, b in zip(m[i], mr)]
+            pv = mr[c]
+            for i, mi in enumerate(m):
+                f = mi[c]
+                if f and i != r:
+                    g = gcd(pv, f)
+                    a, b = pv // g, f // g
+                    row = [a * x - b * y for x, y in zip(mi, mr)]
+                    g = gcd(*row)
+                    m[i] = [x // g for x in row] if g > 1 else row
             pivots.append(c)
             r += 1
-        return Matrix._make(m, cols), r, tuple(pivots)
+        out = [[Fraction(x, row[c]) if x else _ZERO for x in row] for row, c in zip(m, pivots)]
+        out += [[_ZERO] * cols for _ in range(rows - r)]
+        return Matrix._make(out, cols), r, tuple(pivots)
 
     def rank(self) -> int:
         return self.rref()[1]

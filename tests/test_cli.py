@@ -1,9 +1,10 @@
 """The command line in-process: golden outputs and usage errors.
 
 The files under ``tests/golden`` hold the stdout of README commands on the
-shipped fixtures; ``cases.json`` lists each command, its stdin fixture and
-its exit code.  A change to the certificate or discriminant code must
-reproduce them byte for byte.
+shipped fixtures; ``cases.json`` lists each command, its stdin fixture (or
+none, or ``stdin_case``: the stdout of another case, as in a shell pipe) and
+its exit code.  Every elimination sits under these commands, so a change to
+any kernel must reproduce them byte for byte.
 """
 
 import io
@@ -17,6 +18,7 @@ from gmepw import cli
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
+CASES_BY_NAME = {c["name"]: c for c in CASES}
 
 
 def run_main(argv, stdin_text, monkeypatch, capsys):
@@ -26,10 +28,19 @@ def run_main(argv, stdin_text, monkeypatch, capsys):
     return code, out, err
 
 
+def run_case(case, monkeypatch, capsys):
+    if "stdin_case" in case:
+        stdin_text = run_case(CASES_BY_NAME[case["stdin_case"]], monkeypatch, capsys)[1]
+    elif case["stdin"] is None:
+        stdin_text = ""
+    else:
+        stdin_text = (ROOT / "fixtures" / case["stdin"]).read_text(encoding="utf-8")
+    return run_main(case["argv"], stdin_text, monkeypatch, capsys)
+
+
 @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
 def test_golden_output(case, monkeypatch, capsys):
-    stdin_text = (ROOT / "fixtures" / case["stdin"]).read_text(encoding="utf-8")
-    code, out, _ = run_main(case["argv"], stdin_text, monkeypatch, capsys)
+    code, out, _ = run_case(case, monkeypatch, capsys)
     assert code == case["exit"]
     assert out.encode("utf-8") == (GOLDEN / f"{case['name']}.out").read_bytes()
 
@@ -67,6 +78,30 @@ def test_degenerate_line_is_input_error(argv, monkeypatch, capsys):
     assert code == cli.EXIT_INPUT
     assert out == ""
     assert "input error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["epw-point", "--point", "0,0,0,0,0,0"],
+        ["epw-dual-point", "--covector", "0,0,0,0,0,0"],
+        ["sigma", "--point", "0,0,0,0,0,1"],
+        ["sigma", "--plane", "1,0,0,0,0,0;0,1,0,0,0,0;0,0,0,0,0,1"],
+        ["fib1", "--point", "0,0,0,0,0,1"],
+        ["fib1", "--point", "0,0,0,0,0,0"],
+        ["fib2", "--plane", "1,0,0,0,0,0;0,1,0,0,0,0;0,0,1,0,0,1"],
+        ["epw-point", "--point", "1e5000,0,0,0,0,0"],
+    ],
+    ids=["epw-point-zero", "epw-dual-point-zero", "sigma-point-off-hyperplane",
+         "sigma-plane-off-hyperplane", "fib1-point-off-hyperplane", "fib1-point-zero",
+         "fib2-plane-off-hyperplane", "epw-point-huge-exponent"],
+)
+def test_malformed_point_is_input_error(argv, monkeypatch, capsys):
+    stdin_text = (ROOT / "fixtures" / "fivefold.lag.json").read_text(encoding="utf-8")
+    code, out, err = run_main(argv, stdin_text, monkeypatch, capsys)
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert err.startswith("input error: --")
 
 
 def test_sigma_with_point_and_plane_is_usage_error(monkeypatch, capsys):

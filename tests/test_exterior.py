@@ -3,8 +3,11 @@ decomposability."""
 
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmepw.exterior import (
     ExteriorBasis,
@@ -259,3 +262,74 @@ def test_lambda3_matrix_shape():
     m = lambda3_matrix()
     assert m.rows == 10 and m.cols == 20
     assert m.rank() == 10
+
+
+def wedge_by_merging(a: MultiVector, b: MultiVector) -> list[Fraction]:
+    """Reference wedge: the per-pair loop over monomials, with the sign from
+    the inversions of the concatenated index tuple."""
+    n, p, q = a.basis.ambient_dim, a.basis.degree, b.basis.degree
+    target = {m: i for i, m in enumerate(combinations(range(n), p + q))}
+    out = [Fraction(0)] * comb(n, p + q)
+    for mi, ca in zip(combinations(range(n), p), a.coords):
+        for mj, cb in zip(combinations(range(n), q), b.coords):
+            if ca and cb and not set(mi) & set(mj):
+                cat = mi + mj
+                inv = sum(x > y for k, x in enumerate(cat) for y in cat[k + 1:])
+                out[target[tuple(sorted(cat))]] += (-1) ** inv * ca * cb
+    return out
+
+
+rationals = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-50, max_value=50, max_denominator=40))
+
+
+@st.composite
+def multivector_pairs(draw):
+    n = draw(st.integers(0, 6))
+    p = draw(st.integers(0, n))
+    q = draw(st.integers(0, n - p))
+    a = draw(st.lists(rationals, min_size=comb(n, p), max_size=comb(n, p)))
+    b = draw(st.lists(rationals, min_size=comb(n, q), max_size=comb(n, q)))
+    return MultiVector.from_coords(n, p, a), MultiVector.from_coords(n, q, b)
+
+
+@given(multivector_pairs())
+@settings(max_examples=200, deadline=None)
+def test_wedge_matches_per_pair_loop(pair):
+    a, b = pair
+    out = wedge(a, b)
+    assert out.basis == ExteriorBasis(a.basis.ambient_dim, a.basis.degree + b.basis.degree)
+    assert out.coords == wedge_by_merging(a, b)
+    assert all(type(x) is Fraction for x in out.coords)
+
+
+def test_wedge_table_signs_on_all_monomials():
+    for p in range(4):
+        for q in range(4):
+            for mi in monomials(6, p):
+                for mj in monomials(6, q):
+                    a = MultiVector.from_monomial(6, mi)
+                    b = MultiVector.from_monomial(6, mj)
+                    assert wedge(a, b).coords == wedge_by_merging(a, b)
+
+
+def span_by_fraction_wedges(xs, ys) -> Subspace:
+    """x ^ y1 ^ y2 over the given rows, built in Fraction arithmetic."""
+    gens = [wedge_by_merging(vector_to_multivector(x),
+                             MultiVector.from_coords(6, 2, wedge_by_merging(vector_to_multivector(y1),
+                                                                            vector_to_multivector(y2))))
+            for x in xs for y1, y2 in combinations(ys, 2)]
+    return Subspace.from_rows(20, gens)
+
+
+@given(
+    st.lists(st.lists(rationals, min_size=6, max_size=6), min_size=1, max_size=4),
+    st.lists(st.lists(rationals, min_size=6, max_size=6), min_size=0, max_size=6),
+)
+@settings(max_examples=60, deadline=None)
+def test_wedge_space_and_cube_match_fraction_spans(rows_u, rows_w):
+    u = Subspace.from_rows(6, rows_u)
+    w = Subspace.from_rows(6, rows_w)
+    if u.dim:
+        assert wedge_space(u, w) == span_by_fraction_wedges(u.basis_rows(), w.basis_rows())
+    # the cube of w is spanned by x ^ y1 ^ y2 for x, y1, y2 in w
+    assert wedge_cube(w) == span_by_fraction_wedges(w.basis_rows(), w.basis_rows())

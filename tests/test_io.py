@@ -51,6 +51,43 @@ def test_parse_rat_rejects_json_booleans(flag):
         gio.parse_rat(flag)
 
 
+@pytest.mark.parametrize(
+    "tok",
+    ["1e1001", "1E+1001", "-2.5e-1001", "1e5000", "3e1_001", " " * 10_000 + "1"],
+    ids=["e1001", "E+1001", "e-1001", "e5000", "e1_001", "10001-chars"],
+)
+def test_parse_rat_caps_exponents_and_length(tok):
+    # each of these builds quickly with Fraction; the caps reject them before
+    # a token such as 1e999999999 can build a billion-digit integer
+    with pytest.raises(DocumentError):
+        gio.parse_rat(tok)
+
+
+@pytest.mark.parametrize("tok", ["1e1000", "-7/3", "1.5e-1000", " 12 "])
+def test_parse_rat_accepts_tokens_within_the_caps(tok):
+    assert gio.parse_rat(tok) == Fraction(tok)
+
+
+def gm_payload_with_n(n):
+    w = max(n + 5, 0)
+    zero = lambda r, c: [["0"] * c for _ in range(r)]  # noqa: E731
+    return {"n": n, "mu": zero(10, w), "q": [zero(w, w) for _ in range(6)]}
+
+
+@pytest.mark.parametrize("n", [-1, -3, True])
+def test_parse_gm_data_rejects_negative_or_boolean_n(n):
+    with pytest.raises(DocumentError, match=r"\.n"):
+        gio.parse_gm_data(gm_payload_with_n(n))
+
+
+def test_cli_negative_n_exit_2():
+    doc = {"kind": "gm_data", "version": "1", "payload": gm_payload_with_n(-1)}
+    proc = run_cli(["validate"], json.dumps(doc))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "non-negative" in proc.stderr
+
+
 def test_document_roundtrip_all_fixtures():
     for name, d in all_gm_fixtures().items():
         text = gio.emit(Document("gm_data", d))

@@ -260,3 +260,90 @@ def test_det_against_sympy():
                                       for r in rows for x in r]).det()
             got = Matrix(rows, cols=n).det()
             assert (got.numerator, got.denominator) == (ref.p, ref.q)
+
+
+def rref_by_fraction_gauss_jordan(rows, cols):
+    """Reference RREF: Gauss-Jordan over Fraction, first non-zero pivot in
+    each column, every row normalized as soon as it becomes a pivot row."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == len(m):
+            break
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, r, tuple(pivots)
+
+
+@st.composite
+def rational_matrices(draw, max_rows=8, max_cols=8):
+    """Matrices from 0 x n and n x 0 up to 8 x 8: zero rows and columns,
+    negative entries, denominators up to 10^12, and rank deficiency from
+    rows overwritten by combinations of others."""
+    rows = draw(st.integers(0, max_rows))
+    cols = draw(st.integers(0, max_cols))
+    entry = st.one_of(
+        st.just(Fraction(0)),
+        small_fractions,
+        st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**12),
+    )
+    m = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    if rows >= 3 and draw(st.booleans()):
+        i, j, k = draw(st.permutations(range(rows)))[:3]
+        a, b = draw(small_fractions), draw(small_fractions)
+        m[k] = [a * x + b * y for x, y in zip(m[i], m[j])]
+    if cols and draw(st.booleans()):
+        zero = draw(st.integers(0, cols - 1))
+        for row in m:
+            row[zero] = Fraction(0)
+    return m, cols
+
+
+@given(rational_matrices())
+@example(([], 0))
+@example(([], 4))
+@example(([[], [], []], 0))
+@example(([[0, 0, 0], [0, 0, 0]], 3))
+@example(([[0, -3, 6], [-2, 4, 1], [0, 0, 0], [4, -8, -2]], 3))  # negative pivots, zero row
+@example(([[Fraction(1, 10**12), Fraction(-7, 3)], [Fraction(10**6, 999999999989), 5]], 2))
+@example(([[2, 4, 6, 8], [1, 2, 3, 4], [3, 6, 9, 12]], 4))  # rank one
+@settings(max_examples=200, deadline=None)
+def test_rref_matches_fraction_gauss_jordan(case):
+    rows, cols = case
+    red, rank, pivots = Matrix(rows, cols=cols).rref()
+    assert (red.data, rank, pivots) == rref_by_fraction_gauss_jordan(rows, cols)
+    assert (red.rows, red.cols) == (len(rows), cols)
+    assert all(type(x) is Fraction for row in red.data for x in row)
+
+
+def test_rref_rank_nullspace_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = rng_from_seed(303)
+    for rows in range(1, 9):
+        for cols in range(1, 11):
+            data = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) if rng.random() < 0.7 else Fraction(0)
+                     for _ in range(cols)] for _ in range(rows)]
+            if rows >= 2 and rng.random() < 0.5:
+                data[-1] = [x - 3 * y for x, y in zip(data[0], data[1])]
+            ref = sympy.Matrix(rows, cols, [sympy.Rational(x.numerator, x.denominator)
+                                            for r in data for x in r])
+            m = Matrix(data, cols=cols)
+            ref_red, ref_pivots = ref.rref()
+            red, rank, pivots = m.rref()
+            assert pivots == tuple(ref_pivots)
+            assert rank == ref.rank()
+            assert red.data == [[Fraction(int(x.p), int(x.q)) for x in ref_red.row(i)]
+                                for i in range(rows)]
+            null = [[Fraction(int(x.p), int(x.q)) for x in v] for v in ref.nullspace()]
+            assert kernel(m) == Subspace.from_rows(cols, null)
