@@ -1,6 +1,6 @@
 """EPW stratifications: point and hyperplane strata, the incidence condition,
-the quartic strata on 3-spaces, degree certificates along lines and pencils,
-and per-vector decomposable scans.
+the quartic strata on 3-spaces, and degree certificates along lines and
+pencils.
 
 Membership in a stratum is a rank statement about the meet of the Lagrangian
 with a moving Lagrangian family.  Along a line the membership locus is cut
@@ -17,7 +17,6 @@ from operator import mul
 
 from .exterior import (
     MultiVector,
-    is_decomposable,
     l3v6_gram,
     monomials,
     vector_to_multivector,
@@ -233,41 +232,3 @@ def stratum_poly_on_line(
             raise GmError("certificate disagrees with pointwise membership")
         checked += 1
     return LineDegreeCertificate(kind, base_t, dir_t, poly, poly.degree, checked)
-
-
-@dataclass(frozen=True)
-class DecomposableReport:
-    hits: tuple
-    scanned: int
-    note: str = "per-vector scan only; emptiness of the decomposable locus is not certified"
-
-
-def scan_decomposables(a: Subspace, candidates=None, pencil=None, samples: int = 25) -> DecomposableReport:
-    """Test listed candidates, or sampled members of a pencil inside the
-    Lagrangian, for decomposability.  Candidates must lie in the subspace."""
-    hits = []
-    scanned = 0
-    if candidates is not None:
-        for mv in candidates:
-            if not a.contains(mv.coords):
-                raise GmError("candidate outside the subspace")
-            if mv.is_zero():
-                raise GmError("zero vector")
-            d = is_decomposable(mv)
-            scanned += 1
-            if d is not None:
-                hits.append((mv, d))
-    if pencil is not None:
-        a0, a1 = pencil
-        for mv in (a0, a1):
-            if not a.contains(mv.coords):
-                raise GmError("pencil endpoint outside the subspace")
-        for t in range(-samples // 2, samples - samples // 2):
-            mv = a0 + a1.scale(t)
-            if mv.is_zero():
-                continue
-            d = is_decomposable(mv)
-            scanned += 1
-            if d is not None:
-                hits.append((mv, d))
-    return DecomposableReport(tuple(hits), scanned)

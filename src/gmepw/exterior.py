@@ -179,26 +179,6 @@ def vector_to_multivector(v, ambient_dim: int = 6) -> MultiVector:
     return MultiVector.from_coords(ambient_dim, 1, v)
 
 
-def symplectic_form_l3v6(xi: MultiVector, eta: MultiVector) -> Fraction:
-    """Coefficient of e123456 in xi ^ eta; skew-symmetric and non-degenerate."""
-    for m in (xi, eta):
-        if m.basis != ExteriorBasis(6, 3):
-            raise ValueError("arguments must be degree-3 forms in ambient 6")
-    total = Fraction(0)
-    mons = monomials(6, 3)
-    idx = monomial_index(6, 3)
-    for i, c in enumerate(xi.coords):
-        if c == 0:
-            continue
-        comp = tuple(sorted(set(range(6)) - set(mons[i])))
-        d = eta.coords[idx[comp]]
-        if d == 0:
-            continue
-        sign = merge_wedge(mons[i], comp)[0]
-        total += sign * c * d
-    return total
-
-
 @lru_cache(maxsize=None)
 def l3v6_gram() -> Matrix:
     """Gram matrix of the wedge form on the 20 degree-3 monomials."""
@@ -354,13 +334,4 @@ def exterior_power_matrix(f: Matrix, degree: int) -> Matrix:
         for nxt in imgs[1:]:
             acc = wedge(acc, nxt)
         cols.append(acc.coords)
-    return Matrix.from_cols(cols)
-
-
-def lambda3_matrix() -> Matrix:
-    """Matrix of the degree-3 contraction, rows over degree-2 monomials of the 5-space."""
-    cols = []
-    for m in monomials(6, 3):
-        mv = MultiVector.from_monomial(6, m)
-        cols.append(lambda_p(mv).coords)
     return Matrix.from_cols(cols)

@@ -1,7 +1,7 @@
-"""Built-in fixtures: trivial Lagrangians, the ordinary fivefold, its special
-opposite, an ordinary threefold obtained by two hyperplane updates, and the
-fourfold whose Lagrangian contains a fixed rank-4 form (used to hit the
-exceptional loci of both fibrations).
+"""Built-in fixtures: the ordinary fivefold, its special opposite, an
+ordinary threefold obtained by two hyperplane updates, and the fourfold
+whose Lagrangian contains a fixed rank-4 form (used to hit the exceptional
+loci of both fibrations).
 """
 
 from __future__ import annotations
@@ -17,25 +17,9 @@ from .correspondence import (
     hyperplane_section_lagrangian,
     lagrangian_to_gm,
 )
-from .exterior import MultiVector, l3v5_subspace, monomial_index, monomials
+from .exterior import MultiVector, monomial_index, monomials
 from .gm import GMData, opposite, plucker_gram
-from .linalg import Matrix, Subspace, unit_vector
-
-
-@lru_cache(maxsize=None)
-def lagrangian_l3v5() -> Subspace:
-    """The degree-3 power of the hyperplane: the simplest Lagrangian."""
-    return l3v5_subspace()
-
-
-@lru_cache(maxsize=None)
-def lagrangian_e1_wedge() -> Subspace:
-    """e1 wedged with all 2-forms; Lagrangian with a fully degenerate stratum."""
-    from .exterior import wedge_space
-
-    return wedge_space(
-        Subspace.from_rows(6, [unit_vector(6, 0)]), Subspace.full(6)
-    )
+from .linalg import Matrix, Subspace
 
 
 @lru_cache(maxsize=None)

@@ -21,7 +21,6 @@ from .exterior import (
 )
 from .linalg import Matrix, Subspace, kernel, unit_vector, vec, vec_dot
 from .polynomials import Poly, interpolate
-from .quadrics import QuadricOnSubspace
 from .sampling import random_nonzero_vector, rng_from_seed
 
 L2V5_DIM = 10  # degree-2 monomials of the 5-space
@@ -198,11 +197,6 @@ def split_w(d: GMData) -> tuple[Subspace, Subspace, tuple[Matrix, ...], tuple[Ma
     return w0, w1, q0, q1
 
 
-def quadric_at(d: GMData, v) -> QuadricOnSubspace:
-    """The quadric at a direction of the 6-space, on the full projective span."""
-    return QuadricOnSubspace(d.w_dim, Subspace.full(d.w_dim), d.q_of(v))
-
-
 def membership(d: GMData, w) -> str:
     """Position of a point of P(W): on_x, on_hull_only, or off."""
     w = vec(w)
@@ -214,15 +208,6 @@ def membership(d: GMData, w) -> str:
     if all(v == 0 for v in vals[:5]):
         return "on_hull_only"
     return "off"
-
-
-def tangent_codim_at(d: GMData, w) -> int:
-    """Rank of the six gradient rows at a point; 4 certifies a smooth point."""
-    w = vec(w)
-    if all(x == 0 for x in w):
-        raise GmError("the zero vector is not a point")
-    grad = Matrix([d.q[i].apply(w) for i in range(6)])
-    return grad.rank()
 
 
 def hull_point_sample(d: GMData, seed) -> list[Fraction]:
@@ -345,11 +330,3 @@ def discriminant_on_line(d: GMData, v_a, v_b) -> DiscriminantLine:
         dis,
         mult_exceeds_expected=mult > expected,
     )
-
-
-def canonical_ordinary(
-    mu_image: Subspace, q_matrices: tuple[Matrix, ...], epsilon=Fraction(1)
-) -> GMData:
-    """Ordinary data with W realized as a canonical subspace of the 2-forms."""
-    mu = Matrix.from_cols(mu_image.basis_rows())
-    return GMData(n=mu_image.dim - 5, mu=mu, q=q_matrices, epsilon=epsilon)

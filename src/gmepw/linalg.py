@@ -196,11 +196,6 @@ class Matrix:
             raise ValueError("column mismatch in vstack")
         return Matrix(self.copy_data() + other.copy_data())
 
-    def hstack(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows:
-            raise ValueError("row mismatch in hstack")
-        return Matrix([a + b for a, b in zip(self.copy_data(), other.copy_data())])
-
     def submatrix(self, row_idx, col_idx) -> "Matrix":
         return Matrix([[self.data[i][j] for j in col_idx] for i in row_idx])
 
@@ -367,11 +362,6 @@ def kernel(m: Matrix) -> "Subspace":
     return Subspace.from_rows(m.cols, basis)
 
 
-def image(m: Matrix) -> "Subspace":
-    """Column space of m as a canonical subspace of k^rows."""
-    return Subspace.from_rows(m.rows, [m.col(j) for j in range(m.cols)])
-
-
 class Subspace:
     """A linear subspace of k^n stored as an RREF row-space basis."""
 
@@ -400,13 +390,6 @@ class Subspace:
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
         return cls(ambient_dim, Matrix.identity(ambient_dim), tuple(range(ambient_dim)))
-
-    @classmethod
-    def span_of(cls, *vectors) -> "Subspace":
-        vectors = [vec(v) for v in vectors]
-        if not vectors:
-            raise ValueError("span_of needs at least one vector")
-        return cls.from_rows(len(vectors[0]), vectors)
 
     @property
     def dim(self) -> int:

@@ -1,7 +1,7 @@
 """Dense univariate polynomials with exact rational coefficients.
 
-Small and purpose-built: evaluation, exact division, gcd, square-free parts
-and interpolation are everything the determinant-on-a-line computations
+Small and purpose-built: evaluation, exact division, gcd and
+interpolation are everything the determinant-on-a-line computations
 need.  Coefficients are stored low degree first.
 """
 
@@ -133,9 +133,6 @@ class Poly:
             raise ValueError("division is not exact")
         return q
 
-    def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
-
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
@@ -174,39 +171,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     while not b.is_zero():
         a, b = b, a.divmod(b)[1]
     return a.monic() if not a.is_zero() else a
-
-
-def squarefree_part(p: Poly) -> Poly:
-    """p / gcd(p, p'), monic; carries each root exactly once."""
-    if p.is_zero():
-        return p
-    g = poly_gcd(p, p.derivative())
-    if g.is_zero() or g.degree == 0:
-        return p.monic()
-    return p.exact_div(g).monic()
-
-
-def rational_roots(p: Poly) -> list[Fraction]:
-    """All rational roots of p, via the integer root bound on the primitive form."""
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    prim = p.primitive()
-    # strip t^k
-    k = 0
-    cs = list(prim.coeffs)
-    while cs and cs[0] == 0:
-        cs.pop(0)
-        k += 1
-    roots = [Fraction(0)] if k else []
-    if not cs or len(cs) == 1:
-        return roots
-    a0, an = abs(int(cs[0])), abs(int(cs[-1]))
-    p_divs = [d for d in range(1, a0 + 1) if a0 % d == 0]
-    q_divs = [d for d in range(1, an + 1) if an % d == 0]
-    cand = {Fraction(s * pd, qd) for pd in p_divs for qd in q_divs for s in (1, -1)}
-    trimmed = Poly(cs)
-    roots.extend(sorted(r for r in cand if trimmed(r) == 0))
-    return roots
 
 
 def interpolate(points) -> Poly:

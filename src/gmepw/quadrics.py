@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exterior import SymplecticSpace
-from .linalg import Matrix, Subspace, kernel, solve_multi, vec_dot
+from .linalg import Matrix, Subspace, kernel, solve_multi
 
 
 def is_isotropic(space: SymplecticSpace, s: Subspace) -> bool:
@@ -108,14 +108,6 @@ class QuadricOnSubspace:
         return Subspace.from_rows(
             self.ambient_dim, [self.span.basis.left_apply(row) for row in k.basis.data]
         )
-
-    def evaluate(self, v, w=None) -> Fraction:
-        """Value q(v, w) for ambient vectors lying in the span."""
-        cv = self.span.coordinates_of(v)
-        cw = cv if w is None else self.span.coordinates_of(w)
-        if cv is None or cw is None:
-            raise ValueError("point outside the span of the quadric")
-        return vec_dot(cv, self.gram.apply(cw))
 
 
 def gram_on_lagrangian(dec: LagrangianDecomposition, a: Subspace) -> Matrix:
@@ -276,13 +268,6 @@ class QuotientModel:
         inter = s.intersect(self.outer)
         return Subspace.from_rows(self.dim, [self.project(r) for r in inter.basis_rows()])
 
-    def lift(self, coords) -> list[Fraction]:
-        out = [Fraction(0)] * self.outer.ambient_dim
-        for c, row in zip(coords, self.comp_rows):
-            if c != 0:
-                out = [a + c * b for a, b in zip(out, row)]
-        return out
-
 
 @dataclass(frozen=True)
 class IsotropicReduction:
@@ -290,20 +275,13 @@ class IsotropicReduction:
 
     reduced: LagrangianDecomposition
     reduced_a: Subspace
-    span_formula: Subspace
-    kernel_formula: Subspace
     model: QuotientModel
 
 
 def isotropic_reduce(
     dec: LagrangianDecomposition, a: Subspace, iso: Subspace
 ) -> IsotropicReduction:
-    """Pass to I-perp mod I, carrying the Lagrangian a and the decomposition.
-
-    Also returns the closed-form span and kernel of the reduced second
-    quadric: the annihilator of (a meet l1)/(a meet I) inside the reduced l2,
-    and (a meet (I + reduced l2))/(a meet I).
-    """
+    """Pass to I-perp mod I, carrying the Lagrangian a and the decomposition."""
     space = dec.space
     if not dec.l1.contains_subspace(iso):
         raise ValueError("isotropic subspace must lie in the first summand")
@@ -313,15 +291,6 @@ def isotropic_reduce(
     form = comp * space.form * comp.transpose()
     red_space = SymplecticSpace(model.dim, form)
     red_l1 = model.project_subspace(dec.l1)
-    l2bar_ambient = dec.l2.intersect(perp)
     red_l2 = model.project_subspace(dec.l2)
     red_dec = LagrangianDecomposition(red_space, red_l1, red_l2)
-    red_a = model.project_subspace(a)
-
-    a_l1 = a.intersect(dec.l1)
-    span_f = pairing_annihilator_in(
-        red_space, model.project_subspace(a_l1), red_l2
-    )
-    kern_src = a.intersect(iso + l2bar_ambient)
-    kern_f = model.project_subspace(kern_src)
-    return IsotropicReduction(red_dec, red_a, span_f, kern_f, model)
+    return IsotropicReduction(red_dec, model.project_subspace(a), model)

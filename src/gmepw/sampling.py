@@ -123,5 +123,6 @@ def random_lagrangian(
                 v = [x + s.data[i][j] * y for x, y in zip(v, qs[j])]
         rows.append(v)
     lag = Subspace.from_rows(space.total_dim, rows)
-    assert is_lagrangian(space, lag)
+    if not is_lagrangian(space, lag):
+        raise ValueError("the sampled graph is not Lagrangian")
     return lag

@@ -1,309 +1,70 @@
-"""Acceptance criteria, one test per criterion, each printing a PASS line
-with its runtime.  Every comparison is exact (zero tolerance); the time
-budgets are the stated expectations and are asserted as hard ceilings.
+"""Acceptance criteria: every check of the registry in ``gmepw.selftest`` at
+the seed, counts and time budget of its criterion, each printing a PASS line
+with its runtime.  Every comparison is exact (zero tolerance); the budgets
+are hard ceilings.  The checks live only in the registry; this module holds
+the table.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.
 """
 
 import time
-from fractions import Fraction
 
-from gmepw.correspondence import (
-    A1_ONE,
-    A1_ZERO,
-    LagrangianData,
-    dim_report,
-    dualize,
-    gm_to_lagrangian,
-    hyperplane_section_lagrangian,
-    lagrangian_to_gm,
-)
-from gmepw.epw import stratum_poly_on_line, y_dual_stratum, y_stratum, z_stratum
-from gmepw.exterior import MultiVector, wedge_space, wedge_symplectic_space
-from gmepw.fibrations import (
-    fibration1_fiber,
-    fibration2_fiber,
-    sigma1_level,
-    sigma2_level,
-)
-from gmepw.fixtures import (
-    all_gm_fixtures,
-    all_lagrangian_fixtures,
-    fivefold,
-    fivefold_lagrangian,
-    sigma_fixture_lagrangian,
-    sigma_fixture,
-    sixfold_special,
-    threefold,
-    threefold_lagrangian,
-)
-from gmepw.gm import discriminant_on_line, hull_point_sample, validate
-from gmepw.linalg import Matrix, Subspace, kernel, unit_vector
-from gmepw.polynomials import Poly
-from gmepw.quadrics import (
-    QuadricOnSubspace,
-    dual_quadric_via_pairing,
-    gram_on_lagrangian,
-    is_lagrangian,
-    lagrangian_from_quadric,
-    quadric_pair_from_lagrangian,
-    standard_doubled_space,
-)
-from gmepw.sampling import (
-    random_lagrangian,
-    random_nonzero_vector,
-    rng_from_seed,
-    standard_lagrangian_pair,
-)
+from gmepw import selftest
 
-V5 = Subspace.from_rows(6, [unit_vector(6, i) for i in range(5)])
+# test name -> (criterion number, registry check, keyword arguments, budget in s);
+# the two rows without a number are invariants of the shipped fixtures
+CRITERIA = {
+    "test_c01_lagrangian_quadric_suite": (
+        1, "quadric_correspondence",
+        {"seed": "acceptance-1", "plan": ((2, 28), (3, 28), (4, 28), (10, 14)),
+         "wedge_count": 6, "min_total": 100},
+        10,
+    ),
+    "test_c02_bidirectional_round_trips": (2, "round_trips", {}, 5),
+    "test_c03_kernel_and_stratum_identity": (
+        3, "kernel_and_stratum_identity", {"seed": "acceptance-3", "points": 50}, 30,
+    ),
+    "test_c04_dimension_formula": (4, "dimension_formula", {}, 5),
+    "test_c05_degree_certificates": (
+        5, "degree_certificates", {"seed": "acceptance-5", "lines": 5, "pencils": 5}, 60,
+    ),
+    "test_c06_discriminant_division": (
+        6, "discriminant_division", {"seed": "acceptance-6", "lines": 5}, 60,
+    ),
+    "test_c07_duality_suite": (
+        7, "duality_suite", {"seed": "acceptance-7", "hyperplanes": 50, "planes": 50}, 30,
+    ),
+    "test_c08_fibration_two_path": (
+        8, "fibration_two_path", {"seed": "acceptance-8", "queries": 100}, 60,
+    ),
+    "test_c09_hyperplane_updates": (
+        9, "hyperplane_updates", {"seed": "acceptance-9", "updates": 50}, 10,
+    ),
+    "test_c10_hull_sampling": (10, "hull_sampling", {"samples": 100}, 30),
+    "test_fixtures_all_validate": (None, "fixtures_validate", {}, None),
+    "test_sigma_fixture_form": (None, "sigma_fixture_form", {}, None),
+}
 
 
-def report(num, label, t0, budget):
-    elapsed = time.time() - t0
-    print(f"criterion {num:2d} PASS  {label}  ({elapsed:.2f}s, budget {budget}s)")
-    assert elapsed < budget, f"criterion {num} exceeded its {budget}s budget"
+def _criterion_test(num, check, kwargs, budget):
+    def test():
+        t0 = time.time()
+        label = getattr(selftest, check)(**kwargs)
+        if num is None:
+            return
+        elapsed = time.time() - t0
+        print(f"criterion {num:2d} PASS  {label}  ({elapsed:.2f}s, budget {budget}s)")
+        assert elapsed < budget, f"criterion {num} exceeded its {budget}s budget"
+
+    return test
 
 
-def _full_battery(dec, a, m):
-    g = gram_on_lagrangian(dec, a)
-    assert g.is_symmetric()
-    ker_rows = [a.basis.left_apply(r) for r in kernel(g).basis.data]
-    lhs = Subspace.from_rows(2 * m, ker_rows)
-    assert lhs == a.intersect(dec.l1) + a.intersect(dec.l2)
-    q1, q2 = quadric_pair_from_lagrangian(dec, a)
-    d2 = dual_quadric_via_pairing(dec, q1, 1)
-    assert d2.span == q2.span and d2.gram == q2.gram
-    # round trip of the explicit graph construction
-    small = Subspace.from_rows(m, [r[:m] for r in q1.span.basis_rows()])
-    rebuilt = lagrangian_from_quadric(QuadricOnSubspace(m, small, q1.gram))
-    assert rebuilt == a
+# one named test per row, so each criterion keeps its own test id
+for _name, _row in CRITERIA.items():
+    globals()[_name] = _criterion_test(*_row)
 
 
-def test_c01_lagrangian_quadric_suite():
-    t0 = time.time()
-    rng = rng_from_seed("acceptance-1")
-    total = 0
-    plan = [(2, 28), (3, 28), (4, 28), (10, 14)]
-    for m, count in plan:
-        dec = standard_doubled_space(m)
-        cases = [dec.l1, dec.l2]
-        while len(cases) < count:
-            cases.append(random_lagrangian(dec.space, rng))
-        for a in cases:
-            _full_battery(dec, a, m)
-            total += 1
-    # the 20 coordinates with the wedge form, for good measure
-    space = wedge_symplectic_space()
-    dec20 = standard_lagrangian_pair(space)
-    for _ in range(6):
-        a = random_lagrangian(space, rng)
-        g = gram_on_lagrangian(dec20, a)
-        assert g.is_symmetric()
-        ker_rows = [a.basis.left_apply(r) for r in kernel(g).basis.data]
-        lhs = Subspace.from_rows(20, ker_rows)
-        assert lhs == a.intersect(dec20.l1) + a.intersect(dec20.l2)
-        q1, q2 = quadric_pair_from_lagrangian(dec20, a)
-        d2 = dual_quadric_via_pairing(dec20, q1, 1)
-        assert d2.span == q2.span and d2.gram == q2.gram
-        total += 1
-    assert total >= 100
-    report(1, f"quadric correspondence exact on {total} Lagrangians in dims 4,6,8,20", t0, 10)
-
-
-def test_c02_bidirectional_round_trips():
-    t0 = time.time()
-    gm_fixtures = all_gm_fixtures()
-    for name, d in gm_fixtures.items():
-        back = lagrangian_to_gm(gm_to_lagrangian(d))
-        assert (back.n, back.mu, back.q, back.epsilon) == (d.n, d.mu, d.q, d.epsilon), name
-    for name, ld in all_lagrangian_fixtures().items():
-        again = gm_to_lagrangian(lagrangian_to_gm(ld))
-        assert (again.a, again.a1) == (ld.a, ld.a1), name
-    report(2, f"round trips exact on {len(gm_fixtures)} fixtures both ways", t0, 5)
-
-
-def test_c03_kernel_and_stratum_identity():
-    t0 = time.time()
-    rng = rng_from_seed("acceptance-3")
-    for name, d in all_gm_fixtures().items():
-        a = gm_to_lagrangian(d).a
-        for _ in range(50):
-            v = random_nonzero_vector(rng, 5, 4) + [Fraction(rng.randint(1, 4))]
-            corank = d.w_dim - d.q_of(v).rank()
-            meet = a.intersect(wedge_space(Subspace.from_rows(6, [v]), V5)).dim
-            assert corank == meet, (name, v)
-        lam_pow = Poly([0, 1]) ** (d.n - 1)
-        for _ in range(50):
-            v = random_nonzero_vector(rng, 6, 4)
-            if v[5] == 0:
-                continue
-            # pointwise discriminant: det / lambda^(n-1) vanishes iff stratum positive
-            det = d.q_of(v).det()
-            dis_value = det / (v[5] ** (d.n - 1))
-            assert (dis_value == 0) == (y_stratum(a, v) >= 1), (name, v)
-        del lam_pow
-    report(3, "corank = stratum and pointwise discriminant = sextic on 4 fixtures", t0, 30)
-
-
-def test_c04_dimension_formula():
-    t0 = time.time()
-    for name, ld in all_lagrangian_fixtures().items():
-        d = lagrangian_to_gm(ld)
-        assert dim_report(ld).predicted_dim_x == d.w_dim - 5, name
-    a = fivefold_lagrangian().a
-    assert dim_report(LagrangianData(a=a, a1=A1_ZERO)).predicted_dim_x == 5
-    assert dim_report(LagrangianData(a=a, a1=A1_ONE)).predicted_dim_x == 6
-    report(4, "dimension formula incl. the odd-tag shift", t0, 5)
-
-
-def test_c05_degree_certificates():
-    t0 = time.time()
-    a = fivefold_lagrangian().a
-    rng = rng_from_seed("acceptance-5")
-    lines = 0
-    while lines < 5:
-        base = random_nonzero_vector(rng, 6, 4)
-        direction = random_nonzero_vector(rng, 6, 4)
-        cert = stratum_poly_on_line(a, base, direction, "y", seed=lines)
-        assert not cert.contains_line
-        assert cert.degree == 6, cert.degree
-        assert cert.sample_consistency >= 20
-        lines += 1
-    pencils = 0
-    while pencils < 5:
-        rows = [random_nonzero_vector(rng, 6, 3) for _ in range(3)]
-        if Subspace.from_rows(6, rows).dim != 3:
-            continue
-        direction = random_nonzero_vector(rng, 6, 3)
-        cert = stratum_poly_on_line(a, tuple(rows), direction, "z", seed=100 + pencils)
-        assert not cert.contains_line
-        assert cert.degree == 4, cert.degree
-        assert cert.sample_consistency >= 20
-        pencils += 1
-    report(5, "5 sextic line and 5 quartic pencil certificates", t0, 60)
-
-
-def test_c06_discriminant_division():
-    t0 = time.time()
-    rng = rng_from_seed("acceptance-6")
-    for name, d in all_gm_fixtures().items():
-        a = gm_to_lagrangian(d).a
-        done = 0
-        while done < 5:
-            va = random_nonzero_vector(rng, 6, 4)
-            vb = random_nonzero_vector(rng, 6, 4)
-            if va[5] == 0 and vb[5] == 0:
-                continue
-            line = discriminant_on_line(d, va, vb)
-            assert line.plucker_mult >= d.n - 1, name
-            assert line.dis_poly is not None and line.dis_poly.degree <= 6, name
-            lam = Poly([va[5], vb[5]])
-            assert line.dis_poly * lam ** (d.n - 1) == line.det_poly, name
-            # set-theoretic agreement along the line at 12 parameters
-            for k in range(12):
-                t = Fraction(k - 6, 1 + (k % 3))
-                v = [x + t * y for x, y in zip(va, vb)]
-                if all(x == 0 for x in v) or lam(t) == 0:
-                    continue
-                assert (line.dis_poly(t) == 0) == (y_stratum(a, v) >= 1), (name, t)
-            done += 1
-    report(6, "exact hyperplane-power division, quotient degree <= 6, 5 lines x 4 fixtures", t0, 60)
-
-
-def test_c07_duality_suite():
-    t0 = time.time()
-    rng = rng_from_seed("acceptance-7")
-    ld = fivefold_lagrangian()
-    dual = dualize(ld)
-    assert dualize(dual).a == ld.a
-    hyper = 0
-    while hyper < 50:
-        f = random_nonzero_vector(rng, 6, 4)
-        v5p = kernel(Matrix([f]))
-        assert y_dual_stratum(ld.a, v5p) == y_stratum(dual.a, f)
-        hyper += 1
-    planes = 0
-    while planes < 50:
-        rows = [random_nonzero_vector(rng, 6, 3) for _ in range(3)]
-        v3 = Subspace.from_rows(6, rows)
-        if v3.dim != 3:
-            continue
-        assert z_stratum(ld.a, v3) == z_stratum(dual.a, v3.annihilator())
-        planes += 1
-    report(7, "orthogonal involution, 50 hyperplane and 50 plane dualities", t0, 30)
-
-
-def test_c08_fibration_two_path():
-    t0 = time.time()
-    fixtures = {
-        "fivefold": fivefold_lagrangian(),
-        "sixfold_special": LagrangianData(a=fivefold_lagrangian().a, a1=A1_ONE),
-        "threefold": threefold_lagrangian(),
-        "sigma_fourfold": sigma_fixture_lagrangian(),
-    }
-    total = 0
-    for name, ld in fixtures.items():
-        rng = rng_from_seed(f"acceptance-8-{name}")
-        queries = 0
-        while queries < 100:
-            v = random_nonzero_vector(rng, 5, 4) + [Fraction(0)]
-            assert fibration1_fiber(ld, v).agreement, name
-            queries += 1
-        while queries < 200:
-            rows = [random_nonzero_vector(rng, 5, 3) + [Fraction(0)] for _ in range(3)]
-            v3 = Subspace.from_rows(6, rows)
-            if v3.dim != 3:
-                continue
-            assert fibration2_fiber(ld, v3).agreement, name
-            queries += 1
-        total += queries
-    # engineered exceptional points of the distinguished-form fixture
-    lds = sigma_fixture_lagrangian()
-    r1 = fibration1_fiber(lds, unit_vector(6, 0))
-    assert r1.sigma_level == 1 and r1.agreement
-    assert sigma1_level(lds, unit_vector(6, 0)) == 1
-    v3 = Subspace.from_rows(6, [unit_vector(6, 0), unit_vector(6, 1), unit_vector(6, 3)])
-    r2 = fibration2_fiber(lds, v3)
-    assert r2.sigma_level == 1 and r2.agreement
-    assert sigma2_level(lds, v3) == 1
-    report(8, f"{total} two-path agreements plus engineered exceptional points", t0, 60)
-
-
-def test_c09_hyperplane_updates():
-    t0 = time.time()
-    rng = rng_from_seed("acceptance-9")
-    a = fivefold_lagrangian().a
-    space = wedge_symplectic_space()
-    for _ in range(50):
-        eta = MultiVector.from_coords(5, 3, random_nonzero_vector(rng, 10, 4))
-        a2 = hyperplane_section_lagrangian(a, eta)
-        assert is_lagrangian(space, a2)
-        assert a.intersect(a2).dim == 9
-    report(9, "50 hyperplane updates: meet dim 9 and Lagrangian", t0, 10)
-
-
-def test_c10_hull_sampling():
-    t0 = time.time()
-    ordinary = {"fivefold": fivefold(), "threefold": threefold(), "sigma_fourfold": sigma_fixture()}
-    for name, d in ordinary.items():
-        for seed in range(100):
-            w = hull_point_sample(d, seed)
-            for i in range(5):
-                g = d.q[i]
-                val = sum(
-                    (w[x] * g.data[x][y] * w[y] for x in range(d.w_dim) for y in range(d.w_dim)),
-                    Fraction(0),
-                )
-                assert val == 0, (name, seed, i)
-    report(10, "100 hull samples per ordinary fixture satisfy all hyperplane quadrics", t0, 30)
-
-
-def test_fixtures_all_validate():
-    for name, d in all_gm_fixtures().items():
-        rep = validate(d)
-        assert rep.ok, (name, rep.message)
-    assert validate(fivefold()).gm_type == "ordinary"
-    assert validate(sixfold_special()).gm_type == "special"
-    assert validate(threefold()).gm_type == "ordinary"
+def test_every_check_has_a_criterion():
+    rows = sorted(check for _, check, _, _ in CRITERIA.values())
+    assert rows == sorted(fn.__name__ for fn in selftest.CHECKS)

@@ -9,11 +9,17 @@ any kernel must reproduce them byte for byte.
 
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from gmepw import cli
+from gmepw import io as gio
+from gmepw.correspondence import A1_ZERO, LagrangianData
+from gmepw.exterior import l3v5_subspace
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -138,3 +144,47 @@ def test_selftest_passes(monkeypatch, capsys):
     code, out, _ = run_main(["selftest"], "", monkeypatch, capsys)
     assert code == cli.EXIT_OK
     assert out.splitlines()[-1] == "12/12 checks passed"
+
+
+def test_from_lagrangian_without_gm_variety_is_violation(monkeypatch, capsys):
+    # A = the cube of the hyperplane meets it in dimension 10: n = 5 - 10 < 0
+    doc = gio.emit(gio.Document("lagrangian_data", LagrangianData(a=l3v5_subspace(), a1=A1_ZERO)))
+    code, out, err = run_main(["from-lagrangian"], doc, monkeypatch, capsys)
+    assert code == cli.EXIT_VIOLATION
+    assert out == ""
+    assert err.startswith("violation: no GM variety")
+
+
+def test_selftest_reports_a_planted_fault(monkeypatch, capsys):
+    from gmepw import selftest
+
+    level = selftest.y_dual_stratum
+    monkeypatch.setattr(selftest, "y_dual_stratum", lambda a, v5p: level(a, v5p) + 1)
+    code, out, _ = run_main(["selftest"], "", monkeypatch, capsys)
+    assert code == cli.EXIT_VIOLATION
+    assert "FAIL  duality suite" in out
+    assert out.splitlines()[-1] == "11/12 checks passed"
+
+
+# the same fault in a fresh interpreter under -O, which strips assert statements
+PLANTED_FAULT = """
+import sys
+import gmepw.epw as epw
+level = epw.y_dual_stratum
+epw.y_dual_stratum = lambda a, v5p: level(a, v5p) + 1
+from gmepw import cli
+sys.exit(cli.main(["selftest"]))
+"""
+
+
+def test_selftest_reports_a_planted_fault_under_optimize():
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", PLANTED_FAULT],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == cli.EXIT_VIOLATION, proc.stdout + proc.stderr
+    assert "FAIL  duality suite" in proc.stdout

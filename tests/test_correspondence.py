@@ -34,7 +34,6 @@ from gmepw.fixtures import (
     all_lagrangian_fixtures,
     fivefold,
     fivefold_lagrangian,
-    lagrangian_l3v5,
     sixfold_special,
     threefold,
     threefold_lagrangian,
@@ -98,7 +97,7 @@ def test_lagrangian_to_gm_output_validates():
 
 
 def test_lagrangian_to_gm_degenerate_flag():
-    ld = LagrangianData(a=lagrangian_l3v5(), a1=A1_ZERO)
+    ld = LagrangianData(a=l3v5_subspace(), a1=A1_ZERO)
     rep = dim_report(ld)
     assert rep.dim_a_cap_l3v5 == 10
     assert rep.predicted_dim_x == -5
@@ -146,7 +145,7 @@ def test_kernel_identity_on_fixtures():
 
 
 def test_dualize_examples_and_involution():
-    a5 = lagrangian_l3v5()
+    a5 = l3v5_subspace()
     dual = dualize(LagrangianData(a=a5, a1=A1_ZERO))
     # the 3-forms on the hyperplane annihilate exactly the monomials with e6
     idx = monomial_index(6, 3)
@@ -169,7 +168,7 @@ def test_dualize_decomposable_correspondence():
     # consist of decomposable directions; check one explicit vector each way
     from gmepw.exterior import is_decomposable
 
-    a5 = lagrangian_l3v5()
+    a5 = l3v5_subspace()
     dual = dualize(LagrangianData(a=a5, a1=A1_ZERO))
     e123 = MultiVector.from_monomial(6, (0, 1, 2))
     assert a5.contains(e123.coords)

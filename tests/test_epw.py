@@ -1,5 +1,5 @@
-"""Stratum levels, their dualities, line/pencil degree certificates, and the
-decomposable scans."""
+"""Stratum levels, their dualities, line/pencil degree certificates, and
+decomposable members of the Lagrangians."""
 
 from fractions import Fraction
 
@@ -7,31 +7,34 @@ import pytest
 
 from gmepw.correspondence import A1_ZERO, LagrangianData, dualize
 from gmepw.epw import (
-    scan_decomposables,
     stratum_poly_on_line,
     y_dual_stratum,
     y_hat_member,
     y_stratum,
     z_stratum,
 )
-from gmepw.exterior import MultiVector
+from gmepw.exterior import MultiVector, is_decomposable, l3v5_subspace, wedge_space
 from gmepw.fixtures import (
     fivefold_lagrangian,
-    lagrangian_e1_wedge,
-    lagrangian_l3v5,
     sigma_fixture_lagrangian,
     sigma_form,
     threefold_lagrangian,
 )
 from gmepw.gm import GmError
 from gmepw.linalg import Matrix, Subspace, kernel, unit_vector
+from gmepw.polynomials import Poly
 from gmepw.sampling import random_nonzero_vector, rng_from_seed
 
 V5 = Subspace.from_rows(6, [unit_vector(6, i) for i in range(5)])
 
 
+def lagrangian_e1_wedge() -> Subspace:
+    """e1 wedged with all 2-forms; Lagrangian with a fully degenerate stratum."""
+    return wedge_space(Subspace.from_rows(6, [unit_vector(6, 0)]), Subspace.full(6))
+
+
 def test_y_stratum_examples():
-    a5 = lagrangian_l3v5()
+    a5 = l3v5_subspace()
     assert y_stratum(a5, unit_vector(6, 0)) == 6
     assert y_stratum(a5, unit_vector(6, 5)) == 0
     ae1 = lagrangian_e1_wedge()
@@ -50,7 +53,7 @@ def test_y_stratum_degenerate_branch_whole_space():
 
 
 def test_y_dual_stratum_examples():
-    a5 = lagrangian_l3v5()
+    a5 = l3v5_subspace()
     assert y_dual_stratum(a5, V5) == 10
     v5p = Subspace.from_rows(6, [unit_vector(6, i) for i in range(1, 6)])
     assert y_dual_stratum(a5, v5p) == 4
@@ -60,7 +63,7 @@ def test_y_dual_stratum_examples():
 
 
 def test_y_hat_examples():
-    a5 = lagrangian_l3v5()
+    a5 = l3v5_subspace()
     assert y_hat_member(a5, unit_vector(6, 0), V5) == 6
     rng = rng_from_seed(15)
     a = fivefold_lagrangian().a
@@ -93,7 +96,7 @@ def test_y_hat_refines_both_strata():
 
 
 def test_z_stratum_examples():
-    a5 = lagrangian_l3v5()
+    a5 = l3v5_subspace()
     v3_inside = Subspace.from_rows(6, [unit_vector(6, i) for i in range(3)])
     assert z_stratum(a5, v3_inside) == 7
     v3_mixed = Subspace.from_rows(6, [unit_vector(6, i) for i in (3, 4, 5)])
@@ -132,15 +135,12 @@ def test_y_dual_equals_dual_y_random():
 def test_certificate_l3v5_line():
     # for the 3-forms on the hyperplane the membership locus on a generic
     # line is the single parameter crossing the hyperplane
-    a5 = lagrangian_l3v5()
+    a5 = l3v5_subspace()
     cert = stratum_poly_on_line(a5, [1, 0, 2, 0, 0, 1], [0, 1, 0, 1, 0, 1], "y", seed=2)
-    roots = set()
-    from gmepw.polynomials import rational_roots
-
-    if not cert.contains_line:
-        roots = set(rational_roots(cert.poly))
-    # lambda(base + t dir) = 1 + t vanishes at t = -1
-    assert roots == {Fraction(-1)}
+    assert not cert.contains_line
+    # lambda(base + t dir) = 1 + t vanishes at t = -1, and nowhere else
+    assert cert.degree >= 1
+    assert cert.poly.monic() == Poly([1, 1]) ** cert.degree
 
 
 def test_certificate_degrees_fivefold():
@@ -176,12 +176,10 @@ def test_certificate_roots_match_membership():
 
 
 def test_scan_decomposables():
-    a5 = lagrangian_l3v5()
+    a5 = l3v5_subspace()
     e123 = MultiVector.from_monomial(6, (0, 1, 2))
-    rep = scan_decomposables(a5, candidates=[e123])
-    assert len(rep.hits) == 1
-    hit_space = rep.hits[0][1]
-    assert hit_space == Subspace.from_rows(6, [unit_vector(6, i) for i in range(3)])
+    assert a5.contains(e123.coords)
+    assert is_decomposable(e123) == Subspace.from_rows(6, [unit_vector(6, i) for i in range(3)])
 
     # random members of the fivefold Lagrangian: no hits expected
     rng = rng_from_seed(19)
@@ -195,12 +193,11 @@ def test_scan_decomposables():
                 vec20 = [x + c * y for x, y in zip(vec20, row)]
         if any(x != 0 for x in vec20):
             cands.append(MultiVector.from_coords(6, 3, vec20))
-    rep = scan_decomposables(a, candidates=cands)
-    assert rep.hits == ()
-    assert rep.scanned == len(cands)
-
-    with pytest.raises(GmError):
-        scan_decomposables(a, candidates=[e123])
+    assert cands
+    for mv in cands:
+        assert a.contains(mv.coords)
+        assert is_decomposable(mv) is None
+    assert not a.contains(e123.coords)
 
 
 def test_scan_decomposables_pencil():
@@ -209,8 +206,15 @@ def test_scan_decomposables_pencil():
     omega = sigma_form()
     # pencil through the distinguished rank-4 form and another member
     other = MultiVector.from_coords(6, 3, a.basis_rows()[3])
-    rep = scan_decomposables(a, pencil=(omega, other), samples=11)
-    assert rep.scanned >= 10
+    assert a.contains(omega.coords) and a.contains(other.coords)
+    scanned = 0
+    for t in range(-5, 6):
+        mv = omega + other.scale(t)
+        if mv.is_zero():
+            continue
+        is_decomposable(mv)
+        scanned += 1
+    assert scanned >= 10
 
 
 @pytest.mark.parametrize(

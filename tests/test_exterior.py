@@ -18,11 +18,9 @@ from gmepw.exterior import (
     is_decomposable,
     l3v5_subspace,
     l3v6_gram,
-    lambda3_matrix,
     lambda_p,
     monomial_index,
     monomials,
-    symplectic_form_l3v6,
     vector_to_multivector,
     wedge,
     wedge_cube,
@@ -73,10 +71,14 @@ def test_wedge_degree_overflow():
         wedge(mono(1, 2, 3, 4), mono(3, 4, 5))
 
 
+def omega(x: MultiVector, y: MultiVector) -> Fraction:
+    return wedge_symplectic_space().omega(x.coords, y.coords)
+
+
 def test_symplectic_examples():
-    assert symplectic_form_l3v6(mono(1, 2, 3), mono(4, 5, 6)) == 1
-    assert symplectic_form_l3v6(mono(1, 2, 3), mono(1, 2, 4)) == 0
-    assert symplectic_form_l3v6(mono(1, 3, 5), mono(2, 4, 6)) == -1
+    assert omega(mono(1, 2, 3), mono(4, 5, 6)) == 1
+    assert omega(mono(1, 2, 3), mono(1, 2, 4)) == 0
+    assert omega(mono(1, 3, 5), mono(2, 4, 6)) == -1
 
 
 def test_symplectic_gram_antidiagonal_signs():
@@ -99,7 +101,7 @@ def test_symplectic_skew_random():
     for _ in range(10):
         x = MultiVector(b, random_nonzero_vector(rng, 20, 5))
         y = MultiVector(b, random_nonzero_vector(rng, 20, 5))
-        assert symplectic_form_l3v6(x, y) == -symplectic_form_l3v6(y, x)
+        assert omega(x, y) == -omega(y, x)
 
 
 def test_lambda_convention():
@@ -256,12 +258,6 @@ def test_exterior_power_matrix_functorial():
     g = random_invertible(rng, 6, 2)
     assert exterior_power_matrix(f * g, 3) == exterior_power_matrix(f, 3) * exterior_power_matrix(g, 3)
     assert exterior_power_matrix(Matrix.identity(6), 3) == Matrix.identity(20)
-
-
-def test_lambda3_matrix_shape():
-    m = lambda3_matrix()
-    assert m.rows == 10 and m.cols == 20
-    assert m.rank() == 10
 
 
 def wedge_by_merging(a: MultiVector, b: MultiVector) -> list[Fraction]:

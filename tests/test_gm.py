@@ -18,9 +18,7 @@ from gmepw.gm import (
     membership,
     opposite,
     plucker_gram,
-    quadric_at,
     split_w,
-    tangent_codim_at,
     validate,
 )
 from gmepw.linalg import Matrix, Subspace, unit_vector
@@ -111,14 +109,14 @@ def test_quadric_at_defining_identity():
     rng = rng_from_seed(2)
     for i in range(5):
         g = plucker_gram(d.mu, i, d.epsilon)
-        assert quadric_at(d, unit_vector(6, i)).gram == g
-    assert quadric_at(d, [0] * 6).gram.is_zero()
-    assert quadric_at(d, unit_vector(6, 5)).gram == Matrix.identity(10)
+        assert d.q_of(unit_vector(6, i)) == g
+    assert d.q_of([0] * 6).is_zero()
+    assert d.q_of(unit_vector(6, 5)) == Matrix.identity(10)
     # linearity in v
     va = random_nonzero_vector(rng, 6, 4)
     vb = random_nonzero_vector(rng, 6, 4)
-    sum_g = quadric_at(d, [a + b for a, b in zip(va, vb)]).gram
-    assert sum_g == quadric_at(d, va).gram + quadric_at(d, vb).gram
+    sum_g = d.q_of([a + b for a, b in zip(va, vb)])
+    assert sum_g == d.q_of(va) + d.q_of(vb)
 
 
 def test_membership_and_tangent():
@@ -134,7 +132,7 @@ def test_membership_and_tangent():
     with pytest.raises(GmError):
         membership(d, [0] * 10)
     # gradient rank at a sampled hull point is at most 6 and usually >= 4
-    assert 1 <= tangent_codim_at(d, w) <= 6
+    assert 1 <= Matrix([g.apply(w) for g in d.q]).rank() <= 6
 
 
 def test_hull_points_satisfy_all_plucker_quadrics():
@@ -267,7 +265,6 @@ def test_hull_sampler_resamples_on_thin_image():
     # a small target space forces some sampled directions to admit no
     # partner, exercising the resampling path before success
     from gmepw.fixtures import fivefold
-    from gmepw.gm import canonical_ordinary, plucker_gram
 
     big = fivefold()
     w_sub = Subspace.from_rows(
@@ -281,7 +278,7 @@ def test_hull_sampler_resamples_on_thin_image():
         [[sum((x[k] * y[k] for k in range(10)), Fraction(0)) for y in rows] for x in rows]
     )
     qs.append(q6)
-    d = canonical_ordinary(w_sub, tuple(qs))
+    d = GMData(n=w_sub.dim - 5, mu=mu, q=tuple(qs), epsilon=Fraction(1))
     assert d.n == 1
     assert validate(d).ok
     for seed in range(5):
@@ -308,4 +305,4 @@ def test_smooth_point_certificate_on_found_rational_point(corank2_lagrangian):
         Fraction(0),
     ]
     assert membership(d, w) == "on_x"
-    assert tangent_codim_at(d, w) == 4
+    assert Matrix([g.apply(w) for g in d.q]).rank() == 4

@@ -11,7 +11,6 @@ from gmepw.linalg import (
     Matrix,
     Subspace,
     det_int,
-    image,
     kernel,
     rref,
     solve_multi,
@@ -112,7 +111,8 @@ def test_kernel_image_annihilator_examples():
     assert kernel(Matrix.zero(2, 2)) == Subspace.full(2)
     ann = Subspace.from_rows(3, [[1, 0, 0]]).annihilator()
     assert ann == Subspace.from_rows(3, [[0, 1, 0], [0, 0, 1]])
-    img = image(Matrix([[1, 0], [1, 0]]))
+    m = Matrix([[1, 0], [1, 0]])
+    img = Subspace.from_rows(2, [m.col(j) for j in range(m.cols)])
     assert img == Subspace.from_rows(2, [[1, 1]])
 
 

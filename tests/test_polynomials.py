@@ -10,8 +10,6 @@ from gmepw.polynomials import (
     Poly,
     interpolate,
     poly_gcd,
-    rational_roots,
-    squarefree_part,
 )
 
 
@@ -41,13 +39,11 @@ def test_divmod_exact():
         Poly([1, 1, 1]).exact_div(Poly([1, 1]))
 
 
-def test_gcd_and_squarefree():
+def test_gcd():
     p = Poly([1, 1]) ** 2 * Poly([-2, 1])
     q = Poly([1, 1]) * Poly([3, 1])
     g = poly_gcd(p, q)
     assert g == Poly([1, 1])
-    sf = squarefree_part(p)
-    assert sf == (Poly([1, 1]) * Poly([-2, 1])).monic()
 
 
 def test_primitive_normalization():
@@ -62,12 +58,6 @@ def test_root_multiplicity():
     assert p.root_multiplicity(0) == 2
     assert p.root_multiplicity(1) == 1
     assert p.root_multiplicity(5) == 0
-
-
-def test_rational_roots():
-    p = Poly([2, 1]) * Poly([-1, 3]) * Poly([0, 1])
-    roots = rational_roots(p)
-    assert set(roots) == {Fraction(0), Fraction(-2), Fraction(1, 3)}
 
 
 def test_interpolation_roundtrip():
