@@ -167,16 +167,22 @@ def cmd_epw_dual_point(args) -> int:
     return EXIT_OK
 
 
+def _parse_line(args) -> tuple[list[Fraction], list[Fraction]]:
+    """--base and --dir of a line, which must be independent."""
+    base = _parse_point6(args.base, "--base")
+    direction = _parse_point6(args.dir, "--dir")
+    if Matrix([base, direction]).rank() < 2:
+        raise DocumentError("--base and --dir are dependent: the line degenerates")
+    return base, direction
+
+
 def cmd_epw_line(args) -> int:
     flag = "base" if args.kind == "y" else "plane"
     if getattr(args, flag) is None:
         raise DocumentError(f"--{flag} is required with --kind {args.kind}")
     ld = _read_document(args, "lagrangian_data")
     if args.kind == "y":
-        base = _parse_point6(args.base, "--base")
-        direction = _parse_point6(args.dir, "--dir")
-        if Matrix([base, direction]).rank() < 2:
-            raise DocumentError("--base and --dir are dependent: the line degenerates")
+        base, direction = _parse_line(args)
         cert = stratum_poly_on_line(ld.a, base, direction, "y", seed=args.seed)
         base_out = [gio.format_vector(cert.base)]
     else:
@@ -215,8 +221,7 @@ def cmd_zeta_plane(args) -> int:
 
 def cmd_disc_line(args) -> int:
     d = _read_document(args, "gm_data")
-    base = _parse_point6(args.base, "--base")
-    direction = _parse_point6(args.dir, "--dir")
+    base, direction = _parse_line(args)
     line = discriminant_on_line(d, base, direction)
     payload = {
         "det_poly": gio.format_poly(line.det_poly),
@@ -282,6 +287,8 @@ def cmd_hyperplane_update(args) -> int:
     coords = _parse_scalar_list(args.eta0, "--eta0")
     if len(coords) != 10:
         raise DocumentError("--eta0: expected 10 coordinates over the 3-form monomials of the hyperplane")
+    if not any(coords):
+        raise DocumentError("--eta0: must be non-zero")
     eta = MultiVector.from_coords(5, 3, coords)
     a2 = hyperplane_section_lagrangian(ld.a, eta)
     _write(args, gio.emit(Document("lagrangian_data", LagrangianData(a=a2, a1=ld.a1))))

@@ -116,8 +116,7 @@ def a1_representative(tag: str) -> Subspace:
 
 def extended_lagrangian(ld: LagrangianData) -> Subspace:
     """The graded Lagrangian inside the 22 coordinates."""
-    rows = [list(r) + [Fraction(0), Fraction(0)] for r in ld.a.basis_rows()]
-    rows.extend(a1_representative(ld.a1).basis_rows())
+    rows = [r + (0, 0) for r in ld.a.int_rows] + a1_representative(ld.a1).int_rows
     return Subspace.from_rows(EXT_DIM, rows)
 
 

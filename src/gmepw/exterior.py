@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .linalg import Matrix, Subspace, clear_denominators, kernel, rat
+from .linalg import Matrix, Subspace, kernel, rat
 
 
 @lru_cache(maxsize=None)
@@ -287,20 +287,16 @@ def wedge_space(u: Subspace, w: Subspace) -> Subspace:
         raise ValueError("ambient mismatch: both factors must live in the 6-space")
     if u.dim == 0:
         raise ValueError("wedge_space needs a non-trivial first factor")
-    # the span is scale-invariant: clear each row to ints and build the
-    # generators over int
-    xs = [clear_denominators(x)[0] for x in u.basis.data]
-    ys = [clear_denominators(y)[0] for y in w.basis.data]
-    pairs = [_wedge_coords(6, 1, 1, y1, y2) for y1, y2 in combinations(ys, 2)]
-    return Subspace.from_rows(20, [_wedge_coords(6, 1, 2, x, y) for x in xs for y in pairs])
+    pairs = [_wedge_coords(6, 1, 1, y1, y2) for y1, y2 in combinations(w.int_rows, 2)]
+    return Subspace.from_rows(20, [_wedge_coords(6, 1, 2, x, y) for x in u.int_rows for y in pairs])
 
 
 def wedge_cube(u: Subspace) -> Subspace:
     """Degree-3 power of a subspace of the 6-space, e.g. a hyperplane cube."""
     if u.ambient_dim != 6:
         raise ValueError("ambient mismatch: the factor must live in the 6-space")
-    rows = [clear_denominators(x)[0] for x in u.basis.data]
-    gens = [_wedge_coords(6, 1, 2, x, _wedge_coords(6, 1, 1, y, z)) for x, y, z in combinations(rows, 3)]
+    gens = [_wedge_coords(6, 1, 2, x, _wedge_coords(6, 1, 1, y, z))
+            for x, y, z in combinations(u.int_rows, 3)]
     return Subspace.from_rows(20, gens)
 
 

@@ -17,7 +17,7 @@ from .correspondence import (
 from .epw import y_hat_member, y_stratum, z_stratum
 from .exterior import v5_subspace, wedge_space
 from .gm import GmError
-from .linalg import Fraction, Subspace, vec
+from .linalg import Subspace, vec
 from .quadrics import _induced_quadric, isotropic_reduce
 
 
@@ -63,9 +63,7 @@ class FiberReport:
 
 def _embed20(s: Subspace) -> Subspace:
     """A subspace of the 20 three-form coordinates inside the 22 coordinates."""
-    return Subspace.from_rows(
-        22, [list(r) + [Fraction(0), Fraction(0)] for r in s.basis_rows()]
-    )
+    return Subspace.from_rows(22, [r + (0, 0) for r in s.int_rows])
 
 
 def _fiber_via_reduction(ld: LagrangianData, iso20: Subspace) -> tuple[int, int]:

@@ -300,6 +300,8 @@ def discriminant_on_line(d: GMData, v_a, v_b) -> DiscriminantLine:
     identically zero.
     """
     v_a, v_b = vec(v_a), vec(v_b)
+    if Matrix([v_a, v_b]).rank() < 2:
+        raise GmError("the two points are dependent: the line degenerates")
     lam = Poly([v_a[5], v_b[5]])
     if lam.is_zero():
         raise GmError("line lies inside the hyperplane")

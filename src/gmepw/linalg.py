@@ -1,14 +1,16 @@
 """Exact rational matrices and canonically represented linear subspaces.
 
-Integers inside, ``Fraction`` at the API: every scalar a caller sees is a
-``fractions.Fraction`` (reduced, positive denominator), while the
-eliminations (``Matrix.rref`` and ``det_int``, under rank, kernel, solve,
-inverse and every subspace) clear denominators and run over Python ints.
-Subspaces are stored as row spaces in reduced row echelon form, so two
-subspaces are equal iff their basis matrices are entry-wise equal.  Every
-operation here is pure and exact; ambient dimensions in this project never
-exceed 30, so dense storage is used throughout.
-"""
+Integers inside, ``Fraction`` at the API edge: every scalar a caller sees is
+a ``fractions.Fraction`` (reduced, positive denominator), while the
+eliminations (one integer Gauss-Jordan under ``Matrix.rref``, rank, kernel,
+solve, inverse and every subspace, and ``det_int``) run over Python ints.
+A subspace holds its reduced row echelon basis as primitive integer rows
+with positive pivots, which is canonical exactly when the RREF is, so two
+subspaces are equal iff those rows are; sums, meets, annihilators and
+membership work on them directly, and the ``Fraction`` rows of ``basis``
+are built only when asked for.  Every operation here is pure and exact;
+ambient dimensions in this project never exceed 30, so dense storage is
+used throughout."""
 
 from __future__ import annotations
 
@@ -47,10 +49,6 @@ def vec_dot(a, b) -> Fraction:
         if x and y:
             total += x * y
     return total
-
-
-def is_zero_vec(a) -> bool:
-    return all(x == 0 for x in a)
 
 
 def clear_denominators(v) -> tuple[list[int], int]:
@@ -217,39 +215,11 @@ class Matrix:
             raise ValueError("shape mismatch")
 
     def rref(self) -> tuple["Matrix", int, tuple[int, ...]]:
-        """Reduced row echelon form. Returns (rref matrix, rank, pivot columns).
-
-        Gauss-Jordan over int: each row is cleared of denominators, and an
-        updated row is divided by the gcd of its entries, which keeps the
-        entries small.  Only the final pivot rows are divided by their
-        pivots; the RREF is unique, so this is the rational RREF exactly.
-        """
-        m = [clear_denominators(row)[0] for row in self.data]
-        rows, cols = self.rows, self.cols
-        pivots = []
-        r = 0
-        for c in range(cols):
-            if r == rows:
-                break
-            pr = next((i for i in range(r, rows) if m[i][c]), None)
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            mr = m[r]
-            pv = mr[c]
-            for i, mi in enumerate(m):
-                f = mi[c]
-                if f and i != r:
-                    g = gcd(pv, f)
-                    a, b = pv // g, f // g
-                    row = [a * x - b * y for x, y in zip(mi, mr)]
-                    g = gcd(*row)
-                    m[i] = [x // g for x in row] if g > 1 else row
-            pivots.append(c)
-            r += 1
-        out = [[Fraction(x, row[c]) if x else _ZERO for x in row] for row, c in zip(m, pivots)]
-        out += [[_ZERO] * cols for _ in range(rows - r)]
-        return Matrix._make(out, cols), r, tuple(pivots)
+        """Reduced row echelon form. Returns (rref matrix, rank, pivot columns)."""
+        rows, pivots = _gauss_jordan([clear_denominators(row)[0] for row in self.data], self.cols)
+        out = _fraction_rows(rows, pivots)
+        out += [[_ZERO] * self.cols for _ in range(self.rows - len(pivots))]
+        return Matrix._make(out, self.cols), len(pivots), pivots
 
     def rank(self) -> int:
         return self.rref()[1]
@@ -316,6 +286,56 @@ def det_int(rows) -> int:
     return sign * m[0][0] if m else 1
 
 
+def _gauss_jordan(m: list, cols: int) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
+    """Gauss-Jordan over int on rows of length cols: (reduced rows, pivots).
+
+    An updated row is divided by the gcd of its entries, which keeps the
+    entries small.  Each returned row is the primitive integer multiple,
+    pivot positive, of a row of the RREF: unique exactly when the RREF is.
+    The zero rows are dropped.  The list m is reordered in place.
+    """
+    rows = len(m)
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        pr = next((i for i in range(r, rows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        mr = m[r]
+        pv = mr[c]
+        for i, mi in enumerate(m):
+            f = mi[c]
+            if f and i != r:
+                g = gcd(pv, f)
+                a, b = pv // g, f // g
+                row = [a * x - b * y for x, y in zip(mi, mr)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+    out = []
+    for row, c in zip(m, pivots):
+        g = gcd(*row) if row[c] > 0 else -gcd(*row)
+        out.append(tuple(row) if g == 1 else tuple([x // g for x in row]))
+    return out, tuple(pivots)
+
+
+def _fraction_rows(rows, pivots) -> list[list[Fraction]]:
+    """The RREF rows over Fraction: each integer row divided by its pivot."""
+    return [[Fraction(x, row[c]) if x else _ZERO for x in row] for row, c in zip(rows, pivots)]
+
+
+def _int_row(r) -> list[int]:
+    """r itself if its entries are ints, else its entries times their least
+    common denominator."""
+    if all(type(x) is int for x in r):
+        return r
+    return clear_denominators(vec(r))[0]
+
+
 def rref(m: Matrix) -> tuple[Matrix, int]:
     """Unique reduced row echelon form of m together with its rank."""
     red, rank, _ = m.rref()
@@ -350,50 +370,49 @@ def solve_multi(m: Matrix, rhs_rows) -> list[list[Fraction]] | None:
 
 def kernel(m: Matrix) -> "Subspace":
     """Right null space {x : m x = 0} as a canonical subspace of k^cols."""
-    red, rank, pivots = m.rref()
-    free = [c for c in range(m.cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -red.data[r][f]
-        basis.append(v)
-    return Subspace.from_rows(m.cols, basis)
+    return Subspace.from_rows(m.cols, m.data).annihilator()
 
 
 class Subspace:
-    """A linear subspace of k^n stored as an RREF row-space basis."""
+    """A linear subspace of k^n stored as its reduced row-space basis: each
+    RREF row as its primitive integer multiple with a positive pivot.  The
+    ``Fraction`` RREF rows (``basis``) are built on first use."""
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    __slots__ = ("ambient_dim", "int_rows", "pivots", "_basis")
 
-    def __init__(self, ambient_dim: int, basis: Matrix, pivots: tuple[int, ...]):
+    def __init__(self, ambient_dim: int, int_rows: list[tuple[int, ...]], pivots: tuple[int, ...]):
         self.ambient_dim = ambient_dim
-        self.basis = basis
+        self.int_rows = int_rows
         self.pivots = pivots
+        self._basis = None
 
     @classmethod
     def from_rows(cls, ambient_dim: int, rows) -> "Subspace":
-        rows = [vec(r) for r in rows]
+        rows = [_int_row(r) for r in rows]
         for r in rows:
             if len(r) != ambient_dim:
                 raise ValueError("basis vector length differs from ambient dimension")
-        if not rows:
-            return cls(ambient_dim, Matrix.zero(0, ambient_dim), ())
-        red, rank, pivots = Matrix(rows).rref()
-        return cls(ambient_dim, Matrix(red.data[:rank], cols=ambient_dim), pivots)
+        return cls(ambient_dim, *_gauss_jordan(rows, ambient_dim))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix.zero(0, ambient_dim), ())
+        return cls(ambient_dim, [], ())
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix.identity(ambient_dim), tuple(range(ambient_dim)))
+        rows = [tuple(int(i == j) for j in range(ambient_dim)) for i in range(ambient_dim)]
+        return cls(ambient_dim, rows, tuple(range(ambient_dim)))
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.int_rows)
+
+    @property
+    def basis(self) -> Matrix:
+        """The RREF basis over Fraction, one row per dimension."""
+        if self._basis is None:
+            self._basis = Matrix._make(_fraction_rows(self.int_rows, self.pivots), self.ambient_dim)
+        return self._basis
 
     def basis_rows(self) -> list[list[Fraction]]:
         return self.basis.copy_data()
@@ -402,11 +421,11 @@ class Subspace:
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self.int_rows == other.int_rows
         )
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, tuple(self.int_rows)))
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of k^{self.ambient_dim})"
@@ -417,34 +436,41 @@ class Subspace:
                 f"ambient mismatch: {self.ambient_dim} vs {other.ambient_dim}"
             )
 
+    def remainder(self, w) -> list[int]:
+        """A positive multiple of w minus the combination of the basis that
+        clears w at every pivot, for an integer vector w."""
+        for row, c in zip(self.int_rows, self.pivots):
+            f = w[c]
+            if f:
+                g = gcd(row[c], f)
+                a, b = row[c] // g, f // g
+                w = [a * x - b * y for x, y in zip(w, row)]
+        return w
+
     def contains(self, v) -> bool:
         return self.coordinates_of(v) is not None
 
     def coordinates_of(self, v) -> list[Fraction] | None:
         """Coefficients of v in the RREF basis, or None if v is outside.
 
-        For an RREF basis the coefficient of basis row r is just v[pivot_r]
-        after which the remainder must vanish.
+        For an RREF basis the coefficient of basis row r is just v[pivot_r];
+        v lies inside when its integer multiple has no remainder.
         """
-        v = vec(v)
-        if len(v) != self.ambient_dim:
+        w = _int_row(v)
+        if len(w) != self.ambient_dim:
             raise ValueError("vector length differs from ambient dimension")
-        coeffs = [v[c] for c in self.pivots]
-        rem = list(v)
-        for coef, row in zip(coeffs, self.basis.data):
-            if coef != 0:
-                rem = [a - coef * b for a, b in zip(rem, row)]
-        return coeffs if is_zero_vec(rem) else None
+        if any(self.remainder(w)):
+            return None
+        return [rat(v[c]) for c in self.pivots]
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        return all(self.contains(row) for row in other.basis.data)
+        return not any(any(self.remainder(row)) for row in other.int_rows)
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        return Subspace.from_rows(
-            self.ambient_dim, self.basis.copy_data() + other.basis.copy_data()
-        )
+        n = self.ambient_dim
+        return Subspace(n, *_gauss_jordan(self.int_rows + other.int_rows, n))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
@@ -454,14 +480,25 @@ class Subspace:
         """dim of the intersection, from one elimination of the stacked bases:
         dim + dim - dim of the sum."""
         self._check_ambient(other)
-        stacked = Matrix._make(self.basis.data + other.basis.data, self.ambient_dim)
-        return self.dim + other.dim - stacked.rank()
+        _, pivots = _gauss_jordan(self.int_rows + other.int_rows, self.ambient_dim)
+        return self.dim + other.dim - len(pivots)
 
     def annihilator(self) -> "Subspace":
         """Functionals vanishing on the subspace, in dual coordinates.
 
         An inclusion-reversing involution under the double-dual identification.
+        One integer null vector per free column f: with s the lcm of the
+        pivots of the rows that are non-zero at f, it is s at f and
+        -(s / pivot) * row[f] at the pivot of each of those rows.
         """
-        if self.dim == 0:
-            return Subspace.full(self.ambient_dim)
-        return kernel(self.basis)
+        n = self.ambient_dim
+        null = []
+        for f in (f for f in range(n) if f not in self.pivots):
+            involved = [(row, c) for row, c in zip(self.int_rows, self.pivots) if row[f]]
+            scale = lcm(*(row[c] for row, c in involved))
+            v = [0] * n
+            v[f] = scale
+            for row, c in involved:
+                v[c] = -(scale // row[c]) * row[f]
+            null.append(v)
+        return Subspace(n, *_gauss_jordan(null, n))

@@ -167,32 +167,17 @@ def dual_quadric_via_pairing(
         raise ValueError("quadric does not live on the declared summand")
     kq = q.kernel_subspace()
     dual_span = pairing_annihilator_in(space, kq, dst)
-    # reduced form on span/kernel: use span basis rows not in the kernel
-    red_idx = []
-    probe = kq
-    for i, row in enumerate(q.span.basis_rows()):
-        cand = probe + Subspace.from_rows(space.total_dim, [row])
-        if cand.dim > probe.dim:
-            red_idx.append(i)
-            probe = cand
-    red = q.gram.submatrix(red_idx, red_idx)
-    red_inv = red.inverse() if red.rows else red
-    reps = [q.span.basis_rows()[i] for i in red_idx]
-    gram_rows = []
-    for y1 in dual_span.basis_rows():
-        phi1 = [space.omega(w, y1) for w in reps]
-        row = []
-        for y2 in dual_span.basis_rows():
-            phi2 = [space.omega(w, y2) for w in reps]
-            row.append(
-                sum(
-                    (phi1[i] * red_inv.data[i][j] * phi2[j]
-                     for i in range(len(reps)) for j in range(len(reps))),
-                    Fraction(0),
-                )
-            )
-        gram_rows.append(row)
-    gram = Matrix(gram_rows) if gram_rows else Matrix.zero(0, 0)
+    # reduced form on span/kernel: the span basis rows independent modulo the
+    # kernel are the pivot columns past the kernel's in [kernel | span]
+    stack = Matrix.from_cols(kq.basis_rows() + q.span.basis_rows())
+    red_idx = [c - kq.dim for c in stack.rref()[2] if c >= kq.dim]
+    if not red_idx:
+        gram = Matrix.zero(dual_span.dim, dual_span.dim)
+    else:
+        # phi[i][a] = omega(w_i, y_a) for the representatives w and the dual span y
+        reps = Matrix([q.span.basis.data[i] for i in red_idx])
+        phi = reps * space.form * dual_span.basis.transpose()
+        gram = phi.transpose() * q.gram.submatrix(red_idx, red_idx).inverse() * phi
     return QuadricOnSubspace(space.total_dim, dual_span, gram)
 
 
@@ -253,20 +238,17 @@ class QuotientModel:
         self.comp_pivots = [p for p in outer.pivots if p not in inner_pivots]
         self.dim = len(self.comp_rows)
 
-    def project(self, v) -> list[Fraction]:
-        """Coordinates of v + I in the complement basis; v must lie in U."""
+    def project(self, v) -> list[int]:
+        """Coordinates of v + I in the complement basis, up to a positive
+        scalar, for an integer vector v of U."""
         if not self.outer.contains(v):
             raise ValueError("vector outside the outer subspace")
-        w = list(v)
-        for row, piv in zip(self.inner.basis_rows(), self.inner.pivots):
-            c = w[piv]
-            if c != 0:
-                w = [a - c * b for a, b in zip(w, row)]
+        w = self.inner.remainder(v)
         return [w[p] for p in self.comp_pivots]
 
     def project_subspace(self, s: Subspace) -> Subspace:
         inter = s.intersect(self.outer)
-        return Subspace.from_rows(self.dim, [self.project(r) for r in inter.basis_rows()])
+        return Subspace.from_rows(self.dim, [self.project(r) for r in inter.int_rows])
 
 
 @dataclass(frozen=True)

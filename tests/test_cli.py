@@ -87,6 +87,18 @@ def test_degenerate_line_is_input_error(argv, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
+    "direction", ["2,4,0,2,6,2", "0,0,0,0,0,0"], ids=["disc-line-parallel", "disc-line-zero-dir"]
+)
+def test_degenerate_disc_line_is_input_error(direction, monkeypatch, capsys):
+    stdin_text = (ROOT / "fixtures" / "fivefold.gm.json").read_text(encoding="utf-8")
+    argv = ["disc-line", "--base", "1,2,0,1,3,1", "--dir", direction]
+    code, out, err = run_main(argv, stdin_text, monkeypatch, capsys)
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert "--base and --dir are dependent" in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["epw-point", "--point", "0,0,0,0,0,0"],
@@ -97,10 +109,11 @@ def test_degenerate_line_is_input_error(argv, monkeypatch, capsys):
         ["fib1", "--point", "0,0,0,0,0,0"],
         ["fib2", "--plane", "1,0,0,0,0,0;0,1,0,0,0,0;0,0,1,0,0,1"],
         ["epw-point", "--point", "1e5000,0,0,0,0,0"],
+        ["hyperplane-update", "--eta0", "0,0,0,0,0,0,0,0,0,0"],
     ],
     ids=["epw-point-zero", "epw-dual-point-zero", "sigma-point-off-hyperplane",
          "sigma-plane-off-hyperplane", "fib1-point-off-hyperplane", "fib1-point-zero",
-         "fib2-plane-off-hyperplane", "epw-point-huge-exponent"],
+         "fib2-plane-off-hyperplane", "epw-point-huge-exponent", "hyperplane-update-zero-eta0"],
 )
 def test_malformed_point_is_input_error(argv, monkeypatch, capsys):
     stdin_text = (ROOT / "fixtures" / "fivefold.lag.json").read_text(encoding="utf-8")

@@ -13,7 +13,14 @@ from gmepw.epw import (
     y_stratum,
     z_stratum,
 )
-from gmepw.exterior import MultiVector, is_decomposable, l3v5_subspace, wedge_space
+from gmepw.exterior import (
+    MultiVector,
+    is_decomposable,
+    l3v5_subspace,
+    wedge_cube,
+    wedge_space,
+    wedge_symplectic_space,
+)
 from gmepw.fixtures import (
     fivefold_lagrangian,
     sigma_fixture_lagrangian,
@@ -23,7 +30,8 @@ from gmepw.fixtures import (
 from gmepw.gm import GmError
 from gmepw.linalg import Matrix, Subspace, kernel, unit_vector
 from gmepw.polynomials import Poly
-from gmepw.sampling import random_nonzero_vector, rng_from_seed
+from gmepw.quadrics import omega_orthogonal
+from gmepw.sampling import random_lagrangian, random_nonzero_vector, rng_from_seed
 
 V5 = Subspace.from_rows(6, [unit_vector(6, i) for i in range(5)])
 
@@ -108,6 +116,26 @@ def test_z_stratum_examples():
         z_stratum(a5, Subspace.from_rows(6, [unit_vector(6, 0), unit_vector(6, 1)]))
 
 
+def random_3space(rng, inside: Subspace) -> Subspace:
+    """A random 3-space of the span of `inside`."""
+    while True:
+        coeffs = [random_nonzero_vector(rng, inside.dim, 3) for _ in range(3)]
+        u = Subspace.from_rows(6, [inside.basis.left_apply(c) for c in coeffs])
+        if u.dim == 3:
+            return u
+
+
+def lagrangian_through_cube(rng, u: Subspace) -> LagrangianData:
+    """(A meet the orthogonal of xi) + xi for a random Lagrangian A and
+    xi = u1 ^ u2 ^ u3: a Lagrangian through the decomposable form of u whose
+    strata, unlike those of the shipped fixtures, are not symmetric under the
+    standard identification of V6 with its dual."""
+    space = wedge_symplectic_space()
+    xi = wedge_cube(u)
+    a = random_lagrangian(space, rng)
+    return LagrangianData(a=omega_orthogonal(space, xi).intersect(a) + xi, a1=A1_ZERO)
+
+
 def test_z_self_duality_random():
     rng = rng_from_seed(17)
     for ld in (fivefold_lagrangian(), sigma_fixture_lagrangian()):
@@ -120,6 +148,11 @@ def test_z_self_duality_random():
                 continue
             assert z_stratum(ld.a, v3) == z_stratum(dual.a, v3.annihilator())
             count += 1
+    # the shipped strata are symmetric under V6 = its dual; these are not
+    for _ in range(3):
+        v3 = random_3space(rng, Subspace.full(6))
+        ld = lagrangian_through_cube(rng, v3)
+        assert z_stratum(ld.a, v3) == z_stratum(dualize(ld).a, v3.annihilator()) >= 1
 
 
 def test_y_dual_equals_dual_y_random():
@@ -130,6 +163,12 @@ def test_y_dual_equals_dual_y_random():
             f = random_nonzero_vector(rng, 6, 4)
             v5p = kernel(Matrix([f]))
             assert y_dual_stratum(ld.a, v5p) == y_stratum(dual.a, f)
+    # the shipped strata are symmetric under V6 = its dual; these are not
+    for _ in range(3):
+        f = random_nonzero_vector(rng, 6, 4)
+        v5p = kernel(Matrix([f]))
+        ld = lagrangian_through_cube(rng, random_3space(rng, v5p))
+        assert y_dual_stratum(ld.a, v5p) == y_stratum(dualize(ld).a, f) >= 1
 
 
 def test_certificate_l3v5_line():

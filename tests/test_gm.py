@@ -203,6 +203,14 @@ def test_discriminant_rejects_hyperplane_line():
         discriminant_on_line(d, [1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0])
 
 
+def test_discriminant_rejects_dependent_points():
+    d = fivefold()
+    base = [1, 2, 0, 1, 3, 1]
+    for direction in ([2 * x for x in base], [0] * 6):
+        with pytest.raises(GmError, match="dependent"):
+            discriminant_on_line(d, base, direction)
+
+
 def test_discriminant_identically_zero_path():
     # a family singular everywhere: append a zero row/column to every form
     d = fivefold()

@@ -347,3 +347,86 @@ def test_rref_rank_nullspace_against_sympy():
                                 for i in range(rows)]
             null = [[Fraction(int(x.p), int(x.q)) for x in v] for v in ref.nullspace()]
             assert kernel(m) == Subspace.from_rows(cols, null)
+
+
+def oracle_span(rows, n):
+    """(non-zero RREF rows, pivots) of the span of rows, by the Fraction oracle."""
+    m, rank, pivots = rref_by_fraction_gauss_jordan(rows, n)
+    return m[:rank], pivots
+
+
+def oracle_annihilator(rows, pivots, n):
+    """Span of the standard null vectors of RREF rows, by the Fraction oracle."""
+    null = []
+    for f in (f for f in range(n) if f not in pivots):
+        v = [Fraction(int(i == f)) for i in range(n)]
+        for row, c in zip(rows, pivots):
+            v[c] = -row[f]
+        null.append(v)
+    return oracle_span(null, n)
+
+
+@st.composite
+def subspace_cases(draw):
+    """Two row sets in k^n (n <= 7) with negative entries, denominators up to
+    10^12, and sometimes a duplicate and a zero row; non-zero scales for a
+    reordered scaled copy of the first; coefficients of a combination of it."""
+    n = draw(st.integers(1, 7))
+    entry = st.one_of(
+        st.just(Fraction(0)),
+        small_fractions,
+        st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**12),
+    )
+
+    def row_set():
+        rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=5))
+        if rows and draw(st.booleans()):
+            rows.append(list(rows[draw(st.integers(0, len(rows) - 1))]))
+            rows.append([Fraction(0)] * n)
+        return rows
+
+    rows_a, rows_b = row_set(), row_set()
+    nonzero = small_fractions.filter(bool)
+    scales = draw(st.lists(nonzero, min_size=len(rows_a), max_size=len(rows_a)))
+    coeffs = draw(st.lists(small_fractions, min_size=len(rows_a), max_size=len(rows_a)))
+    return n, rows_a, rows_b, scales, coeffs
+
+
+@given(subspace_cases())
+@example((3, [[0, -3, 6], [-2, 4, 1], [0, 0, 0], [4, -8, -2]], [[0, -1, 0]], [-1, 3, 1, -2],
+          [1, 1, 0, 0]))  # negative pivots, a zero row, a dependent row
+@example((2, [[Fraction(1, 10**12), Fraction(-7, 3)]] * 2, [], [Fraction(-5, 2), 4], [1, -1]))
+@settings(max_examples=150, deadline=None)
+def test_subspace_matches_fraction_oracle(case):
+    n, rows_a, rows_b, scales, coeffs = case
+    a, b = Subspace.from_rows(n, rows_a), Subspace.from_rows(n, rows_b)
+    ra, pa = oracle_span(rows_a, n)
+    rb, pb = oracle_span(rows_b, n)
+    assert (a.basis.data, a.pivots, a.dim) == (ra, pa, len(ra))
+    assert all(type(x) is Fraction for row in a.basis_rows() for x in row)
+    # canonical: a reordered copy with every row rescaled is the same subspace
+    scaled = Subspace.from_rows(n, [[s * Fraction(x) for x in r] for s, r in zip(scales, rows_a)][::-1])
+    assert scaled == a and hash(scaled) == hash(a)
+    assert (a == b) == (ra == rb)
+
+    rs, ps = oracle_span(rows_a + rows_b, n)
+    total = a + b
+    assert (total.basis.data, total.pivots) == (rs, ps)
+    assert a.meet_dim(b) == len(ra) + len(rb) - len(rs)
+    assert a.contains_subspace(b) == (len(rs) == len(ra))
+
+    ann_a, ann_b = oracle_annihilator(ra, pa, n), oracle_annihilator(rb, pb, n)
+    ann = a.annihilator()
+    assert (ann.basis.data, ann.pivots) == ann_a
+    assert ann.annihilator() == a
+    meet = a.intersect(b)
+    assert (meet.basis.data, meet.pivots) == oracle_annihilator(*oracle_span(ann_a[0] + ann_b[0], n), n)
+    assert meet.dim == a.meet_dim(b)
+
+    v = [sum((c * Fraction(r[i]) for c, r in zip(coeffs, rows_a)), Fraction(0)) for i in range(n)]
+    coords = a.coordinates_of(v)
+    assert coords is not None
+    assert [sum((c * r[i] for c, r in zip(coords, ra)), Fraction(0)) for i in range(n)] == v
+    for w in rows_b:
+        inside = len(oracle_span(ra + [w], n)[0]) == len(ra)
+        assert (a.coordinates_of(w) is not None) == inside == a.contains(w)
