@@ -411,7 +411,7 @@ def main(argv=None) -> int:
     except (GmError, CorrespondenceError) as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

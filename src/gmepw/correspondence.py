@@ -24,10 +24,10 @@ from .exterior import (
     SymplecticSpace,
     inject,
     l3v5_subspace,
-    l3v6_gram,
     lambda_p,
     monomial_index,
     monomials,
+    top_pairing,
     vector_to_multivector,
     wedge,
     wedge_symplectic_space,
@@ -69,7 +69,7 @@ class LagrangianData:
 @lru_cache(maxsize=None)
 def extended_space() -> SymplecticSpace:
     form = Matrix.zero(EXT_DIM, EXT_DIM)
-    g = l3v6_gram()
+    g = top_pairing(6, 3)
     for i in range(20):
         for j in range(20):
             form.data[i][j] = g.data[i][j]
@@ -120,7 +120,7 @@ def extended_lagrangian(ld: LagrangianData) -> Subspace:
     return Subspace.from_rows(EXT_DIM, rows)
 
 
-def gm_to_lagrangian(d: GMData, check_choice_independence: bool = True) -> LagrangianData:
+def gm_to_lagrangian(d: GMData) -> LagrangianData:
     """Extract the Lagrangian data of lci GM data.
 
     Builds the kernel of the defining map on (3-forms on the hyperplane) + L
@@ -136,10 +136,9 @@ def gm_to_lagrangian(d: GMData, check_choice_independence: bool = True) -> Lagra
     mu1 = _mu1_functional(d, w1)
     a_hat = _a_hat(d, mu1, v0=unit_vector(6, 5))
     a_even, a_odd = _split_graded(a_hat)
-    if check_choice_independence:
-        other = _a_hat(d, mu1, v0=vec([1, 0, 0, 0, 0, 1]))
-        if _split_graded(other)[0] != a_even:
-            raise CorrespondenceError("even part depends on the auxiliary direction")
+    other = _a_hat(d, mu1, v0=vec([1, 0, 0, 0, 0, 1]))
+    if _split_graded(other)[0] != a_even:
+        raise CorrespondenceError("even part depends on the auxiliary direction")
     if a_even.dim != 10:
         raise CorrespondenceError("even part has unexpected dimension")
     a20 = Subspace.from_rows(20, [r[:20] for r in a_even.basis_rows()])
@@ -171,20 +170,10 @@ def _a_hat(d: GMData, mu1: list[Fraction], v0) -> Subspace:
     if lam0 == 0:
         raise CorrespondenceError("auxiliary direction must avoid the hyperplane")
     qv0 = d.q_of(v0)
-    mu_cols = [MultiVector.from_coords(5, 2, d.mu.col(j)) for j in range(w)]
-    l3v5 = monomials(5, 3)
-    top5 = monomial_index(6, 5)[(0, 1, 2, 3, 4)]
     # columns: 10 three-form coords, one L coord, w W-coords; rows: W functionals
-    mat = Matrix.zero(w, 11 + w)
-    for col, m in enumerate(l3v5):
-        xi = MultiVector.from_monomial(6, m)
-        for j in range(w):
-            mat.data[j][col] = d.epsilon * wedge(xi, inject(mu_cols[j])).coords[top5]
-    for j in range(w):
-        mat.data[j][10] = mu1[j]
-    for j in range(w):
-        for jj in range(w):
-            mat.data[j][11 + jj] = qv0.data[jj][j]
+    # w -> epsilon * top(xi ^ mu(w)) on the three-forms xi of the hyperplane
+    pairing = (top_pairing(5, 3) * d.mu).transpose().scale(d.epsilon)
+    mat = Matrix([pairing.data[j] + [mu1[j]] + qv0.col(j) for j in range(w)])
     ker = kernel(mat)
     v0_mv = vector_to_multivector(v0)
     rows = []
@@ -276,18 +265,12 @@ def _contraction_image_with_lifts(a: Subspace) -> tuple[list[MultiVector], Subsp
 
 
 def _qtilde0_gram(i: int, lifts: list[MultiVector]) -> Matrix:
-    """Gram of the form -top(contract(v ^ xi1) ^ contract(xi2)) at basis vector i."""
+    """Gram of the form -top(contract(v ^ xi1) ^ contract(xi2)) at basis vector i:
+    -L T R^T with rows contract(e_i ^ xi_a) in L and contract(xi_b) in R."""
     ei = MultiVector.from_monomial(6, (i,))
-    m = len(lifts)
-    top5 = monomial_index(5, 5)[(0, 1, 2, 3, 4)]
-    left = [lambda_p(wedge(ei, xi)) for xi in lifts]
-    right = [lambda_p(xi) for xi in lifts]
-    g = Matrix.zero(m, m)
-    for aa in range(m):
-        for bb in range(m):
-            prod = wedge(left[aa], right[bb])
-            g.data[aa][bb] = -prod.coords[top5]
-    return g
+    left = Matrix([lambda_p(wedge(ei, xi)).coords for xi in lifts], cols=10)
+    right = Matrix([lambda_p(xi).coords for xi in lifts], cols=10)
+    return -(left * top_pairing(5, 3) * right.transpose())
 
 
 @dataclass(frozen=True)

@@ -15,14 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .exterior import (
-    MultiVector,
-    l3v6_gram,
-    monomials,
-    vector_to_multivector,
-    wedge,
-    wedge_space,
-)
+from .exterior import top_pairing, wedge_gens, wedge_space
 from .gm import GmError
 from .linalg import Matrix, Subspace, clear_denominators, det_int, vec
 from .polynomials import Poly, interpolate, poly_gcd
@@ -78,43 +71,29 @@ class LineDegreeCertificate:
     contains_line: bool = False
 
 
-def _int_coords(mv: MultiVector) -> list[int]:
-    return [c.numerator for c in mv.coords]  # callers keep every coordinate integral
+def _lagrangian_family_gens(kind: str, base, direction):
+    """Generators of the moving Lagrangian along a line (kind y) or pencil (kind z).
 
-
-def _cleared(vectors) -> tuple[list[MultiVector], int]:
-    """The vectors times their common denominator d, as 1-forms, and d."""
-    vectors = [vec(v) for v in vectors]
-    _, d = clear_denominators([x for v in vectors for x in v])
-    return [vector_to_multivector([x * d for x in v]) for v in vectors], d
-
-
-def _lagrangian_family_gens_y(base, direction):
-    """Generators v(t) ^ e_ij of v(t) ^ (2-forms), v(t) = base + t direction.
-
-    They are affine in t.  Returns ((G0, G1), scale): Gk holds the integer
-    coordinates of scale times the t^k coefficients of the 15 generators,
-    where scale is the common denominator of base and direction.
+    Kind y: v(t) ^ e_jk, v(t) = base + t direction; kind z: e_k ^ w_i ^ w_j
+    over the pairs of w1, w2, w3 = base[0], base[1], base[2] + t direction.
+    The vectors are first multiplied by their common denominator d.  The
+    generators are affine in t, so G0 (those at t = 0) and G1 (those at
+    t = 1 minus G0) are their t^k coefficients exactly.  Returns
+    ((G0, G1), scale) with Gk integer and scale = d (y) or d^2 (z, where the
+    generators are bilinear in the w's).
     """
-    (base_mv, dir_mv), d = _cleared([base, direction])
-    two_forms = [MultiVector.from_monomial(6, m) for m in monomials(6, 2)]
-    return tuple([_int_coords(wedge(v, f)) for f in two_forms] for v in (base_mv, dir_mv)), d
+    vectors = [base, direction] if kind == "y" else [*base, direction]
+    flat, d = clear_denominators([x for v in vectors for x in vec(v)])
+    *fixed, start, step = [flat[k:k + 6] for k in range(0, len(flat), 6)]
+    units = Subspace.full(6).int_rows
 
+    def gens(t: int) -> list:
+        moving = [*fixed, [a + t * b for a, b in zip(start, step)]]
+        return wedge_gens(moving, units) if kind == "y" else wedge_gens(units, moving)
 
-def _lagrangian_family_gens_z(u1, u2, u3, u4):
-    """Generators e_k ^ w_i ^ w_j of (6-space) ^ (2-forms of span(w1, w2, w3)),
-    w1, w2, w3 = u1, u2, u3 + t u4.
-
-    They are affine in t; returns ((G0, G1), scale) as for kind y.  The
-    generators are bilinear in the u's, so clearing the common denominator d
-    of the u's scales them by d^2.
-    """
-    (v1, v2, v3, v4), d = _cleared([u1, u2, u3, u4])
-    units = [vector_to_multivector([Fraction(i == j) for i in range(6)]) for j in range(6)]
-    const = [wedge(v1, v2), wedge(v1, v3), wedge(v2, v3)]
-    linear = [MultiVector.zero(6, 2), wedge(v1, v4), wedge(v2, v4)]
-    return tuple([_int_coords(wedge(e, p)) for e in units for p in pairs]
-                 for pairs in (const, linear)), d * d
+    g0, g1 = gens(0), gens(1)
+    g1 = [[y - x for x, y in zip(r0, r1)] for r0, r1 in zip(g0, g1)]
+    return (g0, g1), (d if kind == "y" else d * d)
 
 
 def _membership_poly(a: Subspace, gens, scale: int, seed, tries: int = 6) -> Poly | None:
@@ -138,7 +117,7 @@ def _membership_poly(a: Subspace, gens, scale: int, seed, tries: int = 6) -> Pol
     determinant of the rational pairing exactly.
     """
     rng = rng_from_seed(seed)
-    gram = l3v6_gram()
+    gram = top_pairing(6, 3)
     pair_rows = []  # functionals on 3-forms, as ints
     den = 1
     for r in a.basis_rows():
@@ -186,9 +165,7 @@ def stratum_poly_on_line(
     if kind == "y":
         if Matrix([vec(base), vec(direction)]).rank() < 2:
             raise GmError("degenerate line: base and direction are dependent")
-        gens, scale = _lagrangian_family_gens_y(base, direction)
         base_t = tuple(vec(base))
-        dir_t = tuple(vec(direction))
         max_degree = 6
 
         def member(t: Fraction) -> bool:
@@ -199,9 +176,7 @@ def stratum_poly_on_line(
         u1, u2, u3 = base
         if Matrix([vec(u) for u in (u1, u2, u3, direction)]).rank() < 4:
             raise GmError("degenerate pencil: u1, u2, u3 and direction span less than 4 dimensions")
-        gens, scale = _lagrangian_family_gens_z(u1, u2, u3, direction)
         base_t = tuple(tuple(vec(u)) for u in base)
-        dir_t = tuple(vec(direction))
         max_degree = 4
 
         def member(t: Fraction) -> bool:
@@ -211,6 +186,8 @@ def stratum_poly_on_line(
     else:
         raise GmError("kind must be y or z")
 
+    dir_t = tuple(vec(direction))
+    gens, scale = _lagrangian_family_gens(kind, base, direction)
     raw = _membership_poly(a, gens, scale, seed)
     if raw is None:
         return LineDegreeCertificate(kind, base_t, dir_t, Poly.zero(), -1, 0, contains_line=True)

@@ -1,6 +1,8 @@
 """Exterior powers of the fixed 6-space and 5-space, wedge products,
-the contraction maps along the last coordinate, the wedge symplectic form
-on degree-3 forms, and decomposability tests.
+the top-degree pairing tables (among them the wedge symplectic form on
+degree-3 forms), the generators of wedge spans, the contraction maps along
+the last coordinate, and decomposability tests.  Every wedge coordinate in
+the package is computed here, from one sign table per degree pair.
 
 Conventions, fixed once for the whole artifact:
 
@@ -38,15 +40,6 @@ def monomials(ambient_dim: int, degree: int) -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=None)
 def monomial_index(ambient_dim: int, degree: int) -> dict[tuple[int, ...], int]:
     return {m: i for i, m in enumerate(monomials(ambient_dim, degree))}
-
-
-def merge_wedge(i: tuple[int, ...], j: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
-    """Sign and sorted tuple of the concatenation, or None if indices repeat."""
-    if set(i) & set(j):
-        return None
-    # the inversions of the concatenation (both halves are sorted)
-    inv = sum(a > b for a in i for b in j)
-    return (-1) ** inv, tuple(sorted((*i, *j)))
 
 
 @dataclass(frozen=True)
@@ -145,9 +138,10 @@ def _wedge_table(n: int, p: int, q: int) -> tuple[tuple[tuple[int, int, int], ..
     for mi in monomials(n, p):
         row = []
         for j, mj in enumerate(monomials(n, q)):
-            sw = merge_wedge(mi, mj)
-            if sw is not None:
-                row.append((j, sw[0], target[sw[1]]))
+            if not set(mi) & set(mj):
+                # the sign counts the inversions of the concatenation
+                sign = (-1) ** sum(a > b for a in mi for b in mj)
+                row.append((j, sign, target[tuple(sorted((*mi, *mj)))]))
         table.append(tuple(row))
     return tuple(table)
 
@@ -180,16 +174,18 @@ def vector_to_multivector(v, ambient_dim: int = 6) -> MultiVector:
 
 
 @lru_cache(maxsize=None)
-def l3v6_gram() -> Matrix:
-    """Gram matrix of the wedge form on the 20 degree-3 monomials."""
-    mons = monomials(6, 3)
-    idx = monomial_index(6, 3)
-    n = len(mons)
-    g = Matrix.zero(n, n)
-    for i, m in enumerate(mons):
-        comp = tuple(sorted(set(range(6)) - set(m)))
-        g.data[i][idx[comp]] = Fraction(merge_wedge(m, comp)[0])
-    return g
+def top_pairing(n: int, p: int) -> Matrix:
+    """The top-degree pairing of degree p with degree n - p: entry (i, j) is
+    the coefficient of e_1..n in e_i ^ e_j, an integer in {-1, 0, 1}.  For
+    (6, 3) it is the Gram matrix of the wedge symplectic form."""
+    size = len(monomials(n, n - p))
+    rows = []
+    for row in _wedge_table(n, p, n - p):
+        out = [0] * size
+        for j, sign, _ in row:
+            out[j] = sign
+        rows.append(out)
+    return Matrix(rows)
 
 
 @dataclass(frozen=True)
@@ -215,7 +211,7 @@ class SymplecticSpace:
 @lru_cache(maxsize=None)
 def wedge_symplectic_space() -> SymplecticSpace:
     """Degree-3 forms in ambient 6 with the wedge symplectic form."""
-    return SymplecticSpace(20, l3v6_gram())
+    return SymplecticSpace(20, top_pairing(6, 3))
 
 
 def lambda_p(xi: MultiVector) -> MultiVector:
@@ -287,8 +283,14 @@ def wedge_space(u: Subspace, w: Subspace) -> Subspace:
         raise ValueError("ambient mismatch: both factors must live in the 6-space")
     if u.dim == 0:
         raise ValueError("wedge_space needs a non-trivial first factor")
-    pairs = [_wedge_coords(6, 1, 1, y1, y2) for y1, y2 in combinations(w.int_rows, 2)]
-    return Subspace.from_rows(20, [_wedge_coords(6, 1, 2, x, y) for x in u.int_rows for y in pairs])
+    return Subspace.from_rows(20, wedge_gens(u.int_rows, w.int_rows))
+
+
+def wedge_gens(xs, ys) -> list:
+    """Coordinates of x ^ y1 ^ y2 in degree 3 of the 6-space, over x in xs
+    and then the pairs y1, y2 of ys in order, for plain coordinate lists."""
+    pairs = [_wedge_coords(6, 1, 1, y1, y2) for y1, y2 in combinations(ys, 2)]
+    return [_wedge_coords(6, 1, 2, x, y) for x in xs for y in pairs]
 
 
 def wedge_cube(u: Subspace) -> Subspace:

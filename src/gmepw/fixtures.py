@@ -17,7 +17,7 @@ from .correspondence import (
     hyperplane_section_lagrangian,
     lagrangian_to_gm,
 )
-from .exterior import MultiVector, monomial_index, monomials
+from .exterior import MultiVector, monomial_index, monomials, top_pairing
 from .gm import GMData, opposite, plucker_gram
 from .linalg import Matrix, Subspace
 
@@ -65,16 +65,9 @@ def sigma_form() -> MultiVector:
 
 def _dual_basis_row(i: int) -> list[Fraction]:
     """The e6-block vector pairing to 1 with the i-th 3-monomial of the
-    hyperplane and to 0 with the others."""
-    from .exterior import merge_wedge
-
-    idx6 = monomial_index(6, 3)
-    m = monomials(5, 3)[i]
-    comp = tuple(sorted(set(range(5)) - set(m))) + (5,)
-    sign, _ = merge_wedge(m, comp)
-    row = [Fraction(0)] * 20
-    row[idx6[comp]] = Fraction(sign)
-    return row
+    hyperplane and to 0 with the others: that monomial's row of the wedge
+    form, which is +-1 at the complementary monomial."""
+    return list(top_pairing(6, 3).data[monomial_index(6, 3)[monomials(5, 3)[i]]])
 
 
 def graph_row(i: int, coeffs) -> list[Fraction]:

@@ -13,12 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exterior import (
-    MultiVector,
-    monomial_index,
-    vector_to_multivector,
-    wedge,
-)
+from .exterior import MultiVector, top_pairing, wedge
 from .linalg import Matrix, Subspace, kernel, unit_vector, vec, vec_dot
 from .polynomials import Poly, interpolate
 from .sampling import random_nonzero_vector, rng_from_seed
@@ -91,38 +86,14 @@ class ValidationReport:
     witness: tuple | None = None
 
 
-def plucker_value(epsilon: Fraction, v, beta1: MultiVector, beta2: MultiVector) -> Fraction:
-    """epsilon times the top 5-space coefficient of v ^ beta1 ^ beta2.
-
-    Only the hyperplane component of v contributes, so a full 6-vector may be
-    passed directly.
-    """
-    v = vec(v)
-    if len(v) == 5:
-        v = v + [Fraction(0)]
-    prod = wedge(vector_to_multivector(v), wedge(_inject2(beta1), _inject2(beta2)))
-    top = monomial_index(6, 5)[(0, 1, 2, 3, 4)]
-    return epsilon * prod.coords[top]
-
-
-def _inject2(beta: MultiVector) -> MultiVector:
-    from .exterior import inject
-
-    return inject(beta, 6) if beta.basis.ambient_dim == 5 else beta
-
-
 def plucker_gram(mu: Matrix, i: int, epsilon: Fraction) -> Matrix:
-    """Gram of the Pluecker quadric at basis vector e_(i+1) of the 5-space."""
-    w = mu.cols
-    cols = [MultiVector.from_coords(5, 2, mu.col(j)) for j in range(w)]
-    ei = unit_vector(6, i)
-    g = Matrix.zero(w, w)
-    for a in range(w):
-        for b in range(a, w):
-            val = plucker_value(epsilon, ei, cols[a], cols[b])
-            g.data[a][b] = val
-            g.data[b][a] = val
-    return g
+    """Gram of the Pluecker quadric at basis vector e_(i+1) of the 5-space:
+    entry (a, b) is epsilon * top(e_i ^ mu(w_a) ^ mu(w_b)), read off the
+    top pairing as epsilon * E T mu with rows e_i ^ mu(w_a) in E."""
+    ei = MultiVector.from_monomial(5, (i,))
+    e = Matrix([wedge(ei, MultiVector.from_coords(5, 2, mu.col(a))).coords for a in range(mu.cols)],
+               cols=10)
+    return (e * top_pairing(5, 3) * mu).scale(epsilon)
 
 
 def validate(d: GMData) -> ValidationReport:
@@ -134,13 +105,11 @@ def validate(d: GMData) -> ValidationReport:
     for i, m in enumerate(d.q):
         if not m.is_symmetric():
             return ValidationReport(False, None, f"q(e{i+1}) is not symmetric")
-    cols = [MultiVector.from_coords(5, 2, d.mu.col(j)) for j in range(d.w_dim)]
     for i in range(5):
-        ei = unit_vector(6, i)
+        expected = plucker_gram(d.mu, i, d.epsilon).data
         for a in range(d.w_dim):
             for b in range(a, d.w_dim):
-                expected = plucker_value(d.epsilon, ei, cols[a], cols[b])
-                if d.q[i].data[a][b] != expected:
+                if d.q[i].data[a][b] != expected[a][b]:
                     return ValidationReport(
                         False,
                         None,
@@ -306,12 +275,9 @@ def discriminant_on_line(d: GMData, v_a, v_b) -> DiscriminantLine:
     if lam.is_zero():
         raise GmError("line lies inside the hyperplane")
     w = d.w_dim
-    nodes = range(w + 1)
-    pts = []
-    for t in nodes:
-        v = [a + t * b for a, b in zip(v_a, v_b)]
-        pts.append((t, d.q_of(v).det()))
-    det_poly = interpolate(pts)
+    # the family is linear in t, so two quadrics give it at every node
+    qa, qb = d.q_of(v_a), d.q_of(v_b)
+    det_poly = interpolate([(t, (qa + qb.scale(t)).det()) for t in range(w + 1)])
     if det_poly.is_zero():
         return DiscriminantLine(det_poly, 0, None, dis_is_everything=True)
     if lam.degree == 1:

@@ -141,11 +141,8 @@ def parse_gm_data(obj, where: str = "gm_data") -> GMData:
         raise DocumentError(f"{where}: {exc}") from None
 
 
-def format_lagrangian_data(ld: LagrangianData, frame: Matrix | None = None) -> dict:
-    out = {"A": format_subspace(ld.a), "A1": ld.a1}
-    if frame is not None:
-        out["frame"] = format_matrix(frame)
-    return out
+def format_lagrangian_data(ld: LagrangianData) -> dict:
+    return {"A": format_subspace(ld.a), "A1": ld.a1}
 
 
 def parse_lagrangian_data(obj, where: str = "lagrangian_data") -> LagrangianData:
@@ -198,6 +195,8 @@ def parse(text: str) -> Document:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except RecursionError:
+        raise DocumentError("invalid JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise DocumentError("top level: expected an object")
     kind = obj.get("kind")

@@ -97,10 +97,6 @@ class Matrix:
         )
 
     @classmethod
-    def from_rows(cls, rows) -> "Matrix":
-        return cls([list(r) for r in rows])
-
-    @classmethod
     def from_cols(cls, cols) -> "Matrix":
         return cls([list(r) for r in zip(*cols, strict=True)])
 
@@ -336,12 +332,6 @@ def _int_row(r) -> list[int]:
     return clear_denominators(vec(r))[0]
 
 
-def rref(m: Matrix) -> tuple[Matrix, int]:
-    """Unique reduced row echelon form of m together with its rank."""
-    red, rank, _ = m.rref()
-    return red, rank
-
-
 def solve_multi(m: Matrix, rhs_rows) -> list[list[Fraction]] | None:
     """Solutions x_i of m @ x_i = rhs_i for several right-hand sides at once.
 
@@ -393,10 +383,6 @@ class Subspace:
             if len(r) != ambient_dim:
                 raise ValueError("basis vector length differs from ambient dimension")
         return cls(ambient_dim, *_gauss_jordan(rows, ambient_dim))
-
-    @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, [], ())
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":

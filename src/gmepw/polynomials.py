@@ -33,10 +33,6 @@ class Poly:
     def constant(cls, c) -> "Poly":
         return cls([c])
 
-    @classmethod
-    def x(cls) -> "Poly":
-        return cls([0, 1])
-
     @property
     def degree(self) -> int:
         """Degree, with the convention deg 0 = -1."""

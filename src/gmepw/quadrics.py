@@ -59,11 +59,6 @@ class LagrangianDecomposition:
             object.__setattr__(self, "_tinv", cached)
         return cached
 
-    def project(self, v) -> tuple[list[Fraction], list[Fraction]]:
-        """Components of v along l1 and l2."""
-        p1, p2 = self.project_rows(Matrix([list(v)]))
-        return p1.row(0), p2.row(0)
-
     def project_rows(self, m: Matrix) -> tuple[Matrix, Matrix]:
         """Componentwise projection of each row of a matrix."""
         tinv = self._transition_inverse()

@@ -140,6 +140,34 @@ def test_boolean_scalar_is_input_error(monkeypatch, capsys):
     assert "input error" in err
 
 
+def _hostile_input(tmp_path, case):
+    if case == "directory":
+        return str(tmp_path)
+    path = tmp_path / "doc.json"
+    if case == "undecodable":
+        path.write_bytes(b"\xff" + (ROOT / "fixtures" / "fivefold.gm.json").read_bytes())
+    else:
+        path.write_text("[" * 200000 + "]" * 200000, encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("case", ["directory", "undecodable", "deeply-nested"])
+def test_hostile_input_file_is_input_error(case, tmp_path, monkeypatch, capsys):
+    argv = ["validate", "--input", _hostile_input(tmp_path, case)]
+    code, out, err = run_main(argv, "", monkeypatch, capsys)
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert err.startswith("input error")
+
+
+def test_output_to_a_directory_is_input_error(tmp_path, monkeypatch, capsys):
+    stdin_text = (ROOT / "fixtures" / "fivefold.lag.json").read_text(encoding="utf-8")
+    code, out, err = run_main(["dualize", "--output", str(tmp_path)], stdin_text, monkeypatch, capsys)
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert err.startswith("input error")
+
+
 def test_z_pencil_uses_the_rows_as_given(monkeypatch, capsys):
     # the second row is not in RREF; the pencil is span(u1, u2, u3 + t dir)
     # for the rows typed, not for the echelon basis of their span

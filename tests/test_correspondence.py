@@ -20,12 +20,13 @@ from gmepw.correspondence import (
     hyperplane_section_lagrangian,
     lagrangian_to_gm,
 )
-from gmepw.epw import y_stratum
+from gmepw.epw import stratum_poly_on_line, y_stratum
 from gmepw.exterior import (
     MultiVector,
     l3v5_subspace,
     monomial_index,
     monomials,
+    v5_subspace,
     wedge_space,
     wedge_symplectic_space,
 )
@@ -38,8 +39,8 @@ from gmepw.fixtures import (
     threefold,
     threefold_lagrangian,
 )
-from gmepw.gm import ORDINARY, SPECIAL, validate
-from gmepw.linalg import Subspace, unit_vector
+from gmepw.gm import ORDINARY, SPECIAL, GMData, discriminant_on_line, plucker_gram, validate
+from gmepw.linalg import Matrix, Subspace, unit_vector
 from gmepw.quadrics import is_lagrangian
 from gmepw.sampling import (
     random_invertible,
@@ -239,5 +240,27 @@ def test_apply_frame_respects_strata():
 
 def test_choice_independence_check_runs():
     # the construction asserts independence of the auxiliary direction
-    ld = gm_to_lagrangian(fivefold(), check_choice_independence=True)
+    ld = gm_to_lagrangian(fivefold())
     assert ld.a.dim == 10
+
+
+def test_epsilon_three_fivefold():
+    # the fivefold with the determinant trivialization scaled by 3
+    mu = Matrix.identity(10)
+    q = tuple(plucker_gram(mu, i, Fraction(3)) for i in range(5)) + (Matrix.identity(10),)
+    d = GMData(n=5, mu=mu, q=q, epsilon=Fraction(3))
+    rep = validate(d)
+    assert rep.ok and rep.gm_type == ORDINARY
+    a = gm_to_lagrangian(d).a
+    assert a != fivefold_lagrangian().a
+    rng = rng_from_seed("epsilon-3")
+    for _ in range(4):
+        v = random_nonzero_vector(rng, 5, 4) + [Fraction(rng.randint(1, 4))]
+        corank = d.w_dim - d.q_of(v).rank()
+        assert corank == a.meet_dim(wedge_space(Subspace.from_rows(6, [v]), v5_subspace()))
+        dis_value = d.q_of(v).det() / v[5] ** (d.n - 1)
+        assert (dis_value == 0) == (y_stratum(a, v) >= 1)
+    # the GM discriminant along a line is the sextic certificate of A
+    va, vb = [1, 2, 0, -1, 3, 1], [0, 1, 1, 2, -1, 2]
+    dis = discriminant_on_line(d, va, vb).dis_poly
+    assert dis.primitive() == stratum_poly_on_line(a, va, vb, "y", seed=3).poly

@@ -312,17 +312,17 @@ def test_certificate_rational_inputs_match_scaled_integers():
 def test_membership_poly_equals_rational_pairing_determinant():
     # the integer pairing and its scales reproduce the determinant of the
     # compressed pairing built directly over the rationals, at any t
-    from gmepw.epw import _lagrangian_family_gens_y, _membership_poly
-    from gmepw.exterior import l3v6_gram, monomials, vector_to_multivector, wedge
+    from gmepw.epw import _lagrangian_family_gens, _membership_poly
+    from gmepw.exterior import monomials, top_pairing, vector_to_multivector, wedge
     from gmepw.sampling import random_matrix
 
     a = fivefold_lagrangian().a
     base = [Fraction(1, 2), 2, 0, 1, Fraction(-1, 3), 3]
     direction = [0, Fraction(1, 5), 1, -2, 1, 1]
-    gens, scale = _lagrangian_family_gens_y(base, direction)
+    gens, scale = _lagrangian_family_gens("y", base, direction)
     p = _membership_poly(a, gens, scale, seed=8, tries=1)
     comp = random_matrix(rng_from_seed(8), 10, 15, 3)
-    gram = l3v6_gram()
+    gram = top_pairing(6, 3)
     pair_rows = [gram.left_apply(r) for r in a.basis_rows()]
     two_forms = [MultiVector.from_monomial(6, m) for m in monomials(6, 2)]
     for t in (Fraction(0), Fraction(7), Fraction(-5, 3)):

@@ -17,10 +17,10 @@ from gmepw.exterior import (
     inject,
     is_decomposable,
     l3v5_subspace,
-    l3v6_gram,
     lambda_p,
     monomial_index,
     monomials,
+    top_pairing,
     vector_to_multivector,
     wedge,
     wedge_cube,
@@ -81,8 +81,17 @@ def test_symplectic_examples():
     assert omega(mono(1, 3, 5), mono(2, 4, 6)) == -1
 
 
+@pytest.mark.parametrize("n, p", [(6, 3), (5, 3), (5, 2), (6, 1)])
+def test_top_pairing_is_the_top_coefficient(n, p):
+    # the sign of the concatenated monomial, counted by from_monomial
+    t = top_pairing(n, p)
+    for i, mi in enumerate(monomials(n, p)):
+        for j, mj in enumerate(monomials(n, n - p)):
+            assert t.data[i][j] == MultiVector.from_monomial(n, (*mi, *mj)).coords[0]
+
+
 def test_symplectic_gram_antidiagonal_signs():
-    g = l3v6_gram()
+    g = top_pairing(6, 3)
     mons = monomials(6, 3)
     for i in range(20):
         for j in range(20):

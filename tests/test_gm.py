@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from gmepw.exterior import MultiVector, wedge
 from gmepw.fixtures import fivefold, sigma_fixture, sixfold_special, threefold
 from gmepw.gm import (
     GmError,
@@ -117,6 +118,21 @@ def test_quadric_at_defining_identity():
     vb = random_nonzero_vector(rng, 6, 4)
     sum_g = d.q_of([a + b for a, b in zip(va, vb)])
     assert sum_g == d.q_of(va) + d.q_of(vb)
+
+
+def plucker_by_wedges(mu: Matrix, i: int, epsilon: Fraction) -> Matrix:
+    """epsilon * top(e_i ^ mu(w_a) ^ mu(w_b)), one pair of wedges per entry."""
+    ei = MultiVector.from_monomial(5, (i,))
+    cols = [MultiVector.from_coords(5, 2, mu.col(a)) for a in range(mu.cols)]
+    return Matrix([[epsilon * wedge(wedge(ei, ca), cb).coords[0] for cb in cols] for ca in cols])
+
+
+@pytest.mark.parametrize("epsilon", [Fraction(3), Fraction(-2, 5)])
+def test_plucker_gram_is_the_wedge_identity(epsilon):
+    rng = rng_from_seed(f"plucker-{epsilon}")
+    mu = Matrix([[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(7)] for _ in range(10)])
+    for i in range(5):
+        assert plucker_gram(mu, i, epsilon) == plucker_by_wedges(mu, i, epsilon)
 
 
 def test_membership_and_tangent():

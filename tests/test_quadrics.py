@@ -107,7 +107,7 @@ def test_lagrangian_from_quadric_examples():
     a = lagrangian_from_quadric(q)
     assert a == Subspace.from_rows(4, [[1, 0, 1, 0], [0, 1, 0, 0]])
     # zero form on the zero span: the pure annihilator
-    q0 = QuadricOnSubspace(2, Subspace.zero(2), Matrix.zero(0, 0))
+    q0 = QuadricOnSubspace(2, Subspace.from_rows(2, []), Matrix.zero(0, 0))
     a0 = lagrangian_from_quadric(q0)
     assert a0 == Subspace.from_rows(4, [[0, 0, 1, 0], [0, 0, 0, 1]])
 
@@ -149,7 +149,7 @@ def test_isotropic_reduce_identity_and_full():
     rng = rng_from_seed(404)
     dec = standard_doubled_space(3)
     a = random_lagrangian(dec.space, rng)
-    red0 = isotropic_reduce(dec, a, Subspace.zero(6))
+    red0 = isotropic_reduce(dec, a, Subspace.from_rows(6, []))
     assert red0.reduced.space.total_dim == 6
     assert red0.reduced_a.dim == a.dim
     redf = isotropic_reduce(dec, a, dec.l1)

@@ -1,8 +1,12 @@
 """Every top-level function, class and method of ``src/gmepw`` is referenced
 somewhere in ``src/gmepw`` besides its own definition.
 
-A reference is any use of the name (a call, an attribute access, an import
-or a decorator), so the check is by name, not by resolved binding.  Code
+A module-level function or class counts as referenced through a bare name in
+its own module, an import of it, or an attribute on an alias of its module
+(``gio.parse``).  A method counts as referenced through an attribute access:
+on a class name (``Matrix.zero``) or on ``self``/``cls`` inside a class
+(``self.project`` in ``QuotientModel``) the access counts for that class
+only; on any other receiver it counts for every method of that name.  Code
 that only tests read belongs in the tests.
 """
 
@@ -13,39 +17,78 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "gmepw"
 
 # the console entry point (pyproject.toml) is called from outside the package
 ALLOWED = {"cli.main"}
+ANY_CLASS = "*"
 
 
 def definitions(tree: ast.Module, module: str):
+    """(qualified name, owner, name) of each definition: the owner is the
+    module for a module-level name and the class for a method."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
         if isinstance(node, defs):
-            yield f"{module}.{node.name}", node.name
+            yield f"{module}.{node.name}", module, node.name
         if isinstance(node, ast.ClassDef):
             for sub in node.body:
                 if isinstance(sub, defs):
-                    yield f"{module}.{node.name}.{sub.name}", sub.name
+                    yield f"{module}.{node.name}.{sub.name}", node.name, sub.name
 
 
-def referenced_names(tree: ast.Module):
+def module_aliases(tree: ast.Module) -> dict[str, str]:
+    """Names bound to a package module, e.g. ``gio`` for ``from . import io as gio``."""
+    aliases = {}
     for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None:
+            for alias in node.names:
+                aliases[alias.asname or alias.name] = alias.name
+    return aliases
+
+
+def references(tree: ast.Module, module: str, classes: set[str]):
+    """(owner, name) of each reference in the module; the owner of a method
+    reached through an unknown receiver is ANY_CLASS."""
+    aliases = module_aliases(tree)
+
+    def visit(node, owner):
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
         if isinstance(node, ast.Name):
-            yield node.id
+            yield module, node.id
+        elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            for alias in node.names:
+                yield node.module, alias.name
         elif isinstance(node, ast.Attribute):
-            yield node.attr
-        elif isinstance(node, ast.alias):
-            yield node.name.rsplit(".", 1)[-1]
+            recv = node.value.id if isinstance(node.value, ast.Name) else None
+            if recv in aliases:
+                yield aliases[recv], node.attr
+            elif recv in classes:
+                yield recv, node.attr
+            elif recv in ("self", "cls") and owner is not None:
+                yield owner, node.attr
+            else:
+                yield ANY_CLASS, node.attr
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, owner)
+
+    yield from visit(tree, None)
+
+
+def unreferenced(trees: dict[str, ast.Module]) -> list[str]:
+    classes = {
+        node.name for tree in trees.values() for node in tree.body if isinstance(node, ast.ClassDef)
+    }
+    used = {ref for module, tree in trees.items() for ref in references(tree, module, classes)}
+    return [
+        qualified
+        for module, tree in trees.items()
+        for qualified, owner, name in definitions(tree, module)
+        if (owner, name) not in used
+        and not (owner != module and (ANY_CLASS, name) in used)
+        and qualified not in ALLOWED
+        and not (name.startswith("__") and name.endswith("__"))
+    ]
 
 
 def test_every_library_symbol_has_a_caller_in_src():
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
     assert "selftest" in trees and "cli" in trees
-    used = {name for tree in trees.values() for name in referenced_names(tree)}
-    unused = [
-        qualified
-        for module, tree in trees.items()
-        for qualified, name in definitions(tree, module)
-        if name not in used
-        and qualified not in ALLOWED
-        and not (name.startswith("__") and name.endswith("__"))
-    ]
-    assert unused == []
+    assert unreferenced(trees) == []
