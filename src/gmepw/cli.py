@@ -10,6 +10,7 @@ import argparse
 import csv
 import sys
 from fractions import Fraction
+from io import StringIO
 
 from . import io as gio
 from .correspondence import (
@@ -90,7 +91,7 @@ def _read_document(args, expected_kind: str):
 
 def _write(args, text: str) -> None:
     if getattr(args, "output", None) and args.output != "-":
-        with open(args.output, "w", encoding="utf-8") as fh:
+        with open(args.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -234,39 +235,25 @@ def cmd_disc_line(args) -> int:
     return EXIT_OK
 
 
-def _fiber_csv(args, rows) -> None:
-    out = sys.stdout if not getattr(args, "output", None) or args.output == "-" else open(
-        args.output, "w", encoding="utf-8", newline=""
-    )
-    try:
-        writer = csv.writer(out)
-        writer.writerow(
-            ["query", "sigma_level", "stratum", "ambient_proj_dim", "corank", "agreement"]
-        )
-        writer.writerows(rows)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+def _fiber_csv(args, queries, parse, fiber) -> int:
+    """One CSV row of the fiber report per query, with \\r\\n row endings."""
+    ld = _read_document(args, "lagrangian_data")
+    out = StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["query", "sigma_level", "stratum", "ambient_proj_dim", "corank", "agreement"])
+    for q in queries:
+        r = fiber(ld, parse(q))
+        writer.writerow([q, r.sigma_level, r.stratum_prediction, r.ambient_proj_dim, r.corank, r.agreement])
+    _write(args, out.getvalue())
+    return EXIT_OK
 
 
 def cmd_fib1(args) -> int:
-    ld = _read_document(args, "lagrangian_data")
-    rows = []
-    for p in args.point:
-        r = fibration1_fiber(ld, _parse_v5_point(p))
-        rows.append([p, r.sigma_level, r.stratum_prediction, r.ambient_proj_dim, r.corank, r.agreement])
-    _fiber_csv(args, rows)
-    return EXIT_OK
+    return _fiber_csv(args, args.point, _parse_v5_point, fibration1_fiber)
 
 
 def cmd_fib2(args) -> int:
-    ld = _read_document(args, "lagrangian_data")
-    rows = []
-    for p in args.plane:
-        r = fibration2_fiber(ld, _parse_v5_plane(p))
-        rows.append([p, r.sigma_level, r.stratum_prediction, r.ambient_proj_dim, r.corank, r.agreement])
-    _fiber_csv(args, rows)
-    return EXIT_OK
+    return _fiber_csv(args, args.plane, _parse_v5_plane, fibration2_fiber)
 
 
 def cmd_hull_sample(args) -> int:

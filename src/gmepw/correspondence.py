@@ -33,7 +33,7 @@ from .exterior import (
     wedge_symplectic_space,
 )
 from .gm import GmError, GMData, ORDINARY, SPECIAL, classify, split_w
-from .linalg import Matrix, Subspace, kernel, unit_vector, vec
+from .linalg import Matrix, Subspace, image_and_lifts, kernel, unit_vector, vec
 from .quadrics import LagrangianDecomposition, is_lagrangian, omega_orthogonal
 
 EXT_DIM = 22
@@ -251,17 +251,9 @@ def lagrangian_to_gm(ld: LagrangianData) -> GMData:
 
 def _contraction_image_with_lifts(a: Subspace) -> tuple[list[MultiVector], Subspace]:
     """RREF basis of the contraction image and lifts of it inside the Lagrangian."""
-    rows = a.basis_rows()
-    imgs = [lambda_p(MultiVector.from_coords(6, 3, r)) for r in rows]
-    w0 = Subspace.from_rows(10, [m.coords for m in imgs])
-    proj = Matrix.from_cols([m.coords for m in imgs]) if rows else Matrix.zero(10, 0)
-    lifts = []
-    for target in w0.basis_rows():
-        c = proj.solve(list(target))
-        if c is None:
-            raise CorrespondenceError("contraction lift failed")
-        lifts.append(MultiVector.from_coords(6, 3, a.basis.left_apply(c)))
-    return lifts, w0
+    imgs = Matrix([lambda_p(MultiVector.from_coords(6, 3, r)).coords for r in a.basis.data], cols=10)
+    w0, lifts = image_and_lifts(imgs, a.basis)
+    return [MultiVector.from_coords(6, 3, r) for r in lifts.data], w0
 
 
 def _qtilde0_gram(i: int, lifts: list[MultiVector]) -> Matrix:

@@ -61,18 +61,24 @@ class FiberReport:
     agreement: bool
 
 
-def _embed20(s: Subspace) -> Subspace:
-    """A subspace of the 20 three-form coordinates inside the 22 coordinates."""
-    return Subspace.from_rows(22, [r + (0, 0) for r in s.int_rows])
-
-
-def _fiber_via_reduction(ld: LagrangianData, iso20: Subspace) -> tuple[int, int]:
-    """(projective span dim, corank) of the reduced second quadric."""
-    dec = extended_decomposition()
-    a_hat = extended_lagrangian(ld)
-    red = isotropic_reduce(dec, a_hat, _embed20(iso20))
+def _fiber_report(
+    ld: LagrangianData, iso20: Subspace, level: int, stratum: int, shift: int
+) -> FiberReport:
+    """Fiber data by isotropic reduction along iso20, a subspace of the 20
+    three-form coordinates, asserted equal to the closed form: the reduced
+    second quadric spans P^(n + level + shift) and has corank stratum - level."""
+    iso = Subspace.from_rows(22, [r + (0, 0) for r in iso20.int_rows])
+    red = isotropic_reduce(extended_decomposition(), extended_lagrangian(ld), iso)
     q2 = _induced_quadric(red.reduced, red.reduced_a, 2)
-    return q2.span_dim - 1, q2.corank
+    ambient, corank = q2.span_dim - 1, q2.corank
+    n = dim_report(ld).predicted_dim_x
+    expected_ambient, expected_corank = n + level + shift, stratum - level
+    if (ambient, corank) != (expected_ambient, expected_corank):
+        raise GmError(
+            f"fiber disagreement: reduction gives (P^{ambient}, corank {corank}), "
+            f"closed form gives (P^{expected_ambient}, corank {expected_corank})"
+        )
+    return FiberReport(ambient, corank, stratum, level, n, True)
 
 
 def fibration1_fiber(ld: LagrangianData, v) -> FiberReport:
@@ -86,19 +92,7 @@ def fibration1_fiber(ld: LagrangianData, v) -> FiberReport:
         raise GmError("fibrations need lci data")
     v = _check_in_v5(v)
     iso = wedge_space(Subspace.from_rows(6, [v]), v5_subspace())
-    ambient, corank = _fiber_via_reduction(ld, iso)
-    sigma = sigma1_level(ld, v)
-    stratum = y_stratum(ld.a, v)
-    n = dim_report(ld).predicted_dim_x
-    expected_ambient = n - 2 + sigma
-    expected_corank = stratum - sigma
-    agreement = (ambient == expected_ambient) and (corank == expected_corank)
-    if not agreement:
-        raise GmError(
-            f"fiber disagreement: reduction gives (P^{ambient}, corank {corank}), "
-            f"closed form gives (P^{expected_ambient}, corank {expected_corank})"
-        )
-    return FiberReport(ambient, corank, stratum, sigma, n, agreement)
+    return _fiber_report(ld, iso, sigma1_level(ld, v), y_stratum(ld.a, v), -2)
 
 
 def fibration2_fiber(ld: LagrangianData, v3: Subspace) -> FiberReport:
@@ -112,16 +106,4 @@ def fibration2_fiber(ld: LagrangianData, v3: Subspace) -> FiberReport:
         raise GmError("fibrations need lci data")
     v3 = _check_v3_in_v5(v3)
     iso = wedge_space(v5_subspace(), v3)
-    ambient, corank = _fiber_via_reduction(ld, iso)
-    level = sigma2_level(ld, v3)
-    stratum = z_stratum(ld.a, v3)
-    n = dim_report(ld).predicted_dim_x
-    expected_ambient = n + level - 3
-    expected_corank = stratum - level
-    agreement = (ambient == expected_ambient) and (corank == expected_corank)
-    if not agreement:
-        raise GmError(
-            f"fiber disagreement: reduction gives (P^{ambient}, corank {corank}), "
-            f"closed form gives (P^{expected_ambient}, corank {expected_corank})"
-        )
-    return FiberReport(ambient, corank, stratum, level, n, agreement)
+    return _fiber_report(ld, iso, sigma2_level(ld, v3), z_stratum(ld.a, v3), -3)

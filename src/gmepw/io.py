@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-from .correspondence import A1_TAGS, LagrangianData
+from .correspondence import A1_TAGS, LagrangianData, apply_frame
 from .gm import GMData
 from .linalg import Matrix, Subspace
 from .polynomials import Poly
@@ -153,10 +153,11 @@ def parse_lagrangian_data(obj, where: str = "lagrangian_data") -> LagrangianData
     if tag not in A1_TAGS:
         raise DocumentError(f"{where}.A1: expected one of {A1_TAGS}")
     if "frame" in obj:
-        from .correspondence import apply_frame
-
         frame = parse_matrix(obj["frame"], f"{where}.frame", rows=6, cols=6)
-        a = apply_frame(a, frame)
+        try:
+            a = apply_frame(a, frame)
+        except ValueError as exc:
+            raise DocumentError(f"{where}.frame: {exc}") from None
     try:
         return LagrangianData(a=a, a1=tag)
     except ValueError as exc:
@@ -195,6 +196,8 @@ def parse(text: str) -> Document:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except ValueError as exc:  # e.g. an integer beyond the interpreter's digit limit
+        raise DocumentError(f"invalid JSON: {exc}") from None
     except RecursionError:
         raise DocumentError("invalid JSON: nested too deeply") from None
     if not isinstance(obj, dict):

@@ -3,7 +3,8 @@
 Integers inside, ``Fraction`` at the API edge: every scalar a caller sees is
 a ``fractions.Fraction`` (reduced, positive denominator), while the
 eliminations (one integer Gauss-Jordan under ``Matrix.rref``, rank, kernel,
-solve, inverse and every subspace, and ``det_int``) run over Python ints.
+solve, ``image_and_lifts`` under inverse and every lift, every subspace,
+and ``det_int``) run over Python ints.
 A subspace holds its reduced row echelon basis as primitive integer rows
 with positive pivots, which is canonical exactly when the RREF is, so two
 subspaces are equal iff those rows are; sums, meets, annihilators and
@@ -185,11 +186,6 @@ class Matrix:
                 acc = [a + x * y if y else a for a, y in zip(acc, row)]
         return acc
 
-    def vstack(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.cols and self.rows and other.rows:
-            raise ValueError("column mismatch in vstack")
-        return Matrix(self.copy_data() + other.copy_data())
-
     def submatrix(self, row_idx, col_idx) -> "Matrix":
         return Matrix([[self.data[i][j] for j in col_idx] for i in row_idx])
 
@@ -235,12 +231,10 @@ class Matrix:
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
-        n = self.rows
-        aug = Matrix([row + ident for row, ident in zip(self.copy_data(), Matrix.identity(n).data)])
-        red, rank, _ = aug.rref()
-        if rank < n:
+        image, inv = image_and_lifts(self, Matrix.identity(self.rows))
+        if image.dim < self.rows:
             raise ValueError("matrix is singular")
-        return Matrix([row[n:] for row in red.data])
+        return inv
 
     def solve(self, b) -> list[Fraction] | None:
         """One solution x of self @ x = b, or None if inconsistent."""
@@ -283,12 +277,13 @@ def det_int(rows) -> int:
 
 
 def _gauss_jordan(m: list, cols: int) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
-    """Gauss-Jordan over int on rows of length cols: (reduced rows, pivots).
+    """Gauss-Jordan over int pivoting on the first cols columns: (reduced
+    rows, pivots).  Entries past column cols are carried along.
 
     An updated row is divided by the gcd of its entries, which keeps the
     entries small.  Each returned row is the primitive integer multiple,
     pivot positive, of a row of the RREF: unique exactly when the RREF is.
-    The zero rows are dropped.  The list m is reordered in place.
+    The rows without a pivot are dropped.  The list m is reordered in place.
     """
     rows = len(m)
     pivots = []
@@ -319,6 +314,26 @@ def _gauss_jordan(m: list, cols: int) -> tuple[list[tuple[int, ...]], tuple[int,
     return out, tuple(pivots)
 
 
+def image_and_lifts(images: Matrix, sources: Matrix) -> tuple["Subspace", Matrix]:
+    """The row space of images, and for each row of its RREF basis the same
+    combination of the rows of sources.
+
+    One integer Gauss-Jordan of [images | sources] that pivots on the image
+    columns only; a row whose image part cleared carries a relation among
+    the images and is dropped.
+    """
+    if images.rows != sources.rows:
+        raise ValueError("images and sources differ in row count")
+    n = images.cols
+    rows, pivots = _gauss_jordan([_int_row(a + b) for a, b in zip(images.data, sources.data)], n)
+    int_rows, lifts = [], []
+    for row, c in zip(rows, pivots):
+        g = gcd(*row[:n])
+        int_rows.append(row[:n] if g == 1 else tuple([x // g for x in row[:n]]))
+        lifts.append([Fraction(x, row[c]) if x else _ZERO for x in row[n:]])
+    return Subspace(n, int_rows, pivots), Matrix._make(lifts, sources.cols)
+
+
 def _fraction_rows(rows, pivots) -> list[list[Fraction]]:
     """The RREF rows over Fraction: each integer row divided by its pivot."""
     return [[Fraction(x, row[c]) if x else _ZERO for x in row] for row, c in zip(rows, pivots)]
@@ -330,32 +345,6 @@ def _int_row(r) -> list[int]:
     if all(type(x) is int for x in r):
         return r
     return clear_denominators(vec(r))[0]
-
-
-def solve_multi(m: Matrix, rhs_rows) -> list[list[Fraction]] | None:
-    """Solutions x_i of m @ x_i = rhs_i for several right-hand sides at once.
-
-    One elimination pass over the augmented matrix; returns None if any
-    system is inconsistent.
-    """
-    rhs_rows = [list(r) for r in rhs_rows]
-    k = len(rhs_rows)
-    if k == 0:
-        return []
-    aug = Matrix(
-        [row + [rhs_rows[t][i] for t in range(k)] for i, row in enumerate(m.copy_data())]
-    )
-    red, _, pivots = aug.rref()
-    main_pivots = [p for p in pivots if p < m.cols]
-    if len(main_pivots) != len(pivots):
-        return None
-    sols = []
-    for t in range(k):
-        x = [Fraction(0)] * m.cols
-        for r, c in enumerate(main_pivots):
-            x[c] = red.data[r][m.cols + t]
-        sols.append(x)
-    return sols
 
 
 def kernel(m: Matrix) -> "Subspace":

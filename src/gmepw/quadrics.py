@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .exterior import SymplecticSpace
-from .linalg import Matrix, Subspace, kernel, solve_multi
+from .linalg import Matrix, Subspace, image_and_lifts, kernel, unit_vector
 
 
 def is_isotropic(space: SymplecticSpace, s: Subspace) -> bool:
@@ -48,25 +49,20 @@ class LagrangianDecomposition:
             raise ValueError("summands are not Lagrangian")
         if self.l1.meet_dim(self.l2) != 0:
             raise ValueError("summands are not complementary")
-        object.__setattr__(self, "_tinv", None)
 
-    def _transition_inverse(self) -> Matrix:
-        """Inverse of the stacked-basis matrix; rows of the original stack are
-        the two bases, so right-multiplying by the inverse yields coefficients."""
-        cached = getattr(self, "_tinv")
-        if cached is None:
-            cached = self.l1.basis.vstack(self.l2.basis).inverse()
-            object.__setattr__(self, "_tinv", cached)
-        return cached
+    @cached_property
+    def _projector(self) -> Matrix:
+        """The projection to l1 along l2: row k is pr1(e_k), the lift of e_k
+        through the stacked bases [l1; l2] applied to [l1; 0]."""
+        b1, b2 = self.l1.basis_rows(), self.l2.basis_rows()
+        n = self.space.total_dim
+        zero = Matrix.zero(len(b2), n).data
+        return image_and_lifts(Matrix(b1 + b2, cols=n), Matrix(b1 + zero, cols=n))[1]
 
     def project_rows(self, m: Matrix) -> tuple[Matrix, Matrix]:
         """Componentwise projection of each row of a matrix."""
-        tinv = self._transition_inverse()
-        coeffs = m * tinv
-        d1 = self.l1.dim
-        c1 = coeffs.submatrix(range(m.rows), range(d1))
-        c2 = coeffs.submatrix(range(m.rows), range(d1, self.space.total_dim))
-        return c1 * self.l1.basis, c2 * self.l2.basis
+        p1 = m * self._projector
+        return p1, m - p1
 
 
 @dataclass(frozen=True)
@@ -93,10 +89,6 @@ class QuadricOnSubspace:
     def corank(self) -> int:
         return self.span.dim - self.gram.rank()
 
-    @property
-    def rank(self) -> int:
-        return self.gram.rank()
-
     def kernel_subspace(self) -> Subspace:
         """Kernel of the form, lifted to ambient coordinates."""
         k = kernel(self.gram)
@@ -112,17 +104,21 @@ def gram_on_lagrangian(dec: LagrangianDecomposition, a: Subspace) -> Matrix:
 
 
 def _induced_quadric(dec: LagrangianDecomposition, a: Subspace, side: int) -> QuadricOnSubspace:
-    """Quadric induced on the projection of a to l1 (side=1) or l2 (side=2)."""
+    """Quadric induced on the projection W of a to l1 (side=1) or l2 (side=2).
+
+    With lifts X in a of the basis of W, the gram omega(pr1 x, pr2 y) is
+    W Omega X^T on side 1 and X Omega W^T on side 2: the summands are
+    isotropic, so the other component of X pairs to zero with W, and a
+    different lift changes X by a vector of a meet the other summand, which
+    pairs to zero because a is Lagrangian.
+    """
     space = dec.space
     projected = dec.project_rows(a.basis)[side - 1]
-    w = Subspace.from_rows(space.total_dim, projected.copy_data())
-    # lift the RREF basis of w through the projection restricted to a
-    coords = solve_multi(projected.transpose(), w.basis_rows())
-    if coords is None:
-        raise ValueError("projection lift failed")
-    gram_a = gram_on_lagrangian(dec, a)
-    cmat = Matrix(coords, cols=a.dim)
-    gram = cmat * gram_a * cmat.transpose()
+    w, lifts = image_and_lifts(projected, a.basis)
+    if side == 1:
+        gram = w.basis * space.form * lifts.transpose()
+    else:
+        gram = lifts * space.form * w.basis.transpose()
     return QuadricOnSubspace(space.total_dim, w, gram)
 
 
@@ -183,15 +179,9 @@ def standard_doubled_space(m: int) -> LagrangianDecomposition:
         form.data[i][m + i] = Fraction(1)
         form.data[m + i][i] = Fraction(-1)
     space = SymplecticSpace(2 * m, form)
-    l1 = Subspace.from_rows(2 * m, [_unit(2 * m, i) for i in range(m)])
-    l2 = Subspace.from_rows(2 * m, [_unit(2 * m, m + i) for i in range(m)])
+    l1 = Subspace.from_rows(2 * m, [unit_vector(2 * m, i) for i in range(m)])
+    l2 = Subspace.from_rows(2 * m, [unit_vector(2 * m, m + i) for i in range(m)])
     return LagrangianDecomposition(space, l1, l2)
-
-
-def _unit(n: int, i: int):
-    v = [Fraction(0)] * n
-    v[i] = Fraction(1)
-    return v
 
 
 def lagrangian_from_quadric(q: QuadricOnSubspace) -> Subspace:
@@ -233,17 +223,12 @@ class QuotientModel:
         self.comp_pivots = [p for p in outer.pivots if p not in inner_pivots]
         self.dim = len(self.comp_rows)
 
-    def project(self, v) -> list[int]:
-        """Coordinates of v + I in the complement basis, up to a positive
-        scalar, for an integer vector v of U."""
-        if not self.outer.contains(v):
-            raise ValueError("vector outside the outer subspace")
-        w = self.inner.remainder(v)
-        return [w[p] for p in self.comp_pivots]
-
     def project_subspace(self, s: Subspace) -> Subspace:
-        inter = s.intersect(self.outer)
-        return Subspace.from_rows(self.dim, [self.project(r) for r in inter.int_rows])
+        """The image of s meet U in U/I: the coordinates of v + I in the
+        complement basis, up to a positive scalar, are those of the remainder
+        of v modulo I at the complement pivots."""
+        rows = [self.inner.remainder(v) for v in s.intersect(self.outer).int_rows]
+        return Subspace.from_rows(self.dim, [[w[p] for p in self.comp_pivots] for w in rows])
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,10 @@ import pytest
 
 from gmepw import cli
 from gmepw import io as gio
-from gmepw.correspondence import A1_ZERO, LagrangianData
+from gmepw.correspondence import A1_ZERO, LagrangianData, apply_frame
 from gmepw.exterior import l3v5_subspace
+from gmepw.fixtures import fivefold_lagrangian
+from gmepw.linalg import Matrix
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -146,18 +148,56 @@ def _hostile_input(tmp_path, case):
     path = tmp_path / "doc.json"
     if case == "undecodable":
         path.write_bytes(b"\xff" + (ROOT / "fixtures" / "fivefold.gm.json").read_bytes())
+    elif case == "huge-integer":
+        # json.loads raises a plain ValueError past the interpreter's digit limit
+        text = '{"kind": "gm_data", "version": "1", "payload": {"n": 1' + "0" * 5000 + "}}"
+        path.write_text(text, encoding="utf-8")
     else:
         path.write_text("[" * 200000 + "]" * 200000, encoding="utf-8")
     return str(path)
 
 
-@pytest.mark.parametrize("case", ["directory", "undecodable", "deeply-nested"])
+@pytest.mark.parametrize("case", ["directory", "undecodable", "deeply-nested", "huge-integer"])
 def test_hostile_input_file_is_input_error(case, tmp_path, monkeypatch, capsys):
     argv = ["validate", "--input", _hostile_input(tmp_path, case)]
     code, out, err = run_main(argv, "", monkeypatch, capsys)
     assert code == cli.EXIT_INPUT
     assert out == ""
     assert err.startswith("input error")
+
+
+def _framed(frame) -> str:
+    doc = json.loads((ROOT / "fixtures" / "fivefold.lag.json").read_text(encoding="utf-8"))
+    doc["payload"]["frame"] = [[gio.format_rat(x) for x in row] for row in frame.data]
+    return json.dumps(doc)
+
+
+def test_singular_frame_is_input_error(monkeypatch, capsys):
+    code, out, err = run_main(["dim-report"], _framed(Matrix.zero(6, 6)), monkeypatch, capsys)
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert err.startswith("input error: lagrangian_data.frame")
+
+
+@pytest.mark.parametrize("command", ["dim-report", "dualize"])
+def test_frame_is_applied_as_apply_frame_does(command, monkeypatch, capsys):
+    shear = Matrix.identity(6).copy_data()
+    shear[5][0] = 1  # e1 -> e1 + e6
+    shear = Matrix(shear)
+    moved = LagrangianData(a=apply_frame(fivefold_lagrangian().a, shear), a1=A1_ZERO)
+    code, out, _ = run_main([command], _framed(shear), monkeypatch, capsys)
+    assert code == cli.EXIT_OK
+    assert out == run_main([command], gio.emit(gio.Document("lagrangian_data", moved)), monkeypatch, capsys)[1]
+
+
+@pytest.mark.parametrize("name", ["fib1", "fib2", "dualize"])
+def test_output_file_holds_the_golden_bytes(name, tmp_path, monkeypatch, capsys):
+    case = CASES_BY_NAME[name]
+    path = tmp_path / "out"
+    code, out, _ = run_case({**case, "argv": case["argv"] + ["--output", str(path)]}, monkeypatch, capsys)
+    assert code == case["exit"]
+    assert out == ""
+    assert path.read_bytes() == (GOLDEN / f"{name}.out").read_bytes()
 
 
 def test_output_to_a_directory_is_input_error(tmp_path, monkeypatch, capsys):

@@ -11,8 +11,8 @@ from gmepw.linalg import (
     Matrix,
     Subspace,
     det_int,
+    image_and_lifts,
     kernel,
-    solve_multi,
 )
 from gmepw.sampling import random_invertible, random_matrix, rng_from_seed
 
@@ -152,11 +152,28 @@ def test_solve_and_inverse():
         assert m * m.inverse() == Matrix.identity(4)
 
 
-def test_solve_multi_consistency():
-    m = Matrix([[1, 0], [0, 1], [1, 1]])
-    sols = solve_multi(m, [[1, 2, 3], [0, 0, 0]])
-    assert sols == [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(0)]]
-    assert solve_multi(m, [[1, 2, 4]]) is None
+@pytest.mark.parametrize("seed", range(8))
+def test_image_and_lifts_against_the_row_space(seed):
+    # rank-deficient images: random combinations of fewer generators
+    rng = rng_from_seed(700 + seed)
+    rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+    gens = random_matrix(rng, rng.randint(1, 4), cols, 4)
+    images = random_matrix(rng, rows, gens.rows, 3) * gens
+    image, coeffs = image_and_lifts(images, Matrix.identity(rows))
+    expected = Subspace.from_rows(cols, images.data)
+    assert image == expected
+    assert image.basis_rows() == expected.basis_rows()
+    assert coeffs * images == image.basis
+    # other sources get the same combinations
+    sources = random_matrix(rng, rows, rng.randint(1, 5), 4)
+    assert image_and_lifts(images, sources) == (image, coeffs * sources)
+
+
+def test_image_and_lifts_of_nothing():
+    image, lifts = image_and_lifts(Matrix.zero(0, 3), Matrix.zero(0, 2))
+    assert image == Subspace.from_rows(3, []) and (lifts.rows, lifts.cols) == (0, 2)
+    with pytest.raises(ValueError):
+        image_and_lifts(Matrix.identity(2), Matrix.identity(3))
 
 
 def test_det_matches_rank():

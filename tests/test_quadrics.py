@@ -4,11 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from gmepw.exterior import wedge_symplectic_space
-from gmepw.linalg import Matrix, Subspace, kernel, vec_dot
+from gmepw.correspondence import extended_decomposition, extended_lagrangian
+from gmepw.exterior import v5_subspace, wedge_space, wedge_symplectic_space
+from gmepw.fixtures import fivefold_lagrangian
+from gmepw.linalg import Matrix, Subspace, kernel, unit_vector, vec_dot
 from gmepw.quadrics import (
     LagrangianDecomposition,
     QuadricOnSubspace,
+    _induced_quadric,
     dual_quadric_via_pairing,
     gram_on_lagrangian,
     is_lagrangian,
@@ -47,6 +50,75 @@ def kernel_lift(dec, a):
     g = gram_on_lagrangian(dec, a)
     rows = [a.basis.left_apply(r) for r in kernel(g).basis.data]
     return Subspace.from_rows(dec.space.total_dim, rows)
+
+
+def transition_projection(dec, m):
+    """Componentwise projection through the inverse of the stacked bases,
+    read off one RREF of [l1; l2 | identity]: the formula project_rows
+    replaced."""
+    n = dec.space.total_dim
+    stack = dec.l1.basis_rows() + dec.l2.basis_rows()
+    red = Matrix([row + unit_vector(n, i) for i, row in enumerate(stack)]).rref()[0]
+    coeffs = m * Matrix([row[n:] for row in red.data])
+    d1 = dec.l1.dim
+    c1 = Matrix([row[:d1] for row in coeffs.data], cols=d1)
+    c2 = Matrix([row[d1:] for row in coeffs.data], cols=n - d1)
+    return c1 * dec.l1.basis, c2 * dec.l2.basis
+
+
+def solved_induced_quadric(dec, a, side):
+    """(span, gram) of the induced quadric by the formula _induced_quadric
+    replaced: coordinates C of the RREF basis of W = pr(a) in the projected
+    basis of a, one solve per row, then C G C^T for the gram G of
+    omega(pr1 x, pr2 y) on the basis of a."""
+    p1, p2 = transition_projection(dec, a.basis)
+    projected = (p1, p2)[side - 1]
+    w = Subspace.from_rows(dec.space.total_dim, projected.data)
+    c = Matrix([projected.transpose().solve(row) for row in w.basis_rows()], cols=a.dim)
+    g = p1 * dec.space.form * p2.transpose()
+    return w, c * g * c.transpose()
+
+
+def assert_matches_the_solve_formulas(dec, a):
+    assert dec.project_rows(a.basis) == transition_projection(dec, a.basis)
+    for side in (1, 2):
+        q = _induced_quadric(dec, a, side)
+        assert (q.span, q.gram) == solved_induced_quadric(dec, a, side)
+
+
+def transverse_lagrangians(space, rng):
+    while True:
+        l1, l2 = random_lagrangian(space, rng), random_lagrangian(space, rng)
+        if l1.meet_dim(l2) == 0:
+            return LagrangianDecomposition(space, l1, l2)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_projection_and_induced_quadric_against_the_solve_formulas(m):
+    # the coordinate split, and a split by two random Lagrangians whose
+    # projector is far from a coordinate projection
+    rng = rng_from_seed(800 + m)
+    std = standard_doubled_space(m)
+    for dec in (std, transverse_lagrangians(std.space, rng)):
+        for _ in range(8):
+            assert_matches_the_solve_formulas(dec, random_lagrangian(dec.space, rng))
+        assert_matches_the_solve_formulas(dec, dec.l1)
+        assert_matches_the_solve_formulas(dec, dec.l2)
+
+
+def test_projection_and_induced_quadric_against_the_solve_formulas_on_wedges():
+    rng = rng_from_seed(808)
+    dec = standard_lagrangian_pair(wedge_symplectic_space())
+    for _ in range(3):
+        assert_matches_the_solve_formulas(dec, random_lagrangian(dec.space, rng))
+    # the reductions of the first fibration at hyperplane points
+    ext = extended_decomposition()
+    a_hat = extended_lagrangian(fivefold_lagrangian())
+    for v in ([1, 0, 0, 0, 0, 0], [1, 2, -1, 3, 1, 0]):
+        iso = wedge_space(Subspace.from_rows(6, [v]), v5_subspace())
+        iso22 = Subspace.from_rows(22, [r + (0, 0) for r in iso.int_rows])
+        red = isotropic_reduce(ext, a_hat, iso22)
+        assert_matches_the_solve_formulas(red.reduced, red.reduced_a)
 
 
 def test_explicit_dim4_example():
