@@ -357,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", help="line base point (kind y)")
     p.add_argument("--plane", help="3 base vectors u1;u2;u3 (kind z)")
     p.add_argument("--dir", required=True, help="direction vector")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="seeds the 20 sample checks")
     p = add("zeta-plane", cmd_zeta_plane, help="quartic stratum level of a 3-space")
     p.add_argument("--plane", required=True, help="3 vectors u1;u2;u3")
     p = add("disc-line", cmd_disc_line, help="discriminant polynomial along a line")

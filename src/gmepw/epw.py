@@ -3,10 +3,12 @@ the quartic strata on 3-spaces, and degree certificates along lines and
 pencils.
 
 Membership in a stratum is a rank statement about the meet of the Lagrangian
-with a moving Lagrangian family.  Along a line the membership locus is cut
-out by one determinant; the determinant of a compressed pairing matrix picks
-up chart factors, which are removed exactly by taking the gcd over several
-independent compressions and certified against pointwise membership.
+with a moving Lagrangian family.  Along a line (or pencil) the family has a
+basis in one fixed coordinate chart, so the membership locus is cut out by
+one determinant D(t) of the pairing against that basis.  D(t) is the stratum
+polynomial times a power of the chart coordinate (v_i^4 for lines, p_R^3 for
+pencils), which is divided out exactly; the quotient is certified against
+pointwise membership.
 """
 
 from __future__ import annotations
@@ -15,11 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .exterior import top_pairing, wedge_gens, wedge_space
+from .exterior import monomials, top_pairing, wedge_gens, wedge_space
 from .gm import GmError
 from .linalg import Matrix, Subspace, clear_denominators, det_int, vec
-from .polynomials import Poly, interpolate, poly_gcd
-from .sampling import random_matrix, rng_from_seed
+from .polynomials import Poly, interpolate
+from .sampling import rng_from_seed
 
 
 def y_stratum(a: Subspace, v) -> int:
@@ -72,77 +74,69 @@ class LineDegreeCertificate:
 
 
 def _lagrangian_family_gens(kind: str, base, direction):
-    """Generators of the moving Lagrangian along a line (kind y) or pencil (kind z).
+    """Generators of the moving Lagrangian in one chart, and the chart
+    coordinate c, along v(t) = base + t direction (kind y) or the pencil of
+    w1, w2, w3 = base[0], base[1], base[2] + t direction (kind z).
 
-    Kind y: v(t) ^ e_jk, v(t) = base + t direction; kind z: e_k ^ w_i ^ w_j
-    over the pairs of w1, w2, w3 = base[0], base[1], base[2] + t direction.
-    The vectors are first multiplied by their common denominator d.  The
-    generators are affine in t, so G0 (those at t = 0) and G1 (those at
-    t = 1 minus G0) are their t^k coefficients exactly.  Returns
-    ((G0, G1), scale) with Gk integer and scale = d (y) or d^2 (z, where the
-    generators are bilinear in the w's).
+    Kind y: c = v_i for the first i with v_i(t) not identically 0; the 10
+    generators are v ^ e_j ^ e_k over the pairs {j, k} that avoid i.  Kind z:
+    c = p_R, the first Plücker coordinate (``monomials(6, 3)`` order) not
+    identically 0; the generators are w1 ^ w2 ^ w3 and e_k ^ w_a ^ w_b for k
+    outside R.  The vectors are first multiplied by their common
+    denominator.  The generators are affine in t, so G0 (those at t = 0) and
+    G1 (those at t = 1 minus G0) are their t^k coefficients exactly.
+    Returns ((G0, G1), c) with Gk integer and c an integer Poly.
     """
     vectors = [base, direction] if kind == "y" else [*base, direction]
-    flat, d = clear_denominators([x for v in vectors for x in vec(v)])
+    flat, _ = clear_denominators([x for v in vectors for x in vec(v)])
     *fixed, start, step = [flat[k:k + 6] for k in range(0, len(flat), 6)]
-    units = Subspace.full(6).int_rows
+
+    def cube(w3):  # w1 ^ w2 ^ w3, whose coordinates are the Plücker coordinates
+        return wedge_gens(fixed[:1], [fixed[1], w3])[0]
+
+    c0, c1 = (start, step) if kind == "y" else (cube(start), cube(step))
+    chart = next(k for k, (x, y) in enumerate(zip(c0, c1)) if x or y)
+    skip = {chart} if kind == "y" else set(monomials(6, 3)[chart])
+    others = [u for k, u in enumerate(Subspace.full(6).int_rows) if k not in skip]
 
     def gens(t: int) -> list:
-        moving = [*fixed, [a + t * b for a, b in zip(start, step)]]
-        return wedge_gens(moving, units) if kind == "y" else wedge_gens(units, moving)
+        moving = [a + t * b for a, b in zip(start, step)]
+        if kind == "y":
+            return wedge_gens([moving], others)
+        return [cube(moving), *wedge_gens(others, [*fixed, moving])]
 
     g0, g1 = gens(0), gens(1)
     g1 = [[y - x for x, y in zip(r0, r1)] for r0, r1 in zip(g0, g1)]
-    return (g0, g1), (d if kind == "y" else d * d)
+    return (g0, g1), Poly([c0[chart], c1[chart]])
 
 
-def _membership_poly(a: Subspace, gens, scale: int, seed, tries: int = 6) -> Poly | None:
-    """gcd of compressed pairing determinants along the family.
+def _membership_poly(a: Subspace, gens) -> Poly:
+    """The chart determinant D(t) = det((A G)(G0 + t G1)^T) up to a constant
+    factor, G the wedge Gram matrix, each row of A G cleared of denominators.
+    D has degree at most the number of moving generators (10 on a line, 7 on
+    a pencil), so that many nodes plus one determine it.
 
-    The pairing of the Lagrangian basis against generators of the moving
-    Lagrangian vanishes exactly on the membership locus; a random compression
-    to a square matrix multiplies the locus polynomial by a chart factor that
-    a second independent compression almost surely avoids.  Returns None when
-    the determinant vanishes identically for every compression (the family
-    stays inside the stratum).
-
-    gens = (G0, G1) holds the coefficients of the affine generators
-    G0 + t G1, as ints times scale.  The integer pairing
-    P(t) = (A G) (G0 + t G1)^T, G the wedge Gram matrix, is built once per
-    node t = 0 .. 10 with each row of A G cleared of denominators, and each
-    compression C costs det_int(P C^T).  P C^T is 10 x 10 with entries
-    affine in t, so its determinant has degree at most 10 and the 11 nodes
-    determine it.
-    Dividing by the product of the row scales and scale^10 gives the
-    determinant of the rational pairing exactly.
+    D = c^e F, e = 4 (line) or 3 (pencil), F the sextic (quartic).  The
+    moving Lagrangian is v ^ (2-forms) = Lambda^2(V6/v), or V6 ^ Lambda^2 W,
+    an extension of (V6/W) (x) Lambda^2 W by Lambda^3 W, and the e_j outside
+    the chart are a basis of V6/v (V6/W) where c != 0, as
+    det(v, e_{j != i}) = +-v_i and det(w1, w2, w3, e_C) = +-p_R for C the
+    complement of R.  Between two charts that basis changes by a T with
+    det T = +-c'/c, so the generators change by Lambda^2 T (5 x 5 T, of
+    determinant det(T)^4) or by 1 + T (x) 1_3 modulo Lambda^3 W (det(T)^3),
+    and D' = +-(c'/c)^e D.  So D / c^e does not depend on the chart; its
+    denominator divides c^e for every chart, so it is a form F of degree
+    10 - 4 = 6 in v (7 - 3 = 4 in each w), and D(t) = c(t)^e F(t) exactly.
+    Inside a chart the generators are a basis, so F(t) = 0 exactly on the
+    stratum, and D = 0 identically exactly when the family lies in it.
     """
-    rng = rng_from_seed(seed)
     gram = top_pairing(6, 3)
-    pair_rows = []  # functionals on 3-forms, as ints
-    den = 1
-    for r in a.basis_rows():
-        row, d = clear_denominators(gram.left_apply(r))
-        pair_rows.append(row)
-        den *= d * scale
+    pair_rows = [clear_denominators(gram.left_apply(r))[0] for r in a.basis_rows()]
     p0, p1 = ([[sum(map(mul, pr, g)) for g in gk] for pr in pair_rows] for gk in gens)
-    nodes = range(11)
-    pairings = [[[x + t * y for x, y in zip(r0, r1)] for r0, r1 in zip(p0, p1)] for t in nodes]
-    n_gens = len(gens[0])
-
-    g: Poly | None = None
-    for _ in range(tries):
-        comp = [[x.numerator for x in row] for row in random_matrix(rng, 10, n_gens, 3).data]
-        pts = [
-            (t, Fraction(det_int([[sum(map(mul, prow, c)) for c in comp] for prow in pt]), den))
-            for t, pt in zip(nodes, pairings)
-        ]
-        p = interpolate(pts)
-        if p.is_zero():
-            continue
-        g = p if g is None else poly_gcd(g, p)
-        if g.degree == 0:
-            break
-    return g
+    nodes = range(1 + sum(map(any, gens[1])))
+    return interpolate(
+        [(t, det_int([[x + t * y for x, y in zip(r0, r1)] for r0, r1 in zip(p0, p1)])) for t in nodes]
+    )
 
 
 def stratum_poly_on_line(
@@ -156,17 +150,18 @@ def stratum_poly_on_line(
     """Degree certificate for the stratum along a line (kind y) or pencil (kind z).
 
     For kind z the pencil is span(base[0], base[1], base[2] + t * direction).
-    The certificate polynomial is normalized to primitive integer
-    coefficients, its degree is checked against the sextic (y) or quartic
-    (z) bound, and its roots are checked against direct membership at fresh
-    parameters.  A line with dependent base and direction, or a pencil whose
-    four vectors span less than a 4-space (a constant family), is rejected.
+    The certificate is the chart determinant divided by the chart factor
+    v_i^4 (y) or p_R^3 (z), normalized to primitive integer coefficients,
+    and its roots are checked against direct membership at fresh parameters
+    drawn from the seed.  A line with dependent base and direction, or a
+    pencil whose four vectors span less than a 4-space (a constant family),
+    is rejected.
     """
     if kind == "y":
         if Matrix([vec(base), vec(direction)]).rank() < 2:
             raise GmError("degenerate line: base and direction are dependent")
         base_t = tuple(vec(base))
-        max_degree = 6
+        exponent = 4
 
         def member(t: Fraction) -> bool:
             v = [b + t * d for b, d in zip(vec(base), vec(direction))]
@@ -177,7 +172,7 @@ def stratum_poly_on_line(
         if Matrix([vec(u) for u in (u1, u2, u3, direction)]).rank() < 4:
             raise GmError("degenerate pencil: u1, u2, u3 and direction span less than 4 dimensions")
         base_t = tuple(tuple(vec(u)) for u in base)
-        max_degree = 4
+        exponent = 3
 
         def member(t: Fraction) -> bool:
             w3 = [Fraction(x) + t * Fraction(y) for x, y in zip(vec(u3), vec(direction))]
@@ -187,15 +182,11 @@ def stratum_poly_on_line(
         raise GmError("kind must be y or z")
 
     dir_t = tuple(vec(direction))
-    gens, scale = _lagrangian_family_gens(kind, base, direction)
-    raw = _membership_poly(a, gens, scale, seed)
-    if raw is None:
+    gens, chart = _lagrangian_family_gens(kind, base, direction)
+    det = _membership_poly(a, gens)
+    if det.is_zero():
         return LineDegreeCertificate(kind, base_t, dir_t, Poly.zero(), -1, 0, contains_line=True)
-    poly = raw.primitive()
-    if poly.degree > max_degree:
-        raise GmError(
-            f"certificate of degree {poly.degree} exceeds {max_degree}: a chart factor survived"
-        )
+    poly = det.exact_div(chart**exponent).primitive()
 
     rng = rng_from_seed(f"{seed}-membership-check")
     checked = 0

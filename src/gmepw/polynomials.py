@@ -1,8 +1,9 @@
 """Dense univariate polynomials with exact rational coefficients.
 
-Small and purpose-built: evaluation, exact division, gcd and
-interpolation are everything the determinant-on-a-line computations
-need.  Coefficients are stored low degree first.
+Small and purpose-built: evaluation, exact division and interpolation are
+everything the determinant-on-a-line computations need; ``poly_gcd`` has no
+caller in the package (the benchmark tracer wraps it by name).  Coefficients
+are stored low degree first.
 """
 
 from __future__ import annotations

@@ -224,10 +224,14 @@ class QuotientModel:
         self.dim = len(self.comp_rows)
 
     def project_subspace(self, s: Subspace) -> Subspace:
-        """The image of s meet U in U/I: the coordinates of v + I in the
-        complement basis, up to a positive scalar, are those of the remainder
-        of v modulo I at the complement pivots."""
-        rows = [self.inner.remainder(v) for v in s.intersect(self.outer).int_rows]
+        """The image of s meet U in U/I."""
+        return self.project_contained(s.intersect(self.outer))
+
+    def project_contained(self, s: Subspace) -> Subspace:
+        """The image in U/I of a subspace s of U: the coordinates of v + I in
+        the complement basis, up to a positive scalar, are those of the
+        remainder of v modulo I at the complement pivots."""
+        rows = [self.inner.remainder(v) for v in s.int_rows]
         return Subspace.from_rows(self.dim, [[w[p] for p in self.comp_pivots] for w in rows])
 
 
@@ -252,7 +256,7 @@ def isotropic_reduce(
     comp = Matrix(model.comp_rows) if model.comp_rows else Matrix.zero(0, space.total_dim)
     form = comp * space.form * comp.transpose()
     red_space = SymplecticSpace(model.dim, form)
-    red_l1 = model.project_subspace(dec.l1)
+    red_l1 = model.project_contained(dec.l1)  # I in l1 = l1-perp, so l1 lies in I-perp
     red_l2 = model.project_subspace(dec.l2)
     red_dec = LagrangianDecomposition(red_space, red_l1, red_l2)
     return IsotropicReduction(red_dec, model.project_subspace(a), model)

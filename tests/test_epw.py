@@ -2,6 +2,7 @@
 decomposable members of the Lagrangians."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -17,6 +18,9 @@ from gmepw.exterior import (
     MultiVector,
     is_decomposable,
     l3v5_subspace,
+    top_pairing,
+    vector_to_multivector,
+    wedge,
     wedge_cube,
     wedge_space,
     wedge_symplectic_space,
@@ -28,8 +32,8 @@ from gmepw.fixtures import (
     threefold_lagrangian,
 )
 from gmepw.gm import GmError
-from gmepw.linalg import Matrix, Subspace, kernel, unit_vector
-from gmepw.polynomials import Poly
+from gmepw.linalg import Matrix, Subspace, clear_denominators, kernel, unit_vector
+from gmepw.polynomials import Poly, interpolate
 from gmepw.quadrics import omega_orthogonal
 from gmepw.sampling import random_lagrangian, random_nonzero_vector, rng_from_seed
 
@@ -277,23 +281,6 @@ def test_certificate_rejects_constant_pencil():
         stratum_poly_on_line(a, (rows[0], rows[0], rows[2]), [1, 1, 0, 0, 0, 1], "z", seed=1)
 
 
-@pytest.mark.parametrize("kind, bound", [("y", 6), ("z", 4)])
-def test_certificate_rejects_surviving_chart_factor(kind, bound, monkeypatch):
-    # a gcd above the sextic/quartic degree still carries a chart factor
-    import gmepw.epw as epw_mod
-    from gmepw.polynomials import Poly
-
-    monkeypatch.setattr(epw_mod, "_membership_poly", lambda *args: Poly([1, 1]) ** (bound + 1))
-    a = fivefold_lagrangian().a
-    if kind == "y":
-        base, direction = [1, 2, 0, 1, -1, 3], [0, 1, 1, -2, 1, 1]
-    else:
-        base = ([1, 0, 0, 0, 1, 0], [0, 1, 0, -1, 0, 2], [0, 0, 1, 1, 2, 0])
-        direction = [1, 1, 0, 0, 0, 1]
-    with pytest.raises(GmError, match="chart factor"):
-        stratum_poly_on_line(a, base, direction, kind, seed=1)
-
-
 def test_certificate_rational_inputs_match_scaled_integers():
     # the integer pairing clears denominators with a t-independent scale, so
     # rescaling base and direction by the same factor leaves the certificate
@@ -309,25 +296,128 @@ def test_certificate_rational_inputs_match_scaled_integers():
     assert stratum_poly_on_line(a, halves, half_dir, "z", seed=6).poly == pencil.poly
 
 
-def test_membership_poly_equals_rational_pairing_determinant():
-    # the integer pairing and its scales reproduce the determinant of the
-    # compressed pairing built directly over the rationals, at any t
-    from gmepw.epw import _lagrangian_family_gens, _membership_poly
-    from gmepw.exterior import monomials, top_pairing, vector_to_multivector, wedge
-    from gmepw.sampling import random_matrix
 
+
+# ------------------------------------------------- the chart determinant
+
+
+LINE = [1, 2, 0, 1, -1, 3], [0, 1, 1, -2, 1, 1]
+PENCIL = ([1, 0, 0, 0, 1, 0], [0, 1, 0, -1, 0, 2], [0, 0, 1, 1, 2, 0]), [1, 1, 0, 0, 0, 1]
+EXPONENT = {"y": 4, "z": 3}
+
+
+def moving(base, direction, t):
+    return [Fraction(b) + t * Fraction(d) for b, d in zip(base, direction)]
+
+
+def chart_gens(kind, base, direction, chart, t):
+    """The generators of chart i (kind y) or 3-set R (kind z) at t, as wedge
+    MultiVectors over the rationals."""
+    e = [vector_to_multivector(unit_vector(6, k)) for k in range(6)]
+    if kind == "y":
+        v = vector_to_multivector(moving(base, direction, t))
+        return [wedge(wedge(v, e[j]), e[k])
+                for j, k in combinations(range(6), 2) if chart not in (j, k)]
+    w = [vector_to_multivector([Fraction(x) for x in u]) for u in base[:2]]
+    w.append(vector_to_multivector(moving(base[2], direction, t)))
+    pairs = [wedge(x, y) for x, y in combinations(w, 2)]
+    return [wedge(w[0], pairs[2])] + [wedge(e[k], p) for k in range(6) if k not in chart for p in pairs]
+
+
+def chart_coordinate(kind, base, direction, chart) -> Poly:
+    """v_i(t) (kind y) or the Plücker coordinate p_R(t) (kind z)."""
+    if kind == "y":
+        return Poly([base[chart], direction[chart]])
+
+    def p(t):
+        rows = (*base[:2], moving(base[2], direction, t))
+        return Matrix([[Fraction(u[c]) for c in chart] for u in rows]).det()
+
+    return Poly([p(0), p(1) - p(0)])
+
+
+def charts(kind, base, direction):
+    """Every chart whose coordinate is not identically 0, in the order the
+    library searches them."""
+    cands = range(6) if kind == "y" else combinations(range(6), 3)
+    return [c for c in cands if not chart_coordinate(kind, base, direction, c).is_zero()]
+
+
+def chart_certificate(a, kind, base, direction, chart) -> Poly:
+    """The certificate through a given chart, by rational determinants of the
+    pairing against wedge MultiVectors on the nodes 0..10."""
+    pair = Matrix([top_pairing(6, 3).left_apply(r) for r in a.basis_rows()])
+
+    def det_at(t):
+        gens = Matrix([g.coords for g in chart_gens(kind, base, direction, chart, t)])
+        return (pair * gens.transpose()).det()
+
+    d = interpolate([(t, det_at(t)) for t in range(11)])
+    return d.exact_div(chart_coordinate(kind, base, direction, chart) ** EXPONENT[kind]).primitive()
+
+
+RATIONAL_FAMILIES = {
+    "y": ([Fraction(1, 2), 2, 0, 1, Fraction(-1, 3), 3], [1, Fraction(1, 5), 1, -2, 1, 1]),
+    "z": (([1, Fraction(1, 2), 0, 0, 1, 0], [0, 1, 0, -1, 0, 2], [0, 0, Fraction(1, 3), 1, 2, 0]),
+          [1, 1, 1, 0, 0, 1]),
+}
+
+
+def test_membership_poly_equals_rational_pairing_determinant():
+    # with fractional inputs the integer chart determinant is the rational
+    # pairing determinant times the t-independent scales, and it is the
+    # chart coordinate to the power 4 (3) times the certificate
+    from gmepw.epw import _lagrangian_family_gens, _membership_poly
+
+    a = sigma_fixture_lagrangian().a
+    pair_rows = [top_pairing(6, 3).left_apply(r) for r in a.basis_rows()]
+    for kind, (base, direction) in RATIONAL_FAMILIES.items():
+        chart = charts(kind, base, direction)[0]
+        c = chart_coordinate(kind, base, direction, chart)
+        assert c.degree == 1  # so a wrong exponent changes the quotient
+        gens, lib_chart = _lagrangian_family_gens(kind, base, direction)
+        d = _membership_poly(a, gens)
+        # each generator is linear in v (y), or in w1, w2, w3 (z: 1 + 9 x 2)
+        vectors = [base, direction] if kind == "y" else [*base, direction]
+        den = clear_denominators([Fraction(x) for v in vectors for x in v])[1]
+        scale = den ** (10 if kind == "y" else 21)
+        for row in pair_rows:
+            scale *= clear_denominators(row)[1]
+        for t in (Fraction(0), Fraction(7), Fraction(-5, 3)):
+            gen_rows = Matrix([g.coords for g in chart_gens(kind, base, direction, chart, t)])
+            assert d(t) == scale * (Matrix(pair_rows) * gen_rows.transpose()).det() != 0
+        assert lib_chart.primitive() == c.primitive()
+        f = stratum_poly_on_line(a, base, direction, kind, seed=8).poly
+        expected = c ** EXPONENT[kind] * f
+        assert d == expected.scale(d.leading() / expected.leading()), kind
+
+
+@pytest.mark.parametrize(
+    "kind, base, direction, first",
+    [
+        ("y", *LINE, 0),
+        ("y", [0, 1, 2, -1, 0, 3], [0, 2, -1, 1, 1, 0], 1),  # v1 = 0
+        ("y", [0, 0, 1, 2, -1, 1], [0, 0, 1, 0, 3, -2], 2),  # v1 = v2 = 0
+        ("z", *PENCIL, (0, 1, 2)),
+        # every vector has e1-coordinate 0, so every p_1jk = 0
+        ("z", ([0, 1, 0, 0, 1, 0], [0, 0, 1, -1, 0, 2], [0, 1, 1, 1, 2, 0]), [0, 1, -1, 0, 2, 1],
+         (1, 2, 3)),
+        # the first two columns are equal, so every p_12k = 0
+        ("z", ([1, 1, 0, 0, 1, 0], [0, 0, 1, -1, 0, 2], [2, 2, 1, 1, 2, 0]), [1, 1, -1, 0, 2, 1],
+         (0, 2, 3)),
+    ],
+    ids=["line", "line-v1-zero", "line-v1-v2-zero", "pencil", "pencil-e1-zero", "pencil-p123-zero"],
+)
+def test_certificate_equals_the_certificate_through_other_charts(kind, base, direction, first):
+    # D / c^e does not depend on the chart; the library takes the first chart
+    # whose coordinate is not identically 0, the test the others
     a = fivefold_lagrangian().a
-    base = [Fraction(1, 2), 2, 0, 1, Fraction(-1, 3), 3]
-    direction = [0, Fraction(1, 5), 1, -2, 1, 1]
-    gens, scale = _lagrangian_family_gens("y", base, direction)
-    p = _membership_poly(a, gens, scale, seed=8, tries=1)
-    comp = random_matrix(rng_from_seed(8), 10, 15, 3)
-    gram = top_pairing(6, 3)
-    pair_rows = [gram.left_apply(r) for r in a.basis_rows()]
-    two_forms = [MultiVector.from_monomial(6, m) for m in monomials(6, 2)]
-    for t in (Fraction(0), Fraction(7), Fraction(-5, 3)):
-        vt = vector_to_multivector([Fraction(b) + t * d for b, d in zip(base, direction)])
-        gen_rows = Matrix([wedge(vt, f).coords for f in two_forms])
-        compressed = comp * gen_rows
-        m = Matrix(pair_rows) * compressed.transpose()
-        assert p(t) == m.det()
+    cert = stratum_poly_on_line(a, base, direction, kind, seed=9)
+    assert not cert.contains_line and cert.degree == (6 if kind == "y" else 4)
+    found = charts(kind, base, direction)
+    assert found[0] == first
+    if first not in (0, (0, 1, 2)):  # a wrong exponent changes the quotient
+        assert chart_coordinate(kind, base, direction, first).degree == 1
+    others = found[1:] if kind == "y" else [found[1], found[-1]]
+    for chart in others:
+        assert chart_certificate(a, kind, base, direction, chart) == cert.poly, chart

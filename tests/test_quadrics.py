@@ -252,6 +252,7 @@ def test_isotropic_reduce_formulas_and_restriction(m):
         # closed forms: the span is the annihilator of (a meet l1)/(a meet I)
         # in the reduced l2, the kernel is (a meet (I + l2 meet I-perp))/(a meet I)
         model = red.model
+        assert red.reduced.l1 == model.project_subspace(dec.l1)  # l1 lies in I-perp
         span_formula = pairing_annihilator_in(
             red.reduced.space, model.project_subspace(a.intersect(dec.l1)), red.reduced.l2
         )

@@ -4,14 +4,14 @@
 fibration metrics count only the reduction and closed-form spans that sit
 directly under a fiber span.  A renamed symbol or a new layer between them
 would break ``perfbench/run.py --trace 1``; this installs the tracer, runs
-one query of each fibration, and uninstalls it again.  It only reads
-``perfbench/``.
+one query of each fibration and one certificate of each kind, and uninstalls
+it again.  It only reads ``perfbench/``.
 """
 
 import importlib.util
 from pathlib import Path
 
-from gmepw import fibrations, linalg
+from gmepw import epw, fibrations, linalg
 from gmepw.fixtures import fivefold_lagrangian
 from gmepw.linalg import Subspace, unit_vector
 
@@ -51,3 +51,25 @@ def test_tracer_installs_spans_the_fiber_paths_and_uninstalls():
     metrics = tracer.layer_metrics(0.0, 1.0)
     assert metrics["quadrics.isotropic_reduce.calls"] == 2
     assert metrics["fibrations.reduction_path_s"] > 0 and metrics["fibrations.closed_form_path_s"] > 0
+
+
+def test_certificates_interpolate_once_without_a_gcd():
+    # one chart determinant per certificate: one interpolation directly under
+    # the certificate span, no gcd, and every sample point checked
+    spans = load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        a = fivefold_lagrangian().a
+        epw.stratum_poly_on_line(a, [1, 2, 0, 1, -1, 3], [0, 1, 1, -2, 1, 1], "y", seed=5)
+        rows = ([1, 0, 0, 0, 1, 0], [0, 1, 0, -1, 0, 2], [0, 0, 1, 1, 2, 0])
+        epw.stratum_poly_on_line(a, rows, [1, 1, 0, 0, 0, 1], "z", seed=6)
+    finally:
+        tracer.uninstall()
+    interpolations = [i for i, name in enumerate(tracer.names) if name == "polynomials.interpolate"]
+    assert len(interpolations) == tracer.names.count(spans.CERTIFICATE) == 2
+    assert all(tracer.names[tracer.parents[i]] == spans.CERTIFICATE for i in interpolations)
+    metrics = tracer.layer_metrics(0.0, 1.0)
+    assert metrics["polynomials.poly_gcd.calls"] == 0
+    assert metrics["epw.compressions_tried"] == 2
+    assert metrics["epw.sample_check_ratio"] == 1.0
