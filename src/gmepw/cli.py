@@ -25,7 +25,7 @@ from .correspondence import (
     lagrangian_to_gm,
 )
 from .epw import stratum_poly_on_line, y_dual_stratum, y_stratum, z_stratum
-from .exterior import MultiVector
+from .exterior import inject
 from .fibrations import fibration1_fiber, fibration2_fiber, sigma1_level, sigma2_level
 from .fixtures import all_gm_fixtures, all_lagrangian_fixtures
 from .gm import GmError, discriminant_on_line, hull_point_sample, opposite, validate
@@ -223,6 +223,8 @@ def cmd_zeta_plane(args) -> int:
 def cmd_disc_line(args) -> int:
     d = _read_document(args, "gm_data")
     base, direction = _parse_line(args)
+    if not (base[5] or direction[5]):
+        raise DocumentError("--base and --dir: the line lies inside the hyperplane")
     line = discriminant_on_line(d, base, direction)
     payload = {
         "det_poly": gio.format_poly(line.det_poly),
@@ -276,8 +278,7 @@ def cmd_hyperplane_update(args) -> int:
         raise DocumentError("--eta0: expected 10 coordinates over the 3-form monomials of the hyperplane")
     if not any(coords):
         raise DocumentError("--eta0: must be non-zero")
-    eta = MultiVector.from_coords(5, 3, coords)
-    a2 = hyperplane_section_lagrangian(ld.a, eta)
+    a2 = hyperplane_section_lagrangian(ld.a, inject(3, coords))
     _write(args, gio.emit(Document("lagrangian_data", LagrangianData(a=a2, a1=ld.a1))))
     return EXIT_OK
 

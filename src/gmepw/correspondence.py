@@ -20,20 +20,18 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exterior import (
-    MultiVector,
     SymplecticSpace,
     inject,
     l3v5_subspace,
     lambda_p,
-    monomial_index,
-    monomials,
+    monomial,
     top_pairing,
-    vector_to_multivector,
+    v5_positions,
     wedge,
     wedge_symplectic_space,
 )
-from .gm import GmError, GMData, ORDINARY, SPECIAL, classify, split_w
-from .linalg import Matrix, Subspace, image_and_lifts, kernel, unit_vector, vec
+from .gm import GmError, GMData, ORDINARY, SPECIAL, classify, opposite, split_w
+from .linalg import Matrix, Subspace, image_and_lifts, kernel, unit_vector, vec, vec_add
 from .quadrics import LagrangianDecomposition, is_lagrangian, omega_orthogonal
 
 EXT_DIM = 22
@@ -82,19 +80,11 @@ def extended_space() -> SymplecticSpace:
 def extended_decomposition() -> LagrangianDecomposition:
     """Even/odd graded decomposition: (3-forms on the hyperplane + L) and
     (e6 wedge 2-forms + k)."""
-    rows1 = []
-    for m in monomials(5, 3):
-        rows1.append(_ext_unit(monomial_index(6, 3)[m]))
-    rows1.append(_ext_unit(L_COORD))
-    rows2 = []
-    for m in monomials(6, 3):
-        if m[-1] == 5:
-            rows2.append(_ext_unit(monomial_index(6, 3)[m]))
-    rows2.append(_ext_unit(K_COORD))
+    in_v5, with_e6 = v5_positions(3)
     return LagrangianDecomposition(
         extended_space(),
-        Subspace.from_rows(EXT_DIM, rows1),
-        Subspace.from_rows(EXT_DIM, rows2),
+        Subspace.from_rows(EXT_DIM, [_ext_unit(t) for t in (*in_v5, L_COORD)]),
+        Subspace.from_rows(EXT_DIM, [_ext_unit(t) for t in (*with_e6, K_COORD)]),
     )
 
 
@@ -142,8 +132,6 @@ def gm_to_lagrangian(d: GMData) -> LagrangianData:
     if a_even.dim != 10:
         raise CorrespondenceError("even part has unexpected dimension")
     a20 = Subspace.from_rows(20, [r[:20] for r in a_even.basis_rows()])
-    if not is_lagrangian(wedge_symplectic_space(), a20):
-        raise CorrespondenceError("constructed subspace is not Lagrangian")
     tag = _odd_tag(a_odd)
     if (tag == A1_ZERO) != (t == ORDINARY):
         raise CorrespondenceError("odd tag disagrees with the data type")
@@ -174,24 +162,13 @@ def _a_hat(d: GMData, mu1: list[Fraction], v0) -> Subspace:
     # w -> epsilon * top(xi ^ mu(w)) on the three-forms xi of the hyperplane
     pairing = (top_pairing(5, 3) * d.mu).transpose().scale(d.epsilon)
     mat = Matrix([pairing.data[j] + [mu1[j]] + qv0.col(j) for j in range(w)])
-    ker = kernel(mat)
-    v0_mv = vector_to_multivector(v0)
     rows = []
-    for sol in ker.basis_rows():
+    for sol in kernel(mat).basis_rows():
         xi, xprime, wvec = sol[:10], sol[10], sol[11:]
-        three = MultiVector.from_coords(6, 3, _embed_l3v5(xi))
-        three = three + wedge(v0_mv, inject(MultiVector.from_coords(5, 2, d.mu.apply(wvec))))
+        three = vec_add(inject(3, xi), wedge(6, 1, 2, v0, inject(2, d.mu.apply(wvec))))
         k_part = lam0 * sum((m * x for m, x in zip(mu1, wvec)), Fraction(0))
-        rows.append(three.coords + [k_part, xprime])
+        rows.append(three + [k_part, xprime])
     return Subspace.from_rows(EXT_DIM, rows)
-
-
-def _embed_l3v5(coords10) -> list[Fraction]:
-    out = [Fraction(0)] * 20
-    idx = monomial_index(6, 3)
-    for m, c in zip(monomials(5, 3), coords10):
-        out[idx[m]] = c
-    return out
 
 
 def _split_graded(a_hat: Subspace) -> tuple[Subspace, Subspace]:
@@ -223,45 +200,32 @@ def lagrangian_to_gm(ld: LagrangianData) -> GMData:
 
     The image of the contraction on the Lagrangian is the even target space;
     the quadric family comes from the contraction formula, whose symmetry on
-    every direction is asserted.  Tag 1 appends the one-dimensional summand
-    with the fixed coefficient-1 form.
+    every direction is asserted.  Tag 1 is the opposite of the tag-0 data:
+    it appends the one-dimensional summand with the fixed coefficient-1 form.
     """
     if ld.a1 == A1_INF:
         raise CorrespondenceError("the cone tag does not produce lci data")
-    lifts, w0 = _contraction_image_with_lifts(ld.a)
-    n0 = w0.dim - 5
+    # the RREF basis of the contraction image, and its lifts in the Lagrangian
+    images = Matrix([lambda_p(3, r) for r in ld.a.basis.data], cols=10)
+    w0, lifts = image_and_lifts(images, ld.a.basis)
     grams = []
     for i in range(6):
-        g = _qtilde0_gram(i, lifts)
+        g = _qtilde0_gram(i, lifts.data)
         if not g.is_symmetric():
             raise CorrespondenceError("induced quadric family is not symmetric")
         grams.append(g)
-    if ld.a1 == A1_ZERO:
-        mu = Matrix.from_cols(w0.basis_rows()) if w0.dim else Matrix.zero(10, 0)
-        return GMData(n=n0, mu=mu, q=tuple(grams), epsilon=Fraction(1))
-    mu = Matrix([row + [Fraction(0)] for row in Matrix.from_cols(w0.basis_rows()).copy_data()],
-                cols=w0.dim + 1)
-    qs = []
-    for i, g in enumerate(grams):
-        block = [row + [Fraction(0)] for row in g.copy_data()]
-        block.append([Fraction(0)] * w0.dim + [Fraction(1) if i == 5 else Fraction(0)])
-        qs.append(Matrix(block))
-    return GMData(n=n0 + 1, mu=mu, q=tuple(qs), epsilon=Fraction(1))
+    mu = Matrix.from_cols(w0.basis_rows()) if w0.dim else Matrix.zero(10, 0)
+    d = GMData(n=w0.dim - 5, mu=mu, q=tuple(grams), epsilon=Fraction(1))
+    return d if ld.a1 == A1_ZERO else opposite(d)
 
 
-def _contraction_image_with_lifts(a: Subspace) -> tuple[list[MultiVector], Subspace]:
-    """RREF basis of the contraction image and lifts of it inside the Lagrangian."""
-    imgs = Matrix([lambda_p(MultiVector.from_coords(6, 3, r)).coords for r in a.basis.data], cols=10)
-    w0, lifts = image_and_lifts(imgs, a.basis)
-    return [MultiVector.from_coords(6, 3, r) for r in lifts.data], w0
-
-
-def _qtilde0_gram(i: int, lifts: list[MultiVector]) -> Matrix:
-    """Gram of the form -top(contract(v ^ xi1) ^ contract(xi2)) at basis vector i:
-    -L T R^T with rows contract(e_i ^ xi_a) in L and contract(xi_b) in R."""
-    ei = MultiVector.from_monomial(6, (i,))
-    left = Matrix([lambda_p(wedge(ei, xi)).coords for xi in lifts], cols=10)
-    right = Matrix([lambda_p(xi).coords for xi in lifts], cols=10)
+def _qtilde0_gram(i: int, lifts) -> Matrix:
+    """Gram of the form -top(contract(v ^ xi1) ^ contract(xi2)) at basis vector i,
+    for the lifts xi in the Lagrangian of the RREF basis of the contraction
+    image: -L T R^T with rows contract(e_i ^ xi_a) in L and contract(xi_b) in R."""
+    ei = monomial(6, (i,))
+    left = Matrix([lambda_p(4, wedge(6, 1, 3, ei, xi)) for xi in lifts], cols=10)
+    right = Matrix([lambda_p(3, xi) for xi in lifts], cols=10)
     return -(left * top_pairing(5, 3) * right.transpose())
 
 
@@ -298,23 +262,21 @@ def dualize(ld: LagrangianData) -> LagrangianData:
     return LagrangianData(a=ld.a.annihilator(), a1=ld.a1)
 
 
-def hyperplane_section_lagrangian(a: Subspace, eta0: MultiVector) -> Subspace:
+def hyperplane_section_lagrangian(a: Subspace, eta0) -> Subspace:
     """Lagrangian of a hyperplane section: meet the orthogonal of the chosen
-    3-form on the hyperplane, then adjoin it.
+    3-form on the hyperplane (its 20 coordinates), then adjoin it.
 
     Fixed point when the form already lies in the subspace; the result always
     meets the input in dimension at least 9.
     """
-    if eta0.basis.ambient_dim == 5:
-        eta0 = inject(eta0)
-    if eta0.is_zero():
+    if not any(eta0):
         raise CorrespondenceError("the update form must be non-zero")
-    if not l3v5_subspace().contains(eta0.coords):
+    if not l3v5_subspace().contains(eta0):
         raise CorrespondenceError("the update form must avoid the e6 coordinate")
-    if a.contains(eta0.coords):
+    if a.contains(eta0):
         return a
     space = wedge_symplectic_space()
-    eta_line = Subspace.from_rows(20, [eta0.coords])
+    eta_line = Subspace.from_rows(20, [eta0])
     meet = a.intersect(omega_orthogonal(space, eta_line))
     out = meet + eta_line
     if not is_lagrangian(space, out):

@@ -1,8 +1,10 @@
 """Exterior powers of the fixed 6-space and 5-space, wedge products,
 the top-degree pairing tables (among them the wedge symplectic form on
-degree-3 forms), the generators of wedge spans, the contraction maps along
-the last coordinate, and decomposability tests.  Every wedge coordinate in
-the package is computed here, from one sign table per degree pair.
+degree-3 forms), the generators of wedge spans, the inclusion of the
+5-space forms and the contraction maps along the last coordinate, and
+decomposability tests.  Every wedge coordinate in the package is computed
+here, from one sign table per degree pair, and every inclusion and
+contraction from one table of where the 5-space monomials sit.
 
 Conventions, fixed once for the whole artifact:
 
@@ -10,6 +12,8 @@ Conventions, fixed once for the whole artifact:
   index tuples (1-based in documentation, 0-based internally) in
   lexicographic order.  For (n, p) = (6, 3): 123, 124, 125, 126, 134, ...,
   456 (20 entries).
+* A form is the plain list of its coordinates (ints or Fractions) in that
+  order; its ambient dimension and degree are passed alongside it.
 * The distinguished hyperplane is the span of the first five basis vectors;
   "lambda" is the coordinate functional of e6.
 * lambda_p is first-slot interior contraction:
@@ -28,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .linalg import Matrix, Subspace, kernel, rat
+from .linalg import Matrix, Subspace, kernel, unit_vector
 
 
 @lru_cache(maxsize=None)
@@ -40,93 +44,6 @@ def monomials(ambient_dim: int, degree: int) -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=None)
 def monomial_index(ambient_dim: int, degree: int) -> dict[tuple[int, ...], int]:
     return {m: i for i, m in enumerate(monomials(ambient_dim, degree))}
-
-
-@dataclass(frozen=True)
-class ExteriorBasis:
-    """Monomial basis of a fixed exterior power."""
-
-    ambient_dim: int
-    degree: int
-
-    @property
-    def size(self) -> int:
-        return len(monomials(self.ambient_dim, self.degree))
-
-    @property
-    def monomial_list(self) -> tuple[tuple[int, ...], ...]:
-        return monomials(self.ambient_dim, self.degree)
-
-
-class MultiVector:
-    """An element of a fixed exterior power in the monomial basis."""
-
-    __slots__ = ("basis", "coords")
-
-    def __init__(self, basis: ExteriorBasis, coords):
-        coords = [rat(c) for c in coords]
-        if len(coords) != basis.size:
-            raise ValueError("coordinate length differs from the monomial count")
-        self.basis = basis
-        self.coords = coords
-
-    @classmethod
-    def zero(cls, ambient_dim: int, degree: int) -> "MultiVector":
-        b = ExteriorBasis(ambient_dim, degree)
-        return cls(b, [0] * b.size)
-
-    @classmethod
-    def from_monomial(cls, ambient_dim: int, indices, coeff=1) -> "MultiVector":
-        """Monomial e_I from 0-based indices, sorted with sign."""
-        idx = list(indices)
-        if len(set(idx)) != len(idx):
-            return cls.zero(ambient_dim, len(idx))
-        sign = 1
-        # insertion-sort sign count
-        for a in range(len(idx)):
-            for b in range(a + 1, len(idx)):
-                if idx[a] > idx[b]:
-                    sign = -sign
-        b = ExteriorBasis(ambient_dim, len(idx))
-        coords = [Fraction(0)] * b.size
-        coords[monomial_index(ambient_dim, len(idx))[tuple(sorted(idx))]] = rat(coeff) * sign
-        return cls(b, coords)
-
-    @classmethod
-    def from_coords(cls, ambient_dim: int, degree: int, coords) -> "MultiVector":
-        return cls(ExteriorBasis(ambient_dim, degree), coords)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MultiVector)
-            and self.basis == other.basis
-            and self.coords == other.coords
-        )
-
-    def __add__(self, other: "MultiVector") -> "MultiVector":
-        if self.basis != other.basis:
-            raise ValueError("basis mismatch")
-        return MultiVector(self.basis, [a + b for a, b in zip(self.coords, other.coords)])
-
-    def __sub__(self, other: "MultiVector") -> "MultiVector":
-        if self.basis != other.basis:
-            raise ValueError("basis mismatch")
-        return MultiVector(self.basis, [a - b for a, b in zip(self.coords, other.coords)])
-
-    def scale(self, c) -> "MultiVector":
-        c = rat(c)
-        return MultiVector(self.basis, [c * a for a in self.coords])
-
-    def __repr__(self) -> str:
-        terms = []
-        for m, c in zip(self.basis.monomial_list, self.coords):
-            if c != 0:
-                label = "e" + "".join(str(i + 1) for i in m)
-                terms.append(f"{c}*{label}")
-        return "MultiVector(" + (" + ".join(terms) if terms else "0") + ")"
 
 
 @lru_cache(maxsize=None)
@@ -146,10 +63,16 @@ def _wedge_table(n: int, p: int, q: int) -> tuple[tuple[tuple[int, int, int], ..
     return tuple(table)
 
 
-def _wedge_coords(n: int, p: int, q: int, a, b) -> list:
-    """Coordinates of the wedge of plain coordinate lists (ints or Fractions)."""
+def wedge(n: int, p: int, q: int, a, b) -> list:
+    """Coordinates of a ^ b for coordinate lists (ints or Fractions) a of
+    degree p and b of degree q in ambient dimension n."""
+    if p + q > n:
+        raise ValueError(f"degree overflow: {p} + {q} > {n}")
+    table = _wedge_table(n, p, q)
+    if len(a) != len(table) or len(b) != len(monomials(n, q)):
+        raise ValueError("coordinate length differs from the monomial count")
     out = [0] * len(monomials(n, p + q))
-    for ca, row in zip(a, _wedge_table(n, p, q)):
+    for ca, row in zip(a, table):
         if ca:
             for j, sign, t in row:
                 cb = b[j]
@@ -158,19 +81,11 @@ def _wedge_coords(n: int, p: int, q: int, a, b) -> list:
     return out
 
 
-def wedge(a: MultiVector, b: MultiVector) -> MultiVector:
-    """Graded-antisymmetric bilinear wedge product in the fixed basis."""
-    if a.basis.ambient_dim != b.basis.ambient_dim:
-        raise ValueError("ambient mismatch")
-    n = a.basis.ambient_dim
-    p, q = a.basis.degree, b.basis.degree
-    if p + q > n:
-        raise ValueError(f"degree overflow: {p} + {q} > {n}")
-    return MultiVector.from_coords(n, p + q, _wedge_coords(n, p, q, a.coords, b.coords))
-
-
-def vector_to_multivector(v, ambient_dim: int = 6) -> MultiVector:
-    return MultiVector.from_coords(ambient_dim, 1, v)
+def monomial(n: int, indices) -> list:
+    """Coordinates of e_I for a strictly increasing 0-based index tuple I."""
+    out = [0] * len(monomials(n, len(indices)))
+    out[monomial_index(n, len(indices))[tuple(indices)]] = 1
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -214,62 +129,54 @@ def wedge_symplectic_space() -> SymplecticSpace:
     return SymplecticSpace(20, top_pairing(6, 3))
 
 
-def lambda_p(xi: MultiVector) -> MultiVector:
+@lru_cache(maxsize=None)
+def v5_positions(p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Where the 5-space sits in degree p of the 6-space: the position of
+    each degree-p monomial e_I of the 5-space, and of e_I ^ e6 for each
+    degree-(p-1) monomial e_I of the 5-space, both in monomial order."""
+    idx = monomial_index(6, p)
+    return (tuple(idx[m] for m in monomials(5, p)),
+            tuple(idx[(*m, 5)] for m in monomials(5, p - 1)) if p else ())
+
+
+def inject(p: int, x) -> list:
+    """Inclusion of degree-p forms on the 5-space into the 6-space."""
+    out = [0] * len(monomials(6, p))
+    for t, c in zip(v5_positions(p)[0], x, strict=True):
+        out[t] = c
+    return out
+
+
+def lambda_p(p: int, xi) -> list:
     """Interior contraction along the e6 coordinate functional.
 
     Kills exactly the forms supported on the first five coordinates and maps
-    e_I with 6 in I to (-1)^(degree-1) e_(I minus 6), an element of the
-    degree-(p-1) power of the 5-space.
+    e_I ^ e6 to (-1)^(p-1) e_I, a degree-(p-1) form on the 5-space.
     """
-    if xi.basis.ambient_dim != 6:
-        raise ValueError("contraction is defined on ambient dimension 6")
-    p = xi.basis.degree
     if not 1 <= p <= 6:
         raise ValueError("degree out of range")
     sign = (-1) ** (p - 1)
-    out = MultiVector.zero(5, p - 1)
-    tgt = monomial_index(5, p - 1)
-    for m, c in zip(xi.basis.monomial_list, xi.coords):
-        if c == 0 or m[-1] != 5:
-            continue
-        out.coords[tgt[m[:-1]]] += sign * c
-    return out
+    return [sign * xi[t] for t in v5_positions(p)[1]]
 
 
-def inject(mv: MultiVector, ambient_dim: int = 6) -> MultiVector:
-    """Inclusion of a power of the 5-space into the same power of the 6-space."""
-    if mv.basis.ambient_dim > ambient_dim:
-        raise ValueError("cannot inject into a smaller space")
-    out = MultiVector.zero(ambient_dim, mv.basis.degree)
-    tgt = monomial_index(ambient_dim, mv.basis.degree)
-    for m, c in zip(mv.basis.monomial_list, mv.coords):
-        if c != 0:
-            out.coords[tgt[m]] += c
-    return out
-
-
-def is_decomposable(a: MultiVector) -> Subspace | None:
+def is_decomposable(a) -> Subspace | None:
     """Decide whether a degree-3 form in ambient 6 is a triple wedge.
 
     Computes D(a) = kernel of v -> v ^ a (a map from the 6-space to the
     degree-4 power) and returns the 3-space of divisors when dim D(a) = 3,
     or None otherwise.
     """
-    if a.basis != ExteriorBasis(6, 3):
+    if len(a) != 20:
         raise ValueError("decomposability test expects degree 3 in ambient 6")
-    if a.is_zero():
+    if not any(a):
         raise ValueError("zero vector")
     d = divisor_space(a)
     return d if d.dim == 3 else None
 
 
-def divisor_space(a: MultiVector) -> Subspace:
-    """Kernel of v -> v ^ a as a subspace of the 6-space."""
-    cols = []
-    for i in range(6):
-        ei = MultiVector.from_monomial(6, (i,))
-        cols.append(wedge(ei, a).coords)
-    return kernel(Matrix.from_cols(cols))
+def divisor_space(a) -> Subspace:
+    """Kernel of v -> v ^ a as a subspace of the 6-space, for a degree-3 form."""
+    return kernel(Matrix.from_cols([wedge(6, 1, 3, monomial(6, (i,)), a) for i in range(6)]))
 
 
 def wedge_space(u: Subspace, w: Subspace) -> Subspace:
@@ -289,15 +196,15 @@ def wedge_space(u: Subspace, w: Subspace) -> Subspace:
 def wedge_gens(xs, ys) -> list:
     """Coordinates of x ^ y1 ^ y2 in degree 3 of the 6-space, over x in xs
     and then the pairs y1, y2 of ys in order, for plain coordinate lists."""
-    pairs = [_wedge_coords(6, 1, 1, y1, y2) for y1, y2 in combinations(ys, 2)]
-    return [_wedge_coords(6, 1, 2, x, y) for x in xs for y in pairs]
+    pairs = [wedge(6, 1, 1, y1, y2) for y1, y2 in combinations(ys, 2)]
+    return [wedge(6, 1, 2, x, y) for x in xs for y in pairs]
 
 
 def wedge_cube(u: Subspace) -> Subspace:
     """Degree-3 power of a subspace of the 6-space, e.g. a hyperplane cube."""
     if u.ambient_dim != 6:
         raise ValueError("ambient mismatch: the factor must live in the 6-space")
-    gens = [_wedge_coords(6, 1, 2, x, _wedge_coords(6, 1, 1, y, z))
+    gens = [wedge(6, 1, 2, x, wedge(6, 1, 1, y, z))
             for x, y, z in combinations(u.int_rows, 3)]
     return Subspace.from_rows(20, gens)
 
@@ -311,13 +218,7 @@ def v5_subspace() -> Subspace:
 @lru_cache(maxsize=None)
 def l3v5_subspace() -> Subspace:
     """The degree-3 power of the standard 5-space inside the 20 coordinates."""
-    rows = []
-    idx = monomial_index(6, 3)
-    for m in monomials(5, 3):
-        row = [Fraction(0)] * 20
-        row[idx[m]] = Fraction(1)
-        rows.append(row)
-    return Subspace.from_rows(20, rows)
+    return Subspace.from_rows(20, [unit_vector(20, t) for t in v5_positions(3)[0]])
 
 
 def exterior_power_matrix(f: Matrix, degree: int) -> Matrix:
@@ -327,9 +228,8 @@ def exterior_power_matrix(f: Matrix, degree: int) -> Matrix:
     n = f.rows
     cols = []
     for m in monomials(n, degree):
-        imgs = [vector_to_multivector(f.col(i), n) for i in m]
-        acc = imgs[0]
-        for nxt in imgs[1:]:
-            acc = wedge(acc, nxt)
-        cols.append(acc.coords)
+        acc = f.col(m[0])
+        for p, i in enumerate(m[1:], start=1):
+            acc = wedge(n, p, 1, acc, f.col(i))
+        cols.append(acc)
     return Matrix.from_cols(cols)

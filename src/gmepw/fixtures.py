@@ -17,9 +17,9 @@ from .correspondence import (
     hyperplane_section_lagrangian,
     lagrangian_to_gm,
 )
-from .exterior import MultiVector, monomial_index, monomials, top_pairing
+from .exterior import inject, monomial, top_pairing, v5_positions
 from .gm import GMData, opposite, plucker_gram
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, unit_vector, vec_add
 
 
 @lru_cache(maxsize=None)
@@ -46,9 +46,9 @@ def sixfold_special() -> GMData:
 def threefold_lagrangian() -> LagrangianData:
     """Two hyperplane-section updates of the fivefold Lagrangian."""
     a = fivefold_lagrangian().a
-    eta1 = MultiVector.from_monomial(6, (0, 1, 2)) + MultiVector.from_monomial(6, (2, 3, 4))
+    eta1 = vec_add(monomial(6, (0, 1, 2)), monomial(6, (2, 3, 4)))
     a = hyperplane_section_lagrangian(a, eta1)
-    eta2 = MultiVector.from_monomial(6, (0, 1, 3)) + MultiVector.from_monomial(6, (1, 2, 4)).scale(2)
+    eta2 = [x + 2 * y for x, y in zip(monomial(6, (0, 1, 3)), monomial(6, (1, 2, 4)))]
     a = hyperplane_section_lagrangian(a, eta2)
     return LagrangianData(a=a, a1=A1_ZERO)
 
@@ -58,24 +58,22 @@ def threefold() -> GMData:
     return lagrangian_to_gm(threefold_lagrangian())
 
 
-def sigma_form() -> MultiVector:
+def sigma_form() -> list[int]:
     """The rank-4 form e123 + e145 with kernel direction e1."""
-    return MultiVector.from_monomial(6, (0, 1, 2)) + MultiVector.from_monomial(6, (0, 3, 4))
+    return vec_add(monomial(6, (0, 1, 2)), monomial(6, (0, 3, 4)))
 
 
 def _dual_basis_row(i: int) -> list[Fraction]:
     """The e6-block vector pairing to 1 with the i-th 3-monomial of the
     hyperplane and to 0 with the others: that monomial's row of the wedge
     form, which is +-1 at the complementary monomial."""
-    return list(top_pairing(6, 3).data[monomial_index(6, 3)[monomials(5, 3)[i]]])
+    return list(top_pairing(6, 3).data[v5_positions(3)[0][i]])
 
 
 def graph_row(i: int, coeffs) -> list[Fraction]:
     """Row of the graph Lagrangian of a symmetric matrix over the splitting
     (3-forms on the hyperplane) + (e6 wedge 2-forms)."""
-    idx6 = monomial_index(6, 3)
-    row = [Fraction(0)] * 20
-    row[idx6[monomials(5, 3)[i]]] = Fraction(1)
+    row = inject(3, unit_vector(10, i))
     for j, c in enumerate(coeffs):
         if c != 0:
             dual = _dual_basis_row(j)
@@ -111,7 +109,7 @@ def sigma_fixture_lagrangian() -> LagrangianData:
         ]
     )
     # project so the distinguished form spans the kernel direction
-    w = [omega.coords[monomial_index(6, 3)[m]] for m in monomials(5, 3)]
+    w = [omega[t] for t in v5_positions(3)[0]]
     s0w = s0.apply(w)
     scale = sum((a * b for a, b in zip(s0w, w)), Fraction(0))
     corr = Matrix(

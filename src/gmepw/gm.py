@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exterior import MultiVector, top_pairing, wedge
+from .exterior import monomial, top_pairing, wedge
 from .linalg import Matrix, Subspace, kernel, unit_vector, vec, vec_dot
 from .polynomials import Poly, interpolate
 from .sampling import random_nonzero_vector, rng_from_seed
@@ -90,9 +90,8 @@ def plucker_gram(mu: Matrix, i: int, epsilon: Fraction) -> Matrix:
     """Gram of the Pluecker quadric at basis vector e_(i+1) of the 5-space:
     entry (a, b) is epsilon * top(e_i ^ mu(w_a) ^ mu(w_b)), read off the
     top pairing as epsilon * E T mu with rows e_i ^ mu(w_a) in E."""
-    ei = MultiVector.from_monomial(5, (i,))
-    e = Matrix([wedge(ei, MultiVector.from_coords(5, 2, mu.col(a))).coords for a in range(mu.cols)],
-               cols=10)
+    ei = monomial(5, (i,))
+    e = Matrix([wedge(5, 1, 2, ei, mu.col(a)) for a in range(mu.cols)], cols=10)
     return (e * top_pairing(5, 3) * mu).scale(epsilon)
 
 
@@ -194,12 +193,11 @@ def hull_point_sample(d: GMData, seed) -> list[Fraction]:
     ann = mu_image.annihilator().basis  # functionals cutting mu(W)
     for _ in range(100):
         v1 = random_nonzero_vector(rng, 5, 4)
-        mv1 = MultiVector.from_coords(5, 1, v1)
         # linear map v2 -> functionals of v1 ^ v2
         cols = []
         for j in range(5):
-            wj = wedge(mv1, MultiVector.from_monomial(5, (j,)))
-            cols.append(ann.apply(wj.coords) if ann.rows else [])
+            wj = wedge(5, 1, 1, v1, monomial(5, (j,)))
+            cols.append(ann.apply(wj) if ann.rows else [])
         mat = Matrix.from_cols(cols) if ann.rows else Matrix.zero(0, 5)
         sol = kernel(mat)
         # want a kernel vector independent of v1
@@ -211,10 +209,10 @@ def hull_point_sample(d: GMData, seed) -> list[Fraction]:
                 break
         if candidate is None:
             continue
-        target = wedge(mv1, MultiVector.from_coords(5, 1, candidate))
-        if target.is_zero():
+        target = wedge(5, 1, 1, v1, candidate)
+        if not any(target):
             continue
-        w = d.mu.solve(target.coords)
+        w = d.mu.solve(target)
         if w is None:
             continue
         return w

@@ -20,7 +20,6 @@ from .correspondence import A1_TAGS, LagrangianData, apply_frame
 from .gm import GMData
 from .linalg import Matrix, Subspace
 from .polynomials import Poly
-from .quadrics import QuadricOnSubspace
 
 FORMAT_VERSION = "1"
 
@@ -30,7 +29,7 @@ MAX_TOKEN_CHARS = 10_000
 MAX_EXPONENT = 1_000
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)")
 
-KINDS = ("gm_data", "lagrangian_data", "quadric", "certificate", "report")
+KINDS = ("gm_data", "lagrangian_data", "certificate", "report")
 
 
 class DocumentError(ValueError):
@@ -164,28 +163,6 @@ def parse_lagrangian_data(obj, where: str = "lagrangian_data") -> LagrangianData
         raise DocumentError(f"{where}: {exc}") from None
 
 
-def format_quadric(q: QuadricOnSubspace) -> dict:
-    return {
-        "ambient_dim": q.ambient_dim,
-        "span": format_subspace(q.span),
-        "gram": format_matrix(q.gram),
-    }
-
-
-def parse_quadric(obj, where: str = "quadric") -> QuadricOnSubspace:
-    if not isinstance(obj, dict):
-        raise DocumentError(f"{where}: expected an object")
-    for field in ("ambient_dim", "span", "gram"):
-        if field not in obj:
-            raise DocumentError(f"{where}: missing field {field!r}")
-    span = parse_subspace(obj["span"], f"{where}.span")
-    gram = parse_matrix(obj["gram"], f"{where}.gram")
-    try:
-        return QuadricOnSubspace(obj["ambient_dim"], span, gram)
-    except ValueError as exc:
-        raise DocumentError(f"{where}: {exc}") from None
-
-
 def format_poly(p: Poly) -> list[str]:
     return [format_rat(c) for c in p.coeffs]
 
@@ -213,8 +190,6 @@ def parse(text: str) -> Document:
         return Document(kind, parse_gm_data(payload))
     if kind == "lagrangian_data":
         return Document(kind, parse_lagrangian_data(payload))
-    if kind == "quadric":
-        return Document(kind, parse_quadric(payload))
     # certificates and reports stay as plain dictionaries
     if not isinstance(payload, dict):
         raise DocumentError(f"{kind}: expected an object payload")
@@ -227,8 +202,6 @@ def emit(doc: Document) -> str:
         payload = format_gm_data(doc.payload)
     elif doc.kind == "lagrangian_data":
         payload = format_lagrangian_data(doc.payload)
-    elif doc.kind == "quadric":
-        payload = format_quadric(doc.payload)
     elif doc.kind in KINDS:
         payload = doc.payload
     else:

@@ -25,8 +25,8 @@ from .correspondence import (
 )
 from .epw import stratum_poly_on_line, y_dual_stratum, y_stratum, z_stratum
 from .exterior import (
-    MultiVector,
     divisor_space,
+    inject,
     is_decomposable,
     l3v5_subspace,
     v5_subspace,
@@ -291,8 +291,7 @@ def hyperplane_updates(*, seed="acceptance-9", updates=10) -> str:
     a = fivefold_lagrangian().a
     space = wedge_symplectic_space()
     for _ in range(updates):
-        eta = MultiVector.from_coords(5, 3, random_nonzero_vector(rng, 10, 4))
-        a2 = hyperplane_section_lagrangian(a, eta)
+        a2 = hyperplane_section_lagrangian(a, inject(3, random_nonzero_vector(rng, 10, 4)))
         _require(is_lagrangian(space, a2), "update is not Lagrangian")
         _require(a.intersect(a2).dim == 9, "update does not meet in dimension 9")
     return f"{updates} hyperplane updates: meet dim 9 and Lagrangian"
@@ -321,8 +320,8 @@ def sigma_fixture_form() -> str:
     """The distinguished form lies in the Lagrangian and in the cube of the
     hyperplane, and has rank 4: not decomposable, with divisor line e1."""
     omega = sigma_form()
-    _require(sigma_fixture_lagrangian().a.contains(omega.coords), "form outside the Lagrangian")
-    _require(l3v5_subspace().contains(omega.coords), "form outside the hyperplane cube")
+    _require(sigma_fixture_lagrangian().a.contains(omega), "form outside the Lagrangian")
+    _require(l3v5_subspace().contains(omega), "form outside the hyperplane cube")
     _require(is_decomposable(omega) is None, "form is decomposable")
     _require(divisor_space(omega) == Subspace.from_rows(6, [unit_vector(6, 0)]), "divisor line is not e1")
     return "distinguished rank-4 form present"

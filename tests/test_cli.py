@@ -89,15 +89,21 @@ def test_degenerate_line_is_input_error(argv, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "direction", ["2,4,0,2,6,2", "0,0,0,0,0,0"], ids=["disc-line-parallel", "disc-line-zero-dir"]
+    "base, direction, message",
+    [
+        ("1,2,0,1,3,1", "2,4,0,2,6,2", "--base and --dir are dependent"),
+        ("1,2,0,1,3,1", "0,0,0,0,0,0", "--base and --dir are dependent"),
+        ("1,2,0,1,3,0", "0,1,1,-2,1,0", "the line lies inside the hyperplane"),
+    ],
+    ids=["disc-line-parallel", "disc-line-zero-dir", "disc-line-in-hyperplane"],
 )
-def test_degenerate_disc_line_is_input_error(direction, monkeypatch, capsys):
+def test_degenerate_disc_line_is_input_error(base, direction, message, monkeypatch, capsys):
     stdin_text = (ROOT / "fixtures" / "fivefold.gm.json").read_text(encoding="utf-8")
-    argv = ["disc-line", "--base", "1,2,0,1,3,1", "--dir", direction]
+    argv = ["disc-line", "--base", base, "--dir", direction]
     code, out, err = run_main(argv, stdin_text, monkeypatch, capsys)
     assert code == cli.EXIT_INPUT
     assert out == ""
-    assert "--base and --dir are dependent" in err
+    assert message in err
 
 
 @pytest.mark.parametrize(
@@ -228,12 +234,14 @@ def test_selftest_passes(monkeypatch, capsys):
 
 
 def test_from_lagrangian_without_gm_variety_is_violation(monkeypatch, capsys):
-    # A = the cube of the hyperplane meets it in dimension 10: n = 5 - 10 < 0
+    # A = the cube of the hyperplane meets it in dimension 10: n = 5 - 10 < 0,
+    # and n = 6 - 10 < 0 with the odd tag 1
     doc = gio.emit(gio.Document("lagrangian_data", LagrangianData(a=l3v5_subspace(), a1=A1_ZERO)))
-    code, out, err = run_main(["from-lagrangian"], doc, monkeypatch, capsys)
-    assert code == cli.EXIT_VIOLATION
-    assert out == ""
-    assert err.startswith("violation: no GM variety")
+    for argv, n in ((["from-lagrangian"], -5), (["from-lagrangian", "--a1", "1"], -4)):
+        code, out, err = run_main(argv, doc, monkeypatch, capsys)
+        assert code == cli.EXIT_VIOLATION
+        assert out == ""
+        assert err.startswith(f"violation: no GM variety: the dimension formula gives n = {n} < 0")
 
 
 def test_selftest_reports_a_planted_fault(monkeypatch, capsys):

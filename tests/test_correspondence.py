@@ -22,8 +22,9 @@ from gmepw.correspondence import (
 )
 from gmepw.epw import stratum_poly_on_line, y_stratum
 from gmepw.exterior import (
-    MultiVector,
+    inject,
     l3v5_subspace,
+    monomial,
     monomial_index,
     monomials,
     v5_subspace,
@@ -171,27 +172,25 @@ def test_dualize_decomposable_correspondence():
 
     a5 = l3v5_subspace()
     dual = dualize(LagrangianData(a=a5, a1=A1_ZERO))
-    e123 = MultiVector.from_monomial(6, (0, 1, 2))
-    assert a5.contains(e123.coords)
+    e123 = monomial(6, (0, 1, 2))
+    assert a5.contains(e123)
     assert is_decomposable(e123) is not None
-    e456_dual = MultiVector.from_monomial(6, (3, 4, 5))
-    assert dual.a.contains(e456_dual.coords)
+    e456_dual = monomial(6, (3, 4, 5))
+    assert dual.a.contains(e456_dual)
     assert is_decomposable(e456_dual) is not None
 
 
 def test_hyperplane_update_basic():
     a = fivefold_lagrangian().a
     space = wedge_symplectic_space()
-    eta = MultiVector.from_monomial(5, (0, 1, 2))
+    eta = inject(3, monomial(5, (0, 1, 2)))
     a2 = hyperplane_section_lagrangian(a, eta)
     assert is_lagrangian(space, a2)
     assert a.intersect(a2).dim == 9
-    from gmepw.exterior import inject
-
-    assert a2.contains(inject(eta).coords)
+    assert a2.contains(eta)
     # fixed point case
-    inside = MultiVector.from_coords(6, 3, a2.basis_rows()[0])
-    if l3v5_subspace().contains(inside.coords):
+    inside = a2.basis_rows()[0]
+    if l3v5_subspace().contains(inside):
         assert hyperplane_section_lagrangian(a2, inside) == a2
 
 
@@ -200,14 +199,14 @@ def test_hyperplane_update_random_dimension_drop():
     a = fivefold_lagrangian().a
     space = wedge_symplectic_space()
     for _ in range(15):
-        eta = MultiVector.from_coords(5, 3, random_nonzero_vector(rng, 10, 4))
+        eta = inject(3, random_nonzero_vector(rng, 10, 4))
         a2 = hyperplane_section_lagrangian(a, eta)
         assert is_lagrangian(space, a2)
         assert a.intersect(a2).dim == 9
         # meet with the hyperplane 3-forms grows by exactly one for this a
         from gmepw.quadrics import omega_orthogonal
 
-        eta_line = Subspace.from_rows(20, [__import__("gmepw.exterior", fromlist=["inject"]).inject(eta).coords])
+        eta_line = Subspace.from_rows(20, [eta])
         lhs = a2.intersect(l3v5_subspace()).dim
         rhs = a.intersect(l3v5_subspace()).intersect(omega_orthogonal(space, eta_line)).dim + 1
         assert lhs == rhs
@@ -216,9 +215,9 @@ def test_hyperplane_update_random_dimension_drop():
 def test_hyperplane_update_rejects_bad_input():
     a = fivefold_lagrangian().a
     with pytest.raises(CorrespondenceError):
-        hyperplane_section_lagrangian(a, MultiVector.zero(5, 3))
+        hyperplane_section_lagrangian(a, [0] * 20)
     with pytest.raises(CorrespondenceError):
-        hyperplane_section_lagrangian(a, MultiVector.from_monomial(6, (0, 1, 5)))
+        hyperplane_section_lagrangian(a, monomial(6, (0, 1, 5)))
 
 
 def test_extended_lagrangian_is_lagrangian():

@@ -15,11 +15,10 @@ from gmepw.epw import (
     z_stratum,
 )
 from gmepw.exterior import (
-    MultiVector,
     is_decomposable,
     l3v5_subspace,
+    monomial,
     top_pairing,
-    vector_to_multivector,
     wedge,
     wedge_cube,
     wedge_space,
@@ -220,8 +219,8 @@ def test_certificate_roots_match_membership():
 
 def test_scan_decomposables():
     a5 = l3v5_subspace()
-    e123 = MultiVector.from_monomial(6, (0, 1, 2))
-    assert a5.contains(e123.coords)
+    e123 = monomial(6, (0, 1, 2))
+    assert a5.contains(e123)
     assert is_decomposable(e123) == Subspace.from_rows(6, [unit_vector(6, i) for i in range(3)])
 
     # random members of the fivefold Lagrangian: no hits expected
@@ -235,12 +234,12 @@ def test_scan_decomposables():
             if c:
                 vec20 = [x + c * y for x, y in zip(vec20, row)]
         if any(x != 0 for x in vec20):
-            cands.append(MultiVector.from_coords(6, 3, vec20))
+            cands.append(vec20)
     assert cands
-    for mv in cands:
-        assert a.contains(mv.coords)
-        assert is_decomposable(mv) is None
-    assert not a.contains(e123.coords)
+    for x in cands:
+        assert a.contains(x)
+        assert is_decomposable(x) is None
+    assert not a.contains(e123)
 
 
 def test_scan_decomposables_pencil():
@@ -248,14 +247,14 @@ def test_scan_decomposables_pencil():
     a = ld.a
     omega = sigma_form()
     # pencil through the distinguished rank-4 form and another member
-    other = MultiVector.from_coords(6, 3, a.basis_rows()[3])
-    assert a.contains(omega.coords) and a.contains(other.coords)
+    other = a.basis_rows()[3]
+    assert a.contains(omega) and a.contains(other)
     scanned = 0
     for t in range(-5, 6):
-        mv = omega + other.scale(t)
-        if mv.is_zero():
+        x = [u + t * v for u, v in zip(omega, other)]
+        if not any(x):
             continue
-        is_decomposable(mv)
+        is_decomposable(x)
         scanned += 1
     assert scanned >= 10
 
@@ -311,17 +310,18 @@ def moving(base, direction, t):
 
 
 def chart_gens(kind, base, direction, chart, t):
-    """The generators of chart i (kind y) or 3-set R (kind z) at t, as wedge
-    MultiVectors over the rationals."""
-    e = [vector_to_multivector(unit_vector(6, k)) for k in range(6)]
+    """The generators of chart i (kind y) or 3-set R (kind z) at t, as wedges
+    of coordinate lists over the rationals."""
+    e = [unit_vector(6, k) for k in range(6)]
     if kind == "y":
-        v = vector_to_multivector(moving(base, direction, t))
-        return [wedge(wedge(v, e[j]), e[k])
+        v = moving(base, direction, t)
+        return [wedge(6, 2, 1, wedge(6, 1, 1, v, e[j]), e[k])
                 for j, k in combinations(range(6), 2) if chart not in (j, k)]
-    w = [vector_to_multivector([Fraction(x) for x in u]) for u in base[:2]]
-    w.append(vector_to_multivector(moving(base[2], direction, t)))
-    pairs = [wedge(x, y) for x, y in combinations(w, 2)]
-    return [wedge(w[0], pairs[2])] + [wedge(e[k], p) for k in range(6) if k not in chart for p in pairs]
+    w = [[Fraction(x) for x in u] for u in base[:2]]
+    w.append(moving(base[2], direction, t))
+    pairs = [wedge(6, 1, 1, x, y) for x, y in combinations(w, 2)]
+    return [wedge(6, 1, 2, w[0], pairs[2])] + [wedge(6, 1, 2, e[k], p)
+                                                for k in range(6) if k not in chart for p in pairs]
 
 
 def chart_coordinate(kind, base, direction, chart) -> Poly:
@@ -345,11 +345,11 @@ def charts(kind, base, direction):
 
 def chart_certificate(a, kind, base, direction, chart) -> Poly:
     """The certificate through a given chart, by rational determinants of the
-    pairing against wedge MultiVectors on the nodes 0..10."""
+    pairing against the wedge generators on the nodes 0..10."""
     pair = Matrix([top_pairing(6, 3).left_apply(r) for r in a.basis_rows()])
 
     def det_at(t):
-        gens = Matrix([g.coords for g in chart_gens(kind, base, direction, chart, t)])
+        gens = Matrix(chart_gens(kind, base, direction, chart, t))
         return (pair * gens.transpose()).det()
 
     d = interpolate([(t, det_at(t)) for t in range(11)])
@@ -384,7 +384,7 @@ def test_membership_poly_equals_rational_pairing_determinant():
         for row in pair_rows:
             scale *= clear_denominators(row)[1]
         for t in (Fraction(0), Fraction(7), Fraction(-5, 3)):
-            gen_rows = Matrix([g.coords for g in chart_gens(kind, base, direction, chart, t)])
+            gen_rows = Matrix(chart_gens(kind, base, direction, chart, t))
             assert d(t) == scale * (Matrix(pair_rows) * gen_rows.transpose()).det() != 0
         assert lib_chart.primitive() == c.primitive()
         f = stratum_poly_on_line(a, base, direction, kind, seed=8).poly

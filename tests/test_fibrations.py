@@ -60,7 +60,7 @@ def test_sigma2_engineered_plane():
     from gmepw.exterior import wedge_space
 
     v5 = Subspace.from_rows(6, [unit_vector(6, i) for i in range(5)])
-    assert wedge_space(v5, v3).contains(sigma_form().coords)
+    assert wedge_space(v5, v3).contains(sigma_form())
 
 
 def test_sigma2_zero_generic_on_fivefold():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from gmepw.exterior import MultiVector, wedge
+from gmepw.exterior import monomial, wedge
 from gmepw.fixtures import fivefold, sigma_fixture, sixfold_special, threefold
 from gmepw.gm import (
     GmError,
@@ -122,9 +122,9 @@ def test_quadric_at_defining_identity():
 
 def plucker_by_wedges(mu: Matrix, i: int, epsilon: Fraction) -> Matrix:
     """epsilon * top(e_i ^ mu(w_a) ^ mu(w_b)), one pair of wedges per entry."""
-    ei = MultiVector.from_monomial(5, (i,))
-    cols = [MultiVector.from_coords(5, 2, mu.col(a)) for a in range(mu.cols)]
-    return Matrix([[epsilon * wedge(wedge(ei, ca), cb).coords[0] for cb in cols] for ca in cols])
+    ei = monomial(5, (i,))
+    cols = [mu.col(a) for a in range(mu.cols)]
+    return Matrix([[epsilon * wedge(5, 3, 2, wedge(5, 1, 2, ei, ca), cb)[0] for cb in cols] for ca in cols])
 
 
 @pytest.mark.parametrize("epsilon", [Fraction(3), Fraction(-2, 5)])

@@ -17,8 +17,7 @@ from gmepw.fixtures import (
     fivefold_lagrangian,
 )
 from gmepw.io import Document, DocumentError
-from gmepw.linalg import Matrix, Subspace
-from gmepw.quadrics import QuadricOnSubspace
+from gmepw.linalg import Matrix
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -102,13 +101,6 @@ def test_document_roundtrip_all_fixtures():
         assert gio.emit(again) == text, name
 
 
-def test_quadric_document_roundtrip():
-    q = QuadricOnSubspace(3, Subspace.from_rows(3, [[1, 0, 2], [0, 1, 1]]), Matrix([[1, 2], [2, 0]]))
-    text = gio.emit(Document("quadric", q))
-    again = gio.parse(text).payload
-    assert again.span == q.span and again.gram == q.gram
-
-
 def test_non_rref_subspace_canonicalized():
     obj = {"ambient_dim": 3, "basis": [["2", "2", "0"], ["1", "2", "1"]]}
     s = gio.parse_subspace(obj)
@@ -128,15 +120,25 @@ def test_parse_reports_field_paths():
         )
     with pytest.raises(DocumentError, match="version"):
         gio.parse(json.dumps({"kind": "gm_data", "version": "99", "payload": {}}))
-    with pytest.raises(DocumentError, match="kind"):
-        gio.parse(json.dumps({"kind": "mystery", "version": "1", "payload": {}}))
+    for kind in ("mystery", "quadric"):
+        with pytest.raises(DocumentError, match="unknown kind"):
+            gio.parse(json.dumps({"kind": kind, "version": "1", "payload": {}}))
     with pytest.raises(DocumentError, match="JSON"):
         gio.parse("{not json")
 
 
 def test_fixture_files_match_builtins():
-    text = (FIXDIR / "fivefold.gm.json").read_text()
-    doc = gio.parse(text)
+    # every shipped file is byte-equal to the emitted built-in fixture
+    files = sorted(FIXDIR.glob("*.json"))
+    assert len(files) == 6
+    for path in files:
+        name, kind, _ = path.name.split(".")
+        if kind == "gm":
+            doc = Document("gm_data", all_gm_fixtures()[name])
+        else:
+            doc = Document("lagrangian_data", all_lagrangian_fixtures()[name])
+        assert path.read_bytes() == gio.emit(doc).encode("utf-8"), path.name
+    doc = gio.parse((FIXDIR / "fivefold.gm.json").read_text())
     d = fivefold()
     assert doc.payload.mu == d.mu and doc.payload.q == d.q
 
