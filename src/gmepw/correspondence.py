@@ -208,9 +208,10 @@ def lagrangian_to_gm(ld: LagrangianData) -> GMData:
     # the RREF basis of the contraction image, and its lifts in the Lagrangian
     images = Matrix([lambda_p(3, r) for r in ld.a.basis.data], cols=10)
     w0, lifts = image_and_lifts(images, ld.a.basis)
+    paired = top_pairing(5, 3) * w0.basis.transpose()
     grams = []
     for i in range(6):
-        g = _qtilde0_gram(i, lifts.data)
+        g = _qtilde0_gram(i, lifts.data, paired)
         if not g.is_symmetric():
             raise CorrespondenceError("induced quadric family is not symmetric")
         grams.append(g)
@@ -219,14 +220,15 @@ def lagrangian_to_gm(ld: LagrangianData) -> GMData:
     return d if ld.a1 == A1_ZERO else opposite(d)
 
 
-def _qtilde0_gram(i: int, lifts) -> Matrix:
+def _qtilde0_gram(i: int, lifts, paired: Matrix) -> Matrix:
     """Gram of the form -top(contract(v ^ xi1) ^ contract(xi2)) at basis vector i,
     for the lifts xi in the Lagrangian of the RREF basis of the contraction
-    image: -L T R^T with rows contract(e_i ^ xi_a) in L and contract(xi_b) in R."""
+    image: -L T R^T with rows contract(e_i ^ xi_a) in L and contract(xi_b) in R.
+    R is that RREF basis itself, so T R^T is the same on every direction and
+    comes in as paired."""
     ei = monomial(6, (i,))
     left = Matrix([lambda_p(4, wedge(6, 1, 3, ei, xi)) for xi in lifts], cols=10)
-    right = Matrix([lambda_p(3, xi) for xi in lifts], cols=10)
-    return -(left * top_pairing(5, 3) * right.transpose())
+    return -(left * paired)
 
 
 @dataclass(frozen=True)

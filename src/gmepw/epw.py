@@ -9,6 +9,16 @@ one determinant D(t) of the pairing against that basis.  D(t) is the stratum
 polynomial times a power of the chart coordinate (v_i^4 for lines, p_R^3 for
 pencils), which is divided out exactly; the quotient is certified against
 pointwise membership.
+
+At a point the family is 10-dimensional.  In a basis f1..f6 of the 6-space
+with v = f1, v ^ (2-forms) has the basis f1 ^ fj ^ fk (1 < j < k): it is
+Lambda^2(V6/v), of dimension C(5, 2) = 10.  With W = span(f1, f2, f3),
+(6-space) ^ (2-forms of W) has the basis f1 ^ f2 ^ f3 and fi ^ fa ^ fb
+(i > 3, a < b <= 3): it is Lambda^3 W + (V6/W) (x) Lambda^2 W, of dimension
+1 + 3 * 3 = 10.  The raw generators e_i ^ x ^ y (x, y in v or in the rows of
+W) span the family, so its meet with A has dimension 10 minus the rank of the
+generators modulo A, and no basis of the family is built.  In particular rank
+10 proves the meet is 0 exactly: then rank [A; family] = 10 + 10 = 20.
 """
 
 from __future__ import annotations
@@ -24,13 +34,15 @@ from .polynomials import Poly, interpolate
 from .sampling import rng_from_seed
 
 
+_FAMILY_DIM = 10  # dim of the family at a point, derived above
+
+
 def y_stratum(a: Subspace, v) -> int:
     """dim of the meet with v ^ (2-forms of the 6-space)."""
-    v = vec(v)
-    if all(x == 0 for x in v):
+    v, _ = clear_denominators(vec(v))
+    if not any(v):
         raise GmError("zero vector")
-    line = Subspace.from_rows(6, [v])
-    return a.meet_dim(wedge_space(line, Subspace.full(6)))
+    return _FAMILY_DIM - a.rank_modulo(wedge_gens([v], Subspace.full(6).int_rows))
 
 
 def y_dual_stratum(a: Subspace, v5: Subspace) -> int:
@@ -57,7 +69,7 @@ def z_stratum(a: Subspace, v3: Subspace) -> int:
     """dim of the meet with (6-space) ^ (2-forms of a 3-space)."""
     if v3.ambient_dim != 6 or v3.dim != 3:
         raise GmError("expected a 3-dimensional subspace of the 6-space")
-    return a.meet_dim(wedge_space(Subspace.full(6), v3))
+    return _FAMILY_DIM - a.rank_modulo(wedge_gens(Subspace.full(6).int_rows, v3.int_rows))
 
 
 @dataclass(frozen=True)

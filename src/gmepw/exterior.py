@@ -29,10 +29,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
-from .linalg import Matrix, Subspace, kernel, unit_vector
+from .linalg import Matrix, Subspace, clear_denominators, kernel, unit_vector
 
 
 @lru_cache(maxsize=None)
@@ -121,6 +121,14 @@ class SymplecticSpace:
     def omega(self, u, v) -> Fraction:
         lhs = self.form.left_apply(u)
         return sum((a * b for a, b in zip(lhs, v)), Fraction(0))
+
+    @cached_property
+    def int_form(self) -> tuple[list[list[tuple[int, int]]], int]:
+        """(the non-zero (column, entry) pairs of each row of d * form, d)
+        for d the least common denominator of the form."""
+        n = self.total_dim
+        flat, d = clear_denominators([x for row in self.form.data for x in row])
+        return [[(j, f) for j, f in enumerate(flat[k:k + n]) if f] for k in range(0, n * n, n)], d
 
 
 @lru_cache(maxsize=None)

@@ -2,14 +2,18 @@
 
 Integers inside, ``Fraction`` at the API edge: every scalar a caller sees is
 a ``fractions.Fraction`` (reduced, positive denominator), while the
-eliminations (one integer Gauss-Jordan under ``Matrix.rref``, rank, kernel,
-solve, ``image_and_lifts`` under inverse and every lift, every subspace,
-and ``det_int``) run over Python ints.
+eliminations (one integer Gauss-Jordan under ``Matrix.rref``, kernel,
+solve, ``image_and_lifts`` under inverse and every lift, and every
+subspace; one forward elimination, ``_int_rank``, under every rank; and
+``det_int``) run over Python ints.
 A subspace holds its reduced row echelon basis as primitive integer rows
 with positive pivots, which is canonical exactly when the RREF is, so two
 subspaces are equal iff those rows are; sums, meets, annihilators and
 membership work on them directly, and the ``Fraction`` rows of ``basis``
-are built only when asked for.  Every operation here is pure and exact;
+are built only when asked for.  A meet dimension is a reduction modulo the
+RREF: rows are cleared at the pivots (``remainder``) and the remainders are
+ranked on the free columns only (``rank_modulo``), with no stacked
+elimination.  Every operation here is pure and exact;
 ambient dimensions in this project never exceed 30, so dense storage is
 used throughout."""
 
@@ -214,7 +218,7 @@ class Matrix:
         return Matrix._make(out, self.cols), len(pivots), pivots
 
     def rank(self) -> int:
-        return self.rref()[1]
+        return _int_rank([clear_denominators(row)[0] for row in self.data])
 
     def det(self) -> Fraction:
         """Determinant: clear each row's denominators, then ``det_int``."""
@@ -274,6 +278,37 @@ def det_int(rows) -> int:
         m = [[(pivot * x - r[0] * y) // prev for x, y in zip(r[1:], tail)] for r in m[1:]]
         prev = pivot
     return sign * m[0][0] if m else 1
+
+
+def _int_rank(rows) -> int:
+    """Rank of a list of integer rows by fraction-free forward elimination.
+
+    A row leaves as the pivot at its first non-zero column c after clearing c
+    from the rest: the rest then lie in the span of the rows vanishing at c,
+    which the pivot row is not in, so each pivot adds exactly one to the
+    rank.  Updated rows are divided by the gcd of their entries.
+    """
+    m = [r for r in rows if any(r)]
+    rank = 0
+    while m:
+        p = m.pop()
+        c = next(c for c, x in enumerate(p) if x)
+        pv = p[c]
+        rest = []
+        for r in m:
+            f = r[c]
+            if f:
+                g = gcd(pv, f)
+                r = [pv // g * x - f // g * y for x, y in zip(r, p)]
+                g = gcd(*r)
+                if not g:
+                    continue
+                if g > 1:
+                    r = [x // g for x in r]
+            rest.append(r)
+        m = rest
+        rank += 1
+    return rank
 
 
 def _gauss_jordan(m: list, cols: int) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
@@ -451,12 +486,18 @@ class Subspace:
         self._check_ambient(other)
         return (self.annihilator() + other.annihilator()).annihilator()
 
+    def rank_modulo(self, rows) -> int:
+        """dim (self + span of the integer rows) - dim self: the rank of the
+        rows' remainders, which vanish at the pivots and so are ranked on
+        the free columns only."""
+        free = [c for c in range(self.ambient_dim) if c not in self.pivots]
+        return _int_rank([[w[c] for c in free] for w in map(self.remainder, rows)])
+
     def meet_dim(self, other: "Subspace") -> int:
-        """dim of the intersection, from one elimination of the stacked bases:
-        dim + dim - dim of the sum."""
+        """dim of the intersection: dim other - the rank of other modulo self,
+        as dim self + dim other - dim (self + other)."""
         self._check_ambient(other)
-        _, pivots = _gauss_jordan(self.int_rows + other.int_rows, self.ambient_dim)
-        return self.dim + other.dim - len(pivots)
+        return other.dim - self.rank_modulo(other.int_rows)
 
     def annihilator(self) -> "Subspace":
         """Functionals vanishing on the subspace, in dual coordinates.

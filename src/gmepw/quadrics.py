@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from .exterior import SymplecticSpace
 from .linalg import Matrix, Subspace, image_and_lifts, kernel, unit_vector
@@ -208,7 +209,8 @@ class QuotientModel:
     """Coordinates on U/I for nested subspaces I inside U.
 
     The complement basis consists of the RREF rows of U whose pivots are not
-    pivots of I, which makes the model canonical.
+    pivots of I, which makes the model canonical; ``comp_int_rows`` holds
+    them as U's primitive integer rows, each the RREF row times its pivot.
     """
 
     def __init__(self, inner: Subspace, outer: Subspace):
@@ -217,11 +219,11 @@ class QuotientModel:
         self.inner = inner
         self.outer = outer
         inner_pivots = set(inner.pivots)
-        self.comp_rows = [
-            row for row, piv in zip(outer.basis_rows(), outer.pivots) if piv not in inner_pivots
+        self.comp_int_rows = [
+            row for row, piv in zip(outer.int_rows, outer.pivots) if piv not in inner_pivots
         ]
         self.comp_pivots = [p for p in outer.pivots if p not in inner_pivots]
-        self.dim = len(self.comp_rows)
+        self.dim = len(self.comp_int_rows)
 
     def project_subspace(self, s: Subspace) -> Subspace:
         """The image of s meet U in U/I."""
@@ -253,8 +255,21 @@ def isotropic_reduce(
         raise ValueError("isotropic subspace must lie in the first summand")
     perp = omega_orthogonal(space, iso)
     model = QuotientModel(iso, perp)
-    comp = Matrix(model.comp_rows) if model.comp_rows else Matrix.zero(0, space.total_dim)
-    form = comp * space.form * comp.transpose()
+    # comp * form * comp^T over the integer complement rows, each entry then
+    # divided by the two rows' pivots and the form's common denominator
+    comp = model.comp_int_rows
+    pivots = [row[c] for row, c in zip(comp, model.comp_pivots)]
+    nonzero, d = space.int_form
+    left = []
+    for row in comp:
+        acc = [0] * space.total_dim
+        for x, entries in zip(row, nonzero):
+            if x:
+                for j, f in entries:
+                    acc[j] += x * f
+        left.append(acc)
+    form = Matrix([[Fraction(sum(map(mul, x, y)), d * px * py) for y, py in zip(comp, pivots)]
+                   for x, px in zip(left, pivots)], cols=model.dim)
     red_space = SymplecticSpace(model.dim, form)
     red_l1 = model.project_contained(dec.l1)  # I in l1 = l1-perp, so l1 lies in I-perp
     red_l2 = model.project_subspace(dec.l2)

@@ -25,6 +25,7 @@ from gmepw.exterior import (
     wedge_symplectic_space,
 )
 from gmepw.fixtures import (
+    all_lagrangian_fixtures,
     fivefold_lagrangian,
     sigma_fixture_lagrangian,
     sigma_form,
@@ -156,6 +157,61 @@ def test_z_self_duality_random():
         v3 = random_3space(rng, Subspace.full(6))
         ld = lagrangian_through_cube(rng, v3)
         assert z_stratum(ld.a, v3) == z_stratum(dualize(ld).a, v3.annihilator()) >= 1
+
+
+def stratum_lagrangians() -> list[Subspace]:
+    """Every Lagrangian fixture, the hyperplane cube and e1 ^ (2-forms)."""
+    fixtures = [ld.a for ld in all_lagrangian_fixtures().values()]
+    return fixtures + [l3v5_subspace(), lagrangian_e1_wedge()]
+
+
+def assert_levels_match_the_intersection(a: Subspace, v, v3: Subspace) -> tuple[int, int]:
+    """y_stratum and z_stratum (rank modulo a, family dimension 10) against
+    the meet with a basis of the family; returns the two levels."""
+    full = Subspace.full(6)
+    y = y_stratum(a, v)
+    z = z_stratum(a, v3)
+    assert y == a.intersect(wedge_space(Subspace.from_rows(6, [v]), full)).dim
+    assert z == a.intersect(wedge_space(full, v3)).dim
+    return y, z
+
+
+def test_stratum_levels_match_the_intersection_at_seeded_points():
+    rng = rng_from_seed(20)
+    for a in stratum_lagrangians():
+        for _ in range(6):
+            v = random_nonzero_vector(rng, 6, 4)
+            assert_levels_match_the_intersection(a, v, random_3space(rng, Subspace.full(6)))
+
+
+def test_stratum_levels_match_the_intersection_at_engineered_levels():
+    # xi spanned by k forms of the family at v (v ^ alpha ^ beta) or at W
+    # (x ^ w_a ^ w_b) is isotropic, and A' = (A meet xi-perp) + xi is a
+    # Lagrangian through it, so its level there is at least k
+    rng = rng_from_seed(21)
+    space = wedge_symplectic_space()
+    pairs = list(combinations(range(3), 2))
+    levels = set()
+    for a in stratum_lagrangians():
+        for k in (1, 2, 3):
+            v = random_nonzero_vector(rng, 6, 3)
+            v3 = random_3space(rng, Subspace.full(6))
+            w = v3.basis_rows()
+            forms = {
+                "y": [wedge(6, 1, 2, v, wedge(6, 1, 1, random_nonzero_vector(rng, 6, 3),
+                                             random_nonzero_vector(rng, 6, 3))) for _ in range(k)],
+                "z": [wedge(6, 1, 2, random_nonzero_vector(rng, 6, 3), wedge(6, 1, 1, w[i], w[j]))
+                      for i, j in pairs[:k]],
+            }
+            for kind, rows in forms.items():
+                xi = Subspace.from_rows(20, rows)
+                assert xi.dim == k
+                a_k = omega_orthogonal(space, xi).intersect(a) + xi
+                y, z = assert_levels_match_the_intersection(a_k, v, v3)
+                level = y if kind == "y" else z
+                assert level >= k
+                levels.add(level)
+    assert {1, 2, 3} <= levels
 
 
 def test_y_dual_equals_dual_y_random():

@@ -412,6 +412,12 @@ def subspace_cases(draw):
 @example((3, [[0, -3, 6], [-2, 4, 1], [0, 0, 0], [4, -8, -2]], [[0, -1, 0]], [-1, 3, 1, -2],
           [1, 1, 0, 0]))  # negative pivots, a zero row, a dependent row
 @example((2, [[Fraction(1, 10**12), Fraction(-7, 3)]] * 2, [], [Fraction(-5, 2), 4], [1, -1]))
+# meet_dim edge cases: self zero, self full, other zero, other inside self, other = self
+@example((4, [], [[1, 2, 0, -1], [0, 3, 1, 1]], [], []))
+@example((3, [[2, 1, 0], [0, -1, 3], [1, 0, 1]], [[1, -1, 2], [0, 0, 5]], [1, -2, 3], [0, 1, 1]))
+@example((3, [[0, 4, -2]], [], [Fraction(1, 3)], [2]))
+@example((4, [[1, 0, 2, 0], [0, 1, -1, 3]], [[2, -3, 7, -9]], [5, -1], [1, 2]))
+@example((3, [[1, 2, 3], [0, 1, -1]], [[0, -2, 2], [2, 4, 6]], [-1, 7], [3, 0]))
 @settings(max_examples=150, deadline=None)
 def test_subspace_matches_fraction_oracle(case):
     n, rows_a, rows_b, scales, coeffs = case

@@ -33,9 +33,9 @@ from gmepw.sampling import (
 def lift(model, coords):
     """The combination of the complement rows of a quotient model."""
     out = [Fraction(0)] * model.outer.ambient_dim
-    for c, row in zip(coords, model.comp_rows):
+    for c, row, p in zip(coords, model.comp_int_rows, model.comp_pivots):
         if c != 0:
-            out = [a + c * b for a, b in zip(out, row)]
+            out = [a + Fraction(c * b, row[p]) for a, b in zip(out, row)]
     return out
 
 
