@@ -15,10 +15,16 @@ with v = f1, v ^ (2-forms) has the basis f1 ^ fj ^ fk (1 < j < k): it is
 Lambda^2(V6/v), of dimension C(5, 2) = 10.  With W = span(f1, f2, f3),
 (6-space) ^ (2-forms of W) has the basis f1 ^ f2 ^ f3 and fi ^ fa ^ fb
 (i > 3, a < b <= 3): it is Lambda^3 W + (V6/W) (x) Lambda^2 W, of dimension
-1 + 3 * 3 = 10.  The raw generators e_i ^ x ^ y (x, y in v or in the rows of
-W) span the family, so its meet with A has dimension 10 minus the rank of the
-generators modulo A, and no basis of the family is built.  In particular rank
-10 proves the meet is 0 exactly: then rank [A; family] = 10 + 10 = 20.
+1 + 3 * 3 = 10.  So the meet with A has dimension 10 minus the rank modulo A
+of a basis of the family; rank 10 proves the meet is 0 exactly.
+
+The pointwise levels read the basis's chart off the point.  For i the last
+index with v_i != 0, f1 = v and the e_j (j != i) give the 10 forms
+v ^ e_j ^ e_k, {j, k} avoiding i.  For R the last 3-set with Plücker
+coordinate p_R != 0 and C its complement, f1..f3 = w1..w3 and the e_c
+(c in C) give w1 ^ w2 ^ w3 and the 9 forms e_c ^ w_a ^ w_b.  A certificate
+takes the first chart along its whole line, and a pairing determinant, so
+the sample check shares neither chart nor method with it.
 """
 
 from __future__ import annotations
@@ -27,9 +33,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .exterior import monomials, top_pairing, wedge_gens, wedge_space
+from .exterior import monomials, top_pairing, wedge_cube, wedge_gens
 from .gm import GmError
-from .linalg import Matrix, Subspace, clear_denominators, det_int, vec
+from .linalg import Matrix, Subspace, _int_row, clear_denominators, det_int, vec
 from .polynomials import Poly, interpolate
 from .sampling import rng_from_seed
 
@@ -38,38 +44,44 @@ _FAMILY_DIM = 10  # dim of the family at a point, derived above
 
 
 def y_stratum(a: Subspace, v) -> int:
-    """dim of the meet with v ^ (2-forms of the 6-space)."""
-    v, _ = clear_denominators(vec(v))
+    """dim of the meet with v ^ (2-forms of the 6-space), by the basis of the
+    chart i = the last index with v_i != 0 (module docstring)."""
+    v = _int_row(v)
     if not any(v):
         raise GmError("zero vector")
-    return _FAMILY_DIM - a.rank_modulo(wedge_gens([v], Subspace.full(6).int_rows))
+    i = max(k for k, x in enumerate(v) if x)
+    others = [u for k, u in enumerate(Subspace.full(6).int_rows) if k != i]
+    return _FAMILY_DIM - a.rank_modulo(wedge_gens([v], others))
 
 
 def y_dual_stratum(a: Subspace, v5: Subspace) -> int:
     """dim of the meet with the 3-forms on a hyperplane."""
-    from .exterior import wedge_cube
-
     if v5.ambient_dim != 6 or v5.dim != 5:
         raise GmError("expected a hyperplane of the 6-space")
     return a.meet_dim(wedge_cube(v5))
 
 
 def y_hat_member(a: Subspace, v, v5: Subspace) -> int:
-    """dim of the meet with v ^ (2-forms on the hyperplane); v must lie in it."""
-    v = vec(v)
+    """dim of the meet with v ^ (2-forms on the hyperplane V5), v in V5: as
+    v ^ Lambda^2 V5 = Lambda^2(V5/v) has dimension C(4, 2) = 6, it is 6
+    minus the rank of the raw generators modulo A."""
+    v = _int_row(v)
     if v5.ambient_dim != 6 or v5.dim != 5:
         raise GmError("expected a hyperplane of the 6-space")
-    if not v5.contains(v):
-        raise GmError("the point must lie on the hyperplane")
-    line = Subspace.from_rows(6, [v])
-    return a.meet_dim(wedge_space(line, v5))
+    if not any(v) or not v5.contains(v):
+        raise GmError("the point must be a non-zero vector of the hyperplane")
+    return 6 - a.rank_modulo(wedge_gens([v], v5.int_rows))
 
 
 def z_stratum(a: Subspace, v3: Subspace) -> int:
-    """dim of the meet with (6-space) ^ (2-forms of a 3-space)."""
+    """dim of the meet with (6-space) ^ (2-forms of a 3-space), by the basis
+    of the chart R = the last 3-set with p_R != 0 (module docstring)."""
     if v3.ambient_dim != 6 or v3.dim != 3:
         raise GmError("expected a 3-dimensional subspace of the 6-space")
-    return _FAMILY_DIM - a.rank_modulo(wedge_gens(Subspace.full(6).int_rows, v3.int_rows))
+    cube = wedge_gens(v3.int_rows[:1], v3.int_rows[1:])[0]  # the Plücker coordinates p_R
+    chart = monomials(6, 3)[max(r for r, p in enumerate(cube) if p)]
+    others = [u for k, u in enumerate(Subspace.full(6).int_rows) if k not in chart]
+    return _FAMILY_DIM - a.rank_modulo([cube, *wedge_gens(others, v3.int_rows)])
 
 
 @dataclass(frozen=True)
@@ -85,24 +97,19 @@ class LineDegreeCertificate:
     contains_line: bool = False
 
 
-def _lagrangian_family_gens(kind: str, base, direction):
+def _lagrangian_family_gens(kind: str, fixed, start, step):
     """Generators of the moving Lagrangian in one chart, and the chart
-    coordinate c, along v(t) = base + t direction (kind y) or the pencil of
-    w1, w2, w3 = base[0], base[1], base[2] + t direction (kind z).
+    coordinate c, along the integer line v(t) = start + t step (kind y) or
+    pencil w1, w2, w3 = fixed[0], fixed[1], start + t step (kind z).
 
     Kind y: c = v_i for the first i with v_i(t) not identically 0; the 10
     generators are v ^ e_j ^ e_k over the pairs {j, k} that avoid i.  Kind z:
     c = p_R, the first Plücker coordinate (``monomials(6, 3)`` order) not
     identically 0; the generators are w1 ^ w2 ^ w3 and e_k ^ w_a ^ w_b for k
-    outside R.  The vectors are first multiplied by their common
-    denominator.  The generators are affine in t, so G0 (those at t = 0) and
+    outside R.  The generators are affine in t, so G0 (those at t = 0) and
     G1 (those at t = 1 minus G0) are their t^k coefficients exactly.
     Returns ((G0, G1), c) with Gk integer and c an integer Poly.
     """
-    vectors = [base, direction] if kind == "y" else [*base, direction]
-    flat, _ = clear_denominators([x for v in vectors for x in vec(v)])
-    *fixed, start, step = [flat[k:k + 6] for k in range(0, len(flat), 6)]
-
     def cube(w3):  # w1 ^ w2 ^ w3, whose coordinates are the Plücker coordinates
         return wedge_gens(fixed[:1], [fixed[1], w3])[0]
 
@@ -124,7 +131,7 @@ def _lagrangian_family_gens(kind: str, base, direction):
 
 def _membership_poly(a: Subspace, gens) -> Poly:
     """The chart determinant D(t) = det((A G)(G0 + t G1)^T) up to a constant
-    factor, G the wedge Gram matrix, each row of A G cleared of denominators.
+    factor, G the wedge Gram matrix and A the primitive integer rows.
     D has degree at most the number of moving generators (10 on a line, 7 on
     a pencil), so that many nodes plus one determine it.
 
@@ -142,8 +149,8 @@ def _membership_poly(a: Subspace, gens) -> Poly:
     Inside a chart the generators are a basis, so F(t) = 0 exactly on the
     stratum, and D = 0 identically exactly when the family lies in it.
     """
-    gram = top_pairing(6, 3)
-    pair_rows = [clear_denominators(gram.left_apply(r))[0] for r in a.basis_rows()]
+    gram = [[int(x) for x in col] for col in zip(*top_pairing(6, 3).data)]
+    pair_rows = [[sum(map(mul, r, col)) for col in gram] for r in a.int_rows]
     p0, p1 = ([[sum(map(mul, pr, g)) for g in gk] for pr in pair_rows] for gk in gens)
     nodes = range(1 + sum(map(any, gens[1])))
     return interpolate(
@@ -173,32 +180,30 @@ def stratum_poly_on_line(
         if Matrix([vec(base), vec(direction)]).rank() < 2:
             raise GmError("degenerate line: base and direction are dependent")
         base_t = tuple(vec(base))
-        exponent = 4
-
-        def member(t: Fraction) -> bool:
-            v = [b + t * d for b, d in zip(vec(base), vec(direction))]
-            return y_stratum(a, v) >= 1
-
+        vectors, exponent = [base, direction], 4
     elif kind == "z":
         u1, u2, u3 = base
         if Matrix([vec(u) for u in (u1, u2, u3, direction)]).rank() < 4:
             raise GmError("degenerate pencil: u1, u2, u3 and direction span less than 4 dimensions")
         base_t = tuple(tuple(vec(u)) for u in base)
-        exponent = 3
-
-        def member(t: Fraction) -> bool:
-            w3 = [Fraction(x) + t * Fraction(y) for x, y in zip(vec(u3), vec(direction))]
-            return z_stratum(a, Subspace.from_rows(6, [vec(u1), vec(u2), w3])) >= 1
-
+        vectors, exponent = [*base, direction], 3
     else:
         raise GmError("kind must be y or z")
 
     dir_t = tuple(vec(direction))
-    gens, chart = _lagrangian_family_gens(kind, base, direction)
+    flat, _ = clear_denominators([x for v in vectors for x in vec(v)])
+    *fixed, start, step = [flat[k:k + 6] for k in range(0, len(flat), 6)]
+    gens, chart = _lagrangian_family_gens(kind, fixed, start, step)
     det = _membership_poly(a, gens)
     if det.is_zero():
         return LineDegreeCertificate(kind, base_t, dir_t, Poly.zero(), -1, 0, contains_line=True)
     poly = det.exact_div(chart**exponent).primitive()
+
+    def member(p: int, q: int) -> bool:  # at t = p / q, by the point q v(t) or q w3(t)
+        moving = [q * x + p * y for x, y in zip(start, step)]
+        if kind == "y":
+            return y_stratum(a, moving) >= 1
+        return z_stratum(a, Subspace.from_rows(6, [*fixed, moving])) >= 1
 
     rng = rng_from_seed(f"{seed}-membership-check")
     checked = 0
@@ -208,7 +213,14 @@ def stratum_poly_on_line(
         if t_val in used:
             continue
         used.add(t_val)
-        if (poly(t_val) == 0) != member(t_val):
+        p, q = t_val.numerator, t_val.denominator
+        if _vanishes_at(poly, p, q) != member(p, q):
             raise GmError("certificate disagrees with pointwise membership")
         checked += 1
     return LineDegreeCertificate(kind, base_t, dir_t, poly, poly.degree, checked)
+
+
+def _vanishes_at(f: Poly, p: int, q: int) -> bool:
+    """f(p / q) == 0 for f with integer coefficients c_k and q > 0, in
+    integers: q^d f(p / q) is the sum of c_k p^k q^(d - k)."""
+    return not sum(c.numerator * p**k * q**(f.degree - k) for k, c in enumerate(f.coeffs))

@@ -15,7 +15,7 @@ from .correspondence import (
     extended_lagrangian,
 )
 from .epw import y_hat_member, y_stratum, z_stratum
-from .exterior import v5_subspace, wedge_space
+from .exterior import v5_subspace, wedge_gens, wedge_space
 from .gm import GmError
 from .linalg import Subspace, vec
 from .quadrics import _induced_quadric, isotropic_reduce
@@ -46,9 +46,11 @@ def sigma1_level(ld: LagrangianData, v) -> int:
 
 def sigma2_level(ld: LagrangianData, v3: Subspace) -> int:
     """dim of the meet with (hyperplane) ^ (2-forms of the 3-space); positive
-    iff the 3-space lies in the second exceptional locus."""
+    iff the 3-space lies in the second exceptional locus.  As V5 ^ Lambda^2 W
+    = Lambda^3 W + (V5/W) (x) Lambda^2 W has dimension 1 + 2 * 3 = 7, it is 7
+    minus the rank of the raw generators modulo A."""
     v3 = _check_v3_in_v5(v3)
-    return ld.a.meet_dim(wedge_space(v5_subspace(), v3))
+    return 7 - ld.a.rank_modulo(wedge_gens(v5_subspace().int_rows, v3.int_rows))
 
 
 @dataclass(frozen=True)

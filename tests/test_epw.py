@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmepw.correspondence import A1_ZERO, LagrangianData, dualize
 from gmepw.epw import (
@@ -24,6 +26,7 @@ from gmepw.exterior import (
     wedge_space,
     wedge_symplectic_space,
 )
+from gmepw.fibrations import sigma2_level
 from gmepw.fixtures import (
     all_lagrangian_fixtures,
     fivefold_lagrangian,
@@ -87,6 +90,8 @@ def test_y_hat_examples():
     assert hits == 0  # the fivefold misses the incidence generically
     with pytest.raises(GmError):
         y_hat_member(a5, unit_vector(6, 5), V5)
+    with pytest.raises(GmError):
+        y_hat_member(a5, [0] * 6, V5)
 
 
 def test_y_hat_refines_both_strata():
@@ -184,31 +189,85 @@ def test_stratum_levels_match_the_intersection_at_seeded_points():
             assert_levels_match_the_intersection(a, v, random_3space(rng, Subspace.full(6)))
 
 
-def test_stratum_levels_match_the_intersection_at_engineered_levels():
-    # xi spanned by k forms of the family at v (v ^ alpha ^ beta) or at W
-    # (x ^ w_a ^ w_b) is isotropic, and A' = (A meet xi-perp) + xi is a
-    # Lagrangian through it, so its level there is at least k
-    rng = rng_from_seed(21)
-    space = wedge_symplectic_space()
+def family_forms(rng, v, v3: Subspace, k: int, n: int = 6) -> dict[str, list]:
+    """k forms of the family at v (v ^ x ^ y) and k at v3 (x ^ w_a ^ w_b), for
+    random x, y in the span of the first n coordinates."""
+    def x():
+        return random_nonzero_vector(rng, n, 3) + [0] * (6 - n)
+
+    w = v3.basis_rows()
     pairs = list(combinations(range(3), 2))
+    return {"y": [wedge(6, 1, 2, v, wedge(6, 1, 1, x(), x())) for _ in range(k)],
+            "z": [wedge(6, 1, 2, x(), wedge(6, 1, 1, w[i], w[j])) for i, j in pairs[:k]]}
+
+
+def through(a: Subspace, rows) -> Subspace:
+    """A' = (A meet xi-perp) + xi, xi the span of the rows: a Lagrangian
+    through xi when xi is isotropic, as every span of forms of one family is."""
+    xi = Subspace.from_rows(20, rows)
+    assert xi.dim == len(rows)
+    return omega_orthogonal(wedge_symplectic_space(), xi).intersect(a) + xi
+
+
+def test_stratum_levels_match_the_intersection_at_engineered_levels():
+    # A' through k forms of the family at v or at W has level at least k there
+    rng = rng_from_seed(21)
     levels = set()
     for a in stratum_lagrangians():
         for k in (1, 2, 3):
             v = random_nonzero_vector(rng, 6, 3)
             v3 = random_3space(rng, Subspace.full(6))
-            w = v3.basis_rows()
-            forms = {
-                "y": [wedge(6, 1, 2, v, wedge(6, 1, 1, random_nonzero_vector(rng, 6, 3),
-                                             random_nonzero_vector(rng, 6, 3))) for _ in range(k)],
-                "z": [wedge(6, 1, 2, random_nonzero_vector(rng, 6, 3), wedge(6, 1, 1, w[i], w[j]))
-                      for i, j in pairs[:k]],
-            }
-            for kind, rows in forms.items():
-                xi = Subspace.from_rows(20, rows)
-                assert xi.dim == k
-                a_k = omega_orthogonal(space, xi).intersect(a) + xi
-                y, z = assert_levels_match_the_intersection(a_k, v, v3)
+            for kind, rows in family_forms(rng, v, v3, k).items():
+                y, z = assert_levels_match_the_intersection(through(a, rows), v, v3)
                 level = y if kind == "y" else z
+                assert level >= k
+                levels.add(level)
+    assert {1, 2, 3} <= levels
+
+
+def test_pointwise_charts_away_from_the_last_coordinate():
+    # the levels take the chart of the last i with v_i != 0 (the last R with
+    # p_R != 0); here it is never the sixth coordinate (never 456): at e1, at
+    # v with v6 = 0 and with v5 = v6 = 0, on span(e1, e2, e3) and on 3-spaces
+    # of V5, each also on a Lagrangian through k forms of the family there
+    rng = rng_from_seed(22)
+    e123 = Subspace.from_rows(6, [unit_vector(6, i) for i in range(3)])
+    levels = set()
+    for a in stratum_lagrangians():
+        points = [(unit_vector(6, 0), e123),
+                  (random_nonzero_vector(rng, 5, 3) + [0], random_3space(rng, V5)),
+                  (random_nonzero_vector(rng, 4, 3) + [0, 0], random_3space(rng, V5))]
+        for k, (v, v3) in enumerate(points, start=1):
+            assert_levels_match_the_intersection(a, v, v3)
+            for kind, rows in family_forms(rng, v, v3, k).items():
+                y, z = assert_levels_match_the_intersection(through(a, rows), v, v3)
+                levels.add(y if kind == "y" else z)
+    assert {1, 2, 3} <= levels
+
+
+def assert_sigma_levels_match_the_intersection(a: Subspace, v, v3: Subspace) -> tuple[int, int]:
+    """y_hat_member (family dimension 6) and sigma2_level (7), by rank modulo
+    a, against the meet with a basis of the family; returns the two levels."""
+    y_hat = y_hat_member(a, v, V5)
+    s2 = sigma2_level(LagrangianData(a=a, a1=A1_ZERO), v3)
+    assert y_hat == a.intersect(wedge_space(Subspace.from_rows(6, [v]), V5)).dim
+    assert s2 == a.intersect(wedge_space(V5, v3)).dim
+    return y_hat, s2
+
+
+def test_sigma_levels_match_the_intersection():
+    # at seeded points of V5, and on a Lagrangian through k forms of the
+    # family there (x, y in V5), whose level is at least k
+    rng = rng_from_seed(23)
+    levels = set()
+    for a in stratum_lagrangians():
+        for k in (1, 2, 3):
+            v = random_nonzero_vector(rng, 5, 3) + [0]
+            v3 = random_3space(rng, V5)
+            assert_sigma_levels_match_the_intersection(a, v, v3)
+            for kind, rows in family_forms(rng, v, v3, k, n=5).items():
+                y_hat, s2 = assert_sigma_levels_match_the_intersection(through(a, rows), v, v3)
+                level = y_hat if kind == "y" else s2
                 assert level >= k
                 levels.add(level)
     assert {1, 2, 3} <= levels
@@ -431,11 +490,13 @@ def test_membership_poly_equals_rational_pairing_determinant():
         chart = charts(kind, base, direction)[0]
         c = chart_coordinate(kind, base, direction, chart)
         assert c.degree == 1  # so a wrong exponent changes the quotient
-        gens, lib_chart = _lagrangian_family_gens(kind, base, direction)
-        d = _membership_poly(a, gens)
-        # each generator is linear in v (y), or in w1, w2, w3 (z: 1 + 9 x 2)
+        # the vectors share one denominator; each generator is linear in v
+        # (y), or in w1, w2, w3 (z: 1 + 9 x 2)
         vectors = [base, direction] if kind == "y" else [*base, direction]
-        den = clear_denominators([Fraction(x) for v in vectors for x in v])[1]
+        flat, den = clear_denominators([Fraction(x) for v in vectors for x in v])
+        *fixed, start, step = [flat[k:k + 6] for k in range(0, len(flat), 6)]
+        gens, lib_chart = _lagrangian_family_gens(kind, fixed, start, step)
+        d = _membership_poly(a, gens)
         scale = den ** (10 if kind == "y" else 21)
         for row in pair_rows:
             scale *= clear_denominators(row)[1]
@@ -477,3 +538,29 @@ def test_certificate_equals_the_certificate_through_other_charts(kind, base, dir
     others = found[1:] if kind == "y" else [found[1], found[-1]]
     for chart in others:
         assert chart_certificate(a, kind, base, direction, chart) == cert.poly, chart
+
+
+@pytest.mark.parametrize("kind", ["y", "z"])
+def test_sample_check_rejects_a_wrong_certificate(kind, monkeypatch):
+    # on e1 ^ (2-forms) every point is a member; a chart determinant equal to
+    # the chart factor power leaves the certificate 1, which vanishes nowhere
+    import gmepw.epw as epw
+
+    base, direction = LINE if kind == "y" else PENCIL
+    chart = charts(kind, base, direction)[0]
+    factor = chart_coordinate(kind, base, direction, chart) ** EXPONENT[kind]
+    monkeypatch.setattr(epw, "_membership_poly", lambda a, gens: factor)
+    with pytest.raises(GmError, match="certificate disagrees with pointwise membership"):
+        stratum_poly_on_line(lagrangian_e1_wedge(), base, direction, kind, seed=10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-30, 30), max_size=7), st.integers(-80, 80), st.integers(1, 5),
+       st.booleans())
+def test_vanishing_at_p_over_q_in_integers(coeffs, p, q, root):
+    # the sum of c_k p^k q^(d - k) is 0 exactly when f(p / q) is; with root,
+    # f is given the factor q t - p
+    from gmepw.epw import _vanishes_at
+
+    f = Poly(coeffs) * Poly([-p, q]) if root else Poly(coeffs)
+    assert _vanishes_at(f, p, q) == (f(Fraction(p, q)) == 0)
