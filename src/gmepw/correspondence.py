@@ -66,14 +66,9 @@ class LagrangianData:
 
 @lru_cache(maxsize=None)
 def extended_space() -> SymplecticSpace:
-    form = Matrix.zero(EXT_DIM, EXT_DIM)
-    g = top_pairing(6, 3)
-    for i in range(20):
-        for j in range(20):
-            form.data[i][j] = g.data[i][j]
-    form.data[K_COORD][L_COORD] = Fraction(-1)
-    form.data[L_COORD][K_COORD] = Fraction(1)
-    return SymplecticSpace(EXT_DIM, form)
+    rows = [[int(x) for x in row] + [0, 0] for row in top_pairing(6, 3).data]
+    rows += [[0] * L_COORD + [-1], [0] * K_COORD + [1, 0]]  # omega(k, L) = -1
+    return SymplecticSpace.from_int_rows(rows, 1)
 
 
 @lru_cache(maxsize=None)
@@ -92,22 +87,18 @@ def _ext_unit(i: int):
     return unit_vector(EXT_DIM, i)
 
 
+@lru_cache(maxsize=None)
 def a1_representative(tag: str) -> Subspace:
-    """The odd Lagrangian line for a tag, in the (k, L) plane."""
-    if tag == A1_ZERO:
-        return Subspace.from_rows(EXT_DIM, [_ext_unit(L_COORD)])
-    if tag == A1_INF:
-        return Subspace.from_rows(EXT_DIM, [_ext_unit(K_COORD)])
-    row = [Fraction(0)] * EXT_DIM
-    row[K_COORD] = Fraction(1)
-    row[L_COORD] = Fraction(-1)
-    return Subspace.from_rows(EXT_DIM, [row])
+    """The odd Lagrangian line for a tag, in the (k, L) plane: L, k or k - L."""
+    k, l = {A1_ZERO: (0, 1), A1_INF: (1, 0)}.get(tag, (1, -1))
+    return Subspace.from_rows(EXT_DIM, [[0] * K_COORD + [k, l]])
 
 
 def extended_lagrangian(ld: LagrangianData) -> Subspace:
-    """The graded Lagrangian inside the 22 coordinates."""
-    rows = [r + (0, 0) for r in ld.a.int_rows] + a1_representative(ld.a1).int_rows
-    return Subspace.from_rows(EXT_DIM, rows)
+    """The graded Lagrangian inside the 22 coordinates: the rows of the two
+    graded pieces are already a reduced row echelon basis of the sum."""
+    a1 = a1_representative(ld.a1)
+    return Subspace(EXT_DIM, [r + (0, 0) for r in ld.a.int_rows] + a1.int_rows, ld.a.pivots + a1.pivots)
 
 
 def gm_to_lagrangian(d: GMData) -> LagrangianData:

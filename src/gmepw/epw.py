@@ -31,9 +31,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 
-from .exterior import monomials, top_pairing, wedge_cube, wedge_gens
+from .exterior import monomial, monomials, top_pairing, wedge, wedge_cube, wedge_gens
 from .gm import GmError
 from .linalg import Matrix, Subspace, _int_row, clear_denominators, det_int, vec
 from .polynomials import Poly, interpolate
@@ -50,8 +51,13 @@ def y_stratum(a: Subspace, v) -> int:
     if not any(v):
         raise GmError("zero vector")
     i = max(k for k, x in enumerate(v) if x)
-    others = [u for k, u in enumerate(Subspace.full(6).int_rows) if k != i]
-    return _FAMILY_DIM - a.rank_modulo(wedge_gens([v], others))
+    return _FAMILY_DIM - a.rank_modulo([wedge(6, 1, 2, v, e) for e in _chart_pairs(i)])
+
+
+@lru_cache(maxsize=None)
+def _chart_pairs(i: int) -> tuple:
+    """e_j ^ e_k over the pairs j < k of indices other than i, in order."""
+    return tuple(tuple(monomial(6, jk)) for jk in monomials(6, 2) if i not in jk)
 
 
 def y_dual_stratum(a: Subspace, v5: Subspace) -> int:

@@ -27,12 +27,11 @@ Conventions, fixed once for the whole artifact:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
 
-from .linalg import Matrix, Subspace, clear_denominators, kernel, unit_vector
+from .linalg import Matrix, Subspace, clear_denominators, det_int, kernel, unit_vector
 
 
 @lru_cache(maxsize=None)
@@ -103,32 +102,43 @@ def top_pairing(n: int, p: int) -> Matrix:
     return Matrix(rows)
 
 
-@dataclass(frozen=True)
 class SymplecticSpace:
-    """An even-dimensional space with a fixed non-degenerate skew form."""
+    """An even-dimensional space with a fixed non-degenerate skew form, held
+    in integers: ``int_form`` is (the non-zero (column, entry) pairs of each
+    row of d * form, d) for a common denominator d of the form.  The
+    ``Fraction`` matrix ``form`` of a space made from integer rows is built
+    on first use."""
 
-    total_dim: int
-    form: Matrix
-
-    def __post_init__(self):
-        if self.form.rows != self.total_dim or self.form.cols != self.total_dim:
+    def __init__(self, total_dim: int, form: Matrix):
+        if form.rows != total_dim or form.cols != total_dim:
             raise ValueError("form size differs from total dimension")
-        if not self.form.is_skew():
-            raise ValueError("form is not skew-symmetric")
-        if self.form.det() == 0:
-            raise ValueError("form is degenerate")
+        flat, d = clear_denominators([x for row in form.data for x in row])
+        self._set([flat[k * total_dim:(k + 1) * total_dim] for k in range(total_dim)], d)
+        self.form = form
 
-    def omega(self, u, v) -> Fraction:
-        lhs = self.form.left_apply(u)
-        return sum((a * b for a, b in zip(lhs, v)), Fraction(0))
+    @classmethod
+    def from_int_rows(cls, rows: list[list[int]], d: int) -> "SymplecticSpace":
+        """The space whose form is the square integer rows divided by d > 0."""
+        space = cls.__new__(cls)
+        space._set(rows, d)
+        return space
+
+    def _set(self, rows: list[list[int]], d: int) -> None:
+        if any(row[j] != -rows[j][i] for i, row in enumerate(rows) for j in range(i + 1)):
+            raise ValueError("form is not skew-symmetric")
+        if det_int(rows) == 0:
+            raise ValueError("form is degenerate")
+        self.total_dim = len(rows)
+        self.int_form = [[(j, f) for j, f in enumerate(row) if f] for row in rows], d
 
     @cached_property
-    def int_form(self) -> tuple[list[list[tuple[int, int]]], int]:
-        """(the non-zero (column, entry) pairs of each row of d * form, d)
-        for d the least common denominator of the form."""
+    def form(self) -> Matrix:
+        nonzero, d = self.int_form
         n = self.total_dim
-        flat, d = clear_denominators([x for row in self.form.data for x in row])
-        return [[(j, f) for j, f in enumerate(flat[k:k + n]) if f] for k in range(0, n * n, n)], d
+        return Matrix([[Fraction(dict(r).get(j, 0), d) for j in range(n)] for r in nonzero], cols=n)
+
+    def omega(self, u, v) -> Fraction:
+        return sum((a * b for a, b in zip(self.form.left_apply(u), v)), Fraction(0))
 
 
 @lru_cache(maxsize=None)

@@ -69,7 +69,7 @@ def _fiber_report(
     """Fiber data by isotropic reduction along iso20, a subspace of the 20
     three-form coordinates, asserted equal to the closed form: the reduced
     second quadric spans P^(n + level + shift) and has corank stratum - level."""
-    iso = Subspace.from_rows(22, [r + (0, 0) for r in iso20.int_rows])
+    iso = Subspace(22, [r + (0, 0) for r in iso20.int_rows], iso20.pivots)  # padding keeps the RREF
     red = isotropic_reduce(extended_decomposition(), extended_lagrangian(ld), iso)
     q2 = _induced_quadric(red.reduced, red.reduced_a, 2)
     ambient, corank = q2.span_dim - 1, q2.corank

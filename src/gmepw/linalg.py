@@ -44,10 +44,6 @@ def vec_add(a, b):
     return [x + y for x, y in zip(a, b, strict=True)]
 
 
-def vec_sub(a, b):
-    return [x - y for x, y in zip(a, b, strict=True)]
-
-
 def vec_dot(a, b) -> Fraction:
     total = _ZERO
     for x, y in zip(a, b, strict=True):
@@ -111,10 +107,6 @@ class Matrix:
     def col(self, j: int) -> list[Fraction]:
         return [self.data[i][j] for i in range(self.rows)]
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.data[i][j]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Matrix)
@@ -147,7 +139,7 @@ class Matrix:
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
         return Matrix._make(
-            [vec_sub(a, b) for a, b in zip(self.data, other.data)], self.cols
+            [[x - y for x, y in zip(a, b)] for a, b in zip(self.data, other.data)], self.cols
         )
 
     def __neg__(self) -> "Matrix":
@@ -190,17 +182,9 @@ class Matrix:
                 acc = [a + x * y if y else a for a, y in zip(acc, row)]
         return acc
 
-    def submatrix(self, row_idx, col_idx) -> "Matrix":
-        return Matrix([[self.data[i][j] for j in col_idx] for i in row_idx])
-
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and all(
             self.data[i][j] == self.data[j][i] for i in range(self.rows) for j in range(i)
-        )
-
-    def is_skew(self) -> bool:
-        return self.rows == self.cols and all(
-            self.data[i][j] == -self.data[j][i] for i in range(self.rows) for j in range(i + 1)
         )
 
     def is_zero(self) -> bool:
@@ -351,22 +335,23 @@ def _gauss_jordan(m: list, cols: int) -> tuple[list[tuple[int, ...]], tuple[int,
 
 def image_and_lifts(images: Matrix, sources: Matrix) -> tuple["Subspace", Matrix]:
     """The row space of images, and for each row of its RREF basis the same
-    combination of the rows of sources.
-
-    One integer Gauss-Jordan of [images | sources] that pivots on the image
-    columns only; a row whose image part cleared carries a relation among
-    the images and is dropped.
-    """
+    combination of the rows of sources (``int_image_and_lifts``)."""
     if images.rows != sources.rows:
         raise ValueError("images and sources differ in row count")
     n = images.cols
-    rows, pivots = _gauss_jordan([_int_row(a + b) for a, b in zip(images.data, sources.data)], n)
-    int_rows, lifts = [], []
-    for row, c in zip(rows, pivots):
-        g = gcd(*row[:n])
-        int_rows.append(row[:n] if g == 1 else tuple([x // g for x in row[:n]]))
-        lifts.append([Fraction(x, row[c]) if x else _ZERO for x in row[n:]])
-    return Subspace(n, int_rows, pivots), Matrix._make(lifts, sources.cols)
+    w, rows = int_image_and_lifts([_int_row(a + b) for a, b in zip(images.data, sources.data)], n)
+    lifts = [[Fraction(x, r[c]) if x else _ZERO for x in r[n:]] for r, c in zip(rows, w.pivots)]
+    return w, Matrix._make(lifts, sources.cols)
+
+
+def int_image_and_lifts(rows, n: int) -> tuple["Subspace", list[tuple[int, ...]]]:
+    """The row space of the first n columns of integer rows [image | source]
+    and the rows of one Gauss-Jordan pivoting on those columns only: for
+    pivot c, row[:n] / row[c] is a row of the RREF basis and row[n:] / row[c]
+    the same combination of the sources.  Relations among the images drop."""
+    rows, pivots = _gauss_jordan(rows, n)
+    heads = [(row[:n], gcd(*row[:n])) for row in rows]
+    return Subspace(n, [tuple([x // g for x in h]) for h, g in heads], pivots), rows
 
 
 def _fraction_rows(rows, pivots) -> list[list[Fraction]]:

@@ -5,6 +5,14 @@ A quadric is a subvariety of a (possibly empty) linear subspace P(W) of the
 ambient projective space, defined by a (possibly zero) symmetric form on W.
 Spans are stored as canonical subspaces of the symplectic coordinate space
 and Gram matrices refer to the RREF basis of the span.
+
+Integers inside, ``Fraction`` at the API edge, as in ``linalg``: a rational
+matrix is held as integer rows over one common denominator.  The form is
+``SymplecticSpace.int_form``; isotropy and symplectic orthogonals pair a
+subspace's primitive integer rows with it, and the reduced form of
+``isotropic_reduce``, the projector of a decomposition, projected rows and
+the gram of an induced quadric are integer rows over a denominator too.
+``Fraction`` values are built only for the Gram matrices callers see.
 """
 
 from __future__ import annotations
@@ -12,15 +20,36 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from operator import mul
 
 from .exterior import SymplecticSpace
-from .linalg import Matrix, Subspace, image_and_lifts, kernel, unit_vector
+from .linalg import Matrix, Subspace, int_image_and_lifts, kernel, unit_vector
+
+
+def _times_form(space: SymplecticSpace, rows) -> list[list[int]]:
+    """Each integer row times d * form, for (sparse form rows, d) = ``int_form``."""
+    out = []
+    for row in rows:
+        acc = [0] * space.total_dim
+        for x, entries in zip(row, space.int_form[0], strict=True):
+            for j, f in entries if x else ():
+                acc[j] += x * f
+        out.append(acc)
+    return out
+
+
+def _gram(space: SymplecticSpace, left, right, scales) -> Matrix:
+    """omega(x_i, y_j) for x_i = left_i / scales_i and y_j = right_j / scales_j."""
+    d = space.int_form[1]
+    return Matrix([[Fraction(sum(map(mul, x, y)), d * sx * sy) for y, sy in zip(right, scales)]
+                   for x, sx in zip(_times_form(space, left), scales)], cols=len(right))
 
 
 def is_isotropic(space: SymplecticSpace, s: Subspace) -> bool:
-    b = s.basis
-    return (b * space.form * b.transpose()).is_zero()
+    """omega vanishes on each pair of distinct rows of s (the form is skew)."""
+    left = _times_form(space, s.int_rows)
+    return not any(sum(map(mul, x, y)) for i, x in enumerate(left) for y in s.int_rows[i + 1:])
 
 
 def is_lagrangian(space: SymplecticSpace, s: Subspace) -> bool:
@@ -28,10 +57,10 @@ def is_lagrangian(space: SymplecticSpace, s: Subspace) -> bool:
 
 
 def omega_orthogonal(space: SymplecticSpace, s: Subspace) -> Subspace:
-    """The symplectic orthogonal of a subspace."""
+    """The symplectic orthogonal: the annihilator of the rows times the form."""
     if s.dim == 0:
         return Subspace.full(space.total_dim)
-    return kernel(s.basis * space.form)
+    return Subspace.from_rows(space.total_dim, _times_form(space, s.int_rows)).annihilator()
 
 
 @dataclass(frozen=True)
@@ -52,18 +81,22 @@ class LagrangianDecomposition:
             raise ValueError("summands are not complementary")
 
     @cached_property
-    def _projector(self) -> Matrix:
-        """The projection to l1 along l2: row k is pr1(e_k), the lift of e_k
-        through the stacked bases [l1; l2] applied to [l1; 0]."""
-        b1, b2 = self.l1.basis_rows(), self.l2.basis_rows()
+    def _projector(self) -> tuple[list[tuple[int, ...]], int]:
+        """(the columns of P, D) for row k of P / D the projection pr1(e_k)
+        to l1 along l2: the lift of e_k through the stacked bases [l1; l2]
+        applied to [l1; 0], whose reduced row k has its pivot at k."""
         n = self.space.total_dim
-        zero = Matrix.zero(len(b2), n).data
-        return image_and_lifts(Matrix(b1 + b2, cols=n), Matrix(b1 + zero, cols=n))[1]
+        stack = [r + r for r in self.l1.int_rows] + [r + (0,) * n for r in self.l2.int_rows]
+        rows = int_image_and_lifts(stack, n)[1]
+        den = lcm(*(row[k] for k, row in enumerate(rows)))
+        return list(zip(*[[x * (den // row[k]) for x in row[n:]] for k, row in enumerate(rows)])), den
 
-    def project_rows(self, m: Matrix) -> tuple[Matrix, Matrix]:
-        """Componentwise projection of each row of a matrix."""
-        p1 = m * self._projector
-        return p1, m - p1
+    def project_rows(self, rows) -> tuple[list[list[int]], list[list[int]], int]:
+        """(P1, P2, D) for integer rows r: the rows of P1 / D and P2 / D are
+        the components pr1(r) in l1 and pr2(r) in l2."""
+        cols, den = self._projector
+        p1 = [[sum(map(mul, r, c)) for c in cols] for r in rows]
+        return p1, [[den * x - y for x, y in zip(r, q)] for r, q in zip(rows, p1)], den
 
 
 @dataclass(frozen=True)
@@ -100,8 +133,8 @@ class QuadricOnSubspace:
 
 def gram_on_lagrangian(dec: LagrangianDecomposition, a: Subspace) -> Matrix:
     """Gram of the bilinear form omega(pr1 x, pr2 y) on the basis of a."""
-    p1, p2 = dec.project_rows(a.basis)
-    return p1 * dec.space.form * p2.transpose()
+    p1, p2, den = dec.project_rows(a.int_rows)
+    return _gram(dec.space, p1, p2, [den * row[c] for row, c in zip(a.int_rows, a.pivots)])
 
 
 def _induced_quadric(dec: LagrangianDecomposition, a: Subspace, side: int) -> QuadricOnSubspace:
@@ -111,16 +144,16 @@ def _induced_quadric(dec: LagrangianDecomposition, a: Subspace, side: int) -> Qu
     W Omega X^T on side 1 and X Omega W^T on side 2: the summands are
     isotropic, so the other component of X pairs to zero with W, and a
     different lift changes X by a vector of a meet the other summand, which
-    pairs to zero because a is Lagrangian.
+    pairs to zero because a is Lagrangian.  W and X come from one reduction
+    of the integer rows [D pr(a_i) | D a_i].
     """
-    space = dec.space
-    projected = dec.project_rows(a.basis)[side - 1]
-    w, lifts = image_and_lifts(projected, a.basis)
-    if side == 1:
-        gram = w.basis * space.form * lifts.transpose()
-    else:
-        gram = lifts * space.form * w.basis.transpose()
-    return QuadricOnSubspace(space.total_dim, w, gram)
+    n = dec.space.total_dim
+    p1, p2, den = dec.project_rows(a.int_rows)
+    stack = [p + [den * x for x in r] for p, r in zip((p1, p2)[side - 1], a.int_rows)]
+    w, rows = int_image_and_lifts(stack, n)
+    pair = [r[:n] for r in rows], [r[n:] for r in rows]
+    left, right = pair if side == 1 else pair[::-1]
+    return QuadricOnSubspace(n, w, _gram(dec.space, left, right, [r[c] for r, c in zip(rows, w.pivots)]))
 
 
 def quadric_pair_from_lagrangian(
@@ -136,9 +169,7 @@ def quadric_pair_from_lagrangian(
     return _induced_quadric(dec, a, 1), _induced_quadric(dec, a, 2)
 
 
-def pairing_annihilator_in(
-    space: SymplecticSpace, s: Subspace, inside: Subspace
-) -> Subspace:
+def pairing_annihilator_in(space: SymplecticSpace, s: Subspace, inside: Subspace) -> Subspace:
     """Vectors of `inside` that are omega-orthogonal to all of s."""
     return omega_orthogonal(space, s).intersect(inside)
 
@@ -157,31 +188,21 @@ def dual_quadric_via_pairing(
     src, dst = (dec.l1, dec.l2) if side == 1 else (dec.l2, dec.l1)
     if not src.contains_subspace(q.span):
         raise ValueError("quadric does not live on the declared summand")
-    kq = q.kernel_subspace()
-    dual_span = pairing_annihilator_in(space, kq, dst)
-    # reduced form on span/kernel: the span basis rows independent modulo the
-    # kernel are the pivot columns past the kernel's in [kernel | span]
-    stack = Matrix.from_cols(kq.basis_rows() + q.span.basis_rows())
-    red_idx = [c - kq.dim for c in stack.rref()[2] if c >= kq.dim]
-    if not red_idx:
-        gram = Matrix.zero(dual_span.dim, dual_span.dim)
-    else:
-        # phi[i][a] = omega(w_i, y_a) for the representatives w and the dual span y
-        reps = Matrix([q.span.basis.data[i] for i in red_idx])
-        phi = reps * space.form * dual_span.basis.transpose()
-        gram = phi.transpose() * q.gram.submatrix(red_idx, red_idx).inverse() * phi
-    return QuadricOnSubspace(space.total_dim, dual_span, gram)
+    dual_span = pairing_annihilator_in(space, q.kernel_subspace(), dst)
+    # the span rows at the pivot columns of the symmetric g represent a basis
+    # of span/kernel, and g is invertible on them; phi[i][a] = omega(w_i, y_a)
+    idx = q.gram.rref()[2]
+    phi = Matrix([q.span.basis.data[i] for i in idx], cols=space.total_dim) * space.form
+    phi = phi * dual_span.basis.transpose()
+    g = Matrix([[q.gram.data[i][j] for j in idx] for i in idx], cols=len(idx))
+    return QuadricOnSubspace(space.total_dim, dual_span, phi.transpose() * g.inverse() * phi)
 
 
 def standard_doubled_space(m: int) -> LagrangianDecomposition:
     """k^m plus its dual with the pairing form, decomposed into the two factors."""
-    form = Matrix.zero(2 * m, 2 * m)
-    for i in range(m):
-        form.data[i][m + i] = Fraction(1)
-        form.data[m + i][i] = Fraction(-1)
-    space = SymplecticSpace(2 * m, form)
-    l1 = Subspace.from_rows(2 * m, [unit_vector(2 * m, i) for i in range(m)])
-    l2 = Subspace.from_rows(2 * m, [unit_vector(2 * m, m + i) for i in range(m)])
+    space = SymplecticSpace.from_int_rows(
+        [[int(j == i + m) - int(i == j + m) for j in range(2 * m)] for i in range(2 * m)], 1)
+    l1, l2 = (Subspace.from_rows(2 * m, [unit_vector(2 * m, k + i) for i in range(m)]) for k in (0, m))
     return LagrangianDecomposition(space, l1, l2)
 
 
@@ -193,15 +214,10 @@ def lagrangian_from_quadric(q: QuadricOnSubspace) -> Subspace:
     (x, q(x) mod the annihilator of the span) plus the pure annihilator.
     """
     m = q.ambient_dim
-    rows = []
-    span_rows = q.span.basis_rows()
-    for i, w in enumerate(span_rows):
-        functional = [Fraction(0)] * m
-        for j, p in enumerate(q.span.pivots):
-            functional[p] = q.gram.data[i][j]
-        rows.append(w + functional)
-    for f in q.span.annihilator().basis_rows():
-        rows.append([Fraction(0)] * m + f)
+    at = {p: j for j, p in enumerate(q.span.pivots)}  # q(x) at e_p is the gram column of pivot p
+    rows = [w + [g[at[p]] if p in at else 0 for p in range(m)]
+            for w, g in zip(q.span.basis_rows(), q.gram.data)]
+    rows += [[0] * m + f for f in q.span.annihilator().basis_rows()]
     return Subspace.from_rows(2 * m, rows)
 
 
@@ -219,21 +235,25 @@ class QuotientModel:
         self.inner = inner
         self.outer = outer
         inner_pivots = set(inner.pivots)
-        self.comp_int_rows = [
-            row for row, piv in zip(outer.int_rows, outer.pivots) if piv not in inner_pivots
-        ]
+        self.comp_int_rows = [r for r, p in zip(outer.int_rows, outer.pivots) if p not in inner_pivots]
         self.comp_pivots = [p for p in outer.pivots if p not in inner_pivots]
         self.dim = len(self.comp_int_rows)
+        self.equations = outer.annihilator().int_rows
 
     def project_subspace(self, s: Subspace) -> Subspace:
-        """The image of s meet U in U/I."""
-        return self.project_contained(s.intersect(self.outer))
+        """The image of s meet U in U/I.  The meet is spanned by the
+        combinations sum c_i s_i of the rows of s with sum c_i f(s_i) = 0
+        for each equation f of U: a kernel on the coefficients only."""
+        rows = s.int_rows
+        values = [[sum(map(mul, f, r)) for r in rows] for f in self.equations]
+        coeffs = Subspace.from_rows(len(rows), values).annihilator().int_rows
+        return self.project_contained([[sum(map(mul, c, col)) for col in zip(*rows)] for c in coeffs])
 
-    def project_contained(self, s: Subspace) -> Subspace:
-        """The image in U/I of a subspace s of U: the coordinates of v + I in
-        the complement basis, up to a positive scalar, are those of the
-        remainder of v modulo I at the complement pivots."""
-        rows = [self.inner.remainder(v) for v in s.int_rows]
+    def project_contained(self, rows) -> Subspace:
+        """The image in U/I of the span of integer rows lying in U: up to a
+        positive scalar, the coordinates of v + I in the complement basis are
+        those of the remainder of v modulo I at the complement pivots."""
+        rows = [self.inner.remainder(v) for v in rows]
         return Subspace.from_rows(self.dim, [[w[p] for p in self.comp_pivots] for w in rows])
 
 
@@ -246,32 +266,19 @@ class IsotropicReduction:
     model: QuotientModel
 
 
-def isotropic_reduce(
-    dec: LagrangianDecomposition, a: Subspace, iso: Subspace
-) -> IsotropicReduction:
+def isotropic_reduce(dec: LagrangianDecomposition, a: Subspace, iso: Subspace) -> IsotropicReduction:
     """Pass to I-perp mod I, carrying the Lagrangian a and the decomposition."""
     space = dec.space
     if not dec.l1.contains_subspace(iso):
         raise ValueError("isotropic subspace must lie in the first summand")
-    perp = omega_orthogonal(space, iso)
-    model = QuotientModel(iso, perp)
-    # comp * form * comp^T over the integer complement rows, each entry then
-    # divided by the two rows' pivots and the form's common denominator
-    comp = model.comp_int_rows
-    pivots = [row[c] for row, c in zip(comp, model.comp_pivots)]
-    nonzero, d = space.int_form
-    left = []
-    for row in comp:
-        acc = [0] * space.total_dim
-        for x, entries in zip(row, nonzero):
-            if x:
-                for j, f in entries:
-                    acc[j] += x * f
-        left.append(acc)
-    form = Matrix([[Fraction(sum(map(mul, x, y)), d * px * py) for y, py in zip(comp, pivots)]
-                   for x, px in zip(left, pivots)], cols=model.dim)
-    red_space = SymplecticSpace(model.dim, form)
-    red_l1 = model.project_contained(dec.l1)  # I in l1 = l1-perp, so l1 lies in I-perp
-    red_l2 = model.project_subspace(dec.l2)
-    red_dec = LagrangianDecomposition(red_space, red_l1, red_l2)
+    model = QuotientModel(iso, omega_orthogonal(space, iso))
+    # the complement rows c_k are p_k times RREF rows: scaled by L / p_k for
+    # L = lcm(p), they pair under d * form to d L^2 times the reduced form
+    pivots = [row[c] for row, c in zip(model.comp_int_rows, model.comp_pivots)]
+    big = lcm(*pivots)
+    comp = [[big // p * x for x in row] for row, p in zip(model.comp_int_rows, pivots)]
+    form = [[sum(map(mul, x, y)) for y in comp] for x in _times_form(space, comp)]
+    red_space = SymplecticSpace.from_int_rows(form, space.int_form[1] * big * big)
+    red_l1 = model.project_contained(dec.l1.int_rows)  # I in l1 = l1-perp, so l1 lies in I-perp
+    red_dec = LagrangianDecomposition(red_space, red_l1, model.project_subspace(dec.l2))
     return IsotropicReduction(red_dec, model.project_subspace(a), model)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmepw.exterior import (
+    SymplecticSpace,
     divisor_space,
     exterior_power_matrix,
     inject,
@@ -105,8 +106,26 @@ def test_symplectic_gram_antidiagonal_signs():
             if expected_nonzero:
                 assert j == 19 - i
                 assert g.data[i][j] in (Fraction(1), Fraction(-1))
-    assert g.is_skew()
+    assert g.transpose() == -g
     assert g.det() != 0
+
+
+def test_symplectic_space_integer_form_and_validation():
+    space = SymplecticSpace(0, Matrix.zero(0, 0))
+    assert (space.total_dim, space.int_form) == (0, ([], 1))
+    empty = SymplecticSpace.from_int_rows([], 5)
+    assert (empty.total_dim, empty.form) == (0, Matrix.zero(0, 0))
+    half = SymplecticSpace(2, Matrix([[0, Fraction(1, 2)], [Fraction(-1, 2), 0]]))
+    assert half.int_form == ([[(1, 1)], [(0, -1)]], 2)
+    built = SymplecticSpace.from_int_rows([[0, 3], [-3, 0]], 6)
+    assert built.form == half.form and built.omega([1, 0], [0, 1]) == Fraction(1, 2)
+    for rows in ([[0, 1], [1, 0]], [[1, 0], [0, -1]], [[0, 0], [0, 0]]):
+        with pytest.raises(ValueError):
+            SymplecticSpace.from_int_rows(rows, 1)
+        with pytest.raises(ValueError):
+            SymplecticSpace(2, Matrix(rows))
+    with pytest.raises(ValueError):
+        SymplecticSpace(4, Matrix.zero(2, 2))
 
 
 def test_symplectic_skew_random():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from gmepw import fibrations
 from gmepw.epw import y_stratum, z_stratum
 from gmepw.fibrations import (
     FiberReport,
@@ -13,6 +14,7 @@ from gmepw.fibrations import (
     sigma2_level,
 )
 from gmepw.fixtures import (
+    all_lagrangian_fixtures,
     fivefold_lagrangian,
     sigma_fixture_lagrangian,
     sigma_form,
@@ -172,3 +174,42 @@ def test_sigma1_equals_incidence_level_on_hyperplane():
         for _ in range(15):
             v = rand_v5_point(rng)
             assert sigma1_level(ld, v) == y_hat_member(ld.a, v, v5)
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        ("fivefold", ((3, 0, 0, 0, 5), (2, 0, 0, 0, 5))),
+        ("sigma_fourfold", ((3, 0, 1, 1, 4), (2, 0, 1, 1, 4))),
+    ],
+)
+def test_reduction_path_meets_nothing_in_the_22_coordinates(monkeypatch, name, expected):
+    # isotropic_reduce and _induced_quadric work on integer rows: no
+    # Subspace.intersect (two annihilators and a Gauss-Jordan) runs inside
+    # them, and the reports are the ones the Fraction path gave
+    counts = {"depth": 0, "entered": 0, "meets": 0}
+    intersect = Subspace.intersect
+
+    def counted(self, other):
+        counts["meets"] += counts["depth"] > 0
+        return intersect(self, other)
+
+    def inside(fn):
+        def wrapped(*args):
+            counts["depth"] += 1
+            counts["entered"] += 1
+            try:
+                return fn(*args)
+            finally:
+                counts["depth"] -= 1
+        return wrapped
+
+    monkeypatch.setattr(Subspace, "intersect", counted)
+    for fn in (fibrations.isotropic_reduce, fibrations._induced_quadric):
+        monkeypatch.setattr(fibrations, fn.__name__, inside(fn))
+    ld = all_lagrangian_fixtures()[name]
+    v3 = Subspace.from_rows(6, [unit_vector(6, i) for i in (0, 1, 3)])
+    reports = (fibration1_fiber(ld, unit_vector(6, 0)), fibration2_fiber(ld, v3))
+    assert counts["entered"] == 4 and counts["meets"] == 0
+    for report, (ambient, corank, stratum, level, dim) in zip(reports, expected):
+        assert report == FiberReport(ambient, corank, stratum, level, dim, True)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from gmepw.correspondence import extended_decomposition, extended_lagrangian
-from gmepw.exterior import v5_subspace, wedge_space, wedge_symplectic_space
+from gmepw.exterior import SymplecticSpace, v5_subspace, wedge_space, wedge_symplectic_space
 from gmepw.fixtures import fivefold_lagrangian
 from gmepw.linalg import Matrix, Subspace, kernel, unit_vector, vec_dot
 from gmepw.quadrics import (
@@ -14,6 +14,7 @@ from gmepw.quadrics import (
     _induced_quadric,
     dual_quadric_via_pairing,
     gram_on_lagrangian,
+    is_isotropic,
     is_lagrangian,
     isotropic_reduce,
     lagrangian_from_quadric,
@@ -80,7 +81,10 @@ def solved_induced_quadric(dec, a, side):
 
 
 def assert_matches_the_solve_formulas(dec, a):
-    assert dec.project_rows(a.basis) == transition_projection(dec, a.basis)
+    n = dec.space.total_dim
+    p1, p2, den = dec.project_rows(a.int_rows)
+    projected = tuple(Matrix([[Fraction(x, den) for x in r] for r in p], cols=n) for p in (p1, p2))
+    assert projected == transition_projection(dec, Matrix(a.int_rows, cols=n))
     for side in (1, 2):
         q = _induced_quadric(dec, a, side)
         assert (q.span, q.gram) == solved_induced_quadric(dec, a, side)
@@ -118,6 +122,36 @@ def test_projection_and_induced_quadric_against_the_solve_formulas_on_wedges():
         iso = wedge_space(Subspace.from_rows(6, [v]), v5_subspace())
         iso22 = Subspace.from_rows(22, [r + (0, 0) for r in iso.int_rows])
         red = isotropic_reduce(ext, a_hat, iso22)
+        assert_matches_the_solve_formulas(red.reduced, red.reduced_a)
+
+
+@pytest.mark.parametrize("scale", [Fraction(1), Fraction(1, 2), Fraction(2, 3)])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_integer_quadric_layer_matches_the_fraction_formulas(m, scale):
+    # the fixture forms all have denominator 1 and reduced forms need not, so
+    # the standard form is also scaled; the formulas are the Fraction ones the
+    # integer rows replaced
+    rng = rng_from_seed(f"integer-quadrics-{m}-{scale}")
+    std = standard_doubled_space(m)
+    space = SymplecticSpace(2 * m, std.space.form.scale(scale))
+    assert space.int_form[1] == scale.denominator
+    dec = LagrangianDecomposition(space, std.l1, std.l2)
+    form = space.form
+    for _ in range(10):
+        a = random_lagrangian(space, rng)
+        other = Subspace.from_rows(2 * m, [random_vector(rng, 2 * m, 3) for _ in range(rng.randint(0, 2 * m))])
+        part = Subspace.from_rows(2 * m, a.basis_rows()[:rng.randint(0, m)])
+        for s in (a, other, part):
+            assert omega_orthogonal(space, s) == kernel(s.basis * form)
+            assert is_isotropic(space, s) == (s.basis * form * s.basis.transpose()).is_zero()
+        iso_rows = [random_vector(rng, m, 3) + [Fraction(0)] * m for _ in range(rng.randint(0, m))]
+        red = isotropic_reduce(dec, a, Subspace.from_rows(2 * m, iso_rows))
+        model = red.model
+        for s in (a, dec.l2, other, part):
+            assert model.project_subspace(s) == model.project_contained(s.intersect(model.outer).int_rows)
+        comp = Matrix([[Fraction(x, row[p]) for x in row]
+                       for row, p in zip(model.comp_int_rows, model.comp_pivots)], cols=2 * m)
+        assert red.reduced.space.form == comp * form * comp.transpose()
         assert_matches_the_solve_formulas(red.reduced, red.reduced_a)
 
 
