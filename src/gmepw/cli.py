@@ -302,10 +302,8 @@ def cmd_fixture(args) -> int:
     gm = all_gm_fixtures()
     lag = all_lagrangian_fixtures()
     if args.list:
-        for name in gm:
-            _write(args, f"{name} (gm_data)\n")
-        for name in lag:
-            _write(args, f"{name} (lagrangian_data)\n")
+        listing = [f"{n} (gm_data)\n" for n in gm] + [f"{n} (lagrangian_data)\n" for n in lag]
+        _write(args, "".join(listing))
         return EXIT_OK
     name = args.name
     if args.lagrangian:

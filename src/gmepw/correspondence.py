@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .exterior import (
     SymplecticSpace,
@@ -30,8 +31,8 @@ from .exterior import (
     wedge,
     wedge_symplectic_space,
 )
-from .gm import GmError, GMData, ORDINARY, SPECIAL, classify, opposite, split_w
-from .linalg import Matrix, Subspace, image_and_lifts, kernel, unit_vector, vec, vec_add
+from .gm import NON_LCI, ORDINARY, SPECIAL, GmError, GMData, classify, opposite, split_w
+from .linalg import Matrix, Subspace, int_image_and_lifts, unit_vector, vec, vec_add, vec_dot
 from .quadrics import LagrangianDecomposition, is_lagrangian, omega_orthogonal
 
 EXT_DIM = 22
@@ -66,9 +67,9 @@ class LagrangianData:
 
 @lru_cache(maxsize=None)
 def extended_space() -> SymplecticSpace:
-    rows = [[int(x) for x in row] + [0, 0] for row in top_pairing(6, 3).data]
-    rows += [[0] * L_COORD + [-1], [0] * K_COORD + [1, 0]]  # omega(k, L) = -1
-    return SymplecticSpace.from_int_rows(rows, 1)
+    rows = [(*row, 0, 0) for row in top_pairing(6, 3)]
+    rows += [(0,) * L_COORD + (-1,), (0,) * K_COORD + (1, 0)]  # omega(k, L) = -1
+    return SymplecticSpace(rows)
 
 
 @lru_cache(maxsize=None)
@@ -83,8 +84,8 @@ def extended_decomposition() -> LagrangianDecomposition:
     )
 
 
-def _ext_unit(i: int):
-    return unit_vector(EXT_DIM, i)
+def _ext_unit(i: int) -> list[int]:
+    return [int(j == i) for j in range(EXT_DIM)]
 
 
 @lru_cache(maxsize=None)
@@ -110,11 +111,9 @@ def gm_to_lagrangian(d: GMData) -> LagrangianData:
     the returned tag.  The even part does not depend on the auxiliary
     direction off the hyperplane, which is checked against a second choice.
     """
-    t = classify(d)
-    if t == "non_lci":
+    if classify(d) == NON_LCI:
         raise CorrespondenceError("the construction needs lci data")
-    _w0, w1, _q0, _q1 = split_w(d)
-    mu1 = _mu1_functional(d, w1)
+    _w0, w1, mu1 = split_w(d)
     a_hat = _a_hat(d, mu1, v0=unit_vector(6, 5))
     a_even, a_odd = _split_graded(a_hat)
     other = _a_hat(d, mu1, v0=vec([1, 0, 0, 0, 0, 1]))
@@ -122,28 +121,15 @@ def gm_to_lagrangian(d: GMData) -> LagrangianData:
         raise CorrespondenceError("even part depends on the auxiliary direction")
     if a_even.dim != 10:
         raise CorrespondenceError("even part has unexpected dimension")
-    a20 = Subspace.from_rows(20, [r[:20] for r in a_even.basis_rows()])
+    a20 = Subspace(20, [r[:20] for r in a_even.int_rows], a_even.pivots)
     tag = _odd_tag(a_odd)
-    if (tag == A1_ZERO) != (t == ORDINARY):
+    if (tag == A1_ZERO) != (w1.dim == 0):
         raise CorrespondenceError("odd tag disagrees with the data type")
     return LagrangianData(a=a20, a1=tag)
 
 
-def _mu1_functional(d: GMData, w1: Subspace) -> list[Fraction]:
-    """Coordinate functional of the kernel summand (zero for ordinary data)."""
-    if w1.dim == 0:
-        return [Fraction(0)] * d.w_dim
-    k = w1.basis_rows()[0]
-    g = d.q_of(unit_vector(6, 5))
-    gk = g.apply(k)
-    scale = sum((a * b for a, b in zip(gk, k)), Fraction(0))
-    # functional w -> q(e6)(k, w) / q(e6)(k, k) restricts to 1 on the generator
-    return [x / scale for x in gk]
-
-
 def _a_hat(d: GMData, mu1: list[Fraction], v0) -> Subspace:
     """Kernel of the defining map, embedded into the 22 coordinates."""
-    w = d.w_dim
     v0 = vec(v0)
     lam0 = v0[5]
     if lam0 == 0:
@@ -151,14 +137,13 @@ def _a_hat(d: GMData, mu1: list[Fraction], v0) -> Subspace:
     qv0 = d.q_of(v0)
     # columns: 10 three-form coords, one L coord, w W-coords; rows: W functionals
     # w -> epsilon * top(xi ^ mu(w)) on the three-forms xi of the hyperplane
-    pairing = (top_pairing(5, 3) * d.mu).transpose().scale(d.epsilon)
-    mat = Matrix([pairing.data[j] + [mu1[j]] + qv0.col(j) for j in range(w)])
+    eqs = [[d.epsilon * vec_dot(t, d.mu.col(j)) for t in top_pairing(5, 3)] + [mu1[j]] + qv0.col(j)
+           for j in range(d.w_dim)]
     rows = []
-    for sol in kernel(mat).basis_rows():
+    for sol in Subspace.from_rows(11 + d.w_dim, eqs).annihilator().int_rows:
         xi, xprime, wvec = sol[:10], sol[10], sol[11:]
         three = vec_add(inject(3, xi), wedge(6, 1, 2, v0, inject(2, d.mu.apply(wvec))))
-        k_part = lam0 * sum((m * x for m, x in zip(mu1, wvec)), Fraction(0))
-        rows.append(three + [k_part, xprime])
+        rows.append(three + [lam0 * vec_dot(mu1, wvec), xprime])
     return Subspace.from_rows(EXT_DIM, rows)
 
 
@@ -177,7 +162,7 @@ def _split_graded(a_hat: Subspace) -> tuple[Subspace, Subspace]:
 def _odd_tag(a_odd: Subspace) -> str:
     if a_odd.dim != 1:
         raise CorrespondenceError("odd part must be a line")
-    row = a_odd.basis_rows()[0]
+    row = a_odd.int_rows[0]
     x, xprime = row[K_COORD], row[L_COORD]
     if x == 0:
         return A1_ZERO
@@ -196,13 +181,14 @@ def lagrangian_to_gm(ld: LagrangianData) -> GMData:
     """
     if ld.a1 == A1_INF:
         raise CorrespondenceError("the cone tag does not produce lci data")
-    # the RREF basis of the contraction image, and its lifts in the Lagrangian
-    images = Matrix([lambda_p(3, r) for r in ld.a.basis.data], cols=10)
-    w0, lifts = image_and_lifts(images, ld.a.basis)
-    paired = top_pairing(5, 3) * w0.basis.transpose()
+    # the contraction image and the lifts of its RREF basis, as integer rows
+    # [s R_b | s X_b] over the pivot value s: R_b the basis row, X_b in A
+    w0, rows = int_image_and_lifts([lambda_p(3, r) + list(r) for r in ld.a.int_rows], 10)
+    scales = [r[c] for r, c in zip(rows, w0.pivots)]
+    paired = [[sum(map(mul, t, r[:10])) for t in top_pairing(5, 3)] for r in rows]
     grams = []
     for i in range(6):
-        g = _qtilde0_gram(i, lifts.data, paired)
+        g = _qtilde0_gram(i, rows, scales, paired)
         if not g.is_symmetric():
             raise CorrespondenceError("induced quadric family is not symmetric")
         grams.append(g)
@@ -211,15 +197,16 @@ def lagrangian_to_gm(ld: LagrangianData) -> GMData:
     return d if ld.a1 == A1_ZERO else opposite(d)
 
 
-def _qtilde0_gram(i: int, lifts, paired: Matrix) -> Matrix:
+def _qtilde0_gram(i: int, rows, scales, paired) -> Matrix:
     """Gram of the form -top(contract(v ^ xi1) ^ contract(xi2)) at basis vector i,
     for the lifts xi in the Lagrangian of the RREF basis of the contraction
     image: -L T R^T with rows contract(e_i ^ xi_a) in L and contract(xi_b) in R.
     R is that RREF basis itself, so T R^T is the same on every direction and
-    comes in as paired."""
+    comes in as paired, row b the integer column T (s_b R_b)."""
     ei = monomial(6, (i,))
-    left = Matrix([lambda_p(4, wedge(6, 1, 3, ei, xi)) for xi in lifts], cols=10)
-    return -(left * paired)
+    left = [lambda_p(4, wedge(6, 1, 3, ei, r[10:])) for r in rows]
+    return Matrix([[Fraction(-sum(map(mul, x, y)), sx * sy) for y, sy in zip(paired, scales)]
+                   for x, sx in zip(left, scales)], cols=len(rows))
 
 
 @dataclass(frozen=True)
@@ -284,4 +271,4 @@ def apply_frame(a: Subspace, frame: Matrix) -> Subspace:
     if frame.rows != 6 or frame.cols != 6 or frame.det() == 0:
         raise CorrespondenceError("frame must be an invertible 6 x 6 matrix")
     m = exterior_power_matrix(frame, 3)
-    return Subspace.from_rows(20, [m.apply(r) for r in a.basis_rows()])
+    return Subspace.from_rows(20, [m.apply(r) for r in a.int_rows])

@@ -36,8 +36,8 @@ from operator import mul
 
 from .exterior import monomial, monomials, top_pairing, wedge, wedge_cube, wedge_gens
 from .gm import GmError
-from .linalg import Matrix, Subspace, _int_row, clear_denominators, det_int, vec
-from .polynomials import Poly, interpolate
+from .linalg import Matrix, Subspace, _int_row, clear_denominators, vec
+from .polynomials import Poly, line_det
 from .sampling import rng_from_seed
 
 
@@ -136,10 +136,10 @@ def _lagrangian_family_gens(kind: str, fixed, start, step):
 
 
 def _membership_poly(a: Subspace, gens) -> Poly:
-    """The chart determinant D(t) = det((A G)(G0 + t G1)^T) up to a constant
-    factor, G the wedge Gram matrix and A the primitive integer rows.
-    D has degree at most the number of moving generators (10 on a line, 7 on
-    a pencil), so that many nodes plus one determine it.
+    """The chart determinant D(t) = det((G0 + t G1) G^T A^T) up to a constant
+    factor, G the wedge Gram matrix and A the primitive integer rows: one
+    row per generator, so ``line_det`` takes at most one node more than the
+    moving generators (10 on a line, 7 on a pencil).
 
     D = c^e F, e = 4 (line) or 3 (pencil), F the sextic (quartic).  The
     moving Lagrangian is v ^ (2-forms) = Lambda^2(V6/v), or V6 ^ Lambda^2 W,
@@ -155,13 +155,8 @@ def _membership_poly(a: Subspace, gens) -> Poly:
     Inside a chart the generators are a basis, so F(t) = 0 exactly on the
     stratum, and D = 0 identically exactly when the family lies in it.
     """
-    gram = [[int(x) for x in col] for col in zip(*top_pairing(6, 3).data)]
-    pair_rows = [[sum(map(mul, r, col)) for col in gram] for r in a.int_rows]
-    p0, p1 = ([[sum(map(mul, pr, g)) for g in gk] for pr in pair_rows] for gk in gens)
-    nodes = range(1 + sum(map(any, gens[1])))
-    return interpolate(
-        [(t, det_int([[x + t * y for x, y in zip(r0, r1)] for r0, r1 in zip(p0, p1)])) for t in nodes]
-    )
+    pair_rows = [[sum(map(mul, r, col)) for col in zip(*top_pairing(6, 3))] for r in a.int_rows]
+    return line_det(*([[sum(map(mul, g, pr)) for pr in pair_rows] for g in gk] for gk in gens))
 
 
 def stratum_poly_on_line(

@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
 
-from .linalg import Matrix, Subspace, clear_denominators, det_int, kernel, unit_vector
+from .linalg import Matrix, Subspace, det_int
 
 
 @lru_cache(maxsize=None)
@@ -88,42 +88,29 @@ def monomial(n: int, indices) -> list:
 
 
 @lru_cache(maxsize=None)
-def top_pairing(n: int, p: int) -> Matrix:
-    """The top-degree pairing of degree p with degree n - p: entry (i, j) is
-    the coefficient of e_1..n in e_i ^ e_j, an integer in {-1, 0, 1}.  For
-    (6, 3) it is the Gram matrix of the wedge symplectic form."""
+def top_pairing(n: int, p: int) -> tuple[tuple[int, ...], ...]:
+    """The top-degree pairing of degree p with degree n - p as integer rows:
+    entry (i, j) is the coefficient of e_1..n in e_i ^ e_j, in {-1, 0, 1}.
+    For (6, 3) it is the Gram matrix of the wedge symplectic form."""
     size = len(monomials(n, n - p))
     rows = []
     for row in _wedge_table(n, p, n - p):
         out = [0] * size
         for j, sign, _ in row:
             out[j] = sign
-        rows.append(out)
-    return Matrix(rows)
+        rows.append(tuple(out))
+    return tuple(rows)
 
 
 class SymplecticSpace:
     """An even-dimensional space with a fixed non-degenerate skew form, held
-    in integers: ``int_form`` is (the non-zero (column, entry) pairs of each
-    row of d * form, d) for a common denominator d of the form.  The
-    ``Fraction`` matrix ``form`` of a space made from integer rows is built
-    on first use."""
+    in integers: the form is the square integer rows over a denominator
+    d > 0, and ``int_form`` is (the non-zero (column, entry) pairs of each
+    row, d).  The ``Fraction`` matrix ``form`` is built on first use."""
 
-    def __init__(self, total_dim: int, form: Matrix):
-        if form.rows != total_dim or form.cols != total_dim:
-            raise ValueError("form size differs from total dimension")
-        flat, d = clear_denominators([x for row in form.data for x in row])
-        self._set([flat[k * total_dim:(k + 1) * total_dim] for k in range(total_dim)], d)
-        self.form = form
-
-    @classmethod
-    def from_int_rows(cls, rows: list[list[int]], d: int) -> "SymplecticSpace":
-        """The space whose form is the square integer rows divided by d > 0."""
-        space = cls.__new__(cls)
-        space._set(rows, d)
-        return space
-
-    def _set(self, rows: list[list[int]], d: int) -> None:
+    def __init__(self, rows, d: int = 1):
+        if any(len(row) != len(rows) for row in rows):
+            raise ValueError("form is not square")
         if any(row[j] != -rows[j][i] for i, row in enumerate(rows) for j in range(i + 1)):
             raise ValueError("form is not skew-symmetric")
         if det_int(rows) == 0:
@@ -144,7 +131,7 @@ class SymplecticSpace:
 @lru_cache(maxsize=None)
 def wedge_symplectic_space() -> SymplecticSpace:
     """Degree-3 forms in ambient 6 with the wedge symplectic form."""
-    return SymplecticSpace(20, top_pairing(6, 3))
+    return SymplecticSpace(top_pairing(6, 3))
 
 
 @lru_cache(maxsize=None)
@@ -194,7 +181,8 @@ def is_decomposable(a) -> Subspace | None:
 
 def divisor_space(a) -> Subspace:
     """Kernel of v -> v ^ a as a subspace of the 6-space, for a degree-3 form."""
-    return kernel(Matrix.from_cols([wedge(6, 1, 3, monomial(6, (i,)), a) for i in range(6)]))
+    images = [wedge(6, 1, 3, monomial(6, (i,)), a) for i in range(6)]
+    return Subspace.from_rows(6, list(zip(*images))).annihilator()
 
 
 def wedge_space(u: Subspace, w: Subspace) -> Subspace:
@@ -230,13 +218,13 @@ def wedge_cube(u: Subspace) -> Subspace:
 @lru_cache(maxsize=None)
 def v5_subspace() -> Subspace:
     """The distinguished hyperplane span(e1..e5) of the 6-space."""
-    return Subspace.from_rows(6, [[Fraction(i == j) for i in range(6)] for j in range(5)])
+    return Subspace.from_rows(6, [monomial(6, (j,)) for j in range(5)])
 
 
 @lru_cache(maxsize=None)
 def l3v5_subspace() -> Subspace:
     """The degree-3 power of the standard 5-space inside the 20 coordinates."""
-    return Subspace.from_rows(20, [unit_vector(20, t) for t in v5_positions(3)[0]])
+    return Subspace.from_rows(20, [monomial(6, m) for m in monomials(5, 3)])
 
 
 def exterior_power_matrix(f: Matrix, degree: int) -> Matrix:

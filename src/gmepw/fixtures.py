@@ -67,7 +67,7 @@ def _dual_basis_row(i: int) -> list[Fraction]:
     """The e6-block vector pairing to 1 with the i-th 3-monomial of the
     hyperplane and to 0 with the others: that monomial's row of the wedge
     form, which is +-1 at the complementary monomial."""
-    return list(top_pairing(6, 3).data[v5_positions(3)[0][i]])
+    return list(top_pairing(6, 3)[v5_positions(3)[0][i]])
 
 
 def graph_row(i: int, coeffs) -> list[Fraction]:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exterior import monomial, top_pairing, wedge
-from .linalg import Matrix, Subspace, kernel, unit_vector, vec, vec_dot
-from .polynomials import Poly, interpolate
+from .linalg import Matrix, Subspace, clear_denominators, kernel, unit_vector, vec, vec_dot
+from .polynomials import Poly, line_det
 from .sampling import random_nonzero_vector, rng_from_seed
 
 L2V5_DIM = 10  # degree-2 monomials of the 5-space
@@ -89,10 +89,11 @@ class ValidationReport:
 def plucker_gram(mu: Matrix, i: int, epsilon: Fraction) -> Matrix:
     """Gram of the Pluecker quadric at basis vector e_(i+1) of the 5-space:
     entry (a, b) is epsilon * top(e_i ^ mu(w_a) ^ mu(w_b)), read off the
-    top pairing as epsilon * E T mu with rows e_i ^ mu(w_a) in E."""
+    integer top pairing T as epsilon * E T mu with rows e_i ^ mu(w_a) in E."""
     ei = monomial(5, (i,))
-    e = Matrix([wedge(5, 1, 2, ei, mu.col(a)) for a in range(mu.cols)], cols=10)
-    return (e * top_pairing(5, 3) * mu).scale(epsilon)
+    cols = [mu.col(b) for b in range(mu.cols)]
+    paired = [[vec_dot(t, c) for t in top_pairing(5, 3)] for c in cols]
+    return Matrix([[epsilon * vec_dot(wedge(5, 1, 2, ei, a), p) for p in paired] for a in cols], cols=mu.cols)
 
 
 def validate(d: GMData) -> ValidationReport:
@@ -125,44 +126,41 @@ def classify(d: GMData) -> GMTypeTag:
         return ORDINARY
     if ker.dim > 1:
         return NON_LCI
-    w1 = ker.basis_rows()[0]
-    # the value at the kernel point depends on v only through its e6 part,
-    # verified here on two independent directions off the hyperplane
-    directions = (unit_vector(6, 5), vec([1, 0, 0, 0, 0, 1]))
-    vals = [vec_dot(w1, d.q_of(v).apply(w1)) for v in directions]
-    if vals[0] != vals[1]:
-        raise GmError("inconsistent kernel values; data violates the wedge identity")
-    return SPECIAL if vals[0] != 0 else NON_LCI
+    k = ker.int_rows[0]
+    return SPECIAL if vec_dot(_kernel_form(d, k), k) else NON_LCI
 
 
-def split_w(d: GMData) -> tuple[Subspace, Subspace, tuple[Matrix, ...], tuple[Matrix, ...]]:
-    """Canonical splitting of W into the kernel line and its q-orthogonal.
+def _kernel_form(d: GMData, k) -> list[Fraction]:
+    """q(v)(k, .) for a kernel vector k of mu and any v off the hyperplane.
 
-    Only defined for lci data.  Returns (W0, W1, q0, q1) with the q blocks
-    written on the RREF bases of the two summands.  The splitting does not
-    depend on the choice of the direction off the hyperplane; this is checked
-    for two choices.
+    Under the wedge identity, mu(k) = 0 makes row k of every Pluecker
+    quadric vanish, so the form depends on v only through its e6 part; this
+    is checked for v = e6 and v = e1 + e6.
     """
-    t = classify(d)
-    if t == NON_LCI:
-        raise GmError("splitting needs lci data")
+    forms = [d.q_of(v).left_apply(k) for v in (unit_vector(6, 5), [1, 0, 0, 0, 0, 1])]
+    if forms[0] != forms[1]:
+        raise GmError("inconsistent kernel values; data violates the wedge identity")
+    return forms[0]
+
+
+def split_w(d: GMData) -> tuple[Subspace, Subspace, list[Fraction]]:
+    """Canonical splitting of W into the kernel line W1 and its q-orthogonal W0.
+
+    Only defined for lci data.  Returns (W0, W1, f) with f the coordinate
+    functional of W1 along W0: f = q(v)(k, .) / q(v)(k, k) for k the basis
+    vector of W1, so f(k) = 1 and ker f = W0; for ordinary data W1 = 0 and
+    f = 0.
+    """
     w1 = d.ker_mu()
     if w1.dim == 0:
-        w0 = Subspace.full(d.w_dim)
-        q0 = tuple(m for m in d.q)
-        return w0, w1, q0, tuple(Matrix.zero(0, 0) for _ in d.q)
-    k = w1.basis_rows()[0]
-    w0s = []
-    for v in (unit_vector(6, 5), vec([1, 0, 0, 0, 0, 1])):
-        g = d.q_of(v)
-        functional = Matrix([g.apply(k)])
-        w0s.append(kernel(functional))
-    if w0s[0] != w0s[1]:
-        raise GmError("splitting depends on the direction; data is inconsistent")
-    w0 = w0s[0]
-    q0 = tuple(w0.basis * m * w0.basis.transpose() for m in d.q)
-    q1 = tuple(w1.basis * m * w1.basis.transpose() for m in d.q)
-    return w0, w1, q0, q1
+        return Subspace.full(d.w_dim), w1, [Fraction(0)] * d.w_dim
+    if w1.dim == 1:
+        k = w1.basis.data[0]
+        f = _kernel_form(d, k)
+        fk = vec_dot(f, k)
+        if fk:
+            return Subspace.from_rows(d.w_dim, [f]).annihilator(), w1, [x / fk for x in f]
+    raise GmError("splitting needs lci data")
 
 
 def membership(d: GMData, w) -> str:
@@ -190,16 +188,12 @@ def hull_point_sample(d: GMData, seed) -> list[Fraction]:
         raise GmError("sampling needs lci data")
     rng = rng_from_seed(seed)
     mu_image = Subspace.from_rows(L2V5_DIM, [d.mu.col(j) for j in range(d.w_dim)])
-    ann = mu_image.annihilator().basis  # functionals cutting mu(W)
+    ann = mu_image.annihilator().int_rows  # functionals cutting mu(W)
     for _ in range(100):
         v1 = random_nonzero_vector(rng, 5, 4)
-        # linear map v2 -> functionals of v1 ^ v2
-        cols = []
-        for j in range(5):
-            wj = wedge(5, 1, 1, v1, monomial(5, (j,)))
-            cols.append(ann.apply(wj) if ann.rows else [])
-        mat = Matrix.from_cols(cols) if ann.rows else Matrix.zero(0, 5)
-        sol = kernel(mat)
+        # the v2 on which every functional of v1 ^ v2 vanishes
+        wedges = [wedge(5, 1, 1, v1, monomial(5, (j,))) for j in range(5)]
+        sol = Subspace.from_rows(5, [[vec_dot(f, wj) for wj in wedges] for f in ann]).annihilator()
         # want a kernel vector independent of v1
         v1_line = Subspace.from_rows(5, [v1])
         candidate = None
@@ -242,8 +236,9 @@ def opposite(d: GMData) -> GMData:
         return GMData(n=d.n + 1, mu=mu, q=tuple(qs), epsilon=d.epsilon)
     if d.n < 2:
         raise GmError("special input must have dimension at least 2")
-    w0, _w1, q0, _q1 = split_w(d)
-    mu = Matrix.from_cols([d.mu.apply(row) for row in w0.basis_rows()])
+    w0 = split_w(d)[0].basis
+    mu = Matrix.from_cols([d.mu.apply(row) for row in w0.data])
+    q0 = tuple(w0 * m * w0.transpose() for m in d.q)
     return GMData(n=d.n - 1, mu=mu, q=q0, epsilon=d.epsilon)
 
 
@@ -267,15 +262,17 @@ def discriminant_on_line(d: GMData, v_a, v_b) -> DiscriminantLine:
     identically zero.
     """
     v_a, v_b = vec(v_a), vec(v_b)
-    if Matrix([v_a, v_b]).rank() < 2:
+    if Subspace.from_rows(6, [v_a, v_b]).dim < 2:
         raise GmError("the two points are dependent: the line degenerates")
     lam = Poly([v_a[5], v_b[5]])
     if lam.is_zero():
         raise GmError("line lies inside the hyperplane")
     w = d.w_dim
-    # the family is linear in t, so two quadrics give it at every node
-    qa, qb = d.q_of(v_a), d.q_of(v_b)
-    det_poly = interpolate([(t, (qa + qb.scale(t)).det()) for t in range(w + 1)])
+    # the family is linear in t: q(v_a) + t q(v_b) = (p0 + t p1) / den
+    flat, den = clear_denominators([x for v in (v_a, v_b) for row in d.q_of(v).data for x in row])
+    rows = [flat[k:k + w] for k in range(0, 2 * w * w, w)]
+    p0, p1 = rows[:w], rows[w:]
+    det_poly = line_det(p0, p1).scale(Fraction(1, den**w))
     if det_poly.is_zero():
         return DiscriminantLine(det_poly, 0, None, dis_is_everything=True)
     if lam.degree == 1:

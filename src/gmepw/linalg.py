@@ -3,8 +3,8 @@
 Integers inside, ``Fraction`` at the API edge: every scalar a caller sees is
 a ``fractions.Fraction`` (reduced, positive denominator), while the
 eliminations (one integer Gauss-Jordan under ``Matrix.rref``, kernel,
-solve, ``image_and_lifts`` under inverse and every lift, and every
-subspace; one forward elimination, ``_int_rank``, under every rank; and
+solve, every subspace, and ``int_image_and_lifts`` under the inverse and
+every lift; one forward elimination, ``_int_rank``, under every rank; and
 ``det_int``) run over Python ints.
 A subspace holds its reduced row echelon basis as primitive integer rows
 with positive pivots, which is canonical exactly when the RREF is, so two
@@ -219,10 +219,12 @@ class Matrix:
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
-        image, inv = image_and_lifts(self, Matrix.identity(self.rows))
-        if image.dim < self.rows:
+        n = self.rows
+        image, rows = int_image_and_lifts(
+            [_int_row(r + [int(i == j) for j in range(n)]) for i, r in enumerate(self.data)], n)
+        if image.dim < n:
             raise ValueError("matrix is singular")
-        return inv
+        return Matrix._make([r[n:] for r in _fraction_rows(rows, image.pivots)], n)
 
     def solve(self, b) -> list[Fraction] | None:
         """One solution x of self @ x = b, or None if inconsistent."""
@@ -331,17 +333,6 @@ def _gauss_jordan(m: list, cols: int) -> tuple[list[tuple[int, ...]], tuple[int,
         g = gcd(*row) if row[c] > 0 else -gcd(*row)
         out.append(tuple(row) if g == 1 else tuple([x // g for x in row]))
     return out, tuple(pivots)
-
-
-def image_and_lifts(images: Matrix, sources: Matrix) -> tuple["Subspace", Matrix]:
-    """The row space of images, and for each row of its RREF basis the same
-    combination of the rows of sources (``int_image_and_lifts``)."""
-    if images.rows != sources.rows:
-        raise ValueError("images and sources differ in row count")
-    n = images.cols
-    w, rows = int_image_and_lifts([_int_row(a + b) for a, b in zip(images.data, sources.data)], n)
-    lifts = [[Fraction(x, r[c]) if x else _ZERO for x in r[n:]] for r, c in zip(rows, w.pivots)]
-    return w, Matrix._make(lifts, sources.cols)
 
 
 def int_image_and_lifts(rows, n: int) -> tuple["Subspace", list[tuple[int, ...]]]:

@@ -1,9 +1,9 @@
 """Dense univariate polynomials with exact rational coefficients.
 
-Small and purpose-built: evaluation, exact division and interpolation are
-everything the determinant-on-a-line computations need; ``poly_gcd`` has no
-caller in the package (the benchmark tracer wraps it by name).  Coefficients
-are stored low degree first.
+Small and purpose-built: evaluation, exact division, interpolation and the
+integer line determinant ``line_det`` are everything the determinant-on-a-line
+computations need; ``poly_gcd`` has no caller in the package (the benchmark
+tracer wraps it by name).  Coefficients are stored low degree first.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd as int_gcd
 from math import lcm as int_lcm
 
-from .linalg import rat
+from .linalg import det_int, rat
 
 
 class Poly:
@@ -193,3 +193,13 @@ def interpolate(points) -> Poly:
         shifted[0] += dd[i]
         coeffs = shifted
     return Poly(coeffs)
+
+
+def line_det(p0, p1) -> Poly:
+    """det(p0 + t p1) for square integer rows p0 and p1.  Each row is affine
+    in t, so the degree is at most the number of non-zero rows of p1, and
+    that many nodes plus one determine it."""
+    nodes = range(1 + sum(map(any, p1)))
+    return interpolate(
+        [(t, det_int([[x + t * y for x, y in zip(r0, r1)] for r0, r1 in zip(p0, p1)])) for t in nodes]
+    )

@@ -200,8 +200,7 @@ def dual_quadric_via_pairing(
 
 def standard_doubled_space(m: int) -> LagrangianDecomposition:
     """k^m plus its dual with the pairing form, decomposed into the two factors."""
-    space = SymplecticSpace.from_int_rows(
-        [[int(j == i + m) - int(i == j + m) for j in range(2 * m)] for i in range(2 * m)], 1)
+    space = SymplecticSpace([[int(j == i + m) - int(i == j + m) for j in range(2 * m)] for i in range(2 * m)])
     l1, l2 = (Subspace.from_rows(2 * m, [unit_vector(2 * m, k + i) for i in range(m)]) for k in (0, m))
     return LagrangianDecomposition(space, l1, l2)
 
@@ -222,14 +221,16 @@ def lagrangian_from_quadric(q: QuadricOnSubspace) -> Subspace:
 
 
 class QuotientModel:
-    """Coordinates on U/I for nested subspaces I inside U.
+    """Coordinates on U/I for nested subspaces I inside U, with U given by
+    the span of its equations: U is their annihilator.
 
     The complement basis consists of the RREF rows of U whose pivots are not
     pivots of I, which makes the model canonical; ``comp_int_rows`` holds
     them as U's primitive integer rows, each the RREF row times its pivot.
     """
 
-    def __init__(self, inner: Subspace, outer: Subspace):
+    def __init__(self, inner: Subspace, equations: Subspace):
+        outer = equations.annihilator()
         if not outer.contains_subspace(inner):
             raise ValueError("inner subspace is not contained in the outer one")
         self.inner = inner
@@ -238,7 +239,7 @@ class QuotientModel:
         self.comp_int_rows = [r for r, p in zip(outer.int_rows, outer.pivots) if p not in inner_pivots]
         self.comp_pivots = [p for p in outer.pivots if p not in inner_pivots]
         self.dim = len(self.comp_int_rows)
-        self.equations = outer.annihilator().int_rows
+        self.equations = equations.int_rows
 
     def project_subspace(self, s: Subspace) -> Subspace:
         """The image of s meet U in U/I.  The meet is spanned by the
@@ -271,14 +272,15 @@ def isotropic_reduce(dec: LagrangianDecomposition, a: Subspace, iso: Subspace) -
     space = dec.space
     if not dec.l1.contains_subspace(iso):
         raise ValueError("isotropic subspace must lie in the first summand")
-    model = QuotientModel(iso, omega_orthogonal(space, iso))
+    # I-perp is the annihilator of the rows of I times the form
+    model = QuotientModel(iso, Subspace.from_rows(space.total_dim, _times_form(space, iso.int_rows)))
     # the complement rows c_k are p_k times RREF rows: scaled by L / p_k for
     # L = lcm(p), they pair under d * form to d L^2 times the reduced form
     pivots = [row[c] for row, c in zip(model.comp_int_rows, model.comp_pivots)]
     big = lcm(*pivots)
     comp = [[big // p * x for x in row] for row, p in zip(model.comp_int_rows, pivots)]
     form = [[sum(map(mul, x, y)) for y in comp] for x in _times_form(space, comp)]
-    red_space = SymplecticSpace.from_int_rows(form, space.int_form[1] * big * big)
+    red_space = SymplecticSpace(form, space.int_form[1] * big * big)
     red_l1 = model.project_contained(dec.l1.int_rows)  # I in l1 = l1-perp, so l1 lies in I-perp
     red_dec = LagrangianDecomposition(red_space, red_l1, model.project_subspace(dec.l2))
     return IsotropicReduction(red_dec, model.project_subspace(a), model)

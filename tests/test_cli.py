@@ -9,6 +9,7 @@ any kernel must reproduce them byte for byte.
 
 import io
 import json
+from fractions import Fraction
 import os
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from gmepw import cli
 from gmepw import io as gio
 from gmepw.correspondence import A1_ZERO, LagrangianData, apply_frame
 from gmepw.exterior import l3v5_subspace
-from gmepw.fixtures import fivefold_lagrangian
+from gmepw.fixtures import fivefold_lagrangian, sixfold_special
 from gmepw.linalg import Matrix
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -204,6 +205,27 @@ def test_output_file_holds_the_golden_bytes(name, tmp_path, monkeypatch, capsys)
     assert code == case["exit"]
     assert out == ""
     assert path.read_bytes() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def test_fixture_list_output_file_holds_the_whole_listing(tmp_path, monkeypatch, capsys):
+    listing = run_main(["fixture", "--list"], "", monkeypatch, capsys)[1]
+    assert listing.count("\n") == 8
+    path = tmp_path / "list"
+    assert run_main(["fixture", "--list", "--output", str(path)], "", monkeypatch, capsys) == (0, "", "")
+    assert path.read_text(encoding="utf-8") == listing
+
+
+@pytest.mark.parametrize("argv", [["to-lagrangian"], ["opposite"], ["hull-sample", "--seed", "3"]])
+def test_kernel_row_off_the_wedge_identity_is_violation(argv, monkeypatch, capsys):
+    # q(e1)(w1, w11) perturbed symmetrically: the kernel vector w11 of mu
+    # pairs with w1 under q(e1), so q(v)(k, .) depends on v off e6; the
+    # scalar q(v)(k, k) does not see it
+    doc = json.loads(gio.emit(gio.Document("gm_data", sixfold_special())))
+    q1 = doc["payload"]["q"][0]
+    q1[0][10] = q1[10][0] = str(Fraction(q1[0][10]) + 1)
+    code, out, err = run_main(argv, json.dumps(doc), monkeypatch, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("violation: ")
 
 
 def test_output_to_a_directory_is_input_error(tmp_path, monkeypatch, capsys):

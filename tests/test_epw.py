@@ -461,7 +461,7 @@ def charts(kind, base, direction):
 def chart_certificate(a, kind, base, direction, chart) -> Poly:
     """The certificate through a given chart, by rational determinants of the
     pairing against the wedge generators on the nodes 0..10."""
-    pair = Matrix([top_pairing(6, 3).left_apply(r) for r in a.basis_rows()])
+    pair = Matrix([Matrix(top_pairing(6, 3)).left_apply(r) for r in a.basis_rows()])
 
     def det_at(t):
         gens = Matrix(chart_gens(kind, base, direction, chart, t))
@@ -485,7 +485,7 @@ def test_membership_poly_equals_rational_pairing_determinant():
     from gmepw.epw import _lagrangian_family_gens, _membership_poly
 
     a = sigma_fixture_lagrangian().a
-    pair_rows = [top_pairing(6, 3).left_apply(r) for r in a.basis_rows()]
+    pair_rows = [Matrix(top_pairing(6, 3)).left_apply(r) for r in a.basis_rows()]
     for kind, (base, direction) in RATIONAL_FAMILIES.items():
         chart = charts(kind, base, direction)[0]
         c = chart_coordinate(kind, base, direction, chart)

@@ -6,7 +6,14 @@ from fractions import Fraction
 import pytest
 
 from gmepw.exterior import monomial, wedge
-from gmepw.fixtures import fivefold, sigma_fixture, sixfold_special, threefold
+from gmepw.fixtures import (
+    all_gm_fixtures,
+    all_lagrangian_fixtures,
+    fivefold,
+    sigma_fixture,
+    sixfold_special,
+    threefold,
+)
 from gmepw.gm import (
     GmError,
     GMData,
@@ -23,6 +30,7 @@ from gmepw.gm import (
     validate,
 )
 from gmepw.linalg import Matrix, Subspace, unit_vector
+from gmepw.polynomials import Poly, interpolate
 from gmepw.sampling import random_nonzero_vector, rng_from_seed
 
 
@@ -76,18 +84,25 @@ def test_classify_non_lci():
     assert classify(GMData(n=6, mu=d6.mu, q=tuple(q), epsilon=d6.epsilon)) == NON_LCI
 
 
+def blocks(d: GMData, w: Subspace) -> tuple[Matrix, ...]:
+    """The q matrices written on the RREF basis of a summand of W."""
+    return tuple(w.basis * m * w.basis.transpose() for m in d.q)
+
+
 def test_split_ordinary():
-    w0, w1, q0, q1 = split_w(fivefold())
+    w0, w1, f = split_w(fivefold())
     assert w0 == Subspace.full(10)
     assert w1.dim == 0
-    assert q0 == fivefold().q
+    assert blocks(fivefold(), w0) == fivefold().q
+    assert f == [0] * 10
 
 
 def test_split_special_block_diagonal():
     d = sixfold_special()
-    w0, w1, q0, q1 = split_w(d)
+    w0, w1, f = split_w(d)
     assert w1.dim == 1
     assert w0.dim == 10
+    q1 = blocks(d, w1)
     assert q1[5] == Matrix([[1]])
     assert all(q1[i].is_zero() for i in range(5))
     # block structure: cross terms of q(e6) between the summands vanish
@@ -95,6 +110,36 @@ def test_split_special_block_diagonal():
     k = w1.basis_rows()[0]
     for row in w0.basis_rows():
         assert sum((k[i] * g.data[i][j] * row[j] for i in range(11) for j in range(11)), Fraction(0)) == 0
+
+
+def lci_data() -> dict[str, GMData]:
+    """The fixtures and their opposites: both types, n from 2 to 7."""
+    fixtures = all_gm_fixtures()
+    return {**fixtures, **{f"opposite {name}": opposite(d) for name, d in fixtures.items()}}
+
+
+@pytest.mark.parametrize("name", sorted(lci_data()))
+def test_split_functional_is_the_kernel_coordinate(name):
+    d = lci_data()[name]
+    w0, w1, f = split_w(d)
+    assert w0.dim + w1.dim == d.w_dim and w0.meet_dim(w1) == 0
+    if classify(d) == ORDINARY:
+        assert w1.dim == 0 and f == [0] * d.w_dim
+        return
+    k = w1.basis_rows()[0]
+    assert sum((a * b for a, b in zip(f, k)), Fraction(0)) == 1
+    assert Subspace.from_rows(d.w_dim, [f]).annihilator() == w0
+
+
+@pytest.mark.parametrize("name", sorted(lci_data()))
+def test_kernel_rows_of_the_plucker_quadrics_vanish(name):
+    # mu(k) = 0 makes row k of every Pluecker quadric zero, so the vector
+    # check of the kernel form never fires on validated data
+    d = lci_data()[name]
+    assert validate(d).ok
+    for k in d.ker_mu().basis_rows():
+        for i in range(5):
+            assert not any(plucker_gram(d.mu, i, d.epsilon).left_apply(k))
 
 
 def test_split_rejects_non_lci():
@@ -211,6 +256,63 @@ def test_discriminant_line_special_and_threefold():
             line = discriminant_on_line(d, va, vb)
             assert line.dis_poly is not None
             assert line.dis_poly.degree <= 6
+
+
+def epsilon_fivefold(epsilon) -> GMData:
+    """The fivefold's mu and q(e6) with the Pluecker quadrics scaled by epsilon."""
+    d = fivefold()
+    qs = tuple(plucker_gram(d.mu, i, epsilon) for i in range(5)) + (d.q[5],)
+    return GMData(n=d.n, mu=d.mu, q=qs, epsilon=epsilon)
+
+
+DISCRIMINANT_LINES = [
+    ([1, 0, 2, -1, 0, 1], [0, 1, 1, 3, -2, 2]),
+    ([Fraction(1, 2), 0, 1, Fraction(-1, 3), 2, 1], [1, Fraction(2, 5), 0, 1, -1, Fraction(3, 7)]),
+    ([1, 2, 0, 0, Fraction(-3, 4), 0], [0, 0, 1, Fraction(5, 6), 1, Fraction(-2, 3)]),
+]
+
+
+def discriminant_data() -> dict[str, GMData]:
+    """The fixtures, and the fivefold with non-integer q entries."""
+    return {**all_gm_fixtures(), **{f"epsilon {e}": epsilon_fivefold(e) for e in (Fraction(3), Fraction(-2, 5))}}
+
+
+@pytest.mark.parametrize("line", DISCRIMINANT_LINES)
+@pytest.mark.parametrize("name", sorted(discriminant_data()))
+def test_discriminant_against_rational_determinants(name, line):
+    # the oracle is the formula the integer line determinant replaced: w + 1
+    # rational determinants of q(v_a) + t q(v_b), interpolated
+    d = discriminant_data()[name]
+    assert validate(d).ok
+    v_a, v_b = line
+    qa, qb = d.q_of(v_a), d.q_of(v_b)
+    expected = interpolate([(t, (qa + qb.scale(t)).det()) for t in range(d.w_dim + 1)])
+    got = discriminant_on_line(d, v_a, v_b)
+    assert got.det_poly == expected
+    lam = Poly([Fraction(v_a[5]), Fraction(v_b[5])])
+    assert got.dis_poly * lam ** (d.n - 1) == expected
+
+
+def test_discriminant_takes_no_rational_determinant(monkeypatch):
+    def refuse(self):
+        raise AssertionError("Matrix.det called")
+
+    monkeypatch.setattr(Matrix, "det", refuse)
+    for d in all_gm_fixtures().values():
+        line = discriminant_on_line(d, *DISCRIMINANT_LINES[1])
+        assert line.dis_poly is not None
+
+
+def test_lagrangian_to_gm_builds_no_rational_basis_of_a():
+    from gmepw.correspondence import LagrangianData, lagrangian_to_gm
+
+    for ld in all_lagrangian_fixtures().values():
+        if ld.a1 == "inf":
+            continue
+        fresh = LagrangianData(a=Subspace(20, list(ld.a.int_rows), ld.a.pivots), a1=ld.a1)
+        assert fresh.a._basis is None
+        lagrangian_to_gm(fresh)
+        assert fresh.a._basis is None
 
 
 def test_discriminant_rejects_hyperplane_line():

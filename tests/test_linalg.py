@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from gmepw.linalg import (
     Matrix,
     Subspace,
+    clear_denominators,
     det_int,
-    image_and_lifts,
+    int_image_and_lifts,
     kernel,
 )
 from gmepw.sampling import random_invertible, random_matrix, rng_from_seed
@@ -150,6 +151,18 @@ def test_solve_and_inverse():
         x = m.solve(rhs)
         assert m.apply(x) == rhs
         assert m * m.inverse() == Matrix.identity(4)
+
+
+def image_and_lifts(images: Matrix, sources: Matrix) -> tuple[Subspace, Matrix]:
+    """The row space of images, and for each row of its RREF basis the same
+    combination of the rows of sources, through ``int_image_and_lifts``."""
+    if images.rows != sources.rows:
+        raise ValueError("images and sources differ in row count")
+    n = images.cols
+    stack = [clear_denominators(a + b)[0] for a, b in zip(images.data, sources.data)]
+    image, rows = int_image_and_lifts(stack, n)
+    lifts = [[Fraction(x, r[c]) for x in r[n:]] for r, c in zip(rows, image.pivots)]
+    return image, Matrix(lifts, cols=sources.cols)
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gmepw.linalg import det_int
 from gmepw.polynomials import (
     Poly,
     interpolate,
+    line_det,
     poly_gcd,
 )
 
@@ -111,3 +113,27 @@ def test_newton_matches_lagrange(points):
 
 def test_interpolate_empty_is_zero():
     assert interpolate([]).is_zero()
+
+
+@st.composite
+def line_pairs(draw):
+    """Square integer rows p0 and p1, some rows of p1 zero."""
+    n = draw(st.integers(1, 6))
+    rows = st.lists(st.integers(-6, 6), min_size=n, max_size=n)
+    p0 = draw(st.lists(rows, min_size=n, max_size=n))
+    p1 = [draw(rows) if draw(st.booleans()) else [0] * n for _ in range(n)]
+    return p0, p1
+
+
+@given(line_pairs())
+@example(([[3]], [[2]]))
+@example(([[3]], [[0]]))
+@example(([[1, 2], [2, 4]], [[0, 0], [1, 1]]))
+@settings(max_examples=100, deadline=None)
+def test_line_det_matches_det_int_off_the_nodes(pair):
+    p0, p1 = pair
+    f = line_det(p0, p1)
+    moving = sum(map(any, p1))
+    assert f.degree <= moving  # the degree bound the node count relies on
+    for t in (-5, -1, moving + 1, moving + 4, 37):
+        assert f(t) == det_int([[x + t * y for x, y in zip(r0, r1)] for r0, r1 in zip(p0, p1)])

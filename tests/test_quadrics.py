@@ -133,8 +133,10 @@ def test_integer_quadric_layer_matches_the_fraction_formulas(m, scale):
     # integer rows replaced
     rng = rng_from_seed(f"integer-quadrics-{m}-{scale}")
     std = standard_doubled_space(m)
-    space = SymplecticSpace(2 * m, std.space.form.scale(scale))
+    std_rows = [[dict(r).get(j, 0) for j in range(2 * m)] for r in std.space.int_form[0]]
+    space = SymplecticSpace([[scale.numerator * x for x in row] for row in std_rows], scale.denominator)
     assert space.int_form[1] == scale.denominator
+    assert space.form == std.space.form.scale(scale)
     dec = LagrangianDecomposition(space, std.l1, std.l2)
     form = space.form
     for _ in range(10):
