@@ -22,6 +22,7 @@ from operator import mul
 
 from .exterior import (
     SymplecticSpace,
+    exterior_power_matrix,
     inject,
     l3v5_subspace,
     lambda_p,
@@ -32,7 +33,7 @@ from .exterior import (
     wedge_symplectic_space,
 )
 from .gm import NON_LCI, ORDINARY, SPECIAL, GmError, GMData, classify, opposite, split_w
-from .linalg import Matrix, Subspace, int_image_and_lifts, unit_vector, vec, vec_add, vec_dot
+from .linalg import Matrix, Subspace, clear_denominators, int_image_and_lifts
 from .quadrics import LagrangianDecomposition, is_lagrangian, omega_orthogonal
 
 EXT_DIM = 22
@@ -113,47 +114,53 @@ def gm_to_lagrangian(d: GMData) -> LagrangianData:
     """
     if classify(d) == NON_LCI:
         raise CorrespondenceError("the construction needs lci data")
-    _w0, w1, mu1 = split_w(d)
-    a_hat = _a_hat(d, mu1, v0=unit_vector(6, 5))
-    a_even, a_odd = _split_graded(a_hat)
-    other = _a_hat(d, mu1, v0=vec([1, 0, 0, 0, 0, 1]))
-    if _split_graded(other)[0] != a_even:
+    a_even, a_odd = _split_graded(_a_hat(d, v0=(0, 0, 0, 0, 0, 1)))
+    if _split_graded(_a_hat(d, v0=(1, 0, 0, 0, 0, 1)))[0] != a_even:
         raise CorrespondenceError("even part depends on the auxiliary direction")
     if a_even.dim != 10:
         raise CorrespondenceError("even part has unexpected dimension")
     a20 = Subspace(20, [r[:20] for r in a_even.int_rows], a_even.pivots)
     tag = _odd_tag(a_odd)
-    if (tag == A1_ZERO) != (w1.dim == 0):
+    if (tag == A1_ZERO) != (d.ker_mu.dim == 0):
         raise CorrespondenceError("odd tag disagrees with the data type")
     return LagrangianData(a=a20, a1=tag)
 
 
-def _a_hat(d: GMData, mu1: list[Fraction], v0) -> Subspace:
-    """Kernel of the defining map, embedded into the 22 coordinates."""
-    v0 = vec(v0)
-    lam0 = v0[5]
-    if lam0 == 0:
-        raise CorrespondenceError("auxiliary direction must avoid the hyperplane")
-    qv0 = d.q_of(v0)
+def _a_hat(d: GMData, v0: tuple[int, ...]) -> Subspace:
+    """Kernel of the defining map, embedded into the 22 coordinates, for an
+    integer direction v0 with last coordinate 1.
+
+    In integers mu = M / m, q(v0) = P / D, the functional of ``split_w`` is
+    F / s and epsilon = e / e'; each equation is scaled by m e' s D and each
+    kernel row by m s, which keeps both spans.
+    """
+    cols, m = d.int_mu
+    f, s = clear_denominators(split_w(d)[2])
+    pv0, den = d.int_q_of(v0)
+    e, e_den = d.epsilon.numerator, d.epsilon.denominator
     # columns: 10 three-form coords, one L coord, w W-coords; rows: W functionals
     # w -> epsilon * top(xi ^ mu(w)) on the three-forms xi of the hyperplane
-    eqs = [[d.epsilon * vec_dot(t, d.mu.col(j)) for t in top_pairing(5, 3)] + [mu1[j]] + qv0.col(j)
-           for j in range(d.w_dim)]
+    eqs = [[e * s * den * sum(map(mul, t, c)) for t in top_pairing(5, 3)] + [m * e_den * den * fj]
+           + [m * e_den * s * x for x in pcol] for c, fj, pcol in zip(cols, f, zip(*pv0))]
     rows = []
     for sol in Subspace.from_rows(11 + d.w_dim, eqs).annihilator().int_rows:
         xi, xprime, wvec = sol[:10], sol[10], sol[11:]
-        three = vec_add(inject(3, xi), wedge(6, 1, 2, v0, inject(2, d.mu.apply(wvec))))
-        rows.append(three + [lam0 * vec_dot(mu1, wvec), xprime])
+        mu_w = [sum(map(mul, row, wvec)) for row in zip(*cols)]
+        three = [m * s * x + s * y for x, y in zip(inject(3, xi), wedge(6, 1, 2, v0, inject(2, mu_w)))]
+        rows.append(three + [m * sum(map(mul, f, wvec)), m * s * xprime])
     return Subspace.from_rows(EXT_DIM, rows)
 
 
 def _split_graded(a_hat: Subspace) -> tuple[Subspace, Subspace]:
-    even = Subspace.from_rows(
-        EXT_DIM, [_ext_unit(i) for i in range(20)]
-    )
-    odd = Subspace.from_rows(EXT_DIM, [_ext_unit(K_COORD), _ext_unit(L_COORD)])
-    a_even = a_hat.intersect(even)
-    a_odd = a_hat.intersect(odd)
+    """The even part (k and L coordinates 0) and the odd part (three-form
+    coordinates 0).  The rows of an RREF basis with pivot c or later span the
+    vectors vanishing on the first c coordinates: the odd part is read off
+    a_hat, the even part off the RREF with the k and L columns moved first."""
+    moved = Subspace.from_rows(EXT_DIM, [r[K_COORD:] + r[:K_COORD] for r in a_hat.int_rows])
+    a_even = Subspace(EXT_DIM, [r[2:] + r[:2] for r, c in zip(moved.int_rows, moved.pivots) if c >= 2],
+                      tuple(c - 2 for c in moved.pivots if c >= 2))
+    a_odd = Subspace(EXT_DIM, [r for r, c in zip(a_hat.int_rows, a_hat.pivots) if c >= K_COORD],
+                     tuple(c for c in a_hat.pivots if c >= K_COORD))
     if a_even.dim + a_odd.dim != a_hat.dim:
         raise CorrespondenceError("kernel does not split along the grading")
     return a_even, a_odd
@@ -266,8 +273,6 @@ def hyperplane_section_lagrangian(a: Subspace, eta0) -> Subspace:
 
 def apply_frame(a: Subspace, frame: Matrix) -> Subspace:
     """Transport a Lagrangian through a change of basis of the 6-space."""
-    from .exterior import exterior_power_matrix
-
     if frame.rows != 6 or frame.cols != 6 or frame.det() == 0:
         raise CorrespondenceError("frame must be an invertible 6 x 6 matrix")
     m = exterior_power_matrix(frame, 3)

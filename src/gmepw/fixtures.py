@@ -18,7 +18,7 @@ from .correspondence import (
     lagrangian_to_gm,
 )
 from .exterior import inject, monomial, top_pairing, v5_positions
-from .gm import GMData, opposite, plucker_gram
+from .gm import GMData, opposite, plucker_grams
 from .linalg import Matrix, Subspace, unit_vector, vec_add
 
 
@@ -27,8 +27,8 @@ def fivefold() -> GMData:
     """Ordinary fivefold data: the full 2-form space with the identity form
     in the e6 direction."""
     mu = Matrix.identity(10)
-    qs = [plucker_gram(mu, i, Fraction(1)) for i in range(5)]
-    qs.append(Matrix.identity(10))
+    qs = [Matrix(g) for g in plucker_grams(Subspace.full(10).int_rows)]  # the integer columns of mu
+    qs.append(mu)
     return GMData(n=5, mu=mu, q=tuple(qs), epsilon=Fraction(1))
 
 

@@ -12,13 +12,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
+from operator import mul
 
 from .exterior import monomial, top_pairing, wedge
-from .linalg import Matrix, Subspace, clear_denominators, kernel, unit_vector, vec, vec_dot
+from .linalg import Matrix, Subspace, clear_denominators, vec, vec_dot
 from .polynomials import Poly, line_det
 from .sampling import random_nonzero_vector, rng_from_seed
 
 L2V5_DIM = 10  # degree-2 monomials of the 5-space
+_ZERO = Fraction(0)
 
 
 class GmError(ValueError):
@@ -33,6 +37,9 @@ class GMData:
     (10 x (n+5) matrix over the monomial rows); q is one symmetric matrix
     per basis vector of the 6-space; epsilon scales the determinant
     trivialization of the 5-space.
+
+    The ``Fraction`` fields are the API edge; the integer view (q and mu over
+    common denominators, the kernel of mu and its form) is built once.
     """
 
     n: int
@@ -46,9 +53,8 @@ class GMData:
             raise GmError(f"mu must be 10 x {w}")
         if len(self.q) != 6:
             raise GmError("q must consist of six symmetric matrices")
-        for m in self.q:
-            if m.rows != w or m.cols != w:
-                raise GmError(f"each q matrix must be {w} x {w}")
+        if any(m.rows != w or m.cols != w for m in self.q):
+            raise GmError(f"each q matrix must be {w} x {w}")
         if self.epsilon == 0:
             raise GmError("epsilon must be invertible")
 
@@ -56,19 +62,48 @@ class GMData:
     def w_dim(self) -> int:
         return self.n + 5
 
+    @cached_property
+    def int_q(self) -> tuple[list[list[list[int]]], int]:
+        """(Q, D) with q(e_i) = Q[i] / D for integer rows Q[i]."""
+        return _over_common_denominator(self.q)
+
+    @cached_property
+    def int_mu(self) -> tuple[list[tuple[int, ...]], int]:
+        """(columns, m) with mu(w_j) = columns[j] / m."""
+        (rows,), m = _over_common_denominator([self.mu])
+        return list(zip(*rows)), m
+
+    @cached_property
+    def ker_mu(self) -> Subspace:
+        return Subspace.from_rows(self.w_dim, list(zip(*self.int_mu[0]))).annihilator()
+
+    @cached_property
+    def ker_form(self) -> list[int] | None:
+        """``_kernel_form`` of the kernel line of mu; None unless the kernel is a line."""
+        return _kernel_form(self, self.ker_mu.int_rows[0]) if self.ker_mu.dim == 1 else None
+
+    def int_q_of(self, v) -> tuple[list[list[int]], int]:
+        """(P, den) with q(v) = P / den for integer rows P."""
+        coeffs, vden = clear_denominators(vec(v))
+        if len(coeffs) != 6:
+            raise GmError("quadric direction must lie in the 6-space")
+        qs, den = self.int_q
+        rows = [[0] * self.w_dim for _ in range(self.w_dim)]
+        for c, m in zip(coeffs, qs):
+            if c:
+                rows = [[x + c * y for x, y in zip(r, mr)] for r, mr in zip(rows, m)]
+        return rows, vden * den
+
     def q_of(self, v) -> Matrix:
         """The symmetric matrix of the quadric at a vector of the 6-space."""
-        v = vec(v)
-        if len(v) != 6:
-            raise GmError("quadric direction must lie in the 6-space")
-        acc = Matrix.zero(self.w_dim, self.w_dim)
-        for c, m in zip(v, self.q):
-            if c != 0:
-                acc = acc + m.scale(c)
-        return acc
+        rows, den = self.int_q_of(v)
+        return Matrix._make([[Fraction(x, den) if x else _ZERO for x in row] for row in rows], self.w_dim)
 
-    def ker_mu(self) -> Subspace:
-        return kernel(self.mu)
+
+def _over_common_denominator(matrices) -> tuple[list[list[list[int]]], int]:
+    """The matrices as integer rows over their least common denominator."""
+    den = lcm(*(x.denominator for m in matrices for row in m.data for x in row))
+    return [[[x.numerator * (den // x.denominator) for x in row] for row in m.data] for m in matrices], den
 
 
 GMTypeTag = str  # "ordinary" | "special" | "non_lci"
@@ -86,14 +121,14 @@ class ValidationReport:
     witness: tuple | None = None
 
 
-def plucker_gram(mu: Matrix, i: int, epsilon: Fraction) -> Matrix:
-    """Gram of the Pluecker quadric at basis vector e_(i+1) of the 5-space:
-    entry (a, b) is epsilon * top(e_i ^ mu(w_a) ^ mu(w_b)), read off the
-    integer top pairing T as epsilon * E T mu with rows e_i ^ mu(w_a) in E."""
-    ei = monomial(5, (i,))
-    cols = [mu.col(b) for b in range(mu.cols)]
-    paired = [[vec_dot(t, c) for t in top_pairing(5, 3)] for c in cols]
-    return Matrix([[epsilon * vec_dot(wedge(5, 1, 2, ei, a), p) for p in paired] for a in cols], cols=mu.cols)
+def plucker_grams(cols) -> list[list[list[int]]]:
+    """Grams of the five Pluecker quadrics over integer columns of mu: entry
+    (a, b) of gram i is top(e_i ^ mu(w_a) ^ mu(w_b)), read off the integer
+    top pairing T as E T mu with rows e_i ^ mu(w_a) in E.  The quadric q(e_i)
+    of the data is epsilon times gram i."""
+    paired = [[sum(map(mul, t, c)) for t in top_pairing(5, 3)] for c in cols]
+    lefts = ([wedge(5, 1, 2, monomial(5, (i,)), a) for a in cols] for i in range(5))
+    return [[[sum(map(mul, x, p)) for p in paired] for x in left] for left in lefts]
 
 
 def validate(d: GMData) -> ValidationReport:
@@ -102,45 +137,42 @@ def validate(d: GMData) -> ValidationReport:
     The first violated identity is reported with the offending direction and
     pair of W-basis indices.
     """
-    for i, m in enumerate(d.q):
-        if not m.is_symmetric():
+    w = d.w_dim
+    qs, den = d.int_q
+    for i, m in enumerate(qs):
+        if any(m[a][b] != m[b][a] for a in range(w) for b in range(a)):
             return ValidationReport(False, None, f"q(e{i+1}) is not symmetric")
-    for i in range(5):
-        expected = plucker_gram(d.mu, i, d.epsilon).data
-        for a in range(d.w_dim):
-            for b in range(a, d.w_dim):
-                if d.q[i].data[a][b] != expected[a][b]:
-                    return ValidationReport(
-                        False,
-                        None,
-                        f"q(e{i+1})(w{a+1}, w{b+1}) violates the wedge identity",
-                        witness=(i, a, b),
-                    )
+    cols, m = d.int_mu
+    # q(e_i) = Q_i / D against epsilon G_i / m^2 for the integer gram G_i
+    scale_q, scale_g = m * m * d.epsilon.denominator, d.epsilon.numerator * den
+    for i, g in enumerate(plucker_grams(cols)):
+        for a in range(w):
+            for b in range(a, w):
+                if qs[i][a][b] * scale_q != g[a][b] * scale_g:
+                    message = f"q(e{i+1})(w{a+1}, w{b+1}) violates the wedge identity"
+                    return ValidationReport(False, None, message, witness=(i, a, b))
     return ValidationReport(True, classify(d))
 
 
 def classify(d: GMData) -> GMTypeTag:
     """ordinary / special / non_lci according to the kernel of mu."""
-    ker = d.ker_mu()
+    ker = d.ker_mu
     if ker.dim == 0:
         return ORDINARY
     if ker.dim > 1:
         return NON_LCI
-    k = ker.int_rows[0]
-    return SPECIAL if vec_dot(_kernel_form(d, k), k) else NON_LCI
+    return SPECIAL if sum(map(mul, d.ker_form, ker.int_rows[0])) else NON_LCI
 
 
-def _kernel_form(d: GMData, k) -> list[Fraction]:
-    """q(v)(k, .) for a kernel vector k of mu and any v off the hyperplane.
-
-    Under the wedge identity, mu(k) = 0 makes row k of every Pluecker
-    quadric vanish, so the form depends on v only through its e6 part; this
-    is checked for v = e6 and v = e1 + e6.
-    """
-    forms = [d.q_of(v).left_apply(k) for v in (unit_vector(6, 5), [1, 0, 0, 0, 0, 1])]
-    if forms[0] != forms[1]:
+def _kernel_form(d: GMData, k) -> list[int]:
+    """D q(v)(k, .) for an integer kernel vector k of mu, v off the hyperplane
+    and D the denominator of the q matrices.  Under the wedge identity mu(k) = 0
+    makes row k of every Pluecker quadric vanish, so the form depends on v only
+    through its e6 part; checked for v = e6 and v = e1 + e6 (q(e1)(k, .) = 0)."""
+    qs = d.int_q[0]
+    if any(sum(map(mul, k, col)) for col in zip(*qs[0])):
         raise GmError("inconsistent kernel values; data violates the wedge identity")
-    return forms[0]
+    return [sum(map(mul, k, col)) for col in zip(*qs[5])]
 
 
 def split_w(d: GMData) -> tuple[Subspace, Subspace, list[Fraction]]:
@@ -151,16 +183,11 @@ def split_w(d: GMData) -> tuple[Subspace, Subspace, list[Fraction]]:
     vector of W1, so f(k) = 1 and ker f = W0; for ordinary data W1 = 0 and
     f = 0.
     """
-    w1 = d.ker_mu()
-    if w1.dim == 0:
-        return Subspace.full(d.w_dim), w1, [Fraction(0)] * d.w_dim
-    if w1.dim == 1:
-        k = w1.basis.data[0]
-        f = _kernel_form(d, k)
-        fk = vec_dot(f, k)
-        if fk:
-            return Subspace.from_rows(d.w_dim, [f]).annihilator(), w1, [x / fk for x in f]
-    raise GmError("splitting needs lci data")
+    w1, f = d.ker_mu, d.ker_form or [0] * d.w_dim
+    fk = sum(map(mul, f, w1.int_rows[0])) if w1.dim == 1 else int(w1.dim == 0)
+    if not fk:
+        raise GmError("splitting needs lci data")
+    return Subspace.from_rows(d.w_dim, [f]).annihilator(), w1, [Fraction(x, fk) for x in f]
 
 
 def membership(d: GMData, w) -> str:
@@ -169,11 +196,9 @@ def membership(d: GMData, w) -> str:
     if all(x == 0 for x in w):
         raise GmError("the zero vector is not a point")
     vals = [vec_dot(w, g.apply(w)) for g in d.q]
-    if all(v == 0 for v in vals):
-        return "on_x"
-    if all(v == 0 for v in vals[:5]):
-        return "on_hull_only"
-    return "off"
+    if any(vals[:5]):
+        return "off"
+    return "on_hull_only" if vals[5] else "on_x"
 
 
 def hull_point_sample(d: GMData, seed) -> list[Fraction]:
@@ -182,34 +207,30 @@ def hull_point_sample(d: GMData, seed) -> list[Fraction]:
     Picks a random vector v1 of the 5-space, solves the linear condition
     v1 ^ v2 in mu(W) for an independent v2, and returns a W-point mapping to
     v1 ^ v2.  Such a point satisfies every hyperplane quadric exactly.
-    Directions with no solution are resampled.
+    Directions with no solution are resampled.  The point is the particular
+    solution of the reduced row echelon form, with the free coordinates 0.
     """
     if classify(d) == NON_LCI:
         raise GmError("sampling needs lci data")
     rng = rng_from_seed(seed)
-    mu_image = Subspace.from_rows(L2V5_DIM, [d.mu.col(j) for j in range(d.w_dim)])
-    ann = mu_image.annihilator().int_rows  # functionals cutting mu(W)
+    w = d.w_dim
+    cols, m = d.int_mu
+    ann = Subspace.from_rows(L2V5_DIM, cols).annihilator().int_rows  # functionals cutting mu(W)
     for _ in range(100):
-        v1 = random_nonzero_vector(rng, 5, 4)
+        v1 = clear_denominators(random_nonzero_vector(rng, 5, 4))[0]
         # the v2 on which every functional of v1 ^ v2 vanishes
         wedges = [wedge(5, 1, 1, v1, monomial(5, (j,))) for j in range(5)]
-        sol = Subspace.from_rows(5, [[vec_dot(f, wj) for wj in wedges] for f in ann]).annihilator()
-        # want a kernel vector independent of v1
+        sol = Subspace.from_rows(5, [[sum(map(mul, f, wj)) for wj in wedges] for f in ann]).annihilator()
+        # want a kernel vector independent of v1: s v2 for the RREF row v2, s its pivot value
         v1_line = Subspace.from_rows(5, [v1])
-        candidate = None
-        for row in sol.basis_rows():
-            if not v1_line.contains(row):
-                candidate = row
-                break
-        if candidate is None:
+        v2, s = next(((r, r[c]) for r, c in zip(sol.int_rows, sol.pivots) if not v1_line.contains(r)), (None, 1))
+        if v2 is None:
             continue
-        target = wedge(5, 1, 1, v1, candidate)
-        if not any(target):
-            continue
-        w = d.mu.solve(target)
-        if w is None:
-            continue
-        return w
+        # v1 ^ v2 != 0; mu x = v1 ^ v2 / s, as M x' = v1 ^ v2 with x = m x' / s
+        aug = Subspace.from_rows(w + 1, [(*r, t) for r, t in zip(zip(*cols), wedge(5, 1, 1, v1, v2))])
+        if w not in aug.pivots:
+            at = {c: Fraction(r[w] * m, r[c] * s) for r, c in zip(aug.int_rows, aug.pivots)}
+            return [at.get(j, _ZERO) for j in range(w)]
     raise GmError("hull sampling failed after 100 attempts")
 
 
@@ -218,28 +239,34 @@ def opposite(d: GMData) -> GMData:
 
     Ordinary data gains a one-dimensional summand carrying the fixed
     representative (coefficient 1) of the quadratic form induced by the e6
-    coordinate; special data drops its kernel summand.  Applying the
-    operation twice returns the original data for the fixed representative.
+    coordinate; special data drops its kernel summand, keeping mu and q on
+    the reduced row echelon basis of W0.  Applying the operation twice
+    returns the original data for the fixed representative.
     """
     t = classify(d)
     if t == NON_LCI:
         raise GmError("opposite needs lci data")
     w = d.w_dim
     if t == ORDINARY:
-        mu = Matrix([row + [Fraction(0)] for row in d.mu.copy_data()])
-        qs = []
-        for i, m in enumerate(d.q):
-            block = [row + [Fraction(0)] for row in m.copy_data()]
-            extra = [Fraction(0)] * w + [Fraction(1) if i == 5 else Fraction(0)]
-            block.append(extra)
-            qs.append(Matrix(block))
-        return GMData(n=d.n + 1, mu=mu, q=tuple(qs), epsilon=d.epsilon)
+        mu = Matrix._make([row + [_ZERO] for row in d.mu.data], w + 1)
+        qs = tuple(Matrix._make([row + [_ZERO] for row in m.data] + [[_ZERO] * w + [Fraction(int(i == 5))]], w + 1)
+                   for i, m in enumerate(d.q))
+        return GMData(n=d.n + 1, mu=mu, q=qs, epsilon=d.epsilon)
     if d.n < 2:
         raise GmError("special input must have dimension at least 2")
-    w0 = split_w(d)[0].basis
-    mu = Matrix.from_cols([d.mu.apply(row) for row in w0.data])
-    q0 = tuple(w0 * m * w0.transpose() for m in d.q)
-    return GMData(n=d.n - 1, mu=mu, q=q0, epsilon=d.epsilon)
+    # the RREF basis of W0 is R_r / s_r for the integer rows R_r, pivots s_r
+    w0 = split_w(d)[0]
+    basis, scales = w0.int_rows, [r[c] for r, c in zip(w0.int_rows, w0.pivots)]
+    cols, m = d.int_mu
+    mu = Matrix._make([[Fraction(sum(map(mul, row, r)), m * s) for r, s in zip(basis, scales)]
+                       for row in zip(*cols)], w0.dim)
+    qs, den = d.int_q
+    q0 = []
+    for g in qs:
+        gr = [[sum(map(mul, row, r)) for row in g] for r in basis]
+        q0.append(Matrix._make([[Fraction(sum(map(mul, x, y)), den * sx * sy) for y, sy in zip(gr, scales)]
+                                for x, sx in zip(basis, scales)], w0.dim))
+    return GMData(n=d.n - 1, mu=mu, q=tuple(q0), epsilon=d.epsilon)
 
 
 @dataclass(frozen=True)
@@ -268,11 +295,11 @@ def discriminant_on_line(d: GMData, v_a, v_b) -> DiscriminantLine:
     if lam.is_zero():
         raise GmError("line lies inside the hyperplane")
     w = d.w_dim
-    # the family is linear in t: q(v_a) + t q(v_b) = (p0 + t p1) / den
-    flat, den = clear_denominators([x for v in (v_a, v_b) for row in d.q_of(v).data for x in row])
-    rows = [flat[k:k + w] for k in range(0, 2 * w * w, w)]
-    p0, p1 = rows[:w], rows[w:]
-    det_poly = line_det(p0, p1).scale(Fraction(1, den**w))
+    # the family is linear in t: for v_a, v_b = a / s, b / s with integer a, b
+    # and q(a), q(b) = P_a / D, P_b / D, it is (P_a + t P_b) / (s D)
+    ab, s = clear_denominators(v_a + v_b)
+    (pa, den), (pb, _) = d.int_q_of(ab[:6]), d.int_q_of(ab[6:])
+    det_poly = line_det(pa, pb).scale(Fraction(1, (s * den) ** w))
     if det_poly.is_zero():
         return DiscriminantLine(det_poly, 0, None, dis_is_everything=True)
     if lam.degree == 1:
@@ -287,9 +314,4 @@ def discriminant_on_line(d: GMData, v_a, v_b) -> DiscriminantLine:
     dis = det_poly
     for _ in range(expected):
         dis = dis.exact_div(lam)
-    return DiscriminantLine(
-        det_poly,
-        mult,
-        dis,
-        mult_exceeds_expected=mult > expected,
-    )
+    return DiscriminantLine(det_poly, mult, dis, mult_exceeds_expected=mult > expected)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Any
 
 from .correspondence import A1_TAGS, LagrangianData, apply_frame
-from .gm import GMData
+from .gm import GMData, classify
 from .linalg import Matrix, Subspace
 from .polynomials import Poly
 
@@ -30,6 +30,8 @@ MAX_EXPONENT = 1_000
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)")
 
 KINDS = ("gm_data", "lagrangian_data", "certificate", "report")
+# the commonest integer tokens, read once and shared: a Fraction is immutable
+_SMALL_INTS = {str(k): Fraction(k) for k in range(-9, 10)}
 
 
 class DocumentError(ValueError):
@@ -48,6 +50,8 @@ def format_rat(x: Fraction) -> str:
 
 
 def parse_rat(s, where: str = "scalar") -> Fraction:
+    if type(s) is str and s in _SMALL_INTS:
+        return _SMALL_INTS[s]
     if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     if not isinstance(s, str):
@@ -55,6 +59,8 @@ def parse_rat(s, where: str = "scalar") -> Fraction:
     if len(s) > MAX_TOKEN_CHARS:
         raise DocumentError(f"{where}: rational of {len(s)} characters, more than {MAX_TOKEN_CHARS}")
     try:
+        if (s[1:] if s[:1] == "-" else s).isdecimal():
+            return Fraction(int(s))  # a plain integer token, read as Fraction(s) reads it
         exp = _EXPONENT.search(s)
         if exp and abs(int(exp.group(1))) > MAX_EXPONENT:
             raise ValueError(f"exponent beyond +-{MAX_EXPONENT}")
@@ -75,10 +81,10 @@ def parse_matrix(obj, where: str = "matrix", rows: int | None = None, cols: int 
     if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
         raise DocumentError(f"{where}: expected a nested array")
     data = [[parse_rat(x, f"{where}[{i}][{j}]") for j, x in enumerate(r)] for i, r in enumerate(obj)]
-    try:
-        m = Matrix(data, cols=cols or 0)
-    except ValueError as exc:
-        raise DocumentError(f"{where}: {exc}") from None
+    width = len(data[0]) if data else (cols or 0)
+    if any(len(row) != width for row in data):
+        raise DocumentError(f"{where}: ragged rows")
+    m = Matrix._make(data, width)
     if rows is not None and m.rows != rows:
         raise DocumentError(f"{where}: expected {rows} rows, found {m.rows}")
     if cols is not None and m.cols != cols and m.rows > 0:
@@ -104,8 +110,6 @@ def parse_subspace(obj, where: str = "subspace") -> Subspace:
 
 
 def format_gm_data(d: GMData) -> dict:
-    from .gm import classify
-
     return {
         "n": d.n,
         "mu": format_matrix(d.mu),

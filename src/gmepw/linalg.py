@@ -3,7 +3,7 @@
 Integers inside, ``Fraction`` at the API edge: every scalar a caller sees is
 a ``fractions.Fraction`` (reduced, positive denominator), while the
 eliminations (one integer Gauss-Jordan under ``Matrix.rref``, kernel,
-solve, every subspace, and ``int_image_and_lifts`` under the inverse and
+every subspace, and ``int_image_and_lifts`` under the inverse and
 every lift; one forward elimination, ``_int_rank``, under every rank; and
 ``det_int``) run over Python ints.
 A subspace holds its reduced row echelon basis as primitive integer rows
@@ -130,24 +130,12 @@ class Matrix:
             return Matrix.zero(self.cols, self.rows)
         return Matrix._make([list(col) for col in zip(*self.data)], self.rows)
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix._make(
-            [vec_add(a, b) for a, b in zip(self.data, other.data)], self.cols
-        )
-
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch")
         return Matrix._make(
             [[x - y for x, y in zip(a, b)] for a, b in zip(self.data, other.data)], self.cols
         )
-
-    def __neg__(self) -> "Matrix":
-        return Matrix._make([[-x for x in row] for row in self.data], self.cols)
-
-    def scale(self, c) -> "Matrix":
-        c = rat(c)
-        return Matrix._make([[c * x for x in row] for row in self.data], self.cols)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -187,13 +175,6 @@ class Matrix:
             self.data[i][j] == self.data[j][i] for i in range(self.rows) for j in range(i)
         )
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
-
-    def _same_shape(self, other: "Matrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-
     def rref(self) -> tuple["Matrix", int, tuple[int, ...]]:
         """Reduced row echelon form. Returns (rref matrix, rank, pivot columns)."""
         rows, pivots = _gauss_jordan([clear_denominators(row)[0] for row in self.data], self.cols)
@@ -225,19 +206,6 @@ class Matrix:
         if image.dim < n:
             raise ValueError("matrix is singular")
         return Matrix._make([r[n:] for r in _fraction_rows(rows, image.pivots)], n)
-
-    def solve(self, b) -> list[Fraction] | None:
-        """One solution x of self @ x = b, or None if inconsistent."""
-        if len(b) != self.rows:
-            raise ValueError("rhs length mismatch")
-        aug = Matrix([row + [bv] for row, bv in zip(self.copy_data(), b)])
-        red, _, pivots = aug.rref()
-        if self.cols in pivots:
-            return None
-        x = [Fraction(0)] * self.cols
-        for r, c in enumerate(pivots):
-            x[c] = red.data[r][self.cols]
-        return x
 
 
 def det_int(rows) -> int:

@@ -1,0 +1,118 @@
+"""Test-local ``Fraction`` oracles: the rational formulas that the integer
+layer of ``gmepw`` replaced, kept here to check it against."""
+
+from fractions import Fraction
+
+from gmepw.exterior import monomial, top_pairing, wedge
+from gmepw.gm import GMData, ValidationReport
+from gmepw.linalg import Matrix, vec, vec_dot
+
+
+def scale(m: Matrix, c) -> Matrix:
+    return Matrix([[c * x for x in row] for row in m.data], cols=m.cols)
+
+
+def add(a: Matrix, b: Matrix) -> Matrix:
+    assert (a.rows, a.cols) == (b.rows, b.cols)
+    return Matrix([[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.data, b.data)], cols=a.cols)
+
+
+def solve(m: Matrix, b) -> list[Fraction] | None:
+    """The particular solution of m x = b read off the RREF of [m | b], free
+    coordinates 0, or None if inconsistent."""
+    assert len(b) == m.rows
+    red, _, pivots = Matrix([row + [Fraction(x)] for row, x in zip(m.copy_data(), b)]).rref()
+    if m.cols in pivots:
+        return None
+    x = [Fraction(0)] * m.cols
+    for r, c in enumerate(pivots):
+        x[c] = red.data[r][m.cols]
+    return x
+
+
+def q_of(d: GMData, v) -> Matrix:
+    """q(v) as the sum of the six scaled ``Fraction`` matrices."""
+    acc = Matrix.zero(d.w_dim, d.w_dim)
+    for c, m in zip(vec(v), d.q, strict=True):
+        if c != 0:
+            acc = add(acc, scale(m, c))
+    return acc
+
+
+def plucker_gram(mu: Matrix, i: int, epsilon) -> Matrix:
+    """epsilon * top(e_i ^ mu(w_a) ^ mu(w_b)) over the ``Fraction`` columns of mu."""
+    ei = monomial(5, (i,))
+    cols = [mu.col(b) for b in range(mu.cols)]
+    paired = [[vec_dot(t, c) for t in top_pairing(5, 3)] for c in cols]
+    return Matrix([[epsilon * vec_dot(wedge(5, 1, 2, ei, a), p) for p in paired] for a in cols], cols=mu.cols)
+
+
+def validate_identities(d: GMData, grams=None) -> ValidationReport:
+    """The symmetry and Pluecker loops of ``gm.validate`` over ``Fraction``
+    grams, without the classification: gm_type is always None.  The five
+    grams of ``plucker_gram`` may be passed in when many data share mu and
+    epsilon."""
+    for i, m in enumerate(d.q):
+        if not m.is_symmetric():
+            return ValidationReport(False, None, f"q(e{i+1}) is not symmetric")
+    grams = grams or [plucker_gram(d.mu, i, d.epsilon) for i in range(5)]
+    for i in range(5):
+        expected = grams[i].data
+        for a in range(d.w_dim):
+            for b in range(a, d.w_dim):
+                if d.q[i].data[a][b] != expected[a][b]:
+                    return ValidationReport(
+                        False, None, f"q(e{i+1})(w{a+1}, w{b+1}) violates the wedge identity", witness=(i, a, b)
+                    )
+    return ValidationReport(True, None)
+
+
+# integer tokens at the edges of the plain-integer fast path of io.parse_rat:
+# signs, spaces, underscores, leading zeros, a non-ASCII digit, a bare sign,
+# 19 digits, and 4,301 digits (past the interpreter's int-string limit)
+INTEGER_TOKENS = ["+5", " 7 ", "1_000", "007", "-0", "\u0663", "-", "-" + "9" * 19, "1" + "0" * 4300]
+
+
+def parse_rat(s, where: str = "scalar") -> Fraction:
+    """``io.parse_rat`` with every string token read by ``Fraction(str)``."""
+    from gmepw.io import _EXPONENT, MAX_EXPONENT, MAX_TOKEN_CHARS, DocumentError
+
+    if isinstance(s, int) and not isinstance(s, bool):
+        return Fraction(s)
+    if not isinstance(s, str):
+        raise DocumentError(f"{where}: expected a rational string, got {s!r}")
+    if len(s) > MAX_TOKEN_CHARS:
+        raise DocumentError(f"{where}: rational of {len(s)} characters, more than {MAX_TOKEN_CHARS}")
+    try:
+        exp = _EXPONENT.search(s)
+        if exp and abs(int(exp.group(1))) > MAX_EXPONENT:
+            raise ValueError(f"exponent beyond +-{MAX_EXPONENT}")
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DocumentError(f"{where}: malformed rational {s!r} ({exc})") from None
+
+
+def hull_point_sample(d: GMData, seed) -> list[Fraction]:
+    """``gm.hull_point_sample`` over ``Fraction`` rows: the same sampled
+    directions, and the point from ``solve`` on mu."""
+    from gmepw.gm import L2V5_DIM, GmError
+    from gmepw.linalg import Subspace
+    from gmepw.sampling import random_nonzero_vector, rng_from_seed
+
+    rng = rng_from_seed(seed)
+    ann = Subspace.from_rows(L2V5_DIM, [d.mu.col(j) for j in range(d.w_dim)]).annihilator().int_rows
+    for _ in range(100):
+        v1 = random_nonzero_vector(rng, 5, 4)
+        wedges = [wedge(5, 1, 1, v1, monomial(5, (j,))) for j in range(5)]
+        sol = Subspace.from_rows(5, [[vec_dot(f, wj) for wj in wedges] for f in ann]).annihilator()
+        v1_line = Subspace.from_rows(5, [v1])
+        candidate = next((row for row in sol.basis_rows() if not v1_line.contains(row)), None)
+        if candidate is None:
+            continue
+        target = wedge(5, 1, 1, v1, candidate)
+        if not any(target):
+            continue
+        w = solve(d.mu, target)
+        if w is not None:
+            return w
+    raise GmError("hull sampling failed after 100 attempts")

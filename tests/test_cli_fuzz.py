@@ -21,6 +21,8 @@ from hypothesis import strategies as st
 
 from gmepw import cli
 
+from oracles import INTEGER_TOKENS
+
 ROOT = Path(__file__).resolve().parent.parent
 CASES = [c for c in json.loads((ROOT / "tests" / "golden" / "cases.json").read_text(encoding="utf-8"))
          if "stdin_case" not in c]
@@ -29,6 +31,7 @@ DOCS = {name: (ROOT / "fixtures" / name).read_text(encoding="utf-8")
 
 SCALARS = ["0", "1", "-2", "1/2", "-7/3", "0/1", "1/0", "x", "", " 1", "1e3", "nan",
            "99999999999999999999", 7, 2.5, None, True, [], {}]
+SCALARS += INTEGER_TOKENS
 TOKENS = ["0", "1", "-1", "2", "1/2", "-3/4", "", "x", "1e9", "nan", "inf", "12345678901234567890"]
 
 

@@ -40,7 +40,7 @@ from gmepw.fixtures import (
     threefold,
     threefold_lagrangian,
 )
-from gmepw.gm import ORDINARY, SPECIAL, GMData, discriminant_on_line, plucker_gram, validate
+from gmepw.gm import ORDINARY, SPECIAL, GMData, discriminant_on_line, validate
 from gmepw.linalg import Matrix, Subspace, unit_vector
 from gmepw.quadrics import is_lagrangian
 from gmepw.sampling import (
@@ -49,6 +49,8 @@ from gmepw.sampling import (
     random_nonzero_vector,
     rng_from_seed,
 )
+
+import oracles
 
 
 def test_extended_decomposition_is_graded():
@@ -246,7 +248,7 @@ def test_choice_independence_check_runs():
 def test_epsilon_three_fivefold():
     # the fivefold with the determinant trivialization scaled by 3
     mu = Matrix.identity(10)
-    q = tuple(plucker_gram(mu, i, Fraction(3)) for i in range(5)) + (Matrix.identity(10),)
+    q = tuple(oracles.plucker_gram(mu, i, Fraction(3)) for i in range(5)) + (Matrix.identity(10),)
     d = GMData(n=5, mu=mu, q=q, epsilon=Fraction(3))
     rep = validate(d)
     assert rep.ok and rep.gm_type == ORDINARY

@@ -107,7 +107,7 @@ def test_symplectic_gram_antidiagonal_signs():
             if expected_nonzero:
                 assert j == 19 - i
                 assert g[i][j] in (1, -1)
-    assert Matrix(g).transpose() == -Matrix(g)
+    assert Matrix(g).transpose() == Matrix([[-x for x in row] for row in g])
     assert det_int(g) != 0
 
 

@@ -25,13 +25,15 @@ from gmepw.gm import (
     hull_point_sample,
     membership,
     opposite,
-    plucker_gram,
+    plucker_grams,
     split_w,
     validate,
 )
-from gmepw.linalg import Matrix, Subspace, unit_vector
+from gmepw.linalg import Matrix, Subspace, clear_denominators, unit_vector
 from gmepw.polynomials import Poly, interpolate
 from gmepw.sampling import random_nonzero_vector, rng_from_seed
+
+import oracles
 
 
 def perturbed(d: GMData, i: int, a: int, b: int) -> GMData:
@@ -104,7 +106,7 @@ def test_split_special_block_diagonal():
     assert w0.dim == 10
     q1 = blocks(d, w1)
     assert q1[5] == Matrix([[1]])
-    assert all(q1[i].is_zero() for i in range(5))
+    assert all(q1[i] == Matrix.zero(1, 1) for i in range(5))
     # block structure: cross terms of q(e6) between the summands vanish
     g = d.q[5]
     k = w1.basis_rows()[0]
@@ -137,9 +139,9 @@ def test_kernel_rows_of_the_plucker_quadrics_vanish(name):
     # check of the kernel form never fires on validated data
     d = lci_data()[name]
     assert validate(d).ok
-    for k in d.ker_mu().basis_rows():
-        for i in range(5):
-            assert not any(plucker_gram(d.mu, i, d.epsilon).left_apply(k))
+    for k in d.ker_mu.basis_rows():
+        for g in plucker_grams(d.int_mu[0]):
+            assert not any(Matrix(g).left_apply(k))
 
 
 def test_split_rejects_non_lci():
@@ -154,15 +156,15 @@ def test_quadric_at_defining_identity():
     d = fivefold()
     rng = rng_from_seed(2)
     for i in range(5):
-        g = plucker_gram(d.mu, i, d.epsilon)
+        g = oracles.plucker_gram(d.mu, i, d.epsilon)
         assert d.q_of(unit_vector(6, i)) == g
-    assert d.q_of([0] * 6).is_zero()
+    assert d.q_of([0] * 6) == Matrix.zero(10, 10)
     assert d.q_of(unit_vector(6, 5)) == Matrix.identity(10)
     # linearity in v
     va = random_nonzero_vector(rng, 6, 4)
     vb = random_nonzero_vector(rng, 6, 4)
     sum_g = d.q_of([a + b for a, b in zip(va, vb)])
-    assert sum_g == d.q_of(va) + d.q_of(vb)
+    assert sum_g == oracles.add(d.q_of(va), d.q_of(vb))
 
 
 def plucker_by_wedges(mu: Matrix, i: int, epsilon: Fraction) -> Matrix:
@@ -176,8 +178,12 @@ def plucker_by_wedges(mu: Matrix, i: int, epsilon: Fraction) -> Matrix:
 def test_plucker_gram_is_the_wedge_identity(epsilon):
     rng = rng_from_seed(f"plucker-{epsilon}")
     mu = Matrix([[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(7)] for _ in range(10)])
-    for i in range(5):
-        assert plucker_gram(mu, i, epsilon) == plucker_by_wedges(mu, i, epsilon)
+    flat, m = clear_denominators([x for row in mu.data for x in row])
+    cols = list(zip(*[flat[k:k + 7] for k in range(0, 70, 7)]))
+    for i, g in enumerate(plucker_grams(cols)):
+        expected = plucker_by_wedges(mu, i, epsilon)
+        assert Matrix([[epsilon * Fraction(x, m * m) for x in row] for row in g]) == expected
+        assert oracles.plucker_gram(mu, i, epsilon) == expected
 
 
 def test_membership_and_tangent():
@@ -261,7 +267,7 @@ def test_discriminant_line_special_and_threefold():
 def epsilon_fivefold(epsilon) -> GMData:
     """The fivefold's mu and q(e6) with the Pluecker quadrics scaled by epsilon."""
     d = fivefold()
-    qs = tuple(plucker_gram(d.mu, i, epsilon) for i in range(5)) + (d.q[5],)
+    qs = tuple(oracles.plucker_gram(d.mu, i, epsilon) for i in range(5)) + (d.q[5],)
     return GMData(n=d.n, mu=d.mu, q=qs, epsilon=epsilon)
 
 
@@ -286,7 +292,7 @@ def test_discriminant_against_rational_determinants(name, line):
     assert validate(d).ok
     v_a, v_b = line
     qa, qb = d.q_of(v_a), d.q_of(v_b)
-    expected = interpolate([(t, (qa + qb.scale(t)).det()) for t in range(d.w_dim + 1)])
+    expected = interpolate([(t, oracles.add(qa, oracles.scale(qb, t)).det()) for t in range(d.w_dim + 1)])
     got = discriminant_on_line(d, v_a, v_b)
     assert got.det_poly == expected
     lam = Poly([Fraction(v_a[5]), Fraction(v_b[5])])
@@ -398,7 +404,7 @@ def test_hull_sampler_resamples_on_thin_image():
         [unit_vector(10, i) for i in (0, 3, 5, 6, 8, 9)],
     )
     mu = Matrix.from_cols(w_sub.basis_rows())
-    qs = [plucker_gram(mu, i, Fraction(1)) for i in range(5)]
+    qs = [oracles.plucker_gram(mu, i, Fraction(1)) for i in range(5)]
     rows = w_sub.basis_rows()
     q6 = Matrix(
         [[sum((x[k] * y[k] for k in range(10)), Fraction(0)) for y in rows] for x in rows]
@@ -432,3 +438,75 @@ def test_smooth_point_certificate_on_found_rational_point(corank2_lagrangian):
     ]
     assert membership(d, w) == "on_x"
     assert Matrix([g.apply(w) for g in d.q]).rank() == 4
+
+
+# ---- the integer view against the Fraction formulas it replaced
+
+
+def fractional_directions(seed, count=6) -> list[list[Fraction]]:
+    rng = rng_from_seed(seed)
+    return [[Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(6)] for _ in range(count)]
+
+
+@pytest.mark.parametrize("name", sorted(discriminant_data()))
+def test_q_of_matches_the_sum_of_six_fraction_matrices(name):
+    # discriminant_data holds the fixtures and the fivefold with epsilon 3 and -2/5
+    d = discriminant_data()[name]
+    for v in fractional_directions(f"q-of-{name}") + [unit_vector(6, i) for i in range(6)] + [[0] * 6]:
+        assert d.q_of(v) == oracles.q_of(d, v), v
+
+
+def single_entry_perturbations(d: GMData, delta: Fraction):
+    """d with q(e_i)(a, b) moved by delta for i in e1..e5: alone (asymmetric
+    unless a = b) and together with (b, a) (symmetric)."""
+    for i in range(5):
+        for a in range(d.w_dim):
+            for b in range(d.w_dim):
+                for entries in ([(a, b)], [(a, b), (b, a)]):
+                    if len(entries) == 2 and a >= b:
+                        continue
+                    q = [Matrix._make(m.copy_data(), m.cols) for m in d.q]
+                    for x, y in entries:
+                        q[i].data[x][y] += delta
+                    yield GMData(n=d.n, mu=d.mu, q=tuple(q), epsilon=d.epsilon)
+
+
+@pytest.mark.parametrize("name", ["fivefold", "sixfold_special"])
+def test_validate_matches_the_fraction_plucker_loop(name):
+    d = all_gm_fixtures()[name]
+    grams = [oracles.plucker_gram(d.mu, i, d.epsilon) for i in range(5)]
+    count = 0
+    for bad in single_entry_perturbations(d, Fraction(1, 3)):
+        got, expected = validate(bad), oracles.validate_identities(bad, grams)
+        assert not expected.ok
+        assert (got.ok, got.message, got.witness) == (expected.ok, expected.message, expected.witness)
+        count += 1
+    assert count == 5 * (d.w_dim**2 + d.w_dim * (d.w_dim - 1) // 2)
+
+
+@pytest.mark.parametrize("name", sorted(all_gm_fixtures()))
+def test_hull_point_is_the_fraction_solve_point(name):
+    d = all_gm_fixtures()[name]
+    for seed in range(20):
+        assert hull_point_sample(d, seed) == oracles.hull_point_sample(d, seed), seed
+
+
+def test_gm_layer_runs_without_fraction_matrix_arithmetic(monkeypatch):
+    # structural guard: none of these builds a Fraction matrix sum, scaled
+    # matrix, product or solve
+    from gmepw.correspondence import gm_to_lagrangian
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Fraction matrix arithmetic in the GM layer")
+
+    for method in ("scale", "__add__", "solve", "__mul__", "rref", "det"):
+        monkeypatch.setattr(Matrix, method, refuse, raising=False)
+    for name, fixture in all_gm_fixtures().items():
+        d = GMData(n=fixture.n, mu=fixture.mu, q=fixture.q, epsilon=fixture.epsilon)  # empty caches
+        assert validate(d).ok, name
+        assert classify(d) in (ORDINARY, SPECIAL)
+        split_w(d)
+        assert discriminant_on_line(d, *DISCRIMINANT_LINES[1]).dis_poly is not None
+        gm_to_lagrangian(d)
+        assert classify(opposite(d)) != classify(d)
+        assert membership(d, hull_point_sample(d, 0)) in ("on_hull_only", "on_x")

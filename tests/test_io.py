@@ -3,10 +3,13 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmepw import io as gio
 from gmepw.correspondence import LagrangianData
@@ -17,7 +20,10 @@ from gmepw.fixtures import (
     fivefold_lagrangian,
 )
 from gmepw.io import Document, DocumentError
-from gmepw.linalg import Matrix
+from gmepw.linalg import Matrix, Subspace
+
+import oracles
+from oracles import INTEGER_TOKENS
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -65,6 +71,33 @@ def test_parse_rat_caps_exponents_and_length(tok):
 @pytest.mark.parametrize("tok", ["1e1000", "-7/3", "1.5e-1000", " 12 "])
 def test_parse_rat_accepts_tokens_within_the_caps(tok):
     assert gio.parse_rat(tok) == Fraction(tok)
+
+
+def parse_outcome(parse, token):
+    try:
+        value = parse(token, "scalar")
+    except DocumentError as exc:
+        return "error", str(exc)
+    assert type(value) is Fraction
+    return "value", value
+
+
+@given(st.one_of(
+    st.sampled_from(INTEGER_TOKENS + ["-+5", "+-5", "1__0", "_1", "1_", "- 5", "٣٤", "-٣", "²", "1.0", "1/1",
+                                      "0x10"]),
+    st.text(alphabet="0123456789+-_ /e.٣\t", max_size=12),
+    st.integers(-10**30, 10**30).map(str),
+    st.sampled_from([7, -3, 0, True, None, 2.5, [], {}]),
+))
+@settings(max_examples=300, deadline=None)
+def test_parse_rat_reads_integer_tokens_as_the_fraction_path_does(token):
+    # same Fraction, or the same DocumentError text, as Fraction(str)
+    assert parse_outcome(gio.parse_rat, token) == parse_outcome(oracles.parse_rat, token)
+
+
+@pytest.mark.parametrize("token", INTEGER_TOKENS)
+def test_parse_rat_integer_edge_tokens(token):
+    assert parse_outcome(gio.parse_rat, token) == parse_outcome(oracles.parse_rat, token)
 
 
 def gm_payload_with_n(n):
@@ -299,3 +332,58 @@ def test_cli_deterministic_given_inputs_and_seed():
     a = run_cli(["hull-sample", "--seed", "3"], gm_text)
     b = run_cli(["hull-sample", "--seed", "3"], gm_text)
     assert a.stdout == b.stdout
+
+
+LCI_DOCUMENTS = ["fivefold", "sixfold_special", "threefold", "sigma_fourfold"]
+
+
+def row_space_key(d):
+    s = Subspace.from_rows(d.w_dim, d.mu.data)
+    return s.ambient_dim, tuple(s.int_rows)
+
+
+@pytest.mark.parametrize("name", LCI_DOCUMENTS)
+def test_each_gm_document_takes_one_kernel_of_mu(name, monkeypatch):
+    # the kernel of mu is the annihilator of its row space, and the kernel
+    # form is gm._kernel_form: count both per data while a document goes
+    # through to-lagrangian, opposite and from-lagrangian and is emitted
+    from gmepw import gm
+    from gmepw.correspondence import gm_to_lagrangian, lagrangian_to_gm
+
+    kernels, forms = Counter(), Counter()
+    annihilator, kernel_form = Subspace.annihilator, gm._kernel_form
+
+    def count_kernel(self):
+        kernels[self.ambient_dim, tuple(self.int_rows)] += 1
+        return annihilator(self)
+
+    def count_form(d, k):
+        forms[id(d)] += 1
+        return kernel_form(d, k)
+
+    monkeypatch.setattr(Subspace, "annihilator", count_kernel)
+    monkeypatch.setattr(gm, "_kernel_form", count_form)
+    text = (FIXDIR / f"{name}.gm.json").read_text(encoding="utf-8")
+    for flow in ("to-lagrangian", "opposite", "validate"):
+        kernels.clear()
+        forms.clear()
+        d = gio.parse(text).payload
+        if flow == "to-lagrangian":
+            ld = gm_to_lagrangian(d)
+            seen = [d]
+        elif flow == "opposite":
+            e = gm.opposite(d)
+            gio.emit(Document("gm_data", e))
+            seen = [d, e]
+        else:
+            assert gm.validate(d).ok
+            gio.emit(Document("gm_data", d))
+            seen = [d]
+        for x in seen:
+            assert kernels[row_space_key(x)] == 1, (flow, kernels[row_space_key(x)])
+            assert forms[id(x)] == (x.ker_mu.dim == 1), (flow, forms[id(x)])
+    for tag in ("0", "1"):
+        kernels.clear()
+        d = lagrangian_to_gm(LagrangianData(a=ld.a, a1=tag))
+        gio.emit(Document("gm_data", d))
+        assert kernels[row_space_key(d)] == 1, tag

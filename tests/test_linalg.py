@@ -17,6 +17,8 @@ from gmepw.linalg import (
 )
 from gmepw.sampling import random_invertible, random_matrix, rng_from_seed
 
+import oracles
+
 
 def test_rref_identity():
     m = Matrix.identity(3)
@@ -148,8 +150,9 @@ def test_solve_and_inverse():
     for _ in range(10):
         m = random_invertible(rng, 4, 5)
         rhs = [Fraction(rng.randint(-5, 5)) for _ in range(4)]
-        x = m.solve(rhs)
+        x = m.inverse().apply(rhs)
         assert m.apply(x) == rhs
+        assert x == oracles.solve(m, rhs)
         assert m * m.inverse() == Matrix.identity(4)
 
 
