@@ -178,9 +178,11 @@ def _parse_line(args) -> tuple[list[Fraction], list[Fraction]]:
 
 
 def cmd_epw_line(args) -> int:
-    flag = "base" if args.kind == "y" else "plane"
+    flag, other = ("base", "plane") if args.kind == "y" else ("plane", "base")
     if getattr(args, flag) is None:
         raise DocumentError(f"--{flag} is required with --kind {args.kind}")
+    if getattr(args, other) is not None:
+        raise DocumentError(f"--{other} does not go with --kind {args.kind}: give --{flag} only")
     ld = _read_document(args, "lagrangian_data")
     if args.kind == "y":
         base, direction = _parse_line(args)

@@ -22,21 +22,33 @@ The pointwise levels read the basis's chart off the point.  For i the last
 index with v_i != 0, f1 = v and the e_j (j != i) give the 10 forms
 v ^ e_j ^ e_k, {j, k} avoiding i.  For R the last 3-set with Plücker
 coordinate p_R != 0 and C its complement, f1..f3 = w1..w3 and the e_c
-(c in C) give w1 ^ w2 ^ w3 and the 9 forms e_c ^ w_a ^ w_b.  A certificate
-takes the first chart along its whole line, and a pairing determinant, so
-the sample check shares neither chart nor method with it.
+(c in C) give w1 ^ w2 ^ w3 and the 9 forms e_c ^ w_a ^ w_b.
+
+The remainder modulo A (``Subspace.remainder``) is linear, so the
+remainder of a 3-form sum_S g_S e_S is sum_S g_S R[e_S], with R[e_S] the
+remainders of the 20 basis 3-forms that A caches on first use.  The rows
+of a level are those combinations, with coefficients and signs from the
+one sign table of ``exterior``: sum_m +-v_m R[e_m ^ e_jk] for
+v ^ e_j ^ e_k, sum_S p_S R[e_S] for w1 ^ w2 ^ w3, and
+sum_jk +-(w_a ^ w_b)_jk R[e_c ^ e_jk] for e_c ^ w_a ^ w_b.  No generator is
+wedged or reduced on its own.
+
+A certificate takes the first chart along its whole line, and a pairing
+determinant of the generators against the rows of A, so the sample check,
+one level per sample point in that point's own last chart by a rank modulo
+A, shares neither chart nor method with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from itertools import combinations
 from operator import mul
 
-from .exterior import monomial, monomials, top_pairing, wedge, wedge_cube, wedge_gens
+from .exterior import _wedge_table, monomials, top_pairing, wedge, wedge_cube, wedge_gens
 from .gm import GmError
-from .linalg import Matrix, Subspace, _int_row, clear_denominators, vec
+from .linalg import Matrix, Subspace, _int_rank, _int_row, clear_denominators, vec
 from .polynomials import Poly, line_det
 from .sampling import rng_from_seed
 
@@ -51,13 +63,26 @@ def y_stratum(a: Subspace, v) -> int:
     if not any(v):
         raise GmError("zero vector")
     i = max(k for k, x in enumerate(v) if x)
-    return _FAMILY_DIM - a.rank_modulo([wedge(6, 1, 2, v, e) for e in _chart_pairs(i)])
+    terms = {jk: [] for jk, pair in enumerate(monomials(6, 2)) if i not in pair}
+    for vm, entries in zip(v, _wedge_table(6, 1, 2)):
+        for jk, sign, t in entries:
+            if jk in terms:
+                terms[jk].append((sign * vm, t))
+    return _FAMILY_DIM - _rank_of_forms(a, terms.values())
 
 
-@lru_cache(maxsize=None)
-def _chart_pairs(i: int) -> tuple:
-    """e_j ^ e_k over the pairs j < k of indices other than i, in order."""
-    return tuple(tuple(monomial(6, jk)) for jk in monomials(6, 2) if i not in jk)
+def _rank_of_forms(a: Subspace, forms) -> int:
+    """The rank modulo A of 3-forms sum f e_t, each given by its (f, t) terms,
+    from A's cached unit remainders R[e_t] (module docstring)."""
+    units = a.unit_remainders
+    rows = []
+    for terms in forms:
+        row = [0] * len(units[0])
+        for f, t in terms:
+            if f:
+                row = [x + f * y for x, y in zip(row, units[t])]
+        rows.append(row)
+    return _int_rank(rows)
 
 
 def y_dual_stratum(a: Subspace, v5: Subspace) -> int:
@@ -84,10 +109,14 @@ def z_stratum(a: Subspace, v3: Subspace) -> int:
     of the chart R = the last 3-set with p_R != 0 (module docstring)."""
     if v3.ambient_dim != 6 or v3.dim != 3:
         raise GmError("expected a 3-dimensional subspace of the 6-space")
-    cube = wedge_gens(v3.int_rows[:1], v3.int_rows[1:])[0]  # the Plücker coordinates p_R
+    pairs = [wedge(6, 1, 1, x, y) for x, y in combinations(v3.int_rows, 2)]
+    cube = wedge(6, 1, 2, v3.int_rows[0], pairs[2])  # the Plücker coordinates p_S
     chart = monomials(6, 3)[max(r for r, p in enumerate(cube) if p)]
-    others = [u for k, u in enumerate(Subspace.full(6).int_rows) if k not in chart]
-    return _FAMILY_DIM - a.rank_modulo([cube, *wedge_gens(others, v3.int_rows)])
+    table = _wedge_table(6, 1, 2)
+    forms = [[(p, t) for t, p in enumerate(cube)]]
+    forms += [[(sign * w[jk], t) for jk, sign, t in table[c]]
+              for c in range(6) if c not in chart for w in pairs]
+    return _FAMILY_DIM - _rank_of_forms(a, forms)
 
 
 @dataclass(frozen=True)

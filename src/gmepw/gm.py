@@ -302,16 +302,21 @@ def discriminant_on_line(d: GMData, v_a, v_b) -> DiscriminantLine:
     det_poly = line_det(pa, pb).scale(Fraction(1, (s * den) ** w))
     if det_poly.is_zero():
         return DiscriminantLine(det_poly, 0, None, dis_is_everything=True)
+    expected = d.n - 1
     if lam.degree == 1:
-        t0 = -lam.coeffs[0] / lam.coeffs[1]
-        mult = det_poly.root_multiplicity(t0)
+        # det_poly / lam^k for k = 0, 1, ... while lam divides: one chain of
+        # quotients gives the multiplicity of lam's root and the reduced form
+        quotients = [det_poly]
+        while True:
+            q, r = quotients[-1].divmod(lam)
+            if not r.is_zero():
+                break
+            quotients.append(q)
+        mult = len(quotients) - 1
     else:
         # the hyperplane is met at infinity; multiplicity is the degree drop
         mult = w - det_poly.degree
-    expected = d.n - 1
     if mult < expected:
         raise GmError("determinant is not divisible by the expected hyperplane power")
-    dis = det_poly
-    for _ in range(expected):
-        dis = dis.exact_div(lam)
+    dis = quotients[expected] if lam.degree == 1 else det_poly.scale(lam.coeffs[0] ** -expected)
     return DiscriminantLine(det_poly, mult, dis, mult_exceeds_expected=mult > expected)

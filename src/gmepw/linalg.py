@@ -4,18 +4,23 @@ Integers inside, ``Fraction`` at the API edge: every scalar a caller sees is
 a ``fractions.Fraction`` (reduced, positive denominator), while the
 eliminations (one integer Gauss-Jordan under ``Matrix.rref``, kernel,
 every subspace, and ``int_image_and_lifts`` under the inverse and
-every lift; one forward elimination, ``_int_rank``, under every rank; and
-``det_int``) run over Python ints.
+every lift; one fraction-free Bareiss elimination, ``_int_rank``, under
+every rank; and ``det_int``) run over Python ints.
 A subspace holds its reduced row echelon basis as primitive integer rows
 with positive pivots, which is canonical exactly when the RREF is, so two
 subspaces are equal iff those rows are; sums, meets, annihilators and
 membership work on them directly, and the ``Fraction`` rows of ``basis``
 are built only when asked for.  A meet dimension is a reduction modulo the
-RREF: rows are cleared at the pivots (``remainder``) and the remainders are
-ranked on the free columns only (``rank_modulo``), with no stacked
-elimination.  Every operation here is pure and exact;
-ambient dimensions in this project never exceed 30, so dense storage is
-used throughout."""
+RREF: ``remainder`` is the linear map w -> L w - sum_r w[c_r] (L / p_r) row_r
+(L the lcm of the pivot entries p_r), which vanishes at every pivot and
+exactly on the subspace, and the remainders are ranked on the free columns
+only (``rank_modulo``), with no stacked elimination.  Being linear, the
+remainder of any vector is a combination of the remainders of the unit
+vectors, which a subspace caches on first use (``unit_remainders``).  The
+rank is Bareiss's: 2x2 minors divided exactly by the previous pivot, each
+pivot column dropped, with no gcd per update.  Every operation here is pure
+and exact; ambient dimensions in this project never exceed 30, so dense
+storage is used throughout."""
 
 from __future__ import annotations
 
@@ -235,32 +240,36 @@ def det_int(rows) -> int:
 
 
 def _int_rank(rows) -> int:
-    """Rank of a list of integer rows by fraction-free forward elimination.
+    """Rank of a list of integer rows by fraction-free elimination (Bareiss).
 
-    A row leaves as the pivot at its first non-zero column c after clearing c
-    from the rest: the rest then lie in the span of the rows vanishing at c,
-    which the pivot row is not in, so each pivot adds exactly one to the
-    rank.  Updated rows are divided by the gcd of their entries.
+    Each step takes a pivot in the first column, replaces every other row by
+    its 2x2 minors against the pivot row divided by the previous pivot, and
+    drops the pivot column (a first column that is zero in every row drops
+    without a pivot).  As in ``det_int`` each entry is then a minor of the
+    input, so the division is exact, and a row that is zero in the pivot
+    column is just rescaled.  Zero rows drop, and each pivot adds one to the
+    rank; no gcd is taken.
     """
     m = [r for r in rows if any(r)]
-    rank = 0
+    rank, prev = 0, 1
     while m:
-        p = m.pop()
-        c = next(c for c, x in enumerate(p) if x)
-        pv = p[c]
+        k = next((k for k, r in enumerate(m) if r[0]), None)
+        if k is None:
+            m = [r[1:] for r in m]
+            continue
+        p = m.pop(k)
+        pivot, tail = p[0], p[1:]
         rest = []
         for r in m:
-            f = r[c]
+            f = r[0]
             if f:
-                g = gcd(pv, f)
-                r = [pv // g * x - f // g * y for x, y in zip(r, p)]
-                g = gcd(*r)
-                if not g:
-                    continue
-                if g > 1:
-                    r = [x // g for x in r]
-            rest.append(r)
+                r = [(pivot * x - f * y) // prev for x, y in zip(r[1:], tail)]
+                if any(r):
+                    rest.append(r)
+            else:
+                rest.append(r[1:] if pivot == prev else [pivot * x // prev for x in r[1:]])
         m = rest
+        prev = pivot
         rank += 1
     return rank
 
@@ -334,15 +343,18 @@ def kernel(m: Matrix) -> "Subspace":
 class Subspace:
     """A linear subspace of k^n stored as its reduced row-space basis: each
     RREF row as its primitive integer multiple with a positive pivot.  The
-    ``Fraction`` RREF rows (``basis``) are built on first use."""
+    ``Fraction`` RREF rows (``basis``), the lcm of the pivot entries with the
+    rows scaled to it, and the unit remainders are built on first use."""
 
-    __slots__ = ("ambient_dim", "int_rows", "pivots", "_basis")
+    __slots__ = ("ambient_dim", "int_rows", "pivots", "_basis", "_scale", "_units")
 
     def __init__(self, ambient_dim: int, int_rows: list[tuple[int, ...]], pivots: tuple[int, ...]):
         self.ambient_dim = ambient_dim
         self.int_rows = int_rows
         self.pivots = pivots
         self._basis = None
+        self._scale = None
+        self._units = None
 
     @classmethod
     def from_rows(cls, ambient_dim: int, rows) -> "Subspace":
@@ -391,15 +403,35 @@ class Subspace:
             )
 
     def remainder(self, w) -> list[int]:
-        """A positive multiple of w minus the combination of the basis that
-        clears w at every pivot, for an integer vector w."""
-        for row, c in zip(self.int_rows, self.pivots):
+        """L w - sum_r w[c_r] (L / p_r) row_r for an integer vector w, c_r and
+        p_r the pivot and pivot entry of row r, L the lcm of the p_r (cached
+        with the scaled rows): linear, zero at every pivot, and zero exactly
+        on the subspace."""
+        if self._scale is None:
+            big = lcm(*(row[c] for row, c in zip(self.int_rows, self.pivots)))
+            self._scale = big, [(c, row if row[c] == big else [big // row[c] * x for x in row])
+                                for row, c in zip(self.int_rows, self.pivots)]
+        big, rows = self._scale
+        out = w if big == 1 else [big * x for x in w]
+        for c, row in rows:
             f = w[c]
             if f:
-                g = gcd(row[c], f)
-                a, b = row[c] // g, f // g
-                w = [a * x - b * y for x, y in zip(w, row)]
-        return w
+                out = [x - f * y for x, y in zip(out, row)]
+        return out
+
+    @property
+    def unit_remainders(self) -> tuple[tuple[int, ...], ...]:
+        """The remainders of the unit vectors on the free columns, built on
+        first use: by linearity, that of w is sum_m w[m] times entry m."""
+        if self._units is None:
+            n, free = self.ambient_dim, self.free_columns
+            units = (self.remainder([int(i == m) for i in range(n)]) for m in range(n))
+            self._units = tuple(tuple(w[c] for c in free) for w in units)
+        return self._units
+
+    @property
+    def free_columns(self) -> list[int]:
+        return [c for c in range(self.ambient_dim) if c not in self.pivots]
 
     def contains(self, v) -> bool:
         return self.coordinates_of(v) is not None
@@ -434,7 +466,7 @@ class Subspace:
         """dim (self + span of the integer rows) - dim self: the rank of the
         rows' remainders, which vanish at the pivots and so are ranked on
         the free columns only."""
-        free = [c for c in range(self.ambient_dim) if c not in self.pivots]
+        free = self.free_columns
         return _int_rank([[w[c] for c in free] for w in map(self.remainder, rows)])
 
     def meet_dim(self, other: "Subspace") -> int:
@@ -453,7 +485,7 @@ class Subspace:
         """
         n = self.ambient_dim
         null = []
-        for f in (f for f in range(n) if f not in self.pivots):
+        for f in self.free_columns:
             involved = [(row, c) for row, c in zip(self.int_rows, self.pivots) if row[f]]
             scale = lcm(*(row[c] for row, c in involved))
             v = [0] * n

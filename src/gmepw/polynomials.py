@@ -149,19 +149,6 @@ class Poly:
             ints = [-v for v in ints]
         return Poly(ints)
 
-    def root_multiplicity(self, t0) -> int:
-        """Multiplicity of the root t0 (0 if not a root)."""
-        if self.is_zero():
-            raise ValueError("every point is a root of the zero polynomial")
-        t0 = rat(t0)
-        mult = 0
-        p = self
-        lin = Poly([-t0, 1])
-        while p(t0) == 0:
-            p = p.exact_div(lin)
-            mult += 1
-        return mult
-
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd by the Euclidean algorithm; gcd(0, 0) = 0."""

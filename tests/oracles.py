@@ -116,3 +116,19 @@ def hull_point_sample(d: GMData, seed) -> list[Fraction]:
         if w is not None:
             return w
     raise GmError("hull sampling failed after 100 attempts")
+
+
+def root_multiplicity(p, t0) -> int:
+    """The multiplicity of the root t0 of a non-zero ``Poly`` (0 if not a
+    root), by evaluating at t0 and dividing by (t - t0) while it vanishes:
+    the former ``Poly.root_multiplicity``."""
+    from gmepw.polynomials import Poly
+
+    assert not p.is_zero()
+    t0 = Fraction(t0)
+    mult = 0
+    lin = Poly([-t0, 1])
+    while p(t0) == 0:
+        p = p.exact_div(lin)
+        mult += 1
+    return mult

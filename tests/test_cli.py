@@ -140,6 +140,24 @@ def test_sigma_with_point_and_plane_is_usage_error(monkeypatch, capsys):
     assert "give one of --point or --plane" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["epw-line", "--kind", "y", "--base", "1,2,0,1,-1,3", "--dir", "0,1,1,-2,1,1",
+          "--plane", "1,0,0,0,1,0;0,1,0,-1,0,2;0,0,1,1,2,0"], "--plane does not go with --kind y"),
+        (["epw-line", "--kind", "z", "--plane", "1,0,0,0,1,0;0,1,0,-1,0,2;0,0,1,1,2,0",
+          "--dir", "1,1,0,0,0,1", "--base", "1,2,0,1,-1,3"], "--base does not go with --kind z"),
+    ],
+    ids=["y-with-plane", "z-with-base"],
+)
+def test_epw_line_with_the_other_kinds_flag_is_usage_error(argv, message, monkeypatch, capsys):
+    # like sigma with --point and --plane: the flag check comes before stdin is read
+    code, out, err = run_main(argv, "", monkeypatch, capsys)
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert message in err
+
+
 def test_boolean_scalar_is_input_error(monkeypatch, capsys):
     doc = json.loads((ROOT / "fixtures" / "fivefold.lag.json").read_text(encoding="utf-8"))
     doc["payload"]["A"]["basis"][0][0] = True

@@ -245,6 +245,26 @@ def test_pointwise_charts_away_from_the_last_coordinate():
     assert {1, 2, 3} <= levels
 
 
+def test_repeated_levels_reduce_only_while_the_unit_remainders_are_built(monkeypatch):
+    # the rows of every level are combinations of A's cached unit remainders:
+    # Subspace.remainder runs once per unit vector on the first level at A,
+    # and never again for later y and z levels there
+    calls = []
+    remainder = Subspace.remainder
+    monkeypatch.setattr(Subspace, "remainder", lambda s, w: calls.append(s) or remainder(s, w))
+    rng = rng_from_seed(23)
+    for source in stratum_lagrangians():
+        a = Subspace(20, list(source.int_rows), source.pivots)  # a fresh cache
+        v, v3 = random_nonzero_vector(rng, 6, 4), random_3space(rng, Subspace.full(6))
+        assert_levels_match_the_intersection(a, v, v3)
+        built = sum(s is a for s in calls)
+        assert built == 20
+        for _ in range(4):
+            y_stratum(a, random_nonzero_vector(rng, 6, 4))
+            z_stratum(a, random_3space(rng, Subspace.full(6)))
+        assert sum(s is a for s in calls) == built
+
+
 def assert_sigma_levels_match_the_intersection(a: Subspace, v, v3: Subspace) -> tuple[int, int]:
     """y_hat_member (family dimension 6) and sigma2_level (7), by rank modulo
     a, against the meet with a basis of the family; returns the two levels."""

@@ -299,6 +299,25 @@ def test_discriminant_against_rational_determinants(name, line):
     assert got.dis_poly * lam ** (d.n - 1) == expected
 
 
+@pytest.mark.parametrize("line", DISCRIMINANT_LINES + [([1, 0, 2, -1, 0, 3], [0, 1, 1, 3, -2, 0])])
+@pytest.mark.parametrize("name", sorted(discriminant_data()))
+def test_discriminant_multiplicity_is_the_root_multiplicity(name, line):
+    # the one chain of quotients by lambda gives the multiplicity that the
+    # evaluate-and-divide oracle finds at lambda's root, or the degree drop
+    # when the line meets the hyperplane at infinity (the last line)
+    d = discriminant_data()[name]
+    v_a, v_b = line
+    got = discriminant_on_line(d, v_a, v_b)
+    lam = Poly([Fraction(v_a[5]), Fraction(v_b[5])])
+    if lam.degree == 1:
+        mult = oracles.root_multiplicity(got.det_poly, -lam.coeffs[0] / lam.coeffs[1])
+    else:
+        mult = d.w_dim - got.det_poly.degree
+    assert got.plucker_mult == mult
+    assert got.mult_exceeds_expected == (mult > d.n - 1)
+    assert got.dis_poly * lam ** (d.n - 1) == got.det_poly
+
+
 def test_discriminant_takes_no_rational_determinant(monkeypatch):
     def refuse(self):
         raise AssertionError("Matrix.det called")
@@ -383,7 +402,7 @@ def test_discriminant_double_root_at_corank2_point(corank2_lagrangian):
     assert d.w_dim - d.q_of(unit_vector(6, 5)).rank() == 2
     line = discriminant_on_line(d, unit_vector(6, 5), [1, 1, 0, 2, 1, 0])
     assert line.dis_poly is not None
-    assert line.dis_poly.root_multiplicity(0) == 2
+    assert oracles.root_multiplicity(line.dis_poly, 0) == 2
 
 
 def test_hull_sampler_on_special_data():

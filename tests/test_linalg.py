@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gmepw.linalg import (
     Matrix,
     Subspace,
+    _int_rank,
     clear_denominators,
     det_int,
     int_image_and_lifts,
@@ -355,8 +356,44 @@ def test_rref_matches_fraction_gauss_jordan(case):
     rows, cols = case
     red, rank, pivots = Matrix(rows, cols=cols).rref()
     assert (red.data, rank, pivots) == rref_by_fraction_gauss_jordan(rows, cols)
+    assert Matrix(rows, cols=cols).rank() == rank
     assert (red.rows, red.cols) == (len(rows), cols)
     assert all(type(x) is Fraction for row in red.data for x in row)
+
+
+@st.composite
+def integer_matrices(draw, max_rows=8, max_cols=8):
+    """Integer matrices up to 8 x 8 with entries up to 10^12 in size: zero
+    rows and columns, negative pivots, and rank deficiency from rows
+    overwritten by integer combinations of others."""
+    rows = draw(st.integers(0, max_rows))
+    cols = draw(st.integers(1, max_cols))
+    entry = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-10**12, 10**12))
+    m = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    for _ in range(draw(st.integers(0, max(0, rows - 2)))):
+        i, j, k = draw(st.permutations(range(rows)))[:3]
+        a, b = draw(st.integers(-10**6, 10**6)), draw(st.integers(-5, 5))
+        m[k] = [a * x + b * y for x, y in zip(m[i], m[j])]
+    if draw(st.booleans()):
+        zero = draw(st.integers(0, cols - 1))
+        for row in m:
+            row[zero] = 0
+    return m
+
+
+@given(integer_matrices())
+@example([[0, 0, 0], [0, 0, 0]])
+@example([[0, -3, 6], [-2, 4, 1], [0, 0, 0], [4, -8, -2]])  # negative pivots, zero row
+@example([[0, 0, 5], [0, 0, -7], [0, 2, 1]])  # zero first column, zero pivot after a step
+@example([[2, 4, 6, 8], [1, 2, 3, 4], [-3, -6, -9, -12]])  # rank one
+@example([[10**12, 1], [10**12 - 1, 1], [1, 0]])  # rank two, entries of 10^12
+@settings(max_examples=200, deadline=None)
+def test_int_rank_matches_the_fraction_oracle(rows):
+    # the fraction-free rank against the Fraction elimination's; the input is
+    # left as it was
+    copy = [list(r) for r in rows]
+    assert _int_rank(rows) == rref_by_fraction_gauss_jordan(rows, len(rows[0]) if rows else 0)[1]
+    assert rows == copy
 
 
 def test_rref_rank_nullspace_against_sympy():
@@ -462,9 +499,32 @@ def test_subspace_matches_fraction_oracle(case):
     assert meet.dim == a.meet_dim(b)
 
     v = [sum((c * Fraction(r[i]) for c, r in zip(coeffs, rows_a)), Fraction(0)) for i in range(n)]
+    assert_remainder_is_linear_and_vanishes_on(a, ra, pa, [v, *rows_b])
     coords = a.coordinates_of(v)
     assert coords is not None
     assert [sum((c * r[i] for c, r in zip(coords, ra)), Fraction(0)) for i in range(n)] == v
     for w in rows_b:
         inside = len(oracle_span(ra + [w], n)[0]) == len(ra)
         assert (a.coordinates_of(w) is not None) == inside == a.contains(w)
+
+
+def assert_remainder_is_linear_and_vanishes_on(a: Subspace, ra, pa, vectors):
+    """remainder(w) = L (w - sum_r w[c_r] ra_r) against the Fraction RREF rows
+    ra (pivots pa, pivot entries 1) and L the lcm of a's integer pivots: it
+    vanishes exactly on a, is linear, and is the combination of the cached
+    unit remainders on the free columns."""
+    n = a.ambient_dim
+    big = lcm(*(row[c] for row, c in zip(a.int_rows, a.pivots)))
+    free = [c for c in range(n) if c not in pa]
+    units = [a.remainder([int(i == m) for i in range(n)]) for m in range(n)]
+    assert a.unit_remainders == tuple(tuple(u[c] for c in free) for u in units)
+    ints = [clear_denominators([Fraction(x) for x in w])[0] for w in vectors]
+    for w in ints:
+        residual = [x - sum((w[c] * r[k] for r, c in zip(ra, pa)), Fraction(0)) for k, x in enumerate(w)]
+        rem = a.remainder(w)
+        assert rem == [big * x for x in residual]
+        assert (not any(rem)) == (len(oracle_span(ra + [w], n)[0]) == len(ra))
+        assert [rem[c] for c in free] == [sum(x * u[c] for x, u in zip(w, units)) for c in free]
+    for u, w in zip(ints, ints[1:]):
+        combo = [3 * x - 2 * y for x, y in zip(u, w)]
+        assert a.remainder(combo) == [3 * x - 2 * y for x, y in zip(a.remainder(u), a.remainder(w))]
