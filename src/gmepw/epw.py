@@ -24,14 +24,11 @@ v ^ e_j ^ e_k, {j, k} avoiding i.  For R the last 3-set with Plücker
 coordinate p_R != 0 and C its complement, f1..f3 = w1..w3 and the e_c
 (c in C) give w1 ^ w2 ^ w3 and the 9 forms e_c ^ w_a ^ w_b.
 
-The remainder modulo A (``Subspace.remainder``) is linear, so the
-remainder of a 3-form sum_S g_S e_S is sum_S g_S R[e_S], with R[e_S] the
-remainders of the 20 basis 3-forms that A caches on first use.  The rows
-of a level are those combinations, with coefficients and signs from the
-one sign table of ``exterior``: sum_m +-v_m R[e_m ^ e_jk] for
-v ^ e_j ^ e_k, sum_S p_S R[e_S] for w1 ^ w2 ^ w3, and
-sum_jk +-(w_a ^ w_b)_jk R[e_c ^ e_jk] for e_c ^ w_a ^ w_b.  No generator is
-wedged or reduced on its own.
+Every level here is its family dimension minus ``Subspace.rank_modulo`` of
+plain 20-coordinate rows spanning the family.  The 10 chart rows are
+written straight from the one sign table of ``exterior``: the coordinates
+of v ^ e_j ^ e_k are +-v_m at e_m ^ e_jk, and those of e_c ^ w_a ^ w_b are
++-(w_a ^ w_b)_jk at e_c ^ e_jk, so no generator is wedged on its own.
 
 A certificate takes the first chart along its whole line, and a pairing
 determinant of the generators against the rows of A, so the sample check,
@@ -46,14 +43,15 @@ from fractions import Fraction
 from itertools import combinations
 from operator import mul
 
-from .exterior import _wedge_table, monomials, top_pairing, wedge, wedge_cube, wedge_gens
+from .exterior import _wedge_table, monomials, top_pairing, wedge, wedge_gens
 from .gm import GmError
-from .linalg import Matrix, Subspace, _int_rank, _int_row, clear_denominators, vec
+from .linalg import Matrix, Subspace, _int_row, clear_denominators, vec
 from .polynomials import Poly, line_det
 from .sampling import rng_from_seed
 
 
 _FAMILY_DIM = 10  # dim of the family at a point, derived above
+_SAMPLES = 20  # pointwise checks per certificate
 
 
 def y_stratum(a: Subspace, v) -> int:
@@ -63,33 +61,23 @@ def y_stratum(a: Subspace, v) -> int:
     if not any(v):
         raise GmError("zero vector")
     i = max(k for k, x in enumerate(v) if x)
-    terms = {jk: [] for jk, pair in enumerate(monomials(6, 2)) if i not in pair}
+    rows = {jk: [0] * 20 for jk, pair in enumerate(monomials(6, 2)) if i not in pair}
     for vm, entries in zip(v, _wedge_table(6, 1, 2)):
-        for jk, sign, t in entries:
-            if jk in terms:
-                terms[jk].append((sign * vm, t))
-    return _FAMILY_DIM - _rank_of_forms(a, terms.values())
-
-
-def _rank_of_forms(a: Subspace, forms) -> int:
-    """The rank modulo A of 3-forms sum f e_t, each given by its (f, t) terms,
-    from A's cached unit remainders R[e_t] (module docstring)."""
-    units = a.unit_remainders
-    rows = []
-    for terms in forms:
-        row = [0] * len(units[0])
-        for f, t in terms:
-            if f:
-                row = [x + f * y for x, y in zip(row, units[t])]
-        rows.append(row)
-    return _int_rank(rows)
+        if vm:
+            for jk, sign, t in entries:
+                if jk in rows:
+                    rows[jk][t] = sign * vm
+    return _FAMILY_DIM - a.rank_modulo(rows.values())
 
 
 def y_dual_stratum(a: Subspace, v5: Subspace) -> int:
-    """dim of the meet with the 3-forms on a hyperplane."""
+    """dim of the meet with Lambda^3 V5, the 3-forms on a hyperplane: the
+    triple wedges of the 5 basis vectors of V5 are a basis of it, so it has
+    dimension C(5, 3) = 10, and the level is 10 minus their rank modulo A."""
     if v5.ambient_dim != 6 or v5.dim != 5:
         raise GmError("expected a hyperplane of the 6-space")
-    return a.meet_dim(wedge_cube(v5))
+    rows = [wedge(6, 1, 2, x, wedge(6, 1, 1, y, z)) for x, y, z in combinations(v5.int_rows, 3)]
+    return 10 - a.rank_modulo(rows)
 
 
 def y_hat_member(a: Subspace, v, v5: Subspace) -> int:
@@ -113,10 +101,15 @@ def z_stratum(a: Subspace, v3: Subspace) -> int:
     cube = wedge(6, 1, 2, v3.int_rows[0], pairs[2])  # the Plücker coordinates p_S
     chart = monomials(6, 3)[max(r for r, p in enumerate(cube) if p)]
     table = _wedge_table(6, 1, 2)
-    forms = [[(p, t) for t, p in enumerate(cube)]]
-    forms += [[(sign * w[jk], t) for jk, sign, t in table[c]]
-              for c in range(6) if c not in chart for w in pairs]
-    return _FAMILY_DIM - _rank_of_forms(a, forms)
+    rows = [cube]
+    for c in range(6):
+        if c not in chart:
+            for w in pairs:
+                row = [0] * 20
+                for jk, sign, t in table[c]:
+                    row[t] = sign * w[jk]
+                rows.append(row)
+    return _FAMILY_DIM - a.rank_modulo(rows)
 
 
 @dataclass(frozen=True)
@@ -194,7 +187,6 @@ def stratum_poly_on_line(
     direction,
     kind: str = "y",
     seed=0,
-    samples: int = 20,
 ) -> LineDegreeCertificate:
     """Degree certificate for the stratum along a line (kind y) or pencil (kind z).
 
@@ -238,8 +230,8 @@ def stratum_poly_on_line(
     rng = rng_from_seed(f"{seed}-membership-check")
     checked = 0
     used = set()
-    while checked < samples:
-        t_val = Fraction(rng.randint(-4 * samples, 4 * samples), rng.randint(1, 5))
+    while checked < _SAMPLES:
+        t_val = Fraction(rng.randint(-4 * _SAMPLES, 4 * _SAMPLES), rng.randint(1, 5))
         if t_val in used:
             continue
         used.add(t_val)

@@ -188,9 +188,9 @@ def divisor_space(a) -> Subspace:
 def wedge_space(u: Subspace, w: Subspace) -> Subspace:
     """Span of x ^ y1 ^ y2 over x in u and y1, y2 in w, inside degree 3.
 
-    Realizes the subspaces v ^ (degree-2 power of the 6-space or 5-space) and
+    Realizes the subspaces v ^ (degree-2 power of the 6-space or 5-space),
     the 10-dimensional spaces spanned by a 3-space, used by the stratum and
-    fibration computations.
+    fibration computations, and the degree-3 power of u as wedge_space(u, u).
     """
     if u.ambient_dim != 6 or w.ambient_dim != 6:
         raise ValueError("ambient mismatch: both factors must live in the 6-space")
@@ -204,15 +204,6 @@ def wedge_gens(xs, ys) -> list:
     and then the pairs y1, y2 of ys in order, for plain coordinate lists."""
     pairs = [wedge(6, 1, 1, y1, y2) for y1, y2 in combinations(ys, 2)]
     return [wedge(6, 1, 2, x, y) for x in xs for y in pairs]
-
-
-def wedge_cube(u: Subspace) -> Subspace:
-    """Degree-3 power of a subspace of the 6-space, e.g. a hyperplane cube."""
-    if u.ambient_dim != 6:
-        raise ValueError("ambient mismatch: the factor must live in the 6-space")
-    gens = [wedge(6, 1, 2, x, wedge(6, 1, 1, y, z))
-            for x, y, z in combinations(u.int_rows, 3)]
-    return Subspace.from_rows(20, gens)
 
 
 @lru_cache(maxsize=None)

@@ -100,7 +100,7 @@ def parse_subspace(obj, where: str = "subspace") -> Subspace:
     if not isinstance(obj, dict) or "ambient_dim" not in obj or "basis" not in obj:
         raise DocumentError(f"{where}: expected ambient_dim and basis fields")
     n = obj["ambient_dim"]
-    if not isinstance(n, int) or n < 0:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise DocumentError(f"{where}.ambient_dim: expected a non-negative integer")
     m = parse_matrix(obj["basis"], f"{where}.basis")
     if m.rows > 0 and m.cols != n:

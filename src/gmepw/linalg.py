@@ -4,8 +4,8 @@ Integers inside, ``Fraction`` at the API edge: every scalar a caller sees is
 a ``fractions.Fraction`` (reduced, positive denominator), while the
 eliminations (one integer Gauss-Jordan under ``Matrix.rref``, kernel,
 every subspace, and ``int_image_and_lifts`` under the inverse and
-every lift; one fraction-free Bareiss elimination, ``_int_rank``, under
-every rank; and ``det_int``) run over Python ints.
+every lift; one fraction-free Bareiss elimination, ``_bareiss``, under
+every rank and determinant) run over Python ints.
 A subspace holds its reduced row echelon basis as primitive integer rows
 with positive pivots, which is canonical exactly when the RREF is, so two
 subspaces are equal iff those rows are; sums, meets, annihilators and
@@ -13,14 +13,13 @@ membership work on them directly, and the ``Fraction`` rows of ``basis``
 are built only when asked for.  A meet dimension is a reduction modulo the
 RREF: ``remainder`` is the linear map w -> L w - sum_r w[c_r] (L / p_r) row_r
 (L the lcm of the pivot entries p_r), which vanishes at every pivot and
-exactly on the subspace, and the remainders are ranked on the free columns
-only (``rank_modulo``), with no stacked elimination.  Being linear, the
-remainder of any vector is a combination of the remainders of the unit
-vectors, which a subspace caches on first use (``unit_remainders``).  The
-rank is Bareiss's: 2x2 minors divided exactly by the previous pivot, each
-pivot column dropped, with no gcd per update.  Every operation here is pure
-and exact; ambient dimensions in this project never exceed 30, so dense
-storage is used throughout."""
+exactly on the subspace.  Being linear, the remainder of any vector is the
+combination of the remainders of the unit vectors that its coordinates
+give; a subspace caches those on the free columns on first use
+(``unit_remainders``), and ``rank_modulo`` ranks such combinations, with
+no stacked elimination.  Every operation here is pure and exact; ambient
+dimensions in this project never exceed 30, so dense storage is used
+throughout."""
 
 from __future__ import annotations
 
@@ -188,7 +187,7 @@ class Matrix:
         return Matrix._make(out, self.cols), len(pivots), pivots
 
     def rank(self) -> int:
-        return _int_rank([clear_denominators(row)[0] for row in self.data])
+        return _bareiss([clear_denominators(row)[0] for row in self.data])[0]
 
     def det(self) -> Fraction:
         """Determinant: clear each row's denominators, then ``det_int``."""
@@ -214,49 +213,38 @@ class Matrix:
 
 
 def det_int(rows) -> int:
-    """Determinant of a square matrix of Python ints by fraction-free
+    """Determinant of a square matrix of Python ints: the signed last pivot
+    of ``_bareiss`` when every row takes a pivot, and 0 otherwise."""
+    if any(len(r) != len(rows) for r in rows):
+        raise ValueError("determinant of a non-square matrix")
+    rank, last = _bareiss(rows)
+    return last if rank == len(rows) else 0
+
+
+def _bareiss(rows) -> tuple[int, int]:
+    """(rank, signed last pivot) of a list of integer rows by fraction-free
     elimination (Bareiss, Math. Comp. 22, 1968).
 
-    Each step replaces the remaining block by the 2x2 minors against the
-    pivot divided by the previous pivot; by Sylvester's identity the
-    division is exact, so every intermediate entry is a minor of the
-    row-permuted input and stays an integer.
-    """
-    m = [list(r) for r in rows]
-    if any(len(r) != len(m) for r in m):
-        raise ValueError("determinant of a non-square matrix")
-    sign, prev = 1, 1
-    while len(m) > 1:
-        pr = next((i for i, r in enumerate(m) if r[0]), None)
-        if pr is None:
-            return 0
-        if pr:
-            m[0], m[pr] = m[pr], m[0]
-            sign = -sign
-        pivot, *tail = m[0]
-        m = [[(pivot * x - r[0] * y) // prev for x, y in zip(r[1:], tail)] for r in m[1:]]
-        prev = pivot
-    return sign * m[0][0] if m else 1
-
-
-def _int_rank(rows) -> int:
-    """Rank of a list of integer rows by fraction-free elimination (Bareiss).
-
-    Each step takes a pivot in the first column, replaces every other row by
-    its 2x2 minors against the pivot row divided by the previous pivot, and
-    drops the pivot column (a first column that is zero in every row drops
-    without a pivot).  As in ``det_int`` each entry is then a minor of the
-    input, so the division is exact, and a row that is zero in the pivot
-    column is just rescaled.  Zero rows drop, and each pivot adds one to the
-    rank; no gcd is taken.
+    Each step pops the first row that is non-zero in the first column as the
+    pivot row, replaces every other row by its 2x2 minors against it divided
+    by the previous pivot, and drops the pivot column (a first column that
+    is zero in every row drops without a pivot).  By Sylvester's identity
+    each entry is then a minor of the row-permuted input, so the division is
+    exact and no gcd is taken; a row that is zero in the pivot column is
+    just rescaled.  Zero rows drop, and each pivot adds one to the rank.
+    Popping a row from position k moves it past k rows, a sign (-1)^k; when
+    every row of a square matrix takes a pivot, the last pivot times those
+    signs is its determinant (1 for no rows).
     """
     m = [r for r in rows if any(r)]
-    rank, prev = 0, 1
+    rank, prev, sign = 0, 1, 1
     while m:
         k = next((k for k, r in enumerate(m) if r[0]), None)
         if k is None:
             m = [r[1:] for r in m]
             continue
+        if k % 2:
+            sign = -sign
         p = m.pop(k)
         pivot, tail = p[0], p[1:]
         rest = []
@@ -271,7 +259,7 @@ def _int_rank(rows) -> int:
         m = rest
         prev = pivot
         rank += 1
-    return rank
+    return rank, sign * prev
 
 
 def _gauss_jordan(m: list, cols: int) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
@@ -464,10 +452,18 @@ class Subspace:
 
     def rank_modulo(self, rows) -> int:
         """dim (self + span of the integer rows) - dim self: the rank of the
-        rows' remainders, which vanish at the pivots and so are ranked on
-        the free columns only."""
-        free = self.free_columns
-        return _int_rank([[w[c] for c in free] for w in map(self.remainder, rows)])
+        rows' remainders on the free columns (they vanish at the pivots),
+        each the combination sum_m w[m] U_m of the unit remainders U_m."""
+        units = self.unit_remainders
+        zero = [0] * (self.ambient_dim - self.dim)
+        out = []
+        for w in rows:
+            r = zero
+            for x, u in zip(w, units):
+                if x:
+                    r = [a + x * b for a, b in zip(r, u)]
+            out.append(r)
+        return _bareiss(out)[0]
 
     def meet_dim(self, other: "Subspace") -> int:
         """dim of the intersection: dim other - the rank of other modulo self,

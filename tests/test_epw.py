@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmepw.correspondence import A1_ZERO, LagrangianData, dualize
+from gmepw.correspondence import A1_ZERO, LagrangianData, dim_report, dualize
 from gmepw.epw import (
     stratum_poly_on_line,
     y_dual_stratum,
@@ -22,7 +22,6 @@ from gmepw.exterior import (
     monomial,
     top_pairing,
     wedge,
-    wedge_cube,
     wedge_space,
     wedge_symplectic_space,
 )
@@ -140,7 +139,7 @@ def lagrangian_through_cube(rng, u: Subspace) -> LagrangianData:
     strata, unlike those of the shipped fixtures, are not symmetric under the
     standard identification of V6 with its dual."""
     space = wedge_symplectic_space()
-    xi = wedge_cube(u)
+    xi = wedge_space(u, u)
     a = random_lagrangian(space, rng)
     return LagrangianData(a=omega_orthogonal(space, xi).intersect(a) + xi, a1=A1_ZERO)
 
@@ -263,6 +262,54 @@ def test_repeated_levels_reduce_only_while_the_unit_remainders_are_built(monkeyp
             y_stratum(a, random_nonzero_vector(rng, 6, 4))
             z_stratum(a, random_3space(rng, Subspace.full(6)))
         assert sum(s is a for s in calls) == built
+
+
+def test_every_level_reduces_only_while_the_unit_remainders_are_built(monkeypatch):
+    # y_hat_member, sigma2_level, y_dual_stratum and dim_report rank their
+    # rows by rank_modulo as well: once a first level at a fresh A has built
+    # its 20 unit remainders, none of them runs Subspace.remainder on A
+    calls = []
+    remainder = Subspace.remainder
+    monkeypatch.setattr(Subspace, "remainder", lambda s, w: calls.append(s) or remainder(s, w))
+    rng = rng_from_seed(24)
+    for source in stratum_lagrangians():
+        a = Subspace(20, list(source.int_rows), source.pivots)  # a fresh cache
+        ld = LagrangianData(a=a, a1=A1_ZERO)
+        y_stratum(a, random_nonzero_vector(rng, 6, 4))
+        assert sum(s is a for s in calls) == 20
+        for _ in range(3):
+            y_hat_member(a, random_nonzero_vector(rng, 5, 3) + [0], V5)
+            sigma2_level(ld, random_3space(rng, V5))
+            y_dual_stratum(a, kernel(Matrix([random_nonzero_vector(rng, 6, 4)])))
+            dim_report(ld)
+        assert sum(s is a for s in calls) == 20
+
+
+def cube_forms(rng, h: Subspace, k: int) -> list:
+    """k forms of Lambda^3 h: the cubes x ^ y ^ z of k random 3-spaces of h."""
+    spaces = [random_3space(rng, h).int_rows for _ in range(k)]
+    return [wedge(6, 1, 2, x, wedge(6, 1, 1, y, z)) for x, y, z in spaces]
+
+
+def test_hyperplane_levels_match_the_intersection():
+    # y_dual_stratum (family dimension 10) against the meet with
+    # wedge_space(h, h) = Lambda^3 h at V5 and at seeded hyperplanes h, and
+    # on a Lagrangian through k forms of Lambda^3 h, whose level is at least
+    # k; at V5 the ell of dim_report is the same meet
+    rng = rng_from_seed(25)
+    hyperplanes = [V5] + [kernel(Matrix([random_nonzero_vector(rng, 6, 4)])) for _ in range(2)]
+    levels = set()
+    for a in stratum_lagrangians():
+        for h in hyperplanes:
+            for k in (0, 1, 2, 3):
+                a_k = through(a, cube_forms(rng, h, k))
+                level = y_dual_stratum(a_k, h)
+                assert level == a_k.intersect(wedge_space(h, h)).dim >= k
+                if h is V5:
+                    ell = dim_report(LagrangianData(a=a_k, a1=A1_ZERO)).dim_a_cap_l3v5
+                    assert ell == level
+                levels.add(level)
+    assert {0, 1, 2, 3} <= levels
 
 
 def assert_sigma_levels_match_the_intersection(a: Subspace, v, v3: Subspace) -> tuple[int, int]:

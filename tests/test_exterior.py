@@ -23,7 +23,6 @@ from gmepw.exterior import (
     monomials,
     top_pairing,
     wedge,
-    wedge_cube,
     wedge_space,
     wedge_symplectic_space,
 )
@@ -271,7 +270,8 @@ def test_l3v5_lagrangian():
     space = wedge_symplectic_space()
     assert l3v5_subspace().dim == 10
     assert is_lagrangian(space, l3v5_subspace())
-    assert wedge_cube(Subspace.from_rows(6, [unit_vector(6, i) for i in range(5)])) == l3v5_subspace()
+    v5 = Subspace.from_rows(6, [unit_vector(6, i) for i in range(5)])
+    assert wedge_space(v5, v5) == l3v5_subspace()
 
 
 def test_exterior_power_matrix_functorial():
@@ -345,5 +345,6 @@ def test_wedge_space_and_cube_match_fraction_spans(rows_u, rows_w):
     w = Subspace.from_rows(6, rows_w)
     if u.dim:
         assert wedge_space(u, w) == span_by_fraction_wedges(u.basis_rows(), w.basis_rows())
-    # the cube of w is spanned by x ^ y1 ^ y2 for x, y1, y2 in w
-    assert wedge_cube(w) == span_by_fraction_wedges(w.basis_rows(), w.basis_rows())
+    # the cube of w, wedge_space(w, w), is spanned by x ^ y1 ^ y2 for x, y1, y2 in w
+    if w.dim:
+        assert wedge_space(w, w) == span_by_fraction_wedges(w.basis_rows(), w.basis_rows())

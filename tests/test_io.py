@@ -198,6 +198,16 @@ def test_cli_malformed_input_exit_2():
     proc = run_cli(["validate"], '{"kind":"gm_data","version":"1","payload":{"n":0,"mu":[["1/0"]],"q":[]}}')
     assert proc.returncode == 2
     assert "malformed rational" in proc.stderr
+    # a JSON boolean is not an ambient dimension, though Python reads true as 1
+    for flag in (True, False):
+        with pytest.raises(DocumentError, match=r"ambient_dim: expected a non-negative integer"):
+            gio.parse_subspace({"ambient_dim": flag, "basis": []})
+    doc = {"kind": "lagrangian_data", "version": "1",
+           "payload": {"A": {"ambient_dim": True, "basis": [["1"] + ["0"] * 19]}, "A1": "0"}}
+    proc = run_cli(["dim-report"], json.dumps(doc))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "expected a non-negative integer" in proc.stderr
 
 
 def test_cli_pipe_roundtrip_byte_identical():

@@ -1,6 +1,7 @@
 """Exact linear algebra: canonical forms, subspace arithmetic, involutions."""
 
 from fractions import Fraction
+from itertools import combinations, permutations
 from math import lcm, prod
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from gmepw.linalg import (
     Matrix,
     Subspace,
-    _int_rank,
+    _bareiss,
     clear_denominators,
     det_int,
     int_image_and_lifts,
@@ -280,6 +281,29 @@ def test_det_shapes():
         det_int([[1, 2], [3]])
 
 
+def test_det_signs_come_from_the_pop_positions():
+    # det_int is the signed last pivot of the one Bareiss loop, the sign
+    # (-1)^k for a pivot row popped from position k: each permutation matrix
+    # of size 4 has the sign of its permutation, and a first column that is
+    # zero except in an odd row pops the first pivot row from an odd position
+    for perm in permutations(range(4)):
+        rows = [[int(j == perm[i]) for j in range(4)] for i in range(4)]
+        sign = (-1) ** sum(x > y for x, y in combinations(perm, 2))
+        assert det_int(rows) == det_by_fraction_elimination(rows) == sign
+        assert Matrix(rows).det() == sign
+    odd_row = [
+        [[0, 2], [3, 5]],
+        [[0, 1, 4], [-2, 3, 1], [0, 7, -5]],
+        [[0, 3, 1, 2], [0, -1, 4, 0], [0, 2, 2, 5], [6, 1, -3, 7]],
+        [[0, 2, 0, 1, 3], [5, -1, 2, 0, 1], [0, 0, 3, -2, 4], [0, 1, 1, 1, -1], [0, 4, -2, 3, 2]],
+    ]
+    for rows in odd_row:
+        expected = det_by_fraction_elimination(rows)
+        assert expected != 0
+        assert det_int(rows) == expected
+        assert Matrix(rows).det() == expected
+
+
 def test_det_against_sympy():
     sympy = pytest.importorskip("sympy")
     rng = rng_from_seed(202)
@@ -392,7 +416,7 @@ def test_int_rank_matches_the_fraction_oracle(rows):
     # the fraction-free rank against the Fraction elimination's; the input is
     # left as it was
     copy = [list(r) for r in rows]
-    assert _int_rank(rows) == rref_by_fraction_gauss_jordan(rows, len(rows[0]) if rows else 0)[1]
+    assert _bareiss(rows)[0] == rref_by_fraction_gauss_jordan(rows, len(rows[0]) if rows else 0)[1]
     assert rows == copy
 
 

@@ -93,3 +93,28 @@ def test_every_library_symbol_has_a_caller_in_src():
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
     assert "selftest" in trees and "cli" in trees
     assert unreferenced(trees) == []
+
+
+def attribute_uses(tree: ast.Module, module: str):
+    """(owner, attribute) of each attribute access in the module: the owner
+    is ``module.Class`` inside a class and the module elsewhere."""
+    def visit(node, owner):
+        if isinstance(node, ast.ClassDef):
+            owner = f"{module}.{node.name}"
+        if isinstance(node, ast.Attribute):
+            yield owner, node.attr
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, owner)
+
+    yield from visit(tree, module)
+
+
+def test_the_reduction_modulo_a_subspace_stays_behind_subspace():
+    # every level ranks its rows by Subspace.rank_modulo: only linalg reads
+    # the cached unit remainders, and the per-row remainder is called only by
+    # Subspace itself (membership) and by quadrics.QuotientModel (projection)
+    uses = [use for path in SRC.glob("*.py")
+            for use in attribute_uses(ast.parse(path.read_text(encoding="utf-8")), path.stem)]
+    assert {owner.split(".")[0] for owner, attr in uses if attr == "unit_remainders"} == {"linalg"}
+    assert {owner for owner, attr in uses if attr == "remainder"} == {
+        "linalg.Subspace", "quadrics.QuotientModel"}
