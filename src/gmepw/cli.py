@@ -1,6 +1,12 @@
 """Command-line surface: every construction as a subcommand over structured
 text documents on standard streams or files.
 
+One table, ``COMMANDS``, holds each command's handler, help and arguments;
+the help listing, the usage line and the dispatch all read it.  A command
+line whose first token names a command builds the top-level parser with that
+command's subparser alone, whose usage line is the full parser's; any other
+command line builds every subparser.
+
 Exit codes: 0 success, 1 mathematical violation, 2 input error.
 """
 
@@ -11,6 +17,7 @@ import csv
 import sys
 from fractions import Fraction
 from io import StringIO
+from typing import Callable, NamedTuple
 
 from . import io as gio
 from .correspondence import (
@@ -328,71 +335,90 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if passed == len(results) else EXIT_VIOLATION
 
 
-def build_parser() -> argparse.ArgumentParser:
+class Command(NamedTuple):
+    run: Callable[[argparse.Namespace], int]
+    help: str
+    args: tuple = ()  # (flags, keywords) of each argument beyond --input and --output
+
+
+def _arg(*flags, **kwargs) -> tuple[tuple, dict]:
+    return flags, kwargs
+
+
+# every command, in the order of the help listing
+COMMANDS = {
+    "validate": Command(cmd_validate, "check gm_data identities and classify"),
+    "to-lagrangian": Command(cmd_to_lagrangian, "gm_data -> lagrangian_data"),
+    "from-lagrangian": Command(cmd_from_lagrangian, "lagrangian_data -> gm_data", (
+        _arg("--a1", choices=["0", "1"], default=None, help="override the odd tag"),)),
+    "dualize": Command(cmd_dualize, "orthogonal Lagrangian in dual coordinates"),
+    "dim-report": Command(cmd_dim_report, "expected dimension from lagrangian_data"),
+    "epw-point": Command(cmd_epw_point, "point stratum level", (
+        _arg("--point", required=True, help="6 comma-separated rationals"),)),
+    "epw-dual-point": Command(cmd_epw_dual_point, "hyperplane stratum level", (
+        _arg("--covector", required=True, help="6 comma-separated rationals cutting the hyperplane"),)),
+    "epw-line": Command(cmd_epw_line, "degree certificate along a line or pencil", (
+        _arg("--kind", choices=["y", "z"], default="y"),
+        _arg("--base", help="line base point (kind y)"),
+        _arg("--plane", help="3 base vectors u1;u2;u3 (kind z)"),
+        _arg("--dir", required=True, help="direction vector"),
+        _arg("--seed", type=int, default=0, help="seeds the 20 sample checks"))),
+    "zeta-plane": Command(cmd_zeta_plane, "quartic stratum level of a 3-space", (
+        _arg("--plane", required=True, help="3 vectors u1;u2;u3"),)),
+    "disc-line": Command(cmd_disc_line, "discriminant polynomial along a line", (
+        _arg("--base", required=True), _arg("--dir", required=True))),
+    "fib1": Command(cmd_fib1, "first fibration fiber report (CSV)", (
+        _arg("--point", action="append", required=True, help="repeatable; 6 rationals"),)),
+    "fib2": Command(cmd_fib2, "second fibration fiber report (CSV)", (
+        _arg("--plane", action="append", required=True, help="repeatable; u1;u2;u3"),)),
+    "hull-sample": Command(cmd_hull_sample, "rational point on the Grassmannian hull", (
+        _arg("--seed", type=int, default=0),)),
+    "opposite": Command(cmd_opposite, "swap ordinary and special data"),
+    "hyperplane-update": Command(cmd_hyperplane_update, "Lagrangian of a hyperplane section", (
+        _arg("--eta0", required=True, help="10 rationals over hyperplane 3-form monomials"),)),
+    "sigma": Command(cmd_sigma, "exceptional-locus levels", (
+        _arg("--point", help="6 rationals (first fibration)"),
+        _arg("--plane", help="u1;u2;u3 (second fibration)"))),
+    "fixture": Command(cmd_fixture, "emit a built-in fixture document", (
+        _arg("name", nargs="?", default="fivefold"),
+        _arg("--lagrangian", action="store_true", help="emit the Lagrangian form"),
+        _arg("--list", action="store_true", help="list fixture names"))),
+    "selftest": Command(cmd_selftest, "run the built-in invariant suite"),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with the subparser of every command, or of ``command``
+    alone.  The one-command parser's usage line still lists every command,
+    as argparse writes the choices of the full parser; it is only built for
+    a valid first token, so its "invalid choice" and "required: command"
+    errors, which would name that list instead of "command", never occur."""
     parser = argparse.ArgumentParser(
         prog="gmepw",
         description="Exact computations relating Gushel-Mukai data, Lagrangian data, "
         "EPW stratifications, and quadric fibrations.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else (command,):
+        p = sub.add_parser(name, help=COMMANDS[name].help)
         p.add_argument("--input", "-i", default="-", help="input document path (default stdin)")
         p.add_argument("--output", "-o", default="-", help="output path (default stdout)")
-        p.set_defaults(fn=fn)
-        return p
-
-    add("validate", cmd_validate, help="check gm_data identities and classify")
-    add("to-lagrangian", cmd_to_lagrangian, help="gm_data -> lagrangian_data")
-    p = add("from-lagrangian", cmd_from_lagrangian, help="lagrangian_data -> gm_data")
-    p.add_argument("--a1", choices=["0", "1"], default=None, help="override the odd tag")
-    add("dualize", cmd_dualize, help="orthogonal Lagrangian in dual coordinates")
-    add("dim-report", cmd_dim_report, help="expected dimension from lagrangian_data")
-    p = add("epw-point", cmd_epw_point, help="point stratum level")
-    p.add_argument("--point", required=True, help="6 comma-separated rationals")
-    p = add("epw-dual-point", cmd_epw_dual_point, help="hyperplane stratum level")
-    p.add_argument("--covector", required=True, help="6 comma-separated rationals cutting the hyperplane")
-    p = add("epw-line", cmd_epw_line, help="degree certificate along a line or pencil")
-    p.add_argument("--kind", choices=["y", "z"], default="y")
-    p.add_argument("--base", help="line base point (kind y)")
-    p.add_argument("--plane", help="3 base vectors u1;u2;u3 (kind z)")
-    p.add_argument("--dir", required=True, help="direction vector")
-    p.add_argument("--seed", type=int, default=0, help="seeds the 20 sample checks")
-    p = add("zeta-plane", cmd_zeta_plane, help="quartic stratum level of a 3-space")
-    p.add_argument("--plane", required=True, help="3 vectors u1;u2;u3")
-    p = add("disc-line", cmd_disc_line, help="discriminant polynomial along a line")
-    p.add_argument("--base", required=True)
-    p.add_argument("--dir", required=True)
-    p = add("fib1", cmd_fib1, help="first fibration fiber report (CSV)")
-    p.add_argument("--point", action="append", required=True, help="repeatable; 6 rationals")
-    p = add("fib2", cmd_fib2, help="second fibration fiber report (CSV)")
-    p.add_argument("--plane", action="append", required=True, help="repeatable; u1;u2;u3")
-    p = add("hull-sample", cmd_hull_sample, help="rational point on the Grassmannian hull")
-    p.add_argument("--seed", type=int, default=0)
-    add("opposite", cmd_opposite, help="swap ordinary and special data")
-    p = add("hyperplane-update", cmd_hyperplane_update, help="Lagrangian of a hyperplane section")
-    p.add_argument("--eta0", required=True, help="10 rationals over hyperplane 3-form monomials")
-    p = add("sigma", cmd_sigma, help="exceptional-locus levels")
-    p.add_argument("--point", help="6 rationals (first fibration)")
-    p.add_argument("--plane", help="u1;u2;u3 (second fibration)")
-    p = add("fixture", cmd_fixture, help="emit a built-in fixture document")
-    p.add_argument("name", nargs="?", default="fivefold")
-    p.add_argument("--lagrangian", action="store_true", help="emit the Lagrangian form")
-    p.add_argument("--list", action="store_true", help="list fixture names")
-    p = add("selftest", cmd_selftest, help="run the built-in invariant suite")
+        for flags, kwargs in COMMANDS[name].args:
+            p.add_argument(*flags, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on usage errors already
         return int(exc.code or 0)
     try:
-        return args.fn(args)
+        return COMMANDS[args.command].run(args)
     except DocumentError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

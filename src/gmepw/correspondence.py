@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import mul
 
 from .exterior import (
@@ -64,6 +64,12 @@ class LagrangianData:
             raise CorrespondenceError("subspace is not Lagrangian for the wedge form")
         if self.a1 not in A1_TAGS:
             raise CorrespondenceError(f"unknown odd tag {self.a1!r}")
+
+    @cached_property
+    def dim_report(self) -> DimReport:
+        """The module's ``dim_report`` of this data, computed once: the data
+        is immutable, and every fiber query reads it."""
+        return dim_report(self)
 
 
 @lru_cache(maxsize=None)

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from .correspondence import (
     LagrangianData,
     A1_INF,
-    dim_report,
     extended_decomposition,
     extended_lagrangian,
 )
@@ -73,7 +72,7 @@ def _fiber_report(
     red = isotropic_reduce(extended_decomposition(), extended_lagrangian(ld), iso)
     q2 = _induced_quadric(red.reduced, red.reduced_a, 2)
     ambient, corank = q2.span_dim - 1, q2.corank
-    n = dim_report(ld).predicted_dim_x
+    n = ld.dim_report.predicted_dim_x
     expected_ambient, expected_corank = n + level + shift, stratum - level
     if (ambient, corank) != (expected_ambient, expected_corank):
         raise GmError(

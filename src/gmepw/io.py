@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from fractions import Fraction
 from typing import Any
 
@@ -210,5 +211,37 @@ def emit(doc: Document) -> str:
         payload = doc.payload
     else:
         raise DocumentError(f"unknown kind {doc.kind!r}")
-    obj = {"kind": doc.kind, "version": doc.version, "payload": payload}
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    out: list[str] = []
+    _write_json({"kind": doc.kind, "version": doc.version, "payload": payload}, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(node, newline: str, out: list[str]) -> None:
+    """Append the text of ``json.dumps(node, indent=2, sort_keys=True)`` for
+    a tree of dicts with string keys, lists and scalars, nested at the
+    indent that ``newline`` ends with.  That call runs the pure-Python
+    encoder; here a list of strings is one join over the C quoting."""
+    if isinstance(node, str):
+        out.append(_quote(node))
+    elif isinstance(node, dict) and node:
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(node):
+            out.append(sep + _quote(key) + ": ")
+            _write_json(node[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(node, (list, tuple)) and node:
+        inner = newline + "  "
+        if all(isinstance(x, str) for x in node):
+            out.append("[" + inner + ("," + inner).join(map(_quote, node)) + newline + "]")
+            return
+        sep = "[" + inner
+        for item in node:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:  # other scalars and empty containers
+        out.append(json.dumps(node))

@@ -132,3 +132,12 @@ def root_multiplicity(p, t0) -> int:
         p = p.exact_div(lin)
         mult += 1
     return mult
+
+
+def emit_json(obj) -> str:
+    """The text ``io.emit`` writes for a document object: the former
+    ``json.dumps`` call, which runs the standard library's pure-Python
+    indenting encoder."""
+    import json
+
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from gmepw import fibrations
+from gmepw import correspondence, fibrations
+from gmepw.correspondence import LagrangianData
 from gmepw.epw import y_stratum, z_stratum
 from gmepw.fibrations import (
     FiberReport,
@@ -129,6 +130,22 @@ def test_two_path_agreement_random(fixture_name):
         assert r.agreement
         r2 = fibration2_fiber(ld, rand_v5_plane(rng))
         assert r2.agreement
+
+
+def test_fiber_queries_compute_the_dimension_report_once_per_lagrangian(monkeypatch):
+    calls = []
+    report = correspondence.dim_report
+    monkeypatch.setattr(correspondence, "dim_report", lambda ld: calls.append(ld) or report(ld))
+    ld = LagrangianData(a=fivefold_lagrangian().a)
+    v3 = Subspace.from_rows(6, [unit_vector(6, i) for i in (0, 1, 3)])
+    reports = [fibration1_fiber(ld, unit_vector(6, 0)), fibration1_fiber(ld, [1, 2, -1, 0, 3, 0]),
+               fibration2_fiber(ld, v3)]
+    assert len(calls) == 1 and calls[0] is ld
+    assert all(r.expected_dim == 5 for r in reports)
+    assert ld.dim_report == report(ld)
+    other = LagrangianData(a=ld.a)  # equal data, its own report
+    fibration1_fiber(other, unit_vector(6, 0))
+    assert len(calls) == 2 and calls[1] is other
 
 
 def test_sigma_subsets_of_strata():

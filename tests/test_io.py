@@ -134,6 +134,32 @@ def test_document_roundtrip_all_fixtures():
         assert gio.emit(again) == text, name
 
 
+def test_emit_matches_json_dumps_on_every_fixture():
+    docs = [("gm_data", d, gio.format_gm_data(d)) for d in all_gm_fixtures().values()]
+    docs += [("lagrangian_data", ld, gio.format_lagrangian_data(ld)) for ld in all_lagrangian_fixtures().values()]
+    for kind, value, payload in docs:
+        expected = oracles.emit_json({"kind": kind, "version": "1", "payload": payload})
+        assert gio.emit(Document(kind, value)) == expected
+
+
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+                         st.lists(st.text(), max_size=4))
+JSON_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(JSON_TREES)
+@settings(max_examples=300, deadline=None)
+def test_emit_matches_json_dumps_on_json_trees(tree):
+    # nested dicts and lists, empty containers, lists of strings, and strings
+    # with non-ASCII and control characters, as a report payload
+    expected = oracles.emit_json({"kind": "report", "version": "1", "payload": tree})
+    assert gio.emit(Document("report", tree)) == expected
+
+
 def test_non_rref_subspace_canonicalized():
     obj = {"ambient_dim": 3, "basis": [["2", "2", "0"], ["1", "2", "1"]]}
     s = gio.parse_subspace(obj)
