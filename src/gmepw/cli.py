@@ -223,7 +223,7 @@ def cmd_zeta_plane(args) -> int:
         args,
         {
             "plane": [gio.format_vector(r) for r in plane.basis_rows()],
-            "z_stratum": z_stratum(ld.a, plane),
+            "z_stratum": z_stratum(ld.a, plane.int_rows),
         },
     )
     return EXIT_OK

@@ -34,19 +34,33 @@ A certificate takes the first chart along its whole line, and a pairing
 determinant of the generators against the rows of A, so the sample check,
 one level per sample point in that point's own last chart by a rank modulo
 A, shares neither chart nor method with it.
+
+A certificate is integer from the generator rows to its last step.  The
+chart determinant D(t) = c(t)^e F(t) (``_membership_poly``) comes from
+integer determinants at the nodes 0..k and ``interpolate``, so D and the
+chart coordinate c = c0 + c1 t lie in Z[t], while F lies in Q[t].  By Gauss's
+lemma the content of a product of integer polynomials is the product of the
+contents, so the primitive parts multiply: prim(D) = +-prim(c)^e prim(F).
+As D = cont(D) prim(D), prim(c)^e divides D in Z[t], and e synthetic
+divisions by prim(c) = a + b t, each from the leading coefficient down with
+exact integer quotients by b, give D / prim(c)^e = +-cont(D) prim(F).  Its
+primitive part with a positive leading coefficient is that of F = D / c^e,
+the certificate.  A constant c (c1 = 0) has prim(c) = 1 and leaves D.  The
+sample parameters t = p / q are reduced integer pairs, and f(p / q) = 0 is
+read off q^d f(p / q), an integer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from operator import mul
 
 from .exterior import _wedge_table, monomials, top_pairing, wedge, wedge_gens
 from .gm import GmError
-from .linalg import Matrix, Subspace, _int_row, clear_denominators, vec
-from .polynomials import Poly, line_det
+from .linalg import Subspace, _int_row, clear_denominators, vec
+from .polynomials import Poly, interpolate, line_values
 from .sampling import rng_from_seed
 
 
@@ -92,22 +106,29 @@ def y_hat_member(a: Subspace, v, v5: Subspace) -> int:
     return 6 - a.rank_modulo(wedge_gens([v], v5.int_rows))
 
 
-def z_stratum(a: Subspace, v3: Subspace) -> int:
-    """dim of the meet with (6-space) ^ (2-forms of a 3-space), by the basis
-    of the chart R = the last 3-set with p_R != 0 (module docstring)."""
-    if v3.ambient_dim != 6 or v3.dim != 3:
-        raise GmError("expected a 3-dimensional subspace of the 6-space")
-    pairs = [wedge(6, 1, 1, x, y) for x, y in combinations(v3.int_rows, 2)]
-    cube = wedge(6, 1, 2, v3.int_rows[0], pairs[2])  # the Plücker coordinates p_S
+def z_stratum(a: Subspace, rows) -> int:
+    """dim of the meet with (6-space) ^ (2-forms of the 3-space W spanned by
+    the 3 rows), by the basis of the chart R = the last 3-set with p_R != 0
+    (module docstring).  Any basis of W will do: another one changes the
+    Plücker cube w1 ^ w2 ^ w3 by the determinant of the change and the
+    w_a ^ w_b by an invertible map of Lambda^2 W, so the chart and the span
+    of the rows stay.  Dependent rows, whose cube is 0, are rejected."""
+    w = [_int_row(r) for r in rows]
+    if len(w) != 3 or any(len(r) != 6 for r in w):
+        raise GmError("expected 3 vectors of the 6-space")
+    pairs = [wedge(6, 1, 1, x, y) for x, y in combinations(w, 2)]
+    cube = wedge(6, 1, 2, w[0], pairs[2])  # the Plücker coordinates p_S
+    if not any(cube):
+        raise GmError("the 3 vectors are dependent: they span less than a 3-space")
     chart = monomials(6, 3)[max(r for r, p in enumerate(cube) if p)]
     table = _wedge_table(6, 1, 2)
     rows = [cube]
     for c in range(6):
         if c not in chart:
-            for w in pairs:
+            for pair in pairs:
                 row = [0] * 20
                 for jk, sign, t in table[c]:
-                    row[t] = sign * w[jk]
+                    row[t] = sign * pair[jk]
                 rows.append(row)
     return _FAMILY_DIM - a.rank_modulo(rows)
 
@@ -136,7 +157,7 @@ def _lagrangian_family_gens(kind: str, fixed, start, step):
     identically 0; the generators are w1 ^ w2 ^ w3 and e_k ^ w_a ^ w_b for k
     outside R.  The generators are affine in t, so G0 (those at t = 0) and
     G1 (those at t = 1 minus G0) are their t^k coefficients exactly.
-    Returns ((G0, G1), c) with Gk integer and c an integer Poly.
+    Returns ((G0, G1), (c0, c1)) with Gk integer and c = c0 + c1 t.
     """
     def cube(w3):  # w1 ^ w2 ^ w3, whose coordinates are the Plücker coordinates
         return wedge_gens(fixed[:1], [fixed[1], w3])[0]
@@ -154,14 +175,15 @@ def _lagrangian_family_gens(kind: str, fixed, start, step):
 
     g0, g1 = gens(0), gens(1)
     g1 = [[y - x for x, y in zip(r0, r1)] for r0, r1 in zip(g0, g1)]
-    return (g0, g1), Poly([c0[chart], c1[chart]])
+    return (g0, g1), (c0[chart], c1[chart])
 
 
-def _membership_poly(a: Subspace, gens) -> Poly:
-    """The chart determinant D(t) = det((G0 + t G1) G^T A^T) up to a constant
-    factor, G the wedge Gram matrix and A the primitive integer rows: one
-    row per generator, so ``line_det`` takes at most one node more than the
-    moving generators (10 on a line, 7 on a pencil).
+def _membership_poly(a: Subspace, gens) -> list[int]:
+    """The integer coefficients of the chart determinant
+    D(t) = det((G0 + t G1) (A P)^T) up to a constant factor, P the wedge
+    pairing and A the primitive integer rows: the rows of A P are built once,
+    then one row per generator, so ``line_values`` takes at most one node
+    more than the moving generators (10 on a line, 7 on a pencil).
 
     D = c^e F, e = 4 (line) or 3 (pencil), F the sextic (quartic).  The
     moving Lagrangian is v ^ (2-forms) = Lambda^2(V6/v), or V6 ^ Lambda^2 W,
@@ -177,8 +199,10 @@ def _membership_poly(a: Subspace, gens) -> Poly:
     Inside a chart the generators are a basis, so F(t) = 0 exactly on the
     stratum, and D = 0 identically exactly when the family lies in it.
     """
-    pair_rows = [[sum(map(mul, r, col)) for col in zip(*top_pairing(6, 3))] for r in a.int_rows]
-    return line_det(*([[sum(map(mul, g, pr)) for pr in pair_rows] for g in gk] for gk in gens))
+    pairing = list(zip(*top_pairing(6, 3)))
+    pair_rows = [[sum(map(mul, r, col)) for col in pairing] for r in a.int_rows]
+    m0, m1 = ([[sum(map(mul, g, pr)) for pr in pair_rows] for g in gk] for gk in gens)
+    return interpolate(line_values(m0, m1))
 
 
 def stratum_poly_on_line(
@@ -192,57 +216,84 @@ def stratum_poly_on_line(
 
     For kind z the pencil is span(base[0], base[1], base[2] + t * direction).
     The certificate is the chart determinant divided by the chart factor
-    v_i^4 (y) or p_R^3 (z), normalized to primitive integer coefficients,
-    and its roots are checked against direct membership at fresh parameters
-    drawn from the seed.  A line with dependent base and direction, or a
-    pencil whose four vectors span less than a 4-space (a constant family),
-    is rejected.
+    v_i^4 (y) or p_R^3 (z), normalized to primitive integer coefficients
+    (module docstring), and its roots are checked against direct membership
+    at fresh parameters drawn from the seed.  A line with dependent base and
+    direction, or a pencil whose four vectors span less than a 4-space (a
+    constant family), is rejected.
     """
+    dir_t = tuple(vec(direction))
     if kind == "y":
-        if Matrix([vec(base), vec(direction)]).rank() < 2:
-            raise GmError("degenerate line: base and direction are dependent")
-        base_t = tuple(vec(base))
-        vectors, exponent = [base, direction], 4
+        base_t, exponent = tuple(vec(base)), 4
+        vectors = [base_t, dir_t]
     elif kind == "z":
-        u1, u2, u3 = base
-        if Matrix([vec(u) for u in (u1, u2, u3, direction)]).rank() < 4:
-            raise GmError("degenerate pencil: u1, u2, u3 and direction span less than 4 dimensions")
-        base_t = tuple(tuple(vec(u)) for u in base)
-        vectors, exponent = [*base, direction], 3
+        base_t, exponent = tuple(tuple(vec(u)) for u in base), 3
+        if len(base_t) != 3:
+            raise GmError("a pencil takes 3 base vectors u1, u2, u3")
+        vectors = [*base_t, dir_t]
     else:
         raise GmError("kind must be y or z")
+    flat, _ = clear_denominators([x for v in vectors for x in v])
+    rows = [flat[k:k + 6] for k in range(0, len(flat), 6)]
+    if Subspace.from_rows(6, rows).dim < len(rows):
+        if kind == "y":
+            raise GmError("degenerate line: base and direction are dependent")
+        raise GmError("degenerate pencil: u1, u2, u3 and direction span less than 4 dimensions")
 
-    dir_t = tuple(vec(direction))
-    flat, _ = clear_denominators([x for v in vectors for x in vec(v)])
-    *fixed, start, step = [flat[k:k + 6] for k in range(0, len(flat), 6)]
+    *fixed, start, step = rows
     gens, chart = _lagrangian_family_gens(kind, fixed, start, step)
     det = _membership_poly(a, gens)
-    if det.is_zero():
+    if not det:
         return LineDegreeCertificate(kind, base_t, dir_t, Poly.zero(), -1, 0, contains_line=True)
-    poly = det.exact_div(chart**exponent).primitive()
+    poly = Poly(_divide_chart(det, *chart, exponent)).primitive()
+    coeffs = [c.numerator for c in poly.coeffs]
 
     def member(p: int, q: int) -> bool:  # at t = p / q, by the point q v(t) or q w3(t)
         moving = [q * x + p * y for x, y in zip(start, step)]
         if kind == "y":
             return y_stratum(a, moving) >= 1
-        return z_stratum(a, Subspace.from_rows(6, [*fixed, moving])) >= 1
+        return z_stratum(a, [*fixed, moving]) >= 1
 
     rng = rng_from_seed(f"{seed}-membership-check")
     checked = 0
     used = set()
     while checked < _SAMPLES:
-        t_val = Fraction(rng.randint(-4 * _SAMPLES, 4 * _SAMPLES), rng.randint(1, 5))
-        if t_val in used:
+        num, den = rng.randint(-4 * _SAMPLES, 4 * _SAMPLES), rng.randint(1, 5)
+        g = gcd(num, den)
+        p, q = num // g, den // g  # t = p / q in lowest terms, q > 0
+        if (p, q) in used:
             continue
-        used.add(t_val)
-        p, q = t_val.numerator, t_val.denominator
-        if _vanishes_at(poly, p, q) != member(p, q):
+        used.add((p, q))
+        if _vanishes_at(coeffs, p, q) != member(p, q):
             raise GmError("certificate disagrees with pointwise membership")
         checked += 1
     return LineDegreeCertificate(kind, base_t, dir_t, poly, poly.degree, checked)
 
 
-def _vanishes_at(f: Poly, p: int, q: int) -> bool:
+def _divide_chart(d: list[int], c0: int, c1: int, exponent: int) -> list[int]:
+    """D / prim(c)^e over the integers, c = c0 + c1 t (module docstring):
+    e synthetic divisions by prim(c) from the leading coefficient down, each
+    exact; a constant c leaves D.  A remainder raises ValueError."""
+    if not c1:
+        return d
+    g = gcd(c0, c1)
+    c0, c1 = c0 // g, c1 // g
+    for _ in range(exponent):
+        q = [0] * (len(d) - 1)
+        r = d[-1]
+        for k in range(len(d) - 2, -1, -1):
+            q[k], rest = divmod(r, c1)
+            if rest:
+                raise ValueError("the chart factor does not divide the determinant")
+            r = d[k] - c0 * q[k]
+        if r:
+            raise ValueError("the chart factor does not divide the determinant")
+        d = q
+    return d
+
+
+def _vanishes_at(coeffs: list[int], p: int, q: int) -> bool:
     """f(p / q) == 0 for f with integer coefficients c_k and q > 0, in
     integers: q^d f(p / q) is the sum of c_k p^k q^(d - k)."""
-    return not sum(c.numerator * p**k * q**(f.degree - k) for k, c in enumerate(f.coeffs))
+    d = len(coeffs) - 1
+    return not sum(c * p**k * q**(d - k) for k, c in enumerate(coeffs))

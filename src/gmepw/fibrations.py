@@ -107,4 +107,4 @@ def fibration2_fiber(ld: LagrangianData, v3: Subspace) -> FiberReport:
         raise GmError("fibrations need lci data")
     v3 = _check_v3_in_v5(v3)
     iso = wedge_space(v5_subspace(), v3)
-    return _fiber_report(ld, iso, sigma2_level(ld, v3), z_stratum(ld.a, v3), -3)
+    return _fiber_report(ld, iso, sigma2_level(ld, v3), z_stratum(ld.a, v3.int_rows), -3)

@@ -1,18 +1,29 @@
-"""Dense univariate polynomials with exact rational coefficients.
+"""Dense univariate polynomials with exact rational coefficients, and the
+integer interpolation kernel under every line determinant.
 
-Small and purpose-built: evaluation, exact division, interpolation and the
+Small and purpose-built: evaluation, division, the primitive part and the
 integer line determinant ``line_det`` are everything the determinant-on-a-line
 computations need; ``poly_gcd`` has no caller in the package (the benchmark
 tracer wraps it by name).  Coefficients are stored low degree first.
+
+``interpolate`` works in integers.  On the nodes 0..k the forward
+differences D^j = (Delta^j y)(0) of integer values y_0..y_k are integers, and
+Newton's form on these nodes reads f(t) = sum_j D^j C(t, j), with
+C(t, j) = t (t - 1) ... (t - j + 1) / j!.  Multiplying by k! clears every
+denominator at once: k! f(t) = sum_j D^j (k! / j!) t (t - 1) ... (t - j + 1),
+and k! / j! = (j + 1) (j + 2) ... k is an integer.  In Horner form,
+P_k = D^k and P_j = (k! / j!) D^j + (t - j) P_{j+1}, so P_0 = k! f is built
+with integer products only, and one exact division by k! ends it.  Every
+caller interpolates a determinant det(p0 + t p1) of integer rows, an integer
+polynomial, so that division never leaves a remainder.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as int_gcd
-from math import lcm as int_lcm
 
-from .linalg import det_int, rat
+from .linalg import clear_denominators, det_int, rat
 
 
 class Poly:
@@ -124,12 +135,6 @@ class Poly:
                 rem[i - d + j] -= f * c
         return Poly(q), Poly(rem)
 
-    def exact_div(self, other: "Poly") -> "Poly":
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise ValueError("division is not exact")
-        return q
-
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
@@ -139,15 +144,9 @@ class Poly:
         """Integer-primitive normalization with positive leading coefficient."""
         if self.is_zero():
             return self
-        den = int_lcm(*(c.denominator for c in self.coeffs))
-        ints = [int(c * den) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = int_gcd(g, abs(v))
-        ints = [v // g for v in ints]
-        if ints[-1] < 0:
-            ints = [-v for v in ints]
-        return Poly(ints)
+        ints, _ = clear_denominators(self.coeffs)
+        g = int_gcd(*ints)
+        return Poly([v // g for v in ints] if ints[-1] > 0 else [-v // g for v in ints])
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -157,36 +156,46 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic() if not a.is_zero() else a
 
 
-def interpolate(points) -> Poly:
-    """The interpolant through exact (x, y) pairs with distinct x, by Newton
-    divided differences expanded in Horner form."""
-    points = [(rat(x), rat(y)) for x, y in points]
-    xs = [x for x, _ in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("interpolation nodes must be distinct")
-    dd = [y for _, y in points]
-    n = len(dd)
-    for k in range(1, n):
-        for i in range(n - 1, k - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - k])
-    # p = dd[0] + (t - x0)(dd[1] + (t - x1)(dd[2] + ...)), innermost first
-    coeffs: list[Fraction] = []
-    for i in range(n - 1, -1, -1):
-        xi = xs[i]
-        shifted = [Fraction(0)] + coeffs
-        if xi:
-            for k, c in enumerate(coeffs):
-                shifted[k] -= xi * c
-        shifted[0] += dd[i]
-        coeffs = shifted
-    return Poly(coeffs)
+def interpolate(values) -> list[int]:
+    """The integer coefficients, low degree first and without trailing
+    zeros, of the polynomial f of degree at most k with f(j) = values[j] on
+    the nodes j = 0..k, by k!-scaled forward differences (module docstring).
+    Raises ValueError when f has a coefficient outside the integers."""
+    diffs = list(values)
+    k = len(diffs) - 1
+    for j in range(1, k + 1):
+        for i in range(k, j - 1, -1):
+            diffs[i] -= diffs[i - 1]
+    acc = diffs[k:]  # P_k = D^k, empty for no values
+    scale = 1  # k! / j!
+    for j in range(k - 1, -1, -1):
+        scale *= j + 1
+        shifted = [0, *acc]
+        if j:
+            for i, c in enumerate(acc):
+                shifted[i] -= j * c
+        shifted[0] += scale * diffs[j]
+        acc = shifted
+    coeffs = []
+    for c in acc:
+        q, r = divmod(c, scale)
+        if r:
+            raise ValueError("the interpolant has a coefficient outside the integers")
+        coeffs.append(q)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def line_values(p0, p1) -> list[int]:
+    """det(p0 + t p1) at the nodes t = 0..k for square integer rows p0 and
+    p1, k the number of non-zero rows of p1.  Each row is affine in t, so
+    the determinant has degree at most k, and these values determine it."""
+    nodes = range(1 + sum(map(any, p1)))
+    return [det_int([[x + t * y for x, y in zip(r0, r1)] for r0, r1 in zip(p0, p1)]) for t in nodes]
 
 
 def line_det(p0, p1) -> Poly:
-    """det(p0 + t p1) for square integer rows p0 and p1.  Each row is affine
-    in t, so the degree is at most the number of non-zero rows of p1, and
-    that many nodes plus one determine it."""
-    nodes = range(1 + sum(map(any, p1)))
-    return interpolate(
-        [(t, det_int([[x + t * y for x, y in zip(r0, r1)] for r0, r1 in zip(p0, p1)])) for t in nodes]
-    )
+    """det(p0 + t p1) for square integer rows p0 and p1, interpolated from
+    ``line_values``."""
+    return Poly(interpolate(line_values(p0, p1)))

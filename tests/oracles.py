@@ -129,9 +129,46 @@ def root_multiplicity(p, t0) -> int:
     mult = 0
     lin = Poly([-t0, 1])
     while p(t0) == 0:
-        p = p.exact_div(lin)
+        p = exact_div(p, lin)
         mult += 1
     return mult
+
+
+def exact_div(p, q):
+    """The quotient of ``Poly`` p by q over the rationals, which must leave
+    no remainder: the former ``Poly.exact_div``."""
+    quotient, remainder = p.divmod(q)
+    if not remainder.is_zero():
+        raise ValueError("division is not exact")
+    return quotient
+
+
+def newton_interpolate(points):
+    """The ``Poly`` through exact (x, y) pairs with distinct x, by Newton
+    divided differences over ``Fraction`` expanded in Horner form: the
+    former ``polynomials.interpolate``, for rational nodes and values."""
+    from gmepw.polynomials import Poly
+
+    points = [(Fraction(x), Fraction(y)) for x, y in points]
+    xs = [x for x, _ in points]
+    if len(set(xs)) != len(xs):
+        raise ValueError("interpolation nodes must be distinct")
+    dd = [y for _, y in points]
+    n = len(dd)
+    for k in range(1, n):
+        for i in range(n - 1, k - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - k])
+    # p = dd[0] + (t - x0)(dd[1] + (t - x1)(dd[2] + ...)), innermost first
+    coeffs: list[Fraction] = []
+    for i in range(n - 1, -1, -1):
+        xi = xs[i]
+        shifted = [Fraction(0)] + coeffs
+        if xi:
+            for k, c in enumerate(coeffs):
+                shifted[k] -= xi * c
+        shifted[0] += dd[i]
+        coeffs = shifted
+    return Poly(coeffs)
 
 
 def emit_json(obj) -> str:

@@ -3,6 +3,7 @@ decomposable members of the Lagrangians."""
 
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -34,10 +35,12 @@ from gmepw.fixtures import (
     threefold_lagrangian,
 )
 from gmepw.gm import GmError
-from gmepw.linalg import Matrix, Subspace, clear_denominators, kernel, unit_vector
-from gmepw.polynomials import Poly, interpolate
+from gmepw.linalg import Matrix, Subspace, clear_denominators, det_int, kernel, unit_vector
+from gmepw.polynomials import Poly
 from gmepw.quadrics import omega_orthogonal
 from gmepw.sampling import random_lagrangian, random_nonzero_vector, rng_from_seed
+
+import oracles
 
 V5 = Subspace.from_rows(6, [unit_vector(6, i) for i in range(5)])
 
@@ -114,14 +117,14 @@ def test_y_hat_refines_both_strata():
 def test_z_stratum_examples():
     a5 = l3v5_subspace()
     v3_inside = Subspace.from_rows(6, [unit_vector(6, i) for i in range(3)])
-    assert z_stratum(a5, v3_inside) == 7
+    assert z_stratum(a5, v3_inside.int_rows) == 7
     v3_mixed = Subspace.from_rows(6, [unit_vector(6, i) for i in (3, 4, 5)])
-    val = z_stratum(a5, v3_mixed)
+    val = z_stratum(a5, v3_mixed.int_rows)
     # cross-check against the dual computation
     dual = dualize(LagrangianData(a=a5, a1=A1_ZERO))
-    assert val == z_stratum(dual.a, v3_mixed.annihilator())
+    assert val == z_stratum(dual.a, v3_mixed.annihilator().int_rows)
     with pytest.raises(GmError):
-        z_stratum(a5, Subspace.from_rows(6, [unit_vector(6, 0), unit_vector(6, 1)]))
+        z_stratum(a5, [unit_vector(6, 0), unit_vector(6, 1)])
 
 
 def random_3space(rng, inside: Subspace) -> Subspace:
@@ -154,13 +157,13 @@ def test_z_self_duality_random():
             v3 = Subspace.from_rows(6, rows)
             if v3.dim != 3:
                 continue
-            assert z_stratum(ld.a, v3) == z_stratum(dual.a, v3.annihilator())
+            assert z_stratum(ld.a, rows) == z_stratum(dual.a, v3.annihilator().int_rows)
             count += 1
     # the shipped strata are symmetric under V6 = its dual; these are not
     for _ in range(3):
         v3 = random_3space(rng, Subspace.full(6))
         ld = lagrangian_through_cube(rng, v3)
-        assert z_stratum(ld.a, v3) == z_stratum(dualize(ld).a, v3.annihilator()) >= 1
+        assert z_stratum(ld.a, v3.int_rows) == z_stratum(dualize(ld).a, v3.annihilator().int_rows) >= 1
 
 
 def stratum_lagrangians() -> list[Subspace]:
@@ -174,7 +177,7 @@ def assert_levels_match_the_intersection(a: Subspace, v, v3: Subspace) -> tuple[
     the meet with a basis of the family; returns the two levels."""
     full = Subspace.full(6)
     y = y_stratum(a, v)
-    z = z_stratum(a, v3)
+    z = z_stratum(a, v3.int_rows)
     assert y == a.intersect(wedge_space(Subspace.from_rows(6, [v]), full)).dim
     assert z == a.intersect(wedge_space(full, v3)).dim
     return y, z
@@ -244,6 +247,35 @@ def test_pointwise_charts_away_from_the_last_coordinate():
     assert {1, 2, 3} <= levels
 
 
+def test_z_stratum_takes_any_basis_of_the_3_space():
+    # the level depends only on W = the span of the rows: seeded integer
+    # bases and their images under seeded invertible 3 x 3 integer changes of
+    # basis give the level of the canonical rows, at generic 3-spaces and on
+    # Lagrangians through k forms of the family there; dependent rows are
+    # rejected
+    rng = rng_from_seed(26)
+    levels = set()
+    for a in stratum_lagrangians():
+        for k in (0, 1, 2, 3):
+            rows = [[rng.randint(-4, 4) for _ in range(6)] for _ in range(3)]
+            v3 = Subspace.from_rows(6, rows)
+            if v3.dim != 3:
+                continue
+            a_k = through(a, family_forms(rng, [1] * 6, v3, k)["z"]) if k else a
+            change = [[0] * 3] * 3
+            while det_int(change) == 0:
+                change = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
+            changed = [[sum(g[i] * r[j] for i, r in enumerate(rows)) for j in range(6)] for g in change]
+            level = z_stratum(a_k, v3.int_rows)
+            assert z_stratum(a_k, rows) == z_stratum(a_k, changed) == level >= k
+            levels.add(level)
+            x, y = rows[0], rows[1]
+            for dependent in ([x, y, [2 * p - 3 * q for p, q in zip(x, y)]], [x, y, [0] * 6], [x, x, y]):
+                with pytest.raises(GmError, match="dependent"):
+                    z_stratum(a_k, dependent)
+    assert {0, 1, 2, 3} <= levels
+
+
 def test_repeated_levels_reduce_only_while_the_unit_remainders_are_built(monkeypatch):
     # the rows of every level are combinations of A's cached unit remainders:
     # Subspace.remainder runs once per unit vector on the first level at A,
@@ -260,7 +292,7 @@ def test_repeated_levels_reduce_only_while_the_unit_remainders_are_built(monkeyp
         assert built == 20
         for _ in range(4):
             y_stratum(a, random_nonzero_vector(rng, 6, 4))
-            z_stratum(a, random_3space(rng, Subspace.full(6)))
+            z_stratum(a, random_3space(rng, Subspace.full(6)).int_rows)
         assert sum(s is a for s in calls) == built
 
 
@@ -381,6 +413,55 @@ def test_certificate_degrees_fivefold():
     )
     assert certz.degree == 4
     assert certz.sample_consistency >= 20
+
+
+def test_certificates_construct_fractions_only_for_the_output_poly():
+    # the certificate path is integer from the generator rows to the final
+    # Poly: under cProfile a y-line and a z-pencil certificate on Fraction
+    # inputs (as the CLI parses them) construct a Fraction only where
+    # Poly.__init__ coerces the integer quotient and its primitive part, two
+    # per output coefficient, and none in interpolate, the chart division,
+    # the sample parameters, the sample checks or the rank checks
+    import cProfile
+    import pstats
+
+    a = fivefold_lagrangian().a
+    line = [[Fraction(x) for x in v] for v in LINE]
+    pencil = tuple([Fraction(x) for x in u] for u in PENCIL[0]), [Fraction(x) for x in PENCIL[1]]
+    profile = cProfile.Profile()
+    profile.enable()
+    certs = [stratum_poly_on_line(a, *line, "y", seed=5), stratum_poly_on_line(a, *pencil, "z", seed=6)]
+    profile.disable()
+    stats = pstats.Stats(profile).stats
+
+    def callers(module, function):  # calls per calling module
+        found = [callers for (path, _, name), (*_, callers) in stats.items()
+                 if (Path(path).name, name) == (module, function)]
+        out = {}
+        for (path, _, _), (calls, *_) in (found[0] if found else {}).items():
+            out[Path(path).name] = out.get(Path(path).name, 0) + calls
+        return out
+
+    # every Fraction comes from rat; rat is reached from vec on the inputs,
+    # which are Fractions already, and from the Poly coercion
+    built = callers("fractions.py", "__new__")
+    assert set(built) == {"linalg.py"}
+    coerced = callers("linalg.py", "rat")
+    assert set(coerced) <= {"linalg.py", "polynomials.py"}
+    assert [cert.degree for cert in certs] == [6, 4]
+    assert built["linalg.py"] == coerced["polynomials.py"] == 2 * sum(len(cert.poly.coeffs) for cert in certs)
+
+    # and no Fraction arithmetic runs: from outside fractions.py only the
+    # constructor, the numerator and denominator properties and the zero
+    # test with which Poly.__init__ strips the output's trailing zeros (once
+    # per output Poly) are entered.  Arithmetic enters fractions.py through
+    # its operator functions whichever way it builds its result (from 3.12
+    # on without __new__), so this part does not rest on the count above.
+    entered = {name: outside for (path, _, name), (*_, callers) in stats.items()
+               if Path(path).name == "fractions.py"
+               and (outside := {Path(p).name for p, _, _ in callers} - {"fractions.py"})}
+    assert set(entered) <= {"__new__", "numerator", "denominator", "__eq__"}, entered
+    assert callers("fractions.py", "__eq__") == {"polynomials.py": 2 * len(certs)}
 
 
 def test_certificate_contains_line_branch():
@@ -534,8 +615,8 @@ def chart_certificate(a, kind, base, direction, chart) -> Poly:
         gens = Matrix(chart_gens(kind, base, direction, chart, t))
         return (pair * gens.transpose()).det()
 
-    d = interpolate([(t, det_at(t)) for t in range(11)])
-    return d.exact_div(chart_coordinate(kind, base, direction, chart) ** EXPONENT[kind]).primitive()
+    d = oracles.newton_interpolate([(t, det_at(t)) for t in range(11)])
+    return oracles.exact_div(d, chart_coordinate(kind, base, direction, chart) ** EXPONENT[kind]).primitive()
 
 
 RATIONAL_FAMILIES = {
@@ -563,14 +644,14 @@ def test_membership_poly_equals_rational_pairing_determinant():
         flat, den = clear_denominators([Fraction(x) for v in vectors for x in v])
         *fixed, start, step = [flat[k:k + 6] for k in range(0, len(flat), 6)]
         gens, lib_chart = _lagrangian_family_gens(kind, fixed, start, step)
-        d = _membership_poly(a, gens)
+        d = Poly(_membership_poly(a, gens))
         scale = den ** (10 if kind == "y" else 21)
         for row in pair_rows:
             scale *= clear_denominators(row)[1]
         for t in (Fraction(0), Fraction(7), Fraction(-5, 3)):
             gen_rows = Matrix(chart_gens(kind, base, direction, chart, t))
             assert d(t) == scale * (Matrix(pair_rows) * gen_rows.transpose()).det() != 0
-        assert lib_chart.primitive() == c.primitive()
+        assert Poly(list(lib_chart)).primitive() == c.primitive()
         f = stratum_poly_on_line(a, base, direction, kind, seed=8).poly
         expected = c ** EXPONENT[kind] * f
         assert d == expected.scale(d.leading() / expected.leading()), kind
@@ -616,9 +697,54 @@ def test_sample_check_rejects_a_wrong_certificate(kind, monkeypatch):
     base, direction = LINE if kind == "y" else PENCIL
     chart = charts(kind, base, direction)[0]
     factor = chart_coordinate(kind, base, direction, chart) ** EXPONENT[kind]
-    monkeypatch.setattr(epw, "_membership_poly", lambda a, gens: factor)
+    assert all(c.denominator == 1 for c in factor.coeffs)
+    monkeypatch.setattr(epw, "_membership_poly", lambda a, gens: [c.numerator for c in factor.coeffs])
     with pytest.raises(GmError, match="certificate disagrees with pointwise membership"):
         stratum_poly_on_line(lagrangian_e1_wedge(), base, direction, kind, seed=10)
+
+
+def oracle_sample_parameters(seed) -> tuple[list[Fraction], bool]:
+    """The 20 sample parameters of a certificate drawn as rationals, t =
+    num / den from the seeded RNG with a value already drawn skipped, and
+    whether a value was drawn again in other terms (2/2 after 1/1)."""
+    rng = rng_from_seed(f"{seed}-membership-check")
+    first = {}
+    other_terms = False
+    while len(first) < 20:
+        num, den = rng.randint(-80, 80), rng.randint(1, 5)
+        t = Fraction(num, den)
+        other_terms |= first.setdefault(t, (num, den)) != (num, den)
+    return list(first), other_terms
+
+
+@pytest.mark.parametrize("kind", ["y", "z"])
+def test_sample_points_are_the_seeded_rational_parameters(kind, monkeypatch):
+    # the pointwise level runs at q v(p / q) (q w3(p / q)) for the reduced
+    # p / q, in the order of the rational draws and each value once; a seed
+    # that draws a value again in other terms tells this from a dedupe on
+    # the raw draws
+    import gmepw.epw as epw
+
+    a = fivefold_lagrangian().a
+    base, direction = LINE if kind == "y" else PENCIL
+    start = base if kind == "y" else base[2]
+    name = f"{kind}_stratum"
+    level = getattr(epw, name)
+    other_terms = []
+    for seed in range(6):
+        points = []
+
+        def record(a, x):
+            points.append(list(x) if kind == "y" else list(x[2]))
+            return level(a, x)
+
+        monkeypatch.setattr(epw, name, record)
+        assert epw.stratum_poly_on_line(a, base, direction, kind, seed=seed).sample_consistency == 20
+        params, again = oracle_sample_parameters(seed)
+        other_terms.append(again)
+        assert points == [[t.denominator * x + t.numerator * y for x, y in zip(start, direction)]
+                          for t in params], seed
+    assert any(other_terms)
 
 
 @settings(max_examples=200, deadline=None)
@@ -630,4 +756,25 @@ def test_vanishing_at_p_over_q_in_integers(coeffs, p, q, root):
     from gmepw.epw import _vanishes_at
 
     f = Poly(coeffs) * Poly([-p, q]) if root else Poly(coeffs)
-    assert _vanishes_at(f, p, q) == (f(Fraction(p, q)) == 0)
+    assert _vanishes_at([c.numerator for c in f.coeffs], p, q) == (f(Fraction(p, q)) == 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-30, 30), min_size=1, max_size=7).filter(any), st.integers(-6, 6),
+       st.integers(-6, 6).filter(bool), st.integers(1, 6), st.sampled_from([3, 4]))
+def test_chart_division_in_integers(f, c0, c1, content, exponent):
+    # D = prim(c)^e F for an integer F: the chart coordinate
+    # c = content (c0 + c1 t) may have content > 1, whose power need not
+    # divide D, and dividing by prim(c)^e gives F back exactly; D + 1, which
+    # is 1 at the root of c, is not divisible
+    from math import gcd
+
+    from gmepw.epw import _divide_chart
+
+    g = gcd(c0, c1)
+    prim = Poly([c0 // g, c1 // g])
+    d = [c.numerator for c in (prim**exponent * Poly(f)).coeffs]
+    assert _divide_chart(d, content * c0, content * c1, exponent) == [c.numerator for c in Poly(f).coeffs]
+    assert _divide_chart(d, content * c0, 0, exponent) == d  # a constant chart coordinate
+    with pytest.raises(ValueError, match="chart factor"):
+        _divide_chart([d[0] + 1, *d[1:]], c0, c1, exponent)  # 1 at the root of c

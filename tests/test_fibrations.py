@@ -161,7 +161,7 @@ def test_sigma_subsets_of_strata():
             seen1 += 1
         v3 = rand_v5_plane(rng)
         if sigma2_level(ld, v3) >= 1:
-            assert z_stratum(ld.a, v3) >= 1
+            assert z_stratum(ld.a, v3.int_rows) >= 1
             seen2 += 1
     # the engineered witnesses guarantee at least the known points exist
     assert sigma1_level(ld, unit_vector(6, 0)) >= 1

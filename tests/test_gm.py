@@ -30,7 +30,7 @@ from gmepw.gm import (
     validate,
 )
 from gmepw.linalg import Matrix, Subspace, clear_denominators, unit_vector
-from gmepw.polynomials import Poly, interpolate
+from gmepw.polynomials import Poly
 from gmepw.sampling import random_nonzero_vector, rng_from_seed
 
 import oracles
@@ -292,7 +292,8 @@ def test_discriminant_against_rational_determinants(name, line):
     assert validate(d).ok
     v_a, v_b = line
     qa, qb = d.q_of(v_a), d.q_of(v_b)
-    expected = interpolate([(t, oracles.add(qa, oracles.scale(qb, t)).det()) for t in range(d.w_dim + 1)])
+    expected = oracles.newton_interpolate(
+        [(t, oracles.add(qa, oracles.scale(qb, t)).det()) for t in range(d.w_dim + 1)])
     got = discriminant_on_line(d, v_a, v_b)
     assert got.det_poly == expected
     lam = Poly([Fraction(v_a[5]), Fraction(v_b[5])])

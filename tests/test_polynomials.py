@@ -38,9 +38,9 @@ def test_divmod_exact():
     q, r = p.divmod(Poly([1, 1]))
     assert r.is_zero()
     assert q == Poly([-1, 1])
-    assert p.exact_div(Poly([-1, 1])) == Poly([1, 1])
+    assert oracles.exact_div(p, Poly([-1, 1])) == Poly([1, 1])
     with pytest.raises(ValueError):
-        Poly([1, 1, 1]).exact_div(Poly([1, 1]))
+        oracles.exact_div(Poly([1, 1, 1]), Poly([1, 1]))
 
 
 def test_gcd():
@@ -66,15 +66,17 @@ def test_root_multiplicity():
 
 def test_interpolation_roundtrip():
     p = Poly([3, -2, 0, 1])
-    pts = [(t, p(t)) for t in range(5)]
-    assert interpolate(pts) == p
+    assert interpolate([p(t) for t in range(5)]) == [3, -2, 0, 1]
     with pytest.raises(ValueError):
-        interpolate([(1, 1), (1, 2)])
+        interpolate([0, 1, 3])  # t (t + 1) / 2
+    with pytest.raises(ValueError):
+        oracles.newton_interpolate([(1, 1), (1, 2)])
 
 
 def lagrange_interpolate(points) -> Poly:
     """Reference interpolant in the Lagrange form, independent of the
-    Newton form that interpolate uses."""
+    Newton form of the oracle and of the forward differences of
+    interpolate."""
     points = [(Fraction(x), Fraction(y)) for x, y in points]
     total = Poly.zero()
     for i, (xi, yi) in enumerate(points):
@@ -107,14 +109,48 @@ def interpolation_data(draw):
 @example([(Fraction(t), Fraction(t * t - 3)) for t in range(-4, 5)])
 @settings(max_examples=150, deadline=None)
 def test_newton_matches_lagrange(points):
-    p = interpolate(points)
+    p = oracles.newton_interpolate(points)
     assert p == lagrange_interpolate(points)
     assert all(p(x) == y for x, y in points)
     assert p.degree < len(points)
 
 
 def test_interpolate_empty_is_zero():
-    assert interpolate([]).is_zero()
+    assert interpolate([]) == []
+
+
+@st.composite
+def node_values(draw):
+    """Integer values on the nodes 0..k, k <= 13: all zero, those of an
+    integer polynomial of degree at most k (often below k), or arbitrary."""
+    k = draw(st.integers(0, 13))
+    kind = draw(st.sampled_from(["zero", "polynomial", "arbitrary"]))
+    if kind == "zero":
+        return [0] * (k + 1)
+    if kind == "arbitrary":
+        return draw(st.lists(st.integers(-10**6, 10**6), min_size=k + 1, max_size=k + 1))
+    degree = draw(st.integers(0, k))
+    f = Poly(draw(st.lists(st.integers(-50, 50), min_size=degree + 1, max_size=degree + 1)))
+    return [int(f(t)) for t in range(k + 1)]
+
+
+@given(node_values())
+@example([0] * 14)
+@example([t**3 - 2 * t for t in range(14)])  # true degree 3 on 14 nodes
+@example([7])
+@settings(max_examples=200, deadline=None)
+def test_integer_interpolate_matches_lagrange(values):
+    # the forward-difference kernel gives the Lagrange interpolant on the
+    # nodes 0..k whenever it has integer coefficients, and raises otherwise
+    expected = lagrange_interpolate(list(enumerate(values)))
+    if all(c.denominator == 1 for c in expected.coeffs):
+        coeffs = interpolate(values)
+        assert all(type(c) is int for c in coeffs)
+        assert Poly(coeffs) == expected
+        assert not coeffs or coeffs[-1]
+    else:
+        with pytest.raises(ValueError):
+            interpolate(values)
 
 
 @st.composite
