@@ -16,8 +16,8 @@ appearing for the coefficient-1 special form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 from operator import mul
 
 from .exterior import (
@@ -195,31 +195,34 @@ def lagrangian_to_gm(ld: LagrangianData) -> GMData:
     if ld.a1 == A1_INF:
         raise CorrespondenceError("the cone tag does not produce lci data")
     # the contraction image and the lifts of its RREF basis, as integer rows
-    # [s R_b | s X_b] over the pivot value s: R_b the basis row, X_b in A
+    # [s R_b | s X_b] over the pivot value s: R_b the basis row, X_b in A;
+    # scaled to [S R_b | S X_b] for S the lcm of the pivot values
     w0, rows = int_image_and_lifts([lambda_p(3, r) + list(r) for r in ld.a.int_rows], 10)
     scales = [r[c] for r, c in zip(rows, w0.pivots)]
+    big = lcm(*scales)
+    rows = [[big // s * x for x in r] for r, s in zip(rows, scales)]
     paired = [[sum(map(mul, t, r[:10])) for t in top_pairing(5, 3)] for r in rows]
     grams = []
     for i in range(6):
-        g = _qtilde0_gram(i, rows, scales, paired)
-        if not g.is_symmetric():
+        g = _qtilde0_gram(i, rows, paired)
+        if any(g[a][b] != g[b][a] for a in range(len(g)) for b in range(a)):
             raise CorrespondenceError("induced quadric family is not symmetric")
         grams.append(g)
-    mu = Matrix.from_cols(w0.basis_rows()) if w0.dim else Matrix.zero(10, 0)
-    d = GMData(n=w0.dim - 5, mu=mu, q=tuple(grams), epsilon=Fraction(1))
+    mu = [[r[k] for r in rows] for k in range(10)]  # column b is the basis row R_b
+    d = GMData.from_int_rows(w0.dim - 5, (mu, big), (grams, big * big))
     return d if ld.a1 == A1_ZERO else opposite(d)
 
 
-def _qtilde0_gram(i: int, rows, scales, paired) -> Matrix:
+def _qtilde0_gram(i: int, rows, paired) -> list[list[int]]:
     """Gram of the form -top(contract(v ^ xi1) ^ contract(xi2)) at basis vector i,
     for the lifts xi in the Lagrangian of the RREF basis of the contraction
-    image: -L T R^T with rows contract(e_i ^ xi_a) in L and contract(xi_b) in R.
+    image, as integer rows over S^2: -C T R^T with rows contract(e_i ^ xi_a)
+    in C and contract(xi_b) in R, each lift and basis row taken S times.
     R is that RREF basis itself, so T R^T is the same on every direction and
-    comes in as paired, row b the integer column T (s_b R_b)."""
+    comes in as paired, row b the integer column T (S R_b)."""
     ei = monomial(6, (i,))
     left = [lambda_p(4, wedge(6, 1, 3, ei, r[10:])) for r in rows]
-    return Matrix([[Fraction(-sum(map(mul, x, y)), sx * sy) for y, sy in zip(paired, scales)]
-                   for x, sx in zip(left, scales)], cols=len(rows))
+    return [[-sum(map(mul, x, y)) for y in paired] for x in left]
 
 
 @dataclass(frozen=True)

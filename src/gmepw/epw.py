@@ -42,12 +42,12 @@ chart coordinate c = c0 + c1 t lie in Z[t], while F lies in Q[t].  By Gauss's
 lemma the content of a product of integer polynomials is the product of the
 contents, so the primitive parts multiply: prim(D) = +-prim(c)^e prim(F).
 As D = cont(D) prim(D), prim(c)^e divides D in Z[t], and e synthetic
-divisions by prim(c) = a + b t, each from the leading coefficient down with
-exact integer quotients by b, give D / prim(c)^e = +-cont(D) prim(F).  Its
-primitive part with a positive leading coefficient is that of F = D / c^e,
-the certificate.  A constant c (c1 = 0) has prim(c) = 1 and leaves D.  The
-sample parameters t = p / q are reduced integer pairs, and f(p / q) = 0 is
-read off q^d f(p / q), an integer.
+divisions by prim(c) (``polynomials.divide_power``) give
+D / prim(c)^e = +-cont(D) prim(F).  Its primitive part with a positive
+leading coefficient is that of F = D / c^e, the certificate.  A constant c
+(c1 = 0) has prim(c) = 1 and leaves D.  The sample parameters t = p / q are
+reduced integer pairs, and f(p / q) = 0 is read off q^d f(p / q), an
+integer.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from operator import mul
 from .exterior import _wedge_table, monomials, top_pairing, wedge, wedge_gens
 from .gm import GmError
 from .linalg import Subspace, _int_row, clear_denominators, vec
-from .polynomials import Poly, interpolate, line_values
+from .polynomials import Poly, divide_power, interpolate, line_values
 from .sampling import rng_from_seed
 
 
@@ -245,7 +245,10 @@ def stratum_poly_on_line(
     det = _membership_poly(a, gens)
     if not det:
         return LineDegreeCertificate(kind, base_t, dir_t, Poly.zero(), -1, 0, contains_line=True)
-    poly = Poly(_divide_chart(det, *chart, exponent)).primitive()
+    quotient = divide_power(det, *chart, exponent)
+    if quotient is None:
+        raise ValueError("the chart factor does not divide the determinant")
+    poly = Poly(quotient).primitive()
     coeffs = [c.numerator for c in poly.coeffs]
 
     def member(p: int, q: int) -> bool:  # at t = p / q, by the point q v(t) or q w3(t)
@@ -268,28 +271,6 @@ def stratum_poly_on_line(
             raise GmError("certificate disagrees with pointwise membership")
         checked += 1
     return LineDegreeCertificate(kind, base_t, dir_t, poly, poly.degree, checked)
-
-
-def _divide_chart(d: list[int], c0: int, c1: int, exponent: int) -> list[int]:
-    """D / prim(c)^e over the integers, c = c0 + c1 t (module docstring):
-    e synthetic divisions by prim(c) from the leading coefficient down, each
-    exact; a constant c leaves D.  A remainder raises ValueError."""
-    if not c1:
-        return d
-    g = gcd(c0, c1)
-    c0, c1 = c0 // g, c1 // g
-    for _ in range(exponent):
-        q = [0] * (len(d) - 1)
-        r = d[-1]
-        for k in range(len(d) - 2, -1, -1):
-            q[k], rest = divmod(r, c1)
-            if rest:
-                raise ValueError("the chart factor does not divide the determinant")
-            r = d[k] - c0 * q[k]
-        if r:
-            raise ValueError("the chart factor does not divide the determinant")
-        d = q
-    return d
 
 
 def _vanishes_at(coeffs: list[int], p: int, q: int) -> bool:

@@ -13,12 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .exterior import monomial, top_pairing, wedge
 from .linalg import Matrix, Subspace, clear_denominators, vec, vec_dot
-from .polynomials import Poly, line_det
+from .polynomials import Poly, divide_power, interpolate, line_values
 from .sampling import random_nonzero_vector, rng_from_seed
 
 L2V5_DIM = 10  # degree-2 monomials of the 5-space
@@ -39,7 +39,9 @@ class GMData:
     trivialization of the 5-space.
 
     The ``Fraction`` fields are the API edge; the integer view (q and mu over
-    common denominators, the kernel of mu and its form) is built once.
+    common denominators, the kernel of mu and its form) is built once: from
+    the fields on first use, or from the integer rows that ``from_int_rows``
+    is given.
     """
 
     n: int
@@ -57,6 +59,20 @@ class GMData:
             raise GmError(f"each q matrix must be {w} x {w}")
         if self.epsilon == 0:
             raise GmError("epsilon must be invertible")
+
+    @classmethod
+    def from_int_rows(cls, n: int, mu, q, epsilon: Fraction = Fraction(1)) -> "GMData":
+        """The data with mu = M / m and q(e_i) = Q[i] / D for mu = (M, m) and
+        q = (Q, D), integer rows over positive denominators.  The ``Fraction``
+        fields are built from them once, and ``int_mu`` and ``int_q`` hold
+        them over the least common denominators, as the view built from the
+        fields has them."""
+        w = n + 5
+        ((mrows,), m), (qs, den) = _lowest_terms([mu[0]], mu[1]), _lowest_terms(*q)
+        d = cls(n, _fraction_matrix(mrows, m, w), tuple(_fraction_matrix(g, den, w) for g in qs), epsilon)
+        d.__dict__["int_mu"] = list(zip(*mrows)), m
+        d.__dict__["int_q"] = qs, den
+        return d
 
     @property
     def w_dim(self) -> int:
@@ -96,14 +112,30 @@ class GMData:
 
     def q_of(self, v) -> Matrix:
         """The symmetric matrix of the quadric at a vector of the 6-space."""
-        rows, den = self.int_q_of(v)
-        return Matrix._make([[Fraction(x, den) if x else _ZERO for x in row] for row in rows], self.w_dim)
+        return _fraction_matrix(*self.int_q_of(v), self.w_dim)
 
 
 def _over_common_denominator(matrices) -> tuple[list[list[list[int]]], int]:
     """The matrices as integer rows over their least common denominator."""
     den = lcm(*(x.denominator for m in matrices for row in m.data for x in row))
     return [[[x.numerator * (den // x.denominator) for x in row] for row in m.data] for m in matrices], den
+
+
+def _lowest_terms(matrices, den: int) -> tuple[list[list[list[int]]], int]:
+    """Integer matrices over den divided by g, the gcd of den and every
+    entry.  Then den / g is the least common denominator L of the values:
+    den = L t with t dividing every entry, and the entries over L have gcd 1
+    with L, since for each prime power p^a exactly dividing L some value has
+    p^a in its denominator, and its entry over L is prime to p."""
+    g = den if den == 1 else gcd(den, *(gcd(*row) for m in matrices for row in m))
+    if g == 1:
+        return matrices, den
+    return [[[x // g for x in row] for row in m] for m in matrices], den // g
+
+
+def _fraction_matrix(rows, den: int, cols: int) -> Matrix:
+    """The ``Matrix`` of integer rows over a positive denominator."""
+    return Matrix._make([[Fraction(x, den) if x else _ZERO for x in row] for row in rows], cols)
 
 
 GMTypeTag = str  # "ordinary" | "special" | "non_lci"
@@ -247,26 +279,26 @@ def opposite(d: GMData) -> GMData:
     if t == NON_LCI:
         raise GmError("opposite needs lci data")
     w = d.w_dim
+    cols, m = d.int_mu
+    qs, den = d.int_q
     if t == ORDINARY:
-        mu = Matrix._make([row + [_ZERO] for row in d.mu.data], w + 1)
-        qs = tuple(Matrix._make([row + [_ZERO] for row in m.data] + [[_ZERO] * w + [Fraction(int(i == 5))]], w + 1)
-                   for i, m in enumerate(d.q))
-        return GMData(n=d.n + 1, mu=mu, q=qs, epsilon=d.epsilon)
+        mu = [list(row) for row in zip(*cols, [0] * L2V5_DIM)]  # a zero column appended
+        q = [[[*row, 0] for row in g] + [[0] * w + [den * int(i == 5)]] for i, g in enumerate(qs)]
+        return GMData.from_int_rows(d.n + 1, (mu, m), (q, den), d.epsilon)
     if d.n < 2:
         raise GmError("special input must have dimension at least 2")
-    # the RREF basis of W0 is R_r / s_r for the integer rows R_r, pivots s_r
+    # the RREF basis of W0 is R_r / s_r for the integer rows R_r, pivots s_r,
+    # that is B_r / L for B_r = (L / s_r) R_r and L the lcm of the s_r
     w0 = split_w(d)[0]
-    basis, scales = w0.int_rows, [r[c] for r, c in zip(w0.int_rows, w0.pivots)]
-    cols, m = d.int_mu
-    mu = Matrix._make([[Fraction(sum(map(mul, row, r)), m * s) for r, s in zip(basis, scales)]
-                       for row in zip(*cols)], w0.dim)
-    qs, den = d.int_q
+    scales = [r[c] for r, c in zip(w0.int_rows, w0.pivots)]
+    big = lcm(*scales)
+    basis = [[big // s * x for x in r] for r, s in zip(w0.int_rows, scales)]
+    mu = [[sum(map(mul, row, r)) for r in basis] for row in zip(*cols)]
     q0 = []
     for g in qs:
         gr = [[sum(map(mul, row, r)) for row in g] for r in basis]
-        q0.append(Matrix._make([[Fraction(sum(map(mul, x, y)), den * sx * sy) for y, sy in zip(gr, scales)]
-                                for x, sx in zip(basis, scales)], w0.dim))
-    return GMData(n=d.n - 1, mu=mu, q=tuple(q0), epsilon=d.epsilon)
+        q0.append([[sum(map(mul, x, y)) for y in gr] for x in basis])
+    return GMData.from_int_rows(d.n - 1, (mu, m * big), (q0, den * big * big), d.epsilon)
 
 
 @dataclass(frozen=True)
@@ -291,32 +323,38 @@ def discriminant_on_line(d: GMData, v_a, v_b) -> DiscriminantLine:
     v_a, v_b = vec(v_a), vec(v_b)
     if Subspace.from_rows(6, [v_a, v_b]).dim < 2:
         raise GmError("the two points are dependent: the line degenerates")
-    lam = Poly([v_a[5], v_b[5]])
-    if lam.is_zero():
+    if not (v_a[5] or v_b[5]):
         raise GmError("line lies inside the hyperplane")
     w = d.w_dim
     # the family is linear in t: for v_a, v_b = a / s, b / s with integer a, b
-    # and q(a), q(b) = P_a / D, P_b / D, it is (P_a + t P_b) / (s D)
+    # and q(a), q(b) = P_a / D, P_b / D, it is (P_a + t P_b) / (s D), whose
+    # determinant is det / (s D)^w for the integer polynomial det
     ab, s = clear_denominators(v_a + v_b)
     (pa, den), (pb, _) = d.int_q_of(ab[:6]), d.int_q_of(ab[6:])
-    det_poly = line_det(pa, pb).scale(Fraction(1, (s * den) ** w))
-    if det_poly.is_zero():
+    det = interpolate(line_values(pa, pb))
+    scale = (s * den) ** w
+    det_poly = Poly([Fraction(x, scale) for x in det])
+    if not det:
         return DiscriminantLine(det_poly, 0, None, dis_is_everything=True)
     expected = d.n - 1
-    if lam.degree == 1:
-        # det_poly / lam^k for k = 0, 1, ... while lam divides: one chain of
-        # quotients gives the multiplicity of lam's root and the reduced form
-        quotients = [det_poly]
-        while True:
-            q, r = quotients[-1].divmod(lam)
-            if not r.is_zero():
-                break
+    lam0, lam1 = ab[5], ab[11]  # lambda = (lam0 + lam1 t) / s
+    if lam1:
+        # det / prim(lambda)^k for k = 0, 1, ... while it divides: one chain
+        # of integer quotients gives the multiplicity of lambda's root and
+        # the reduced form, as lambda = g prim(lambda) / s, g = gcd(lam0, lam1)
+        quotients = [det]
+        while (q := divide_power(quotients[-1], lam0, lam1, 1)) is not None:
             quotients.append(q)
         mult = len(quotients) - 1
     else:
         # the hyperplane is met at infinity; multiplicity is the degree drop
-        mult = w - det_poly.degree
+        mult = w - (len(det) - 1)
     if mult < expected:
         raise GmError("determinant is not divisible by the expected hyperplane power")
-    dis = quotients[expected] if lam.degree == 1 else det_poly.scale(lam.coeffs[0] ** -expected)
-    return DiscriminantLine(det_poly, mult, dis, mult_exceeds_expected=mult > expected)
+    if lam1:
+        # the quotient by lambda^k, k the number of divisions it took
+        k, dis, g = range(len(quotients))[expected], quotients[expected], gcd(lam0, lam1)
+    else:
+        k, dis, g = expected, det, lam0  # the quotient by the constant lambda^expected
+    factor = Fraction(s, g) ** k / scale
+    return DiscriminantLine(det_poly, mult, Poly([x * factor for x in dis]), mult_exceeds_expected=mult > expected)

@@ -6,6 +6,15 @@ strings "p/q" (or "p" for integers), matrices nested arrays, subspaces
 {"ambient_dim", "basis"}.  Parsing canonicalizes subspace bases to RREF, so
 emit(parse(x)) is the identity on canonical input.  Malformed input raises
 DocumentError with a field path.
+
+Reading is integer-native.  ``parse_matrix`` reads each token once, straight
+into integer rows over the lcm of the reduced denominators of the entries:
+an integer token (a JSON integer, or decimal digits with an optional minus
+sign) becomes an int with no ``Fraction`` built, and any other token is
+read as ``parse_rat`` reads it, with the same caps and messages.  A field
+path is formatted only for a rejected token.  A Lagrangian basis goes to
+``Subspace.from_rows`` as those rows, and GM data to
+``GMData.from_int_rows``, which keeps them as its integer view.
 """
 
 from __future__ import annotations
@@ -15,6 +24,7 @@ import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from fractions import Fraction
+from math import lcm
 from typing import Any
 
 from .correspondence import A1_TAGS, LagrangianData, apply_frame
@@ -31,12 +41,16 @@ MAX_EXPONENT = 1_000
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)")
 
 KINDS = ("gm_data", "lagrangian_data", "certificate", "report")
-# the commonest integer tokens, read once and shared: a Fraction is immutable
-_SMALL_INTS = {str(k): Fraction(k) for k in range(-9, 10)}
+# the commonest integer tokens, looked up with no conversion
+_SMALL_INTS = {str(k): k for k in range(-9, 10)}
 
 
 class DocumentError(ValueError):
     """Malformed document, with a best-effort field path in the message."""
+
+
+class _Rejected(ValueError):
+    """A rejected token; the message is a DocumentError's, less its field path."""
 
 
 @dataclass(frozen=True)
@@ -51,23 +65,31 @@ def format_rat(x: Fraction) -> str:
 
 
 def parse_rat(s, where: str = "scalar") -> Fraction:
-    if type(s) is str and s in _SMALL_INTS:
-        return _SMALL_INTS[s]
+    try:
+        return Fraction(_scalar(s))
+    except _Rejected as exc:
+        raise DocumentError(f"{where}: {exc}") from None
+
+
+def _scalar(s) -> int | Fraction:
+    """The value of one token: an int for a JSON integer or a plain integer
+    token, read as Fraction(s) reads it, and a Fraction for any other
+    accepted token.  Raises _Rejected."""
     if isinstance(s, int) and not isinstance(s, bool):
-        return Fraction(s)
+        return int(s)
     if not isinstance(s, str):
-        raise DocumentError(f"{where}: expected a rational string, got {s!r}")
+        raise _Rejected(f"expected a rational string, got {s!r}")
     if len(s) > MAX_TOKEN_CHARS:
-        raise DocumentError(f"{where}: rational of {len(s)} characters, more than {MAX_TOKEN_CHARS}")
+        raise _Rejected(f"rational of {len(s)} characters, more than {MAX_TOKEN_CHARS}")
     try:
         if (s[1:] if s[:1] == "-" else s).isdecimal():
-            return Fraction(int(s))  # a plain integer token, read as Fraction(s) reads it
+            return int(s)
         exp = _EXPONENT.search(s)
         if exp and abs(int(exp.group(1))) > MAX_EXPONENT:
             raise ValueError(f"exponent beyond +-{MAX_EXPONENT}")
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
-        raise DocumentError(f"{where}: malformed rational {s!r} ({exc})") from None
+        raise _Rejected(f"malformed rational {s!r} ({exc})") from None
 
 
 def format_vector(v) -> list[str]:
@@ -78,19 +100,42 @@ def format_matrix(m: Matrix) -> list[list[str]]:
     return [[format_rat(x) for x in row] for row in m.data]
 
 
-def parse_matrix(obj, where: str = "matrix", rows: int | None = None, cols: int | None = None) -> Matrix:
+def parse_matrix(obj, where: str = "matrix", rows: int | None = None,
+                 cols: int | None = None) -> tuple[list[list[int]], int]:
+    """(M, m): the matrix is M / m for integer rows M and m the lcm of the
+    reduced denominators of its entries (module docstring)."""
     if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
         raise DocumentError(f"{where}: expected a nested array")
-    data = [[parse_rat(x, f"{where}[{i}][{j}]") for j, x in enumerate(r)] for i, r in enumerate(obj)]
+    data, den = [], 1
+    for i, r in enumerate(obj):
+        try:
+            data.append([_SMALL_INTS[x] for x in r])
+            continue
+        except (KeyError, TypeError):  # another token, or an unhashable one
+            pass
+        row = []
+        for j, x in enumerate(r):
+            try:
+                v = _scalar(x)
+            except _Rejected as exc:
+                raise DocumentError(f"{where}[{i}][{j}]: {exc}") from None
+            if type(v) is not int:
+                if v.denominator == 1:
+                    v = v.numerator
+                else:
+                    den = lcm(den, v.denominator)
+            row.append(v)
+        data.append(row)
     width = len(data[0]) if data else (cols or 0)
     if any(len(row) != width for row in data):
         raise DocumentError(f"{where}: ragged rows")
-    m = Matrix._make(data, width)
-    if rows is not None and m.rows != rows:
-        raise DocumentError(f"{where}: expected {rows} rows, found {m.rows}")
-    if cols is not None and m.cols != cols and m.rows > 0:
-        raise DocumentError(f"{where}: expected {cols} columns, found {m.cols}")
-    return m
+    if rows is not None and len(data) != rows:
+        raise DocumentError(f"{where}: expected {rows} rows, found {len(data)}")
+    if cols is not None and width != cols and data:
+        raise DocumentError(f"{where}: expected {cols} columns, found {width}")
+    if den > 1:
+        data = [[x * den if type(x) is int else x.numerator * (den // x.denominator) for x in row] for row in data]
+    return data, den
 
 
 def format_subspace(s: Subspace) -> dict:
@@ -103,11 +148,12 @@ def parse_subspace(obj, where: str = "subspace") -> Subspace:
     n = obj["ambient_dim"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise DocumentError(f"{where}.ambient_dim: expected a non-negative integer")
-    m = parse_matrix(obj["basis"], f"{where}.basis")
-    if m.rows > 0 and m.cols != n:
-        raise DocumentError(f"{where}.basis: rows of length {m.cols} in ambient {n}")
-    # non-RREF bases are accepted and canonicalized here
-    return Subspace.from_rows(n, m.copy_data())
+    rows = parse_matrix(obj["basis"], f"{where}.basis")[0]
+    if rows and len(rows[0]) != n:
+        raise DocumentError(f"{where}.basis: rows of length {len(rows[0])} in ambient {n}")
+    # non-RREF bases are accepted and canonicalized here; the common
+    # denominator scales the rows and leaves their span
+    return Subspace.from_rows(n, rows)
 
 
 def format_gm_data(d: GMData) -> dict:
@@ -133,14 +179,15 @@ def parse_gm_data(obj, where: str = "gm_data") -> GMData:
     qlist = obj["q"]
     if not isinstance(qlist, list) or len(qlist) != 6:
         raise DocumentError(f"{where}.q: expected six matrices")
-    q = tuple(
-        parse_matrix(qm, f"{where}.q[{i}]", rows=n + 5, cols=n + 5) for i, qm in enumerate(qlist)
-    )
+    q = [parse_matrix(qm, f"{where}.q[{i}]", rows=n + 5, cols=n + 5) for i, qm in enumerate(qlist)]
     eps = parse_rat(obj.get("epsilon", "1"), f"{where}.epsilon")
     if eps == 0:
         raise DocumentError(f"{where}.epsilon: must be non-zero")
+    # the six matrices over their common denominator, the lcm of theirs
+    den = lcm(*(m for _, m in q))
+    qs = [rows if m == den else [[x * (den // m) for x in row] for row in rows] for rows, m in q]
     try:
-        return GMData(n=n, mu=mu, q=q, epsilon=eps)
+        return GMData.from_int_rows(n, mu, (qs, den), eps)
     except ValueError as exc:
         raise DocumentError(f"{where}: {exc}") from None
 
@@ -157,7 +204,8 @@ def parse_lagrangian_data(obj, where: str = "lagrangian_data") -> LagrangianData
     if tag not in A1_TAGS:
         raise DocumentError(f"{where}.A1: expected one of {A1_TAGS}")
     if "frame" in obj:
-        frame = parse_matrix(obj["frame"], f"{where}.frame", rows=6, cols=6)
+        rows, den = parse_matrix(obj["frame"], f"{where}.frame", rows=6, cols=6)
+        frame = Matrix([[Fraction(x, den) for x in row] for row in rows])
         try:
             a = apply_frame(a, frame)
         except ValueError as exc:

@@ -27,6 +27,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 _ZERO = Fraction(0)
+_INT_TYPE = {int}
 
 
 def rat(x) -> Fraction:
@@ -316,9 +317,9 @@ def _fraction_rows(rows, pivots) -> list[list[Fraction]]:
 
 
 def _int_row(r) -> list[int]:
-    """r itself if its entries are ints, else its entries times their least
-    common denominator."""
-    if all(type(x) is int for x in r):
+    """r itself if its entries are ints (not bools), else its entries times
+    their least common denominator."""
+    if set(map(type, r)) <= _INT_TYPE:
         return r
     return clear_denominators(vec(r))[0]
 

@@ -1,8 +1,9 @@
 """Dense univariate polynomials with exact rational coefficients, and the
 integer interpolation kernel under every line determinant.
 
-Small and purpose-built: evaluation, division, the primitive part and the
-integer line determinant ``line_det`` are everything the determinant-on-a-line
+Small and purpose-built: evaluation, division, the primitive part, the
+node values of a line determinant, their integer interpolant and the integer
+division by a linear factor are everything the determinant-on-a-line
 computations need; ``poly_gcd`` has no caller in the package (the benchmark
 tracer wraps it by name).  Coefficients are stored low degree first.
 
@@ -16,12 +17,18 @@ P_k = D^k and P_j = (k! / j!) D^j + (t - j) P_{j+1}, so P_0 = k! f is built
 with integer products only, and one exact division by k! ends it.  Every
 caller interpolates a determinant det(p0 + t p1) of integer rows, an integer
 polynomial, so that division never leaves a remainder.
+
+``divide_power`` divides an integer D by powers of prim(c), c = c0 + c1 t
+and prim(c) = c / gcd(c0, c1).  By Gauss's lemma prim(c) divides D in Q[t]
+exactly when it does in Z[t], so synthetic division from the leading
+coefficient down either takes exact integer quotients at every step and
+leaves no remainder, or proves that prim(c) does not divide D.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd
 
 from .linalg import clear_denominators, det_int, rat
 
@@ -145,7 +152,7 @@ class Poly:
         if self.is_zero():
             return self
         ints, _ = clear_denominators(self.coeffs)
-        g = int_gcd(*ints)
+        g = gcd(*ints)
         return Poly([v // g for v in ints] if ints[-1] > 0 else [-v // g for v in ints])
 
 
@@ -195,7 +202,23 @@ def line_values(p0, p1) -> list[int]:
     return [det_int([[x + t * y for x, y in zip(r0, r1)] for r0, r1 in zip(p0, p1)]) for t in nodes]
 
 
-def line_det(p0, p1) -> Poly:
-    """det(p0 + t p1) for square integer rows p0 and p1, interpolated from
-    ``line_values``."""
-    return Poly(interpolate(line_values(p0, p1)))
+def divide_power(coeffs: list[int], c0: int, c1: int, exponent: int) -> list[int] | None:
+    """D / prim(c)^e for the integer coefficients of D != 0, low degree
+    first, and c = c0 + c1 t != 0 (module docstring), or None when prim(c)^e
+    does not divide D.  A constant c (c1 = 0) leaves D."""
+    if not c1:
+        return coeffs
+    g = gcd(c0, c1)
+    c0, c1 = c0 // g, c1 // g
+    for _ in range(exponent):
+        q = [0] * (len(coeffs) - 1)
+        r = coeffs[-1]
+        for k in range(len(coeffs) - 2, -1, -1):
+            q[k], rest = divmod(r, c1)
+            if rest:
+                return None
+            r = coeffs[k] - c0 * q[k]
+        if r:
+            return None
+        coeffs = q
+    return coeffs

@@ -24,7 +24,7 @@ from math import lcm
 from operator import mul
 
 from .exterior import SymplecticSpace
-from .linalg import Matrix, Subspace, int_image_and_lifts, kernel, unit_vector
+from .linalg import Matrix, Subspace, _gauss_jordan, int_image_and_lifts, kernel, unit_vector
 
 
 def _times_form(space: SymplecticSpace, rows) -> list[list[int]]:
@@ -230,9 +230,9 @@ class QuotientModel:
     """
 
     def __init__(self, inner: Subspace, equations: Subspace):
-        outer = equations.annihilator()
-        if not outer.contains_subspace(inner):
+        if any(sum(map(mul, f, r)) for f in equations.int_rows for r in inner.int_rows):
             raise ValueError("inner subspace is not contained in the outer one")
+        outer = equations.annihilator()
         self.inner = inner
         self.outer = outer
         inner_pivots = set(inner.pivots)
@@ -242,13 +242,20 @@ class QuotientModel:
         self.equations = equations.int_rows
 
     def project_subspace(self, s: Subspace) -> Subspace:
-        """The image of s meet U in U/I.  The meet is spanned by the
-        combinations sum c_i s_i of the rows of s with sum c_i f(s_i) = 0
-        for each equation f of U: a kernel on the coefficients only."""
-        rows = s.int_rows
-        values = [[sum(map(mul, f, r)) for r in rows] for f in self.equations]
-        coeffs = Subspace.from_rows(len(rows), values).annihilator().int_rows
-        return self.project_contained([[sum(map(mul, c, col)) for col in zip(*rows)] for c in coeffs])
+        """The image of s meet U in U/I, by one elimination of the rows
+        [f(s_i) over the equations f | the coordinates of s_i + I] of
+        ``project_contained``.  The meet is spanned by the combinations
+        sum c_i s_i with sum c_i f(s_i) = 0, and those coordinates are
+        linear, so the reduced rows with their pivot in the second block
+        span the image, in reduced row echelon form."""
+        e = len(self.equations)
+        stack = []
+        for r in s.int_rows:
+            w = self.inner.remainder(r)
+            stack.append([sum(map(mul, f, r)) for f in self.equations] + [w[p] for p in self.comp_pivots])
+        rows, pivots = _gauss_jordan(stack, e + self.dim)
+        return Subspace(self.dim, [r[e:] for r, c in zip(rows, pivots) if c >= e],
+                        tuple(c - e for c in pivots if c >= e))
 
     def project_contained(self, rows) -> Subspace:
         """The image in U/I of the span of integer rows lying in U: up to a

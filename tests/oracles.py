@@ -171,6 +171,46 @@ def newton_interpolate(points):
     return Poly(coeffs)
 
 
+def discriminant_on_line(d: GMData, v_a, v_b):
+    """``gm.discriminant_on_line`` over ``Fraction``: the determinant
+    interpolated from w + 1 rational determinants of q(v_a) + t q(v_b), and
+    the former chain of ``Poly.divmod`` quotients by lambda, with the former
+    rule for the reduced form (the degree drop when lambda is constant)."""
+    from gmepw.gm import DiscriminantLine, GmError
+    from gmepw.polynomials import Poly
+
+    v_a, v_b = vec(v_a), vec(v_b)
+    lam = Poly([v_a[5], v_b[5]])
+    qa, qb = q_of(d, v_a), q_of(d, v_b)
+    det_poly = newton_interpolate([(t, add(qa, scale(qb, t)).det()) for t in range(d.w_dim + 1)])
+    if det_poly.is_zero():
+        return DiscriminantLine(det_poly, 0, None, dis_is_everything=True)
+    expected = d.n - 1
+    if lam.degree == 1:
+        quotients = [det_poly]
+        while True:
+            q, r = quotients[-1].divmod(lam)
+            if not r.is_zero():
+                break
+            quotients.append(q)
+        mult = len(quotients) - 1
+    else:
+        mult = d.w_dim - det_poly.degree
+    if mult < expected:
+        raise GmError("determinant is not divisible by the expected hyperplane power")
+    dis = quotients[expected] if lam.degree == 1 else det_poly.scale(lam.coeffs[0] ** -expected)
+    return DiscriminantLine(det_poly, mult, dis, mult_exceeds_expected=mult > expected)
+
+
+def line_det(p0, p1):
+    """det(p0 + t p1) for square integer rows p0 and p1 as a ``Poly``,
+    interpolated from ``polynomials.line_values``: the former
+    ``polynomials.line_det``."""
+    from gmepw.polynomials import Poly, interpolate, line_values
+
+    return Poly(interpolate(line_values(p0, p1)))
+
+
 def emit_json(obj) -> str:
     """The text ``io.emit`` writes for a document object: the former
     ``json.dumps`` call, which runs the standard library's pure-Python

@@ -317,3 +317,28 @@ def test_selftest_reports_a_planted_fault_under_optimize():
     )
     assert proc.returncode == cli.EXIT_VIOLATION, proc.stdout + proc.stderr
     assert "FAIL  duality suite" in proc.stdout
+
+
+GM_COMMANDS = [["validate"], ["disc-line", "--base=1,0,2,-1,1,2", "--dir=0,1,1,3,-2,4"], ["hull-sample", "--seed", "3"],
+               ["to-lagrangian"], ["opposite"]]
+
+
+def test_document_commands_build_no_integer_view_from_fractions(monkeypatch, capsys):
+    # the integer view of parsed and constructed GM data comes from the
+    # integer rows the reader and the constructions have: no command here
+    # clears the denominators of the Fraction fields
+    from gmepw import gm
+
+    def refuse(matrices):
+        raise AssertionError("integer view rebuilt from Fraction fields")
+
+    monkeypatch.setattr(gm, "_over_common_denominator", refuse)
+    gm_docs = sorted((ROOT / "fixtures").glob("*.gm.json"))
+    lag_docs = sorted((ROOT / "fixtures").glob("*.lag.json"))
+    assert len(gm_docs) == 4 and len(lag_docs) == 2
+    runs = [(argv, path) for path in gm_docs for argv in GM_COMMANDS]
+    runs += [(argv, path) for path in lag_docs for argv in (["from-lagrangian"], ["from-lagrangian", "--a1", "1"])]
+    for argv, path in runs:
+        code, out, err = run_main(argv, path.read_text(encoding="utf-8"), monkeypatch, capsys)
+        assert (code, err) == (cli.EXIT_OK, ""), (argv, path.name)
+        assert out

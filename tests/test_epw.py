@@ -769,12 +769,11 @@ def test_chart_division_in_integers(f, c0, c1, content, exponent):
     # is 1 at the root of c, is not divisible
     from math import gcd
 
-    from gmepw.epw import _divide_chart
+    from gmepw.polynomials import divide_power
 
     g = gcd(c0, c1)
     prim = Poly([c0 // g, c1 // g])
     d = [c.numerator for c in (prim**exponent * Poly(f)).coeffs]
-    assert _divide_chart(d, content * c0, content * c1, exponent) == [c.numerator for c in Poly(f).coeffs]
-    assert _divide_chart(d, content * c0, 0, exponent) == d  # a constant chart coordinate
-    with pytest.raises(ValueError, match="chart factor"):
-        _divide_chart([d[0] + 1, *d[1:]], c0, c1, exponent)  # 1 at the root of c
+    assert divide_power(d, content * c0, content * c1, exponent) == [c.numerator for c in Poly(f).coeffs]
+    assert divide_power(d, content * c0, 0, exponent) == d  # a constant chart coordinate
+    assert divide_power([d[0] + 1, *d[1:]], c0, c1, exponent) is None  # 1 at the root of c

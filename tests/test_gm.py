@@ -4,6 +4,8 @@ discriminant lines."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gmepw.exterior import monomial, wedge
 from gmepw.fixtures import (
@@ -530,3 +532,87 @@ def test_gm_layer_runs_without_fraction_matrix_arithmetic(monkeypatch):
         gm_to_lagrangian(d)
         assert classify(opposite(d)) != classify(d)
         assert membership(d, hull_point_sample(d, 0)) in ("on_hull_only", "on_x")
+
+
+# ---- the integer lambda chain against the Fraction divmod chain
+
+
+def diagonal_data(n: int, forms, den: int = 1) -> GMData:
+    """Data whose quadric at v is diagonal with entries form_k(v) / den, so
+    det(q(v_a) + t q(v_b)) is the product of the linear factors
+    form_k(v_a) + t form_k(v_b); mu is zero, which the discriminant never
+    reads.  Each form proportional to the e6 coordinate adds one factor
+    lambda."""
+    w = n + 5
+    q = tuple(Matrix([[Fraction(forms[k][i], den) if k == j else 0 for j in range(w)] for k in range(w)])
+              for i in range(6))
+    return GMData(n=n, mu=Matrix.zero(10, w), q=q)
+
+
+def line_outcome(fn, d, v_a, v_b):
+    try:
+        return "value", fn(d, v_a, v_b)
+    except GmError as exc:
+        return "error", str(exc)
+
+
+@st.composite
+def diagonal_lines(draw):
+    """Diagonal data with n = 0..3, some of the w forms multiples of the e6
+    coordinate, and a line through two rational points off the hyperplane."""
+    n = draw(st.integers(0, 3))
+    small = st.integers(-3, 3)
+    e6 = st.builds(lambda c: [0] * 5 + [c], st.integers(1, 3) | st.integers(-3, -1))
+    forms = draw(st.lists(e6 | st.lists(small, min_size=6, max_size=6), min_size=n + 5, max_size=n + 5))
+    den = draw(st.sampled_from([1, 2, 6]))
+    points = [[Fraction(x, s) for x in draw(st.lists(st.integers(-4, 4), min_size=6, max_size=6))]
+              for s in draw(st.lists(st.integers(1, 3), min_size=2, max_size=2))]
+    return diagonal_data(n, forms, den), *points
+
+
+@given(diagonal_lines())
+@settings(max_examples=200, deadline=None)
+def test_lambda_chain_matches_the_fraction_divmod_chain(case):
+    # equal DiscriminantLine values, or the same GmError, for every n from 0
+    d, v_a, v_b = case
+    assume(Subspace.from_rows(6, [v_a, v_b]).dim == 2 and (v_a[5] or v_b[5]))
+    assert line_outcome(discriminant_on_line, d, v_a, v_b) == line_outcome(oracles.discriminant_on_line, d, v_a, v_b)
+
+
+GENERIC_FORMS = [[1, 2, 0, -1, 3, 1], [0, 1, 1, 2, -1, 2], [2, 0, -1, 2, 1, 3], [1, -1, 2, 0, 1, -2],
+                 [3, 1, 1, -2, 0, 1], [-1, 2, 1, 1, 2, 1], [1, 1, -1, 3, 1, 2], [2, -2, 1, 1, 0, 1]]
+E6 = [0, 0, 0, 0, 0, 1]
+
+
+@pytest.mark.parametrize(
+    "n, lambda_factors, line, mult",
+    [
+        # lambda = 2 + 4 t has content 2; prim(lambda) = 1 + 2 t divides three times
+        (3, 3, ([1, 0, 2, -1, 1, 2], [0, 1, 1, 3, -2, 4]), 3),
+        (3, 2, ([1, 0, 2, -1, 1, 2], [0, 1, 1, 3, -2, 4]), 2),
+        # a constant lambda: the line meets the hyperplane at infinity, and the
+        # multiplicity is the degree drop
+        (3, 3, ([1, 0, 2, -1, 1, 3], [0, 1, 1, 3, -2, 0]), 3),
+        # multiplicity 4 above n - 1 = 1, through rational points
+        (2, 4, ([Fraction(1, 2), 0, 1, Fraction(-1, 3), 2, 1], [1, Fraction(2, 5), 0, 1, -1, Fraction(3, 7)]), 4),
+    ],
+    ids=["content-2", "exactly-n-1", "constant-lambda", "above-n-1"],
+)
+def test_lambda_chain_cases(n, lambda_factors, line, mult):
+    forms = [[k * x for x in E6] for k in range(1, lambda_factors + 1)] + GENERIC_FORMS[:n + 5 - lambda_factors]
+    d = diagonal_data(n, forms, den=6)
+    got = discriminant_on_line(d, *line)
+    assert got == oracles.discriminant_on_line(d, *line)
+    assert got.plucker_mult == mult
+    assert got.mult_exceeds_expected == (mult > n - 1)
+    lam = Poly([Fraction(line[0][5]), Fraction(line[1][5])])
+    assert got.dis_poly * lam ** (n - 1) == got.det_poly
+
+
+def test_lambda_chain_rejects_a_non_divisible_determinant():
+    # one factor lambda where n - 1 = 2 are expected
+    d = diagonal_data(3, [[2 * x for x in E6]] + GENERIC_FORMS[:7])
+    line = ([1, 0, 2, -1, 1, 2], [0, 1, 1, 3, -2, 4])
+    with pytest.raises(GmError, match="not divisible by the expected hyperplane power"):
+        discriminant_on_line(d, *line)
+    assert line_outcome(oracles.discriminant_on_line, d, *line)[0] == "error"

@@ -82,13 +82,16 @@ def parse_outcome(parse, token):
     return "value", value
 
 
-@given(st.one_of(
+RAT_TOKENS = st.one_of(
     st.sampled_from(INTEGER_TOKENS + ["-+5", "+-5", "1__0", "_1", "1_", "- 5", "٣٤", "-٣", "²", "1.0", "1/1",
                                       "0x10"]),
     st.text(alphabet="0123456789+-_ /e.٣\t", max_size=12),
     st.integers(-10**30, 10**30).map(str),
     st.sampled_from([7, -3, 0, True, None, 2.5, [], {}]),
-))
+)
+
+
+@given(RAT_TOKENS)
 @settings(max_examples=300, deadline=None)
 def test_parse_rat_reads_integer_tokens_as_the_fraction_path_does(token):
     # same Fraction, or the same DocumentError text, as Fraction(str)
@@ -423,3 +426,183 @@ def test_each_gm_document_takes_one_kernel_of_mu(name, monkeypatch):
         d = lagrangian_to_gm(LagrangianData(a=ld.a, a1=tag))
         gio.emit(Document("gm_data", d))
         assert kernels[row_space_key(d)] == 1, tag
+
+
+# ---- the integer matrix reader against parse_rat
+
+
+def rat_outcome(token, where):
+    try:
+        return "value", oracles.parse_rat(token, where)
+    except DocumentError as exc:
+        return "error", str(exc)
+
+
+def reader_outcome(matrix, where="m"):
+    try:
+        rows, den = gio.parse_matrix(matrix, where)
+    except DocumentError as exc:
+        return "error", str(exc)
+    assert den >= 1 and all(type(x) is int for row in rows for x in row)
+    return "value", [[Fraction(x, den) for x in row] for row in rows]
+
+
+READER_TOKENS = ["-0", "007", "+3", 7, -12, 10**40, True, False, "2/4", "0.5", "1e3", "-2.5e-3", "1e1000",
+                 "1e1001", "3e1_001", " " * 10_000 + "1", "1" + "0" * 4300, " 12 ", "x", "1/0", "", None, 2.5,
+                 [], {}, "9", "-9", "10", "-10"]
+
+
+def reader_matches_parse_rat(token):
+    # the token at [1][2] among small integers and fractions: the same
+    # value as parse_rat gives, or the same DocumentError text and path
+    matrix = [["1", "2/3", "0", "5"], ["-1", "4", token, "7/2"], ["0", "0", "-5/6", "-9"]]
+    kind, value = rat_outcome(token, "m[1][2]")
+    if kind == "error":
+        return reader_outcome(matrix) == (kind, value)
+    expected = [[oracles.parse_rat(x) for x in row] for row in matrix]
+    return reader_outcome(matrix) == ("value", expected)
+
+
+@pytest.mark.parametrize("token", READER_TOKENS, ids=[repr(t)[:20] for t in READER_TOKENS])
+def test_reader_reads_each_token_as_parse_rat_does(token):
+    assert reader_matches_parse_rat(token)
+
+
+@given(RAT_TOKENS)
+@settings(max_examples=300, deadline=None)
+def test_reader_matches_parse_rat_on_random_tokens(token):
+    assert reader_matches_parse_rat(token)
+
+
+def test_reader_builds_no_fraction_for_integer_tokens(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Fraction built for an integer token")
+
+    monkeypatch.setattr(gio, "Fraction", refuse)
+    rows, den = gio.parse_matrix([["0", "-0", "007", 7, "-12"], ["123456789012345678901234567890", "9", "-9", "3", 0]])
+    assert (rows, den) == ([[0, 0, 7, 7, -12], [123456789012345678901234567890, 9, -9, 3, 0]], 1)
+
+
+def test_reader_puts_the_rows_over_the_lcm_of_reduced_denominators():
+    assert gio.parse_matrix([["2/4", "1/6", "3"], ["-4/8", "0", "10/15"]]) == ([[3, 1, 18], [-3, 0, 4]], 6)
+    assert gio.parse_matrix([["4/2", "+3", "6/3"]]) == ([[2, 3, 2]], 1)
+    assert gio.parse_matrix([]) == ([], 1)
+
+
+BAD_TOKENS = ["x", "1/0", True, None, "1e1001", " " * 10_001, "+", [1], 2.5]
+
+
+def fixture_payload(name: str) -> dict:
+    return json.loads((FIXDIR / name).read_text(encoding="utf-8"))
+
+
+def parse_error(doc) -> str:
+    with pytest.raises(DocumentError) as info:
+        gio.parse(json.dumps(doc))
+    return str(info.value)
+
+
+@pytest.mark.parametrize("token", BAD_TOKENS, ids=[repr(t)[:12] for t in BAD_TOKENS])
+def test_document_errors_keep_their_text_and_field_path(token):
+    # the text is the one of the Fraction(str) reader, with the same path
+    expected = lambda where: rat_outcome(token, where)[1]  # noqa: E731
+    doc = fixture_payload("fivefold.gm.json")
+    doc["payload"]["mu"][3][2] = token
+    assert parse_error(doc) == expected("gm_data.mu[3][2]")
+    doc = fixture_payload("fivefold.gm.json")
+    doc["payload"]["q"][4][1][0] = token
+    assert parse_error(doc) == expected("gm_data.q[4][1][0]")
+    doc = fixture_payload("fivefold.gm.json")
+    doc["payload"]["epsilon"] = token
+    assert parse_error(doc) == expected("gm_data.epsilon")
+    doc = fixture_payload("sigma_fourfold.lag.json")
+    doc["payload"]["A"]["basis"][2][5] = token
+    assert parse_error(doc) == expected("lagrangian_data.A.basis[2][5]")
+    doc = fixture_payload("sigma_fourfold.lag.json")
+    doc["payload"]["frame"] = [[str(int(i == j)) for j in range(6)] for i in range(6)]
+    doc["payload"]["frame"][1][1] = token
+    assert parse_error(doc) == expected("lagrangian_data.frame[1][1]")
+
+
+def test_document_shape_errors_keep_their_text():
+    cases = []
+    doc = fixture_payload("fivefold.gm.json")
+    doc["payload"]["mu"][0] = doc["payload"]["mu"][0][:-1]
+    cases.append((doc, "gm_data.mu: ragged rows"))
+    doc = fixture_payload("fivefold.gm.json")
+    doc["payload"]["mu"] = [row[:-1] for row in doc["payload"]["mu"]]
+    cases.append((doc, "gm_data.mu: expected 10 columns, found 9"))
+    doc = fixture_payload("fivefold.gm.json")
+    doc["payload"]["q"][2] = doc["payload"]["q"][2][:-1]
+    cases.append((doc, "gm_data.q[2]: expected 10 rows, found 9"))
+    doc = fixture_payload("fivefold.gm.json")
+    doc["payload"]["q"][5] = "0"
+    cases.append((doc, "gm_data.q[5]: expected a nested array"))
+    doc = fixture_payload("fivefold.gm.json")
+    doc["payload"]["epsilon"] = "0/7"
+    cases.append((doc, "gm_data.epsilon: must be non-zero"))
+    doc = fixture_payload("sigma_fourfold.lag.json")
+    doc["payload"]["A"]["basis"] = [row[:-1] for row in doc["payload"]["A"]["basis"]]
+    cases.append((doc, "lagrangian_data.A.basis: rows of length 19 in ambient 20"))
+    doc = fixture_payload("sigma_fourfold.lag.json")
+    doc["payload"]["frame"] = [["1"] * 6] * 5
+    cases.append((doc, "lagrangian_data.frame: expected 6 rows, found 5"))
+    doc = fixture_payload("sigma_fourfold.lag.json")
+    doc["payload"]["frame"] = [["1"] * 6] * 6
+    cases.append((doc, "lagrangian_data.frame: frame must be an invertible 6 x 6 matrix"))
+    for doc, message in cases:
+        assert parse_error(doc) == message
+
+
+# ---- the integer views that GMData.from_int_rows is given
+
+
+def assert_views_are_the_fraction_views(d):
+    from gmepw.gm import _over_common_denominator
+
+    (mu_rows,), m = _over_common_denominator([d.mu])
+    assert d.__dict__["int_mu"] == (list(zip(*mu_rows)), m)
+    assert d.__dict__["int_q"] == _over_common_denominator(d.q)
+
+
+def non_canonical(text: str) -> str:
+    """The document with tokens rewritten to equal ones: 0 as "-0", 1 as
+    "2/2", -1 as a JSON integer, 2 as "002", and each p/q of q(e6) as
+    6p/6q."""
+    doc = json.loads(text)
+    spelled = {"0": "-0", "1": "2/2", "-1": -1, "2": "002"}
+    payload = doc["payload"]
+    payload["mu"] = [[spelled.get(x, x) for x in row] for row in payload["mu"]]
+    payload["q"] = [[[spelled.get(x, x) for x in row] for row in m] for m in payload["q"][:5]] + [
+        [[f"{6 * Fraction(x).numerator}/{6 * Fraction(x).denominator}" for x in row] for row in payload["q"][5]]]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("name", sorted(all_gm_fixtures()))
+def test_reader_views_equal_the_fraction_views(name):
+    d = all_gm_fixtures()[name]
+    text = gio.emit(Document("gm_data", d))
+    for doc in (text, non_canonical(text)):
+        parsed = gio.parse(doc).payload
+        assert parsed == d
+        assert_views_are_the_fraction_views(parsed)
+
+
+def test_constructed_views_equal_the_fraction_views():
+    from gmepw.correspondence import lagrangian_to_gm
+    from gmepw.gm import GMData, NON_LCI, classify, opposite
+
+    for d in all_gm_fixtures().values():
+        if classify(d) != NON_LCI:
+            assert_views_are_the_fraction_views(opposite(d))
+            assert_views_are_the_fraction_views(opposite(opposite(d)))
+    for ld in all_lagrangian_fixtures().values():
+        if ld.a1 != "inf":
+            assert_views_are_the_fraction_views(lagrangian_to_gm(ld))
+    # rows over a denominator that is not the least one
+    d = fivefold()
+    qs, den = d.int_q
+    scaled = GMData.from_int_rows(d.n, ([[6 * x for x in row] for row in zip(*d.int_mu[0])], 6 * d.int_mu[1]),
+                                  ([[[6 * x for x in row] for row in g] for g in qs], 6 * den))
+    assert scaled == d
+    assert_views_are_the_fraction_views(scaled)

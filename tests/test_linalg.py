@@ -12,6 +12,7 @@ from gmepw.linalg import (
     Matrix,
     Subspace,
     _bareiss,
+    _int_row,
     clear_denominators,
     det_int,
     int_image_and_lifts,
@@ -552,3 +553,13 @@ def assert_remainder_is_linear_and_vanishes_on(a: Subspace, ra, pa, vectors):
     for u, w in zip(ints, ints[1:]):
         combo = [3 * x - 2 * y for x, y in zip(u, w)]
         assert a.remainder(combo) == [3 * x - 2 * y for x, y in zip(a.remainder(u), a.remainder(w))]
+
+
+def test_int_row_passes_int_rows_and_clears_the_others():
+    # a row of ints (a list or a tuple, or empty) comes back as itself; a
+    # bool, a Fraction or a numeric string sends the row through its least
+    # common denominator, so True reads as 1 there
+    for row in ([3, -1, 0], (2, 5), []):
+        assert _int_row(row) is row
+    assert _int_row([True, 2, False]) == [1, 2, 0]
+    assert _int_row([Fraction(1, 2), 3, "1/3"]) == [3, 18, 2]

@@ -10,11 +10,11 @@ from gmepw.linalg import det_int
 from gmepw.polynomials import (
     Poly,
     interpolate,
-    line_det,
     poly_gcd,
 )
 
 import oracles
+from oracles import line_det
 
 
 def test_eval_and_degree():
