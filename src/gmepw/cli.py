@@ -79,7 +79,7 @@ def _parse_plane(text: str, where: str = "--plane") -> Subspace:
 
 def _parse_v5_plane(text: str) -> Subspace:
     plane = _parse_plane(text)
-    if any(row[5] for row in plane.basis.data):
+    if any(row[5] for row in plane.int_rows):
         raise DocumentError("--plane: the 3-space must lie in the hyperplane (last coordinates 0)")
     return plane
 
@@ -222,7 +222,7 @@ def cmd_zeta_plane(args) -> int:
     _emit_report(
         args,
         {
-            "plane": [gio.format_vector(r) for r in plane.basis_rows()],
+            "plane": gio.format_subspace(plane)["basis"],
             "z_stratum": z_stratum(ld.a, plane.int_rows),
         },
     )

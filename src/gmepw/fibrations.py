@@ -32,7 +32,7 @@ def _check_in_v5(v) -> list:
 def _check_v3_in_v5(v3: Subspace) -> Subspace:
     if v3.ambient_dim != 6 or v3.dim != 3:
         raise GmError("expected a 3-space of the 6-space")
-    if any(row[5] != 0 for row in v3.basis_rows()):
+    if any(row[5] for row in v3.int_rows):
         raise GmError("the 3-space must lie in the hyperplane")
     return v3
 

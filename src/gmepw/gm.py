@@ -29,7 +29,6 @@ class GmError(ValueError):
     """Mathematically invalid input to a construction."""
 
 
-@dataclass(frozen=True)
 class GMData:
     """The tuple (W, V6, V5, L, mu, q, epsilon) in fixed coordinates.
 
@@ -38,41 +37,51 @@ class GMData:
     per basis vector of the 6-space; epsilon scales the determinant
     trivialization of the 5-space.
 
-    The ``Fraction`` fields are the API edge; the integer view (q and mu over
-    common denominators, the kernel of mu and its form) is built once: from
-    the fields on first use, or from the integer rows that ``from_int_rows``
-    is given.
+    The ``Fraction`` matrices ``mu`` and ``q`` are the API edge; the library
+    reads the integer view (q and mu over their least common denominators,
+    the kernel of mu and its form).  Data given ``Fraction`` matrices builds
+    that view on first use; data made by ``from_int_rows`` holds it and
+    builds ``mu`` and ``q`` only when they are read.  The shapes are checked
+    at construction either way.  Instances are immutable.
     """
 
-    n: int
-    mu: Matrix
-    q: tuple[Matrix, ...]
-    epsilon: Fraction = Fraction(1)
-
-    def __post_init__(self):
-        w = self.n + 5
-        if self.mu.rows != L2V5_DIM or self.mu.cols != w:
-            raise GmError(f"mu must be 10 x {w}")
-        if len(self.q) != 6:
-            raise GmError("q must consist of six symmetric matrices")
-        if any(m.rows != w or m.cols != w for m in self.q):
-            raise GmError(f"each q matrix must be {w} x {w}")
-        if self.epsilon == 0:
-            raise GmError("epsilon must be invertible")
+    def __init__(self, n: int, mu: Matrix, q, epsilon: Fraction = Fraction(1)):
+        q = tuple(q)
+        _check_shapes(n, mu.data, [m.data for m in q], epsilon)
+        self.__dict__.update(n=n, mu=mu, q=q, epsilon=epsilon)
 
     @classmethod
     def from_int_rows(cls, n: int, mu, q, epsilon: Fraction = Fraction(1)) -> "GMData":
         """The data with mu = M / m and q(e_i) = Q[i] / D for mu = (M, m) and
-        q = (Q, D), integer rows over positive denominators.  The ``Fraction``
-        fields are built from them once, and ``int_mu`` and ``int_q`` hold
-        them over the least common denominators, as the view built from the
-        fields has them."""
-        w = n + 5
-        ((mrows,), m), (qs, den) = _lowest_terms([mu[0]], mu[1]), _lowest_terms(*q)
-        d = cls(n, _fraction_matrix(mrows, m, w), tuple(_fraction_matrix(g, den, w) for g in qs), epsilon)
-        d.__dict__["int_mu"] = list(zip(*mrows)), m
-        d.__dict__["int_q"] = qs, den
+        q = (Q, D), integer rows over positive denominators.  ``int_mu`` and
+        ``int_q`` hold them over the least common denominators, as the view
+        built from ``Fraction`` matrices has them."""
+        (mrows, m), (qs, den) = mu, q
+        _check_shapes(n, mrows, qs, epsilon)
+        ((mrows,), m), (qs, den) = _lowest_terms([mrows], m), _lowest_terms(qs, den)
+        d = cls.__new__(cls)
+        d.__dict__.update(n=n, epsilon=epsilon, int_mu=(list(zip(*mrows)), m), int_q=(qs, den))
         return d
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: GMData is immutable")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, GMData) and (self.n, self.epsilon, self.mu, self.q) == (
+            other.n, other.epsilon, other.mu, other.q)
+
+    def __hash__(self):
+        return hash((self.n, self.epsilon))
+
+    @cached_property
+    def mu(self) -> Matrix:
+        cols, m = self.int_mu
+        return _fraction_matrix(list(zip(*cols)), m, self.w_dim)
+
+    @cached_property
+    def q(self) -> tuple[Matrix, ...]:
+        qs, den = self.int_q
+        return tuple(_fraction_matrix(g, den, self.w_dim) for g in qs)
 
     @property
     def w_dim(self) -> int:
@@ -113,6 +122,19 @@ class GMData:
     def q_of(self, v) -> Matrix:
         """The symmetric matrix of the quadric at a vector of the 6-space."""
         return _fraction_matrix(*self.int_q_of(v), self.w_dim)
+
+
+def _check_shapes(n: int, mu_rows, q_rows, epsilon) -> None:
+    """The checks of either constructor, on the rows of mu and of each q."""
+    w = n + 5
+    if len(mu_rows) != L2V5_DIM or any(len(r) != w for r in mu_rows):
+        raise GmError(f"mu must be 10 x {w}")
+    if len(q_rows) != 6:
+        raise GmError("q must consist of six symmetric matrices")
+    if any(len(g) != w or any(len(r) != w for r in g) for g in q_rows):
+        raise GmError(f"each q matrix must be {w} x {w}")
+    if epsilon == 0:
+        raise GmError("epsilon must be invertible")
 
 
 def _over_common_denominator(matrices) -> tuple[list[list[list[int]]], int]:
@@ -351,10 +373,15 @@ def discriminant_on_line(d: GMData, v_a, v_b) -> DiscriminantLine:
         mult = w - (len(det) - 1)
     if mult < expected:
         raise GmError("determinant is not divisible by the expected hyperplane power")
-    if lam1:
-        # the quotient by lambda^k, k the number of divisions it took
-        k, dis, g = range(len(quotients))[expected], quotients[expected], gcd(lam0, lam1)
-    else:
-        k, dis, g = expected, det, lam0  # the quotient by the constant lambda^expected
-    factor = Fraction(s, g) ** k / scale
+    # dis = det / lambda^expected, lambda = g prim(lambda) / s: the integer
+    # part below times (s / g)^expected / scale
+    if not lam1:
+        dis, g = det, lam0  # the constant lambda^expected is all in the factor
+    elif expected >= 0:
+        dis, g = quotients[expected], gcd(lam0, lam1)
+    else:  # n = 0: dis = det * lambda, one factor prim(lambda) = a + b t
+        g = gcd(lam0, lam1)
+        a, b = lam0 // g, lam1 // g
+        dis = [a * x + b * y for x, y in zip(det + [0], [0] + det)]
+    factor = Fraction(s, g) ** expected / scale
     return DiscriminantLine(det_poly, mult, Poly([x * factor for x in dis]), mult_exceeds_expected=mult > expected)

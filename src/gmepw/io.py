@@ -7,14 +7,19 @@ strings "p/q" (or "p" for integers), matrices nested arrays, subspaces
 emit(parse(x)) is the identity on canonical input.  Malformed input raises
 DocumentError with a field path.
 
-Reading is integer-native.  ``parse_matrix`` reads each token once, straight
-into integer rows over the lcm of the reduced denominators of the entries:
-an integer token (a JSON integer, or decimal digits with an optional minus
-sign) becomes an int with no ``Fraction`` built, and any other token is
-read as ``parse_rat`` reads it, with the same caps and messages.  A field
-path is formatted only for a rejected token.  A Lagrangian basis goes to
-``Subspace.from_rows`` as those rows, and GM data to
-``GMData.from_int_rows``, which keeps them as its integer view.
+Reading and writing are integer-native.  ``parse_matrix`` reads each token
+once, straight into integer rows over the lcm of the reduced denominators of
+the entries: a JSON integer, a token of decimal digits with an optional
+minus sign, and two such (the second unsigned and non-zero) around a slash
+are read with ``int`` and reduced by one gcd, with no ``Fraction`` built;
+any other token goes through ``Fraction(str)``, with the same caps and
+messages.  A field path is formatted only for a rejected token.  A
+Lagrangian basis goes to ``Subspace.from_rows`` as those rows, and GM data
+to ``GMData.from_int_rows``, which keeps them as its integer view.  Both
+document kinds are written from integer rows by ``format_int_row``: GM data
+from its integer view, a subspace from its primitive RREF rows, each over
+its pivot entry.  Each token x / den is reduced by gcd(x, den), which is the
+text ``format_rat`` gives for that ``Fraction``.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Any
 
 from .correspondence import A1_TAGS, LagrangianData, apply_frame
@@ -66,15 +71,17 @@ def format_rat(x: Fraction) -> str:
 
 def parse_rat(s, where: str = "scalar") -> Fraction:
     try:
-        return Fraction(_scalar(s))
+        v = _scalar(s)
     except _Rejected as exc:
         raise DocumentError(f"{where}: {exc}") from None
+    return Fraction(v) if type(v) is int else Fraction(*v)
 
 
-def _scalar(s) -> int | Fraction:
-    """The value of one token: an int for a JSON integer or a plain integer
-    token, read as Fraction(s) reads it, and a Fraction for any other
-    accepted token.  Raises _Rejected."""
+def _scalar(s) -> int | tuple[int, int]:
+    """The value of one token, as Fraction(s) reads it: an int when it is an
+    integer, else its reduced pair (p, q) with q > 1.  Digits with an
+    optional minus sign, alone or over unsigned digits with a non-zero value,
+    are read by int (module docstring).  Raises _Rejected."""
     if isinstance(s, int) and not isinstance(s, bool):
         return int(s)
     if not isinstance(s, str):
@@ -82,12 +89,20 @@ def _scalar(s) -> int | Fraction:
     if len(s) > MAX_TOKEN_CHARS:
         raise _Rejected(f"rational of {len(s)} characters, more than {MAX_TOKEN_CHARS}")
     try:
-        if (s[1:] if s[:1] == "-" else s).isdecimal():
-            return int(s)
+        num, slash, den = s.partition("/")
+        if (num[1:] if num[:1] == "-" else num).isdecimal():
+            if not slash:
+                return int(num)
+            if den.isdecimal():
+                p, q = int(num), int(den)
+                if q:  # a zero denominator is rejected by Fraction below
+                    g = gcd(p, q)
+                    return p // g if g == q else (p // g, q // g)
         exp = _EXPONENT.search(s)
         if exp and abs(int(exp.group(1))) > MAX_EXPONENT:
             raise ValueError(f"exponent beyond +-{MAX_EXPONENT}")
-        return Fraction(s)
+        v = Fraction(s)
+        return v.numerator if v.denominator == 1 else (v.numerator, v.denominator)
     except (ValueError, ZeroDivisionError) as exc:
         raise _Rejected(f"malformed rational {s!r} ({exc})") from None
 
@@ -96,8 +111,12 @@ def format_vector(v) -> list[str]:
     return [format_rat(x) for x in v]
 
 
-def format_matrix(m: Matrix) -> list[list[str]]:
-    return [[format_rat(x) for x in row] for row in m.data]
+def format_int_row(row, den: int) -> list[str]:
+    """The tokens of the rational row row / den, for integers over a positive
+    denominator: each x / den reduced by gcd(x, den) (module docstring)."""
+    if den == 1:
+        return list(map(str, row))
+    return [str(x // g) if (g := gcd(x, den)) == den else f"{x // g}/{den // g}" for x in row]
 
 
 def parse_matrix(obj, where: str = "matrix", rows: int | None = None,
@@ -119,11 +138,8 @@ def parse_matrix(obj, where: str = "matrix", rows: int | None = None,
                 v = _scalar(x)
             except _Rejected as exc:
                 raise DocumentError(f"{where}[{i}][{j}]: {exc}") from None
-            if type(v) is not int:
-                if v.denominator == 1:
-                    v = v.numerator
-                else:
-                    den = lcm(den, v.denominator)
+            if type(v) is tuple:
+                den = lcm(den, v[1])
             row.append(v)
         data.append(row)
     width = len(data[0]) if data else (cols or 0)
@@ -134,12 +150,14 @@ def parse_matrix(obj, where: str = "matrix", rows: int | None = None,
     if cols is not None and width != cols and data:
         raise DocumentError(f"{where}: expected {cols} columns, found {width}")
     if den > 1:
-        data = [[x * den if type(x) is int else x.numerator * (den // x.denominator) for x in row] for row in data]
+        data = [[x * den if type(x) is int else x[0] * (den // x[1]) for x in row] for row in data]
     return data, den
 
 
 def format_subspace(s: Subspace) -> dict:
-    return {"ambient_dim": s.ambient_dim, "basis": format_matrix(s.basis)}
+    # RREF row r is the primitive integer row over its pivot entry
+    basis = [format_int_row(r, r[c]) for r, c in zip(s.int_rows, s.pivots)]
+    return {"ambient_dim": s.ambient_dim, "basis": basis}
 
 
 def parse_subspace(obj, where: str = "subspace") -> Subspace:
@@ -157,10 +175,12 @@ def parse_subspace(obj, where: str = "subspace") -> Subspace:
 
 
 def format_gm_data(d: GMData) -> dict:
+    cols, m = d.int_mu
+    qs, den = d.int_q
     return {
         "n": d.n,
-        "mu": format_matrix(d.mu),
-        "q": [format_matrix(m) for m in d.q],
+        "mu": [format_int_row(r, m) for r in zip(*cols)],
+        "q": [[format_int_row(r, den) for r in g] for g in qs],
         "epsilon": format_rat(d.epsilon),
         "type_hint": classify(d),
     }

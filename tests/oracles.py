@@ -198,7 +198,12 @@ def discriminant_on_line(d: GMData, v_a, v_b):
         mult = d.w_dim - det_poly.degree
     if mult < expected:
         raise GmError("determinant is not divisible by the expected hyperplane power")
-    dis = quotients[expected] if lam.degree == 1 else det_poly.scale(lam.coeffs[0] ** -expected)
+    if expected < 0:  # n = 0: dis = det * lambda
+        dis = det_poly * lam
+    elif lam.degree == 1:
+        dis = quotients[expected]
+    else:
+        dis = det_poly.scale(lam.coeffs[0] ** -expected)
     return DiscriminantLine(det_poly, mult, dis, mult_exceeds_expected=mult > expected)
 
 
@@ -209,6 +214,14 @@ def line_det(p0, p1):
     from gmepw.polynomials import Poly, interpolate, line_values
 
     return Poly(interpolate(line_values(p0, p1)))
+
+
+def format_matrix(m: Matrix) -> list[list[str]]:
+    """The tokens of a ``Fraction`` matrix, each by ``io.format_rat``: the
+    former ``io.format_matrix``, which wrote GM and Lagrangian documents."""
+    from gmepw.io import format_rat
+
+    return [[format_rat(x) for x in row] for row in m.data]
 
 
 def emit_json(obj) -> str:

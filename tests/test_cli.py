@@ -342,3 +342,48 @@ def test_document_commands_build_no_integer_view_from_fractions(monkeypatch, cap
         code, out, err = run_main(argv, path.read_text(encoding="utf-8"), monkeypatch, capsys)
         assert (code, err) == (cli.EXIT_OK, ""), (argv, path.name)
         assert out
+
+
+LAG_COMMANDS = [["dualize"], ["dim-report"], ["from-lagrangian"], ["hyperplane-update", "--eta0=1,0,2,0,-1,0,0,3,0,1"],
+                ["epw-point", "--point=1,2,0,-1,1,1"]]
+
+
+def test_document_commands_build_no_fraction_matrix(monkeypatch, capsys):
+    # GM and Lagrangian documents are read into integer rows and written
+    # from them: no command here builds GMData's Fraction matrices or a
+    # Subspace's Fraction RREF, and each writes what it writes without the
+    # refusal in place
+    from gmepw import gm, linalg
+
+    runs = [(argv, path.read_text(encoding="utf-8"))
+            for path in sorted((ROOT / "fixtures").glob("*.json"))
+            for argv in (GM_COMMANDS if path.name.endswith(".gm.json") else LAG_COMMANDS)]
+    assert len(runs) == 4 * len(GM_COMMANDS) + 2 * len(LAG_COMMANDS)
+    expected = [run_main(argv, text, monkeypatch, capsys) for argv, text in runs]
+
+    def refuse(*args):
+        raise AssertionError("Fraction matrix built")
+
+    monkeypatch.setattr(gm, "_fraction_matrix", refuse)
+    monkeypatch.setattr(linalg, "_fraction_rows", refuse)
+    for (argv, text), before in zip(runs, expected):
+        got = run_main(argv, text, monkeypatch, capsys)
+        assert got == before and got[0] == cli.EXIT_OK and got[1], argv
+
+
+def test_disc_line_on_n_zero_data(monkeypatch, capsys):
+    # n = 0: dis = det * lambda, here for lambda = -2 + 3 t
+    from gmepw.polynomials import Poly
+
+    w = 5
+    forms = [[0, 0, 0, 0, 0, 1], [1, 2, 0, -1, 3, 1], [0, 1, 1, 2, -1, 2], [2, 0, -1, 2, 1, 3], [1, -1, 2, 0, 1, -2]]
+    q = [[[str(forms[k][i]) if k == j else "0" for j in range(w)] for k in range(w)] for i in range(6)]
+    doc = {"kind": "gm_data", "version": "1",
+           "payload": {"n": 0, "mu": [["0"] * w for _ in range(10)], "q": q, "epsilon": "1"}}
+    argv = ["disc-line", "--base=1,0,2,-1,1,-2", "--dir=0,1,1,3,-2,3"]
+    code, out, err = run_main(argv, json.dumps(doc), monkeypatch, capsys)
+    assert (code, err) == (cli.EXIT_OK, "")
+    rep = gio.parse(out).payload
+    det, dis = (Poly([Fraction(c) for c in rep[key]]) for key in ("det_poly", "dis_poly"))
+    assert dis == det * Poly([-2, 3])
+    assert (rep["plucker_mult"], rep["mult_exceeds_expected"]) == (1, True)

@@ -609,6 +609,19 @@ def test_lambda_chain_cases(n, lambda_factors, line, mult):
     assert got.dis_poly * lam ** (n - 1) == got.det_poly
 
 
+@pytest.mark.parametrize("line", [([1, 0, 2, -1, 1, -2], [0, 1, 1, 3, -2, 3]), ([1, 0, 2, -1, 1, -2], [0, 1, 1, 3, -2, 0])],
+                         ids=["lambda-linear", "lambda-constant"])
+def test_n_zero_reduced_form_is_det_times_lambda(line):
+    # det = dis * lambda^(n - 1) at n = 0 on either branch: lambda = -2 + 3 t
+    # is divided out of det once, and the constant -2 meets it at infinity
+    d = diagonal_data(0, [E6] + GENERIC_FORMS[:4])
+    got = discriminant_on_line(d, *line)
+    lam = Poly([Fraction(line[0][5]), Fraction(line[1][5])])
+    assert got.dis_poly == got.det_poly * lam
+    assert (got.plucker_mult, got.mult_exceeds_expected) == (1, True)
+    assert got == oracles.discriminant_on_line(d, *line)
+
+
 def test_lambda_chain_rejects_a_non_divisible_determinant():
     # one factor lambda where n - 1 = 2 are expected
     d = diagonal_data(3, [[2 * x for x in E6]] + GENERIC_FORMS[:7])

@@ -103,6 +103,27 @@ def test_parse_rat_integer_edge_tokens(token):
     assert parse_outcome(gio.parse_rat, token) == parse_outcome(oracles.parse_rat, token)
 
 
+SLASH_TOKENS = ["2/4", "-0/5", "007/014", "1/0", "+1/2", "1/-2", " 1/2", "1/2 ", "1_0/3", "\u0661/\u0663",
+                "-\u0664/\u0662", "6/3", "-6/4", "5/", "/5", "-/5", "1/2/3", "9" * 40 + "/" + "6" * 40,
+                "1" + "0" * 4300 + "/3", "3/1" + "0" * 4300]
+
+
+@pytest.mark.parametrize("token", SLASH_TOKENS, ids=[repr(t)[:20] for t in SLASH_TOKENS])
+def test_parse_rat_slash_tokens(token):
+    # the int path of digits over digits, and the tokens left to Fraction(str)
+    assert parse_outcome(gio.parse_rat, token) == parse_outcome(oracles.parse_rat, token)
+    assert reader_matches_parse_rat(token)
+
+
+def test_reader_builds_no_fraction_for_integer_ratio_tokens(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Fraction built for a ratio of integers")
+
+    monkeypatch.setattr(gio, "Fraction", refuse)
+    rows, den = gio.parse_matrix([["2/4", "-0/5", "007/014", "-6/4"], ["1/3", "6/3", "\u0661/\u0663", "0"]])
+    assert (rows, den) == ([[3, 0, 3, -9], [2, 12, 2, 0]], 6)
+
+
 def gm_payload_with_n(n):
     w = max(n + 5, 0)
     zero = lambda r, c: [["0"] * c for _ in range(r)]  # noqa: E731
@@ -143,6 +164,62 @@ def test_emit_matches_json_dumps_on_every_fixture():
     for kind, value, payload in docs:
         expected = oracles.emit_json({"kind": kind, "version": "1", "payload": payload})
         assert gio.emit(Document(kind, value)) == expected
+
+
+@st.composite
+def rows_over_a_denominator(draw):
+    """Integer rows over a positive denominator: negative and large entries,
+    zero rows, den = 1, and entries that share factors with den."""
+    den = draw(st.sampled_from([1, 2, 6, 12, 360, 3 * 2**70]) | st.integers(1, 10**25))
+    divisors = [g for g in range(1, 61) if den % g == 0] + [den]
+    entry = st.integers(-10**25, 10**25) | st.builds(lambda k, g: k * g, st.integers(-30, 30), st.sampled_from(divisors))
+    width = draw(st.integers(0, 6))
+    row = st.lists(entry, min_size=width, max_size=width) | st.just([0] * width)
+    return draw(st.lists(row, max_size=5)), den, width
+
+
+@given(rows_over_a_denominator())
+@settings(max_examples=300, deadline=None)
+def test_integer_rows_format_as_the_fraction_matrix(case):
+    rows, den, width = case
+    expected = oracles.format_matrix(Matrix([[Fraction(x, den) for x in r] for r in rows], cols=width))
+    assert [gio.format_int_row(r, den) for r in rows] == expected
+
+
+def fraction_emit(kind: str, value) -> str:
+    """The text of a GM or Lagrangian document with its matrices formatted
+    from their ``Fraction`` entries by the oracle."""
+    from gmepw.gm import classify
+
+    if kind == "gm_data":
+        payload = {"n": value.n, "mu": oracles.format_matrix(value.mu),
+                   "q": [oracles.format_matrix(m) for m in value.q],
+                   "epsilon": gio.format_rat(value.epsilon), "type_hint": classify(value)}
+    else:
+        payload = {"A": {"ambient_dim": value.a.ambient_dim, "basis": oracles.format_matrix(value.a.basis)},
+                   "A1": value.a1}
+    return oracles.emit_json({"kind": kind, "version": "1", "payload": payload})
+
+
+def test_integer_emit_matches_the_fraction_emit():
+    from gmepw.correspondence import dualize, hyperplane_section_lagrangian, lagrangian_to_gm
+    from gmepw.exterior import inject
+    from gmepw.gm import NON_LCI, classify, opposite
+
+    gms = list(all_gm_fixtures().values())
+    lags = list(all_lagrangian_fixtures().values())
+    for path in sorted(FIXDIR.glob("*.json")):
+        doc = gio.parse(path.read_text(encoding="utf-8"))
+        (gms if doc.kind == "gm_data" else lags).append(doc.payload)
+    gms += [opposite(d) for d in gms if classify(d) != NON_LCI]
+    gms += [lagrangian_to_gm(ld) for ld in lags if ld.a1 != "inf"]
+    eta = inject(3, [1, 0, 2, 0, -1, 0, 0, 3, 0, 1])
+    lags += [dualize(ld) for ld in lags]
+    lags += [LagrangianData(a=hyperplane_section_lagrangian(ld.a, eta), a1=ld.a1) for ld in lags]
+    for d in gms:
+        assert gio.emit(Document("gm_data", d)) == fraction_emit("gm_data", d)
+    for ld in lags:
+        assert gio.emit(Document("lagrangian_data", ld)) == fraction_emit("lagrangian_data", ld)
 
 
 JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
