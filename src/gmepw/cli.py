@@ -37,7 +37,7 @@ from .fibrations import fibration1_fiber, fibration2_fiber, sigma1_level, sigma2
 from .fixtures import all_gm_fixtures, all_lagrangian_fixtures
 from .gm import GmError, discriminant_on_line, hull_point_sample, opposite, validate
 from .io import Document, DocumentError
-from .linalg import Matrix, Subspace, kernel
+from .linalg import Subspace
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -167,7 +167,7 @@ def cmd_epw_point(args) -> int:
 def cmd_epw_dual_point(args) -> int:
     ld = _read_document(args, "lagrangian_data")
     f = _parse_nonzero_point(args.covector, "--covector")
-    v5 = kernel(Matrix([f]))
+    v5 = Subspace.from_rows(6, [f]).annihilator()
     _emit_report(
         args,
         {"covector": gio.format_vector(f), "y_dual_stratum": y_dual_stratum(ld.a, v5)},
@@ -179,7 +179,7 @@ def _parse_line(args) -> tuple[list[Fraction], list[Fraction]]:
     """--base and --dir of a line, which must be independent."""
     base = _parse_point6(args.base, "--base")
     direction = _parse_point6(args.dir, "--dir")
-    if Matrix([base, direction]).rank() < 2:
+    if Subspace.from_rows(6, [base, direction]).dim < 2:
         raise DocumentError("--base and --dir are dependent: the line degenerates")
     return base, direction
 
@@ -197,10 +197,10 @@ def cmd_epw_line(args) -> int:
         base_out = [gio.format_vector(cert.base)]
     else:
         rows = [_parse_point6(part, "--plane") for part in args.plane.split(";")]
-        if len(rows) != 3 or Matrix(rows).rank() != 3:
+        if len(rows) != 3 or (plane := Subspace.from_rows(6, rows)).dim != 3:
             raise DocumentError("--plane: expected 3 independent vectors u1;u2;u3")
         direction = _parse_point6(args.dir, "--dir")
-        if Matrix(rows + [direction]).rank() < 4:
+        if plane.contains(direction):
             raise DocumentError("--dir lies in the --plane span: the pencil is constant")
         cert = stratum_poly_on_line(ld.a, tuple(rows), direction, "z", seed=args.seed)
         base_out = [gio.format_vector(u) for u in cert.base]

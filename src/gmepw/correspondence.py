@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import lcm
 from operator import mul
 
 from .exterior import (
@@ -33,8 +32,8 @@ from .exterior import (
     wedge_symplectic_space,
 )
 from .gm import NON_LCI, ORDINARY, SPECIAL, GmError, GMData, classify, opposite, split_w
-from .linalg import Matrix, Subspace, clear_denominators, int_image_and_lifts
-from .quadrics import LagrangianDecomposition, is_lagrangian, omega_orthogonal
+from .linalg import Matrix, Subspace, clear_denominators, int_image_and_lifts, over_pivots, vec
+from .quadrics import LagrangianDecomposition, is_lagrangian
 
 EXT_DIM = 22
 K_COORD = 20
@@ -195,12 +194,10 @@ def lagrangian_to_gm(ld: LagrangianData) -> GMData:
     if ld.a1 == A1_INF:
         raise CorrespondenceError("the cone tag does not produce lci data")
     # the contraction image and the lifts of its RREF basis, as integer rows
-    # [s R_b | s X_b] over the pivot value s: R_b the basis row, X_b in A;
-    # scaled to [S R_b | S X_b] for S the lcm of the pivot values
+    # [S R_b | S X_b] over S, the lcm of the pivot values: R_b the basis
+    # row, X_b in A
     w0, rows = int_image_and_lifts([lambda_p(3, r) + list(r) for r in ld.a.int_rows], 10)
-    scales = [r[c] for r, c in zip(rows, w0.pivots)]
-    big = lcm(*scales)
-    rows = [[big // s * x for x in r] for r, s in zip(rows, scales)]
+    rows, big = over_pivots(rows, w0.pivots)
     paired = [[sum(map(mul, t, r[:10])) for t in top_pairing(5, 3)] for r in rows]
     grams = []
     for i in range(6):
@@ -209,7 +206,7 @@ def lagrangian_to_gm(ld: LagrangianData) -> GMData:
             raise CorrespondenceError("induced quadric family is not symmetric")
         grams.append(g)
     mu = [[r[k] for r in rows] for k in range(10)]  # column b is the basis row R_b
-    d = GMData.from_int_rows(w0.dim - 5, (mu, big), (grams, big * big))
+    d = GMData.from_int_rows(w0.dim - 5, (mu, big), [(g, big * big) for g in grams])
     return d if ld.a1 == A1_ZERO else opposite(d)
 
 
@@ -271,10 +268,16 @@ def hyperplane_section_lagrangian(a: Subspace, eta0) -> Subspace:
         raise CorrespondenceError("the update form must avoid the e6 coordinate")
     if a.contains(eta0):
         return a
+    # the meet of a with the orthogonal of eta is the kernel of the
+    # functional f = omega(., eta) on a: f(r_k) != 0 for some row r_k, as eta
+    # lies outside a = a^omega, and the f(r_k) r_i - f(r_i) r_k span it
+    eta = clear_denominators(vec(eta0))[0]
+    f = [sum(map(mul, t, eta)) for t in top_pairing(6, 3)]
+    values = [sum(map(mul, f, r)) for r in a.int_rows]
+    rk, fk = next((r, v) for r, v in zip(a.int_rows, values) if v)
+    meet = [[fk * x - fi * y for x, y in zip(r, rk)] for r, fi in zip(a.int_rows, values)]
+    out = Subspace.from_rows(20, meet + [eta])
     space = wedge_symplectic_space()
-    eta_line = Subspace.from_rows(20, [eta0])
-    meet = a.intersect(omega_orthogonal(space, eta_line))
-    out = meet + eta_line
     if not is_lagrangian(space, out):
         raise CorrespondenceError("hyperplane update failed to stay Lagrangian")
     return out

@@ -122,7 +122,7 @@ class SymplecticSpace:
     def form(self) -> Matrix:
         nonzero, d = self.int_form
         n = self.total_dim
-        return Matrix([[Fraction(dict(r).get(j, 0), d) for j in range(n)] for r in nonzero], cols=n)
+        return Matrix.from_int_rows([[dict(r).get(j, 0) for j in range(n)] for r in nonzero], d, n)
 
     def omega(self, u, v) -> Fraction:
         return sum((a * b for a, b in zip(self.form.left_apply(u), v)), Fraction(0))

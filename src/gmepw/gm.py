@@ -6,6 +6,8 @@ construction, and discriminant polynomials along lines.
 Coordinates are fixed once: the 6-space has basis e1..e6, the distinguished
 hyperplane is spanned by e1..e5, and the line element is the coefficient of
 e6.  The degree-2 monomials of the 5-space are ordered 12 < 13 < ... < 45.
+``GMData`` stores ``linalg``'s integer form of mu and q only, and every
+function here reads it; the ``Fraction`` matrices are built when read.
 """
 
 from __future__ import annotations
@@ -13,11 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from .exterior import monomial, top_pairing, wedge
-from .linalg import Matrix, Subspace, clear_denominators, vec, vec_dot
+from .linalg import Matrix, Subspace, clear_denominators, over_lcd, vec, vec_dot
 from .polynomials import Poly, divide_power, interpolate, line_values
 from .sampling import random_nonzero_vector, rng_from_seed
 
@@ -37,38 +39,45 @@ class GMData:
     per basis vector of the 6-space; epsilon scales the determinant
     trivialization of the 5-space.
 
-    The ``Fraction`` matrices ``mu`` and ``q`` are the API edge; the library
-    reads the integer view (q and mu over their least common denominators,
-    the kernel of mu and its form).  Data given ``Fraction`` matrices builds
-    that view on first use; data made by ``from_int_rows`` holds it and
-    builds ``mu`` and ``q`` only when they are read.  The shapes are checked
-    at construction either way.  Instances are immutable.
+    An instance stores integer rows only: q and mu over their least common
+    denominators (``int_q``, ``int_mu``), from which the kernel of mu and
+    its form are derived on first use.  The ``Fraction`` matrices ``mu``
+    and ``q`` are the API edge, built only when read.  Both constructors
+    check the shapes and put the rows in lowest terms with ``over_lcd``, so
+    equal data holds equal rows.  Instances are immutable.
     """
 
     def __init__(self, n: int, mu: Matrix, q, epsilon: Fraction = Fraction(1)):
-        q = tuple(q)
-        _check_shapes(n, mu.data, [m.data for m in q], epsilon)
-        self.__dict__.update(n=n, mu=mu, q=q, epsilon=epsilon)
+        """The data of ``Fraction`` matrices mu and q, converted once."""
+        self._store(n, (mu.data, 1), [(m.data, 1) for m in q], epsilon)
 
     @classmethod
     def from_int_rows(cls, n: int, mu, q, epsilon: Fraction = Fraction(1)) -> "GMData":
-        """The data with mu = M / m and q(e_i) = Q[i] / D for mu = (M, m) and
-        q = (Q, D), integer rows over positive denominators.  ``int_mu`` and
-        ``int_q`` hold them over the least common denominators, as the view
-        built from ``Fraction`` matrices has them."""
-        (mrows, m), (qs, den) = mu, q
-        _check_shapes(n, mrows, qs, epsilon)
-        ((mrows,), m), (qs, den) = _lowest_terms([mrows], m), _lowest_terms(qs, den)
+        """The data with mu = M / m and q(e_i) = Q_i / D_i for mu = (M, m) and
+        q the six (Q_i, D_i), integer rows over positive denominators."""
         d = cls.__new__(cls)
-        d.__dict__.update(n=n, epsilon=epsilon, int_mu=(list(zip(*mrows)), m), int_q=(qs, den))
+        d._store(n, mu, q, epsilon)
         return d
+
+    def _store(self, n: int, mu, q, epsilon) -> None:
+        w = n + 5
+        if len(mu[0]) != L2V5_DIM or any(len(r) != w for r in mu[0]):
+            raise GmError(f"mu must be 10 x {w}")
+        if len(q) != 6:
+            raise GmError("q must consist of six symmetric matrices")
+        if any(len(g) != w or any(len(r) != w for r in g) for g, _ in q):
+            raise GmError(f"each q matrix must be {w} x {w}")
+        if epsilon == 0:
+            raise GmError("epsilon must be invertible")
+        ((mrows,), m), int_q = over_lcd([mu]), over_lcd(q)
+        self.__dict__.update(n=n, epsilon=epsilon, int_mu=(list(zip(*mrows)), m), int_q=int_q)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}: GMData is immutable")
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, GMData) and (self.n, self.epsilon, self.mu, self.q) == (
-            other.n, other.epsilon, other.mu, other.q)
+        return isinstance(other, GMData) and (self.n, self.epsilon, self.int_mu, self.int_q) == (
+            other.n, other.epsilon, other.int_mu, other.int_q)
 
     def __hash__(self):
         return hash((self.n, self.epsilon))
@@ -76,27 +85,16 @@ class GMData:
     @cached_property
     def mu(self) -> Matrix:
         cols, m = self.int_mu
-        return _fraction_matrix(list(zip(*cols)), m, self.w_dim)
+        return Matrix.from_int_rows(zip(*cols), m, self.w_dim)
 
     @cached_property
     def q(self) -> tuple[Matrix, ...]:
         qs, den = self.int_q
-        return tuple(_fraction_matrix(g, den, self.w_dim) for g in qs)
+        return tuple(Matrix.from_int_rows(g, den, self.w_dim) for g in qs)
 
     @property
     def w_dim(self) -> int:
         return self.n + 5
-
-    @cached_property
-    def int_q(self) -> tuple[list[list[list[int]]], int]:
-        """(Q, D) with q(e_i) = Q[i] / D for integer rows Q[i]."""
-        return _over_common_denominator(self.q)
-
-    @cached_property
-    def int_mu(self) -> tuple[list[tuple[int, ...]], int]:
-        """(columns, m) with mu(w_j) = columns[j] / m."""
-        (rows,), m = _over_common_denominator([self.mu])
-        return list(zip(*rows)), m
 
     @cached_property
     def ker_mu(self) -> Subspace:
@@ -121,43 +119,7 @@ class GMData:
 
     def q_of(self, v) -> Matrix:
         """The symmetric matrix of the quadric at a vector of the 6-space."""
-        return _fraction_matrix(*self.int_q_of(v), self.w_dim)
-
-
-def _check_shapes(n: int, mu_rows, q_rows, epsilon) -> None:
-    """The checks of either constructor, on the rows of mu and of each q."""
-    w = n + 5
-    if len(mu_rows) != L2V5_DIM or any(len(r) != w for r in mu_rows):
-        raise GmError(f"mu must be 10 x {w}")
-    if len(q_rows) != 6:
-        raise GmError("q must consist of six symmetric matrices")
-    if any(len(g) != w or any(len(r) != w for r in g) for g in q_rows):
-        raise GmError(f"each q matrix must be {w} x {w}")
-    if epsilon == 0:
-        raise GmError("epsilon must be invertible")
-
-
-def _over_common_denominator(matrices) -> tuple[list[list[list[int]]], int]:
-    """The matrices as integer rows over their least common denominator."""
-    den = lcm(*(x.denominator for m in matrices for row in m.data for x in row))
-    return [[[x.numerator * (den // x.denominator) for x in row] for row in m.data] for m in matrices], den
-
-
-def _lowest_terms(matrices, den: int) -> tuple[list[list[list[int]]], int]:
-    """Integer matrices over den divided by g, the gcd of den and every
-    entry.  Then den / g is the least common denominator L of the values:
-    den = L t with t dividing every entry, and the entries over L have gcd 1
-    with L, since for each prime power p^a exactly dividing L some value has
-    p^a in its denominator, and its entry over L is prime to p."""
-    g = den if den == 1 else gcd(den, *(gcd(*row) for m in matrices for row in m))
-    if g == 1:
-        return matrices, den
-    return [[[x // g for x in row] for row in m] for m in matrices], den // g
-
-
-def _fraction_matrix(rows, den: int, cols: int) -> Matrix:
-    """The ``Matrix`` of integer rows over a positive denominator."""
-    return Matrix._make([[Fraction(x, den) if x else _ZERO for x in row] for row in rows], cols)
+        return Matrix.from_int_rows(*self.int_q_of(v), self.w_dim)
 
 
 GMTypeTag = str  # "ordinary" | "special" | "non_lci"
@@ -305,22 +267,18 @@ def opposite(d: GMData) -> GMData:
     qs, den = d.int_q
     if t == ORDINARY:
         mu = [list(row) for row in zip(*cols, [0] * L2V5_DIM)]  # a zero column appended
-        q = [[[*row, 0] for row in g] + [[0] * w + [den * int(i == 5)]] for i, g in enumerate(qs)]
-        return GMData.from_int_rows(d.n + 1, (mu, m), (q, den), d.epsilon)
+        q = [([[*row, 0] for row in g] + [[0] * w + [den * int(i == 5)]], den) for i, g in enumerate(qs)]
+        return GMData.from_int_rows(d.n + 1, (mu, m), q, d.epsilon)
     if d.n < 2:
         raise GmError("special input must have dimension at least 2")
-    # the RREF basis of W0 is R_r / s_r for the integer rows R_r, pivots s_r,
-    # that is B_r / L for B_r = (L / s_r) R_r and L the lcm of the s_r
-    w0 = split_w(d)[0]
-    scales = [r[c] for r, c in zip(w0.int_rows, w0.pivots)]
-    big = lcm(*scales)
-    basis = [[big // s * x for x in r] for r, s in zip(w0.int_rows, scales)]
+    # the RREF basis of W0 is B_r / L for its scaled rows B_r over L
+    basis, big = split_w(d)[0].scaled_rows
     mu = [[sum(map(mul, row, r)) for r in basis] for row in zip(*cols)]
     q0 = []
     for g in qs:
         gr = [[sum(map(mul, row, r)) for row in g] for r in basis]
         q0.append([[sum(map(mul, x, y)) for y in gr] for x in basis])
-    return GMData.from_int_rows(d.n - 1, (mu, m * big), (q0, den * big * big), d.epsilon)
+    return GMData.from_int_rows(d.n - 1, (mu, m * big), [(g, den * big * big) for g in q0], d.epsilon)
 
 
 @dataclass(frozen=True)

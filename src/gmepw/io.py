@@ -203,11 +203,8 @@ def parse_gm_data(obj, where: str = "gm_data") -> GMData:
     eps = parse_rat(obj.get("epsilon", "1"), f"{where}.epsilon")
     if eps == 0:
         raise DocumentError(f"{where}.epsilon: must be non-zero")
-    # the six matrices over their common denominator, the lcm of theirs
-    den = lcm(*(m for _, m in q))
-    qs = [rows if m == den else [[x * (den // m) for x in row] for row in rows] for rows, m in q]
     try:
-        return GMData.from_int_rows(n, mu, (qs, den), eps)
+        return GMData.from_int_rows(n, mu, q, eps)
     except ValueError as exc:
         raise DocumentError(f"{where}: {exc}") from None
 
@@ -225,7 +222,7 @@ def parse_lagrangian_data(obj, where: str = "lagrangian_data") -> LagrangianData
         raise DocumentError(f"{where}.A1: expected one of {A1_TAGS}")
     if "frame" in obj:
         rows, den = parse_matrix(obj["frame"], f"{where}.frame", rows=6, cols=6)
-        frame = Matrix([[Fraction(x, den) for x in row] for row in rows])
+        frame = Matrix.from_int_rows(rows, den, 6)
         try:
             a = apply_frame(a, frame)
         except ValueError as exc:

@@ -5,7 +5,11 @@ a ``fractions.Fraction`` (reduced, positive denominator), while the
 eliminations (one integer Gauss-Jordan under ``Matrix.rref``, kernel,
 every subspace, and ``int_image_and_lifts`` under the inverse and
 every lift; one fraction-free Bareiss elimination, ``_bareiss``, under
-every rank and determinant) run over Python ints.
+every rank and determinant) run over Python ints.  A rational matrix has
+one integer form, integer rows over one positive denominator, and only
+this module converts: ``over_lcd`` puts rows over their least common
+denominator, ``over_pivots`` puts primitive RREF rows over the lcm of their
+pivot entries, and ``Matrix.from_int_rows`` builds the ``Fraction`` edge.
 A subspace holds its reduced row echelon basis as primitive integer rows
 with positive pivots, which is canonical exactly when the RREF is, so two
 subspaces are equal iff those rows are; sums, meets, annihilators and
@@ -63,6 +67,37 @@ def clear_denominators(v) -> tuple[list[int], int]:
     return [x.numerator * (d // x.denominator) for x in v], d
 
 
+def over_lcd(blocks) -> tuple[list[list[list[int]]], int]:
+    """The matrices M / d of the blocks (M, d), rows M of ints or Fractions
+    over d > 0, as integer rows over one denominator: L, the least common
+    denominator of all their values.
+
+    Clearing the entries' denominators puts them over some D; dividing by g,
+    the gcd of D and every entry, leaves L = D / g.  D = L t with t dividing
+    every entry, and the entries over L have gcd 1 with L: for each prime
+    power p^a exactly dividing L some value has p^a in its denominator, and
+    its entry over L is prime to p.  The rows returned are new lists.
+    """
+    cleared = []
+    for rows, d in blocks:
+        if not all(set(map(type, r)) <= _INT_TYPE for r in rows):
+            s = lcm(*(x.denominator for r in rows for x in r))
+            rows, d = [[x.numerator * (s // x.denominator) for x in r] for r in rows], d * s
+        cleared.append((rows, d))
+    den = lcm(*(d for _, d in cleared))
+    g = 1 if den == 1 else gcd(den, *(gcd(*r) * (den // d) for rows, d in cleared for r in rows))
+    return [[list(r) if den == d * g else [x * (den // d) // g for x in r] for r in rows]
+            for rows, d in cleared], den // g
+
+
+def over_pivots(rows, pivots) -> tuple[list, int]:
+    """(B, L) for integer rows with positive entries p_r at their pivots:
+    L the lcm of the p_r and B_r = (L / p_r) row_r, so that B_r / L is the
+    RREF row row_r / p_r."""
+    big = lcm(*(r[c] for r, c in zip(rows, pivots)))
+    return [r if r[c] == big else [big // r[c] * x for x in r] for r, c in zip(rows, pivots)], big
+
+
 def unit_vector(n: int, i: int) -> list[Fraction]:
     v = [Fraction(0)] * n
     v[i] = Fraction(1)
@@ -90,6 +125,11 @@ class Matrix:
         m.rows = len(data)
         m.cols = cols
         return m
+
+    @classmethod
+    def from_int_rows(cls, rows, den: int, cols: int) -> "Matrix":
+        """The matrix of integer rows over a positive denominator."""
+        return cls._make([[Fraction(x, den) if x else _ZERO for x in row] for row in rows], cols)
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
@@ -183,9 +223,9 @@ class Matrix:
     def rref(self) -> tuple["Matrix", int, tuple[int, ...]]:
         """Reduced row echelon form. Returns (rref matrix, rank, pivot columns)."""
         rows, pivots = _gauss_jordan([clear_denominators(row)[0] for row in self.data], self.cols)
-        out = _fraction_rows(rows, pivots)
-        out += [[_ZERO] * self.cols for _ in range(self.rows - len(pivots))]
-        return Matrix._make(out, self.cols), len(pivots), pivots
+        rows, den = over_pivots(rows, pivots)
+        rows += [[0] * self.cols] * (self.rows - len(pivots))
+        return Matrix.from_int_rows(rows, den, self.cols), len(pivots), pivots
 
     def rank(self) -> int:
         return _bareiss([clear_denominators(row)[0] for row in self.data])[0]
@@ -210,7 +250,8 @@ class Matrix:
             [_int_row(r + [int(i == j) for j in range(n)]) for i, r in enumerate(self.data)], n)
         if image.dim < n:
             raise ValueError("matrix is singular")
-        return Matrix._make([r[n:] for r in _fraction_rows(rows, image.pivots)], n)
+        rows, den = over_pivots(rows, image.pivots)
+        return Matrix.from_int_rows([r[n:] for r in rows], den, n)
 
 
 def det_int(rows) -> int:
@@ -311,11 +352,6 @@ def int_image_and_lifts(rows, n: int) -> tuple["Subspace", list[tuple[int, ...]]
     return Subspace(n, [tuple([x // g for x in h]) for h, g in heads], pivots), rows
 
 
-def _fraction_rows(rows, pivots) -> list[list[Fraction]]:
-    """The RREF rows over Fraction: each integer row divided by its pivot."""
-    return [[Fraction(x, row[c]) if x else _ZERO for x in row] for row, c in zip(rows, pivots)]
-
-
 def _int_row(r) -> list[int]:
     """r itself if its entries are ints (not bools), else its entries times
     their least common denominator."""
@@ -332,8 +368,9 @@ def kernel(m: Matrix) -> "Subspace":
 class Subspace:
     """A linear subspace of k^n stored as its reduced row-space basis: each
     RREF row as its primitive integer multiple with a positive pivot.  The
-    ``Fraction`` RREF rows (``basis``), the lcm of the pivot entries with the
-    rows scaled to it, and the unit remainders are built on first use."""
+    rows over the lcm of their pivot entries (``scaled_rows``), the
+    ``Fraction`` RREF rows built from them (``basis``) and the unit
+    remainders are built on first use."""
 
     __slots__ = ("ambient_dim", "int_rows", "pivots", "_basis", "_scale", "_units")
 
@@ -366,8 +403,15 @@ class Subspace:
     def basis(self) -> Matrix:
         """The RREF basis over Fraction, one row per dimension."""
         if self._basis is None:
-            self._basis = Matrix._make(_fraction_rows(self.int_rows, self.pivots), self.ambient_dim)
+            self._basis = Matrix.from_int_rows(*self.scaled_rows, self.ambient_dim)
         return self._basis
+
+    @property
+    def scaled_rows(self) -> tuple[list, int]:
+        """``over_pivots`` of the rows, built on first use."""
+        if self._scale is None:
+            self._scale = over_pivots(self.int_rows, self.pivots)
+        return self._scale
 
     def basis_rows(self) -> list[list[Fraction]]:
         return self.basis.copy_data()
@@ -393,16 +437,12 @@ class Subspace:
 
     def remainder(self, w) -> list[int]:
         """L w - sum_r w[c_r] (L / p_r) row_r for an integer vector w, c_r and
-        p_r the pivot and pivot entry of row r, L the lcm of the p_r (cached
-        with the scaled rows): linear, zero at every pivot, and zero exactly
-        on the subspace."""
-        if self._scale is None:
-            big = lcm(*(row[c] for row, c in zip(self.int_rows, self.pivots)))
-            self._scale = big, [(c, row if row[c] == big else [big // row[c] * x for x in row])
-                                for row, c in zip(self.int_rows, self.pivots)]
-        big, rows = self._scale
+        p_r the pivot and pivot entry of row r, L the lcm of the p_r (the
+        cached ``scaled_rows``): linear, zero at every pivot, and zero
+        exactly on the subspace."""
+        rows, big = self.scaled_rows
         out = w if big == 1 else [big * x for x in w]
-        for c, row in rows:
+        for c, row in zip(self.pivots, rows):
             f = w[c]
             if f:
                 out = [x - f * y for x, y in zip(out, row)]

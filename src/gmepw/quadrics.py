@@ -6,12 +6,13 @@ ambient projective space, defined by a (possibly zero) symmetric form on W.
 Spans are stored as canonical subspaces of the symplectic coordinate space
 and Gram matrices refer to the RREF basis of the span.
 
-Integers inside, ``Fraction`` at the API edge, as in ``linalg``: a rational
-matrix is held as integer rows over one common denominator.  The form is
-``SymplecticSpace.int_form``; isotropy and symplectic orthogonals pair a
-subspace's primitive integer rows with it, and the reduced form of
+Integers inside, ``Fraction`` at the API edge, in ``linalg``'s one integer
+form: a rational matrix is integer rows over one common denominator.  The
+form is ``SymplecticSpace.int_form``; isotropy and symplectic orthogonals
+pair a subspace's primitive integer rows with it, and the reduced form of
 ``isotropic_reduce``, the projector of a decomposition, projected rows and
-the gram of an induced quadric are integer rows over a denominator too.
+the gram of an induced quadric are integer rows over a denominator too,
+RREF rows put over the lcm of their pivots by ``linalg.over_pivots``.
 ``Fraction`` values are built only for the Gram matrices callers see.
 """
 
@@ -20,11 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from operator import mul
 
 from .exterior import SymplecticSpace
-from .linalg import Matrix, Subspace, _gauss_jordan, int_image_and_lifts, kernel, unit_vector
+from .linalg import Matrix, Subspace, _gauss_jordan, int_image_and_lifts, kernel, over_pivots, unit_vector
 
 
 def _times_form(space: SymplecticSpace, rows) -> list[list[int]]:
@@ -87,9 +87,8 @@ class LagrangianDecomposition:
         applied to [l1; 0], whose reduced row k has its pivot at k."""
         n = self.space.total_dim
         stack = [r + r for r in self.l1.int_rows] + [r + (0,) * n for r in self.l2.int_rows]
-        rows = int_image_and_lifts(stack, n)[1]
-        den = lcm(*(row[k] for k, row in enumerate(rows)))
-        return list(zip(*[[x * (den // row[k]) for x in row[n:]] for k, row in enumerate(rows)])), den
+        rows, den = over_pivots(int_image_and_lifts(stack, n)[1], range(n))
+        return list(zip(*[row[n:] for row in rows])), den
 
     def project_rows(self, rows) -> tuple[list[list[int]], list[list[int]], int]:
         """(P1, P2, D) for integer rows r: the rows of P1 / D and P2 / D are
@@ -281,11 +280,9 @@ def isotropic_reduce(dec: LagrangianDecomposition, a: Subspace, iso: Subspace) -
         raise ValueError("isotropic subspace must lie in the first summand")
     # I-perp is the annihilator of the rows of I times the form
     model = QuotientModel(iso, Subspace.from_rows(space.total_dim, _times_form(space, iso.int_rows)))
-    # the complement rows c_k are p_k times RREF rows: scaled by L / p_k for
-    # L = lcm(p), they pair under d * form to d L^2 times the reduced form
-    pivots = [row[c] for row, c in zip(model.comp_int_rows, model.comp_pivots)]
-    big = lcm(*pivots)
-    comp = [[big // p * x for x in row] for row, p in zip(model.comp_int_rows, pivots)]
+    # the complement rows over L, the lcm of their pivot entries, are RREF
+    # rows: they pair under d * form to d L^2 times the reduced form
+    comp, big = over_pivots(model.comp_int_rows, model.comp_pivots)
     form = [[sum(map(mul, x, y)) for y in comp] for x in _times_form(space, comp)]
     red_space = SymplecticSpace(form, space.int_form[1] * big * big)
     red_l1 = model.project_contained(dec.l1.int_rows)  # I in l1 = l1-perp, so l1 lies in I-perp

@@ -326,13 +326,22 @@ GM_COMMANDS = [["validate"], ["disc-line", "--base=1,0,2,-1,1,2", "--dir=0,1,1,3
 def test_document_commands_build_no_integer_view_from_fractions(monkeypatch, capsys):
     # the integer view of parsed and constructed GM data comes from the
     # integer rows the reader and the constructions have: no command here
-    # clears the denominators of the Fraction fields
+    # builds GM data from Fraction matrices or clears Fraction entries
     from gmepw import gm
 
-    def refuse(matrices):
-        raise AssertionError("integer view rebuilt from Fraction fields")
+    over_lcd = gm.over_lcd
 
-    monkeypatch.setattr(gm, "_over_common_denominator", refuse)
+    def integer_rows_only(blocks):
+        blocks = list(blocks)
+        if any(type(x) is not int for rows, _ in blocks for r in rows for x in r):
+            raise AssertionError("integer view built from Fraction entries")
+        return over_lcd(blocks)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("GM data built from Fraction matrices")
+
+    monkeypatch.setattr(gm, "over_lcd", integer_rows_only)
+    monkeypatch.setattr(gm.GMData, "__init__", refuse)
     gm_docs = sorted((ROOT / "fixtures").glob("*.gm.json"))
     lag_docs = sorted((ROOT / "fixtures").glob("*.lag.json"))
     assert len(gm_docs) == 4 and len(lag_docs) == 2
@@ -350,10 +359,10 @@ LAG_COMMANDS = [["dualize"], ["dim-report"], ["from-lagrangian"], ["hyperplane-u
 
 def test_document_commands_build_no_fraction_matrix(monkeypatch, capsys):
     # GM and Lagrangian documents are read into integer rows and written
-    # from them: no command here builds GMData's Fraction matrices or a
-    # Subspace's Fraction RREF, and each writes what it writes without the
-    # refusal in place
-    from gmepw import gm, linalg
+    # from them: no command here builds a Fraction matrix from integer rows
+    # (GMData's mu and q, a Subspace's Fraction RREF, an rref or inverse),
+    # and each writes what it writes without the refusal in place
+    from gmepw.linalg import Matrix
 
     runs = [(argv, path.read_text(encoding="utf-8"))
             for path in sorted((ROOT / "fixtures").glob("*.json"))
@@ -364,8 +373,7 @@ def test_document_commands_build_no_fraction_matrix(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("Fraction matrix built")
 
-    monkeypatch.setattr(gm, "_fraction_matrix", refuse)
-    monkeypatch.setattr(linalg, "_fraction_rows", refuse)
+    monkeypatch.setattr(Matrix, "from_int_rows", refuse)
     for (argv, text), before in zip(runs, expected):
         got = run_main(argv, text, monkeypatch, capsys)
         assert got == before and got[0] == cli.EXIT_OK and got[1], argv

@@ -214,6 +214,24 @@ def test_hyperplane_update_random_dimension_drop():
         assert lhs == rhs
 
 
+def test_hyperplane_update_is_the_meet_with_the_orthogonal_plus_the_form():
+    # the one-hyperplane meet against (a meet eta^omega) + eta built from
+    # omega_orthogonal and intersect, on 30 seeded forms per fixture
+    # (integer and fractional; a form inside a is the fixed point)
+    from gmepw.quadrics import omega_orthogonal
+
+    space = wedge_symplectic_space()
+    rng = rng_from_seed("hyperplane-meet")
+    for name, ld in all_lagrangian_fixtures().items():
+        a = ld.a
+        etas = [inject(3, random_nonzero_vector(rng, 10, 3)) for _ in range(29)]
+        etas += [[Fraction(x, 3) for x in etas[0]]] + a.intersect(l3v5_subspace()).basis_rows()
+        for eta in etas:
+            line = Subspace.from_rows(20, [eta])
+            expected = a if a.contains(eta) else a.intersect(omega_orthogonal(space, line)) + line
+            assert hyperplane_section_lagrangian(a, eta) == expected, name
+
+
 def test_hyperplane_update_rejects_bad_input():
     a = fivefold_lagrangian().a
     with pytest.raises(CorrespondenceError):

@@ -3,6 +3,7 @@ decomposable members of the Lagrangians."""
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -745,6 +746,26 @@ def test_sample_points_are_the_seeded_rational_parameters(kind, monkeypatch):
         assert points == [[t.denominator * x + t.numerator * y for x, y in zip(start, direction)]
                           for t in params], seed
     assert any(other_terms)
+
+
+def test_sample_parameters_are_twenty_distinct_reduced_values(monkeypatch):
+    # the (p, q) at which the certificate is evaluated, for a seed whose
+    # draws are not all in lowest terms and repeat a value in other terms:
+    # twenty distinct t = p / q, each with gcd(p, q) = 1 and q > 0
+    import gmepw.epw as epw
+
+    seen = []
+    vanishes = epw._vanishes_at
+
+    def record(coeffs, p, q):
+        seen.append((p, q))
+        return vanishes(coeffs, p, q)
+
+    monkeypatch.setattr(epw, "_vanishes_at", record)
+    assert epw.stratum_poly_on_line(fivefold_lagrangian().a, *LINE, "y", seed=4).sample_consistency == 20
+    assert len(seen) == 20 and len({Fraction(p, q) for p, q in seen}) == 20
+    assert all(q > 0 and gcd(p, q) == 1 for p, q in seen)
+    assert seen[:7] == [(10, 1), (-17, 1), (-40, 1), (-26, 1), (14, 1), (40, 1), (-69, 2)]
 
 
 @settings(max_examples=200, deadline=None)

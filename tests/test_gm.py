@@ -534,6 +534,28 @@ def test_gm_layer_runs_without_fraction_matrix_arithmetic(monkeypatch):
         assert membership(d, hull_point_sample(d, 0)) in ("on_hull_only", "on_x")
 
 
+def test_equality_reads_the_stored_integer_rows(monkeypatch):
+    # both constructors store q and mu over their least common denominators,
+    # in the same containers, so equality compares integer rows and builds
+    # no Fraction matrix for data made from integer rows
+    for name, d in all_gm_fixtures().items():
+        fresh = GMData(n=d.n, mu=d.mu, q=d.q, epsilon=d.epsilon)
+        (cols, m), (qs, den) = fresh.int_mu, fresh.int_q
+
+        def scaled(k, epsilon=d.epsilon):
+            mu = ([[k * x for x in row] for row in zip(*cols)], k * m)
+            return GMData.from_int_rows(d.n, mu, [([[k * x for x in r] for r in g], k * den) for g in qs], epsilon)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Matrix, "from_int_rows", lambda *args: pytest.fail("Fraction matrix built"))
+            ones, sixes = scaled(1), scaled(6)
+            assert ones == sixes == fresh, name
+            assert (ones.int_mu, ones.int_q) == (fresh.int_mu, fresh.int_q)
+            assert scaled(1, 2 * d.epsilon) != ones
+            assert "mu" not in ones.__dict__ and "q" not in sixes.__dict__
+        assert ones.mu == d.mu and sixes.q == d.q
+
+
 # ---- the integer lambda chain against the Fraction divmod chain
 
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -634,12 +635,18 @@ def test_document_shape_errors_keep_their_text():
 # ---- the integer views that GMData.from_int_rows is given
 
 
-def assert_views_are_the_fraction_views(d):
-    from gmepw.gm import _over_common_denominator
+def over_common_denominator(matrices):
+    """The Fraction matrices as integer rows over their least common denominator."""
+    den = lcm(*(x.denominator for m in matrices for row in m.data for x in row))
+    return [[[x.numerator * (den // x.denominator) for x in row] for row in m.data] for m in matrices], den
 
-    (mu_rows,), m = _over_common_denominator([d.mu])
+
+def assert_views_are_the_fraction_views(d):
+    # the stored rows are the Fraction fields over their least common
+    # denominators, in the same containers
+    (mu_rows,), m = over_common_denominator([d.mu])
     assert d.__dict__["int_mu"] == (list(zip(*mu_rows)), m)
-    assert d.__dict__["int_q"] == _over_common_denominator(d.q)
+    assert d.__dict__["int_q"] == over_common_denominator(d.q)
 
 
 def non_canonical(text: str) -> str:
@@ -680,6 +687,6 @@ def test_constructed_views_equal_the_fraction_views():
     d = fivefold()
     qs, den = d.int_q
     scaled = GMData.from_int_rows(d.n, ([[6 * x for x in row] for row in zip(*d.int_mu[0])], 6 * d.int_mu[1]),
-                                  ([[[6 * x for x in row] for row in g] for g in qs], 6 * den))
+                                  [([[6 * x for x in row] for row in g], 6 * den) for g in qs])
     assert scaled == d
     assert_views_are_the_fraction_views(scaled)

@@ -17,6 +17,8 @@ from gmepw.linalg import (
     det_int,
     int_image_and_lifts,
     kernel,
+    over_lcd,
+    over_pivots,
 )
 from gmepw.sampling import random_invertible, random_matrix, rng_from_seed
 
@@ -563,3 +565,39 @@ def test_int_row_passes_int_rows_and_clears_the_others():
         assert _int_row(row) is row
     assert _int_row([True, 2, False]) == [1, 2, 0]
     assert _int_row([Fraction(1, 2), 3, "1/3"]) == [3, 18, 2]
+
+
+@st.composite
+def rational_blocks(draw):
+    """Up to four matrices of ints and Fractions (some of value an integer,
+    some with common factors left in the rows), each over a denominator."""
+    entry = st.one_of(st.integers(-12, 12), st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6)))
+    out = []
+    for _ in range(draw(st.integers(0, 4))):
+        rows, cols, k = draw(st.integers(0, 3)), draw(st.integers(1, 3)), draw(st.sampled_from([1, 2, 6]))
+        m = [[k * x for x in draw(st.lists(entry, min_size=cols, max_size=cols))] for _ in range(rows)]
+        out.append((m, draw(st.sampled_from([1, 2, 3, 4, 12]))))
+    return out
+
+
+@given(rational_blocks())
+@example([([[2, 4]], 6)])
+@example([([[Fraction(1, 2), 1]], 3), ([[2]], 4)])
+@example([([[0, 0]], 5)])
+@settings(max_examples=200, deadline=None)
+def test_over_lcd_is_the_least_common_denominator(blocks):
+    mats, den = over_lcd(blocks)
+    values = [[Fraction(x) / d for x in r] for m, d in blocks for r in m]
+    assert [[Fraction(x, den) for x in r] for m in mats for r in m] == values
+    assert den == lcm(*(v.denominator for r in values for v in r))
+    assert all(type(r) is list and all(type(x) is int for x in r) for m in mats for r in m)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_over_pivots_writes_the_rref_over_one_denominator(seed):
+    rows = random_matrix(rng_from_seed(f"pivots-{seed}"), 4, 7).data
+    s = Subspace.from_rows(7, rows)
+    scaled, den = over_pivots(s.int_rows, s.pivots)
+    assert den == lcm(*(r[c] for r, c in zip(s.int_rows, s.pivots)))
+    assert [[Fraction(x, den) for x in r] for r in scaled] == rref_by_fraction_gauss_jordan(rows, 7)[0][:s.dim]
+    assert s.scaled_rows == (scaled, den) and s.basis.data == rref_by_fraction_gauss_jordan(rows, 7)[0][:s.dim]

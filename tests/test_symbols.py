@@ -118,3 +118,28 @@ def test_the_reduction_modulo_a_subspace_stays_behind_subspace():
     assert {owner.split(".")[0] for owner, attr in uses if attr == "unit_remainders"} == {"linalg"}
     assert {owner for owner, attr in uses if attr == "remainder"} == {
         "linalg.Subspace", "quadrics.QuotientModel"}
+
+
+def mentions(tree: ast.Module, name: str):
+    """The outermost enclosing function (None at module level) of each
+    mention of name: a bare name, an attribute or an imported name."""
+    def visit(node, owner):
+        if owner is None and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if (isinstance(node, ast.Name) and node.id == name or isinstance(node, ast.Attribute) and node.attr == name
+                or isinstance(node, ast.alias) and node.name == name):
+            yield owner
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, owner)
+
+    yield from visit(tree, None)
+
+
+def test_only_linalg_and_the_token_reader_take_an_lcm():
+    # a rational matrix has one integer form, owned by linalg (over_lcd,
+    # over_pivots, Matrix.from_int_rows): no other module scales rows to a
+    # common denominator itself, save io's reader of one matrix's tokens
+    found = {(path.stem, owner) for path in SRC.glob("*.py")
+             for owner in mentions(ast.parse(path.read_text(encoding="utf-8")), "lcm")}
+    assert {module for module, _ in found} == {"linalg", "io"}
+    assert {use for use in found if use[0] != "linalg"} == {("io", None), ("io", "parse_matrix")}
