@@ -199,8 +199,9 @@ def _membership_poly(a: Subspace, gens) -> list[int]:
     Inside a chart the generators are a basis, so F(t) = 0 exactly on the
     stratum, and D = 0 identically exactly when the family lies in it.
     """
-    pairing = list(zip(*top_pairing(6, 3)))
-    pair_rows = [[sum(map(mul, r, col)) for col in pairing] for r in a.int_rows]
+    # P is a signed permutation: column j has one entry s, at row i, so (r P)_j = s r_i
+    entries = [next((i, s) for i, s in enumerate(col) if s) for col in zip(*top_pairing(6, 3))]
+    pair_rows = [[s * r[i] for i, s in entries] for r in a.int_rows]
     m0, m1 = ([[sum(map(mul, g, pr)) for pr in pair_rows] for g in gk] for gk in gens)
     return interpolate(line_values(m0, m1))
 

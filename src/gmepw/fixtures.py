@@ -26,10 +26,9 @@ from .linalg import Matrix, Subspace, unit_vector, vec_add
 def fivefold() -> GMData:
     """Ordinary fivefold data: the full 2-form space with the identity form
     in the e6 direction."""
-    mu = Matrix.identity(10)
-    qs = [Matrix(g) for g in plucker_grams(Subspace.full(10).int_rows)]  # the integer columns of mu
-    qs.append(mu)
-    return GMData(n=5, mu=mu, q=tuple(qs), epsilon=Fraction(1))
+    identity = Subspace.full(10).int_rows  # the rows and columns of mu, and q(e6)
+    grams = [(g, 1) for g in plucker_grams(identity)]
+    return GMData.from_int_rows(5, (identity, 1), grams + [(identity, 1)])
 
 
 @lru_cache(maxsize=None)

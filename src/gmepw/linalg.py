@@ -4,7 +4,7 @@ Integers inside, ``Fraction`` at the API edge: every scalar a caller sees is
 a ``fractions.Fraction`` (reduced, positive denominator), while the
 eliminations (one integer Gauss-Jordan under ``Matrix.rref``, kernel,
 every subspace, and ``int_image_and_lifts`` under the inverse and
-every lift; one fraction-free Bareiss elimination, ``_bareiss``, under
+every lift; one packed-row Bareiss elimination, ``_eliminate``, under
 every rank and determinant) run over Python ints.  A rational matrix has
 one integer form, integer rows over one positive denominator, and only
 this module converts: ``over_lcd`` puts rows over their least common
@@ -23,12 +23,28 @@ give; a subspace caches those on the free columns on first use
 (``unit_remainders``), and ``rank_modulo`` ranks such combinations, with
 no stacked elimination.  Every operation here is pure and exact; ambient
 dimensions in this project never exceed 30, so dense storage is used
-throughout."""
+throughout.
+
+The Bareiss loop runs on packed rows: a row r is the integer
+R = sum_j r_j 2^(s j) of signed slots of width s.  While every |r_j| <
+2^(s-1), slot 0 is R mod 2^s, less 2^s if at least 2^(s-1), and packing is
+linear: for a pivot row P with head p and a row R with head f, slot 0 of
+p R - f P is p f - f p = 0, so a shift drops the column exactly, and the
+division by the previous pivot, exact in every slot, is exact on the whole
+integer.  By Sylvester's identity every entry after k steps is a
+(k + 1)-minor of the row-permuted input; by Hadamard's inequality it is at
+most the product of the norms of the non-zero input rows (each at least
+1), so at most 2^(e_1 + ... + e_m) for 2^e_i >= ||r_i||, and the width
+s = 2 + sum_i e_i reads every slot exactly.  In ``rank_modulo`` the
+remainder of w is sum_m w_m U_m on the free columns, of norm at most
+(sum_m |w_m|) max_m ||U_m||, built packed by one multiply-add per non-zero
+coordinate from the packed U_m, which a subspace packs once per width."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 _ZERO = Fraction(0)
 _INT_TYPE = {int}
@@ -134,13 +150,6 @@ class Matrix:
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
         return cls._make([[_ZERO] * cols for _ in range(rows)], cols)
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        one = Fraction(1)
-        return cls._make(
-            [[one if i == j else _ZERO for j in range(n)] for i in range(n)], n
-        )
 
     @classmethod
     def from_cols(cls, cols) -> "Matrix":
@@ -263,41 +272,68 @@ def det_int(rows) -> int:
     return last if rank == len(rows) else 0
 
 
-def _bareiss(rows) -> tuple[int, int]:
-    """(rank, signed last pivot) of a list of integer rows by fraction-free
-    elimination (Bareiss, Math. Comp. 22, 1968).
+def _bits(square: int) -> int:
+    """An e >= 0 with 2^e >= sqrt(square), for a sum of squares >= 1."""
+    return ((square - 1).bit_length() + 1) >> 1
 
-    Each step pops the first row that is non-zero in the first column as the
-    pivot row, replaces every other row by its 2x2 minors against it divided
-    by the previous pivot, and drops the pivot column (a first column that
-    is zero in every row drops without a pivot).  By Sylvester's identity
-    each entry is then a minor of the row-permuted input, so the division is
-    exact and no gcd is taken; a row that is zero in the pivot column is
-    just rescaled.  Zero rows drop, and each pivot adds one to the rank.
-    Popping a row from position k moves it past k rows, a sign (-1)^k; when
-    every row of a square matrix takes a pivot, the last pivot times those
-    signs is its determinant (1 for no rows).
+
+def _pack(row, width: int) -> int:
+    """The row as one integer sum_j row[j] 2^(width j), signed slots."""
+    packed = 0
+    for x in reversed(row):
+        packed = (packed << width) + x
+    return packed
+
+
+def _bareiss(rows) -> tuple[int, int]:
+    """(rank, signed last pivot) of integer rows, packed at the width
+    2 + sum_i e_i, 2^e_i >= ||row_i|| (module docstring)."""
+    width = 2 + sum([_bits(sum(map(mul, r, r))) for r in rows])
+    return _eliminate([_pack(r, width) for r in rows], width)
+
+
+def _eliminate(rows, width: int) -> tuple[int, int]:
+    """(rank, signed last pivot) of packed rows whose minors are all at most
+    2^(width - 2) in size, by fraction-free elimination (Bareiss, Math. Comp.
+    22, 1968) on slot 0 (module docstring).
+
+    Each step pops the first row P whose slot 0 (pivot p) is non-zero and
+    replaces every other row R, slot 0 f, by (p R - f P) / prev shifted down
+    one slot, prev the previous pivot; a row with f = 0 is just rescaled,
+    and a slot 0 that is zero in every row drops without a pivot.  Zero rows
+    drop, and each pivot adds one to the rank.  Popping a row from position
+    k moves it past k rows, a sign (-1)^k; when every row of a square matrix
+    takes a pivot, the last pivot times those signs is its determinant (1
+    for no rows).
     """
-    m = [r for r in rows if any(r)]
+    full = 1 << width
+    mask, half = full - 1, full >> 1
+    m = [r for r in rows if r]
     rank, prev, sign = 0, 1, 1
     while m:
-        k = next((k for k, r in enumerate(m) if r[0]), None)
-        if k is None:
-            m = [r[1:] for r in m]
+        for k, p in enumerate(m):
+            pivot = p & mask
+            if pivot:
+                break
+        else:
+            m = [r >> width for r in m]
             continue
         if k % 2:
             sign = -sign
-        p = m.pop(k)
-        pivot, tail = p[0], p[1:]
+        del m[k]
+        if pivot >= half:
+            pivot -= full
         rest = []
         for r in m:
-            f = r[0]
+            f = r & mask
             if f:
-                r = [(pivot * x - f * y) // prev for x, y in zip(r[1:], tail)]
-                if any(r):
+                if f >= half:
+                    f -= full
+                r = ((pivot * r - f * p) >> width) // prev
+                if r:
                     rest.append(r)
             else:
-                rest.append(r[1:] if pivot == prev else [pivot * x // prev for x in r[1:]])
+                rest.append(r >> width if pivot == prev else (pivot * r >> width) // prev)
         m = rest
         prev = pivot
         rank += 1
@@ -369,10 +405,10 @@ class Subspace:
     """A linear subspace of k^n stored as its reduced row-space basis: each
     RREF row as its primitive integer multiple with a positive pivot.  The
     rows over the lcm of their pivot entries (``scaled_rows``), the
-    ``Fraction`` RREF rows built from them (``basis``) and the unit
-    remainders are built on first use."""
+    ``Fraction`` RREF rows built from them (``basis``), the unit remainders
+    and their packings (``rank_modulo``) are built on first use."""
 
-    __slots__ = ("ambient_dim", "int_rows", "pivots", "_basis", "_scale", "_units")
+    __slots__ = ("ambient_dim", "int_rows", "pivots", "_basis", "_scale", "_units", "_packed")
 
     def __init__(self, ambient_dim: int, int_rows: list[tuple[int, ...]], pivots: tuple[int, ...]):
         self.ambient_dim = ambient_dim
@@ -381,6 +417,7 @@ class Subspace:
         self._basis = None
         self._scale = None
         self._units = None
+        self._packed = None
 
     @classmethod
     def from_rows(cls, ambient_dim: int, rows) -> "Subspace":
@@ -494,17 +531,18 @@ class Subspace:
     def rank_modulo(self, rows) -> int:
         """dim (self + span of the integer rows) - dim self: the rank of the
         rows' remainders on the free columns (they vanish at the pivots),
-        each the combination sum_m w[m] U_m of the unit remainders U_m."""
-        units = self.unit_remainders
-        zero = [0] * (self.ambient_dim - self.dim)
-        out = []
-        for w in rows:
-            r = zero
-            for x, u in zip(w, units):
-                if x:
-                    r = [a + x * b for a, b in zip(r, u)]
-            out.append(r)
-        return _bareiss(out)[0]
+        each built packed as sum_m w[m] U_m from the unit remainders U_m,
+        packed at the width of the row bound (sum_m |w[m]|) max ||U_m||
+        (module docstring) once per width."""
+        rows = list(rows)
+        if self._packed is None:  # (e with 2^e >= max ||U_m||, the packed U_m by width)
+            self._packed = _bits(max((sum(map(mul, u, u)) for u in self.unit_remainders), default=0)), {}
+        bits, by_width = self._packed
+        width = 2 + sum((sum(map(abs, w)) - 1).bit_length() + bits for w in rows)
+        units = by_width.get(width)
+        if units is None:
+            units = by_width[width] = [_pack(u, width) for u in self.unit_remainders]
+        return _eliminate([sum([x * u for x, u in zip(w, units) if x]) for w in rows], width)[0]
 
     def meet_dim(self, other: "Subspace") -> int:
         """dim of the intersection: dim other - the rank of other modulo self,

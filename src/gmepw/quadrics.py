@@ -19,12 +19,12 @@ RREF rows put over the lcm of their pivots by ``linalg.over_pivots``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
 from .exterior import SymplecticSpace
-from .linalg import Matrix, Subspace, _gauss_jordan, int_image_and_lifts, kernel, over_pivots, unit_vector
+from .linalg import (Matrix, Subspace, _gauss_jordan, int_image_and_lifts, kernel, over_lcd, over_pivots,
+                     unit_vector)
 
 
 def _times_form(space: SymplecticSpace, rows) -> list[list[int]]:
@@ -40,10 +40,13 @@ def _times_form(space: SymplecticSpace, rows) -> list[list[int]]:
 
 
 def _gram(space: SymplecticSpace, left, right, scales) -> Matrix:
-    """omega(x_i, y_j) for x_i = left_i / scales_i and y_j = right_j / scales_j."""
-    d = space.int_form[1]
-    return Matrix([[Fraction(sum(map(mul, x, y)), d * sx * sy) for y, sy in zip(right, scales)]
-                   for x, sx in zip(_times_form(space, left), scales)], cols=len(right))
+    """omega(x_i, y_j) for x_i = left_i / scales_i and y_j = right_j / scales_j:
+    X_i = L x_i and Y_j = L y_j over one denominator L (``over_lcd``) pair
+    under d * form to d L^2 omega(x_i, y_j)."""
+    blocks, big = over_lcd([([r], s) for r, s in zip([*left, *right], [*scales, *scales])])
+    xs, ys = [r for (r,) in blocks[:len(left)]], [r for (r,) in blocks[len(left):]]
+    gram = [[sum(map(mul, x, y)) for y in ys] for x in _times_form(space, xs)]
+    return Matrix.from_int_rows(gram, space.int_form[1] * big * big, len(right))
 
 
 def is_isotropic(space: SymplecticSpace, s: Subspace) -> bool:

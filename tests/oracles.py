@@ -8,6 +8,10 @@ from gmepw.gm import GMData, ValidationReport
 from gmepw.linalg import Matrix, vec, vec_dot
 
 
+def identity(n: int) -> Matrix:
+    return Matrix([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
+
+
 def scale(m: Matrix, c) -> Matrix:
     return Matrix([[c * x for x in row] for row in m.data], cols=m.cols)
 

@@ -24,6 +24,8 @@ from gmepw.exterior import l3v5_subspace
 from gmepw.fixtures import fivefold_lagrangian, sixfold_special
 from gmepw.linalg import Matrix
 
+import oracles
+
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
@@ -206,7 +208,7 @@ def test_singular_frame_is_input_error(monkeypatch, capsys):
 
 @pytest.mark.parametrize("command", ["dim-report", "dualize"])
 def test_frame_is_applied_as_apply_frame_does(command, monkeypatch, capsys):
-    shear = Matrix.identity(6).copy_data()
+    shear = oracles.identity(6).copy_data()
     shear[5][0] = 1  # e1 -> e1 + e6
     shear = Matrix(shear)
     moved = LagrangianData(a=apply_frame(fivefold_lagrangian().a, shear), a1=A1_ZERO)

@@ -265,8 +265,8 @@ def test_choice_independence_check_runs():
 
 def test_epsilon_three_fivefold():
     # the fivefold with the determinant trivialization scaled by 3
-    mu = Matrix.identity(10)
-    q = tuple(oracles.plucker_gram(mu, i, Fraction(3)) for i in range(5)) + (Matrix.identity(10),)
+    mu = oracles.identity(10)
+    q = tuple(oracles.plucker_gram(mu, i, Fraction(3)) for i in range(5)) + (oracles.identity(10),)
     d = GMData(n=5, mu=mu, q=q, epsilon=Fraction(3))
     rep = validate(d)
     assert rep.ok and rep.gm_type == ORDINARY

@@ -30,6 +30,8 @@ from gmepw.linalg import Matrix, Subspace, det_int, unit_vector, vec_add
 from gmepw.quadrics import is_lagrangian
 from gmepw.sampling import random_invertible, random_nonzero_vector, rng_from_seed
 
+import oracles
+
 
 def mono(*idx):
     return monomial(6, tuple(i - 1 for i in idx))
@@ -279,7 +281,7 @@ def test_exterior_power_matrix_functorial():
     f = random_invertible(rng, 6, 2)
     g = random_invertible(rng, 6, 2)
     assert exterior_power_matrix(f * g, 3) == exterior_power_matrix(f, 3) * exterior_power_matrix(g, 3)
-    assert exterior_power_matrix(Matrix.identity(6), 3) == Matrix.identity(20)
+    assert exterior_power_matrix(oracles.identity(6), 3) == oracles.identity(20)
 
 
 def wedge_by_merging(n: int, p: int, q: int, a, b) -> list[Fraction]:

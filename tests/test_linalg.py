@@ -26,7 +26,7 @@ import oracles
 
 
 def test_rref_identity():
-    m = Matrix.identity(3)
+    m = oracles.identity(3)
     red, rank = m.rref()[:2]
     assert red == m
     assert rank == 3
@@ -41,7 +41,7 @@ def test_rref_proportional_rows():
 
 def test_rref_permutation():
     red, rank = Matrix([[0, 1], [1, 0]]).rref()[:2]
-    assert red == Matrix.identity(2)
+    assert red == oracles.identity(2)
     assert rank == 2
 
 
@@ -93,7 +93,7 @@ def test_dimension_formula_sum_intersection(rows_a, rows_b):
 
 
 def test_intersect_examples():
-    e = Matrix.identity(3).data
+    e = oracles.identity(3).data
     a = Subspace.from_rows(3, [e[0], e[1]])
     b = Subspace.from_rows(3, [e[1], e[2]])
     assert a.intersect(b) == Subspace.from_rows(3, [e[1]])
@@ -158,7 +158,7 @@ def test_solve_and_inverse():
         x = m.inverse().apply(rhs)
         assert m.apply(x) == rhs
         assert x == oracles.solve(m, rhs)
-        assert m * m.inverse() == Matrix.identity(4)
+        assert m * m.inverse() == oracles.identity(4)
 
 
 def image_and_lifts(images: Matrix, sources: Matrix) -> tuple[Subspace, Matrix]:
@@ -180,7 +180,7 @@ def test_image_and_lifts_against_the_row_space(seed):
     rows, cols = rng.randint(1, 7), rng.randint(1, 7)
     gens = random_matrix(rng, rng.randint(1, 4), cols, 4)
     images = random_matrix(rng, rows, gens.rows, 3) * gens
-    image, coeffs = image_and_lifts(images, Matrix.identity(rows))
+    image, coeffs = image_and_lifts(images, oracles.identity(rows))
     expected = Subspace.from_rows(cols, images.data)
     assert image == expected
     assert image.basis_rows() == expected.basis_rows()
@@ -194,7 +194,7 @@ def test_image_and_lifts_of_nothing():
     image, lifts = image_and_lifts(Matrix.zero(0, 3), Matrix.zero(0, 2))
     assert image == Subspace.from_rows(3, []) and (lifts.rows, lifts.cols) == (0, 2)
     with pytest.raises(ValueError):
-        image_and_lifts(Matrix.identity(2), Matrix.identity(3))
+        image_and_lifts(oracles.identity(2), oracles.identity(3))
 
 
 def test_det_matches_rank():
@@ -421,6 +421,104 @@ def test_int_rank_matches_the_fraction_oracle(rows):
     copy = [list(r) for r in rows]
     assert _bareiss(rows)[0] == rref_by_fraction_gauss_jordan(rows, len(rows[0]) if rows else 0)[1]
     assert rows == copy
+
+
+def sylvester_hadamard(n: int) -> list[list[int]]:
+    """The Sylvester-Hadamard matrix of order n = 2^k: rows of +-1 that are
+    pairwise orthogonal, so |det| = n^(n/2) attains Hadamard's bound."""
+    h = [[1]]
+    while len(h) < n:
+        h = [r + r for r in h] + [r + [-x for x in r] for r in h]
+    return h
+
+
+def assert_kernel_matches_the_oracles(rows):
+    cols = len(rows[0]) if rows else 0
+    rank = rref_by_fraction_gauss_jordan(rows, cols)[1]
+    assert _bareiss(rows)[0] == rank
+    if len(rows) == cols:
+        assert det_int(rows) == det_by_fraction_elimination(rows)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+def test_packed_kernel_is_exact_at_hadamards_bound(n):
+    # the slot width bounds every minor by Hadamard's inequality, which these
+    # matrices attain: |det| = prod ||row_i|| = n^(n/2), for n = 1, 4, 16 the
+    # bound 2^(s - 2) itself, so a width one bit short would misread it
+    h = sylvester_hadamard(n)
+    for rows in (h, [[-x for x in r] for r in h], h[1:] + h[:1]):
+        assert_kernel_matches_the_oracles(rows)
+        assert abs(det_int(rows)) == round(n ** (n / 2))
+
+
+@pytest.mark.parametrize("k", [1, 31, 32, 63, 64, 65, 127, 200, 300])
+def test_packed_kernel_with_entries_of_one_power_of_two(k):
+    # one entry +-2^k a row: a slot per entry far wider than a machine word
+    for perm in ((0, 1, 2, 3), (2, 0, 3, 1), (3, 2, 1, 0)):
+        rows = [[(-1) ** i * 2 ** (k + i) if j == perm[i] else 0 for j in range(4)] for i in range(4)]
+        assert_kernel_matches_the_oracles(rows)
+        assert_kernel_matches_the_oracles([r + [1, -1] for r in rows])
+    mixed = [[2 ** k, 1, 0], [-3, 0, 2 ** k], [0, -(2 ** k), 5]]
+    assert_kernel_matches_the_oracles(mixed)
+    assert_kernel_matches_the_oracles([mixed[0], mixed[1], [x + y for x, y in zip(*mixed[:2])]])
+
+
+def test_packed_kernel_on_zero_rows_columns_and_deficient_shapes():
+    cases = [
+        [[0, 0, 0]], [[0, 0], [0, 0], [0, 0]], [[0, 3, 0], [0, 0, 0], [0, -1, 0]],
+        [[0, 0, 2, 0, 1], [0, 0, -4, 0, -2], [0, 0, 0, 0, 0]],  # wide, rank one
+        [[1, 2], [2, 4], [-3, -6], [0, 0], [5, 10]],  # tall, rank one
+        [[1, 0, 2, 0, 3, 0], [0, 1, 0, 1, 0, 1], [1, 1, 2, 1, 3, 1], [2, -1, 4, -1, 6, -1]],  # wide, rank two
+        [[x, 2 * x, 0] for x in range(-4, 5)] + [[0, 0, 7]],  # tall, rank two
+        [[3, 0, 0], [0, 0, 0], [0, 0, 5]],  # square with a zero row and column
+    ]
+    for rows in cases:
+        assert_kernel_matches_the_oracles(rows)
+        assert_kernel_matches_the_oracles([list(r) for r in zip(*rows)])
+
+
+def test_rank_modulo_packs_each_width_once():
+    # rows of very different heights take different slot widths (three here:
+    # the small rows, the tall ones and both); each width's packed unit
+    # remainders are built once and then reused
+    a = Subspace.from_rows(6, [[1, 0, 2, 0, -1, 3], [0, 3, 1, 0, 0, -2], [0, 0, 0, 5, 1, 1]])
+    ra, _ = oracle_span(a.int_rows, 6)
+    small = [[1, -1, 0, 2, 0, 1], [0, 1, 1, 0, 1, 0]]
+    tall = [[3 ** 80, 0, 1, 0, 0, -(2 ** 90)], [0, 2 ** 70, 0, 1, 5 ** 40, 0], [1, 1, 1, 1, 1, 1]]
+    for rows in (small, tall, small + tall, tall):
+        assert a.rank_modulo(rows) == len(oracle_span(ra + rows, 6)[0]) - len(ra)
+    by_width = a._packed[1]
+    assert len(by_width) == 3
+    before = dict(by_width)
+    assert a.rank_modulo(small) == 2 and a.rank_modulo(tall) == 3
+    assert by_width.keys() == before.keys() and all(by_width[w] is units for w, units in before.items())
+
+
+@pytest.mark.parametrize("k", [0, 1, 5, 40])
+def test_rank_modulo_is_exact_where_its_row_bound_is_attained(k):
+    # modulo 0 the unit remainders are the unit vectors, and rows 2^k e_m meet
+    # the bound (sum |w|) max ||U_m||: the last pivot 2^(4k + 3) is the bound
+    # of every minor, and the dependent last row is reduced by it
+    zero = Subspace.from_rows(3, [])
+    rows = [[2 ** (k + 1), 0, 0], [0, 2 ** k, 0], [0, 0, 2 ** (2 * k + 2)], [0, 0, 1]]
+    assert zero.rank_modulo(rows) == 3
+    assert zero.rank_modulo(rows[1:]) == 2
+
+
+def test_rank_modulo_with_a_large_pivot_lcm():
+    # pivots of distinct large primes make L, and so every unit remainder,
+    # large; the row bound (sum |w|) max ||U_m|| still sizes the slots
+    primes = [2 ** 61 - 1, 2 ** 89 - 1, 2 ** 107 - 1]
+    rows = [[p if j == i else (-1) ** j * (j + 1) for j in range(7)] for i, p in enumerate(primes)]
+    a = Subspace.from_rows(7, rows)
+    assert lcm(*(r[c] for r, c in zip(a.int_rows, a.pivots))).bit_length() > 200
+    ra, _ = oracle_span(a.int_rows, 7)
+    rng = rng_from_seed("large-pivot-lcm")
+    for _ in range(10):
+        w = [[rng.randint(-9, 9) for _ in range(7)] for _ in range(rng.randint(1, 5))]
+        if rng.random() < 0.5:
+            w.append(list(rows[0]))
+        assert a.rank_modulo(w) == len(oracle_span(ra + w, 7)[0]) - len(ra)
 
 
 def test_rref_rank_nullspace_against_sympy():
