@@ -329,9 +329,11 @@ def cmd_fixture(args) -> int:
 def cmd_selftest(args) -> int:
     from .selftest import run_selftest
 
-    results = run_selftest()
+    out = StringIO()
+    results = run_selftest(out)
     passed = sum(results)
-    print(f"{passed}/{len(results)} checks passed")
+    print(f"{passed}/{len(results)} checks passed", file=out)
+    _write(args, out.getvalue())
     return EXIT_OK if passed == len(results) else EXIT_VIOLATION
 
 

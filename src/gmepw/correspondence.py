@@ -32,7 +32,7 @@ from .exterior import (
     wedge_symplectic_space,
 )
 from .gm import NON_LCI, ORDINARY, SPECIAL, GmError, GMData, classify, opposite, split_w
-from .linalg import Matrix, Subspace, clear_denominators, int_image_and_lifts, over_pivots, vec
+from .linalg import Subspace, clear_denominators, det_int, int_image_and_lifts, over_pivots, vec
 from .quadrics import LagrangianDecomposition, is_lagrangian
 
 EXT_DIM = 22
@@ -283,9 +283,11 @@ def hyperplane_section_lagrangian(a: Subspace, eta0) -> Subspace:
     return out
 
 
-def apply_frame(a: Subspace, frame: Matrix) -> Subspace:
-    """Transport a Lagrangian through a change of basis of the 6-space."""
-    if frame.rows != 6 or frame.cols != 6 or frame.det() == 0:
+def apply_frame(a: Subspace, frame) -> Subspace:
+    """Transport a Lagrangian through a change of basis of the 6-space, given
+    as integer rows.  The degree-3 power of c g is c^3 times that of g, so a
+    non-zero multiple of the frame has the same image."""
+    if len(frame) != 6 or any(len(r) != 6 for r in frame) or det_int(frame) == 0:
         raise CorrespondenceError("frame must be an invertible 6 x 6 matrix")
     m = exterior_power_matrix(frame, 3)
-    return Subspace.from_rows(20, [m.apply(r) for r in a.int_rows])
+    return Subspace.from_rows(20, [[sum(map(mul, row, r)) for row in m] for r in a.int_rows])

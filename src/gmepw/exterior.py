@@ -28,10 +28,10 @@ Conventions, fixed once for the whole artifact:
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
 
-from .linalg import Matrix, Subspace, det_int
+from .linalg import Subspace, det_int
 
 
 @lru_cache(maxsize=None)
@@ -106,7 +106,7 @@ class SymplecticSpace:
     """An even-dimensional space with a fixed non-degenerate skew form, held
     in integers: the form is the square integer rows over a denominator
     d > 0, and ``int_form`` is (the non-zero (column, entry) pairs of each
-    row, d).  The ``Fraction`` matrix ``form`` is built on first use."""
+    row, d)."""
 
     def __init__(self, rows, d: int = 1):
         if any(len(row) != len(rows) for row in rows):
@@ -118,14 +118,9 @@ class SymplecticSpace:
         self.total_dim = len(rows)
         self.int_form = [[(j, f) for j, f in enumerate(row) if f] for row in rows], d
 
-    @cached_property
-    def form(self) -> Matrix:
-        nonzero, d = self.int_form
-        n = self.total_dim
-        return Matrix.from_int_rows([[dict(r).get(j, 0) for j in range(n)] for r in nonzero], d, n)
-
     def omega(self, u, v) -> Fraction:
-        return sum((a * b for a, b in zip(self.form.left_apply(u), v)), Fraction(0))
+        nonzero, d = self.int_form
+        return sum((x * f * v[j] for x, row in zip(u, nonzero) if x for j, f in row), Fraction(0)) / d
 
 
 @lru_cache(maxsize=None)
@@ -218,15 +213,18 @@ def l3v5_subspace() -> Subspace:
     return Subspace.from_rows(20, [monomial(6, m) for m in monomials(5, 3)])
 
 
-def exterior_power_matrix(f: Matrix, degree: int) -> Matrix:
-    """Induced matrix on the exterior power; columns follow monomial order."""
-    if f.rows != f.cols:
+def exterior_power_matrix(rows, degree: int) -> list[list[int]]:
+    """The rows of the induced matrix on the exterior power of a square
+    matrix of integer rows: column I, in monomial order, is the wedge of the
+    columns of the matrix at the indices of I."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
         raise ValueError("change of basis must be square")
-    n = f.rows
-    cols = []
+    cols = list(zip(*rows))
+    images = []
     for m in monomials(n, degree):
-        acc = f.col(m[0])
+        acc = cols[m[0]]
         for p, i in enumerate(m[1:], start=1):
-            acc = wedge(n, p, 1, acc, f.col(i))
-        cols.append(acc)
-    return Matrix.from_cols(cols)
+            acc = wedge(n, p, 1, acc, cols[i])
+        images.append(acc)
+    return [list(r) for r in zip(*images)]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .correspondence import (
     A1_ONE,
@@ -19,7 +20,7 @@ from .correspondence import (
 )
 from .exterior import inject, monomial, top_pairing, v5_positions
 from .gm import GMData, opposite, plucker_grams
-from .linalg import Matrix, Subspace, unit_vector, vec_add
+from .linalg import Subspace, unit_vector, vec_add
 
 
 @lru_cache(maxsize=None)
@@ -93,29 +94,24 @@ def sigma_fixture_lagrangian() -> LagrangianData:
     """
     omega = sigma_form()
     # a fixed symmetric integer seed matrix
-    s0 = Matrix(
-        [
-            [2, 1, 0, 0, 1, 0, 0, 0, 0, 1],
-            [1, 3, 1, 0, 0, 0, 1, 0, 0, 0],
-            [0, 1, 1, 1, 0, 0, 0, 0, 1, 0],
-            [0, 0, 1, 4, 0, 1, 0, 0, 0, 0],
-            [1, 0, 0, 0, 2, 0, 0, 1, 0, 0],
-            [0, 0, 0, 1, 0, 1, 1, 0, 0, 1],
-            [0, 1, 0, 0, 0, 1, 3, 0, 0, 0],
-            [0, 0, 0, 0, 1, 0, 0, 2, 1, 0],
-            [0, 0, 1, 0, 0, 0, 0, 1, 1, 0],
-            [1, 0, 0, 0, 0, 1, 0, 0, 0, 5],
-        ]
-    )
+    s0 = [
+        [2, 1, 0, 0, 1, 0, 0, 0, 0, 1],
+        [1, 3, 1, 0, 0, 0, 1, 0, 0, 0],
+        [0, 1, 1, 1, 0, 0, 0, 0, 1, 0],
+        [0, 0, 1, 4, 0, 1, 0, 0, 0, 0],
+        [1, 0, 0, 0, 2, 0, 0, 1, 0, 0],
+        [0, 0, 0, 1, 0, 1, 1, 0, 0, 1],
+        [0, 1, 0, 0, 0, 1, 3, 0, 0, 0],
+        [0, 0, 0, 0, 1, 0, 0, 2, 1, 0],
+        [0, 0, 1, 0, 0, 0, 0, 1, 1, 0],
+        [1, 0, 0, 0, 0, 1, 0, 0, 0, 5],
+    ]
     # project so the distinguished form spans the kernel direction
     w = [omega[t] for t in v5_positions(3)[0]]
-    s0w = s0.apply(w)
-    scale = sum((a * b for a, b in zip(s0w, w)), Fraction(0))
-    corr = Matrix(
-        [[s0w[i] * s0w[j] / scale for j in range(10)] for i in range(10)]
-    )
-    s = s0 - corr
-    rows = [graph_row(i, s.row(i)) for i in range(10)]
+    s0w = [sum(map(mul, row, w)) for row in s0]
+    scale = sum(map(mul, s0w, w))
+    s = [[x - Fraction(a * b, scale) for b, x in zip(s0w, row)] for a, row in zip(s0w, s0)]
+    rows = [graph_row(i, s[i]) for i in range(10)]
     return LagrangianData(a=Subspace.from_rows(20, rows), a1=A1_ZERO)
 
 

@@ -19,7 +19,7 @@ from math import gcd
 from operator import mul
 
 from .exterior import monomial, top_pairing, wedge
-from .linalg import Matrix, Subspace, clear_denominators, over_lcd, vec, vec_dot
+from .linalg import Matrix, Subspace, clear_denominators, over_lcd, vec
 from .polynomials import Poly, divide_power, interpolate, line_values
 from .sampling import random_nonzero_vector, rng_from_seed
 
@@ -207,11 +207,15 @@ def split_w(d: GMData) -> tuple[Subspace, Subspace, list[Fraction]]:
 
 
 def membership(d: GMData, w) -> str:
-    """Position of a point of P(W): on_x, on_hull_only, or off."""
-    w = vec(w)
-    if all(x == 0 for x in w):
+    """Position of a point of P(W): on_x, on_hull_only, or off.  For w = c / s
+    with integer c, q(e_i)(w, w) = c^T Q_i c / (s^2 D) vanishes exactly when
+    the integer c^T Q_i c does."""
+    c = clear_denominators(vec(w))[0]
+    if not any(c):
         raise GmError("the zero vector is not a point")
-    vals = [vec_dot(w, g.apply(w)) for g in d.q]
+    if len(c) != d.w_dim:
+        raise GmError(f"a point of P(W) has {d.w_dim} coordinates")
+    vals = [sum(x * sum(map(mul, row, c)) for x, row in zip(c, g) if x) for g in d.int_q[0]]
     if any(vals[:5]):
         return "off"
     return "on_hull_only" if vals[5] else "on_x"

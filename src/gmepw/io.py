@@ -34,7 +34,7 @@ from typing import Any
 
 from .correspondence import A1_TAGS, LagrangianData, apply_frame
 from .gm import GMData, classify
-from .linalg import Matrix, Subspace
+from .linalg import Subspace
 from .polynomials import Poly
 
 FORMAT_VERSION = "1"
@@ -221,10 +221,10 @@ def parse_lagrangian_data(obj, where: str = "lagrangian_data") -> LagrangianData
     if tag not in A1_TAGS:
         raise DocumentError(f"{where}.A1: expected one of {A1_TAGS}")
     if "frame" in obj:
-        rows, den = parse_matrix(obj["frame"], f"{where}.frame", rows=6, cols=6)
-        frame = Matrix.from_int_rows(rows, den, 6)
+        # the rows over their denominator: a positive multiple of the frame
+        rows = parse_matrix(obj["frame"], f"{where}.frame", rows=6, cols=6)[0]
         try:
-            a = apply_frame(a, frame)
+            a = apply_frame(a, rows)
         except ValueError as exc:
             raise DocumentError(f"{where}.frame: {exc}") from None
     try:

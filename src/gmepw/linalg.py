@@ -1,15 +1,17 @@
 """Exact rational matrices and canonically represented linear subspaces.
 
 Integers inside, ``Fraction`` at the API edge: every scalar a caller sees is
-a ``fractions.Fraction`` (reduced, positive denominator), while the
-eliminations (one integer Gauss-Jordan under ``Matrix.rref``, kernel,
-every subspace, and ``int_image_and_lifts`` under the inverse and
-every lift; one packed-row Bareiss elimination, ``_eliminate``, under
-every rank and determinant) run over Python ints.  A rational matrix has
-one integer form, integer rows over one positive denominator, and only
-this module converts: ``over_lcd`` puts rows over their least common
-denominator, ``over_pivots`` puts primitive RREF rows over the lcm of their
-pivot entries, and ``Matrix.from_int_rows`` builds the ``Fraction`` edge.
+a ``fractions.Fraction`` (reduced, positive denominator), while all the
+arithmetic (one integer Gauss-Jordan under every subspace, and
+``int_image_and_lifts`` under every inverse and lift; one packed-row
+Bareiss elimination, ``_eliminate``, under every rank and determinant)
+runs over Python ints.  A rational matrix has one integer form, integer
+rows over one positive denominator, and only this module converts:
+``over_lcd`` puts rows over their least common denominator, ``over_pivots``
+puts primitive RREF rows over the lcm of their pivot entries, and
+``Matrix.from_int_rows`` builds the ``Fraction`` edge.  A ``Matrix`` has no
+arithmetic: it is read through its entries, and its ``rref``, ``rank`` and
+``det`` clear denominators into the integer eliminations.
 A subspace holds its reduced row echelon basis as primitive integer rows
 with positive pivots, which is canonical exactly when the RREF is, so two
 subspaces are equal iff those rows are; sums, meets, annihilators and
@@ -69,14 +71,6 @@ def vec_add(a, b):
     return [x + y for x, y in zip(a, b, strict=True)]
 
 
-def vec_dot(a, b) -> Fraction:
-    total = _ZERO
-    for x, y in zip(a, b, strict=True):
-        if x and y:
-            total += x * y
-    return total
-
-
 def clear_denominators(v) -> tuple[list[int], int]:
     """(d * v as ints, d) for d the least common denominator of v."""
     d = lcm(*(x.denominator for x in v))
@@ -121,7 +115,11 @@ def unit_vector(n: int, i: int) -> list[Fraction]:
 
 
 class Matrix:
-    """Dense matrix over the rationals. Treated as immutable after construction."""
+    """A dense matrix over the rationals, the ``Fraction`` edge of the integer
+    form: built from entries or from integer rows over a denominator, read
+    through ``data``, and treated as immutable.  It has no arithmetic; its
+    ``rref``, ``rank`` and ``det`` clear denominators and run the integer
+    eliminations."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -134,32 +132,12 @@ class Matrix:
                 raise ValueError("ragged rows")
 
     @classmethod
-    def _make(cls, data: list[list[Fraction]], cols: int) -> "Matrix":
-        """Trusted constructor: entries must already be Fractions."""
-        m = cls.__new__(cls)
-        m.data = data
-        m.rows = len(data)
-        m.cols = cols
-        return m
-
-    @classmethod
     def from_int_rows(cls, rows, den: int, cols: int) -> "Matrix":
         """The matrix of integer rows over a positive denominator."""
-        return cls._make([[Fraction(x, den) if x else _ZERO for x in row] for row in rows], cols)
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls._make([[_ZERO] * cols for _ in range(rows)], cols)
-
-    @classmethod
-    def from_cols(cls, cols) -> "Matrix":
-        return cls([list(r) for r in zip(*cols, strict=True)])
-
-    def row(self, i: int) -> list[Fraction]:
-        return list(self.data[i])
-
-    def col(self, j: int) -> list[Fraction]:
-        return [self.data[i][j] for i in range(self.rows)]
+        m = cls.__new__(cls)
+        m.data = [[Fraction(x, den) if x else _ZERO for x in row] for row in rows]
+        m.rows, m.cols = len(m.data), cols
+        return m
 
     def __eq__(self, other) -> bool:
         return (
@@ -175,59 +153,6 @@ class Matrix:
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
         return f"Matrix({self.rows}x{self.cols}: {body})"
-
-    def copy_data(self) -> list[list[Fraction]]:
-        return [list(row) for row in self.data]
-
-    def transpose(self) -> "Matrix":
-        if self.rows == 0 or self.cols == 0:
-            return Matrix.zero(self.cols, self.rows)
-        return Matrix._make([list(col) for col in zip(*self.data)], self.rows)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Matrix._make(
-            [[x - y for x, y in zip(a, b)] for a, b in zip(self.data, other.data)], self.cols
-        )
-
-    def __mul__(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
-        if not self.data or not other.data:
-            return Matrix.zero(self.rows, other.cols)
-        odata = other.data
-        ocols = other.cols
-        out = []
-        for row in self.data:
-            acc = [_ZERO] * ocols
-            for i, x in enumerate(row):
-                if x:
-                    orow = odata[i]
-                    acc = [a + x * y if y else a for a, y in zip(acc, orow)]
-            out.append(acc)
-        return Matrix._make(out, ocols)
-
-    def apply(self, v) -> list[Fraction]:
-        """Matrix times column vector."""
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
-        return [vec_dot(row, v) for row in self.data]
-
-    def left_apply(self, v) -> list[Fraction]:
-        """Row vector times matrix."""
-        if len(v) != self.rows:
-            raise ValueError("vector length mismatch")
-        acc = [_ZERO] * self.cols
-        for x, row in zip(v, self.data):
-            if x:
-                acc = [a + x * y if y else a for a, y in zip(acc, row)]
-        return acc
-
-    def is_symmetric(self) -> bool:
-        return self.rows == self.cols and all(
-            self.data[i][j] == self.data[j][i] for i in range(self.rows) for j in range(i)
-        )
 
     def rref(self) -> tuple["Matrix", int, tuple[int, ...]]:
         """Reduced row echelon form. Returns (rref matrix, rank, pivot columns)."""
@@ -250,17 +175,6 @@ class Matrix:
             int_rows.append(int_row)
             scale *= d
         return Fraction(det_int(int_rows), scale)
-
-    def inverse(self) -> "Matrix":
-        if self.rows != self.cols:
-            raise ValueError("inverse of a non-square matrix")
-        n = self.rows
-        image, rows = int_image_and_lifts(
-            [_int_row(r + [int(i == j) for j in range(n)]) for i, r in enumerate(self.data)], n)
-        if image.dim < n:
-            raise ValueError("matrix is singular")
-        rows, den = over_pivots(rows, image.pivots)
-        return Matrix.from_int_rows([r[n:] for r in rows], den, n)
 
 
 def det_int(rows) -> int:
@@ -451,7 +365,7 @@ class Subspace:
         return self._scale
 
     def basis_rows(self) -> list[list[Fraction]]:
-        return self.basis.copy_data()
+        return [list(row) for row in self.basis.data]
 
     def __eq__(self, other) -> bool:
         return (

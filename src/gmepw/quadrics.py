@@ -12,8 +12,10 @@ form is ``SymplecticSpace.int_form``; isotropy and symplectic orthogonals
 pair a subspace's primitive integer rows with it, and the reduced form of
 ``isotropic_reduce``, the projector of a decomposition, projected rows and
 the gram of an induced quadric are integer rows over a denominator too,
-RREF rows put over the lcm of their pivots by ``linalg.over_pivots``.
-``Fraction`` values are built only for the Gram matrices callers see.
+RREF rows put over the lcm of their pivots by ``linalg.over_pivots``.  A
+quadric holds its Gram matrix in that form, in lowest terms; its corank,
+kernel, projective dual and graph Lagrangian are computed from those rows,
+and the ``Fraction`` Gram matrix is built only when a caller reads it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from functools import cached_property
 from operator import mul
 
 from .exterior import SymplecticSpace
-from .linalg import (Matrix, Subspace, _gauss_jordan, int_image_and_lifts, kernel, over_lcd, over_pivots,
+from .linalg import (Matrix, Subspace, _bareiss, _gauss_jordan, int_image_and_lifts, over_lcd, over_pivots,
                      unit_vector)
 
 
@@ -39,14 +41,13 @@ def _times_form(space: SymplecticSpace, rows) -> list[list[int]]:
     return out
 
 
-def _gram(space: SymplecticSpace, left, right, scales) -> Matrix:
-    """omega(x_i, y_j) for x_i = left_i / scales_i and y_j = right_j / scales_j:
-    X_i = L x_i and Y_j = L y_j over one denominator L (``over_lcd``) pair
-    under d * form to d L^2 omega(x_i, y_j)."""
+def _gram(space: SymplecticSpace, left, right, scales) -> tuple[list[list[int]], int]:
+    """(G, D) with G / D the matrix omega(x_i, y_j) for x_i = left_i / scales_i
+    and y_j = right_j / scales_j: X_i = L x_i and Y_j = L y_j over one
+    denominator L (``over_lcd``) pair under d * form to d L^2 omega(x_i, y_j)."""
     blocks, big = over_lcd([([r], s) for r, s in zip([*left, *right], [*scales, *scales])])
     xs, ys = [r for (r,) in blocks[:len(left)]], [r for (r,) in blocks[len(left):]]
-    gram = [[sum(map(mul, x, y)) for y in ys] for x in _times_form(space, xs)]
-    return Matrix.from_int_rows(gram, space.int_form[1] * big * big, len(right))
+    return [[sum(map(mul, x, y)) for y in ys] for x in _times_form(space, xs)], space.int_form[1] * big * big
 
 
 def is_isotropic(space: SymplecticSpace, s: Subspace) -> bool:
@@ -103,19 +104,29 @@ class LagrangianDecomposition:
 
 @dataclass(frozen=True)
 class QuadricOnSubspace:
-    """A quadric inside P(span) with a symmetric Gram matrix on the span basis."""
+    """A quadric inside P(span) with a symmetric Gram matrix on the span's
+    RREF basis: ``int_gram`` = (rows of ints or Fractions, den > 0), put in
+    lowest terms by ``over_lcd`` so that equal quadrics hold equal rows."""
 
     ambient_dim: int
     span: Subspace
-    gram: Matrix
+    int_gram: tuple
 
     def __post_init__(self):
         if self.span.ambient_dim != self.ambient_dim:
             raise ValueError("span ambient mismatch")
-        if self.gram.rows != self.span.dim or self.gram.cols != self.span.dim:
+        rows, den = self.int_gram
+        k = self.span.dim
+        if len(rows) != k or any(len(r) != k for r in rows):
             raise ValueError("Gram size differs from span dimension")
-        if not (self.gram.is_symmetric() or self.gram.rows == 0):
+        if any(rows[i][j] != rows[j][i] for i in range(k) for j in range(i)):
             raise ValueError("Gram matrix is not symmetric")
+        (rows,), den = over_lcd([(rows, den)])
+        object.__setattr__(self, "int_gram", (tuple(map(tuple, rows)), den))
+
+    @cached_property
+    def gram(self) -> Matrix:
+        return Matrix.from_int_rows(*self.int_gram, self.span.dim)
 
     @property
     def span_dim(self) -> int:
@@ -123,18 +134,19 @@ class QuadricOnSubspace:
 
     @property
     def corank(self) -> int:
-        return self.span.dim - self.gram.rank()
+        return self.span.dim - _bareiss(self.int_gram[0])[0]
 
     def kernel_subspace(self) -> Subspace:
-        """Kernel of the form, lifted to ambient coordinates."""
-        k = kernel(self.gram)
-        return Subspace.from_rows(
-            self.ambient_dim, [self.span.basis.left_apply(row) for row in k.basis.data]
-        )
+        """Kernel of the form, lifted to ambient coordinates: a null row c of
+        the gram gives sum_i c_i B_i for the span's ``scaled_rows`` B_i."""
+        null = Subspace.from_rows(self.span.dim, self.int_gram[0]).annihilator()
+        cols = list(zip(*self.span.scaled_rows[0]))
+        return Subspace.from_rows(self.ambient_dim, [[sum(map(mul, c, col)) for col in cols] for c in null.int_rows])
 
 
-def gram_on_lagrangian(dec: LagrangianDecomposition, a: Subspace) -> Matrix:
-    """Gram of the bilinear form omega(pr1 x, pr2 y) on the basis of a."""
+def gram_on_lagrangian(dec: LagrangianDecomposition, a: Subspace) -> tuple[list[list[int]], int]:
+    """Gram of the bilinear form omega(pr1 x, pr2 y) on the basis of a, as
+    integer rows over a denominator."""
     p1, p2, den = dec.project_rows(a.int_rows)
     return _gram(dec.space, p1, p2, [den * row[c] for row, c in zip(a.int_rows, a.pivots)])
 
@@ -184,20 +196,32 @@ def dual_quadric_via_pairing(
     The symplectic form restricts to a perfect pairing between l1 and l2;
     the dual of (span W, kernel K, form g) is supported on the annihilator of
     K in the opposite summand, has kernel the annihilator of W, and its form
-    is the inverse of g on W/K transported through the pairing.
+    is the inverse of g on W/K transported through the pairing: for the span
+    rows w_i at a set idx of pivot columns of g, which represent a basis of
+    W/K, and the RREF basis y_a of the dual span, it is Phi^T g_idx^-1 Phi
+    with Phi[i][a] = omega(w_i, y_a).
+
+    In integers, with w_i = B_i / L and y_a = Y_a / M (``scaled_rows``), the
+    form F / d (``int_form``) and g = G / D, Phi = phi / e for the integer
+    phi = B_idx F Y^T and e = L M d.  One Gauss-Jordan of [G_idx | phi]
+    (``int_image_and_lifts``) gives G_idx^-1 phi = X / S, its rows over the
+    lcm S of their pivots, so the dual form is D phi^T X / (S e^2).
     """
     space = dec.space
     src, dst = (dec.l1, dec.l2) if side == 1 else (dec.l2, dec.l1)
     if not src.contains_subspace(q.span):
         raise ValueError("quadric does not live on the declared summand")
     dual_span = pairing_annihilator_in(space, q.kernel_subspace(), dst)
-    # the span rows at the pivot columns of the symmetric g represent a basis
-    # of span/kernel, and g is invertible on them; phi[i][a] = omega(w_i, y_a)
-    idx = q.gram.rref()[2]
-    phi = Matrix([q.span.basis.data[i] for i in idx], cols=space.total_dim) * space.form
-    phi = phi * dual_span.basis.transpose()
-    g = Matrix([[q.gram.data[i][j] for j in idx] for i in idx], cols=len(idx))
-    return QuadricOnSubspace(space.total_dim, dual_span, phi.transpose() * g.inverse() * phi)
+    rows, den = q.int_gram
+    idx = Subspace.from_rows(q.span.dim, rows).pivots
+    basis, ys = q.span.scaled_rows[0], dual_span.scaled_rows[0]
+    phi = [[sum(map(mul, x, y)) for y in ys] for x in _times_form(space, [basis[i] for i in idx])]
+    k = len(idx)
+    image, lifts = int_image_and_lifts([[rows[i][j] for j in idx] + p for i, p in zip(idx, phi)], k)
+    xs, big = over_pivots(lifts, image.pivots)
+    e, m = space.int_form[1] * q.span.scaled_rows[1] * dual_span.scaled_rows[1], dual_span.dim
+    gram = [[den * sum(p[a] * x[k + b] for p, x in zip(phi, xs)) for b in range(m)] for a in range(m)]
+    return QuadricOnSubspace(space.total_dim, dual_span, (gram, big * e * e))
 
 
 def standard_doubled_space(m: int) -> LagrangianDecomposition:
@@ -216,9 +240,11 @@ def lagrangian_from_quadric(q: QuadricOnSubspace) -> Subspace:
     """
     m = q.ambient_dim
     at = {p: j for j, p in enumerate(q.span.pivots)}  # q(x) at e_p is the gram column of pivot p
-    rows = [w + [g[at[p]] if p in at else 0 for p in range(m)]
-            for w, g in zip(q.span.basis_rows(), q.gram.data)]
-    rows += [[0] * m + f for f in q.span.annihilator().basis_rows()]
+    (basis, big), (grams, den) = q.span.scaled_rows, q.int_gram
+    # the graph row (B_r / L, g_r / D) of the RREF row B_r / L, times L D
+    rows = [[den * x for x in b] + [big * g[at[p]] if p in at else 0 for p in range(m)]
+            for b, g in zip(basis, grams)]
+    rows += [[0] * m + list(f) for f in q.span.annihilator().int_rows]
     return Subspace.from_rows(2 * m, rows)
 
 

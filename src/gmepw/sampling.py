@@ -1,4 +1,5 @@
-"""Seeded random generators for matrices, subspaces, and Lagrangians.
+"""Seeded random generators for vectors, integer matrices, subspaces, and
+Lagrangians.
 
 Randomness always flows through an explicit ``random.Random`` instance so
 that every test and CLI run is reproducible from its seed.
@@ -10,7 +11,7 @@ import random
 from fractions import Fraction
 
 from .exterior import SymplecticSpace
-from .linalg import Matrix, Subspace
+from .linalg import Subspace, det_int
 from .quadrics import LagrangianDecomposition, is_lagrangian, omega_orthogonal
 
 
@@ -33,29 +34,27 @@ def random_nonzero_vector(rng: random.Random, n: int, height: int = 5) -> list[F
             return v
 
 
-def random_matrix(rng: random.Random, rows: int, cols: int, height: int = 5) -> Matrix:
-    return Matrix([[random_int_fraction(rng, height) for _ in range(cols)] for _ in range(rows)])
+def _random_rows(rng: random.Random, n: int, height: int) -> list[list[int]]:
+    return [[rng.randint(-height, height) for _ in range(n)] for _ in range(n)]
 
 
-def random_invertible(rng: random.Random, n: int, height: int = 5) -> Matrix:
+def random_invertible(rng: random.Random, n: int, height: int = 5) -> list[list[int]]:
+    """Random invertible integer rows."""
     while True:
-        m = random_matrix(rng, n, n, height)
-        if m.det() != 0:
+        m = _random_rows(rng, n, height)
+        if det_int(m) != 0:
             return m
 
 
-def random_symmetric(rng: random.Random, n: int, height: int = 5, rank: int | None = None) -> Matrix:
-    """Random symmetric matrix, optionally of prescribed (generic) rank."""
+def random_symmetric(rng: random.Random, n: int, height: int = 5, rank: int | None = None) -> list[list[int]]:
+    """Random symmetric integer rows, optionally of prescribed (generic)
+    rank: T^t diag(d_1, ..., d_rank, 0, ...) T for an invertible T."""
     if rank is None:
-        m = random_matrix(rng, n, n, height)
-        return Matrix(
-            [[m.data[i][j] + m.data[j][i] for j in range(n)] for i in range(n)]
-        )
-    d = Matrix.zero(n, n)
-    for i in range(rank):
-        d.data[i][i] = Fraction(rng.choice([1, 2, -1, 3]))
+        m = _random_rows(rng, n, height)
+        return [[m[i][j] + m[j][i] for j in range(n)] for i in range(n)]
+    d = [rng.choice([1, 2, -1, 3]) for _ in range(rank)]
     t = random_invertible(rng, n, 2)
-    return t.transpose() * d * t
+    return [[sum(c * r[i] * r[j] for c, r in zip(d, t)) for j in range(n)] for i in range(n)]
 
 
 def symplectic_basis(space: SymplecticSpace) -> tuple[list, list]:
@@ -119,8 +118,8 @@ def random_lagrangian(
     for i in range(m):
         v = list(ps[i])
         for j in range(m):
-            if s.data[i][j] != 0:
-                v = [x + s.data[i][j] * y for x, y in zip(v, qs[j])]
+            if s[i][j] != 0:
+                v = [x + s[i][j] * y for x, y in zip(v, qs[j])]
         rows.append(v)
     lag = Subspace.from_rows(space.total_dim, rows)
     if not is_lagrangian(space, lag):

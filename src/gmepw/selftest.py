@@ -45,7 +45,7 @@ from .fixtures import (
     threefold,
 )
 from .gm import ORDINARY, SPECIAL, discriminant_on_line, hull_point_sample, membership, validate
-from .linalg import Subspace, _bareiss, kernel, unit_vector
+from .linalg import Subspace, _bareiss, unit_vector
 from .polynomials import Poly
 from .quadrics import (
     QuadricOnSubspace,
@@ -82,10 +82,8 @@ def fixtures_validate() -> str:
 def _quadric_battery(dec, a) -> QuadricOnSubspace:
     """Kernel of the pairing form = a meet l1 + a meet l2, and the pairing
     dual of the first quadric is the second; returns the first quadric."""
-    g = gram_on_lagrangian(dec, a)
-    _require(g.is_symmetric(), "pairing form not symmetric")
-    ker_rows = [a.basis.left_apply(r) for r in kernel(g).basis.data]
-    lhs = Subspace.from_rows(a.ambient_dim, ker_rows)
+    # the pairing form as a quadric on a, whose constructor checks symmetry
+    lhs = QuadricOnSubspace(a.ambient_dim, a, gram_on_lagrangian(dec, a)).kernel_subspace()
     _require(lhs == a.intersect(dec.l1) + a.intersect(dec.l2), "kernel differs from the meets")
     q1, q2 = quadric_pair_from_lagrangian(dec, a)
     d2 = dual_quadric_via_pairing(dec, q1, 1)
@@ -110,7 +108,7 @@ def quadric_correspondence(
             q1 = _quadric_battery(dec, a)
             # round trip of the explicit graph construction
             small = Subspace.from_rows(m, [r[:m] for r in q1.span.basis_rows()])
-            rebuilt = lagrangian_from_quadric(QuadricOnSubspace(m, small, q1.gram))
+            rebuilt = lagrangian_from_quadric(QuadricOnSubspace(m, small, q1.int_gram))
             _require(rebuilt == a, "graph rebuild differs from the Lagrangian")
             total += 1
     space = wedge_symplectic_space()
@@ -343,9 +341,9 @@ CHECKS = (
 )
 
 
-def run_selftest() -> list[bool]:
-    """Run every check at its default size, printing one line each; returns
-    whether each check passed."""
+def run_selftest(out) -> list[bool]:
+    """Run every check at its default size, printing one line each to the
+    text stream out; returns whether each check passed."""
     results = []
     for check in CHECKS:
         name = check.__name__.replace("_", " ")
@@ -356,6 +354,6 @@ def run_selftest() -> list[bool]:
         except Exception as exc:  # noqa: BLE001 - report, do not crash the suite
             detail = f"{type(exc).__name__}: {exc}"
             ok = False
-        print(f"{'PASS' if ok else 'FAIL'}  {name:40s} {detail} ({time.perf_counter() - t0:.2f}s)")
+        print(f"{'PASS' if ok else 'FAIL'}  {name:40s} {detail} ({time.perf_counter() - t0:.2f}s)", file=out)
         results.append(ok)
     return results

@@ -28,11 +28,12 @@ def corank2_lagrangian() -> LagrangianData:
     u1 = e6_wedge([((1, 2), Fraction(1)), ((3, 4), Fraction(1))])
     u2 = e6_wedge([((1, 3), Fraction(1)), ((2, 4), Fraction(1))])
     f_rows = [_dual_basis_row(j) for j in range(10)]
-    cs = [oracles.solve(Matrix(f_rows).transpose(), u) for u in (u1, u2)]
+    cs = [oracles.solve(oracles.transpose(Matrix(f_rows)), u) for u in (u1, u2)]
     s0 = Matrix([[Fraction(2 + (i * j) % 5) if i == j else Fraction((i + 2 * j) % 3) for j in range(10)] for i in range(10)])
     s0 = Matrix([[s0.data[i][j] + s0.data[j][i] for j in range(10)] for i in range(10)])
-    c = Matrix.from_cols(cs)
-    t = s0 - s0 * c * (c.transpose() * s0 * c).inverse() * c.transpose() * s0
+    c = oracles.from_cols(cs)
+    ct = oracles.transpose(c)
+    t = oracles.sub(s0, oracles.mul(s0, c, oracles.inverse(oracles.mul(ct, s0, c)), ct, s0))
     rows = []
     for j in range(10):
         row = list(f_rows[j])
@@ -56,6 +57,6 @@ def stratum_point_lagrangian() -> LagrangianData:
                 s[i][j] = base.data[i][j] + base.data[j][i] + (Fraction(2) if i == j else Fraction(0))
     s[0][6] = s[6][0] = Fraction(1)
     sm = Matrix(s)
-    assert sm.is_symmetric()
-    rows = [graph_row(i, sm.row(i)) for i in range(10)]
+    assert oracles.is_symmetric(sm)
+    rows = [graph_row(i, sm.data[i]) for i in range(10)]
     return LagrangianData(a=Subspace.from_rows(20, rows), a1=A1_ZERO)

@@ -3,13 +3,120 @@ layer of ``gmepw`` replaced, kept here to check it against."""
 
 from fractions import Fraction
 
-from gmepw.exterior import monomial, top_pairing, wedge
+from gmepw.exterior import monomial, monomials, top_pairing, wedge
 from gmepw.gm import GMData, ValidationReport
-from gmepw.linalg import Matrix, vec, vec_dot
+from gmepw.linalg import Matrix, vec
+
+# The ``Fraction`` matrix algebra that ``linalg.Matrix`` carried before the
+# library moved onto integer rows: the former methods as plain functions.
 
 
 def identity(n: int) -> Matrix:
     return Matrix([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
+
+
+def zero(rows: int, cols: int) -> Matrix:
+    return Matrix([[0] * cols for _ in range(rows)], cols=cols)
+
+
+def from_cols(cols) -> Matrix:
+    return Matrix([list(r) for r in zip(*cols, strict=True)])
+
+
+def col(m: Matrix, j: int) -> list[Fraction]:
+    return [row[j] for row in m.data]
+
+
+def copy_data(m: Matrix) -> list[list[Fraction]]:
+    return [list(row) for row in m.data]
+
+
+def vec_dot(a, b) -> Fraction:
+    return sum((x * y for x, y in zip(a, b, strict=True)), Fraction(0))
+
+
+def transpose(m: Matrix) -> Matrix:
+    return Matrix([list(c) for c in zip(*m.data)], cols=m.rows) if m.rows and m.cols else zero(m.cols, m.rows)
+
+
+def sub(a: Matrix, b: Matrix) -> Matrix:
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise ValueError("shape mismatch")
+    return Matrix([[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a.data, b.data)], cols=a.cols)
+
+
+def mul(a: Matrix, *others: Matrix) -> Matrix:
+    """The product of the matrices, left to right."""
+    for b in others:
+        if a.cols != b.rows:
+            raise ValueError(f"shape mismatch {a.rows}x{a.cols} * {b.rows}x{b.cols}")
+        a = Matrix([[vec_dot(row, c) for c in zip(*b.data)] if b.rows else [0] * b.cols for row in a.data],
+                   cols=b.cols)
+    return a
+
+
+def apply(m: Matrix, v) -> list[Fraction]:
+    """Matrix times column vector."""
+    if len(v) != m.cols:
+        raise ValueError("vector length mismatch")
+    return [vec_dot(row, v) for row in m.data]
+
+
+def left_apply(m: Matrix, v) -> list[Fraction]:
+    """Row vector times matrix."""
+    if len(v) != m.rows:
+        raise ValueError("vector length mismatch")
+    return [vec_dot(v, c) for c in zip(*m.data)] if m.rows else [Fraction(0)] * m.cols
+
+
+def is_symmetric(m: Matrix) -> bool:
+    return m.rows == m.cols and all(m.data[i][j] == m.data[j][i] for i in range(m.rows) for j in range(i))
+
+
+def inverse(m: Matrix) -> Matrix:
+    """The inverse by Gauss-Jordan over ``Fraction`` on [m | identity]."""
+    if m.rows != m.cols:
+        raise ValueError("inverse of a non-square matrix")
+    n = m.rows
+    aug = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(m.data)]
+    for c in range(n):
+        p = next((i for i in range(c, n) if aug[i][c]), None)
+        if p is None:
+            raise ValueError("matrix is singular")
+        aug[c], aug[p] = aug[p], aug[c]
+        aug[c] = [x / aug[c][c] for x in aug[c]]
+        for i in range(n):
+            if i != c and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
+    return Matrix([r[n:] for r in aug], cols=n)
+
+
+def random_matrix(rng, rows: int, cols: int, height: int = 5) -> Matrix:
+    """The former ``sampling.random_matrix``: entries drawn row by row."""
+    return Matrix([[rng.randint(-height, height) for _ in range(cols)] for _ in range(rows)], cols=cols)
+
+
+def form(space) -> Matrix:
+    """The ``Fraction`` matrix of a ``SymplecticSpace``'s form."""
+    nonzero, d = space.int_form
+    n = space.total_dim
+    return Matrix.from_int_rows([[dict(r).get(j, 0) for j in range(n)] for r in nonzero], d, n)
+
+
+def exterior_power_matrix(f: Matrix, degree: int) -> Matrix:
+    """The induced ``Fraction`` matrix on the exterior power; column I is the
+    wedge of the columns of f at I, in monomial order."""
+    if f.rows != f.cols:
+        raise ValueError("change of basis must be square")
+    n = f.rows
+    cols = []
+    for m in monomials(n, degree):
+        acc = col(f, m[0])
+        for p, i in enumerate(m[1:], start=1):
+            acc = wedge(n, p, 1, acc, col(f, i))
+        cols.append(acc)
+    return from_cols(cols)
 
 
 def scale(m: Matrix, c) -> Matrix:
@@ -25,7 +132,7 @@ def solve(m: Matrix, b) -> list[Fraction] | None:
     """The particular solution of m x = b read off the RREF of [m | b], free
     coordinates 0, or None if inconsistent."""
     assert len(b) == m.rows
-    red, _, pivots = Matrix([row + [Fraction(x)] for row, x in zip(m.copy_data(), b)]).rref()
+    red, _, pivots = Matrix([row + [Fraction(x)] for row, x in zip(copy_data(m), b)]).rref()
     if m.cols in pivots:
         return None
     x = [Fraction(0)] * m.cols
@@ -36,7 +143,7 @@ def solve(m: Matrix, b) -> list[Fraction] | None:
 
 def q_of(d: GMData, v) -> Matrix:
     """q(v) as the sum of the six scaled ``Fraction`` matrices."""
-    acc = Matrix.zero(d.w_dim, d.w_dim)
+    acc = zero(d.w_dim, d.w_dim)
     for c, m in zip(vec(v), d.q, strict=True):
         if c != 0:
             acc = add(acc, scale(m, c))
@@ -46,7 +153,7 @@ def q_of(d: GMData, v) -> Matrix:
 def plucker_gram(mu: Matrix, i: int, epsilon) -> Matrix:
     """epsilon * top(e_i ^ mu(w_a) ^ mu(w_b)) over the ``Fraction`` columns of mu."""
     ei = monomial(5, (i,))
-    cols = [mu.col(b) for b in range(mu.cols)]
+    cols = [col(mu, b) for b in range(mu.cols)]
     paired = [[vec_dot(t, c) for t in top_pairing(5, 3)] for c in cols]
     return Matrix([[epsilon * vec_dot(wedge(5, 1, 2, ei, a), p) for p in paired] for a in cols], cols=mu.cols)
 
@@ -57,7 +164,7 @@ def validate_identities(d: GMData, grams=None) -> ValidationReport:
     grams of ``plucker_gram`` may be passed in when many data share mu and
     epsilon."""
     for i, m in enumerate(d.q):
-        if not m.is_symmetric():
+        if not is_symmetric(m):
             return ValidationReport(False, None, f"q(e{i+1}) is not symmetric")
     grams = grams or [plucker_gram(d.mu, i, d.epsilon) for i in range(5)]
     for i in range(5):
@@ -104,7 +211,7 @@ def hull_point_sample(d: GMData, seed) -> list[Fraction]:
     from gmepw.sampling import random_nonzero_vector, rng_from_seed
 
     rng = rng_from_seed(seed)
-    ann = Subspace.from_rows(L2V5_DIM, [d.mu.col(j) for j in range(d.w_dim)]).annihilator().int_rows
+    ann = Subspace.from_rows(L2V5_DIM, [col(d.mu, j) for j in range(d.w_dim)]).annihilator().int_rows
     for _ in range(100):
         v1 = random_nonzero_vector(rng, 5, 4)
         wedges = [wedge(5, 1, 1, v1, monomial(5, (j,))) for j in range(5)]

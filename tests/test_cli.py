@@ -9,6 +9,7 @@ any kernel must reproduce them byte for byte.
 
 import io
 import json
+import re
 from fractions import Fraction
 import os
 import subprocess
@@ -200,7 +201,7 @@ def _framed(frame) -> str:
 
 
 def test_singular_frame_is_input_error(monkeypatch, capsys):
-    code, out, err = run_main(["dim-report"], _framed(Matrix.zero(6, 6)), monkeypatch, capsys)
+    code, out, err = run_main(["dim-report"], _framed(oracles.zero(6, 6)), monkeypatch, capsys)
     assert code == cli.EXIT_INPUT
     assert out == ""
     assert err.startswith("input error: lagrangian_data.frame")
@@ -208,11 +209,10 @@ def test_singular_frame_is_input_error(monkeypatch, capsys):
 
 @pytest.mark.parametrize("command", ["dim-report", "dualize"])
 def test_frame_is_applied_as_apply_frame_does(command, monkeypatch, capsys):
-    shear = oracles.identity(6).copy_data()
+    shear = [[int(i == j) for j in range(6)] for i in range(6)]
     shear[5][0] = 1  # e1 -> e1 + e6
-    shear = Matrix(shear)
     moved = LagrangianData(a=apply_frame(fivefold_lagrangian().a, shear), a1=A1_ZERO)
-    code, out, _ = run_main([command], _framed(shear), monkeypatch, capsys)
+    code, out, _ = run_main([command], _framed(Matrix(shear)), monkeypatch, capsys)
     assert code == cli.EXIT_OK
     assert out == run_main([command], gio.emit(gio.Document("lagrangian_data", moved)), monkeypatch, capsys)[1]
 
@@ -273,6 +273,52 @@ def test_selftest_passes(monkeypatch, capsys):
     code, out, _ = run_main(["selftest"], "", monkeypatch, capsys)
     assert code == cli.EXIT_OK
     assert out.splitlines()[-1] == "12/12 checks passed"
+
+
+# the selftest report, one line per check and the tally, less the timings
+SELFTEST_REPORT = [f"PASS  {name:40s} {detail}" for name, detail in [
+    ("fixtures validate", "4 fixtures valid"),
+    ("quadric correspondence", "quadric correspondence exact on 10 Lagrangians in dims 4,6,8,20"),
+    ("round trips", "round trips exact on 4 fixtures both ways"),
+    ("kernel and stratum identity", "corank = stratum and pointwise discriminant = sextic on 4 fixtures"),
+    ("dimension formula", "dimension formula incl. the odd-tag shift"),
+    ("degree certificates", "1 sextic line and 1 quartic pencil certificates"),
+    ("discriminant division", "exact hyperplane-power division, quotient degree <= 6, 1 lines x 4 fixtures"),
+    ("duality suite", "orthogonal involution, 10 hyperplane and 10 plane dualities"),
+    ("fibration two path", "16 two-path agreements plus engineered exceptional points"),
+    ("hyperplane updates", "10 hyperplane updates: meet dim 9 and Lagrangian"),
+    ("hull sampling", "10 hull samples per ordinary fixture satisfy all hyperplane quadrics"),
+    ("sigma fixture form", "distinguished rank-4 form present"),
+]] + ["12/12 checks passed"]
+
+
+def untimed(text: str) -> list[str]:
+    return [re.sub(r" \(\d+\.\d\ds\)$", "", line) for line in text.splitlines()]
+
+
+def test_selftest_report_save_timings(monkeypatch, capsys):
+    code, out, err = run_main(["selftest"], "", monkeypatch, capsys)
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert untimed(out) == SELFTEST_REPORT
+
+
+@pytest.mark.parametrize("fault", [False, True], ids=["passing", "planted-fault"])
+def test_selftest_writes_its_report_to_the_output_path(fault, tmp_path, monkeypatch, capsys):
+    from gmepw import selftest
+
+    if fault:
+        level = selftest.y_dual_stratum
+        monkeypatch.setattr(selftest, "y_dual_stratum", lambda a, v5p: level(a, v5p) + 1)
+    path = tmp_path / "report.txt"
+    code, out, err = run_main(["selftest", "-o", str(path)], "", monkeypatch, capsys)
+    assert (out, err) == ("", "")
+    lines = untimed(path.read_text(encoding="utf-8"))
+    if fault:
+        assert code == cli.EXIT_VIOLATION
+        assert lines[-1] == "11/12 checks passed" and any(line.startswith("FAIL  duality suite") for line in lines)
+    else:
+        assert code == cli.EXIT_OK
+        assert lines == SELFTEST_REPORT
 
 
 def test_from_lagrangian_without_gm_variety_is_violation(monkeypatch, capsys):

@@ -132,7 +132,7 @@ def random_3space(rng, inside: Subspace) -> Subspace:
     """A random 3-space of the span of `inside`."""
     while True:
         coeffs = [random_nonzero_vector(rng, inside.dim, 3) for _ in range(3)]
-        u = Subspace.from_rows(6, [inside.basis.left_apply(c) for c in coeffs])
+        u = Subspace.from_rows(6, [oracles.left_apply(inside.basis, c) for c in coeffs])
         if u.dim == 3:
             return u
 
@@ -610,11 +610,11 @@ def charts(kind, base, direction):
 def chart_certificate(a, kind, base, direction, chart) -> Poly:
     """The certificate through a given chart, by rational determinants of the
     pairing against the wedge generators on the nodes 0..10."""
-    pair = Matrix([Matrix(top_pairing(6, 3)).left_apply(r) for r in a.basis_rows()])
+    pair = Matrix([oracles.left_apply(Matrix(top_pairing(6, 3)), r) for r in a.basis_rows()])
 
     def det_at(t):
         gens = Matrix(chart_gens(kind, base, direction, chart, t))
-        return (pair * gens.transpose()).det()
+        return oracles.mul(pair, oracles.transpose(gens)).det()
 
     d = oracles.newton_interpolate([(t, det_at(t)) for t in range(11)])
     return oracles.exact_div(d, chart_coordinate(kind, base, direction, chart) ** EXPONENT[kind]).primitive()
@@ -634,7 +634,7 @@ def test_membership_poly_equals_rational_pairing_determinant():
     from gmepw.epw import _lagrangian_family_gens, _membership_poly
 
     a = sigma_fixture_lagrangian().a
-    pair_rows = [Matrix(top_pairing(6, 3)).left_apply(r) for r in a.basis_rows()]
+    pair_rows = [oracles.left_apply(Matrix(top_pairing(6, 3)), r) for r in a.basis_rows()]
     for kind, (base, direction) in RATIONAL_FAMILIES.items():
         chart = charts(kind, base, direction)[0]
         c = chart_coordinate(kind, base, direction, chart)
@@ -651,7 +651,7 @@ def test_membership_poly_equals_rational_pairing_determinant():
             scale *= clear_denominators(row)[1]
         for t in (Fraction(0), Fraction(7), Fraction(-5, 3)):
             gen_rows = Matrix(chart_gens(kind, base, direction, chart, t))
-            assert d(t) == scale * (Matrix(pair_rows) * gen_rows.transpose()).det() != 0
+            assert d(t) == scale * oracles.mul(Matrix(pair_rows), oracles.transpose(gen_rows)).det() != 0
         assert Poly(list(lib_chart)).primitive() == c.primitive()
         f = stratum_poly_on_line(a, base, direction, kind, seed=8).poly
         expected = c ** EXPONENT[kind] * f

@@ -41,6 +41,14 @@ def neg(x):
     return [-c for c in x]
 
 
+def int_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def identity_rows(n: int):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 def test_monomial_order_is_lexicographic():
     mons = monomials(6, 3)
     assert len(mons) == 20
@@ -108,7 +116,7 @@ def test_symplectic_gram_antidiagonal_signs():
             if expected_nonzero:
                 assert j == 19 - i
                 assert g[i][j] in (1, -1)
-    assert Matrix(g).transpose() == Matrix([[-x for x in row] for row in g])
+    assert oracles.transpose(Matrix(g)) == Matrix([[-x for x in row] for row in g])
     assert det_int(g) != 0
 
 
@@ -116,12 +124,12 @@ def test_symplectic_space_integer_form_and_validation():
     space = SymplecticSpace([])
     assert (space.total_dim, space.int_form) == (0, ([], 1))
     empty = SymplecticSpace([], 5)
-    assert (empty.total_dim, empty.form) == (0, Matrix.zero(0, 0))
+    assert (empty.total_dim, oracles.form(empty)) == (0, oracles.zero(0, 0))
     half = SymplecticSpace([[0, 1], [-1, 0]], 2)
     assert half.int_form == ([[(1, 1)], [(0, -1)]], 2)
-    assert half.form == Matrix([[0, Fraction(1, 2)], [Fraction(-1, 2), 0]])
+    assert oracles.form(half) == Matrix([[0, Fraction(1, 2)], [Fraction(-1, 2), 0]])
     built = SymplecticSpace([[0, 3], [-3, 0]], 6)
-    assert built.form == half.form and built.omega([1, 0], [0, 1]) == Fraction(1, 2)
+    assert oracles.form(built) == oracles.form(half) and built.omega([1, 0], [0, 1]) == Fraction(1, 2)
     for rows in ([[0, 1], [1, 0]], [[1, 0], [0, -1]], [[0, 0], [0, 0]]):
         with pytest.raises(ValueError):
             SymplecticSpace(rows, 1)
@@ -150,7 +158,7 @@ def test_lambda_rank_and_kernel(p):
     cols = []
     for m in monomials(6, p):
         cols.append(lambda_p(p, monomial(6, m)))
-    mat = Matrix.from_cols(cols)
+    mat = oracles.from_cols(cols)
     from math import comb
 
     assert mat.rank() == comb(5, p - 1)
@@ -280,8 +288,8 @@ def test_exterior_power_matrix_functorial():
     rng = rng_from_seed(31)
     f = random_invertible(rng, 6, 2)
     g = random_invertible(rng, 6, 2)
-    assert exterior_power_matrix(f * g, 3) == exterior_power_matrix(f, 3) * exterior_power_matrix(g, 3)
-    assert exterior_power_matrix(oracles.identity(6), 3) == oracles.identity(20)
+    assert exterior_power_matrix(int_mul(f, g), 3) == int_mul(exterior_power_matrix(f, 3), exterior_power_matrix(g, 3))
+    assert exterior_power_matrix(identity_rows(6), 3) == identity_rows(20)
 
 
 def wedge_by_merging(n: int, p: int, q: int, a, b) -> list[Fraction]:

@@ -39,7 +39,7 @@ import oracles
 
 
 def perturbed(d: GMData, i: int, a: int, b: int) -> GMData:
-    q = [Matrix(m.copy_data()) for m in d.q]
+    q = [Matrix(oracles.copy_data(m)) for m in d.q]
     q[i].data[a][b] += Fraction(1)
     q[i].data[b][a] += Fraction(1) if a != b else Fraction(0)
     return GMData(n=d.n, mu=d.mu, q=tuple(q), epsilon=d.epsilon)
@@ -74,7 +74,7 @@ def test_perturbation_detected_with_witness():
 
 def test_asymmetric_q_detected():
     d = fivefold()
-    q = [Matrix(m.copy_data()) for m in d.q]
+    q = [Matrix(oracles.copy_data(m)) for m in d.q]
     q[5].data[0][1] += 1
     rep = validate(GMData(n=5, mu=d.mu, q=tuple(q), epsilon=d.epsilon))
     assert not rep.ok and "symmetric" in rep.message
@@ -83,14 +83,14 @@ def test_asymmetric_q_detected():
 def test_classify_non_lci():
     # special shape but with a zero form on the kernel line
     d6 = sixfold_special()
-    q = [Matrix(m.copy_data()) for m in d6.q]
+    q = [Matrix(oracles.copy_data(m)) for m in d6.q]
     q[5].data[10][10] = Fraction(0)
     assert classify(GMData(n=6, mu=d6.mu, q=tuple(q), epsilon=d6.epsilon)) == NON_LCI
 
 
 def blocks(d: GMData, w: Subspace) -> tuple[Matrix, ...]:
     """The q matrices written on the RREF basis of a summand of W."""
-    return tuple(w.basis * m * w.basis.transpose() for m in d.q)
+    return tuple(oracles.mul(w.basis, m, oracles.transpose(w.basis)) for m in d.q)
 
 
 def test_split_ordinary():
@@ -108,7 +108,7 @@ def test_split_special_block_diagonal():
     assert w0.dim == 10
     q1 = blocks(d, w1)
     assert q1[5] == Matrix([[1]])
-    assert all(q1[i] == Matrix.zero(1, 1) for i in range(5))
+    assert all(q1[i] == oracles.zero(1, 1) for i in range(5))
     # block structure: cross terms of q(e6) between the summands vanish
     g = d.q[5]
     k = w1.basis_rows()[0]
@@ -143,12 +143,12 @@ def test_kernel_rows_of_the_plucker_quadrics_vanish(name):
     assert validate(d).ok
     for k in d.ker_mu.basis_rows():
         for g in plucker_grams(d.int_mu[0]):
-            assert not any(Matrix(g).left_apply(k))
+            assert not any(oracles.left_apply(Matrix(g), k))
 
 
 def test_split_rejects_non_lci():
     d6 = sixfold_special()
-    q = [Matrix(m.copy_data()) for m in d6.q]
+    q = [Matrix(oracles.copy_data(m)) for m in d6.q]
     q[5].data[10][10] = Fraction(0)
     with pytest.raises(GmError):
         split_w(GMData(n=6, mu=d6.mu, q=tuple(q), epsilon=d6.epsilon))
@@ -160,7 +160,7 @@ def test_quadric_at_defining_identity():
     for i in range(5):
         g = oracles.plucker_gram(d.mu, i, d.epsilon)
         assert d.q_of(unit_vector(6, i)) == g
-    assert d.q_of([0] * 6) == Matrix.zero(10, 10)
+    assert d.q_of([0] * 6) == oracles.zero(10, 10)
     assert d.q_of(unit_vector(6, 5)) == oracles.identity(10)
     # linearity in v
     va = random_nonzero_vector(rng, 6, 4)
@@ -172,7 +172,7 @@ def test_quadric_at_defining_identity():
 def plucker_by_wedges(mu: Matrix, i: int, epsilon: Fraction) -> Matrix:
     """epsilon * top(e_i ^ mu(w_a) ^ mu(w_b)), one pair of wedges per entry."""
     ei = monomial(5, (i,))
-    cols = [mu.col(a) for a in range(mu.cols)]
+    cols = [oracles.col(mu, a) for a in range(mu.cols)]
     return Matrix([[epsilon * wedge(5, 3, 2, wedge(5, 1, 2, ei, ca), cb)[0] for cb in cols] for ca in cols])
 
 
@@ -201,7 +201,7 @@ def test_membership_and_tangent():
     with pytest.raises(GmError):
         membership(d, [0] * 10)
     # gradient rank at a sampled hull point is at most 6 and usually >= 4
-    assert 1 <= Matrix([g.apply(w) for g in d.q]).rank() <= 6
+    assert 1 <= Matrix([oracles.apply(g, w) for g in d.q]).rank() <= 6
 
 
 def test_hull_points_satisfy_all_plucker_quadrics():
@@ -229,7 +229,7 @@ def test_opposite_round_trip():
 
 def test_opposite_rejects_non_lci():
     d6 = sixfold_special()
-    q = [Matrix(m.copy_data()) for m in d6.q]
+    q = [Matrix(oracles.copy_data(m)) for m in d6.q]
     q[5].data[10][10] = Fraction(0)
     with pytest.raises(GmError):
         opposite(GMData(n=6, mu=d6.mu, q=tuple(q), epsilon=d6.epsilon))
@@ -360,10 +360,10 @@ def test_discriminant_rejects_dependent_points():
 def test_discriminant_identically_zero_path():
     # a family singular everywhere: append a zero row/column to every form
     d = fivefold()
-    mu = Matrix([row + [Fraction(0)] for row in d.mu.copy_data()])
+    mu = Matrix([row + [Fraction(0)] for row in oracles.copy_data(d.mu)])
     qs = []
     for m in d.q:
-        block = [row + [Fraction(0)] for row in m.copy_data()]
+        block = [row + [Fraction(0)] for row in oracles.copy_data(m)]
         block.append([Fraction(0)] * 11)
         qs.append(Matrix(block))
     dd = GMData(n=6, mu=mu, q=tuple(qs), epsilon=d.epsilon)
@@ -425,7 +425,7 @@ def test_hull_sampler_resamples_on_thin_image():
         10,
         [unit_vector(10, i) for i in (0, 3, 5, 6, 8, 9)],
     )
-    mu = Matrix.from_cols(w_sub.basis_rows())
+    mu = oracles.from_cols(w_sub.basis_rows())
     qs = [oracles.plucker_gram(mu, i, Fraction(1)) for i in range(5)]
     rows = w_sub.basis_rows()
     q6 = Matrix(
@@ -459,7 +459,7 @@ def test_smooth_point_certificate_on_found_rational_point(corank2_lagrangian):
         Fraction(0),
     ]
     assert membership(d, w) == "on_x"
-    assert Matrix([g.apply(w) for g in d.q]).rank() == 4
+    assert Matrix([oracles.apply(g, w) for g in d.q]).rank() == 4
 
 
 # ---- the integer view against the Fraction formulas it replaced
@@ -487,7 +487,7 @@ def single_entry_perturbations(d: GMData, delta: Fraction):
                 for entries in ([(a, b)], [(a, b), (b, a)]):
                     if len(entries) == 2 and a >= b:
                         continue
-                    q = [Matrix._make(m.copy_data(), m.cols) for m in d.q]
+                    q = [Matrix(oracles.copy_data(m)) for m in d.q]
                     for x, y in entries:
                         q[i].data[x][y] += delta
                     yield GMData(n=d.n, mu=d.mu, q=tuple(q), epsilon=d.epsilon)
@@ -568,7 +568,7 @@ def diagonal_data(n: int, forms, den: int = 1) -> GMData:
     w = n + 5
     q = tuple(Matrix([[Fraction(forms[k][i], den) if k == j else 0 for j in range(w)] for k in range(w)])
               for i in range(6))
-    return GMData(n=n, mu=Matrix.zero(10, w), q=q)
+    return GMData(n=n, mu=oracles.zero(10, w), q=q)
 
 
 def line_outcome(fn, d, v_a, v_b):

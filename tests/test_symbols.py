@@ -11,13 +11,15 @@ that only tests read belongs in the tests.
 """
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "gmepw"
 
 # called from outside the package: the console entry point (pyproject.toml),
-# and the gcd that perfbench/spans.py wraps by name
-ALLOWED = {"cli.main", "polynomials.poly_gcd"}
+# the gcd, the kernel and the RREF that perfbench/spans.py wraps by name, and
+# the rank that perfbench/workloads.py reads
+ALLOWED = {"cli.main", "polynomials.poly_gcd", "linalg.kernel", "linalg.Matrix.rref", "linalg.Matrix.rank"}
 ANY_CLASS = "*"
 
 
@@ -93,6 +95,16 @@ def test_every_library_symbol_has_a_caller_in_src():
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
     assert "selftest" in trees and "cli" in trees
     assert unreferenced(trees) == []
+
+
+def test_every_allowed_name_has_a_reader_outside_src():
+    # an entry lives only while a benchmark file or the package metadata
+    # names it: every part of the dotted name is a word of one such file
+    root = SRC.parent.parent
+    texts = [p.read_text(encoding="utf-8") for p in [*sorted((root / "perfbench").glob("*.py")), root / "pyproject.toml"]]
+    for name in sorted(ALLOWED):
+        parts = name.split(".")
+        assert any(all(re.search(rf"\b{part}\b", text) for part in parts) for text in texts), name
 
 
 def attribute_uses(tree: ast.Module, module: str):
