@@ -1,6 +1,11 @@
 """The two quadric fibrations: exceptional-locus levels, and per-fiber
-ambient/corank reports computed twice (by isotropic reduction of the big
-graded space and by closed-form stratum arithmetic) and asserted equal.
+ambient/corank reports computed twice and asserted equal: by isotropic
+reduction of the big graded space along an isotropic I of its first summand,
+and by closed-form stratum arithmetic.  The reduction path reads the fiber
+as the second quadric of the lift A meet I-perp (``quadrics.isotropic_reduce``:
+on I-perp the projection to the second summand is the reduced one, so that
+quadric is the reduced second quadric) and builds no quotient; it calls none
+of the stratum or level functions, nor a rank modulo or meet dimension.
 """
 
 from __future__ import annotations
@@ -67,10 +72,11 @@ def _fiber_report(
 ) -> FiberReport:
     """Fiber data by isotropic reduction along iso20, a subspace of the 20
     three-form coordinates, asserted equal to the closed form: the reduced
-    second quadric spans P^(n + level + shift) and has corank stratum - level."""
+    second quadric, read on the lift A meet I-perp, spans
+    P^(n + level + shift) and has corank stratum - level."""
     iso = Subspace(22, [r + (0, 0) for r in iso20.int_rows], iso20.pivots)  # padding keeps the RREF
-    red = isotropic_reduce(extended_decomposition(), extended_lagrangian(ld), iso)
-    q2 = _induced_quadric(red.reduced, red.reduced_a, 2)
+    dec = extended_decomposition()
+    q2 = _induced_quadric(dec, isotropic_reduce(dec, extended_lagrangian(ld), iso), 2)
     ambient, corank = q2.span_dim - 1, q2.corank
     n = ld.dim_report.predicted_dim_x
     expected_ambient, expected_corank = n + level + shift, stratum - level

@@ -1,5 +1,12 @@
 """Lagrangian subspaces of a decomposed symplectic space, the associated
-projectively dual pairs of quadrics, and isotropic reduction.
+projectively dual pairs of quadrics, and isotropic reduction read off a lift.
+
+Reduction along an isotropic I inside the first summand never builds the
+quotient I-perp / I: ``isotropic_reduce`` returns the lift a meet I-perp,
+whose second quadric is the reduced second quadric (the lemma is derived in
+its docstring; side 1 does not transfer).  The explicit quotient model, with
+its reduced space and decomposition, lives in the test oracles as the
+reference the lift is checked against.
 
 A quadric is a subvariety of a (possibly empty) linear subspace P(W) of the
 ambient projective space, defined by a (possibly zero) symmetric form on W.
@@ -9,13 +16,14 @@ and Gram matrices refer to the RREF basis of the span.
 Integers inside, ``Fraction`` at the API edge, in ``linalg``'s one integer
 form: a rational matrix is integer rows over one common denominator.  The
 form is ``SymplecticSpace.int_form``; isotropy and symplectic orthogonals
-pair a subspace's primitive integer rows with it, and the reduced form of
-``isotropic_reduce``, the projector of a decomposition, projected rows and
-the gram of an induced quadric are integer rows over a denominator too,
-RREF rows put over the lcm of their pivots by ``linalg.over_pivots``.  A
-quadric holds its Gram matrix in that form, in lowest terms; its corank,
-kernel, projective dual and graph Lagrangian are computed from those rows,
-and the ``Fraction`` Gram matrix is built only when a caller reads it.
+pair a subspace's primitive integer rows with it, the equations of
+``isotropic_reduce`` are those rows paired with a's, and the projector of a
+decomposition (sparse columns), projected rows and the gram of an induced
+quadric are integer rows over a denominator too, RREF rows put over the lcm
+of their pivots by ``linalg.over_pivots``.  A quadric holds its Gram matrix
+in that form, in lowest terms; its corank, kernel, projective dual and graph
+Lagrangian are computed from those rows, and the ``Fraction`` Gram matrix is
+built only when a caller reads it.
 """
 
 from __future__ import annotations
@@ -85,20 +93,22 @@ class LagrangianDecomposition:
             raise ValueError("summands are not complementary")
 
     @cached_property
-    def _projector(self) -> tuple[list[tuple[int, ...]], int]:
-        """(the columns of P, D) for row k of P / D the projection pr1(e_k)
-        to l1 along l2: the lift of e_k through the stacked bases [l1; l2]
-        applied to [l1; 0], whose reduced row k has its pivot at k."""
+    def _projector(self) -> tuple[list[tuple[tuple[int, int], ...]], int]:
+        """(the columns of P as their non-zero (index, value) pairs, D) for
+        row k of P / D the projection pr1(e_k) to l1 along l2: the lift of
+        e_k through the stacked bases [l1; l2] applied to [l1; 0], whose
+        reduced row k has its pivot at k."""
         n = self.space.total_dim
         stack = [r + r for r in self.l1.int_rows] + [r + (0,) * n for r in self.l2.int_rows]
         rows, den = over_pivots(int_image_and_lifts(stack, n)[1], range(n))
-        return list(zip(*[row[n:] for row in rows])), den
+        return [tuple((k, x) for k, x in enumerate(c) if x) for c in zip(*[row[n:] for row in rows])], den
 
     def project_rows(self, rows) -> tuple[list[list[int]], list[list[int]], int]:
         """(P1, P2, D) for integer rows r: the rows of P1 / D and P2 / D are
-        the components pr1(r) in l1 and pr2(r) in l2."""
+        the components pr1(r) in l1 and pr2(r) in l2, one multiply per
+        non-zero entry of P (one per column for a coordinate split)."""
         cols, den = self._projector
-        p1 = [[sum(map(mul, r, c)) for c in cols] for r in rows]
+        p1 = [[sum([r[k] * x for k, x in c]) for c in cols] for r in rows]
         return p1, [[den * x - y for x, y in zip(r, q)] for r, q in zip(rows, p1)], den
 
 
@@ -158,8 +168,9 @@ def _induced_quadric(dec: LagrangianDecomposition, a: Subspace, side: int) -> Qu
     W Omega X^T on side 1 and X Omega W^T on side 2: the summands are
     isotropic, so the other component of X pairs to zero with W, and a
     different lift changes X by a vector of a meet the other summand, which
-    pairs to zero because a is Lagrangian.  W and X come from one reduction
-    of the integer rows [D pr(a_i) | D a_i].
+    pairs to zero because a is isotropic (a Lagrangian, or the lift of
+    ``isotropic_reduce``).  W and X come from one reduction of the integer
+    rows [D pr(a_i) | D a_i].
     """
     n = dec.space.total_dim
     p1, p2, den = dec.project_rows(a.int_rows)
@@ -248,72 +259,40 @@ def lagrangian_from_quadric(q: QuadricOnSubspace) -> Subspace:
     return Subspace.from_rows(2 * m, rows)
 
 
-class QuotientModel:
-    """Coordinates on U/I for nested subspaces I inside U, with U given by
-    the span of its equations: U is their annihilator.
+def isotropic_reduce(dec: LagrangianDecomposition, a: Subspace, iso: Subspace) -> Subspace:
+    """The lift a meet I-perp of the Lagrangian a along an isotropic I inside
+    l1.  Linear symplectic reduction carries a to the Lagrangian a' of
+    I-perp / I, the image of the lift, and the second quadric of the lift,
+    ``_induced_quadric(dec, lift, 2)``, is the reduced second quadric of a'.
 
-    The complement basis consists of the RREF rows of U whose pivots are not
-    pivots of I, which makes the model canonical; ``comp_int_rows`` holds
-    them as U's primitive integer rows, each the RREF row times its pivot.
+    As I lies in l1 = l1-perp, l1 lies in I-perp; as l1 and l2 pair
+    perfectly, M = I-perp meet l2 has dimension dim l2 - dim I, so
+    I-perp = l1 + M.  The reduced summands are l1 / I and the image of M,
+    which M meets I in 0 and maps onto isomorphically.  For x in I-perp,
+    pr1 x lies in l1 and pr2 x in M, so the reduced pr2 of the class of x
+    is the class of pr2 x: the reduced second span is the isomorphic image
+    of pr2(lift).  The reduced form is omega on representatives, so the
+    reduced gram omega(pr1 x, pr2 y) is read on lifts x, y in a meet I-perp;
+    changing x by z in a meet l1, the kernel of pr2 on the lift, adds
+    omega(z, pr2 y) = omega(z, y) - omega(z, pr1 y) = 0 (a is Lagrangian,
+    l1 isotropic), and changing a representative by i in I adds
+    omega(i, pr2 y) = omega(i, y) - omega(i, pr1 y) = 0 (y lies in I-perp).
+    So span, gram and corank agree under the isomorphism.  Side 1 does not
+    transfer: pr1(lift) may contain vectors of I, which the quotient kills,
+    so the lift's first quadric can have them in its span and its kernel.
+
+    In integers, with d * form the rows of ``int_form``, the lift is the
+    combinations sum c_j a_j with sum c_j d omega(i_r, a_j) = 0 for every row
+    i_r of I.  One Gauss-Jordan of the rows [d omega(i_r, a_j) over r | a_j]
+    gives them: a combination of the reduced rows vanishes on the equation
+    block only if it uses no row with a pivot there, and the reduced rows
+    with their pivot past the block vanish on it and are the RREF of the
+    lift, each zero at the others' pivots.
     """
-
-    def __init__(self, inner: Subspace, equations: Subspace):
-        if any(sum(map(mul, f, r)) for f in equations.int_rows for r in inner.int_rows):
-            raise ValueError("inner subspace is not contained in the outer one")
-        outer = equations.annihilator()
-        self.inner = inner
-        self.outer = outer
-        inner_pivots = set(inner.pivots)
-        self.comp_int_rows = [r for r, p in zip(outer.int_rows, outer.pivots) if p not in inner_pivots]
-        self.comp_pivots = [p for p in outer.pivots if p not in inner_pivots]
-        self.dim = len(self.comp_int_rows)
-        self.equations = equations.int_rows
-
-    def project_subspace(self, s: Subspace) -> Subspace:
-        """The image of s meet U in U/I, by one elimination of the rows
-        [f(s_i) over the equations f | the coordinates of s_i + I] of
-        ``project_contained``.  The meet is spanned by the combinations
-        sum c_i s_i with sum c_i f(s_i) = 0, and those coordinates are
-        linear, so the reduced rows with their pivot in the second block
-        span the image, in reduced row echelon form."""
-        e = len(self.equations)
-        stack = []
-        for r in s.int_rows:
-            w = self.inner.remainder(r)
-            stack.append([sum(map(mul, f, r)) for f in self.equations] + [w[p] for p in self.comp_pivots])
-        rows, pivots = _gauss_jordan(stack, e + self.dim)
-        return Subspace(self.dim, [r[e:] for r, c in zip(rows, pivots) if c >= e],
-                        tuple(c - e for c in pivots if c >= e))
-
-    def project_contained(self, rows) -> Subspace:
-        """The image in U/I of the span of integer rows lying in U: up to a
-        positive scalar, the coordinates of v + I in the complement basis are
-        those of the remainder of v modulo I at the complement pivots."""
-        rows = [self.inner.remainder(v) for v in rows]
-        return Subspace.from_rows(self.dim, [[w[p] for p in self.comp_pivots] for w in rows])
-
-
-@dataclass(frozen=True)
-class IsotropicReduction:
-    """Result of reducing a decomposed space by an isotropic subspace of l1."""
-
-    reduced: LagrangianDecomposition
-    reduced_a: Subspace
-    model: QuotientModel
-
-
-def isotropic_reduce(dec: LagrangianDecomposition, a: Subspace, iso: Subspace) -> IsotropicReduction:
-    """Pass to I-perp mod I, carrying the Lagrangian a and the decomposition."""
-    space = dec.space
     if not dec.l1.contains_subspace(iso):
         raise ValueError("isotropic subspace must lie in the first summand")
-    # I-perp is the annihilator of the rows of I times the form
-    model = QuotientModel(iso, Subspace.from_rows(space.total_dim, _times_form(space, iso.int_rows)))
-    # the complement rows over L, the lcm of their pivot entries, are RREF
-    # rows: they pair under d * form to d L^2 times the reduced form
-    comp, big = over_pivots(model.comp_int_rows, model.comp_pivots)
-    form = [[sum(map(mul, x, y)) for y in comp] for x in _times_form(space, comp)]
-    red_space = SymplecticSpace(form, space.int_form[1] * big * big)
-    red_l1 = model.project_contained(dec.l1.int_rows)  # I in l1 = l1-perp, so l1 lies in I-perp
-    red_dec = LagrangianDecomposition(red_space, red_l1, model.project_subspace(dec.l2))
-    return IsotropicReduction(red_dec, model.project_subspace(a), model)
+    eqs, k = _times_form(dec.space, iso.int_rows), iso.dim
+    rows, pivots = _gauss_jordan([[sum(map(mul, f, r)) for f in eqs] + list(r) for r in a.int_rows],
+                                 k + a.ambient_dim)
+    return Subspace(a.ambient_dim, [r[k:] for r, c in zip(rows, pivots) if c >= k],
+                    tuple(c - k for c in pivots if c >= k))

@@ -1,11 +1,14 @@
 """Test-local ``Fraction`` oracles: the rational formulas that the integer
 layer of ``gmepw`` replaced, kept here to check it against."""
 
+from dataclasses import dataclass
 from fractions import Fraction
+import operator
 
-from gmepw.exterior import monomial, monomials, top_pairing, wedge
+from gmepw.exterior import SymplecticSpace, monomial, monomials, top_pairing, wedge
 from gmepw.gm import GMData, ValidationReport
-from gmepw.linalg import Matrix, vec
+from gmepw.linalg import Matrix, Subspace, _gauss_jordan, over_pivots, vec
+from gmepw.quadrics import LagrangianDecomposition, _times_form
 
 # The ``Fraction`` matrix algebra that ``linalg.Matrix`` carried before the
 # library moved onto integer rows: the former methods as plain functions.
@@ -342,3 +345,81 @@ def emit_json(obj) -> str:
     import json
 
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+# The explicit quotient I-perp / I that ``quadrics.isotropic_reduce`` built
+# before it returned the lift a meet I-perp: a canonical model of the
+# quotient, the reduced symplectic space, the reduced decomposition and the
+# reduced Lagrangian.
+
+
+class QuotientModel:
+    """Coordinates on U/I for nested subspaces I inside U, with U given by
+    the span of its equations: U is their annihilator.
+
+    The complement basis consists of the RREF rows of U whose pivots are not
+    pivots of I, which makes the model canonical; ``comp_int_rows`` holds
+    them as U's primitive integer rows, each the RREF row times its pivot.
+    """
+
+    def __init__(self, inner, equations):
+        if any(sum(map(operator.mul, f, r)) for f in equations.int_rows for r in inner.int_rows):
+            raise ValueError("inner subspace is not contained in the outer one")
+        outer = equations.annihilator()
+        self.inner = inner
+        self.outer = outer
+        inner_pivots = set(inner.pivots)
+        self.comp_int_rows = [r for r, p in zip(outer.int_rows, outer.pivots) if p not in inner_pivots]
+        self.comp_pivots = [p for p in outer.pivots if p not in inner_pivots]
+        self.dim = len(self.comp_int_rows)
+        self.equations = equations.int_rows
+
+    def project_subspace(self, s):
+        """The image of s meet U in U/I, by one elimination of the rows
+        [f(s_i) over the equations f | the coordinates of s_i + I] of
+        ``project_contained``.  The meet is spanned by the combinations
+        sum c_i s_i with sum c_i f(s_i) = 0, and those coordinates are
+        linear, so the reduced rows with their pivot in the second block
+        span the image, in reduced row echelon form."""
+        e = len(self.equations)
+        stack = []
+        for r in s.int_rows:
+            w = self.inner.remainder(r)
+            stack.append([sum(map(operator.mul, f, r)) for f in self.equations] + [w[p] for p in self.comp_pivots])
+        rows, pivots = _gauss_jordan(stack, e + self.dim)
+        return Subspace(self.dim, [r[e:] for r, c in zip(rows, pivots) if c >= e],
+                        tuple(c - e for c in pivots if c >= e))
+
+    def project_contained(self, rows):
+        """The image in U/I of the span of integer rows lying in U: up to a
+        positive scalar, the coordinates of v + I in the complement basis are
+        those of the remainder of v modulo I at the complement pivots."""
+        rows = [self.inner.remainder(v) for v in rows]
+        return Subspace.from_rows(self.dim, [[w[p] for p in self.comp_pivots] for w in rows])
+
+
+@dataclass(frozen=True)
+class IsotropicReduction:
+    """Result of reducing a decomposed space by an isotropic subspace of l1."""
+
+    reduced: LagrangianDecomposition
+    reduced_a: Subspace
+    model: QuotientModel
+
+
+def isotropic_reduce(dec, a, iso) -> IsotropicReduction:
+    """Pass to I-perp mod I, carrying the Lagrangian a and the decomposition:
+    the former ``quadrics.isotropic_reduce``."""
+    space = dec.space
+    if not dec.l1.contains_subspace(iso):
+        raise ValueError("isotropic subspace must lie in the first summand")
+    # I-perp is the annihilator of the rows of I times the form
+    model = QuotientModel(iso, Subspace.from_rows(space.total_dim, _times_form(space, iso.int_rows)))
+    # the complement rows over L, the lcm of their pivot entries, are RREF
+    # rows: they pair under d * form to d L^2 times the reduced form
+    comp, big = over_pivots(model.comp_int_rows, model.comp_pivots)
+    form = [[sum(map(operator.mul, x, y)) for y in comp] for x in _times_form(space, comp)]
+    red_space = SymplecticSpace(form, space.int_form[1] * big * big)
+    red_l1 = model.project_contained(dec.l1.int_rows)  # I in l1 = l1-perp, so l1 lies in I-perp
+    red_dec = LagrangianDecomposition(red_space, red_l1, model.project_subspace(dec.l2))
+    return IsotropicReduction(red_dec, model.project_subspace(a), model)

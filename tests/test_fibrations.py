@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from gmepw import correspondence, fibrations
+from gmepw import correspondence, epw, fibrations
 from gmepw.correspondence import LagrangianData
 from gmepw.epw import y_stratum, z_stratum
 from gmepw.fibrations import (
@@ -230,3 +230,48 @@ def test_reduction_path_meets_nothing_in_the_22_coordinates(monkeypatch, name, e
     assert counts["entered"] == 4 and counts["meets"] == 0
     for report, (ambient, corank, stratum, level, dim) in zip(reports, expected):
         assert report == FiberReport(ambient, corank, stratum, level, dim, True)
+
+
+def test_the_reduction_path_calls_no_closed_form_primitive(monkeypatch):
+    # the two paths stay separate: while isotropic_reduce or _induced_quadric
+    # runs, every stratum and level function, Subspace.rank_modulo and
+    # Subspace.meet_dim raise; outside them the closed form calls them
+    counts = {"depth": 0, "reductions": 0, "closed": 0}
+
+    def guarded(fn):
+        def wrapped(*args, **kwargs):
+            if counts["depth"]:
+                raise AssertionError(f"{fn.__qualname__} called on the reduction path")
+            counts["closed"] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    def inside(fn):
+        def wrapped(*args):
+            counts["depth"] += 1
+            counts["reductions"] += 1
+            try:
+                return fn(*args)
+            finally:
+                counts["depth"] -= 1
+        return wrapped
+
+    for name in ("y_stratum", "z_stratum", "y_hat_member"):
+        for module in (epw, fibrations):
+            monkeypatch.setattr(module, name, guarded(getattr(module, name)))
+    for name in ("sigma1_level", "sigma2_level"):
+        monkeypatch.setattr(fibrations, name, guarded(getattr(fibrations, name)))
+    for name in ("rank_modulo", "meet_dim"):
+        monkeypatch.setattr(Subspace, name, guarded(getattr(Subspace, name)))
+    for fn in (fibrations.isotropic_reduce, fibrations._induced_quadric):
+        monkeypatch.setattr(fibrations, fn.__name__, inside(fn))
+    rng = rng_from_seed("separate-paths")
+    queries = 0
+    for ld in all_lagrangian_fixtures().values():
+        points = [unit_vector(6, 0)] + [rand_v5_point(rng) for _ in range(3)]
+        planes = [Subspace.from_rows(6, [unit_vector(6, i) for i in (0, 1, 3)])]
+        planes += [rand_v5_plane(rng) for _ in range(3)]
+        reports = [fibration1_fiber(ld, v) for v in points] + [fibration2_fiber(ld, v3) for v3 in planes]
+        assert all(r.agreement for r in reports)
+        queries += len(reports)
+    assert queries == 32 and counts["reductions"] == 2 * queries and counts["closed"] >= 2 * queries

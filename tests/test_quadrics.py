@@ -1,5 +1,6 @@
 """The Lagrangian-quadric correspondence and isotropic reduction."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from gmepw.correspondence import extended_decomposition, extended_lagrangian
 from gmepw.exterior import SymplecticSpace, v5_subspace, wedge_space, wedge_symplectic_space
 from gmepw.fixtures import fivefold_lagrangian
-from gmepw.linalg import Matrix, Subspace, kernel, unit_vector
+from gmepw.linalg import Matrix, Subspace, det_int, kernel, unit_vector
 from gmepw.quadrics import (
     LagrangianDecomposition,
     QuadricOnSubspace,
@@ -127,7 +128,7 @@ def test_projection_and_induced_quadric_against_the_solve_formulas_on_wedges():
     for v in ([1, 0, 0, 0, 0, 0], [1, 2, -1, 3, 1, 0]):
         iso = wedge_space(Subspace.from_rows(6, [v]), v5_subspace())
         iso22 = Subspace.from_rows(22, [r + (0, 0) for r in iso.int_rows])
-        red = isotropic_reduce(ext, a_hat, iso22)
+        red = oracles.isotropic_reduce(ext, a_hat, iso22)
         assert_matches_the_solve_formulas(red.reduced, red.reduced_a)
 
 
@@ -154,7 +155,7 @@ def test_integer_quadric_layer_matches_the_fraction_formulas(m, scale):
             assert is_isotropic(space, s) == (
                 oracles.mul(s.basis, form, oracles.transpose(s.basis)) == oracles.zero(s.dim, s.dim))
         iso_rows = [random_vector(rng, m, 3) + [Fraction(0)] * m for _ in range(rng.randint(0, m))]
-        red = isotropic_reduce(dec, a, Subspace.from_rows(2 * m, iso_rows))
+        red = oracles.isotropic_reduce(dec, a, Subspace.from_rows(2 * m, iso_rows))
         model = red.model
         for s in (a, dec.l2, other, part):
             assert model.project_subspace(s) == model.project_contained(s.intersect(model.outer).int_rows)
@@ -264,12 +265,15 @@ def test_isotropic_reduce_identity_and_full():
     rng = rng_from_seed(404)
     dec = standard_doubled_space(3)
     a = random_lagrangian(dec.space, rng)
-    red0 = isotropic_reduce(dec, a, Subspace.from_rows(6, []))
+    red0 = oracles.isotropic_reduce(dec, a, Subspace.from_rows(6, []))
     assert red0.reduced.space.total_dim == 6
     assert red0.reduced_a.dim == a.dim
-    redf = isotropic_reduce(dec, a, dec.l1)
+    redf = oracles.isotropic_reduce(dec, a, dec.l1)
     assert redf.reduced.space.total_dim == 0
     assert redf.reduced_a.dim == 0
+    # the lift a meet I-perp: a itself for I = 0, and a meet l1 for I = l1
+    assert isotropic_reduce(dec, a, Subspace.from_rows(6, [])) == a
+    assert isotropic_reduce(dec, a, dec.l1) == a.intersect(dec.l1)
 
 
 def test_isotropic_reduce_requires_containment():
@@ -289,7 +293,7 @@ def test_isotropic_reduce_formulas_and_restriction(m):
         idim = rng.randint(1, m - 1)
         rows = [random_vector(rng, m, 3) + [Fraction(0)] * m for _ in range(idim)]
         iso = Subspace.from_rows(2 * m, rows)
-        red = isotropic_reduce(dec, a, iso)
+        red = oracles.isotropic_reduce(dec, a, iso)
         assert is_lagrangian(red.reduced.space, red.reduced_a)
         rq1, rq2 = quadric_pair_from_lagrangian(red.reduced, red.reduced_a)
         # closed forms: the span is the annihilator of (a meet l1)/(a meet I)
@@ -320,10 +324,78 @@ def test_reduction_recovers_l2bar_orthogonal():
     l2bar_rows = [dec.l2.basis_rows()[i] for i in (0, 2)]
     l2bar = Subspace.from_rows(8, l2bar_rows)
     iso = dec.l1.intersect(omega_orthogonal(dec.space, l2bar))
-    red = isotropic_reduce(dec, a, iso)
+    red = oracles.isotropic_reduce(dec, a, iso)
     # the reduced l2 is the projection of l2bar
     assert red.reduced.l2 == red.model.project_subspace(l2bar)
     assert dec.l2.intersect(omega_orthogonal(dec.space, iso)) == l2bar
+
+
+def quadric_of_corank(rng, m, s, corank):
+    """A quadric on a random s-dimensional span of k^m with exactly the given
+    corank: the gram U^T D U for a diagonal D of rank s - corank and an
+    invertible integer U."""
+    while True:
+        span = Subspace.from_rows(m, [random_vector(rng, m, 3) for _ in range(s)])
+        u = [[rng.randint(-2, 2) for _ in range(s)] for _ in range(s)]
+        if span.dim == s and det_int(u) != 0:
+            break
+    d = [rng.choice([-3, -2, -1, 1, 2, 3]) if i < s - corank else 0 for i in range(s)]
+    gram = [[sum(u[k][i] * d[k] * u[k][j] for k in range(s)) for j in range(s)] for i in range(s)]
+    q = QuadricOnSubspace(m, span, (gram, 1))
+    assert q.corank == corank
+    return q
+
+
+def isotropic_in(rng, l1, k):
+    """A random k-dimensional subspace of l1: l1 itself when k is its dimension."""
+    if k == l1.dim:
+        return l1
+    while True:
+        coeffs = [[rng.randint(-3, 3) for _ in l1.int_rows] for _ in range(k)]
+        iso = Subspace.from_rows(l1.ambient_dim, [
+            [sum(map(operator.mul, c, col)) for col in zip(*l1.int_rows)] for c in coeffs])
+        if iso.dim == k:
+            return iso
+
+
+def quotient_coordinates(model, v):
+    """The exact coordinates of v + I, for v in U, in the RREF complement
+    basis of the quotient model: v reduced modulo I, read at the complement
+    pivots (``remainder`` is L times that reduction)."""
+    w, big = model.inner.remainder(v), model.inner.scaled_rows[1]
+    return [Fraction(w[p], big) for p in model.comp_pivots]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_the_lift_carries_the_reduced_second_quadric(m):
+    # the second quadric of the lift a meet I-perp against the oracle's
+    # reduced second quadric on I-perp / I, for the Lagrangians of quadrics
+    # of every corank on the full span and of full rank on spans of every
+    # dimension (a meet l2 is the span's annihilator, so the second quadric
+    # then has every corank), random Lagrangians, and I of every dimension
+    # from 0 to m: reduced fibers of corank 2 and more, which no fixture
+    # point reaches
+    rng = rng_from_seed(f"lift-reduction-{m}")
+    std = standard_doubled_space(m)
+    coranks = set()
+    for dec in (std, transverse_lagrangians(std.space, rng)):
+        quadrics = [quadric_of_corank(rng, m, m, c) for c in range(m + 1)]
+        quadrics += [quadric_of_corank(rng, m, m - c, 0) for c in range(1, m + 1)]
+        lagrangians = [lagrangian_from_quadric(q) for q in quadrics]
+        lagrangians += [random_lagrangian(dec.space, rng) for _ in range(2)]
+        for a in lagrangians:
+            for k in range(m + 1):
+                iso = isotropic_in(rng, dec.l1, k)
+                lift = isotropic_reduce(dec, a, iso)
+                assert lift == a.intersect(omega_orthogonal(dec.space, iso))
+                red = oracles.isotropic_reduce(dec, a, iso)
+                q, rq = _induced_quadric(dec, lift, 2), _induced_quadric(red.reduced, red.reduced_a, 2)
+                assert (q.span_dim, q.corank) == (rq.span_dim, rq.corank)
+                assert red.model.project_contained(q.span.int_rows) == rq.span
+                coords = [quotient_coordinates(red.model, b) for b in q.span.basis_rows()]
+                assert [[evaluate(rq, x, y) for y in coords] for x in coords] == oracles.copy_data(q.gram)
+                coranks.add(rq.corank)
+    assert coranks == set(range(m + 1))
 
 
 def test_quadric_on_subspace_validation():

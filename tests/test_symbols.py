@@ -4,8 +4,8 @@ somewhere in ``src/gmepw`` besides its own definition.
 A module-level function or class counts as referenced through a bare name in
 its own module, an import of it, or an attribute on an alias of its module
 (``gio.parse``).  A method counts as referenced through an attribute access:
-on a class name (``Matrix.zero``) or on ``self``/``cls`` inside a class
-(``self.project`` in ``QuotientModel``) the access counts for that class
+on a class name (``Subspace.full``) or on ``self``/``cls`` inside a class
+(``self.remainder`` in ``Subspace``) the access counts for that class
 only; on any other receiver it counts for every method of that name.  Code
 that only tests read belongs in the tests.
 """
@@ -124,12 +124,11 @@ def attribute_uses(tree: ast.Module, module: str):
 def test_the_reduction_modulo_a_subspace_stays_behind_subspace():
     # every level ranks its rows by Subspace.rank_modulo: only linalg reads
     # the cached unit remainders, and the per-row remainder is called only by
-    # Subspace itself (membership) and by quadrics.QuotientModel (projection)
+    # Subspace itself (membership)
     uses = [use for path in SRC.glob("*.py")
             for use in attribute_uses(ast.parse(path.read_text(encoding="utf-8")), path.stem)]
     assert {owner.split(".")[0] for owner, attr in uses if attr == "unit_remainders"} == {"linalg"}
-    assert {owner for owner, attr in uses if attr == "remainder"} == {
-        "linalg.Subspace", "quadrics.QuotientModel"}
+    assert {owner for owner, attr in uses if attr == "remainder"} == {"linalg.Subspace"}
 
 
 def mentions(tree: ast.Module, name: str):
