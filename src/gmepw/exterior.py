@@ -27,7 +27,6 @@ Conventions, fixed once for the whole artifact:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
@@ -117,10 +116,6 @@ class SymplecticSpace:
             raise ValueError("form is degenerate")
         self.total_dim = len(rows)
         self.int_form = [[(j, f) for j, f in enumerate(row) if f] for row in rows], d
-
-    def omega(self, u, v) -> Fraction:
-        nonzero, d = self.int_form
-        return sum((x * f * v[j] for x, row in zip(u, nonzero) if x for j, f in row), Fraction(0)) / d
 
 
 @lru_cache(maxsize=None)

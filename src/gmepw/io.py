@@ -33,7 +33,7 @@ from math import gcd, lcm
 from typing import Any
 
 from .correspondence import A1_TAGS, LagrangianData, apply_frame
-from .gm import GMData, classify
+from .gm import GMData, GmError, classify
 from .linalg import Subspace
 from .polynomials import Poly
 
@@ -177,12 +177,16 @@ def parse_subspace(obj, where: str = "subspace") -> Subspace:
 def format_gm_data(d: GMData) -> dict:
     cols, m = d.int_mu
     qs, den = d.int_q
+    try:
+        hint = classify(d)
+    except GmError:  # a kernel row off the wedge identity: validate gives no type
+        hint = None
     return {
         "n": d.n,
         "mu": [format_int_row(r, m) for r in zip(*cols)],
         "q": [[format_int_row(r, den) for r in g] for g in qs],
         "epsilon": format_rat(d.epsilon),
-        "type_hint": classify(d),
+        "type_hint": hint,
     }
 
 

@@ -3,6 +3,18 @@ Lagrangians.
 
 Randomness always flows through an explicit ``random.Random`` instance so
 that every test and CLI run is reproducible from its seed.
+
+A random Lagrangian is the graph of a symmetric matrix over a symplectic
+frame, and every form in the package pairs coordinates: each integer row of
+``SymplecticSpace.int_form`` holds one entry.  The top coefficient of
+e_I ^ e_J is non-zero iff I and J are complementary, so ``top_pairing(6, 3)``
+is a signed permutation; the extended space adds the pair (k, L), and the
+standard doubled space pairs e_i with e_(i+m).  On such a form the greedy
+Gram-Schmidt from the standard coordinates (the reference in the test
+oracles) takes p = e_i for the smallest index i left, finds the one partner
+j with omega(e_i, e_j) = f / d non-zero and sets q = (d / f) e_j; every
+other e_t is omega-orthogonal to both, so orthogonalizing fixes it and kills
+e_i and e_j.  The frame is therefore read off the integer rows of the form.
 """
 
 from __future__ import annotations
@@ -11,8 +23,8 @@ import random
 from fractions import Fraction
 
 from .exterior import SymplecticSpace
-from .linalg import Subspace, det_int
-from .quadrics import LagrangianDecomposition, is_lagrangian, omega_orthogonal
+from .linalg import Subspace, det_int, over_lcd
+from .quadrics import LagrangianDecomposition, is_lagrangian
 
 
 def rng_from_seed(seed) -> random.Random:
@@ -57,42 +69,25 @@ def random_symmetric(rng: random.Random, n: int, height: int = 5, rank: int | No
     return [[sum(c * r[i] * r[j] for c, r in zip(d, t)) for j in range(n)] for i in range(n)]
 
 
-def symplectic_basis(space: SymplecticSpace) -> tuple[list, list]:
-    """A symplectic frame (p_i, q_i): omega(p_i, q_j) = delta_ij, blocks isotropic.
-
-    Deterministic greedy construction from the standard coordinates.
-    """
+def symplectic_frame(space: SymplecticSpace) -> tuple[list, list, int]:
+    """The symplectic frame (p_k, q_k) of a form that pairs coordinates, as
+    integer rows over one denominator L (``over_lcd``): p_k = e_i and
+    q_k = (d / f) e_j for each pair i < j whose integer row i holds its one
+    entry f at j, so omega(p_k, q_l) = delta_kl and both blocks are isotropic.
+    Raises ValueError for a form with a row of more than one entry."""
+    nonzero, d = space.int_form
+    if any(len(row) != 1 for row in nonzero):
+        raise ValueError("the form does not pair coordinates")
     n = space.total_dim
-    remaining = Subspace.full(n)
-    ps, qs = [], []
-    while remaining.dim > 0:
-        p = remaining.basis_rows()[0]
-        # find a partner with omega(p, q) nonzero inside the remaining space
-        q = None
-        for cand in remaining.basis_rows()[1:]:
-            val = space.omega(p, cand)
-            if val != 0:
-                q = [x / val for x in cand]
-                break
-        if q is None:
-            raise ValueError("form degenerate on the remaining space")
-        ps.append(p)
-        qs.append(q)
-        # orthogonalize the rest against the hyperbolic pair
-        new_rows = []
-        for r in remaining.basis_rows():
-            a = space.omega(p, r)
-            b = space.omega(q, r)
-            corrected = [x - a * y + b * z for x, y, z in zip(r, q, p)]
-            new_rows.append(corrected)
-        candidate = Subspace.from_rows(n, new_rows)
-        pq = Subspace.from_rows(n, [p, q])
-        remaining = candidate.intersect(omega_orthogonal(space, pq))
-    return ps, qs
+    pairs = [(i, j, f) for i, [(j, f)] in enumerate(nonzero) if i < j]
+    e = [[int(s == t) for s in range(n)] for t in range(n)]
+    (ps, *qs), den = over_lcd([([e[i] for i, _, _ in pairs], 1),
+                               *(([[x * d if f > 0 else -x * d for x in e[j]]], abs(f)) for _, j, f in pairs)])
+    return ps, [q for [q] in qs], den
 
 
 def standard_lagrangian_pair(space: SymplecticSpace) -> LagrangianDecomposition:
-    ps, qs = symplectic_basis(space)
+    ps, qs, _ = symplectic_frame(space)
     n = space.total_dim
     return LagrangianDecomposition(
         space, Subspace.from_rows(n, ps), Subspace.from_rows(n, qs)
@@ -109,7 +104,7 @@ def random_lagrangian(
     all corank strata of the induced quadrics are reachable.
     """
     m = space.total_dim // 2
-    ps, qs = symplectic_basis(space)
+    ps, qs, _ = symplectic_frame(space)
     if rng.random() < 0.5:
         # swap the roles; negate to keep omega(frame_i, partner_j) = delta
         ps, qs = qs, [[-x for x in p] for p in ps]

@@ -8,7 +8,8 @@ import operator
 from gmepw.exterior import SymplecticSpace, monomial, monomials, top_pairing, wedge
 from gmepw.gm import GMData, ValidationReport
 from gmepw.linalg import Matrix, Subspace, _gauss_jordan, over_pivots, vec
-from gmepw.quadrics import LagrangianDecomposition, _times_form
+from gmepw.quadrics import LagrangianDecomposition, _times_form, omega_orthogonal
+from gmepw.sampling import random_symmetric
 
 # The ``Fraction`` matrix algebra that ``linalg.Matrix`` carried before the
 # library moved onto integer rows: the former methods as plain functions.
@@ -105,6 +106,66 @@ def form(space) -> Matrix:
     nonzero, d = space.int_form
     n = space.total_dim
     return Matrix.from_int_rows([[dict(r).get(j, 0) for j in range(n)] for r in nonzero], d, n)
+
+
+def omega(space, u, v) -> Fraction:
+    """The form of a ``SymplecticSpace`` on two vectors, read off ``form``."""
+    return vec_dot(u, apply(form(space), v))
+
+
+def symplectic_basis(space) -> tuple[list, list]:
+    """The former ``sampling.symplectic_basis``: a symplectic frame (p_i, q_i)
+    with omega(p_i, q_j) = delta_ij and isotropic blocks, by the greedy
+    Gram-Schmidt from the standard coordinates over ``Fraction``."""
+    entries = [(i, j, c) for i, row in enumerate(form(space).data) for j, c in enumerate(row) if c]
+
+    def w(x, y):
+        return sum((x[i] * c * y[j] for i, j, c in entries), Fraction(0))
+
+    n = space.total_dim
+    remaining = Subspace.full(n)
+    ps, qs = [], []
+    while remaining.dim > 0:
+        p = remaining.basis_rows()[0]
+        # find a partner with omega(p, q) nonzero inside the remaining space
+        q = None
+        for cand in remaining.basis_rows()[1:]:
+            val = w(p, cand)
+            if val != 0:
+                q = [x / val for x in cand]
+                break
+        if q is None:
+            raise ValueError("form degenerate on the remaining space")
+        ps.append(p)
+        qs.append(q)
+        # orthogonalize the rest against the hyperbolic pair
+        new_rows = []
+        for r in remaining.basis_rows():
+            a = w(p, r)
+            b = w(q, r)
+            new_rows.append([x - a * y + b * z for x, y, z in zip(r, q, p)])
+        candidate = Subspace.from_rows(n, new_rows)
+        pq = Subspace.from_rows(n, [p, q])
+        remaining = candidate.intersect(omega_orthogonal(space, pq))
+    return ps, qs
+
+
+def random_lagrangian(space, rng, height: int = 4) -> Subspace:
+    """The former ``sampling.random_lagrangian``: the graph over the
+    ``Fraction`` frame of ``symplectic_basis``, with the same draws."""
+    m = space.total_dim // 2
+    ps, qs = symplectic_basis(space)
+    if rng.random() < 0.5:
+        ps, qs = qs, [[-x for x in p] for p in ps]
+    s = random_symmetric(rng, m, height, rank=rng.choice([m, m, m, rng.randint(0, m)]))
+    rows = []
+    for i in range(m):
+        v = list(ps[i])
+        for j in range(m):
+            if s[i][j] != 0:
+                v = [x + s[i][j] * y for x, y in zip(v, qs[j])]
+        rows.append(v)
+    return Subspace.from_rows(space.total_dim, rows)
 
 
 def exterior_power_matrix(f: Matrix, degree: int) -> Matrix:

@@ -5,7 +5,9 @@ integer frame action and membership agree with the ``Fraction`` formulas in
 ``oracles`` that they replaced; and the Lagrangians drawn by the
 ``quadric_correspondence`` check, with the grams of their quadric pairs and
 duals, hash to the value they had when the quadrics held ``Fraction``
-matrices.
+matrices.  The samplers' symplectic frame, read off the integer form, is the
+``Fraction`` Gram-Schmidt frame of ``oracles`` on every form shape in use,
+and so are the Lagrangians and the draws taken over it.
 """
 
 import hashlib
@@ -18,8 +20,8 @@ import pytest
 
 from gmepw import cli
 from gmepw import io as gio
-from gmepw.correspondence import apply_frame
-from gmepw.exterior import exterior_power_matrix, wedge_symplectic_space
+from gmepw.correspondence import apply_frame, extended_space
+from gmepw.exterior import SymplecticSpace, exterior_power_matrix, wedge_symplectic_space
 from gmepw.fixtures import all_gm_fixtures, all_lagrangian_fixtures
 from gmepw.gm import membership
 from gmepw.linalg import Matrix, Subspace, clear_denominators, det_int
@@ -36,6 +38,7 @@ from gmepw.sampling import (
     random_vector,
     rng_from_seed,
     standard_lagrangian_pair,
+    symplectic_frame,
 )
 
 import oracles
@@ -210,3 +213,40 @@ def test_membership_equals_the_fraction_values():
             with pytest.raises(ValueError):
                 membership(d, [Fraction(1, 2)] * n)
     assert seen == {"off", "on_hull_only", "on_x"}
+
+
+def scaled_standard_space(m: int, scale: Fraction) -> SymplecticSpace:
+    rows = [[dict(r).get(j, 0) for j in range(2 * m)] for r in standard_doubled_space(m).space.int_form[0]]
+    return SymplecticSpace([[scale.numerator * x for x in row] for row in rows], scale.denominator)
+
+
+FORM_SHAPES = (
+    [(f"standard-{m}", lambda m=m: standard_doubled_space(m).space) for m in range(1, 11)]
+    + [("wedge", wedge_symplectic_space), ("extended", extended_space)]
+    + [(f"standard-{m}-{scale}", lambda m=m, scale=scale: scaled_standard_space(m, scale))
+       for scale in (Fraction(1, 2), Fraction(2, 3), Fraction(3)) for m in (2, 3, 4)]
+)
+
+
+@pytest.mark.parametrize("name, build", FORM_SHAPES, ids=[name for name, _ in FORM_SHAPES])
+def test_the_frame_read_off_the_form_is_the_gram_schmidt_frame(name, build):
+    space = build()
+    ps, qs, den = symplectic_frame(space)
+    assert all(type(x) is int for row in ps + qs for x in row)
+    assert ([[Fraction(x, den) for x in p] for p in ps], [[Fraction(x, den) for x in q] for q in qs]) == (
+        oracles.symplectic_basis(space))
+    pair = standard_lagrangian_pair(space)
+    assert (pair.l1, pair.l2) == (Subspace.from_rows(space.total_dim, ps), Subspace.from_rows(space.total_dim, qs))
+    for seed in range(10):
+        rng, ref = rng_from_seed(f"frame-{name}-{seed}"), rng_from_seed(f"frame-{name}-{seed}")
+        assert random_lagrangian(space, rng) == oracles.random_lagrangian(space, ref)
+        assert rng.getstate() == ref.getstate()
+
+
+def test_a_form_that_does_not_pair_coordinates_has_no_frame():
+    # row 0 pairs e1 with e2 and with e3; the Pfaffian is 1
+    space = SymplecticSpace([[0, 1, 1, 0], [-1, 0, 0, 0], [-1, 0, 0, 1], [0, 0, -1, 0]])
+    assert len(oracles.symplectic_basis(space)[0]) == 2
+    for sample in (symplectic_frame, standard_lagrangian_pair, lambda s: random_lagrangian(s, rng_from_seed(0))):
+        with pytest.raises(ValueError, match="does not pair coordinates"):
+            sample(space)

@@ -19,7 +19,9 @@ from gmepw.fixtures import (
     all_lagrangian_fixtures,
     fivefold,
     fivefold_lagrangian,
+    sixfold_special,
 )
+from gmepw.gm import GMData, GmError, classify, validate
 from gmepw.io import Document, DocumentError
 from gmepw.linalg import Matrix, Subspace
 
@@ -167,6 +169,25 @@ def test_emit_matches_json_dumps_on_every_fixture():
         assert gio.emit(Document(kind, value)) == expected
 
 
+def test_emit_writes_no_type_for_data_whose_kernel_row_breaks_the_wedge_identity():
+    # q(e1)(k_i, k_i) + 1 at the first non-zero coordinate i of the kernel
+    # row k of mu: q(e1)(k, .) no longer vanishes, so classify raises, and
+    # the document carries "type_hint": null as validate's report has no type
+    d = sixfold_special()
+    i = next(j for j, x in enumerate(d.ker_mu.int_rows[0]) if x)
+    q = [[list(r) for r in m] for m in d.int_q[0]]
+    q[0][i][i] += d.int_q[1]
+    mu_rows = [list(r) for r in zip(*d.int_mu[0])]
+    bad = GMData.from_int_rows(d.n, (mu_rows, d.int_mu[1]), [(m, d.int_q[1]) for m in q], d.epsilon)
+    with pytest.raises(GmError, match="inconsistent kernel values"):
+        classify(bad)
+    text = gio.emit(Document("gm_data", bad))
+    assert json.loads(text)["payload"]["type_hint"] is None
+    assert gio.parse(text).payload == bad
+    report = validate(bad)
+    assert (report.ok, report.gm_type, report.witness) == (False, None, (0, i, i))
+
+
 @st.composite
 def rows_over_a_denominator(draw):
     """Integer rows over a positive denominator: negative and large entries,
@@ -190,8 +211,6 @@ def test_integer_rows_format_as_the_fraction_matrix(case):
 def fraction_emit(kind: str, value) -> str:
     """The text of a GM or Lagrangian document with its matrices formatted
     from their ``Fraction`` entries by the oracle."""
-    from gmepw.gm import classify
-
     if kind == "gm_data":
         payload = {"n": value.n, "mu": oracles.format_matrix(value.mu),
                    "q": [oracles.format_matrix(m) for m in value.q],

@@ -154,3 +154,11 @@ def test_only_linalg_and_the_token_reader_take_an_lcm():
              for owner in mentions(ast.parse(path.read_text(encoding="utf-8")), "lcm")}
     assert {module for module, _ in found} == {"linalg", "io"}
     assert {use for use in found if use[0] != "linalg"} == {("io", None), ("io", "parse_matrix")}
+
+
+def test_the_integer_layers_name_no_fraction():
+    # the dictionary, the strata, the wedge tables, the fibrations and the
+    # quadrics run on integer rows: Fraction stays at the API edge
+    for module in ("correspondence", "epw", "exterior", "fibrations", "quadrics"):
+        tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+        assert list(mentions(tree, "Fraction")) == [], module
