@@ -24,11 +24,34 @@ v ^ e_j ^ e_k, {j, k} avoiding i.  For R the last 3-set with Plücker
 coordinate p_R != 0 and C its complement, f1..f3 = w1..w3 and the e_c
 (c in C) give w1 ^ w2 ^ w3 and the 9 forms e_c ^ w_a ^ w_b.
 
+The same charts serve the hyperplane V5 = span(e1..e5), the columns
+0..4.  For v in V5, i < 5, and {v} with the e_j (j < 5, j != i) spans V5,
+as v = v_i e_i + (the others) with v_i != 0; so the 6 forms v ^ e_j ^ e_k
+with {j, k} in {0..4} avoiding i are a basis of v ^ Lambda^2 V5 =
+Lambda^2(V5/v), of dimension C(4, 2) = 6.  For W in V5 every p_R with
+5 in R is 0, so R lies in {0..4}, and the 5 x 5 minor of w1, w2, w3, e_c
+(c in {0..4} outside R) is +-p_R != 0: V5 = W + U for U the span of those
+two e_c, and V5 ^ Lambda^2 W = Lambda^3 W + U (x) Lambda^2 W, two of the
+summands Lambda^k W (x) Lambda^(3-k) U of Lambda^3 V5, has the basis
+w1 ^ w2 ^ w3 and the 2 * 3 forms e_c ^ w_a ^ w_b: dimension 7.  Any R
+with p_R != 0 is a chart.  For the RREF rows of W with pivots P, p_P is
+the product of the pivot entries, so P is one; there w_a is its pivot
+entry at e_(P_a) plus free entries, and in V5 (one free column n besides
+c) each e_c ^ w_a ^ w_b for c free has at most 3 non-zero entries, at
+e_c ^ e_(P_a) ^ e_(P_b), e_c ^ e_(P_a) ^ e_n and e_c ^ e_n ^ e_(P_b).  A
+hyperplane H takes its RREF rows b_a in place of the e_j: v is the
+combination of the b_a with coefficient v[pivot_a] / b_a[pivot_a], so
+{v} with the b_a other than the last r with v[pivot_r] != 0 spans H; on
+span(e1..e5) those b_a are the e_j, j != i, and the rows are the chart's.
+
 Every level here is its family dimension minus ``Subspace.rank_modulo`` of
-plain 20-coordinate rows spanning the family.  The 10 chart rows are
-written straight from the one sign table of ``exterior``: the coordinates
-of v ^ e_j ^ e_k are +-v_m at e_m ^ e_jk, and those of e_c ^ w_a ^ w_b are
-+-(w_a ^ w_b)_jk at e_c ^ e_jk, so no generator is wedged on its own.
+plain 20-coordinate rows that are a basis of the family: the chart rows of
+``point_chart_rows`` and ``plane_chart_rows`` over the columns 0..5 (10
+rows) or 0..4 (6 and 7), and for ``y_hat_member`` the 6 rows v ^ b_a ^ b_b
+over the hyperplane's RREF rows.  The chart rows are written straight from
+the one sign table of ``exterior``: the coordinates of v ^ e_j ^ e_k are
++-v_m at e_m ^ e_jk, and those of e_c ^ w_a ^ w_b are +-(w_a ^ w_b)_jk at
+e_c ^ e_jk, so no generator is wedged on its own.
 
 A certificate takes the first chart along its whole line, and a pairing
 determinant of the generators against the rows of A, so the sample check,
@@ -68,20 +91,52 @@ _FAMILY_DIM = 10  # dim of the family at a point, derived above
 _SAMPLES = 20  # pointwise checks per certificate
 
 
+def point_chart_rows(v: list[int], cols: int) -> list[list[int]]:
+    """The rows v ^ e_j ^ e_k over the pairs {j, k} of the columns 0..cols-1
+    avoiding i, the last index with v_i != 0: a basis of v ^ Lambda^2 of the
+    span of e_0..e_(cols-1), for a non-zero integer v in it (module
+    docstring)."""
+    i = max(k for k, x in enumerate(v) if x)
+    rows = {jk: [0] * 20 for jk, pair in enumerate(monomials(6, 2)) if i not in pair and pair[1] < cols}
+    for vm, entries in zip(v, _wedge_table(6, 1, 2)):
+        if vm:
+            for jk, sign, t in entries:
+                if jk in rows:
+                    rows[jk][t] = sign * vm
+    return list(rows.values())
+
+
+def plane_chart_rows(w, cols: int, chart=None) -> list[list[int]]:
+    """w1 ^ w2 ^ w3 and the rows e_c ^ w_a ^ w_b over the columns c < cols
+    outside the chart R, a 3-set with p_R != 0 (by default the last one): a
+    basis of (the span of e_0..e_(cols-1)) ^ Lambda^2 W for 3 integer rows
+    spanning a W inside it (module docstring).  Dependent rows, whose cube
+    is 0, are rejected."""
+    pairs = [wedge(6, 1, 1, x, y) for x, y in combinations(w, 2)]
+    cube = wedge(6, 1, 2, w[0], pairs[2])  # the Plücker coordinates p_S
+    if not any(cube):
+        raise GmError("the 3 vectors are dependent: they span less than a 3-space")
+    if chart is None:
+        chart = monomials(6, 3)[max(r for r, p in enumerate(cube) if p)]
+    table = _wedge_table(6, 1, 2)
+    rows = [cube]
+    for c in range(cols):
+        if c not in chart:
+            for pair in pairs:
+                row = [0] * 20
+                for jk, sign, t in table[c]:
+                    row[t] = sign * pair[jk]
+                rows.append(row)
+    return rows
+
+
 def y_stratum(a: Subspace, v) -> int:
     """dim of the meet with v ^ (2-forms of the 6-space), by the basis of the
     chart i = the last index with v_i != 0 (module docstring)."""
     v = _int_row(v)
     if not any(v):
         raise GmError("zero vector")
-    i = max(k for k, x in enumerate(v) if x)
-    rows = {jk: [0] * 20 for jk, pair in enumerate(monomials(6, 2)) if i not in pair}
-    for vm, entries in zip(v, _wedge_table(6, 1, 2)):
-        if vm:
-            for jk, sign, t in entries:
-                if jk in rows:
-                    rows[jk][t] = sign * vm
-    return _FAMILY_DIM - a.rank_modulo(rows.values())
+    return _FAMILY_DIM - a.rank_modulo(point_chart_rows(v, 6))
 
 
 def y_dual_stratum(a: Subspace, v5: Subspace) -> int:
@@ -95,15 +150,17 @@ def y_dual_stratum(a: Subspace, v5: Subspace) -> int:
 
 
 def y_hat_member(a: Subspace, v, v5: Subspace) -> int:
-    """dim of the meet with v ^ (2-forms on the hyperplane V5), v in V5: as
-    v ^ Lambda^2 V5 = Lambda^2(V5/v) has dimension C(4, 2) = 6, it is 6
-    minus the rank of the raw generators modulo A."""
+    """dim of the meet with v ^ (2-forms on the hyperplane V5), v in V5: 6
+    minus the rank modulo A of the 6 chart rows v ^ b_a ^ b_b of
+    v ^ Lambda^2 V5, over V5's RREF rows b_a but the last r with
+    v[pivot_r] != 0 (module docstring)."""
     v = _int_row(v)
     if v5.ambient_dim != 6 or v5.dim != 5:
         raise GmError("expected a hyperplane of the 6-space")
     if not any(v) or not v5.contains(v):
         raise GmError("the point must be a non-zero vector of the hyperplane")
-    return 6 - a.rank_modulo(wedge_gens([v], v5.int_rows))
+    r = max(k for k, c in enumerate(v5.pivots) if v[c])
+    return 6 - a.rank_modulo(wedge_gens([v], [b for k, b in enumerate(v5.int_rows) if k != r]))
 
 
 def z_stratum(a: Subspace, rows) -> int:
@@ -116,21 +173,7 @@ def z_stratum(a: Subspace, rows) -> int:
     w = [_int_row(r) for r in rows]
     if len(w) != 3 or any(len(r) != 6 for r in w):
         raise GmError("expected 3 vectors of the 6-space")
-    pairs = [wedge(6, 1, 1, x, y) for x, y in combinations(w, 2)]
-    cube = wedge(6, 1, 2, w[0], pairs[2])  # the Plücker coordinates p_S
-    if not any(cube):
-        raise GmError("the 3 vectors are dependent: they span less than a 3-space")
-    chart = monomials(6, 3)[max(r for r, p in enumerate(cube) if p)]
-    table = _wedge_table(6, 1, 2)
-    rows = [cube]
-    for c in range(6):
-        if c not in chart:
-            for pair in pairs:
-                row = [0] * 20
-                for jk, sign, t in table[c]:
-                    row[t] = sign * pair[jk]
-                rows.append(row)
-    return _FAMILY_DIM - a.rank_modulo(rows)
+    return _FAMILY_DIM - a.rank_modulo(plane_chart_rows(w, 6))
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,19 @@ as the second quadric of the lift A meet I-perp (``quadrics.isotropic_reduce``:
 on I-perp the projection to the second summand is the reduced one, so that
 quadric is the reduced second quadric) and builds no quotient; it calls none
 of the stratum or level functions, nor a rank modulo or meet dimension.
+
+I is written as the chart basis of its family, not reduced to its RREF.
+For v in the hyperplane V5, with i the last index where v_i != 0, {v} with
+the e_j (j < 5, j != i) is a basis of V5, so I = v ^ Lambda^2 V5 =
+Lambda^2(V5/v) has the 6 rows v ^ e_j ^ e_k ({j, k} in {0..4} avoiding i).
+For a 3-space W of V5 given by its RREF rows w_a with pivots P (P lies in
+{0..4}, and p_P, the product of the pivot entries, is not 0), the two e_c
+of {0..4} outside P span a complement U of W in V5, so I = V5 ^ Lambda^2 W
+= Lambda^3 W + U (x) Lambda^2 W has the 7 rows w1 ^ w2 ^ w3 and
+e_c ^ w_a ^ w_b (``epw.point_chart_rows`` and ``epw.plane_chart_rows`` over
+the columns 0..4, the latter charted at P).  A fiber query builds them
+once: its sigma level ranks them modulo A against their number, 6 or 7,
+and the reduction takes them as I.
 """
 
 from __future__ import annotations
@@ -18,20 +31,20 @@ from .correspondence import (
     extended_decomposition,
     extended_lagrangian,
 )
-from .epw import y_hat_member, y_stratum, z_stratum
-from .exterior import v5_subspace, wedge_gens, wedge_space
+from .epw import plane_chart_rows, point_chart_rows, y_hat_member, y_stratum, z_stratum
+from .exterior import v5_subspace
 from .gm import GmError
-from .linalg import Subspace, vec
+from .linalg import Subspace, _int_row, vec
 from .quadrics import _induced_quadric, isotropic_reduce
 
 
-def _check_in_v5(v) -> list:
+def _check_in_v5(v) -> list[int]:
     v = vec(v)
     if len(v) != 6 or v[5] != 0:
         raise GmError("the point must lie in the hyperplane")
     if all(x == 0 for x in v):
         raise GmError("zero vector")
-    return v
+    return _int_row(v)
 
 
 def _check_v3_in_v5(v3: Subspace) -> Subspace:
@@ -42,9 +55,22 @@ def _check_v3_in_v5(v3: Subspace) -> Subspace:
     return v3
 
 
+def _plane_rows(v3: Subspace) -> list[list[int]]:
+    """The 7 chart rows of V5 ^ Lambda^2 W, charted at W's pivots."""
+    v3 = _check_v3_in_v5(v3)
+    return plane_chart_rows(v3.int_rows, 5, v3.pivots)
+
+
+def _level(ld: LagrangianData, rows) -> int:
+    """dim of the meet of the Lagrangian with the span of the chart rows, a
+    basis of the family: their number minus their rank modulo A."""
+    return len(rows) - ld.a.rank_modulo(rows)
+
+
 def sigma1_level(ld: LagrangianData, v) -> int:
     """dim of the meet of the Lagrangian with v ^ (2-forms on the hyperplane),
-    for v in the hyperplane; positive iff v lies in the first exceptional locus."""
+    for v in the hyperplane; positive iff v lies in the first exceptional
+    locus.  It is the incidence level with the hyperplane span(e1..e5)."""
     return y_hat_member(ld.a, _check_in_v5(v), v5_subspace())
 
 
@@ -52,9 +78,8 @@ def sigma2_level(ld: LagrangianData, v3: Subspace) -> int:
     """dim of the meet with (hyperplane) ^ (2-forms of the 3-space); positive
     iff the 3-space lies in the second exceptional locus.  As V5 ^ Lambda^2 W
     = Lambda^3 W + (V5/W) (x) Lambda^2 W has dimension 1 + 2 * 3 = 7, it is 7
-    minus the rank of the raw generators modulo A."""
-    v3 = _check_v3_in_v5(v3)
-    return 7 - ld.a.rank_modulo(wedge_gens(v5_subspace().int_rows, v3.int_rows))
+    minus the rank of its 7 chart rows modulo A (module docstring)."""
+    return _level(ld, _plane_rows(v3))
 
 
 @dataclass(frozen=True)
@@ -67,15 +92,13 @@ class FiberReport:
     agreement: bool
 
 
-def _fiber_report(
-    ld: LagrangianData, iso20: Subspace, level: int, stratum: int, shift: int
-) -> FiberReport:
-    """Fiber data by isotropic reduction along iso20, a subspace of the 20
-    three-form coordinates, asserted equal to the closed form: the reduced
-    second quadric, read on the lift A meet I-perp, spans
+def _fiber_report(ld: LagrangianData, iso20, level: int, stratum: int, shift: int) -> FiberReport:
+    """Fiber data by isotropic reduction along the I spanned by iso20, rows
+    of the 20 three-form coordinates, asserted equal to the closed form: the
+    reduced second quadric, read on the lift A meet I-perp, spans
     P^(n + level + shift) and has corank stratum - level."""
-    iso = Subspace(22, [r + (0, 0) for r in iso20.int_rows], iso20.pivots)  # padding keeps the RREF
     dec = extended_decomposition()
+    iso = [r + [0, 0] for r in iso20]
     q2 = _induced_quadric(dec, isotropic_reduce(dec, extended_lagrangian(ld), iso), 2)
     ambient, corank = q2.span_dim - 1, q2.corank
     n = ld.dim_report.predicted_dim_x
@@ -98,8 +121,8 @@ def fibration1_fiber(ld: LagrangianData, v) -> FiberReport:
     if ld.a1 == A1_INF:
         raise GmError("fibrations need lci data")
     v = _check_in_v5(v)
-    iso = wedge_space(Subspace.from_rows(6, [v]), v5_subspace())
-    return _fiber_report(ld, iso, sigma1_level(ld, v), y_stratum(ld.a, v), -2)
+    iso = point_chart_rows(v, 5)
+    return _fiber_report(ld, iso, _level(ld, iso), y_stratum(ld.a, v), -2)
 
 
 def fibration2_fiber(ld: LagrangianData, v3: Subspace) -> FiberReport:
@@ -111,6 +134,5 @@ def fibration2_fiber(ld: LagrangianData, v3: Subspace) -> FiberReport:
     """
     if ld.a1 == A1_INF:
         raise GmError("fibrations need lci data")
-    v3 = _check_v3_in_v5(v3)
-    iso = wedge_space(v5_subspace(), v3)
-    return _fiber_report(ld, iso, sigma2_level(ld, v3), z_stratum(ld.a, v3.int_rows), -3)
+    iso = _plane_rows(v3)
+    return _fiber_report(ld, iso, _level(ld, iso), z_stratum(ld.a, v3.int_rows), -3)

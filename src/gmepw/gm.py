@@ -237,7 +237,7 @@ def hull_point_sample(d: GMData, seed) -> list[Fraction]:
     cols, m = d.int_mu
     ann = Subspace.from_rows(L2V5_DIM, cols).annihilator().int_rows  # functionals cutting mu(W)
     for _ in range(100):
-        v1 = clear_denominators(random_nonzero_vector(rng, 5, 4))[0]
+        v1 = random_nonzero_vector(rng, 5, 4)
         # the v2 on which every functional of v1 ^ v2 vanishes
         wedges = [wedge(5, 1, 1, v1, monomial(5, (j,))) for j in range(5)]
         sol = Subspace.from_rows(5, [[sum(map(mul, f, wj)) for wj in wedges] for f in ann]).annihilator()

@@ -414,20 +414,11 @@ class Subspace:
         return [c for c in range(self.ambient_dim) if c not in self.pivots]
 
     def contains(self, v) -> bool:
-        return self.coordinates_of(v) is not None
-
-    def coordinates_of(self, v) -> list[Fraction] | None:
-        """Coefficients of v in the RREF basis, or None if v is outside.
-
-        For an RREF basis the coefficient of basis row r is just v[pivot_r];
-        v lies inside when its integer multiple has no remainder.
-        """
+        """v lies inside when its integer multiple has no remainder."""
         w = _int_row(v)
         if len(w) != self.ambient_dim:
             raise ValueError("vector length differs from ambient dimension")
-        if any(self.remainder(w)):
-            return None
-        return [rat(v[c]) for c in self.pivots]
+        return not any(self.remainder(w))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_ambient(other)

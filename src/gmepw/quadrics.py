@@ -259,11 +259,12 @@ def lagrangian_from_quadric(q: QuadricOnSubspace) -> Subspace:
     return Subspace.from_rows(2 * m, rows)
 
 
-def isotropic_reduce(dec: LagrangianDecomposition, a: Subspace, iso: Subspace) -> Subspace:
+def isotropic_reduce(dec: LagrangianDecomposition, a: Subspace, iso) -> Subspace:
     """The lift a meet I-perp of the Lagrangian a along an isotropic I inside
-    l1.  Linear symplectic reduction carries a to the Lagrangian a' of
-    I-perp / I, the image of the lift, and the second quadric of the lift,
-    ``_induced_quadric(dec, lift, 2)``, is the reduced second quadric of a'.
+    l1, given by any integer rows spanning I.  Linear symplectic reduction
+    carries a to the Lagrangian a' of I-perp / I, the image of the lift, and
+    the second quadric of the lift, ``_induced_quadric(dec, lift, 2)``, is
+    the reduced second quadric of a'.
 
     As I lies in l1 = l1-perp, l1 lies in I-perp; as l1 and l2 pair
     perfectly, M = I-perp meet l2 has dimension dim l2 - dim I, so
@@ -283,15 +284,18 @@ def isotropic_reduce(dec: LagrangianDecomposition, a: Subspace, iso: Subspace) -
 
     In integers, with d * form the rows of ``int_form``, the lift is the
     combinations sum c_j a_j with sum c_j d omega(i_r, a_j) = 0 for every row
-    i_r of I.  One Gauss-Jordan of the rows [d omega(i_r, a_j) over r | a_j]
-    gives them: a combination of the reduced rows vanishes on the equation
-    block only if it uses no row with a pivot there, and the reduced rows
-    with their pivot past the block vanish on it and are the RREF of the
-    lift, each zero at the others' pivots.
+    i_r of the spanning set: vanishing on a spanning set is vanishing on I,
+    so the rows need not be independent, nor reduced.  One Gauss-Jordan of
+    the rows [d omega(i_r, a_j) over r | a_j] gives them: a combination of
+    the reduced rows vanishes on the equation block only if it uses no row
+    with a pivot there, as those rows are independent on the block
+    (dependent equations leave columns without a pivot), and the reduced
+    rows with their pivot past the block vanish on it and are the RREF of
+    the lift, each zero at the others' pivots.
     """
-    if not dec.l1.contains_subspace(iso):
+    if not all(dec.l1.contains(r) for r in iso):
         raise ValueError("isotropic subspace must lie in the first summand")
-    eqs, k = _times_form(dec.space, iso.int_rows), iso.dim
+    eqs, k = _times_form(dec.space, iso), len(iso)
     rows, pivots = _gauss_jordan([[sum(map(mul, f, r)) for f in eqs] + list(r) for r in a.int_rows],
                                  k + a.ambient_dim)
     return Subspace(a.ambient_dim, [r[k:] for r, c in zip(rows, pivots) if c >= k],

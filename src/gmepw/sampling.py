@@ -20,7 +20,6 @@ e_i and e_j.  The frame is therefore read off the integer rows of the form.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .exterior import SymplecticSpace
 from .linalg import Subspace, det_int, over_lcd
@@ -31,18 +30,14 @@ def rng_from_seed(seed) -> random.Random:
     return random.Random(seed)
 
 
-def random_int_fraction(rng: random.Random, height: int = 5) -> Fraction:
-    return Fraction(rng.randint(-height, height))
+def random_vector(rng: random.Random, n: int, height: int = 5) -> list[int]:
+    return [rng.randint(-height, height) for _ in range(n)]
 
 
-def random_vector(rng: random.Random, n: int, height: int = 5) -> list[Fraction]:
-    return [random_int_fraction(rng, height) for _ in range(n)]
-
-
-def random_nonzero_vector(rng: random.Random, n: int, height: int = 5) -> list[Fraction]:
+def random_nonzero_vector(rng: random.Random, n: int, height: int = 5) -> list[int]:
     while True:
         v = random_vector(rng, n, height)
-        if any(x != 0 for x in v):
+        if any(v):
             return v
 
 

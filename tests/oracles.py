@@ -96,6 +96,12 @@ def inverse(m: Matrix) -> Matrix:
     return Matrix([r[n:] for r in aug], cols=n)
 
 
+def coordinates_of(s: Subspace, v) -> list[Fraction] | None:
+    """Coefficients of v in the RREF basis of s, or None if v is outside: for
+    an RREF basis the coefficient of basis row r is just v[pivot_r]."""
+    return [Fraction(v[c]) for c in s.pivots] if s.contains(v) else None
+
+
 def random_matrix(rng, rows: int, cols: int, height: int = 5) -> Matrix:
     """The former ``sampling.random_matrix``: entries drawn row by row."""
     return Matrix([[rng.randint(-height, height) for _ in range(cols)] for _ in range(rows)], cols=cols)

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from gmepw.correspondence import A1_ZERO, LagrangianData, dim_report, dualize
 from gmepw.epw import (
+    plane_chart_rows,
+    point_chart_rows,
     stratum_poly_on_line,
     y_dual_stratum,
     y_hat_member,
@@ -24,10 +26,11 @@ from gmepw.exterior import (
     monomial,
     top_pairing,
     wedge,
+    wedge_gens,
     wedge_space,
     wedge_symplectic_space,
 )
-from gmepw.fibrations import sigma2_level
+from gmepw.fibrations import sigma1_level, sigma2_level
 from gmepw.fixtures import (
     all_lagrangian_fixtures,
     fivefold_lagrangian,
@@ -36,10 +39,10 @@ from gmepw.fixtures import (
     threefold_lagrangian,
 )
 from gmepw.gm import GmError
-from gmepw.linalg import Matrix, Subspace, clear_denominators, det_int, kernel, unit_vector
+from gmepw.linalg import Matrix, Subspace, _bareiss, clear_denominators, det_int, kernel, unit_vector
 from gmepw.polynomials import Poly
 from gmepw.quadrics import omega_orthogonal
-from gmepw.sampling import random_lagrangian, random_nonzero_vector, rng_from_seed
+from gmepw.sampling import random_lagrangian, random_nonzero_vector, random_vector, rng_from_seed
 
 import oracles
 
@@ -371,6 +374,141 @@ def test_sigma_levels_match_the_intersection():
                 assert level >= k
                 levels.add(level)
     assert {1, 2, 3} <= levels
+
+
+def point_with_last_coordinate(rng, i: int) -> list[int]:
+    """A seeded integer point whose last non-zero coordinate is i."""
+    return [rng.randint(-3, 3) for _ in range(i)] + [rng.choice([-2, -1, 1, 3])] + [0] * (5 - i)
+
+
+def plane_with_chart(rng, chart) -> list[list[int]]:
+    """3 integer rows of a W whose last 3-set with p_R != 0 is the chart:
+    w_a = e_(r_a) + a seeded combination of the e_c, c < r_a.  Any 3-set
+    S after R has a column past r_3, two columns past r_2 or three past r_1,
+    where the rows are 0, so p_S = 0, while p_R = 1.  The rows are then
+    changed by a seeded invertible 3 x 3 matrix, which keeps the span."""
+    rows = [[rng.randint(-3, 3) if c < r else int(c == r) for c in range(6)] for r in chart]
+    change = [[0] * 3] * 3
+    while det_int(change) == 0:
+        change = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
+    return [[sum(g[a] * rows[a][j] for a in range(3)) for j in range(6)] for g in change]
+
+
+def combination(coeffs, rows) -> list[int]:
+    return [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(6)]
+
+
+def units(cols) -> list[list[int]]:
+    return [[int(j == c) for j in range(6)] for c in cols]
+
+
+def test_point_chart_rows_are_a_basis_of_the_family():
+    # v ^ e_j ^ e_k over {j, k} avoiding the last index i with v_i != 0 is a
+    # basis of v ^ Lambda^2 V5 (6 rows, i in 0..4) and of v ^ Lambda^2 V6
+    # (10 rows, i in 0..5), at unit vectors and at seeded points
+    rng = rng_from_seed(27)
+    full = Subspace.full(6)
+    for cols, space, size in ((5, V5, 6), (6, full, 10)):
+        for i in range(cols):
+            for v in units([i]) + [point_with_last_coordinate(rng, i) for _ in range(4)]:
+                rows = point_chart_rows(v, cols)
+                assert rows == wedge_gens([v], units(j for j in range(cols) if j != i))
+                assert _bareiss(rows)[0] == len(rows) == size
+                assert Subspace.from_rows(20, rows) == wedge_space(Subspace.from_rows(6, [v]), space)
+
+
+def test_plane_chart_rows_are_a_basis_of_the_family():
+    # w1 ^ w2 ^ w3 and e_c ^ w_a ^ w_b over c outside the chart R is a basis
+    # of V5 ^ Lambda^2 W (7 rows) for every chart R in {0..4}, and of
+    # V6 ^ Lambda^2 W (10 rows) for every R in {0..5}
+    rng = rng_from_seed(28)
+    full = Subspace.full(6)
+    for cols, space, size in ((5, V5, 7), (6, full, 10)):
+        for chart in combinations(range(cols), 3):
+            for w in [units(chart)] + [plane_with_chart(rng, chart) for _ in range(3)]:
+                rows = plane_chart_rows(w, cols)
+                cube = wedge(6, 1, 2, w[0], wedge(6, 1, 1, w[1], w[2]))
+                assert rows == [cube] + wedge_gens(units(c for c in range(cols) if c not in chart), w)
+                assert _bareiss(rows)[0] == len(rows) == size
+                assert Subspace.from_rows(20, rows) == wedge_space(space, Subspace.from_rows(6, w))
+
+
+def plane_with_pivots(rng, pivots) -> Subspace:
+    """A seeded W whose RREF has the given pivot columns: row a is e_(P_a)
+    plus non-zero entries at the free columns past P_a (inside V5 when the
+    pivots are)."""
+    cols = 5 if max(pivots) < 5 else 6
+    free = [c for c in range(cols) if c not in pivots]
+    rows = [[int(c == p) + (rng.choice([-2, -1, 1, 3]) if c in free and c > p else 0) for c in range(6)]
+            for p in pivots]
+    w = Subspace.from_rows(6, rows)
+    assert w.pivots == tuple(pivots)
+    return w
+
+
+def test_plane_chart_rows_at_the_pivots_are_a_sparse_basis():
+    # W's RREF pivots P are a chart (p_P is the product of the pivot
+    # entries): the rows charted there are a basis of the family for every
+    # P, and over V5 each e_c ^ w_a ^ w_b has at most 3 non-zero entries
+    rng = rng_from_seed(31)
+    full = Subspace.full(6)
+    for cols, space, size in ((5, V5, 7), (6, full, 10)):
+        for pivots in combinations(range(cols), 3):
+            for w in [Subspace.from_rows(6, units(pivots))] + [plane_with_pivots(rng, pivots) for _ in range(3)]:
+                rows = plane_chart_rows(w.int_rows, cols, w.pivots)
+                assert _bareiss(rows)[0] == len(rows) == size
+                assert Subspace.from_rows(20, rows) == wedge_space(space, w)
+                if cols == 5:
+                    assert max(sum(1 for x in row if x) for row in rows[1:]) <= 3
+
+
+def test_sigma_levels_match_the_meet_in_every_chart():
+    # sigma1_level and sigma2_level (6 and 7 chart rows, rank modulo A)
+    # against the meet of A with a basis of the family, by annihilators, in
+    # every chart of V5, on the fixtures and on Lagrangians through k forms
+    # of the family there
+    rng = rng_from_seed(29)
+    levels = set()
+    for a in stratum_lagrangians():
+        for i, chart in zip(range(5), [(0, 1, 2), (0, 1, 3), (0, 2, 4), (1, 3, 4), (2, 3, 4)]):
+            v, w = point_with_last_coordinate(rng, i), plane_with_chart(rng, chart)
+            v3 = Subspace.from_rows(6, w)
+            forms = family_forms(rng, v, v3, i % 3 + 1, n=5)
+            for a_k in (a, through(a, forms["y"]), through(a, forms["z"])):
+                ld = LagrangianData(a=a_k, a1=A1_ZERO)
+                s1, s2 = sigma1_level(ld, v), sigma2_level(ld, v3)
+                assert s1 == a_k.intersect(wedge_space(Subspace.from_rows(6, [v]), V5)).dim
+                assert s2 == a_k.intersect(wedge_space(V5, v3)).dim
+                levels.update((s1, s2))
+    assert {0, 1, 2, 3} <= levels
+
+
+def test_y_hat_member_on_other_hyperplanes():
+    # away from span(e1..e5) y_hat_member ranks v ^ b_a ^ b_b over the RREF
+    # rows b_a of the hyperplane but the last r with v[pivot_r] != 0; the
+    # level is the meet with v ^ Lambda^2 h at each such r, on the fixtures
+    # and on Lagrangians through k forms of the family (k = 0: A itself)
+    rng = rng_from_seed(30)
+    e = units(range(6))
+    hyperplanes = [Subspace.from_rows(6, e[:4] + [[0, 0, 0, 0, 1, 1]]), Subspace.from_rows(6, e[1:])]
+    hyperplanes += [kernel(Matrix([random_nonzero_vector(rng, 6, 3)])) for _ in range(2)]
+    levels = set()
+    for h in hyperplanes:
+        for r, b in enumerate(h.int_rows):
+            coeffs = [rng.randint(-2, 2) for _ in range(r)] + [1] + [0] * (4 - r)
+            v = combination(coeffs, h.int_rows)
+            family = wedge_space(Subspace.from_rows(6, [v]), h)
+            for a in stratum_lagrangians():
+                for k in (0, 1, 2):
+                    forms = [[0] * 20] * k
+                    while Subspace.from_rows(20, forms).dim < k:  # k independent forms v ^ x ^ y, x, y in h
+                        xs = [combination(random_vector(rng, 5, 2), h.int_rows) for _ in range(2 * k)]
+                        forms = [wedge(6, 1, 2, v, wedge(6, 1, 1, x, y)) for x, y in zip(xs[::2], xs[1::2])]
+                    a_k = through(a, forms)
+                    level = y_hat_member(a_k, v, h)
+                    assert level == a_k.intersect(family).dim >= k
+                    levels.add(level)
+    assert {0, 1, 2} <= levels
 
 
 def test_y_dual_equals_dual_y_random():

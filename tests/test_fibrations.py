@@ -275,3 +275,48 @@ def test_the_reduction_path_calls_no_closed_form_primitive(monkeypatch):
         assert all(r.agreement for r in reports)
         queries += len(reports)
     assert queries == 32 and counts["reductions"] == 2 * queries and counts["closed"] >= 2 * queries
+
+
+def test_warm_fibers_run_two_eliminations_and_levels_rank_the_chart_rows(monkeypatch):
+    # I is handed over as its chart rows, never reduced: once a Lagrangian's
+    # caches are built, a fiber query runs one Gauss-Jordan in
+    # isotropic_reduce and one in _induced_quadric, and the sigma levels
+    # rank 6 and 7 chart rows modulo A, next to the 10 of the point and
+    # quartic strata
+    from gmepw import linalg, quadrics
+
+    counts = {"eliminations": 0}
+    sizes = []
+    gauss_jordan, rank_modulo = linalg._gauss_jordan, Subspace.rank_modulo
+
+    def counted(*args):
+        counts["eliminations"] += 1
+        return gauss_jordan(*args)
+
+    def ranked(self, rows):
+        rows = list(rows)
+        sizes.append(len(rows))
+        return rank_modulo(self, rows)
+
+    rng = rng_from_seed("warm-fibers")
+    queries = 0
+    for ld in all_lagrangian_fixtures().values():
+        points = [unit_vector(6, 0)] + [rand_v5_point(rng) for _ in range(3)]
+        planes = [Subspace.from_rows(6, [unit_vector(6, i) for i in (0, 1, 3)])]
+        planes += [rand_v5_plane(rng) for _ in range(3)]
+        fibration1_fiber(ld, points[0]), fibration2_fiber(ld, planes[0])  # build the caches
+        with monkeypatch.context() as patched:
+            for module in (linalg, quadrics):
+                patched.setattr(module, "_gauss_jordan", counted)
+            patched.setattr(Subspace, "rank_modulo", ranked)
+            for query, level, x, rows in [(fibration1_fiber, sigma1_level, v, 6) for v in points] + \
+                                         [(fibration2_fiber, sigma2_level, v3, 7) for v3 in planes]:
+                counts["eliminations"], sizes[:] = 0, []
+                report = query(ld, x)
+                assert report.agreement
+                assert counts["eliminations"] == 2 and sizes == [rows, 10]
+                sizes[:] = []
+                assert level(ld, x) == report.sigma_level
+                assert counts["eliminations"] == 2 and sizes == [rows]
+                queries += 1
+    assert queries == 32

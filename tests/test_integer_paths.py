@@ -202,7 +202,7 @@ def test_membership_equals_the_fraction_values():
         points = []
         if name != "sixfold_special":
             points += [hull_point_sample(d, seed) for seed in range(6)]
-        points += [[x / rng.randint(1, 5) for x in random_vector(rng, d.w_dim, 4)] for _ in range(6)]
+        points += [[Fraction(x, rng.randint(1, 5)) for x in random_vector(rng, d.w_dim, 4)] for _ in range(6)]
         points += [[Fraction(int(i == j)) for j in range(d.w_dim)] for i in range(d.w_dim)]
         for w in points:
             if any(w):

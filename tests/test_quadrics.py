@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 
 from gmepw.correspondence import extended_decomposition, extended_lagrangian
-from gmepw.exterior import SymplecticSpace, v5_subspace, wedge_space, wedge_symplectic_space
-from gmepw.fixtures import fivefold_lagrangian
+from gmepw.epw import plane_chart_rows, point_chart_rows
+from gmepw.exterior import (SymplecticSpace, monomial_index, v5_subspace, wedge_gens, wedge_space,
+                            wedge_symplectic_space)
+from gmepw.fixtures import all_lagrangian_fixtures, fivefold_lagrangian
 from gmepw.linalg import Matrix, Subspace, det_int, kernel, unit_vector
 from gmepw.quadrics import (
     LagrangianDecomposition,
@@ -26,6 +28,7 @@ from gmepw.quadrics import (
 )
 from gmepw.sampling import (
     random_lagrangian,
+    random_nonzero_vector,
     random_vector,
     rng_from_seed,
     standard_lagrangian_pair,
@@ -45,7 +48,7 @@ def lift(model, coords):
 
 def evaluate(q, v, w):
     """Value q(v, w) for ambient vectors lying in the span of the quadric."""
-    cv, cw = q.span.coordinates_of(v), q.span.coordinates_of(w)
+    cv, cw = oracles.coordinates_of(q.span, v), oracles.coordinates_of(q.span, w)
     assert cv is not None and cw is not None
     return oracles.vec_dot(cv, oracles.apply(q.gram, cw))
 
@@ -272,8 +275,8 @@ def test_isotropic_reduce_identity_and_full():
     assert redf.reduced.space.total_dim == 0
     assert redf.reduced_a.dim == 0
     # the lift a meet I-perp: a itself for I = 0, and a meet l1 for I = l1
-    assert isotropic_reduce(dec, a, Subspace.from_rows(6, [])) == a
-    assert isotropic_reduce(dec, a, dec.l1) == a.intersect(dec.l1)
+    assert isotropic_reduce(dec, a, []) == a
+    assert isotropic_reduce(dec, a, dec.l1.int_rows) == a.intersect(dec.l1)
 
 
 def test_isotropic_reduce_requires_containment():
@@ -281,7 +284,48 @@ def test_isotropic_reduce_requires_containment():
     rng = rng_from_seed(1)
     a = random_lagrangian(dec.space, rng)
     with pytest.raises(ValueError):
-        isotropic_reduce(dec, a, dec.l2)
+        isotropic_reduce(dec, a, dec.l2.int_rows)
+
+
+def test_isotropic_reduce_takes_any_spanning_rows_of_i():
+    # the lift depends on I only: in the 22 coordinates the RREF rows of the
+    # fibration families, their chart rows (6 and 7, a basis) and their raw
+    # generators (10 and 15, dependent) give one lift, the meet of a with
+    # I-perp; in the doubled spaces so do the RREF rows and a seeded
+    # redundant spanning set (combinations, a zero row, a repeated row).
+    # Any row outside l1 raises.
+    rng = rng_from_seed("spanning-rows")
+    ext, v5 = extended_decomposition(), v5_subspace().int_rows
+    for ld in all_lagrangian_fixtures().values():
+        a = extended_lagrangian(ld)
+        for _ in range(3):
+            v = random_nonzero_vector(rng, 5, 3) + [0]
+            w = [random_nonzero_vector(rng, 5, 3) + [0] for _ in range(3)]
+            if Subspace.from_rows(6, w).dim < 3:
+                continue
+            for chart, raw in ((point_chart_rows(v, 5), wedge_gens([v], v5)),
+                               (plane_chart_rows(w, 5), wedge_gens(v5, w))):
+                pad = [r + [0, 0] for r in raw]
+                meet = a.intersect(omega_orthogonal(ext.space, Subspace.from_rows(22, pad)))
+                for rows in (Subspace.from_rows(22, pad).int_rows, [r + [0, 0] for r in chart], pad):
+                    assert isotropic_reduce(ext, a, rows) == meet
+                off = [0] * 22
+                off[monomial_index(6, 3)[(0, 1, 5)]] = 1  # e1 ^ e2 ^ e6 lies in l2
+                for bad in (off, [x + y for x, y in zip(pad[0], off)]):
+                    with pytest.raises(ValueError):
+                        isotropic_reduce(ext, a, [r + [0, 0] for r in chart] + [bad])
+    for m in (2, 3, 4):
+        dec = standard_doubled_space(m)
+        for k in range(m + 1):
+            iso, a = isotropic_in(rng, dec.l1, k), random_lagrangian(dec.space, rng)
+            rows = [list(r) for r in iso.int_rows]
+            coeffs = [[rng.randint(-2, 2) for _ in rows] for _ in range(2)]
+            combos = [[sum(c * r[j] for c, r in zip(cs, rows)) for j in range(2 * m)] for cs in coeffs]
+            redundant = combos + rows[::-1] + [[0] * (2 * m)] + rows[:1]
+            meet = a.intersect(omega_orthogonal(dec.space, iso))
+            assert isotropic_reduce(dec, a, rows) == isotropic_reduce(dec, a, redundant) == meet
+            with pytest.raises(ValueError):
+                isotropic_reduce(dec, a, redundant + [[int(j == m) for j in range(2 * m)]])
 
 
 @pytest.mark.parametrize("m", [3, 4])
@@ -386,7 +430,7 @@ def test_the_lift_carries_the_reduced_second_quadric(m):
         for a in lagrangians:
             for k in range(m + 1):
                 iso = isotropic_in(rng, dec.l1, k)
-                lift = isotropic_reduce(dec, a, iso)
+                lift = isotropic_reduce(dec, a, iso.int_rows)
                 assert lift == a.intersect(omega_orthogonal(dec.space, iso))
                 red = oracles.isotropic_reduce(dec, a, iso)
                 q, rq = _induced_quadric(dec, lift, 2), _induced_quadric(red.reduced, red.reduced_a, 2)
