@@ -3,9 +3,16 @@ text documents on standard streams or files.
 
 One table, ``COMMANDS``, holds each command's handler, help and arguments;
 the help listing, the usage line and the dispatch all read it.  A command
-line whose first token names a command builds the top-level parser with that
-command's subparser alone, whose usage line is the full parser's; any other
-command line builds every subparser.
+line whose first token names a command parses with the top-level parser and
+that command's subparser alone, whose usage line is the full parser's; any
+other command line parses with every subparser.
+
+Each of those parsers is built once per process, at the first command line
+of its shape, and reused by every later ``main`` call.  Reuse leaves no trace
+between calls: argparse reads ``COLUMNS`` when it formats a usage or help
+text, not when it builds the parser; each ``parse_args`` fills a fresh
+namespace from the defaults and copies the lists of ``append`` flags; and
+the dispatch looks the handler up in ``COMMANDS`` at call time.
 
 Exit codes: 0 success, 1 mathematical violation, 2 input error.
 """
@@ -14,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from fractions import Fraction
 from io import StringIO
@@ -70,8 +78,10 @@ def _parse_v5_point(text: str) -> list[Fraction]:
 
 
 def _parse_plane(text: str, where: str = "--plane") -> Subspace:
-    rows = [_parse_point6(part, where) for part in text.split(";")]
-    s = Subspace.from_rows(6, rows)
+    parts = text.split(";")
+    if len(parts) != 3:
+        raise DocumentError(f"{where}: expected 3 vectors u1;u2;u3, got {len(parts)}")
+    s = Subspace.from_rows(6, [_parse_point6(part, where) for part in parts])
     if s.dim != 3:
         raise DocumentError(f"{where}: vectors span dimension {s.dim}, expected 3")
     return s
@@ -293,12 +303,12 @@ def cmd_hyperplane_update(args) -> int:
 
 
 def cmd_sigma(args) -> int:
-    if not args.point and args.plane is None:
+    if args.point is None and args.plane is None:
         raise DocumentError("one of --point or --plane is required")
-    if args.point and args.plane is not None:
+    if args.point is not None and args.plane is not None:
         raise DocumentError("give one of --point or --plane, not both")
     ld = _read_document(args, "lagrangian_data")
-    if args.point:
+    if args.point is not None:
         level = sigma1_level(ld, _parse_v5_point(args.point))
         _emit_report(args, {"point": args.point, "sigma1_level": level})
     else:
@@ -389,12 +399,15 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser with the subparser of every command, or of ``command``
-    alone.  The one-command parser's usage line still lists every command,
-    as argparse writes the choices of the full parser; it is only built for
-    a valid first token, so its "invalid choice" and "required: command"
-    errors, which would name that list instead of "command", never occur."""
+    alone, built once per process for each argument and shared by every
+    caller, who must not change it.  The one-command parser's usage line
+    still lists every command, as argparse writes the choices of the full
+    parser; it is only built for a valid first token, so its "invalid
+    choice" and "required: command" errors, which would name that list
+    instead of "command", never occur."""
     parser = argparse.ArgumentParser(
         prog="gmepw",
         description="Exact computations relating Gushel-Mukai data, Lagrangian data, "
@@ -413,7 +426,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
+    # build_parser() rather than build_parser(None): the cache keys the two apart
+    parser = build_parser(argv[0]) if argv and argv[0] in COMMANDS else build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

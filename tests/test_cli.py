@@ -122,10 +122,12 @@ def test_degenerate_disc_line_is_input_error(base, direction, message, monkeypat
         ["fib2", "--plane", "1,0,0,0,0,0;0,1,0,0,0,0;0,0,1,0,0,1"],
         ["epw-point", "--point", "1e5000,0,0,0,0,0"],
         ["hyperplane-update", "--eta0", "0,0,0,0,0,0,0,0,0,0"],
+        ["sigma", "--point="],
     ],
     ids=["epw-point-zero", "epw-dual-point-zero", "sigma-point-off-hyperplane",
          "sigma-plane-off-hyperplane", "fib1-point-off-hyperplane", "fib1-point-zero",
-         "fib2-plane-off-hyperplane", "epw-point-huge-exponent", "hyperplane-update-zero-eta0"],
+         "fib2-plane-off-hyperplane", "epw-point-huge-exponent", "hyperplane-update-zero-eta0",
+         "sigma-empty-point"],
 )
 def test_malformed_point_is_input_error(argv, monkeypatch, capsys):
     stdin_text = (ROOT / "fixtures" / "fivefold.lag.json").read_text(encoding="utf-8")
@@ -136,11 +138,32 @@ def test_malformed_point_is_input_error(argv, monkeypatch, capsys):
 
 
 def test_sigma_with_point_and_plane_is_usage_error(monkeypatch, capsys):
-    argv = ["sigma", "--point", "1,0,0,0,0,0", "--plane", "1,0,0,0,0,0;0,1,0,0,0,0;0,0,1,0,0,0"]
-    code, out, err = run_main(argv, "", monkeypatch, capsys)
-    assert code == cli.EXIT_INPUT
-    assert out == ""
-    assert "give one of --point or --plane" in err
+    for point in ["1,0,0,0,0,0", ""]:  # an empty --point is given all the same
+        argv = ["sigma", f"--point={point}", "--plane=1,0,0,0,0,0;0,1,0,0,0,0;0,0,1,0,0,0"]
+        code, out, err = run_main(argv, "", monkeypatch, capsys)
+        assert code == cli.EXIT_INPUT
+        assert out == ""
+        assert "give one of --point or --plane" in err
+
+
+PLANE_ROWS = ["1,0,0,0,0,0", "0,1,0,0,0,0", "0,0,1,0,0,0", "0,0,0,1,0,0"]
+
+
+@pytest.mark.parametrize("command", [["zeta-plane", "--plane"], ["fib2", "--plane"], ["sigma", "--plane"]],
+                         ids=lambda c: c[0])
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (PLANE_ROWS[:2], "--plane: expected 3 vectors u1;u2;u3, got 2"),
+        (PLANE_ROWS, "--plane: expected 3 vectors u1;u2;u3, got 4"),
+        (PLANE_ROWS[:1] * 3, "--plane: vectors span dimension 1, expected 3"),
+    ],
+    ids=["two-vectors", "four-vectors", "three-dependent-vectors"],
+)
+def test_a_plane_is_three_independent_vectors(command, rows, message, monkeypatch, capsys):
+    stdin_text = (ROOT / "fixtures" / "fivefold.lag.json").read_text(encoding="utf-8")
+    code, out, err = run_main(command + [";".join(rows)], stdin_text, monkeypatch, capsys)
+    assert (code, out, err) == (cli.EXIT_INPUT, "", f"input error: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -233,6 +256,34 @@ def test_fixture_list_output_file_holds_the_whole_listing(tmp_path, monkeypatch,
     path = tmp_path / "list"
     assert run_main(["fixture", "--list", "--output", str(path)], "", monkeypatch, capsys) == (0, "", "")
     assert path.read_text(encoding="utf-8") == listing
+
+
+def test_a_reused_parser_keeps_nothing_of_the_last_call(tmp_path, monkeypatch, capsys):
+    # cli.main builds each parser once per process: no flag of one call may reach the next
+    lag = (ROOT / "fixtures" / "fivefold.lag.json").read_text(encoding="utf-8")
+    golden = {name: (GOLDEN / f"{name}.out").read_bytes().decode("utf-8") for name in CASES_BY_NAME}
+    fib1, epw_line_y = CASES_BY_NAME["fib1"]["argv"], CASES_BY_NAME["epw_line_y"]["argv"]
+    two_points = run_main(fib1 + ["--point", "1,0,0,0,0,0"], lag, monkeypatch, capsys)[1]
+    assert two_points.count("\r\n") == 3
+    assert run_main(fib1, lag, monkeypatch, capsys) == (0, golden["fib1"], "")
+    assert run_main(epw_line_y + ["--seed", "5"], lag, monkeypatch, capsys)[0] == 0
+    assert run_main(epw_line_y, lag, monkeypatch, capsys) == (0, golden["epw_line_y"], "")
+    lagrangian = run_case(CASES_BY_NAME["to_lagrangian"], monkeypatch, capsys)[1]
+    a1_one = run_main(["from-lagrangian", "--a1", "1"], lagrangian, monkeypatch, capsys)
+    assert a1_one[0] == 0 and a1_one[1] != golden["round_trip"]
+    assert run_main(["from-lagrangian"], lagrangian, monkeypatch, capsys) == (0, golden["round_trip"], "")
+    path = tmp_path / "out"
+    assert run_main(["dualize", "--output", str(path)], lag, monkeypatch, capsys) == (0, "", "")
+    assert run_main(["dualize"], lag, monkeypatch, capsys) == (0, golden["dualize"], "")
+    assert path.read_bytes().decode("utf-8") == golden["dualize"]
+
+
+def test_golden_output_again_in_reverse_order(monkeypatch, capsys):
+    # a second pass over every case on the parsers the first built
+    for case in CASES + CASES[::-1]:
+        code, out, _ = run_case(case, monkeypatch, capsys)
+        assert code == case["exit"], case["name"]
+        assert out.encode("utf-8") == (GOLDEN / f"{case['name']}.out").read_bytes(), case["name"]
 
 
 @pytest.mark.parametrize("argv", [["to-lagrangian"], ["opposite"], ["hull-sample", "--seed", "3"]])

@@ -13,7 +13,9 @@ only when a change to those bytes is intended.
 ``cli.main`` builds the subparser of the command it runs and no other; the
 comparison test below checks that this parser prints what the parser with
 every command prints, for each command's help, unknown flag and missing
-argument, and the count test that every call builds its own parser.
+argument, and the count tests that each parser is built once per process and
+reused by every later call.  The goldens run both widths in one process, on
+the same reused parsers.
 """
 
 import argparse
@@ -21,6 +23,7 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -100,20 +103,46 @@ def count_parsers(monkeypatch) -> list[int]:
     return built
 
 
-def test_a_command_line_builds_its_own_parser_every_call(monkeypatch):
+def test_a_command_line_builds_its_parser_once_per_process(monkeypatch):
+    cli.build_parser.cache_clear()
     built = count_parsers(monkeypatch)
     argv = ["fixture", "--list", "--output", os.devnull]
     assert cli.main(argv) == cli.EXIT_OK
     assert built[0] == 2  # the top level and the one subcommand
     assert cli.main(argv) == cli.EXIT_OK
-    assert built[0] == 4  # nothing cached between calls
+    assert built[0] == 2  # the repeat call reuses both
 
 
 def test_other_argument_lists_build_the_full_parser(monkeypatch, capsys):
+    cli.build_parser.cache_clear()
     built = count_parsers(monkeypatch)
-    assert cli.main(["valid"]) == cli.EXIT_INPUT
-    assert built[0] == 1 + len(subparsers())
-    assert "invalid choice: 'valid'" in capsys.readouterr().err
+    for _ in range(2):
+        assert cli.main(["valid"]) == cli.EXIT_INPUT
+        assert built[0] == 1 + len(subparsers())  # the repeat call builds none
+        assert "invalid choice: 'valid'" in capsys.readouterr().err
+
+
+COLD_COUNT = """
+import argparse, runpy, sys
+built = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    built.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+sys.argv = ["gmepw", "fixture", "--list"]
+try:
+    runpy.run_module("gmepw.cli", run_name="__main__")
+except SystemExit as exc:
+    print(exc.code, len(built), file=sys.stderr)
+"""
+
+
+def test_a_cold_command_line_builds_two_parsers():
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", COLD_COUNT], capture_output=True, text=True, env=env, timeout=60)
+    assert done.stderr.split() == ["0", "2"]  # exit code, parsers built
+    assert done.stdout.count("\n") == 8  # the whole fixture listing
 
 
 def regenerate() -> None:
