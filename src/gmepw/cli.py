@@ -77,18 +77,20 @@ def _parse_v5_point(text: str) -> list[Fraction]:
     return v
 
 
-def _parse_plane(text: str, where: str = "--plane") -> Subspace:
+def _parse_plane(text: str, where: str = "--plane") -> tuple[list[list[Fraction]], Subspace]:
+    """The 3 vectors u1;u2;u3 as typed, and their span, which must be a 3-space."""
     parts = text.split(";")
     if len(parts) != 3:
         raise DocumentError(f"{where}: expected 3 vectors u1;u2;u3, got {len(parts)}")
-    s = Subspace.from_rows(6, [_parse_point6(part, where) for part in parts])
+    rows = [_parse_point6(part, where) for part in parts]
+    s = Subspace.from_rows(6, rows)
     if s.dim != 3:
         raise DocumentError(f"{where}: vectors span dimension {s.dim}, expected 3")
-    return s
+    return rows, s
 
 
 def _parse_v5_plane(text: str) -> Subspace:
-    plane = _parse_plane(text)
+    _, plane = _parse_plane(text)
     if any(row[5] for row in plane.int_rows):
         raise DocumentError("--plane: the 3-space must lie in the hyperplane (last coordinates 0)")
     return plane
@@ -206,9 +208,7 @@ def cmd_epw_line(args) -> int:
         cert = stratum_poly_on_line(ld.a, base, direction, "y", seed=args.seed)
         base_out = [gio.format_vector(cert.base)]
     else:
-        rows = [_parse_point6(part, "--plane") for part in args.plane.split(";")]
-        if len(rows) != 3 or (plane := Subspace.from_rows(6, rows)).dim != 3:
-            raise DocumentError("--plane: expected 3 independent vectors u1;u2;u3")
+        rows, plane = _parse_plane(args.plane)
         direction = _parse_point6(args.dir, "--dir")
         if plane.contains(direction):
             raise DocumentError("--dir lies in the --plane span: the pencil is constant")
@@ -228,7 +228,7 @@ def cmd_epw_line(args) -> int:
 
 def cmd_zeta_plane(args) -> int:
     ld = _read_document(args, "lagrangian_data")
-    plane = _parse_plane(args.plane)
+    _, plane = _parse_plane(args.plane)
     _emit_report(
         args,
         {

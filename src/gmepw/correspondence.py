@@ -255,32 +255,35 @@ def dualize(ld: LagrangianData) -> LagrangianData:
     return LagrangianData(a=ld.a.annihilator(), a1=ld.a1)
 
 
-def hyperplane_section_lagrangian(a: Subspace, eta0) -> Subspace:
-    """Lagrangian of a hyperplane section: meet the orthogonal of the chosen
-    3-form on the hyperplane (its 20 coordinates), then adjoin it.
-
-    Fixed point when the form already lies in the subspace; the result always
-    meets the input in dimension at least 9.
-    """
-    if not any(eta0):
-        raise CorrespondenceError("the update form must be non-zero")
-    if not l3v5_subspace().contains(eta0):
-        raise CorrespondenceError("the update form must avoid the e6 coordinate")
-    if a.contains(eta0):
+def adjoin(a: Subspace, xi) -> Subspace:
+    """(A meet the orthogonal of xi) + xi for a 3-form xi (its 20
+    coordinates): a Lagrangian through xi, as every 3-form is isotropic
+    (xi ^ xi = 0 in odd degree).  A itself when xi lies in A; otherwise it
+    meets A in dimension 9."""
+    if a.contains(xi):
         return a
-    # the meet of a with the orthogonal of eta is the kernel of the
-    # functional f = omega(., eta) on a: f(r_k) != 0 for some row r_k, as eta
+    # the meet of a with the orthogonal of xi is the kernel of the
+    # functional f = omega(., xi) on a: f(r_k) != 0 for some row r_k, as xi
     # lies outside a = a^omega, and the f(r_k) r_i - f(r_i) r_k span it
-    eta = clear_denominators(vec(eta0))[0]
+    eta = clear_denominators(vec(xi))[0]
     f = [sum(map(mul, t, eta)) for t in top_pairing(6, 3)]
     values = [sum(map(mul, f, r)) for r in a.int_rows]
     rk, fk = next((r, v) for r, v in zip(a.int_rows, values) if v)
     meet = [[fk * x - fi * y for x, y in zip(r, rk)] for r, fi in zip(a.int_rows, values)]
     out = Subspace.from_rows(20, meet + [eta])
-    space = wedge_symplectic_space()
-    if not is_lagrangian(space, out):
-        raise CorrespondenceError("hyperplane update failed to stay Lagrangian")
+    if not is_lagrangian(wedge_symplectic_space(), out):
+        raise CorrespondenceError("adjoining the form failed to stay Lagrangian")
     return out
+
+
+def hyperplane_section_lagrangian(a: Subspace, eta0) -> Subspace:
+    """Lagrangian of a hyperplane section: ``adjoin`` the chosen non-zero
+    3-form on the hyperplane (its 20 coordinates, none on e6)."""
+    if not any(eta0):
+        raise CorrespondenceError("the update form must be non-zero")
+    if not l3v5_subspace().contains(eta0):
+        raise CorrespondenceError("the update form must avoid the e6 coordinate")
+    return adjoin(a, eta0)
 
 
 def apply_frame(a: Subspace, frame) -> Subspace:

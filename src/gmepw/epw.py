@@ -38,25 +38,26 @@ with p_R != 0 is a chart.  For the RREF rows of W with pivots P, p_P is
 the product of the pivot entries, so P is one; there w_a is its pivot
 entry at e_(P_a) plus free entries, and in V5 (one free column n besides
 c) each e_c ^ w_a ^ w_b for c free has at most 3 non-zero entries, at
-e_c ^ e_(P_a) ^ e_(P_b), e_c ^ e_(P_a) ^ e_n and e_c ^ e_n ^ e_(P_b).  A
-hyperplane H takes its RREF rows b_a in place of the e_j: v is the
-combination of the b_a with coefficient v[pivot_a] / b_a[pivot_a], so
-{v} with the b_a other than the last r with v[pivot_r] != 0 spans H; on
-span(e1..e5) those b_a are the e_j, j != i, and the rows are the chart's.
+e_c ^ e_(P_a) ^ e_(P_b), e_c ^ e_(P_a) ^ e_n and e_c ^ e_n ^ e_(P_b).
 
-Every level here is its family dimension minus ``Subspace.rank_modulo`` of
-plain 20-coordinate rows that are a basis of the family: the chart rows of
-``point_chart_rows`` and ``plane_chart_rows`` over the columns 0..5 (10
-rows) or 0..4 (6 and 7), and for ``y_hat_member`` the 6 rows v ^ b_a ^ b_b
-over the hyperplane's RREF rows.  The chart rows are written straight from
-the one sign table of ``exterior``: the coordinates of v ^ e_j ^ e_k are
-+-v_m at e_m ^ e_jk, and those of e_c ^ w_a ^ w_b are +-(w_a ^ w_b)_jk at
-e_c ^ e_jk, so no generator is wedged on its own.
+Every level here is ``level``: the number of rows of a basis of the family
+minus their ``Subspace.rank_modulo`` A, over plain 20-coordinate rows.  The
+bases are the chart rows of ``point_chart_rows`` and ``plane_chart_rows``
+over the columns 0..5 (10 rows) or 0..4 (6 and 7), and for
+``y_dual_stratum`` the 10 triple wedges of a basis of the hyperplane.  The
+chart rows are written straight from the one sign table of ``exterior``:
+the coordinates of v ^ e_j ^ e_k are +-v_m at e_m ^ e_jk, and those of
+e_c ^ w_a ^ w_b are +-(w_a ^ w_b)_jk at e_c ^ e_jk, so no generator is
+wedged on its own.
 
-A certificate takes the first chart along its whole line, and a pairing
-determinant of the generators against the rows of A, so the sample check,
-one level per sample point in that point's own last chart by a rank modulo
-A, shares neither chart nor method with it.
+A certificate takes the chart rows at t = 0 and t = 1 in the first chart
+along its whole line, and a pairing determinant of them against the rows
+of A; the sample check, one level per sample point in that point's own
+last chart by a rank modulo A, shares the chart-row functions with it but
+not the chart or the method.  The independent path is the GM side: a
+y-certificate on a line leaving V5 equals the reduced discriminant of the
+GM quadric family along it (``gm.discriminant_on_line``), as the registry
+checks.
 
 A certificate is integer from the generator rows to its last step.  The
 chart determinant D(t) = c(t)^e F(t) (``_membership_poly``) comes from
@@ -80,23 +81,29 @@ from itertools import combinations
 from math import gcd
 from operator import mul
 
-from .exterior import _wedge_table, monomials, top_pairing, wedge, wedge_gens
+from .exterior import _wedge_table, monomials, top_pairing, wedge
 from .gm import GmError
 from .linalg import Subspace, _int_row, clear_denominators, vec
 from .polynomials import Poly, divide_power, interpolate, line_values
 from .sampling import rng_from_seed
 
 
-_FAMILY_DIM = 10  # dim of the family at a point, derived above
 _SAMPLES = 20  # pointwise checks per certificate
 
 
-def point_chart_rows(v: list[int], cols: int) -> list[list[int]]:
+def level(a: Subspace, rows) -> int:
+    """dim of the meet of A with the span of rows that are a basis of a
+    family: their number minus their rank modulo A."""
+    return len(rows) - a.rank_modulo(rows)
+
+
+def point_chart_rows(v: list[int], cols: int, i=None) -> list[list[int]]:
     """The rows v ^ e_j ^ e_k over the pairs {j, k} of the columns 0..cols-1
-    avoiding i, the last index with v_i != 0: a basis of v ^ Lambda^2 of the
-    span of e_0..e_(cols-1), for a non-zero integer v in it (module
-    docstring)."""
-    i = max(k for k, x in enumerate(v) if x)
+    avoiding the chart i (by default the last index with v_i != 0): a basis
+    of v ^ Lambda^2 of the span of e_0..e_(cols-1), for an integer v in it
+    with v_i != 0 (module docstring)."""
+    if i is None:
+        i = max(k for k, x in enumerate(v) if x)
     rows = {jk: [0] * 20 for jk, pair in enumerate(monomials(6, 2)) if i not in pair and pair[1] < cols}
     for vm, entries in zip(v, _wedge_table(6, 1, 2)):
         if vm:
@@ -136,7 +143,7 @@ def y_stratum(a: Subspace, v) -> int:
     v = _int_row(v)
     if not any(v):
         raise GmError("zero vector")
-    return _FAMILY_DIM - a.rank_modulo(point_chart_rows(v, 6))
+    return level(a, point_chart_rows(v, 6))
 
 
 def y_dual_stratum(a: Subspace, v5: Subspace) -> int:
@@ -146,21 +153,7 @@ def y_dual_stratum(a: Subspace, v5: Subspace) -> int:
     if v5.ambient_dim != 6 or v5.dim != 5:
         raise GmError("expected a hyperplane of the 6-space")
     rows = [wedge(6, 1, 2, x, wedge(6, 1, 1, y, z)) for x, y, z in combinations(v5.int_rows, 3)]
-    return 10 - a.rank_modulo(rows)
-
-
-def y_hat_member(a: Subspace, v, v5: Subspace) -> int:
-    """dim of the meet with v ^ (2-forms on the hyperplane V5), v in V5: 6
-    minus the rank modulo A of the 6 chart rows v ^ b_a ^ b_b of
-    v ^ Lambda^2 V5, over V5's RREF rows b_a but the last r with
-    v[pivot_r] != 0 (module docstring)."""
-    v = _int_row(v)
-    if v5.ambient_dim != 6 or v5.dim != 5:
-        raise GmError("expected a hyperplane of the 6-space")
-    if not any(v) or not v5.contains(v):
-        raise GmError("the point must be a non-zero vector of the hyperplane")
-    r = max(k for k, c in enumerate(v5.pivots) if v[c])
-    return 6 - a.rank_modulo(wedge_gens([v], [b for k, b in enumerate(v5.int_rows) if k != r]))
+    return level(a, rows)
 
 
 def z_stratum(a: Subspace, rows) -> int:
@@ -173,7 +166,7 @@ def z_stratum(a: Subspace, rows) -> int:
     w = [_int_row(r) for r in rows]
     if len(w) != 3 or any(len(r) != 6 for r in w):
         raise GmError("expected 3 vectors of the 6-space")
-    return _FAMILY_DIM - a.rank_modulo(plane_chart_rows(w, 6))
+    return level(a, plane_chart_rows(w, 6))
 
 
 @dataclass(frozen=True)
@@ -194,31 +187,29 @@ def _lagrangian_family_gens(kind: str, fixed, start, step):
     coordinate c, along the integer line v(t) = start + t step (kind y) or
     pencil w1, w2, w3 = fixed[0], fixed[1], start + t step (kind z).
 
-    Kind y: c = v_i for the first i with v_i(t) not identically 0; the 10
-    generators are v ^ e_j ^ e_k over the pairs {j, k} that avoid i.  Kind z:
-    c = p_R, the first Plücker coordinate (``monomials(6, 3)`` order) not
-    identically 0; the generators are w1 ^ w2 ^ w3 and e_k ^ w_a ^ w_b for k
-    outside R.  The generators are affine in t, so G0 (those at t = 0) and
-    G1 (those at t = 1 minus G0) are their t^k coefficients exactly.
+    Kind y: c = v_i for the first i with v_i(t) not identically 0; the
+    generators are ``point_chart_rows`` charted at i.  Kind z: c = p_R, the
+    first Plücker coordinate (``monomials(6, 3)`` order) not identically 0;
+    the generators are ``plane_chart_rows`` charted at R.  They are affine in
+    t, so G0 (those at t = 0) and G1 (those at t = 1 minus G0) are their t^k
+    coefficients exactly; the 2 (or 4) vectors are independent, so v (or
+    w1, w2, w3) is non-zero (independent) at both nodes.
     Returns ((G0, G1), (c0, c1)) with Gk integer and c = c0 + c1 t.
     """
-    def cube(w3):  # w1 ^ w2 ^ w3, whose coordinates are the Plücker coordinates
-        return wedge_gens(fixed[:1], [fixed[1], w3])[0]
-
-    c0, c1 = (start, step) if kind == "y" else (cube(start), cube(step))
-    chart = next(k for k, (x, y) in enumerate(zip(c0, c1)) if x or y)
-    skip = {chart} if kind == "y" else set(monomials(6, 3)[chart])
-    others = [u for k, u in enumerate(Subspace.full(6).int_rows) if k not in skip]
-
-    def gens(t: int) -> list:
-        moving = [a + t * b for a, b in zip(start, step)]
-        if kind == "y":
-            return wedge_gens([moving], others)
-        return [cube(moving), *wedge_gens(others, [*fixed, moving])]
-
-    g0, g1 = gens(0), gens(1)
+    nodes = [start, [x + y for x, y in zip(start, step)]]  # the moving vector at t = 0 and 1
+    if kind == "y":
+        values = nodes
+    else:
+        pair = wedge(6, 1, 1, *fixed)
+        values = [wedge(6, 1, 2, u, pair) for u in nodes]  # u ^ w1 ^ w2 = w1 ^ w2 ^ u
+    chart = next(k for k, (x, y) in enumerate(zip(*values)) if x or y)
+    if kind == "y":
+        g0, g1 = (point_chart_rows(u, 6, chart) for u in nodes)
+    else:
+        g0, g1 = (plane_chart_rows([*fixed, u], 6, monomials(6, 3)[chart]) for u in nodes)
     g1 = [[y - x for x, y in zip(r0, r1)] for r0, r1 in zip(g0, g1)]
-    return (g0, g1), (c0[chart], c1[chart])
+    c0 = values[0][chart]
+    return (g0, g1), (c0, values[1][chart] - c0)
 
 
 def _membership_poly(a: Subspace, gens) -> list[int]:

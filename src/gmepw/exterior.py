@@ -2,9 +2,10 @@
 the top-degree pairing tables (among them the wedge symplectic form on
 degree-3 forms), the generators of wedge spans, the inclusion of the
 5-space forms and the contraction maps along the last coordinate, and
-decomposability tests.  Every wedge coordinate in the package is computed
-here, from one sign table per degree pair, and every inclusion and
-contraction from one table of where the 5-space monomials sit.
+decomposability tests.  Every wedge coordinate in the package comes from
+one sign table per degree pair here (``epw`` writes its chart rows straight
+from it), and every inclusion and contraction from one table of where the
+5-space monomials sit.
 
 Conventions, fixed once for the whole artifact:
 

@@ -31,8 +31,7 @@ from .correspondence import (
     extended_decomposition,
     extended_lagrangian,
 )
-from .epw import plane_chart_rows, point_chart_rows, y_hat_member, y_stratum, z_stratum
-from .exterior import v5_subspace
+from .epw import level, plane_chart_rows, point_chart_rows, y_stratum, z_stratum
 from .gm import GmError
 from .linalg import Subspace, _int_row, vec
 from .quadrics import _induced_quadric, isotropic_reduce
@@ -61,17 +60,12 @@ def _plane_rows(v3: Subspace) -> list[list[int]]:
     return plane_chart_rows(v3.int_rows, 5, v3.pivots)
 
 
-def _level(ld: LagrangianData, rows) -> int:
-    """dim of the meet of the Lagrangian with the span of the chart rows, a
-    basis of the family: their number minus their rank modulo A."""
-    return len(rows) - ld.a.rank_modulo(rows)
-
-
 def sigma1_level(ld: LagrangianData, v) -> int:
     """dim of the meet of the Lagrangian with v ^ (2-forms on the hyperplane),
     for v in the hyperplane; positive iff v lies in the first exceptional
-    locus.  It is the incidence level with the hyperplane span(e1..e5)."""
-    return y_hat_member(ld.a, _check_in_v5(v), v5_subspace())
+    locus.  As v ^ Lambda^2 V5 = Lambda^2(V5/v) has dimension C(4, 2) = 6, it
+    is 6 minus the rank of its 6 chart rows modulo A (module docstring)."""
+    return level(ld.a, point_chart_rows(_check_in_v5(v), 5))
 
 
 def sigma2_level(ld: LagrangianData, v3: Subspace) -> int:
@@ -79,7 +73,7 @@ def sigma2_level(ld: LagrangianData, v3: Subspace) -> int:
     iff the 3-space lies in the second exceptional locus.  As V5 ^ Lambda^2 W
     = Lambda^3 W + (V5/W) (x) Lambda^2 W has dimension 1 + 2 * 3 = 7, it is 7
     minus the rank of its 7 chart rows modulo A (module docstring)."""
-    return _level(ld, _plane_rows(v3))
+    return level(ld.a, _plane_rows(v3))
 
 
 @dataclass(frozen=True)
@@ -92,23 +86,23 @@ class FiberReport:
     agreement: bool
 
 
-def _fiber_report(ld: LagrangianData, iso20, level: int, stratum: int, shift: int) -> FiberReport:
+def _fiber_report(ld: LagrangianData, iso20, sigma: int, stratum: int, shift: int) -> FiberReport:
     """Fiber data by isotropic reduction along the I spanned by iso20, rows
     of the 20 three-form coordinates, asserted equal to the closed form: the
     reduced second quadric, read on the lift A meet I-perp, spans
-    P^(n + level + shift) and has corank stratum - level."""
+    P^(n + sigma + shift) and has corank stratum - sigma."""
     dec = extended_decomposition()
     iso = [r + [0, 0] for r in iso20]
     q2 = _induced_quadric(dec, isotropic_reduce(dec, extended_lagrangian(ld), iso), 2)
     ambient, corank = q2.span_dim - 1, q2.corank
     n = ld.dim_report.predicted_dim_x
-    expected_ambient, expected_corank = n + level + shift, stratum - level
+    expected_ambient, expected_corank = n + sigma + shift, stratum - sigma
     if (ambient, corank) != (expected_ambient, expected_corank):
         raise GmError(
             f"fiber disagreement: reduction gives (P^{ambient}, corank {corank}), "
             f"closed form gives (P^{expected_ambient}, corank {expected_corank})"
         )
-    return FiberReport(ambient, corank, stratum, level, n, True)
+    return FiberReport(ambient, corank, stratum, sigma, n, True)
 
 
 def fibration1_fiber(ld: LagrangianData, v) -> FiberReport:
@@ -122,7 +116,7 @@ def fibration1_fiber(ld: LagrangianData, v) -> FiberReport:
         raise GmError("fibrations need lci data")
     v = _check_in_v5(v)
     iso = point_chart_rows(v, 5)
-    return _fiber_report(ld, iso, _level(ld, iso), y_stratum(ld.a, v), -2)
+    return _fiber_report(ld, iso, level(ld.a, iso), y_stratum(ld.a, v), -2)
 
 
 def fibration2_fiber(ld: LagrangianData, v3: Subspace) -> FiberReport:
@@ -135,4 +129,4 @@ def fibration2_fiber(ld: LagrangianData, v3: Subspace) -> FiberReport:
     if ld.a1 == A1_INF:
         raise GmError("fibrations need lci data")
     iso = _plane_rows(v3)
-    return _fiber_report(ld, iso, _level(ld, iso), z_stratum(ld.a, v3.int_rows), -3)
+    return _fiber_report(ld, iso, level(ld.a, iso), z_stratum(ld.a, v3.int_rows), -3)

@@ -166,7 +166,9 @@ def dimension_formula() -> str:
 
 def degree_certificates(*, seed="acceptance-5", lines=1, pencils=1) -> str:
     """Random lines give sextic y-certificates and random pencils quartic
-    z-certificates on the fivefold, each with 20 pointwise sample checks."""
+    z-certificates on the fivefold, each with 20 pointwise sample checks; a
+    line leaving the hyperplane gives the reduced GM discriminant along it,
+    which shares no step with the certificate."""
     a = fivefold_lagrangian().a
     rng = rng_from_seed(seed)
     done = 0
@@ -177,6 +179,9 @@ def degree_certificates(*, seed="acceptance-5", lines=1, pencils=1) -> str:
         _require(not cert.contains_line, "line inside the stratum")
         _require(cert.degree == 6, cert.degree)
         _require(cert.sample_consistency >= 20, cert.sample_consistency)
+        if base[5] or direction[5]:
+            dis = discriminant_on_line(fivefold(), base, direction).dis_poly
+            _require(dis is not None and dis.primitive() == cert.poly, "certificate differs from the GM discriminant")
         done += 1
     done = 0
     while done < pencils:

@@ -149,8 +149,9 @@ def test_sigma_with_point_and_plane_is_usage_error(monkeypatch, capsys):
 PLANE_ROWS = ["1,0,0,0,0,0", "0,1,0,0,0,0", "0,0,1,0,0,0", "0,0,0,1,0,0"]
 
 
-@pytest.mark.parametrize("command", [["zeta-plane", "--plane"], ["fib2", "--plane"], ["sigma", "--plane"]],
-                         ids=lambda c: c[0])
+@pytest.mark.parametrize("command", [["zeta-plane", "--plane"], ["fib2", "--plane"], ["sigma", "--plane"],
+                                     ["epw-line", "--kind", "z", "--dir", "1,1,0,0,0,1", "--plane"]],
+                         ids=lambda c: "-".join(c[:3:2]))
 @pytest.mark.parametrize(
     "rows, message",
     [

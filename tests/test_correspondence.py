@@ -11,6 +11,7 @@ from gmepw.correspondence import (
     A1_ZERO,
     CorrespondenceError,
     LagrangianData,
+    adjoin,
     apply_frame,
     dim_report,
     dualize,
@@ -28,6 +29,7 @@ from gmepw.exterior import (
     monomial_index,
     monomials,
     v5_subspace,
+    wedge,
     wedge_space,
     wedge_symplectic_space,
 )
@@ -217,19 +219,26 @@ def test_hyperplane_update_random_dimension_drop():
 def test_hyperplane_update_is_the_meet_with_the_orthogonal_plus_the_form():
     # the one-hyperplane meet against (a meet eta^omega) + eta built from
     # omega_orthogonal and intersect, on 30 seeded forms per fixture
-    # (integer and fractional; a form inside a is the fixed point)
+    # (integer and fractional; a form inside a is the fixed point); adjoin
+    # on those and on forms off the hyperplane cube: dense, decomposable
+    # with a factor off V5, and a basis row of a
     from gmepw.quadrics import omega_orthogonal
 
     space = wedge_symplectic_space()
-    rng = rng_from_seed("hyperplane-meet")
+    rng, off = rng_from_seed("hyperplane-meet"), rng_from_seed("adjoin-meet")
     for name, ld in all_lagrangian_fixtures().items():
         a = ld.a
         etas = [inject(3, random_nonzero_vector(rng, 10, 3)) for _ in range(29)]
         etas += [[Fraction(x, 3) for x in etas[0]]] + a.intersect(l3v5_subspace()).basis_rows()
-        for eta in etas:
+        cubes = [[random_nonzero_vector(off, 6, 2) for _ in range(3)] for _ in range(5)]
+        xis = [random_nonzero_vector(off, 20, 2) for _ in range(5)] + [a.basis_rows()[-1]]
+        xis += [wedge(6, 1, 2, x, wedge(6, 1, 1, y, z)) for x, y, z in cubes if z[5]]
+        for eta in etas + xis:
             line = Subspace.from_rows(20, [eta])
             expected = a if a.contains(eta) else a.intersect(omega_orthogonal(space, line)) + line
-            assert hyperplane_section_lagrangian(a, eta) == expected, name
+            assert adjoin(a, eta) == expected, name
+            if eta in etas:
+                assert hyperplane_section_lagrangian(a, eta) == expected, name
 
 
 def test_hyperplane_update_rejects_bad_input():

@@ -10,13 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmepw.correspondence import A1_ZERO, LagrangianData, dim_report, dualize
+from gmepw.correspondence import A1_ZERO, LagrangianData, adjoin, dim_report, dualize
 from gmepw.epw import (
     plane_chart_rows,
     point_chart_rows,
     stratum_poly_on_line,
     y_dual_stratum,
-    y_hat_member,
     y_stratum,
     z_stratum,
 )
@@ -41,8 +40,7 @@ from gmepw.fixtures import (
 from gmepw.gm import GmError
 from gmepw.linalg import Matrix, Subspace, _bareiss, clear_denominators, det_int, kernel, unit_vector
 from gmepw.polynomials import Poly
-from gmepw.quadrics import omega_orthogonal
-from gmepw.sampling import random_lagrangian, random_nonzero_vector, random_vector, rng_from_seed
+from gmepw.sampling import random_lagrangian, random_nonzero_vector, rng_from_seed
 
 import oracles
 
@@ -84,38 +82,31 @@ def test_y_dual_stratum_examples():
 
 
 def test_y_hat_examples():
-    a5 = l3v5_subspace()
-    assert y_hat_member(a5, unit_vector(6, 0), V5) == 6
+    l3v5 = LagrangianData(a=l3v5_subspace(), a1=A1_ZERO)
+    assert sigma1_level(l3v5, unit_vector(6, 0)) == 6
     rng = rng_from_seed(15)
-    a = fivefold_lagrangian().a
+    ld = fivefold_lagrangian()
     hits = 0
     for _ in range(10):
         v = random_nonzero_vector(rng, 5, 4) + [Fraction(0)]
-        if y_hat_member(a, v, V5) > 0:
+        if sigma1_level(ld, v) > 0:
             hits += 1
     assert hits == 0  # the fivefold misses the incidence generically
     with pytest.raises(GmError):
-        y_hat_member(a5, unit_vector(6, 5), V5)
+        sigma1_level(l3v5, unit_vector(6, 5))
     with pytest.raises(GmError):
-        y_hat_member(a5, [0] * 6, V5)
+        sigma1_level(l3v5, [0] * 6)
 
 
 def test_y_hat_refines_both_strata():
+    # v ^ Lambda^2 V5 lies in v ^ Lambda^2 V6 and in Lambda^3 V5
     rng = rng_from_seed(16)
     for ld in (threefold_lagrangian(), sigma_fixture_lagrangian()):
-        for _ in range(15):
-            f = random_nonzero_vector(rng, 6, 3)
-            v5p = kernel(Matrix([f]))
-            if v5p.dim != 5:
-                continue
-            v = None
-            for row in v5p.basis_rows():
-                if any(x != 0 for x in row):
-                    v = row
-                    break
-            level = y_hat_member(ld.a, v, v5p)
+        points = [unit_vector(6, 0)] + [random_nonzero_vector(rng, 5, 3) + [0] for _ in range(15)]
+        for v in points:
+            level = sigma1_level(ld, v)
             assert level <= y_stratum(ld.a, v)
-            assert level <= y_dual_stratum(ld.a, v5p)
+            assert level <= y_dual_stratum(ld.a, V5)
 
 
 def test_z_stratum_examples():
@@ -145,10 +136,8 @@ def lagrangian_through_cube(rng, u: Subspace) -> LagrangianData:
     xi = u1 ^ u2 ^ u3: a Lagrangian through the decomposable form of u whose
     strata, unlike those of the shipped fixtures, are not symmetric under the
     standard identification of V6 with its dual."""
-    space = wedge_symplectic_space()
-    xi = wedge_space(u, u)
-    a = random_lagrangian(space, rng)
-    return LagrangianData(a=omega_orthogonal(space, xi).intersect(a) + xi, a1=A1_ZERO)
+    a = random_lagrangian(wedge_symplectic_space(), rng)
+    return LagrangianData(a=adjoin(a, wedge_space(u, u).int_rows[0]), a1=A1_ZERO)
 
 
 def test_z_self_duality_random():
@@ -208,11 +197,14 @@ def family_forms(rng, v, v3: Subspace, k: int, n: int = 6) -> dict[str, list]:
 
 
 def through(a: Subspace, rows) -> Subspace:
-    """A' = (A meet xi-perp) + xi, xi the span of the rows: a Lagrangian
-    through xi when xi is isotropic, as every span of forms of one family is."""
-    xi = Subspace.from_rows(20, rows)
-    assert xi.dim == len(rows)
-    return omega_orthogonal(wedge_symplectic_space(), xi).intersect(a) + xi
+    """A' = (A meet xi-perp) + xi, xi the span of the rows, adjoined one form
+    at a time: a Lagrangian through xi when xi is isotropic, as every span of
+    forms of one family is (each step keeps the forms adjoined before it, as
+    they lie in the orthogonal of the next)."""
+    assert Subspace.from_rows(20, rows).dim == len(rows)
+    for row in rows:
+        a = adjoin(a, row)
+    return a
 
 
 def test_stratum_levels_match_the_intersection_at_engineered_levels():
@@ -301,7 +293,7 @@ def test_repeated_levels_reduce_only_while_the_unit_remainders_are_built(monkeyp
 
 
 def test_every_level_reduces_only_while_the_unit_remainders_are_built(monkeypatch):
-    # y_hat_member, sigma2_level, y_dual_stratum and dim_report rank their
+    # sigma1_level, sigma2_level, y_dual_stratum and dim_report rank their
     # rows by rank_modulo as well: once a first level at a fresh A has built
     # its 20 unit remainders, none of them runs Subspace.remainder on A
     calls = []
@@ -314,7 +306,7 @@ def test_every_level_reduces_only_while_the_unit_remainders_are_built(monkeypatc
         y_stratum(a, random_nonzero_vector(rng, 6, 4))
         assert sum(s is a for s in calls) == 20
         for _ in range(3):
-            y_hat_member(a, random_nonzero_vector(rng, 5, 3) + [0], V5)
+            sigma1_level(ld, random_nonzero_vector(rng, 5, 3) + [0])
             sigma2_level(ld, random_3space(rng, V5))
             y_dual_stratum(a, kernel(Matrix([random_nonzero_vector(rng, 6, 4)])))
             dim_report(ld)
@@ -349,13 +341,13 @@ def test_hyperplane_levels_match_the_intersection():
 
 
 def assert_sigma_levels_match_the_intersection(a: Subspace, v, v3: Subspace) -> tuple[int, int]:
-    """y_hat_member (family dimension 6) and sigma2_level (7), by rank modulo
+    """sigma1_level (family dimension 6) and sigma2_level (7), by rank modulo
     a, against the meet with a basis of the family; returns the two levels."""
-    y_hat = y_hat_member(a, v, V5)
-    s2 = sigma2_level(LagrangianData(a=a, a1=A1_ZERO), v3)
-    assert y_hat == a.intersect(wedge_space(Subspace.from_rows(6, [v]), V5)).dim
+    ld = LagrangianData(a=a, a1=A1_ZERO)
+    s1, s2 = sigma1_level(ld, v), sigma2_level(ld, v3)
+    assert s1 == a.intersect(wedge_space(Subspace.from_rows(6, [v]), V5)).dim
     assert s2 == a.intersect(wedge_space(V5, v3)).dim
-    return y_hat, s2
+    return s1, s2
 
 
 def test_sigma_levels_match_the_intersection():
@@ -369,8 +361,8 @@ def test_sigma_levels_match_the_intersection():
             v3 = random_3space(rng, V5)
             assert_sigma_levels_match_the_intersection(a, v, v3)
             for kind, rows in family_forms(rng, v, v3, k, n=5).items():
-                y_hat, s2 = assert_sigma_levels_match_the_intersection(through(a, rows), v, v3)
-                level = y_hat if kind == "y" else s2
+                s1, s2 = assert_sigma_levels_match_the_intersection(through(a, rows), v, v3)
+                level = s1 if kind == "y" else s2
                 assert level >= k
                 levels.add(level)
     assert {1, 2, 3} <= levels
@@ -392,10 +384,6 @@ def plane_with_chart(rng, chart) -> list[list[int]]:
     while det_int(change) == 0:
         change = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
     return [[sum(g[a] * rows[a][j] for a in range(3)) for j in range(6)] for g in change]
-
-
-def combination(coeffs, rows) -> list[int]:
-    return [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(6)]
 
 
 def units(cols) -> list[list[int]]:
@@ -481,34 +469,6 @@ def test_sigma_levels_match_the_meet_in_every_chart():
                 assert s2 == a_k.intersect(wedge_space(V5, v3)).dim
                 levels.update((s1, s2))
     assert {0, 1, 2, 3} <= levels
-
-
-def test_y_hat_member_on_other_hyperplanes():
-    # away from span(e1..e5) y_hat_member ranks v ^ b_a ^ b_b over the RREF
-    # rows b_a of the hyperplane but the last r with v[pivot_r] != 0; the
-    # level is the meet with v ^ Lambda^2 h at each such r, on the fixtures
-    # and on Lagrangians through k forms of the family (k = 0: A itself)
-    rng = rng_from_seed(30)
-    e = units(range(6))
-    hyperplanes = [Subspace.from_rows(6, e[:4] + [[0, 0, 0, 0, 1, 1]]), Subspace.from_rows(6, e[1:])]
-    hyperplanes += [kernel(Matrix([random_nonzero_vector(rng, 6, 3)])) for _ in range(2)]
-    levels = set()
-    for h in hyperplanes:
-        for r, b in enumerate(h.int_rows):
-            coeffs = [rng.randint(-2, 2) for _ in range(r)] + [1] + [0] * (4 - r)
-            v = combination(coeffs, h.int_rows)
-            family = wedge_space(Subspace.from_rows(6, [v]), h)
-            for a in stratum_lagrangians():
-                for k in (0, 1, 2):
-                    forms = [[0] * 20] * k
-                    while Subspace.from_rows(20, forms).dim < k:  # k independent forms v ^ x ^ y, x, y in h
-                        xs = [combination(random_vector(rng, 5, 2), h.int_rows) for _ in range(2 * k)]
-                        forms = [wedge(6, 1, 2, v, wedge(6, 1, 1, x, y)) for x, y in zip(xs[::2], xs[1::2])]
-                    a_k = through(a, forms)
-                    level = y_hat_member(a_k, v, h)
-                    assert level == a_k.intersect(family).dim >= k
-                    levels.add(level)
-    assert {0, 1, 2} <= levels
 
 
 def test_y_dual_equals_dual_y_random():
