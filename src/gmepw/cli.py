@@ -77,15 +77,16 @@ def _parse_v5_point(text: str) -> list[Fraction]:
     return v
 
 
-def _parse_plane(text: str, where: str = "--plane") -> tuple[list[list[Fraction]], Subspace]:
-    """The 3 vectors u1;u2;u3 as typed, and their span, which must be a 3-space."""
+def _parse_plane(text: str) -> tuple[list[list[Fraction]], Subspace]:
+    """The 3 vectors u1;u2;u3 of --plane as typed, and their span, which must
+    be a 3-space."""
     parts = text.split(";")
     if len(parts) != 3:
-        raise DocumentError(f"{where}: expected 3 vectors u1;u2;u3, got {len(parts)}")
-    rows = [_parse_point6(part, where) for part in parts]
+        raise DocumentError(f"--plane: expected 3 vectors u1;u2;u3, got {len(parts)}")
+    rows = [_parse_point6(part, "--plane") for part in parts]
     s = Subspace.from_rows(6, rows)
     if s.dim != 3:
-        raise DocumentError(f"{where}: vectors span dimension {s.dim}, expected 3")
+        raise DocumentError(f"--plane: vectors span dimension {s.dim}, expected 3")
     return rows, s
 
 

@@ -41,7 +41,9 @@ c) each e_c ^ w_a ^ w_b for c free has at most 3 non-zero entries, at
 e_c ^ e_(P_a) ^ e_(P_b), e_c ^ e_(P_a) ^ e_n and e_c ^ e_n ^ e_(P_b).
 
 Every level here is ``level``: the number of rows of a basis of the family
-minus their ``Subspace.rank_modulo`` A, over plain 20-coordinate rows.  The
+minus their ``Subspace.rank_modulo`` A, over plain 20-coordinate rows (the
+certificate's sample levels take that rank over a pencil of such rows,
+below).  The
 bases are the chart rows of ``point_chart_rows`` and ``plane_chart_rows``
 over the columns 0..5 (10 rows) or 0..4 (6 and 7), and for
 ``y_dual_stratum`` the 10 triple wedges of a basis of the hyperplane.  The
@@ -52,9 +54,26 @@ wedged on its own.
 
 A certificate takes the chart rows at t = 0 and t = 1 in the first chart
 along its whole line, and a pairing determinant of them against the rows
-of A; the sample check, one level per sample point in that point's own
-last chart by a rank modulo A, shares the chart-row functions with it but
-not the chart or the method.  The independent path is the GM side: a
+of A.  The sample check takes one level per sample point t = p / q in that
+point's own last chart, by a rank modulo A, all of them from one pencil.
+Let i (R) be the line's last chart: the last index (3-set) whose
+coordinate c = v_i (p_R) is not identically 0 along the line (pencil).
+Every later coordinate is identically 0 there, so wherever c(p / q) != 0,
+i (R) is the last chart of the point q v(p / q) (of the 3-space w1, w2,
+q w3(p / q)) itself.  The chart rows are linear in v, and linear in w3 but
+for the rows e_c ^ w1 ^ w2, which do not move; so with G0 the rows at
+t = 0 and G1 those at t = 1 less G0 (``_lagrangian_family_gens`` charted
+at the last chart), q G0 + p G1 are the rows of ``point_chart_rows``
+(``plane_chart_rows``) at that point, the constant rows times q != 0,
+which leaves their span.  The level there is the same number in the same
+chart as ``y_stratum`` (``z_stratum``) takes, and
+``Subspace.pencil_ranks_modulo`` ranks all of them from the remainders of
+G0 and G1, built once, at one packed width.  At a sample with
+c(p / q) = 0, if any, the point's own last chart comes earlier, and
+``y_stratum`` (``z_stratum``) takes its level.  The check shares the
+chart-row functions with the certificate but not the chart (last against
+first) or the method (remainders modulo A against the pairing
+determinant).  The independent path is the GM side: a
 y-certificate on a line leaving V5 equals the reduced discriminant of the
 GM quadric family along it (``gm.discriminant_on_line``), as the registry
 checks.
@@ -182,15 +201,16 @@ class LineDegreeCertificate:
     contains_line: bool = False
 
 
-def _lagrangian_family_gens(kind: str, fixed, start, step):
+def _lagrangian_family_gens(kind: str, fixed, start, step, choose=min):
     """Generators of the moving Lagrangian in one chart, and the chart
     coordinate c, along the integer line v(t) = start + t step (kind y) or
     pencil w1, w2, w3 = fixed[0], fixed[1], start + t step (kind z).
 
-    Kind y: c = v_i for the first i with v_i(t) not identically 0; the
-    generators are ``point_chart_rows`` charted at i.  Kind z: c = p_R, the
-    first Plücker coordinate (``monomials(6, 3)`` order) not identically 0;
-    the generators are ``plane_chart_rows`` charted at R.  They are affine in
+    Kind y: c = v_i for the first i (``choose`` = max: the last) with v_i(t)
+    not identically 0; the generators are ``point_chart_rows`` charted at i.
+    Kind z: c = p_R, the first (last) Plücker coordinate (``monomials(6, 3)``
+    order) not identically 0; the generators are ``plane_chart_rows``
+    charted at R.  They are affine in
     t, so G0 (those at t = 0) and G1 (those at t = 1 minus G0) are their t^k
     coefficients exactly; the 2 (or 4) vectors are independent, so v (or
     w1, w2, w3) is non-zero (independent) at both nodes.
@@ -202,7 +222,7 @@ def _lagrangian_family_gens(kind: str, fixed, start, step):
     else:
         pair = wedge(6, 1, 1, *fixed)
         values = [wedge(6, 1, 2, u, pair) for u in nodes]  # u ^ w1 ^ w2 = w1 ^ w2 ^ u
-    chart = next(k for k, (x, y) in enumerate(zip(*values)) if x or y)
+    chart = choose(k for k, (x, y) in enumerate(zip(*values)) if x or y)
     if kind == "y":
         g0, g1 = (point_chart_rows(u, 6, chart) for u in nodes)
     else:
@@ -286,26 +306,37 @@ def stratum_poly_on_line(
     poly = Poly(quotient).primitive()
     coeffs = [c.numerator for c in poly.coeffs]
 
-    def member(p: int, q: int) -> bool:  # at t = p / q, by the point q v(t) or q w3(t)
-        moving = [q * x + p * y for x, y in zip(start, step)]
-        if kind == "y":
-            return y_stratum(a, moving) >= 1
-        return z_stratum(a, [*fixed, moving]) >= 1
-
     rng = rng_from_seed(f"{seed}-membership-check")
-    checked = 0
-    used = set()
-    while checked < _SAMPLES:
+    params = []
+    while len(params) < _SAMPLES:
         num, den = rng.randint(-4 * _SAMPLES, 4 * _SAMPLES), rng.randint(1, 5)
         g = gcd(num, den)
-        p, q = num // g, den // g  # t = p / q in lowest terms, q > 0
-        if (p, q) in used:
-            continue
-        used.add((p, q))
-        if _vanishes_at(coeffs, p, q) != member(p, q):
+        pq = num // g, den // g  # t = p / q in lowest terms, q > 0
+        if pq not in params:
+            params.append(pq)
+    for (p, q), lvl in zip(params, _sample_levels(a, kind, fixed, start, step, params)):
+        if _vanishes_at(coeffs, p, q) != (lvl >= 1):
             raise GmError("certificate disagrees with pointwise membership")
-        checked += 1
-    return LineDegreeCertificate(kind, base_t, dir_t, poly, poly.degree, checked)
+    return LineDegreeCertificate(kind, base_t, dir_t, poly, poly.degree, len(params))
+
+
+def _sample_levels(a: Subspace, kind: str, fixed, start, step, params) -> list[int]:
+    """The level at the point q v(p / q) (kind y) or 3-space w1, w2,
+    q w3(p / q) (kind z) for each reduced (p, q) of params, by the pencil
+    q G0 + p G1 of the generators in the last chart, where its coordinate
+    c(p / q) != 0, and by ``y_stratum`` or ``z_stratum`` where it is 0
+    (module docstring)."""
+    (g0, g1), (c0, c1) = _lagrangian_family_gens(kind, fixed, start, step, max)
+    charted = [(p, q) for p, q in params if q * c0 + p * c1]
+    ranks = dict(zip(charted, a.pencil_ranks_modulo(g0, g1, charted)))
+    levels = []
+    for p, q in params:
+        if (p, q) in ranks:
+            levels.append(len(g0) - ranks[p, q])
+        else:  # c(p / q) = 0: the point's own last chart comes earlier
+            moving = [q * x + p * y for x, y in zip(start, step)]
+            levels.append(y_stratum(a, moving) if kind == "y" else z_stratum(a, [*fixed, moving]))
+    return levels
 
 
 def _vanishes_at(coeffs: list[int], p: int, q: int) -> bool:

@@ -40,7 +40,16 @@ most the product of the norms of the non-zero input rows (each at least
 s = 2 + sum_i e_i reads every slot exactly.  In ``rank_modulo`` the
 remainder of w is sum_m w_m U_m on the free columns, of norm at most
 (sum_m |w_m|) max_m ||U_m||, built packed by one multiply-add per non-zero
-coordinate from the packed U_m, which a subspace packs once per width."""
+coordinate from the packed U_m, which a subspace packs once per width.
+
+A pencil is packed once.  The rows q r0 + p r1 for many parameters (p, q)
+are integer combinations of the packed r0 and r1, and at every parameter
+||q r0 + p r1|| <= |q| ||r0|| + |p| ||r1||, so one width, taken at the
+largest |p| and |q|, reads all of them: ``pencil_eliminations`` packs the
+two row lists once and runs ``_eliminate`` on one multiply-add per row and
+parameter.  ``Subspace.pencil_ranks_modulo`` ranks the remainders of such
+a pencil, built once from the unit remainders, and ``polynomials.
+line_values`` takes its node determinants at (t, 1)."""
 
 from __future__ import annotations
 
@@ -254,6 +263,23 @@ def _eliminate(rows, width: int) -> tuple[int, int]:
     return rank, sign * prev
 
 
+def pencil_eliminations(rows0, rows1, params: list) -> list[tuple[int, int]]:
+    """(rank, signed last pivot) of the integer rows q r0 + p r1 for each
+    (p, q) of params, as ``_bareiss`` gives them for the rows written out:
+    rows0 and rows1 are packed once, at the width 2 + sum_i e_i with
+    2^e_i >= Q ||r0_i|| + P ||r1_i||, P and Q the largest |p| and |q|, a
+    bound on every row of every parameter (module docstring)."""
+    big_p = max((abs(p) for p, _ in params), default=0)
+    big_q = max((abs(q) for _, q in params), default=0)
+    width = 2
+    for r0, r1 in zip(rows0, rows1, strict=True):
+        s0, s1 = sum(map(mul, r0, r0)), sum(map(mul, r1, r1))
+        bound = (big_q << _bits(s0) if s0 else 0) + (big_p << _bits(s1) if s1 else 0)
+        width += (bound - 1).bit_length()
+    packed0, packed1 = [_pack(r, width) for r in rows0], [_pack(r, width) for r in rows1]
+    return [_eliminate([q * x + p * y for x, y in zip(packed0, packed1)], width) for p, q in params]
+
+
 def _gauss_jordan(m: list, cols: int) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
     """Gauss-Jordan over int pivoting on the first cols columns: (reduced
     rows, pivots).  Entries past column cols are carried along.
@@ -448,6 +474,18 @@ class Subspace:
         if units is None:
             units = by_width[width] = [_pack(u, width) for u in self.unit_remainders]
         return _eliminate([sum([x * u for x, u in zip(w, units) if x]) for w in rows], width)[0]
+
+    def pencil_ranks_modulo(self, rows0, rows1, params) -> list[int]:
+        """``rank_modulo`` of the rows q r0 + p r1 for each (p, q) of params:
+        the remainder is linear, so those of r0 and r1 on the free columns,
+        sum_m w[m] U_m from the unit remainders, are built once and ranked
+        as one pencil by ``pencil_eliminations``."""
+        columns = list(zip(*self.unit_remainders))
+
+        def remainders(rows):
+            return [[sum(map(mul, w, col)) for col in columns] for w in rows]
+
+        return [rank for rank, _ in pencil_eliminations(remainders(rows0), remainders(rows1), params)]
 
     def meet_dim(self, other: "Subspace") -> int:
         """dim of the intersection: dim other - the rank of other modulo self,

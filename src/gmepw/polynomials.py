@@ -30,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .linalg import clear_denominators, det_int, rat
+from .linalg import clear_denominators, pencil_eliminations, rat
 
 
 class Poly:
@@ -197,9 +197,15 @@ def interpolate(values) -> list[int]:
 def line_values(p0, p1) -> list[int]:
     """det(p0 + t p1) at the nodes t = 0..k for square integer rows p0 and
     p1, k the number of non-zero rows of p1.  Each row is affine in t, so
-    the determinant has degree at most k, and these values determine it."""
-    nodes = range(1 + sum(map(any, p1)))
-    return [det_int([[x + t * y for x, y in zip(r0, r1)] for r0, r1 in zip(p0, p1)]) for t in nodes]
+    the determinant has degree at most k, and these values determine it.
+    They are the signed last pivots of the pencil p0 + t p1 at the
+    parameters (t, 1), packed once (``linalg.pencil_eliminations``), and 0
+    where a row takes no pivot."""
+    n = len(p0)
+    if any(len(r) != n for r in p0):
+        raise ValueError("determinant of a non-square matrix")
+    nodes = [(t, 1) for t in range(1 + sum(map(any, p1)))]
+    return [last if rank == n else 0 for rank, last in pencil_eliminations(p0, p1, nodes)]
 
 
 def divide_power(coeffs: list[int], c0: int, c1: int, exponent: int) -> list[int] | None:

@@ -167,8 +167,11 @@ def dimension_formula() -> str:
 def degree_certificates(*, seed="acceptance-5", lines=1, pencils=1) -> str:
     """Random lines give sextic y-certificates and random pencils quartic
     z-certificates on the fivefold, each with 20 pointwise sample checks; a
-    line leaving the hyperplane gives the reduced GM discriminant along it,
-    which shares no step with the certificate."""
+    line leaving the hyperplane gives the reduced GM discriminant along it.
+    That comes from the GM quadrics, not from A, but shares one kernel with
+    the certificate: both take node determinants by ``line_values`` (one
+    packed pencil, ``linalg.pencil_eliminations``), then ``interpolate`` and
+    ``divide_power``."""
     a = fivefold_lagrangian().a
     rng = rng_from_seed(seed)
     done = 0

@@ -818,32 +818,120 @@ def oracle_sample_parameters(seed) -> tuple[list[Fraction], bool]:
 
 @pytest.mark.parametrize("kind", ["y", "z"])
 def test_sample_points_are_the_seeded_rational_parameters(kind, monkeypatch):
-    # the pointwise level runs at q v(p / q) (q w3(p / q)) for the reduced
-    # p / q, in the order of the rational draws and each value once; a seed
-    # that draws a value again in other terms tells this from a dedupe on
-    # the raw draws
+    # the certificate is checked at the reduced (p, q) of the rational draws,
+    # in their order and each value once: its levels are taken at those
+    # parameters and it is evaluated there; a seed that draws a value again
+    # in other terms tells this from a dedupe on the raw draws
     import gmepw.epw as epw
 
     a = fivefold_lagrangian().a
     base, direction = LINE if kind == "y" else PENCIL
-    start = base if kind == "y" else base[2]
-    name = f"{kind}_stratum"
-    level = getattr(epw, name)
+    sample_levels, vanishes = epw._sample_levels, epw._vanishes_at
     other_terms = []
     for seed in range(6):
-        points = []
+        ranked, evaluated = [], []
 
-        def record(a, x):
-            points.append(list(x) if kind == "y" else list(x[2]))
-            return level(a, x)
+        def record_levels(a, kind, fixed, start, step, params):
+            ranked.extend(params)
+            return sample_levels(a, kind, fixed, start, step, params)
 
-        monkeypatch.setattr(epw, name, record)
+        def record_value(coeffs, p, q):
+            evaluated.append((p, q))
+            return vanishes(coeffs, p, q)
+
+        monkeypatch.setattr(epw, "_sample_levels", record_levels)
+        monkeypatch.setattr(epw, "_vanishes_at", record_value)
         assert epw.stratum_poly_on_line(a, base, direction, kind, seed=seed).sample_consistency == 20
         params, again = oracle_sample_parameters(seed)
         other_terms.append(again)
-        assert points == [[t.denominator * x + t.numerator * y for x, y in zip(start, direction)]
-                          for t in params], seed
+        assert ranked == evaluated == [(t.numerator, t.denominator) for t in params], seed
     assert any(other_terms)
+
+
+def pointwise_level(a, kind, fixed, start, step, p, q) -> int:
+    moving = [q * x + p * y for x, y in zip(start, step)]
+    return y_stratum(a, moving) if kind == "y" else z_stratum(a, [*fixed, moving])
+
+
+def sample_families(rng, cols):
+    """A seeded y-line and z-pencil inside the span of e_0..e_(cols-1), each as
+    (kind, fixed, start, step) with independent vectors."""
+    def draw(count):
+        while True:
+            rows = [random_nonzero_vector(rng, cols, 3) + [0] * (6 - cols) for _ in range(count)]
+            if Subspace.from_rows(6, rows).dim == count:
+                return rows
+
+    start, step = draw(2)
+    *fixed, w3, w4 = draw(4)
+    return [("y", [], start, step), ("z", fixed, w3, w4)]
+
+
+LEVEL_LAGRANGIANS = {**{name: ld.a for name, ld in all_lagrangian_fixtures().items()}, "l3v5": l3v5_subspace()}
+
+
+@pytest.mark.parametrize("name", sorted(LEVEL_LAGRANGIANS))
+def test_pencil_level_is_the_pointwise_level_at_every_sample(name):
+    # where the last chart's coordinate c(p / q) is not 0, that chart is the
+    # point's own last chart, and the pencil q G0 + p G1 of its rows ranks to
+    # the level y_stratum (z_stratum) takes there; lines and pencils inside
+    # V5 have their last chart below 5, and A adjoined 1 or 2 forms of the
+    # family at one sample has level 1 or 2 or more there
+    from gmepw.epw import _sample_levels
+
+    a0 = LEVEL_LAGRANGIANS[name]
+    rng = rng_from_seed(f"pencil-levels-{name}")
+    found = set()
+    for cols in (6, 6, 5, 5):
+        for kind, fixed, start, step in sample_families(rng, cols):
+            last = charts(kind, [*fixed, start] if kind == "z" else start, step)[-1]
+            assert (last < 5 if kind == "y" else 5 not in last) == (cols == 5)
+            for seed in range(2):
+                params = [(t.numerator, t.denominator) for t in oracle_sample_parameters(seed)[0]]
+                p, q = params[seed]
+                moving = [q * x + p * y for x, y in zip(start, step)]
+                family = point_chart_rows(moving, 6) if kind == "y" else plane_chart_rows([*fixed, moving], 6)
+                for a in (a0, through(a0, family[:1 + seed])):
+                    levels = _sample_levels(a, kind, fixed, start, step, params)
+                    assert levels == [pointwise_level(a, kind, fixed, start, step, p, q) for p, q in params]
+                    found.update(levels)
+    assert {0, 1, 2} <= found
+
+
+@pytest.mark.parametrize("kind", ["y", "z"])
+def test_sample_levels_fall_back_where_the_last_chart_vanishes(kind, monkeypatch):
+    # a line (pencil) whose last chart coordinate v_5 (p_345) is -p + q t
+    # vanishes at the drawn sample p / q: the pointwise level runs there and
+    # only there, and the certificate still checks all 20 samples
+    import gmepw.epw as epw
+
+    a = sigma_fixture_lagrangian().a
+    seed = 3
+    params = [(t.numerator, t.denominator) for t in oracle_sample_parameters(seed)[0]]
+    p, q = params[4]
+    if kind == "y":
+        fixed, start, step = [], [1, 2, 0, 1, -1, -p], [0, 1, 1, -2, 1, q]
+    else:  # columns 3, 4, 5 of w1, w2 are e_3, e_4, so p_345 = (w3)_5
+        fixed, start, step = [[1, 0, 2, 1, 0, 0], [0, 1, -1, 0, 1, 0]], [0, 0, 1, 2, -1, -p], [1, 1, 0, 0, 2, q]
+    assert Subspace.from_rows(6, [*fixed, start, step]).dim == len(fixed) + 2
+    assert charts(kind, [*fixed, start] if kind == "z" else start, step)[-1] == (5 if kind == "y" else (3, 4, 5))
+    name = f"{kind}_stratum"
+    level = getattr(epw, name)
+    points = []
+
+    def record(a, x):
+        points.append(list(x) if kind == "y" else list(x[2]))
+        return level(a, x)
+
+    monkeypatch.setattr(epw, name, record)
+    levels = epw._sample_levels(a, kind, fixed, start, step, params)
+    fallback = [q * x + p * y for x, y in zip(start, step)]
+    assert points == [fallback] and fallback[5] == 0
+    assert levels == [pointwise_level(a, kind, fixed, start, step, p, q) for p, q in params]
+    points.clear()
+    base = (*fixed, start) if kind == "z" else start
+    assert epw.stratum_poly_on_line(a, base, step, kind, seed=seed).sample_consistency == 20
+    assert points == [fallback]
 
 
 def test_sample_parameters_are_twenty_distinct_reduced_values(monkeypatch):

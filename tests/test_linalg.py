@@ -521,6 +521,52 @@ def test_rank_modulo_with_a_large_pivot_lcm():
         assert a.rank_modulo(w) == len(oracle_span(ra + w, 7)[0]) - len(ra)
 
 
+@st.composite
+def pencils(draw):
+    """Integer rows r0 and r1 of one shape, some of them zero, a dependent
+    last row in both when asked (a pencil of deficient rank at every
+    parameter), a subspace of the same ambient space, and parameters (p, q)
+    that always include p = 0, a negative p and q > 1."""
+    n, m = draw(st.integers(0, 6)), draw(st.integers(1, 7))
+    entries = st.integers(-6, 6) | st.integers(-(2 ** 70), 2 ** 70)
+    row = st.lists(entries, min_size=m, max_size=m)
+    rows0, rows1 = ([draw(row) if draw(st.booleans()) else [0] * m for _ in range(n)] for _ in range(2))
+    if n >= 3 and draw(st.booleans()):
+        for rows in (rows0, rows1):
+            rows[-1] = [x - 2 * y for x, y in zip(rows[0], rows[1])]
+    sub = Subspace.from_rows(m, draw(st.lists(st.lists(st.integers(-4, 4), min_size=m, max_size=m), max_size=m)))
+    params = draw(st.lists(st.tuples(st.integers(-80, 80), st.integers(-3, 6)), max_size=5))
+    return rows0, rows1, sub, [(0, 1), (-7, 1), (5, 3), (-80, 5), *params]
+
+
+@given(pencils())
+@example(([], [], Subspace.from_rows(1, []), [(0, 1), (3, 2)]))
+@example(([[1, 0], [0, 0]], [[0, 0], [0, 1]], Subspace.from_rows(2, [[1, 1]]), [(0, 1), (-2, 1), (4, 3)]))
+@settings(max_examples=150, deadline=None)
+def test_pencil_eliminations_match_bareiss_of_the_explicit_rows(pencil):
+    # one width for every parameter, the rows packed once: the same (rank,
+    # signed last pivot) as the one loop on q r0 + p r1 written out, and
+    # modulo a subspace the same ranks as rank_modulo of those rows
+    from gmepw.linalg import pencil_eliminations
+
+    rows0, rows1, sub, params = pencil
+    explicit = [[[q * x + p * y for x, y in zip(r0, r1)] for r0, r1 in zip(rows0, rows1)] for p, q in params]
+    assert pencil_eliminations(rows0, rows1, params) == [_bareiss(rows) for rows in explicit]
+    assert sub.pencil_ranks_modulo(rows0, rows1, params) == [sub.rank_modulo(rows) for rows in explicit]
+
+
+@pytest.mark.parametrize("n", [1, 4, 16])
+def test_pencil_width_is_exact_at_hadamards_bound(n):
+    # with one of p, q always 0 the row bound is Hadamard's for the other
+    # rows, which these matrices attain at 2^(s - 2) itself
+    from gmepw.linalg import pencil_eliminations
+
+    h, zero = sylvester_hadamard(n), [[0] * n for _ in range(n)]
+    det = round(n ** (n / 2))
+    assert pencil_eliminations(h, zero, [(0, 1), (5, 1)]) == [(n, det), (n, det)]
+    assert pencil_eliminations(zero, h, [(1, 0), (-1, 0)]) == [(n, det), (n, det * (-1) ** n)]
+
+
 def test_rref_rank_nullspace_against_sympy():
     sympy = pytest.importorskip("sympy")
     rng = rng_from_seed(303)

@@ -162,3 +162,13 @@ def test_the_integer_layers_name_no_fraction():
     for module in ("correspondence", "epw", "exterior", "fibrations", "quadrics"):
         tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
         assert list(mentions(tree, "Fraction")) == [], module
+
+
+def test_the_packed_kernel_stays_inside_linalg():
+    # every rank and determinant reaches the packed rows through linalg's
+    # entry points (_bareiss, det_int, rank_modulo, pencil_eliminations):
+    # no other module packs rows, sizes slots or runs the packed loop
+    for name in ("_pack", "_eliminate", "_bits"):
+        found = {path.stem for path in SRC.glob("*.py")
+                 if list(mentions(ast.parse(path.read_text(encoding="utf-8")), name))}
+        assert found == {"linalg"}, name

