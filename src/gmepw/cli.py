@@ -2,17 +2,14 @@
 text documents on standard streams or files.
 
 One table, ``COMMANDS``, holds each command's handler, help and arguments;
-the help listing, the usage line and the dispatch all read it.  A command
-line whose first token names a command parses with the top-level parser and
-that command's subparser alone, whose usage line is the full parser's; any
-other command line parses with every subparser.
+the help listing, the usage line and the dispatch all read it.
 
-Each of those parsers is built once per process, at the first command line
-of its shape, and reused by every later ``main`` call.  Reuse leaves no trace
-between calls: argparse reads ``COLUMNS`` when it formats a usage or help
-text, not when it builds the parser; each ``parse_args`` fills a fresh
-namespace from the defaults and copies the lists of ``append`` flags; and
-the dispatch looks the handler up in ``COMMANDS`` at call time.
+The parser is built once per process, at the first command line, and reused
+by every later ``main`` call.  Reuse leaves no trace between calls: argparse
+reads ``COLUMNS`` when it formats a usage or help text, not when it builds
+the parser; each ``parse_args`` fills a fresh namespace from the defaults and
+copies the lists of ``append`` flags; and the dispatch looks the handler up
+in ``COMMANDS`` at call time.
 
 Exit codes: 0 success, 1 mathematical violation, 2 input error.
 """
@@ -401,36 +398,27 @@ COMMANDS = {
 
 
 @functools.cache
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser with the subparser of every command, or of ``command``
-    alone, built once per process for each argument and shared by every
-    caller, who must not change it.  The one-command parser's usage line
-    still lists every command, as argparse writes the choices of the full
-    parser; it is only built for a valid first token, so its "invalid
-    choice" and "required: command" errors, which would name that list
-    instead of "command", never occur."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser with the subparser of every command, built once per process
+    and shared by every caller, who must not change it."""
     parser = argparse.ArgumentParser(
         prog="gmepw",
         description="Exact computations relating Gushel-Mukai data, Lagrangian data, "
         "EPW stratifications, and quadric fibrations.",
     )
-    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in COMMANDS if command is None else (command,):
-        p = sub.add_parser(name, help=COMMANDS[name].help)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--input", "-i", default="-", help="input document path (default stdin)")
         p.add_argument("--output", "-o", default="-", help="output path (default stdout)")
-        for flags, kwargs in COMMANDS[name].args:
+        for flags, kwargs in command.args:
             p.add_argument(*flags, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    # build_parser() rather than build_parser(None): the cache keys the two apart
-    parser = build_parser(argv[0]) if argv and argv[0] in COMMANDS else build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on usage errors already
         return int(exc.code or 0)

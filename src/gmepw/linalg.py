@@ -37,10 +37,10 @@ integer.  By Sylvester's identity every entry after k steps is a
 (k + 1)-minor of the row-permuted input; by Hadamard's inequality it is at
 most the product of the norms of the non-zero input rows (each at least
 1), so at most 2^(e_1 + ... + e_m) for 2^e_i >= ||r_i||, and the width
-s = 2 + sum_i e_i reads every slot exactly.  In ``rank_modulo`` the
-remainder of w is sum_m w_m U_m on the free columns, of norm at most
-(sum_m |w_m|) max_m ||U_m||, built packed by one multiply-add per non-zero
-coordinate from the packed U_m, which a subspace packs once per width.
+s = 2 + sum_i e_i, or any wider one, reads every slot exactly.  In
+``rank_modulo`` the remainder of w is sum_m w_m U_m on the free columns, of
+norm at most (sum_m |w_m|) max_m ||U_m||, built packed by one multiply-add
+per non-zero coordinate from the U_m, packed once at the widest width yet.
 
 A pencil is packed once.  The rows q r0 + p r1 for many parameters (p, q)
 are integer combinations of the packed r0 and r1, and at every parameter
@@ -346,7 +346,7 @@ class Subspace:
     RREF row as its primitive integer multiple with a positive pivot.  The
     rows over the lcm of their pivot entries (``scaled_rows``), the
     ``Fraction`` RREF rows built from them (``basis``), the unit remainders
-    and their packings (``rank_modulo``) are built on first use."""
+    and their packing (``rank_modulo``) are built on first use."""
 
     __slots__ = ("ambient_dim", "int_rows", "pivots", "_basis", "_scale", "_units", "_packed")
 
@@ -428,11 +428,13 @@ class Subspace:
     @property
     def unit_remainders(self) -> tuple[tuple[int, ...], ...]:
         """The remainders of the unit vectors on the free columns, built on
-        first use: by linearity, that of w is sum_m w[m] times entry m."""
+        first use: as remainder(w) = L w - sum_r w[c_r] B_r, (B, L) the
+        ``scaled_rows``, -B_r at a pivot c_r and L in its own slot at a free one."""
         if self._units is None:
-            n, free = self.ambient_dim, self.free_columns
-            units = (self.remainder([int(i == m) for i in range(n)]) for m in range(n))
-            self._units = tuple(tuple(w[c] for c in free) for w in units)
+            (rows, big), free = self.scaled_rows, self.free_columns
+            units = {f: tuple(big * (g == f) for g in free) for f in free}
+            units.update((c, tuple(-row[f] for f in free)) for c, row in zip(self.pivots, rows))
+            self._units = tuple(units[m] for m in range(self.ambient_dim))
         return self._units
 
     @property
@@ -462,17 +464,15 @@ class Subspace:
     def rank_modulo(self, rows) -> int:
         """dim (self + span of the integer rows) - dim self: the rank of the
         rows' remainders on the free columns (they vanish at the pivots),
-        each built packed as sum_m w[m] U_m from the unit remainders U_m,
-        packed at the width of the row bound (sum_m |w[m]|) max ||U_m||
-        (module docstring) once per width."""
+        each built packed as sum_m w[m] U_m from the unit remainders U_m at
+        the width of the row bound (sum_m |w[m]|) max ||U_m|| or wider."""
         rows = list(rows)
-        if self._packed is None:  # (e with 2^e >= max ||U_m||, the packed U_m by width)
-            self._packed = _bits(max((sum(map(mul, u, u)) for u in self.unit_remainders), default=0)), {}
-        bits, by_width = self._packed
-        width = 2 + sum((sum(map(abs, w)) - 1).bit_length() + bits for w in rows)
-        units = by_width.get(width)
-        if units is None:
-            units = by_width[width] = [_pack(u, width) for u in self.unit_remainders]
+        if self._packed is None:  # (e with 2^e >= max ||U_m||, the widest width so far, the U_m packed at it)
+            self._packed = _bits(max((sum(map(mul, u, u)) for u in self.unit_remainders), default=0)), 0, []
+        bits, width, units = self._packed
+        need = 2 + sum((sum(map(abs, w)) - 1).bit_length() + bits for w in rows)
+        if need > width:
+            self._packed = bits, width, units = bits, need, [_pack(u, need) for u in self.unit_remainders]
         return _eliminate([sum([x * u for x, u in zip(w, units) if x]) for w in rows], width)[0]
 
     def pencil_ranks_modulo(self, rows0, rows1, params) -> list[int]:

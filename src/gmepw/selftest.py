@@ -17,6 +17,7 @@ from .correspondence import (
     A1_ONE,
     A1_ZERO,
     LagrangianData,
+    adjoin,
     dim_report,
     dualize,
     gm_to_lagrangian,
@@ -30,6 +31,7 @@ from .exterior import (
     is_decomposable,
     l3v5_subspace,
     v5_subspace,
+    wedge,
     wedge_space,
     wedge_symplectic_space,
 )
@@ -57,8 +59,10 @@ from .quadrics import (
     standard_doubled_space,
 )
 from .sampling import (
+    random_invertible,
     random_lagrangian,
     random_nonzero_vector,
+    random_vector,
     rng_from_seed,
     standard_lagrangian_pair,
 )
@@ -234,6 +238,10 @@ def discriminant_division(*, seed="acceptance-6", lines=1) -> str:
 
 
 def duality_suite(*, seed="acceptance-7", hyperplanes=10, planes=10) -> str:
+    """Dualizing is an involution that swaps the point and hyperplane levels
+    and the levels of a 3-space and its annihilator; and on every Lagrangian
+    fixture adjoined two forms of a family, the point, 3-space and hyperplane
+    levels equal the meet with that family, at 2 or more."""
     rng = rng_from_seed(seed)
     ld = fivefold_lagrangian()
     dual = dualize(ld)
@@ -257,7 +265,48 @@ def duality_suite(*, seed="acceptance-7", hyperplanes=10, planes=10) -> str:
             continue
         _require(z_stratum(ld.a, v3.int_rows) == z_stratum(dual.a, v3.annihilator().int_rows), rows)
         done += 1
+    for name, lf in all_lagrangian_fixtures().items():
+        for level, family, draw in _engineered_families(rng):
+            forms = []
+            while Subspace.from_rows(20, forms).dim < 2:  # redraw dependent forms
+                forms = [draw(), draw()]
+            a = adjoin(adjoin(lf.a, forms[0]), forms[1])
+            got = level(a)
+            _require(got == a.intersect(family).dim >= 2, (name, family, got))
     return f"orthogonal involution, {hyperplanes} hyperplane and {planes} plane dualities"
+
+
+def _engineered_families(rng):
+    """(level function, family span, drawer of forms in the family) for a
+    seeded point v, 3-space W and hyperplane V5' = ker f: v ^ b ^ b',
+    c ^ x ^ y with x, y in W, and x ^ y ^ z in V5'.  Any two forms of one
+    family wedge to 0 (a repeated v, four vectors of W, six of V5'), so A
+    adjoined two independent ones meets the family in dimension >= 2.  The
+    V5' level is also compared with the point level of f on the dual."""
+    full = Subspace.full(6)
+    v = random_nonzero_vector(rng, 6, 3)
+    w = Subspace.from_rows(6, random_invertible(rng, 6, 3)[:3])
+    f = random_nonzero_vector(rng, 6, 3)
+    v5p = Subspace.from_rows(6, [f]).annihilator()
+
+    def inside(s):
+        coeffs = random_vector(rng, s.dim, 3)
+        return [sum(c * r[j] for c, r in zip(coeffs, s.int_rows)) for j in range(6)]
+
+    def cube(x, y, z):
+        return wedge(6, 1, 2, x, wedge(6, 1, 1, y, z))
+
+    def dual_level(a):
+        got = y_dual_stratum(a, v5p)
+        _require(got == y_stratum(dualize(LagrangianData(a=a, a1=A1_ZERO)).a, f), ("dual", f))
+        return got
+
+    return (
+        (lambda a: y_stratum(a, v), wedge_space(Subspace.from_rows(6, [v]), full),
+         lambda: cube(v, inside(full), inside(full))),
+        (lambda a: z_stratum(a, w.int_rows), wedge_space(full, w), lambda: cube(inside(full), inside(w), inside(w))),
+        (dual_level, wedge_space(v5p, v5p), lambda: cube(inside(v5p), inside(v5p), inside(v5p))),
+    )
 
 
 def fibration_two_path(*, seed="acceptance-8", queries=2) -> str:

@@ -10,12 +10,10 @@ the file with
 
 only when a change to those bytes is intended.
 
-``cli.main`` builds the subparser of the command it runs and no other; the
-comparison test below checks that this parser prints what the parser with
-every command prints, for each command's help, unknown flag and missing
-argument, and the count tests that each parser is built once per process and
-reused by every later call.  The goldens run both widths in one process, on
-the same reused parsers.
+``cli.main`` parses every command line with one parser, built once per
+process; the count tests check that the first call builds it, the top level
+and one subparser per command, and that every later call reuses it.  The
+goldens run both widths in one process, on the same reused parser.
 """
 
 import argparse
@@ -81,16 +79,6 @@ def test_usage_bytes_match_the_golden(golden, monkeypatch):
     assert got == (golden["exit"], golden["stdout"], golden["stderr"])
 
 
-@pytest.mark.parametrize("columns", WIDTHS)
-@pytest.mark.parametrize("command", list(subparsers()))
-def test_one_command_parser_prints_what_the_full_parser_prints(command, columns, monkeypatch):
-    for argv in command_argvs(command):
-        one = capture(lambda: cli.build_parser(command).parse_args(argv), columns, monkeypatch)
-        full = capture(lambda: cli.build_parser().parse_args(argv), columns, monkeypatch)
-        assert one == full, argv
-        assert one[0] in (0, 2), argv
-
-
 def count_parsers(monkeypatch) -> list[int]:
     built = [0]
     init = argparse.ArgumentParser.__init__
@@ -103,14 +91,15 @@ def count_parsers(monkeypatch) -> list[int]:
     return built
 
 
-def test_a_command_line_builds_its_parser_once_per_process(monkeypatch):
+def test_a_command_line_builds_its_parser_once_per_process(monkeypatch, capsys):
     cli.build_parser.cache_clear()
     built = count_parsers(monkeypatch)
-    argv = ["fixture", "--list", "--output", os.devnull]
-    assert cli.main(argv) == cli.EXIT_OK
-    assert built[0] == 2  # the top level and the one subcommand
-    assert cli.main(argv) == cli.EXIT_OK
-    assert built[0] == 2  # the repeat call reuses both
+    calls = [(["fixture", "--list", "--output", os.devnull], cli.EXIT_OK, ""),
+             (["valid"], cli.EXIT_INPUT, "invalid choice: 'valid'")]
+    for argv, code, err in calls + calls:
+        assert cli.main(argv) == code
+        assert err in capsys.readouterr().err
+        assert built[0] == 1 + len(cli.COMMANDS)  # the first call builds it, the rest none
 
 
 def test_other_argument_lists_build_the_full_parser(monkeypatch, capsys):
@@ -118,7 +107,7 @@ def test_other_argument_lists_build_the_full_parser(monkeypatch, capsys):
     built = count_parsers(monkeypatch)
     for _ in range(2):
         assert cli.main(["valid"]) == cli.EXIT_INPUT
-        assert built[0] == 1 + len(subparsers())  # the repeat call builds none
+        assert built[0] == 1 + len(cli.COMMANDS)  # the repeat call builds none
         assert "invalid choice: 'valid'" in capsys.readouterr().err
 
 
@@ -138,10 +127,10 @@ except SystemExit as exc:
 """
 
 
-def test_a_cold_command_line_builds_two_parsers():
+def test_a_cold_command_line_builds_the_parser_once():
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     done = subprocess.run([sys.executable, "-c", COLD_COUNT], capture_output=True, text=True, env=env, timeout=60)
-    assert done.stderr.split() == ["0", "2"]  # exit code, parsers built
+    assert done.stderr.split() == ["0", str(1 + len(cli.COMMANDS))]  # exit code, parsers built
     assert done.stdout.count("\n") == 8  # the whole fixture listing
 
 

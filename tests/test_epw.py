@@ -272,10 +272,10 @@ def test_z_stratum_takes_any_basis_of_the_3_space():
     assert {0, 1, 2, 3} <= levels
 
 
-def test_repeated_levels_reduce_only_while_the_unit_remainders_are_built(monkeypatch):
-    # the rows of every level are combinations of A's cached unit remainders:
-    # Subspace.remainder runs once per unit vector on the first level at A,
-    # and never again for later y and z levels there
+def test_repeated_levels_reuse_the_cached_unit_remainders(monkeypatch):
+    # the rows of every level are combinations of A's unit remainders, read
+    # off its scaled rows without running Subspace.remainder; the first level
+    # at A builds them, and later y and z levels there reuse that tuple
     calls = []
     remainder = Subspace.remainder
     monkeypatch.setattr(Subspace, "remainder", lambda s, w: calls.append(s) or remainder(s, w))
@@ -284,18 +284,19 @@ def test_repeated_levels_reduce_only_while_the_unit_remainders_are_built(monkeyp
         a = Subspace(20, list(source.int_rows), source.pivots)  # a fresh cache
         v, v3 = random_nonzero_vector(rng, 6, 4), random_3space(rng, Subspace.full(6))
         assert_levels_match_the_intersection(a, v, v3)
-        built = sum(s is a for s in calls)
-        assert built == 20
+        units = a._units  # built by the first level
+        assert units is not None
         for _ in range(4):
             y_stratum(a, random_nonzero_vector(rng, 6, 4))
             z_stratum(a, random_3space(rng, Subspace.full(6)).int_rows)
-        assert sum(s is a for s in calls) == built
+        assert a._units is units
+        assert not any(s is a for s in calls)
 
 
-def test_every_level_reduces_only_while_the_unit_remainders_are_built(monkeypatch):
+def test_every_level_reuses_the_cached_unit_remainders(monkeypatch):
     # sigma1_level, sigma2_level, y_dual_stratum and dim_report rank their
-    # rows by rank_modulo as well: once a first level at a fresh A has built
-    # its 20 unit remainders, none of them runs Subspace.remainder on A
+    # rows by rank_modulo as well: after a first level at a fresh A, none of
+    # them rebuilds its unit remainders or runs Subspace.remainder on A
     calls = []
     remainder = Subspace.remainder
     monkeypatch.setattr(Subspace, "remainder", lambda s, w: calls.append(s) or remainder(s, w))
@@ -304,13 +305,15 @@ def test_every_level_reduces_only_while_the_unit_remainders_are_built(monkeypatc
         a = Subspace(20, list(source.int_rows), source.pivots)  # a fresh cache
         ld = LagrangianData(a=a, a1=A1_ZERO)
         y_stratum(a, random_nonzero_vector(rng, 6, 4))
-        assert sum(s is a for s in calls) == 20
+        units = a._units  # built by the first level
+        assert units is not None
         for _ in range(3):
             sigma1_level(ld, random_nonzero_vector(rng, 5, 3) + [0])
             sigma2_level(ld, random_3space(rng, V5))
             y_dual_stratum(a, kernel(Matrix([random_nonzero_vector(rng, 6, 4)])))
             dim_report(ld)
-        assert sum(s is a for s in calls) == 20
+        assert a._units is units
+        assert not any(s is a for s in calls)
 
 
 def cube_forms(rng, h: Subspace, k: int) -> list:

@@ -477,21 +477,29 @@ def test_packed_kernel_on_zero_rows_columns_and_deficient_shapes():
         assert_kernel_matches_the_oracles([list(r) for r in zip(*rows)])
 
 
-def test_rank_modulo_packs_each_width_once():
-    # rows of very different heights take different slot widths (three here:
-    # the small rows, the tall ones and both); each width's packed unit
-    # remainders are built once and then reused
+def test_rank_modulo_packs_once_at_the_widest_width():
+    # rows of very different heights take different slot widths; a subspace
+    # keeps one packing of its unit remainders, at the widest width asked for
+    # so far: narrower rows reuse it, and only a wider request repacks, once
     a = Subspace.from_rows(6, [[1, 0, 2, 0, -1, 3], [0, 3, 1, 0, 0, -2], [0, 0, 0, 5, 1, 1]])
     ra, _ = oracle_span(a.int_rows, 6)
     small = [[1, -1, 0, 2, 0, 1], [0, 1, 1, 0, 1, 0]]
     tall = [[3 ** 80, 0, 1, 0, 0, -(2 ** 90)], [0, 2 ** 70, 0, 1, 5 ** 40, 0], [1, 1, 1, 1, 1, 1]]
-    for rows in (small, tall, small + tall, tall):
-        assert a.rank_modulo(rows) == len(oracle_span(ra + rows, 6)[0]) - len(ra)
-    by_width = a._packed[1]
-    assert len(by_width) == 3
-    before = dict(by_width)
-    assert a.rank_modulo(small) == 2 and a.rank_modulo(tall) == 3
-    assert by_width.keys() == before.keys() and all(by_width[w] is units for w, units in before.items())
+
+    def rank(rows):
+        got = a.rank_modulo(rows)
+        assert got == len(oracle_span(ra + rows, 6)[0]) - len(ra)
+        return a._packed[1:]
+
+    narrow = rank(small)
+    assert rank(small) == narrow and rank(small)[1] is narrow[1]
+    wide = rank(tall)
+    assert wide[0] > narrow[0]
+    widest = rank(small + tall)
+    assert widest[0] > wide[0]
+    for rows in (small, tall, small + tall, tall[:1]):
+        width, units = rank(rows)
+        assert width == widest[0] and units is widest[1]
 
 
 @pytest.mark.parametrize("k", [0, 1, 5, 40])

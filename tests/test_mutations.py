@@ -7,8 +7,9 @@ A mutation replaces one library function by a wrong variant in every
 around each run, so the fixtures are rebuilt under the mutant and none of
 them outlives it.  Each entry also names the checks that must be among the
 failures.  Capping ``y_stratum``, ``z_stratum`` or ``y_dual_stratum`` at 1
-fails no check yet, as no check draws a point of level 2 or more; those
-mutations join the table once one does.
+is caught by the duality suite, which draws a point, a 3-space and a
+hyperplane of level 2 or more on every Lagrangian fixture adjoined two forms of
+the family.
 """
 
 import io
@@ -49,6 +50,9 @@ MUTATIONS = {
                                 {"degree_certificates"}),
     "chart-row-sign-mangled": (epw, "point_chart_rows", lambda f: lambda *args: _negate_one_entry(f(*args)),
                                {"degree_certificates"}),
+    "y-stratum-capped": (epw, "y_stratum", lambda f: lambda a, v: min(f(a, v), 1), {"duality_suite"}),
+    "z-stratum-capped": (epw, "z_stratum", lambda f: lambda a, rows: min(f(a, rows), 1), {"duality_suite"}),
+    "y-dual-stratum-capped": (epw, "y_dual_stratum", lambda f: lambda a, v5: min(f(a, v5), 1), {"duality_suite"}),
 }
 
 
