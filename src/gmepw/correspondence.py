@@ -260,14 +260,14 @@ def adjoin(a: Subspace, xi) -> Subspace:
     coordinates): a Lagrangian through xi, as every 3-form is isotropic
     (xi ^ xi = 0 in odd degree).  A itself when xi lies in A; otherwise it
     meets A in dimension 9."""
-    if a.contains(xi):
-        return a
-    # the meet of a with the orthogonal of xi is the kernel of the
-    # functional f = omega(., xi) on a: f(r_k) != 0 for some row r_k, as xi
-    # lies outside a = a^omega, and the f(r_k) r_i - f(r_i) r_k span it
+    # f = omega(., xi) vanishes on a exactly when xi lies in a = a^omega (a
+    # Lagrangian); otherwise f(r_k) != 0 for some row r_k, and the
+    # f(r_k) r_i - f(r_i) r_k span its kernel on a, the meet with xi's orthogonal
     eta = clear_denominators(vec(xi))[0]
     f = [sum(map(mul, t, eta)) for t in top_pairing(6, 3)]
     values = [sum(map(mul, f, r)) for r in a.int_rows]
+    if not any(values):
+        return a
     rk, fk = next((r, v) for r, v in zip(a.int_rows, values) if v)
     meet = [[fk * x - fi * y for x, y in zip(r, rk)] for r, fi in zip(a.int_rows, values)]
     out = Subspace.from_rows(20, meet + [eta])

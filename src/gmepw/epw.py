@@ -303,8 +303,8 @@ def stratum_poly_on_line(
     quotient = divide_power(det, *chart, exponent)
     if quotient is None:
         raise ValueError("the chart factor does not divide the determinant")
-    poly = Poly(quotient).primitive()
-    coeffs = [c.numerator for c in poly.coeffs]
+    g = gcd(*quotient) if quotient[-1] > 0 else -gcd(*quotient)  # the primitive part, leading term > 0
+    coeffs = [c // g for c in quotient]
 
     rng = rng_from_seed(f"{seed}-membership-check")
     params = []
@@ -317,7 +317,7 @@ def stratum_poly_on_line(
     for (p, q), lvl in zip(params, _sample_levels(a, kind, fixed, start, step, params)):
         if _vanishes_at(coeffs, p, q) != (lvl >= 1):
             raise GmError("certificate disagrees with pointwise membership")
-    return LineDegreeCertificate(kind, base_t, dir_t, poly, poly.degree, len(params))
+    return LineDegreeCertificate(kind, base_t, dir_t, Poly(coeffs), len(coeffs) - 1, len(params))
 
 
 def _sample_levels(a: Subspace, kind: str, fixed, start, step, params) -> list[int]:

@@ -37,23 +37,21 @@ integer.  By Sylvester's identity every entry after k steps is a
 (k + 1)-minor of the row-permuted input; by Hadamard's inequality it is at
 most the product of the norms of the non-zero input rows (each at least
 1), so at most 2^(e_1 + ... + e_m) for 2^e_i >= ||r_i||, and the width
-s = 2 + sum_i e_i, or any wider one, reads every slot exactly.  In
-``rank_modulo`` the remainder of w is sum_m w_m U_m on the free columns, of
-norm at most (sum_m |w_m|) max_m ||U_m||, built packed by one multiply-add
-per non-zero coordinate from the U_m, packed once at the widest width yet.
-
-A pencil is packed once.  The rows q r0 + p r1 for many parameters (p, q)
-are integer combinations of the packed r0 and r1, and at every parameter
-||q r0 + p r1|| <= |q| ||r0|| + |p| ||r1||, so one width, taken at the
-largest |p| and |q|, reads all of them: ``pencil_eliminations`` packs the
-two row lists once and runs ``_eliminate`` on one multiply-add per row and
-parameter.  ``Subspace.pencil_ranks_modulo`` ranks the remainders of such
-a pencil, built once from the unit remainders, and ``polynomials.
-line_values`` takes its node determinants at (t, 1)."""
+s = 2 + sum_i e_i, or any wider one, reads every slot exactly.  The
+remainder of w is sum_m w_m U_m on the free columns, of norm at most
+(sum_m |w_m|) max_m ||U_m||: a subspace packs the U_m once, at the widest
+width asked for yet, and both ``rank_modulo`` and ``pencil_ranks_modulo``
+build each remainder packed, one multiply-add per non-zero coordinate.  A
+pencil q r0 + p r1 is packed once, as its rows have norm at most |q| ||r0||
++ |p| ||r1||: one width, at the largest |p| and |q| (P and Q), reads every
+parameter, each one multiply-add per row.  For remainders the bound is
+(Q sum |r0| + P sum |r1|) max ||U_m||; ``pencil_eliminations`` packs
+explicit rows (``polynomials.line_values``, its node determinants at (t, 1))."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 
@@ -265,10 +263,9 @@ def _eliminate(rows, width: int) -> tuple[int, int]:
 
 def pencil_eliminations(rows0, rows1, params: list) -> list[tuple[int, int]]:
     """(rank, signed last pivot) of the integer rows q r0 + p r1 for each
-    (p, q) of params, as ``_bareiss`` gives them for the rows written out:
-    rows0 and rows1 are packed once, at the width 2 + sum_i e_i with
-    2^e_i >= Q ||r0_i|| + P ||r1_i||, P and Q the largest |p| and |q|, a
-    bound on every row of every parameter (module docstring)."""
+    (p, q) of params, as ``_bareiss`` gives them for the rows written out,
+    packed once at the width 2 + sum_i e_i, 2^e_i >= Q ||r0_i|| + P ||r1_i||
+    (module docstring)."""
     big_p = max((abs(p) for p, _ in params), default=0)
     big_q = max((abs(q) for _, q in params), default=0)
     width = 2
@@ -343,21 +340,15 @@ def kernel(m: Matrix) -> "Subspace":
 
 class Subspace:
     """A linear subspace of k^n stored as its reduced row-space basis: each
-    RREF row as its primitive integer multiple with a positive pivot.  The
-    rows over the lcm of their pivot entries (``scaled_rows``), the
-    ``Fraction`` RREF rows built from them (``basis``), the unit remainders
-    and their packing (``rank_modulo``) are built on first use."""
-
-    __slots__ = ("ambient_dim", "int_rows", "pivots", "_basis", "_scale", "_units", "_packed")
+    RREF row as its primitive integer multiple with a positive pivot.  Its
+    ``scaled_rows``, ``basis`` and ``unit_remainders`` are cached
+    properties, and both rank kernels read one packing of the unit
+    remainders, kept at the widest width asked for (``_units_packed``)."""
 
     def __init__(self, ambient_dim: int, int_rows: list[tuple[int, ...]], pivots: tuple[int, ...]):
         self.ambient_dim = ambient_dim
         self.int_rows = int_rows
         self.pivots = pivots
-        self._basis = None
-        self._scale = None
-        self._units = None
-        self._packed = None
 
     @classmethod
     def from_rows(cls, ambient_dim: int, rows) -> "Subspace":
@@ -376,19 +367,15 @@ class Subspace:
     def dim(self) -> int:
         return len(self.int_rows)
 
-    @property
+    @cached_property
     def basis(self) -> Matrix:
         """The RREF basis over Fraction, one row per dimension."""
-        if self._basis is None:
-            self._basis = Matrix.from_int_rows(*self.scaled_rows, self.ambient_dim)
-        return self._basis
+        return Matrix.from_int_rows(*self.scaled_rows, self.ambient_dim)
 
-    @property
+    @cached_property
     def scaled_rows(self) -> tuple[list, int]:
-        """``over_pivots`` of the rows, built on first use."""
-        if self._scale is None:
-            self._scale = over_pivots(self.int_rows, self.pivots)
-        return self._scale
+        """``over_pivots`` of the rows."""
+        return over_pivots(self.int_rows, self.pivots)
 
     def basis_rows(self) -> list[list[Fraction]]:
         return [list(row) for row in self.basis.data]
@@ -425,17 +412,30 @@ class Subspace:
                 out = [x - f * y for x, y in zip(out, row)]
         return out
 
-    @property
+    @cached_property
     def unit_remainders(self) -> tuple[tuple[int, ...], ...]:
-        """The remainders of the unit vectors on the free columns, built on
-        first use: as remainder(w) = L w - sum_r w[c_r] B_r, (B, L) the
-        ``scaled_rows``, -B_r at a pivot c_r and L in its own slot at a free one."""
-        if self._units is None:
-            (rows, big), free = self.scaled_rows, self.free_columns
-            units = {f: tuple(big * (g == f) for g in free) for f in free}
-            units.update((c, tuple(-row[f] for f in free)) for c, row in zip(self.pivots, rows))
-            self._units = tuple(units[m] for m in range(self.ambient_dim))
-        return self._units
+        """The remainders of the unit vectors on the free columns: as
+        remainder(w) = L w - sum_r w[c_r] B_r, (B, L) the ``scaled_rows``,
+        -B_r at a pivot c_r and L in its own slot at a free one."""
+        (rows, big), free = self.scaled_rows, self.free_columns
+        units = {f: tuple(big * (g == f) for g in free) for f in free}
+        units.update((c, tuple(-row[f] for f in free)) for c, row in zip(self.pivots, rows))
+        return tuple(units[m] for m in range(self.ambient_dim))
+
+    @cached_property
+    def _packed(self) -> tuple[int, int, list[int]]:
+        """(e with 2^e >= max ||U_m||, the widest width yet, the U_m packed at it)."""
+        return _bits(max((sum(map(mul, u, u)) for u in self.unit_remainders), default=0)), 0, []
+
+    def _units_packed(self, sums) -> tuple[int, list[int]]:
+        """(width, the U_m packed at it) for one row per s of sums, its
+        remainder of norm at most s max ||U_m||: the width 2 + sum_s (bits of
+        s + e), or the wider one packed before (module docstring)."""
+        bits, width, units = self._packed
+        need = 2 + sum((s - 1).bit_length() + bits for s in sums)
+        if need > width:
+            self._packed = bits, width, units = bits, need, [_pack(u, need) for u in self.unit_remainders]
+        return width, units
 
     @property
     def free_columns(self) -> list[int]:
@@ -467,25 +467,20 @@ class Subspace:
         each built packed as sum_m w[m] U_m from the unit remainders U_m at
         the width of the row bound (sum_m |w[m]|) max ||U_m|| or wider."""
         rows = list(rows)
-        if self._packed is None:  # (e with 2^e >= max ||U_m||, the widest width so far, the U_m packed at it)
-            self._packed = _bits(max((sum(map(mul, u, u)) for u in self.unit_remainders), default=0)), 0, []
-        bits, width, units = self._packed
-        need = 2 + sum((sum(map(abs, w)) - 1).bit_length() + bits for w in rows)
-        if need > width:
-            self._packed = bits, width, units = bits, need, [_pack(u, need) for u in self.unit_remainders]
+        width, units = self._units_packed([sum(map(abs, w)) for w in rows])
         return _eliminate([sum([x * u for x, u in zip(w, units) if x]) for w in rows], width)[0]
 
     def pencil_ranks_modulo(self, rows0, rows1, params) -> list[int]:
         """``rank_modulo`` of the rows q r0 + p r1 for each (p, q) of params:
-        the remainder is linear, so those of r0 and r1 on the free columns,
-        sum_m w[m] U_m from the unit remainders, are built once and ranked
-        as one pencil by ``pencil_eliminations``."""
-        columns = list(zip(*self.unit_remainders))
-
-        def remainders(rows):
-            return [[sum(map(mul, w, col)) for col in columns] for w in rows]
-
-        return [rank for rank, _ in pencil_eliminations(remainders(rows0), remainders(rows1), params)]
+        the remainder is linear, so those of r0 and r1, R0 and R1, are built
+        packed once at the pencil's row bound (module docstring), and each
+        parameter eliminates q R0 + p R1."""
+        big_p = max((abs(p) for p, _ in params), default=0)
+        big_q = max((abs(q) for _, q in params), default=0)
+        width, units = self._units_packed([big_q * sum(map(abs, r0)) + big_p * sum(map(abs, r1))
+                                           for r0, r1 in zip(rows0, rows1, strict=True)])
+        packed0, packed1 = ([sum([x * u for x, u in zip(w, units) if x]) for w in rows] for rows in (rows0, rows1))
+        return [_eliminate([q * x + p * y for x, y in zip(packed0, packed1)], width)[0] for p, q in params]
 
     def meet_dim(self, other: "Subspace") -> int:
         """dim of the intersection: dim other - the rank of other modulo self,

@@ -265,6 +265,7 @@ def duality_suite(*, seed="acceptance-7", hyperplanes=10, planes=10) -> str:
             continue
         _require(z_stratum(ld.a, v3.int_rows) == z_stratum(dual.a, v3.annihilator().int_rows), rows)
         done += 1
+    engineered = 0
     for name, lf in all_lagrangian_fixtures().items():
         for level, family, draw in _engineered_families(rng):
             forms = []
@@ -273,7 +274,9 @@ def duality_suite(*, seed="acceptance-7", hyperplanes=10, planes=10) -> str:
             a = adjoin(adjoin(lf.a, forms[0]), forms[1])
             got = level(a)
             _require(got == a.intersect(family).dim >= 2, (name, family, got))
-    return f"orthogonal involution, {hyperplanes} hyperplane and {planes} plane dualities"
+            engineered += 1
+    return (f"orthogonal involution, {hyperplanes} hyperplane and {planes} plane dualities, "
+            f"{engineered} engineered levels >= 2")
 
 
 def _engineered_families(rng):

@@ -336,7 +336,7 @@ SELFTEST_REPORT = [f"PASS  {name:40s} {detail}" for name, detail in [
     ("dimension formula", "dimension formula incl. the odd-tag shift"),
     ("degree certificates", "1 sextic line and 1 quartic pencil certificates"),
     ("discriminant division", "exact hyperplane-power division, quotient degree <= 6, 1 lines x 4 fixtures"),
-    ("duality suite", "orthogonal involution, 10 hyperplane and 10 plane dualities"),
+    ("duality suite", "orthogonal involution, 10 hyperplane and 10 plane dualities, 12 engineered levels >= 2"),
     ("fibration two path", "16 two-path agreements plus engineered exceptional points"),
     ("hyperplane updates", "10 hyperplane updates: meet dim 9 and Lagrangian"),
     ("hull sampling", "10 hull samples per ordinary fixture satisfy all hyperplane quadrics"),

@@ -502,6 +502,33 @@ def test_rank_modulo_packs_once_at_the_widest_width():
         assert width == widest[0] and units is widest[1]
 
 
+def test_pencil_ranks_modulo_reads_the_packing_of_rank_modulo():
+    # both rank kernels read one packing of the unit remainders: a pencil
+    # whose row bound fits the width rank_modulo packed at reuses it, a
+    # wider pencil repacks once, and rank_modulo then reuses that packing
+    a = Subspace.from_rows(6, [[1, 0, 2, 0, -1, 3], [0, 3, 1, 0, 0, -2], [0, 0, 0, 5, 1, 1]])
+    ra, _ = oracle_span(a.int_rows, 6)
+    small = [[1, -1, 0, 2, 0, 1], [0, 1, 1, 0, 1, 0]]
+    tall = [[3 ** 80, 0, 1, 0, 0, -(2 ** 90)], [0, 2 ** 70, 0, 1, 5 ** 40, 0], [1, 1, 1, 1, 1, 1]]
+
+    def pencil(rows0, rows1, params):
+        got = a.pencil_ranks_modulo(rows0, rows1, params)
+        for (p, q), rank in zip(params, got):
+            rows = [[q * x + p * y for x, y in zip(r0, r1)] for r0, r1 in zip(rows0, rows1)]
+            assert rank == len(oracle_span(ra + rows, 6)[0]) - len(ra)
+        return a._packed[1:]
+
+    assert a.rank_modulo(tall) == len(oracle_span(ra + tall, 6)[0]) - len(ra)
+    width, units = a._packed[1:]
+    narrow = pencil(small, small[::-1], [(0, 1), (-1, 1), (1, 2)])
+    assert narrow[0] == width and narrow[1] is units
+    wide = pencil(small, small[::-1], [(2 ** 400, 1), (-3, 2 ** 300)])
+    assert wide[0] > width
+    assert pencil(small, small[::-1], [(2 ** 400, 1)])[1] is wide[1]
+    a.rank_modulo(tall)
+    assert a._packed[1] == wide[0] and a._packed[2] is wide[1]
+
+
 @pytest.mark.parametrize("k", [0, 1, 5, 40])
 def test_rank_modulo_is_exact_where_its_row_bound_is_attained(k):
     # modulo 0 the unit remainders are the unit vectors, and rows 2^k e_m meet
@@ -511,6 +538,17 @@ def test_rank_modulo_is_exact_where_its_row_bound_is_attained(k):
     rows = [[2 ** (k + 1), 0, 0], [0, 2 ** k, 0], [0, 0, 2 ** (2 * k + 2)], [0, 0, 1]]
     assert zero.rank_modulo(rows) == 3
     assert zero.rank_modulo(rows[1:]) == 2
+    # the pencil's bound (Q sum |r0| + P sum |r1|) max ||U_m||, P and Q the
+    # largest |p| and |q|, is each row's bound above when rows is the pencil
+    # at (2^k, 1) of rest (rows, its second row zeroed) and unit (e_1 as the
+    # second row), or at (1, 2^k) with the roles swapped: a fresh subspace
+    # packs at the same width, attained there too
+    rest, unit = [rows[0], [0, 0, 0], rows[2], rows[3]], [[0, 0, 0], [0, 1, 0], [0, 0, 0], [0, 0, 0]]
+    for r0, r1, params in ((rest, unit, [(2 ** k, 1), (-(2 ** k), 1), (0, 1), (1, 0)]),
+                           (unit, rest, [(1, 2 ** k), (-1, 2 ** k), (1, 0), (0, 1)])):
+        fresh = Subspace.from_rows(3, [])
+        assert fresh.pencil_ranks_modulo(r0, r1, params) == [3, 3, 2, 1]
+        assert fresh._packed[1] == zero._packed[1]
 
 
 def test_rank_modulo_with_a_large_pivot_lcm():

@@ -9,7 +9,8 @@ them outlives it.  Each entry also names the checks that must be among the
 failures.  Capping ``y_stratum``, ``z_stratum`` or ``y_dual_stratum`` at 1
 is caught by the duality suite, which draws a point, a 3-space and a
 hyperplane of level 2 or more on every Lagrangian fixture adjoined two forms of
-the family.
+the family.  Raising every level of a certificate's sample check by one is
+caught by the degree certificates, whose roots then disagree with it.
 """
 
 import io
@@ -53,6 +54,8 @@ MUTATIONS = {
     "y-stratum-capped": (epw, "y_stratum", lambda f: lambda a, v: min(f(a, v), 1), {"duality_suite"}),
     "z-stratum-capped": (epw, "z_stratum", lambda f: lambda a, rows: min(f(a, rows), 1), {"duality_suite"}),
     "y-dual-stratum-capped": (epw, "y_dual_stratum", lambda f: lambda a, v5: min(f(a, v5), 1), {"duality_suite"}),
+    "sample-levels-plus-one": (epw, "_sample_levels", lambda f: lambda *args: [lvl + 1 for lvl in f(*args)],
+                               {"degree_certificates"}),
 }
 
 
