@@ -215,7 +215,7 @@ def cmd_epw_line(args) -> int:
     payload = {
         "kind": cert.kind,
         "line": {"base": base_out, "direction": gio.format_vector(cert.direction)},
-        "poly": gio.format_poly(cert.poly),
+        "poly": gio.format_vector(cert.poly.coeffs),
         "degree": cert.degree,
         "checked_points": cert.sample_consistency,
         "contains_line": cert.contains_line,
@@ -244,9 +244,9 @@ def cmd_disc_line(args) -> int:
         raise DocumentError("--base and --dir: the line lies inside the hyperplane")
     line = discriminant_on_line(d, base, direction)
     payload = {
-        "det_poly": gio.format_poly(line.det_poly),
+        "det_poly": gio.format_vector(line.det_poly.coeffs),
         "plucker_mult": line.plucker_mult,
-        "dis_poly": gio.format_poly(line.dis_poly) if line.dis_poly is not None else None,
+        "dis_poly": gio.format_vector(line.dis_poly.coeffs) if line.dis_poly is not None else None,
         "dis_is_everything": line.dis_is_everything,
         "mult_exceeds_expected": line.mult_exceeds_expected,
     }

@@ -206,7 +206,7 @@ def lagrangian_to_gm(ld: LagrangianData) -> GMData:
             raise CorrespondenceError("induced quadric family is not symmetric")
         grams.append(g)
     mu = [[r[k] for r in rows] for k in range(10)]  # column b is the basis row R_b
-    d = GMData.from_int_rows(w0.dim - 5, (mu, big), [(g, big * big) for g in grams])
+    d = GMData(w0.dim - 5, (mu, big), [(g, big * big) for g in grams])
     return d if ld.a1 == A1_ZERO else opposite(d)
 
 

@@ -299,7 +299,7 @@ def stratum_poly_on_line(
     gens, chart = _lagrangian_family_gens(kind, fixed, start, step)
     det = _membership_poly(a, gens)
     if not det:
-        return LineDegreeCertificate(kind, base_t, dir_t, Poly.zero(), -1, 0, contains_line=True)
+        return LineDegreeCertificate(kind, base_t, dir_t, Poly([]), -1, 0, contains_line=True)
     quotient = divide_power(det, *chart, exponent)
     if quotient is None:
         raise ValueError("the chart factor does not divide the determinant")

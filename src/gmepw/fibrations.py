@@ -94,7 +94,7 @@ def _fiber_report(ld: LagrangianData, iso20, sigma: int, stratum: int, shift: in
     dec = extended_decomposition()
     iso = [r + [0, 0] for r in iso20]
     q2 = _induced_quadric(dec, isotropic_reduce(dec, extended_lagrangian(ld), iso), 2)
-    ambient, corank = q2.span_dim - 1, q2.corank
+    ambient, corank = q2.span.dim - 1, q2.corank
     n = ld.dim_report.predicted_dim_x
     expected_ambient, expected_corank = n + sigma + shift, stratum - sigma
     if (ambient, corank) != (expected_ambient, expected_corank):

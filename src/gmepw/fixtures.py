@@ -29,7 +29,7 @@ def fivefold() -> GMData:
     in the e6 direction."""
     identity = Subspace.full(10).int_rows  # the rows and columns of mu, and q(e6)
     grams = [(g, 1) for g in plucker_grams(identity)]
-    return GMData.from_int_rows(5, (identity, 1), grams + [(identity, 1)])
+    return GMData(5, (identity, 1), grams + [(identity, 1)])
 
 
 @lru_cache(maxsize=None)

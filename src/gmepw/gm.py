@@ -39,27 +39,17 @@ class GMData:
     per basis vector of the 6-space; epsilon scales the determinant
     trivialization of the 5-space.
 
-    An instance stores integer rows only: q and mu over their least common
-    denominators (``int_q``, ``int_mu``), from which the kernel of mu and
-    its form are derived on first use.  The ``Fraction`` matrices ``mu``
-    and ``q`` are the API edge, built only when read.  Both constructors
-    check the shapes and put the rows in lowest terms with ``over_lcd``, so
-    equal data holds equal rows.  Instances are immutable.
+    The data is given as mu = M / m and q(e_i) = Q_i / D_i for mu = (M, m)
+    and q the six (Q_i, D_i): rows of ints or ``Fraction``s over positive
+    denominators.  The constructor checks the shapes and puts the rows in
+    lowest terms with ``over_lcd``, so equal data holds equal rows.  An
+    instance stores those integer rows only (``int_q``, ``int_mu``), from
+    which the kernel of mu and its form are derived on first use.  The
+    ``Fraction`` matrices ``mu`` and ``q`` are the API edge, built only when
+    read.  Instances are immutable.
     """
 
-    def __init__(self, n: int, mu: Matrix, q, epsilon: Fraction = Fraction(1)):
-        """The data of ``Fraction`` matrices mu and q, converted once."""
-        self._store(n, (mu.data, 1), [(m.data, 1) for m in q], epsilon)
-
-    @classmethod
-    def from_int_rows(cls, n: int, mu, q, epsilon: Fraction = Fraction(1)) -> "GMData":
-        """The data with mu = M / m and q(e_i) = Q_i / D_i for mu = (M, m) and
-        q the six (Q_i, D_i), integer rows over positive denominators."""
-        d = cls.__new__(cls)
-        d._store(n, mu, q, epsilon)
-        return d
-
-    def _store(self, n: int, mu, q, epsilon) -> None:
+    def __init__(self, n: int, mu, q, epsilon: Fraction = Fraction(1)):
         w = n + 5
         if len(mu[0]) != L2V5_DIM or any(len(r) != w for r in mu[0]):
             raise GmError(f"mu must be 10 x {w}")
@@ -272,7 +262,7 @@ def opposite(d: GMData) -> GMData:
     if t == ORDINARY:
         mu = [list(row) for row in zip(*cols, [0] * L2V5_DIM)]  # a zero column appended
         q = [([[*row, 0] for row in g] + [[0] * w + [den * int(i == 5)]], den) for i, g in enumerate(qs)]
-        return GMData.from_int_rows(d.n + 1, (mu, m), q, d.epsilon)
+        return GMData(d.n + 1, (mu, m), q, d.epsilon)
     if d.n < 2:
         raise GmError("special input must have dimension at least 2")
     # the RREF basis of W0 is B_r / L for its scaled rows B_r over L
@@ -282,7 +272,7 @@ def opposite(d: GMData) -> GMData:
     for g in qs:
         gr = [[sum(map(mul, row, r)) for row in g] for r in basis]
         q0.append([[sum(map(mul, x, y)) for y in gr] for x in basis])
-    return GMData.from_int_rows(d.n - 1, (mu, m * big), [(g, den * big * big) for g in q0], d.epsilon)
+    return GMData(d.n - 1, (mu, m * big), [(g, den * big * big) for g in q0], d.epsilon)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ are read with ``int`` and reduced by one gcd, with no ``Fraction`` built;
 any other token goes through ``Fraction(str)``, with the same caps and
 messages.  A field path is formatted only for a rejected token.  A
 Lagrangian basis goes to ``Subspace.from_rows`` as those rows, and GM data
-to ``GMData.from_int_rows``, which keeps them as its integer view.  Both
+to the ``GMData`` constructor, which keeps them as its integer view.  Both
 document kinds are written from integer rows by ``format_int_row``: GM data
 from its integer view, a subspace from its primitive RREF rows, each over
 its pivot entry.  Each token x / den is reduced by gcd(x, den), which is the
@@ -35,7 +35,6 @@ from typing import Any
 from .correspondence import A1_TAGS, LagrangianData, apply_frame
 from .gm import GMData, GmError, classify
 from .linalg import Subspace
-from .polynomials import Poly
 
 FORMAT_VERSION = "1"
 
@@ -208,7 +207,7 @@ def parse_gm_data(obj, where: str = "gm_data") -> GMData:
     if eps == 0:
         raise DocumentError(f"{where}.epsilon: must be non-zero")
     try:
-        return GMData.from_int_rows(n, mu, q, eps)
+        return GMData(n, mu, q, eps)
     except ValueError as exc:
         raise DocumentError(f"{where}: {exc}") from None
 
@@ -235,10 +234,6 @@ def parse_lagrangian_data(obj, where: str = "lagrangian_data") -> LagrangianData
         return LagrangianData(a=a, a1=tag)
     except ValueError as exc:
         raise DocumentError(f"{where}: {exc}") from None
-
-
-def format_poly(p: Poly) -> list[str]:
-    return [format_rat(c) for c in p.coeffs]
 
 
 def parse(text: str) -> Document:

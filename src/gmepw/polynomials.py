@@ -44,14 +44,6 @@ class Poly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def zero(cls) -> "Poly":
-        return cls([])
-
-    @classmethod
-    def constant(cls, c) -> "Poly":
-        return cls([c])
-
     @property
     def degree(self) -> int:
         """Degree, with the convention deg 0 = -1."""
@@ -101,7 +93,7 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         if self.is_zero() or other.is_zero():
-            return Poly.zero()
+            return Poly([])
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
@@ -117,7 +109,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power")
-        result = Poly.constant(1)
+        result = Poly([1])
         base = self
         while n:
             if n & 1:

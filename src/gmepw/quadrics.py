@@ -118,13 +118,10 @@ class QuadricOnSubspace:
     RREF basis: ``int_gram`` = (rows of ints or Fractions, den > 0), put in
     lowest terms by ``over_lcd`` so that equal quadrics hold equal rows."""
 
-    ambient_dim: int
     span: Subspace
     int_gram: tuple
 
     def __post_init__(self):
-        if self.span.ambient_dim != self.ambient_dim:
-            raise ValueError("span ambient mismatch")
         rows, den = self.int_gram
         k = self.span.dim
         if len(rows) != k or any(len(r) != k for r in rows):
@@ -139,10 +136,6 @@ class QuadricOnSubspace:
         return Matrix.from_int_rows(*self.int_gram, self.span.dim)
 
     @property
-    def span_dim(self) -> int:
-        return self.span.dim
-
-    @property
     def corank(self) -> int:
         return self.span.dim - _bareiss(self.int_gram[0])[0]
 
@@ -151,7 +144,8 @@ class QuadricOnSubspace:
         the gram gives sum_i c_i B_i for the span's ``scaled_rows`` B_i."""
         null = Subspace.from_rows(self.span.dim, self.int_gram[0]).annihilator()
         cols = list(zip(*self.span.scaled_rows[0]))
-        return Subspace.from_rows(self.ambient_dim, [[sum(map(mul, c, col)) for col in cols] for c in null.int_rows])
+        rows = [[sum(map(mul, c, col)) for col in cols] for c in null.int_rows]
+        return Subspace.from_rows(self.span.ambient_dim, rows)
 
 
 def gram_on_lagrangian(dec: LagrangianDecomposition, a: Subspace) -> tuple[list[list[int]], int]:
@@ -178,7 +172,7 @@ def _induced_quadric(dec: LagrangianDecomposition, a: Subspace, side: int) -> Qu
     w, rows = int_image_and_lifts(stack, n)
     pair = [r[:n] for r in rows], [r[n:] for r in rows]
     left, right = pair if side == 1 else pair[::-1]
-    return QuadricOnSubspace(n, w, _gram(dec.space, left, right, [r[c] for r, c in zip(rows, w.pivots)]))
+    return QuadricOnSubspace(w, _gram(dec.space, left, right, [r[c] for r, c in zip(rows, w.pivots)]))
 
 
 def quadric_pair_from_lagrangian(
@@ -192,11 +186,6 @@ def quadric_pair_from_lagrangian(
     if not is_lagrangian(dec.space, a):
         raise ValueError("subspace is not Lagrangian")
     return _induced_quadric(dec, a, 1), _induced_quadric(dec, a, 2)
-
-
-def pairing_annihilator_in(space: SymplecticSpace, s: Subspace, inside: Subspace) -> Subspace:
-    """Vectors of `inside` that are omega-orthogonal to all of s."""
-    return omega_orthogonal(space, s).intersect(inside)
 
 
 def dual_quadric_via_pairing(
@@ -222,7 +211,7 @@ def dual_quadric_via_pairing(
     src, dst = (dec.l1, dec.l2) if side == 1 else (dec.l2, dec.l1)
     if not src.contains_subspace(q.span):
         raise ValueError("quadric does not live on the declared summand")
-    dual_span = pairing_annihilator_in(space, q.kernel_subspace(), dst)
+    dual_span = omega_orthogonal(space, q.kernel_subspace()).intersect(dst)
     rows, den = q.int_gram
     idx = Subspace.from_rows(q.span.dim, rows).pivots
     basis, ys = q.span.scaled_rows[0], dual_span.scaled_rows[0]
@@ -232,7 +221,7 @@ def dual_quadric_via_pairing(
     xs, big = over_pivots(lifts, image.pivots)
     e, m = space.int_form[1] * q.span.scaled_rows[1] * dual_span.scaled_rows[1], dual_span.dim
     gram = [[den * sum(p[a] * x[k + b] for p, x in zip(phi, xs)) for b in range(m)] for a in range(m)]
-    return QuadricOnSubspace(space.total_dim, dual_span, (gram, big * e * e))
+    return QuadricOnSubspace(dual_span, (gram, big * e * e))
 
 
 def standard_doubled_space(m: int) -> LagrangianDecomposition:
@@ -245,11 +234,11 @@ def standard_doubled_space(m: int) -> LagrangianDecomposition:
 def lagrangian_from_quadric(q: QuadricOnSubspace) -> Subspace:
     """The unique Lagrangian in L + L-dual inducing the given quadric on L.
 
-    The quadric lives on L = k^m (ambient_dim = m); the result lives in
+    The quadric lives on L = k^m (``span.ambient_dim`` = m); the result lives in
     k^(2m) with the standard pairing form, and consists of the graph points
     (x, q(x) mod the annihilator of the span) plus the pure annihilator.
     """
-    m = q.ambient_dim
+    m = q.span.ambient_dim
     at = {p: j for j, p in enumerate(q.span.pivots)}  # q(x) at e_p is the gram column of pivot p
     (basis, big), (grams, den) = q.span.scaled_rows, q.int_gram
     # the graph row (B_r / L, g_r / D) of the RREF row B_r / L, times L D

@@ -87,7 +87,7 @@ def _quadric_battery(dec, a) -> QuadricOnSubspace:
     """Kernel of the pairing form = a meet l1 + a meet l2, and the pairing
     dual of the first quadric is the second; returns the first quadric."""
     # the pairing form as a quadric on a, whose constructor checks symmetry
-    lhs = QuadricOnSubspace(a.ambient_dim, a, gram_on_lagrangian(dec, a)).kernel_subspace()
+    lhs = QuadricOnSubspace(a, gram_on_lagrangian(dec, a)).kernel_subspace()
     _require(lhs == a.intersect(dec.l1) + a.intersect(dec.l2), "kernel differs from the meets")
     q1, q2 = quadric_pair_from_lagrangian(dec, a)
     d2 = dual_quadric_via_pairing(dec, q1, 1)
@@ -112,7 +112,7 @@ def quadric_correspondence(
             q1 = _quadric_battery(dec, a)
             # round trip of the explicit graph construction
             small = Subspace.from_rows(m, [r[:m] for r in q1.span.basis_rows()])
-            rebuilt = lagrangian_from_quadric(QuadricOnSubspace(m, small, q1.int_gram))
+            rebuilt = lagrangian_from_quadric(QuadricOnSubspace(small, q1.int_gram))
             _require(rebuilt == a, "graph rebuild differs from the Lagrangian")
             total += 1
     space = wedge_symplectic_space()

@@ -211,6 +211,11 @@ def solve(m: Matrix, b) -> list[Fraction] | None:
     return x
 
 
+def gm_data(n: int, mu: Matrix, q, epsilon=Fraction(1)) -> GMData:
+    """The GM data of ``Fraction`` matrices mu and q."""
+    return GMData(n, (mu.data, 1), [(g.data, 1) for g in q], epsilon)
+
+
 def q_of(d: GMData, v) -> Matrix:
     """q(v) as the sum of the six scaled ``Fraction`` matrices."""
     acc = zero(d.w_dim, d.w_dim)

@@ -42,7 +42,7 @@ from gmepw.fixtures import (
     threefold,
     threefold_lagrangian,
 )
-from gmepw.gm import ORDINARY, SPECIAL, GMData, discriminant_on_line, validate
+from gmepw.gm import ORDINARY, SPECIAL, discriminant_on_line, validate
 from gmepw.linalg import Matrix, Subspace, unit_vector
 from gmepw.quadrics import is_lagrangian
 from gmepw.sampling import (
@@ -276,7 +276,7 @@ def test_epsilon_three_fivefold():
     # the fivefold with the determinant trivialization scaled by 3
     mu = oracles.identity(10)
     q = tuple(oracles.plucker_gram(mu, i, Fraction(3)) for i in range(5)) + (oracles.identity(10),)
-    d = GMData(n=5, mu=mu, q=q, epsilon=Fraction(3))
+    d = oracles.gm_data(n=5, mu=mu, q=q, epsilon=Fraction(3))
     rep = validate(d)
     assert rep.ok and rep.gm_type == ORDINARY
     a = gm_to_lagrangian(d).a

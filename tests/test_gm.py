@@ -42,7 +42,7 @@ def perturbed(d: GMData, i: int, a: int, b: int) -> GMData:
     q = [Matrix(oracles.copy_data(m)) for m in d.q]
     q[i].data[a][b] += Fraction(1)
     q[i].data[b][a] += Fraction(1) if a != b else Fraction(0)
-    return GMData(n=d.n, mu=d.mu, q=tuple(q), epsilon=d.epsilon)
+    return oracles.gm_data(n=d.n, mu=d.mu, q=tuple(q), epsilon=d.epsilon)
 
 
 def test_fivefold_validates_ordinary():
@@ -76,7 +76,7 @@ def test_asymmetric_q_detected():
     d = fivefold()
     q = [Matrix(oracles.copy_data(m)) for m in d.q]
     q[5].data[0][1] += 1
-    rep = validate(GMData(n=5, mu=d.mu, q=tuple(q), epsilon=d.epsilon))
+    rep = validate(oracles.gm_data(n=5, mu=d.mu, q=tuple(q), epsilon=d.epsilon))
     assert not rep.ok and "symmetric" in rep.message
 
 
@@ -85,7 +85,7 @@ def test_classify_non_lci():
     d6 = sixfold_special()
     q = [Matrix(oracles.copy_data(m)) for m in d6.q]
     q[5].data[10][10] = Fraction(0)
-    assert classify(GMData(n=6, mu=d6.mu, q=tuple(q), epsilon=d6.epsilon)) == NON_LCI
+    assert classify(oracles.gm_data(n=6, mu=d6.mu, q=tuple(q), epsilon=d6.epsilon)) == NON_LCI
 
 
 def blocks(d: GMData, w: Subspace) -> tuple[Matrix, ...]:
@@ -151,7 +151,7 @@ def test_split_rejects_non_lci():
     q = [Matrix(oracles.copy_data(m)) for m in d6.q]
     q[5].data[10][10] = Fraction(0)
     with pytest.raises(GmError):
-        split_w(GMData(n=6, mu=d6.mu, q=tuple(q), epsilon=d6.epsilon))
+        split_w(oracles.gm_data(n=6, mu=d6.mu, q=tuple(q), epsilon=d6.epsilon))
 
 
 def test_quadric_at_defining_identity():
@@ -232,7 +232,7 @@ def test_opposite_rejects_non_lci():
     q = [Matrix(oracles.copy_data(m)) for m in d6.q]
     q[5].data[10][10] = Fraction(0)
     with pytest.raises(GmError):
-        opposite(GMData(n=6, mu=d6.mu, q=tuple(q), epsilon=d6.epsilon))
+        opposite(oracles.gm_data(n=6, mu=d6.mu, q=tuple(q), epsilon=d6.epsilon))
 
 
 def test_discriminant_division_fivefold():
@@ -270,7 +270,7 @@ def epsilon_fivefold(epsilon) -> GMData:
     """The fivefold's mu and q(e6) with the Pluecker quadrics scaled by epsilon."""
     d = fivefold()
     qs = tuple(oracles.plucker_gram(d.mu, i, epsilon) for i in range(5)) + (d.q[5],)
-    return GMData(n=d.n, mu=d.mu, q=qs, epsilon=epsilon)
+    return oracles.gm_data(n=d.n, mu=d.mu, q=qs, epsilon=epsilon)
 
 
 DISCRIMINANT_LINES = [
@@ -366,7 +366,7 @@ def test_discriminant_identically_zero_path():
         block = [row + [Fraction(0)] for row in oracles.copy_data(m)]
         block.append([Fraction(0)] * 11)
         qs.append(Matrix(block))
-    dd = GMData(n=6, mu=mu, q=tuple(qs), epsilon=d.epsilon)
+    dd = oracles.gm_data(n=6, mu=mu, q=tuple(qs), epsilon=d.epsilon)
     line = discriminant_on_line(dd, [1, 0, 0, 0, 0, 1], [0, 1, 0, 0, 0, 0])
     assert line.dis_is_everything
     assert line.dis_poly is None
@@ -432,7 +432,7 @@ def test_hull_sampler_resamples_on_thin_image():
         [[sum((x[k] * y[k] for k in range(10)), Fraction(0)) for y in rows] for x in rows]
     )
     qs.append(q6)
-    d = GMData(n=w_sub.dim - 5, mu=mu, q=tuple(qs), epsilon=Fraction(1))
+    d = oracles.gm_data(n=w_sub.dim - 5, mu=mu, q=tuple(qs), epsilon=Fraction(1))
     assert d.n == 1
     assert validate(d).ok
     for seed in range(5):
@@ -490,7 +490,7 @@ def single_entry_perturbations(d: GMData, delta: Fraction):
                     q = [Matrix(oracles.copy_data(m)) for m in d.q]
                     for x, y in entries:
                         q[i].data[x][y] += delta
-                    yield GMData(n=d.n, mu=d.mu, q=tuple(q), epsilon=d.epsilon)
+                    yield oracles.gm_data(n=d.n, mu=d.mu, q=tuple(q), epsilon=d.epsilon)
 
 
 @pytest.mark.parametrize("name", ["fivefold", "sixfold_special"])
@@ -524,7 +524,7 @@ def test_gm_layer_runs_without_fraction_matrix_arithmetic(monkeypatch):
     for method in ("scale", "__add__", "solve", "__mul__", "rref", "det"):
         monkeypatch.setattr(Matrix, method, refuse, raising=False)
     for name, fixture in all_gm_fixtures().items():
-        d = GMData(n=fixture.n, mu=fixture.mu, q=fixture.q, epsilon=fixture.epsilon)  # empty caches
+        d = oracles.gm_data(n=fixture.n, mu=fixture.mu, q=fixture.q, epsilon=fixture.epsilon)  # empty caches
         assert validate(d).ok, name
         assert classify(d) in (ORDINARY, SPECIAL)
         split_w(d)
@@ -535,16 +535,16 @@ def test_gm_layer_runs_without_fraction_matrix_arithmetic(monkeypatch):
 
 
 def test_equality_reads_the_stored_integer_rows(monkeypatch):
-    # both constructors store q and mu over their least common denominators,
-    # in the same containers, so equality compares integer rows and builds
+    # the constructor stores q and mu over their least common denominators,
+    # whether given Fraction or integer rows, so equality compares integer rows and builds
     # no Fraction matrix for data made from integer rows
     for name, d in all_gm_fixtures().items():
-        fresh = GMData(n=d.n, mu=d.mu, q=d.q, epsilon=d.epsilon)
+        fresh = oracles.gm_data(n=d.n, mu=d.mu, q=d.q, epsilon=d.epsilon)
         (cols, m), (qs, den) = fresh.int_mu, fresh.int_q
 
         def scaled(k, epsilon=d.epsilon):
             mu = ([[k * x for x in row] for row in zip(*cols)], k * m)
-            return GMData.from_int_rows(d.n, mu, [([[k * x for x in r] for r in g], k * den) for g in qs], epsilon)
+            return GMData(d.n, mu, [([[k * x for x in r] for r in g], k * den) for g in qs], epsilon)
 
         with monkeypatch.context() as patch:
             patch.setattr(Matrix, "from_int_rows", lambda *args: pytest.fail("Fraction matrix built"))
@@ -568,7 +568,7 @@ def diagonal_data(n: int, forms, den: int = 1) -> GMData:
     w = n + 5
     q = tuple(Matrix([[Fraction(forms[k][i], den) if k == j else 0 for j in range(w)] for k in range(w)])
               for i in range(6))
-    return GMData(n=n, mu=oracles.zero(10, w), q=q)
+    return oracles.gm_data(n=n, mu=oracles.zero(10, w), q=q)
 
 
 def line_outcome(fn, d, v_a, v_b):

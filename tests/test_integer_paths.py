@@ -98,7 +98,7 @@ def test_quadric_operations_build_no_fraction_matrix(monkeypatch):
         assert (q1.corank, q2.corank) == (k1.dim, k2.dim)
         if m is not None:  # the graph over the first summand of k^m + dual
             small = Subspace.from_rows(m, [r[:m] for r in q1.span.int_rows])
-            assert lagrangian_from_quadric(QuadricOnSubspace(m, small, q1.int_gram)) == a
+            assert lagrangian_from_quadric(QuadricOnSubspace(small, q1.int_gram)) == a
 
 
 def quadric_correspondence_record() -> list:
@@ -196,7 +196,7 @@ def test_membership_equals_the_fraction_values():
     five = fixtures["fivefold"]
     (qs, den), w = five.int_q, five.w_dim
     mu = ([list(r) for r in zip(*five.int_mu[0])], five.int_mu[1])
-    fixtures["fivefold q(e6) = 0"] = GMData.from_int_rows(5, mu, [(g, den) for g in qs[:5]] + [([[0] * w] * w, 1)])
+    fixtures["fivefold q(e6) = 0"] = GMData(5, mu, [(g, den) for g in qs[:5]] + [([[0] * w] * w, 1)])
     seen = set()
     for name, d in fixtures.items():
         points = []

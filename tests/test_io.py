@@ -178,7 +178,7 @@ def test_emit_writes_no_type_for_data_whose_kernel_row_breaks_the_wedge_identity
     q = [[list(r) for r in m] for m in d.int_q[0]]
     q[0][i][i] += d.int_q[1]
     mu_rows = [list(r) for r in zip(*d.int_mu[0])]
-    bad = GMData.from_int_rows(d.n, (mu_rows, d.int_mu[1]), [(m, d.int_q[1]) for m in q], d.epsilon)
+    bad = GMData(d.n, (mu_rows, d.int_mu[1]), [(m, d.int_q[1]) for m in q], d.epsilon)
     with pytest.raises(GmError, match="inconsistent kernel values"):
         classify(bad)
     text = gio.emit(Document("gm_data", bad))
@@ -651,7 +651,7 @@ def test_document_shape_errors_keep_their_text():
         assert parse_error(doc) == message
 
 
-# ---- the integer views that GMData.from_int_rows is given
+# ---- the integer views that the GMData constructor is given
 
 
 def over_common_denominator(matrices):
@@ -702,10 +702,13 @@ def test_constructed_views_equal_the_fraction_views():
     for ld in all_lagrangian_fixtures().values():
         if ld.a1 != "inf":
             assert_views_are_the_fraction_views(lagrangian_to_gm(ld))
-    # rows over a denominator that is not the least one
+    # rows over a denominator that is not the least one, and Fraction rows
+    # over 1
     d = fivefold()
     qs, den = d.int_q
-    scaled = GMData.from_int_rows(d.n, ([[6 * x for x in row] for row in zip(*d.int_mu[0])], 6 * d.int_mu[1]),
-                                  [([[6 * x for x in row] for row in g], 6 * den) for g in qs])
-    assert scaled == d
-    assert_views_are_the_fraction_views(scaled)
+    scaled = GMData(d.n, ([[6 * x for x in row] for row in zip(*d.int_mu[0])], 6 * d.int_mu[1]),
+                    [([[6 * x for x in row] for row in g], 6 * den) for g in qs])
+    fractions = GMData(d.n, (d.mu.data, 1), [(g.data, 1) for g in d.q], d.epsilon)
+    for built in (scaled, fractions):
+        assert built == d
+        assert_views_are_the_fraction_views(built)

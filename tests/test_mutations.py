@@ -11,6 +11,12 @@ is caught by the duality suite, which draws a point, a 3-space and a
 hyperplane of level 2 or more on every Lagrangian fixture adjoined two forms of
 the family.  Raising every level of a certificate's sample check by one is
 caught by the degree certificates, whose roots then disagree with it.
+Dropping the chart factor, by charting every line at the constant
+coordinate 1, leaves c^e in the certificate, whose degree is then 10: the
+degree certificates catch it.  ``divide_power`` itself is not mutated:
+``gm`` holds it under the same name, and its division chain in
+``discriminant_on_line`` would not end under a variant that never returns
+None at exponent 0.
 """
 
 import io
@@ -27,6 +33,12 @@ def _shift_chart(result):
     """The chart coordinate c0 + c1 t off by one in its constant term."""
     gens, (c0, c1) = result
     return gens, (c0 + 1, c1)
+
+
+def _constant_chart(result):
+    """The chart coordinate replaced by the constant 1."""
+    gens, _ = result
+    return gens, (1, 0)
 
 
 def _negate_one_entry(rows):
@@ -49,6 +61,8 @@ MUTATIONS = {
                                 {"hyperplane_updates"}),
     "chart-factor-off-by-one": (epw, "_lagrangian_family_gens", lambda f: lambda *args: _shift_chart(f(*args)),
                                 {"degree_certificates"}),
+    "chart-factor-dropped": (epw, "_lagrangian_family_gens", lambda f: lambda *args: _constant_chart(f(*args)),
+                             {"degree_certificates"}),
     "chart-row-sign-mangled": (epw, "point_chart_rows", lambda f: lambda *args: _negate_one_entry(f(*args)),
                                {"degree_certificates"}),
     "y-stratum-capped": (epw, "y_stratum", lambda f: lambda a, v: min(f(a, v), 1), {"duality_suite"}),

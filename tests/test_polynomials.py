@@ -21,7 +21,7 @@ def test_eval_and_degree():
     p = Poly([1, 0, -2])  # 1 - 2 t^2
     assert p.degree == 2
     assert p(3) == 1 - 18
-    assert Poly.zero().degree == -1
+    assert Poly([]).degree == -1
 
 
 def test_arithmetic():
@@ -78,11 +78,11 @@ def lagrange_interpolate(points) -> Poly:
     Newton form of the oracle and of the forward differences of
     interpolate."""
     points = [(Fraction(x), Fraction(y)) for x, y in points]
-    total = Poly.zero()
+    total = Poly([])
     for i, (xi, yi) in enumerate(points):
         if yi == 0:
             continue
-        num = Poly.constant(yi)
+        num = Poly([yi])
         for j, (xj, _) in enumerate(points):
             if j != i:
                 num = num * Poly([-xj, 1]).scale(1 / (xi - xj))

@@ -172,3 +172,17 @@ def test_the_packed_kernel_stays_inside_linalg():
         found = {path.stem for path in SRC.glob("*.py")
                  if list(mentions(ast.parse(path.read_text(encoding="utf-8")), name))}
         assert found == {"linalg"}, name
+
+
+def test_each_value_type_is_built_one_way():
+    # GM data and polynomials have their __init__ as the one constructor,
+    # and a quadric is its span and its gram: the ambient is the span's
+    from dataclasses import fields
+
+    from gmepw.gm import GMData
+    from gmepw.polynomials import Poly
+    from gmepw.quadrics import QuadricOnSubspace
+
+    for cls in (GMData, Poly):
+        assert [name for name, x in vars(cls).items() if isinstance(x, classmethod)] == [], cls.__name__
+    assert tuple(f.name for f in fields(QuadricOnSubspace)) == ("span", "int_gram")
